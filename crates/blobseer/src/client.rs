@@ -857,8 +857,7 @@ impl BlobSeerClient {
             return Ok(Vec::new());
         }
         let len = (version.size - page_start).min(pm.page_size());
-        let data = self.read(blob, version.version, page_start, len)?;
-        Ok(data.to_vec())
+        self.read_vec(blob, version, page_start, len)
     }
 
     /// Read `len` bytes at `offset` from a specific published version.
@@ -880,8 +879,20 @@ impl BlobSeerClient {
         offset: u64,
         len: u64,
     ) -> BlobResult<Bytes> {
+        self.read_vec(blob, info, offset, len).map(Bytes::from)
+    }
+
+    /// The read path proper: resolve the pages, fetch their windows, and
+    /// assemble them into one buffer sized up front.
+    fn read_vec(
+        &self,
+        blob: BlobId,
+        info: &VersionInfo,
+        offset: u64,
+        len: u64,
+    ) -> BlobResult<Vec<u8>> {
         if len == 0 {
-            return Ok(Bytes::new());
+            return Ok(Vec::new());
         }
         // Attribute this thread's metadata descent to the client's node.
         let _src = wire::source_guard(self.node);
@@ -937,9 +948,10 @@ impl BlobSeerClient {
             })
             .collect();
         // Coalesced: fold the fetches bound for the same provider into one
-        // `DownloadMany` exchange each, issued sequentially from this
-        // thread. Naive: one exchange per page, fanned out over the bounded
-        // I/O pool. Either way each fetch yields exactly the window's bytes.
+        // `DownloadMany` exchange each, all posted from this thread before
+        // any is awaited. Naive: one exchange per page, fanned out over the
+        // bounded I/O pool. Either way each fetch yields the window's stored
+        // bytes as a view into the provider's response.
         let pieces = if sys.config.coalesce_reads {
             self.fetch_pages_coalesced(blob, &locations, &windows)
         } else {
@@ -949,9 +961,15 @@ impl BlobSeerClient {
             })
         };
 
-        let mut out = Vec::with_capacity(len as usize);
-        for piece in pieces {
-            out.extend_from_slice(&piece?);
+        // The one copy of the read: each view goes straight into its slot
+        // of the zeroed output. Holes, and windows reaching past the end of
+        // a stored image, leave their zeroes in place.
+        let mut out = vec![0u8; len as usize];
+        let mut at = 0;
+        for (piece, &(from, to, _)) in pieces.into_iter().zip(&windows) {
+            let piece = piece?;
+            out[at..at + piece.len()].copy_from_slice(&piece);
+            at += to - from;
         }
 
         sys.bytes_read.fetch_add(len, Ordering::Relaxed);
@@ -961,37 +979,21 @@ impl BlobSeerClient {
         if let Some(ra) = &sys.readahead {
             ra.observe(&sys.metadata.stats());
         }
-        Ok(Bytes::from(out))
+        Ok(out)
     }
 
-    /// Turn a provider's response into exactly the window's bytes.
+    /// The stored bytes of the `[from, to)` window within a provider's
+    /// response, as a view into it.
     ///
-    /// A ranged response carries the stored intersection of `[from, to)` and
-    /// only needs zero-padding to the window length (the stored image can be
-    /// shorter than the valid length when the blob grew past this page's
-    /// last write through a hole). A whole-page response is padded/truncated
-    /// to `valid_len` first — the historic path — then sliced.
-    fn window_bytes(
-        data: &Bytes,
-        ranged: bool,
-        from: usize,
-        to: usize,
-        valid_len: usize,
-    ) -> Vec<u8> {
-        if ranged {
-            let mut piece = data.to_vec();
-            piece.truncate(to - from);
-            piece.resize(to - from, 0);
-            piece
-        } else {
-            let mut image = data.to_vec();
-            if image.len() < valid_len {
-                image.resize(valid_len, 0);
-            } else {
-                image.truncate(valid_len);
-            }
-            image[from..to].to_vec()
-        }
+    /// A ranged response already starts at `from`; a whole-page response
+    /// starts at the page's first byte. Either can end before the window
+    /// does (the stored image is shorter than the valid length when the blob
+    /// grew past this page's last write through a hole): the view is then
+    /// shorter than the window and the remainder reads as zeroes.
+    fn window_bytes(data: &Bytes, ranged: bool, from: usize, to: usize) -> Bytes {
+        let skip = if ranged { 0 } else { from };
+        let stored = data.len();
+        data.slice(skip.min(stored)..(skip + (to - from)).min(stored))
     }
 
     /// Should this window go over the wire as a ranged `Download`? Only when
@@ -1023,10 +1025,10 @@ impl BlobSeerClient {
         valid_len: usize,
         from: usize,
         to: usize,
-    ) -> BlobResult<Vec<u8>> {
+    ) -> BlobResult<Bytes> {
         let created = match meta.created {
-            // A hole: never written, reads as zeroes.
-            None => return Ok(vec![0u8; to - from]),
+            // A hole: never written, nothing stored.
+            None => return Ok(Bytes::new()),
             Some(v) => v,
         };
         let sys = &self.system;
@@ -1070,7 +1072,7 @@ impl BlobSeerClient {
                 );
                 match resp {
                     Ok(Some(data)) => {
-                        return Ok(Self::window_bytes(&data, ranged, from, to, valid_len));
+                        return Ok(Self::window_bytes(&data, ranged, from, to));
                     }
                     Ok(None) => continue,
                     Err(_) => {
@@ -1097,8 +1099,10 @@ impl BlobSeerClient {
     /// Fetch every page window of a read with per-destination coalescing:
     /// the demand fetches bound for the same (first-replica) provider fold
     /// into one `DownloadMany` message — one wire exchange, one latency
-    /// charge — per destination. Groups are visited in provider-id order,
-    /// so a single-threaded caller issues a deterministic exchange sequence.
+    /// charge — per destination. Every destination's message is posted
+    /// before any reply is awaited, so the providers serve side by side;
+    /// replies are collected, and charged, in provider-id order, so a
+    /// single-threaded caller charges a deterministic exchange sequence.
     /// Holes resolve locally; anything a batch could not answer (provider
     /// dead, page missing, page not in the recorded first replica) falls
     /// back to the per-page fail-over path.
@@ -1107,58 +1111,62 @@ impl BlobSeerClient {
         blob: BlobId,
         locations: &[crate::metadata::segment_tree::PageMeta],
         windows: &[(usize, usize, usize)],
-    ) -> Vec<BlobResult<Vec<u8>>> {
+    ) -> Vec<BlobResult<Bytes>> {
         let sys = &self.system;
-        let mut out: Vec<Option<BlobResult<Vec<u8>>>> = locations.iter().map(|_| None).collect();
+        let mut out: Vec<Option<BlobResult<Bytes>>> = locations.iter().map(|_| None).collect();
         let mut groups: BTreeMap<ProviderId, Vec<usize>> = BTreeMap::new();
         for (i, meta) in locations.iter().enumerate() {
-            let (from, to, _) = windows[i];
             if meta.created.is_none() {
-                out[i] = Some(Ok(vec![0u8; to - from]));
+                out[i] = Some(Ok(Bytes::new()));
             } else if let Some(pid) = meta.providers.first() {
                 groups.entry(*pid).or_default().push(i);
             }
             // `created` set but no recorded provider: leave for the
             // fall-back path, which also chases the announcement registry.
         }
-        for (pid, indices) in &groups {
-            let Some(provider) = sys.provider_manager.provider(*pid) else {
-                continue;
-            };
-            let requests: Vec<PageRequest> = indices
-                .iter()
-                .map(|&i| {
-                    let meta = &locations[i];
-                    let (from, to, valid_len) = windows[i];
-                    let key = page_key(
-                        blob,
-                        meta.created.expect("grouped pages are created"),
-                        meta.page,
-                    );
-                    if self.use_ranged(from, to, valid_len) {
-                        PageRequest {
-                            key,
-                            offset: from as u64,
-                            len: Some((to - from) as u64),
+        let posted: Vec<_> = groups
+            .iter()
+            .filter_map(|(pid, indices)| {
+                let provider = sys.provider_manager.provider(*pid)?;
+                let requests: Vec<PageRequest> = indices
+                    .iter()
+                    .map(|&i| {
+                        let meta = &locations[i];
+                        let (from, to, valid_len) = windows[i];
+                        let key = page_key(
+                            blob,
+                            meta.created.expect("grouped pages are created"),
+                            meta.page,
+                        );
+                        if self.use_ranged(from, to, valid_len) {
+                            PageRequest {
+                                key,
+                                offset: from as u64,
+                                len: Some((to - from) as u64),
+                            }
+                        } else {
+                            PageRequest {
+                                key,
+                                offset: 0,
+                                len: None,
+                            }
                         }
-                    } else {
-                        PageRequest {
-                            key,
-                            offset: 0,
-                            len: None,
-                        }
-                    }
-                })
-                .collect();
-            let req_bytes: u64 = requests.iter().map(|r| r.key.len() as u64).sum();
-            let resp = provider.download_many(requests);
+                    })
+                    .collect();
+                let req_bytes: u64 = requests.iter().map(|r| r.key.len() as u64).sum();
+                let pending = provider.post_download_many(requests);
+                Some((*pid, indices, provider.node(), req_bytes, pending))
+            })
+            .collect();
+        for (pid, indices, node, req_bytes, pending) in posted {
+            let resp = pending.wait();
             let resp_bytes: u64 = match &resp {
                 Ok(slots) => slots.iter().flatten().map(|d| d.len() as u64).sum(),
                 Err(_) => 0,
             };
             sys.charge_provider(
                 self.node,
-                provider.node(),
+                node,
                 Direction::Read,
                 req_bytes + MSG_OVERHEAD,
                 resp_bytes + MSG_OVERHEAD,
@@ -1169,12 +1177,11 @@ impl BlobSeerClient {
                         if let Some(data) = slot {
                             let (from, to, valid_len) = windows[i];
                             let ranged = self.use_ranged(from, to, valid_len);
-                            out[i] =
-                                Some(Ok(Self::window_bytes(&data, ranged, from, to, valid_len)));
+                            out[i] = Some(Ok(Self::window_bytes(&data, ranged, from, to)));
                         }
                     }
                 }
-                Err(_) => sys.provider_manager.note_down(*pid),
+                Err(_) => sys.provider_manager.note_down(pid),
             }
         }
         out.into_iter()
@@ -2121,6 +2128,42 @@ mod tests {
             coalesced.bytes_received,
             naive.bytes_received - 28 * MSG_OVERHEAD
         );
+    }
+
+    #[test]
+    fn coalesced_read_falls_back_per_page_past_a_dead_provider() {
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_page_size(64)
+                .with_providers(4)
+                .with_page_replication(2),
+        );
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        // Unequal pages and a short tail, so a misplaced slot would show.
+        let data: Vec<u8> = (0..32 * 64 - 10).map(|i| (i % 251) as u8).collect();
+        let v = client.write(blob, 0, &data).unwrap();
+        let locs = client.locate(blob, v, 0, data.len() as u64).unwrap();
+        let victim = locs[0].providers[0];
+        let orphaned = locs.iter().filter(|l| l.providers[0] == victim).count();
+        let destinations: std::collections::BTreeSet<_> =
+            locs.iter().map(|l| l.providers[0]).collect();
+        sys.provider_manager().kill(victim);
+
+        let before = sys.provider_wire().snapshot();
+        let got = client.read(blob, v, 0, data.len() as u64).unwrap();
+        assert_eq!(got.to_vec(), data);
+        // One posted exchange per destination — the victim's is refused —
+        // then each orphaned page walks its own replicas: the dead first
+        // replica again, then the live second one.
+        let spent = sys.provider_wire().snapshot().since(&before);
+        assert_eq!(
+            spent.read_messages,
+            (destinations.len() + 2 * orphaned) as u64
+        );
+        // And an unaligned window over the same pages assembles the same.
+        let part = client.read(blob, v, 70, 500).unwrap();
+        assert_eq!(part.to_vec(), data[70..570].to_vec());
     }
 
     #[test]

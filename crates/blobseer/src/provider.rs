@@ -238,6 +238,18 @@ fn actor_gone<T>(_: oneshot::Canceled) -> BlobResult<T> {
     Err(BlobSeerError::Storage(kvstore::KvError::Closed))
 }
 
+/// A `DownloadMany` already posted to a provider's mailbox.
+#[must_use = "the download is in flight; wait for its reply"]
+pub struct PendingDownloads(oneshot::Receiver<BlobResult<Vec<Option<Bytes>>>>);
+
+impl PendingDownloads {
+    /// Block for the provider's reply; a provider whose actor is gone reads
+    /// as not serving, like a dead one.
+    pub fn wait(self) -> BlobResult<Vec<Option<Bytes>>> {
+        self.0.recv().unwrap_or_else(actor_gone)
+    }
+}
+
 impl Provider {
     /// Create a provider backed by an in-memory store.
     pub fn in_memory(id: ProviderId, node: NodeId) -> Self {
@@ -346,9 +358,17 @@ impl Provider {
     /// coalesced shape: one wire exchange per destination per flush. Returns
     /// one slot per request, in order.
     pub fn download_many(&self, requests: Vec<PageRequest>) -> BlobResult<Vec<Option<Bytes>>> {
-        self.handle
-            .call(|reply| ProviderMsg::DownloadMany { requests, reply })
-            .unwrap_or_else(actor_gone)
+        self.post_download_many(requests).wait()
+    }
+
+    /// [`Provider::download_many`] without the wait: the message is in the
+    /// mailbox when this returns, so a reader posts to every provider of a
+    /// read and then collects, and the providers serve it side by side.
+    pub fn post_download_many(&self, requests: Vec<PageRequest>) -> PendingDownloads {
+        PendingDownloads(
+            self.handle
+                .request(|reply| ProviderMsg::DownloadMany { requests, reply }),
+        )
     }
 
     /// `Query(key)`: the stored length of a page without moving its bytes.

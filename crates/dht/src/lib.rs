@@ -49,7 +49,7 @@
 pub mod node;
 pub mod ring;
 
-pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult};
+pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult, Pending};
 pub use ring::HashRing;
 
 use bytes::Bytes;
@@ -142,6 +142,12 @@ pub struct DhtStats {
     pub failures_detected: u64,
     /// Nodes the detector currently suspects dead.
     pub suspected_nodes: usize,
+    /// Data-plane batches the node actors have handled (served or refused),
+    /// summed over current members. One charged client exchange is one
+    /// batch, so client traffic advances this in step with
+    /// [`Dht::round_trips`]; the reconciliation passes (revive, rebalance,
+    /// repair) add uncharged batches of their own.
+    pub node_batches: u64,
 }
 
 /// Client-side retry policy for data operations.
@@ -254,6 +260,12 @@ impl DhtWire {
 /// "round trip" — instead of once per key. The [`Dht::round_trips`] counter
 /// tracks node contacts across all operations, which is what the bench
 /// harness uses to report metadata round trips per committed version.
+///
+/// **One charged exchange is one mailbox message.** A node group travels as
+/// a single batch message to the node's actor, and a batch operation posts
+/// its groups to every node involved before it collects (and charges) the
+/// replies in node-id order — the nodes work concurrently, the charge
+/// sequence is that of a sequential caller.
 pub struct Dht {
     inner: RwLock<DhtInner>,
     tombstones: Tombstones,
@@ -658,33 +670,41 @@ impl Dht {
                 per_node.entry(id).or_default().push(i);
             }
         }
+        // One message per node, carrying every entry of its group: posted to
+        // every node first, then collected (and charged) in node-id order.
+        // The bytes cross the wire even if the node turns out to be dead.
+        let posted: Vec<_> = per_node
+            .iter()
+            .map(|(id, indices)| {
+                let group: Vec<(Vec<u8>, Bytes)> = indices
+                    .iter()
+                    .map(|&i| (entries[i].0.as_ref().to_vec(), entries[i].1.clone()))
+                    .collect();
+                let group_bytes: u64 = group
+                    .iter()
+                    .map(|(k, v)| k.len() as u64 + v.len() as u64)
+                    .sum();
+                (
+                    id,
+                    indices,
+                    group_bytes,
+                    inner.nodes[id].post_put_many(group),
+                )
+            })
+            .collect();
         let mut stored = vec![0usize; entries.len()];
-        for (id, indices) in &per_node {
-            let node = &inner.nodes[id];
-            // One message per node, carrying every entry of its group. The
-            // bytes cross the wire even if the node turns out to be dead.
-            let group_bytes: u64 = indices
-                .iter()
-                .map(|&i| entries[i].0.as_ref().len() as u64 + entries[i].1.len() as u64)
-                .sum();
+        for (id, indices, group_bytes, pending) in posted {
             self.charge_write(*id, group_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            for &i in indices {
-                let (key, value) = &entries[i];
-                match node.put(key.as_ref(), value.clone()) {
-                    Ok(()) => stored[i] += 1,
-                    Err(NodeDown) => {
-                        // The node is gone; every entry of this group would
-                        // be refused the same way. Leave them for the
-                        // per-entry fail-over pass below.
-                        self.note_node_down(*id);
-                        break;
-                    }
-                }
+            match pending.wait() {
+                Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
+                // The node refused the whole group; leave its entries for
+                // the per-entry fail-over pass below.
+                Err(NodeDown) => self.note_node_down(*id),
             }
         }
-        // Mid-batch death hardening: entries short of the replication factor
-        // (their group's node died before or during the batch) fail over
-        // individually, clockwise past the replica set.
+        // Entries short of the replication factor (their group's node died
+        // before the batch reached it) fail over individually, clockwise past
+        // the replica set.
         for (i, count) in stored.iter_mut().enumerate() {
             if *count >= inner.replication {
                 continue;
@@ -773,7 +793,7 @@ impl Dht {
                 }
                 if let Some(id) = replicas.get(rank) {
                     if down_nodes.contains(id) {
-                        // Known-dead from an earlier group in this batch:
+                        // Known-dead from an earlier rank of this batch:
                         // skip the doomed exchange, remember to fail over.
                         saw_down[i] = true;
                     } else {
@@ -781,29 +801,33 @@ impl Dht {
                     }
                 }
             }
-            for (id, indices) in &per_node {
-                let node = &inner.nodes[id];
-                // One message per node: the request carries the group's
-                // keys, the response whatever values the node held.
+            // One message per node: the request carries the group's keys,
+            // the response whatever values the node held. Every node of this
+            // rank is asked before any answer is awaited; answers are
+            // collected (and charged) in node-id order.
+            let posted: Vec<_> = per_node
+                .iter()
+                .map(|(id, indices)| {
+                    let group = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
+                    (id, indices, inner.nodes[id].post_get_many(group))
+                })
+                .collect();
+            for (id, indices, pending) in posted {
+                let req_bytes: u64 = indices.iter().map(|&i| keys[i].as_ref().len() as u64).sum();
                 let mut resp_bytes = 0u64;
-                for &i in indices {
-                    if down_nodes.contains(id) {
-                        saw_down[i] = true;
-                        continue;
-                    }
-                    match node.get(keys[i].as_ref()) {
-                        Ok(v) => {
+                match pending.wait() {
+                    Ok(values) => {
+                        for (&i, v) in indices.iter().zip(values) {
                             resp_bytes += v.as_ref().map_or(0, |b| b.len() as u64);
                             out[i] = v;
                         }
-                        Err(NodeDown) => {
-                            down_nodes.insert(*id);
-                            saw_down[i] = true;
-                            self.note_node_down(*id);
-                        }
+                    }
+                    Err(NodeDown) => {
+                        down_nodes.insert(*id);
+                        indices.iter().for_each(|&i| saw_down[i] = true);
+                        self.note_node_down(*id);
                     }
                 }
-                let req_bytes: u64 = indices.iter().map(|&i| keys[i].as_ref().len() as u64).sum();
                 self.charge_read(*id, req_bytes + MSG_OVERHEAD, resp_bytes + MSG_OVERHEAD);
             }
         }
@@ -922,26 +946,48 @@ impl Dht {
             None => return Err(DhtError::UnknownNode(id)),
         };
         node.revive();
-        for (key, _) in node.entries() {
-            // A key removed while this node was dead must not resurrect.
-            if self.tombstones.contains(&key) {
-                let _ = node.remove(&key);
-                continue;
-            }
-            let targets = inner.ring.successors(&key, inner.replication);
-            let fresh = targets
-                .iter()
-                .filter(|t| **t != id)
-                .filter_map(|t| inner.nodes.get(t))
-                .find_map(|n| n.get(&key).ok().flatten());
-            if targets.contains(&id) {
-                if let Some(value) = fresh {
-                    let _ = node.put(&key, value);
+        // A key removed while this node was dead must not resurrect.
+        let (mut drop_keys, keys): (Vec<Vec<u8>>, Vec<Vec<u8>>) = node
+            .entries()
+            .into_iter()
+            .map(|(key, _)| key)
+            .partition(|key| self.tombstones.contains(key));
+        let targets: Vec<Vec<DhtNodeId>> = keys
+            .iter()
+            .map(|key| inner.ring.successors(key, inner.replication))
+            .collect();
+        // The freshest copy among each key's other replicas, asked rank by
+        // rank with one batch per peer.
+        let mut fresh: Vec<Option<Bytes>> = vec![None; keys.len()];
+        for rank in 0..inner.replication {
+            let mut per_peer: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
+            for (i, replicas) in targets.iter().enumerate() {
+                match replicas.get(rank) {
+                    Some(peer) if *peer != id && fresh[i].is_none() => {
+                        per_peer.entry(*peer).or_default().push(i)
+                    }
+                    _ => {}
                 }
-            } else if fresh.is_some() {
-                let _ = node.remove(&key);
+            }
+            for (peer, indices) in per_peer {
+                let group = indices.iter().map(|&i| keys[i].clone()).collect();
+                if let Ok(values) = inner.nodes[&peer].get_many(group) {
+                    for (i, value) in indices.into_iter().zip(values) {
+                        fresh[i] = value;
+                    }
+                }
             }
         }
+        let mut refresh = Vec::new();
+        for ((key, replicas), value) in keys.into_iter().zip(&targets).zip(fresh) {
+            match value {
+                Some(value) if replicas.contains(&id) => refresh.push((key, value)),
+                Some(_) => drop_keys.push(key),
+                None => {}
+            }
+        }
+        let _ = node.put_many(refresh);
+        let _ = node.remove_many(drop_keys);
         if let Some(det) = self.detector.lock().clone() {
             det.observe(id, true);
         }
@@ -954,35 +1000,37 @@ impl Dht {
     /// hold is reconciled when [`Dht::revive`] brings them back.
     pub fn rebalance(&self) {
         let inner = self.inner.write();
-        // Collect the union of all keys with one representative value.
+        // Collect the union of all keys with one representative value, and
+        // what each live node holds.
         let mut all: HashMap<Vec<u8>, Bytes> = HashMap::new();
-        for node in inner.nodes.values() {
-            if !node.is_alive() {
-                continue;
-            }
-            for (k, v) in node.entries() {
+        let mut held: Vec<(&Arc<DhtNode>, Vec<Vec<u8>>)> = Vec::new();
+        for node in inner.nodes.values().filter(|n| n.is_alive()) {
+            let entries = node.entries();
+            held.push((node, entries.iter().map(|(k, _)| k.clone()).collect()));
+            for (k, v) in entries {
                 // Tombstoned keys were removed; re-placing a lingering copy
                 // would resurrect them.
-                if self.tombstones.contains(&k) {
-                    let _ = node.remove(&k);
-                    continue;
+                if !self.tombstones.contains(&k) {
+                    all.entry(k).or_insert(v);
                 }
-                all.entry(k).or_insert(v);
             }
         }
-        // Re-place every key.
+        // Re-place every key: one batch of removals and one of writes per
+        // node.
+        let mut placed: HashMap<DhtNodeId, HashMap<Vec<u8>, Bytes>> = HashMap::new();
         for (key, value) in &all {
-            let targets = inner.ring.successors(key, inner.replication);
-            for (id, node) in &inner.nodes {
-                if !node.is_alive() {
-                    continue;
-                }
-                if targets.contains(id) {
-                    let _ = node.put(key, value.clone());
-                } else {
-                    let _ = node.remove(key);
-                }
+            for id in inner.ring.successors(key, inner.replication) {
+                placed
+                    .entry(id)
+                    .or_default()
+                    .insert(key.clone(), value.clone());
             }
+        }
+        for (node, keys) in held {
+            let mine = placed.remove(&node.id()).unwrap_or_default();
+            let stray = keys.into_iter().filter(|k| !mine.contains_key(k)).collect();
+            let _ = node.remove_many(stray);
+            let _ = node.put_many(mine.into_iter().collect());
         }
     }
 
@@ -1060,63 +1108,84 @@ impl Dht {
         // representative value per key to copy from.
         let mut holders: HashMap<Vec<u8>, HashSet<DhtNodeId>> = HashMap::new();
         let mut values: HashMap<Vec<u8>, Bytes> = HashMap::new();
-        for id in &ids {
-            if !live_ids.contains(id) {
-                continue;
-            }
+        for id in ids.iter().filter(|id| live_ids.contains(id)) {
             let node = &inner.nodes[id];
+            let mut buried = Vec::new();
             for (k, v) in node.entries() {
                 if self.tombstones.contains(&k) {
-                    if let Ok(true) = node.remove(&k) {
-                        report.tombstones_enforced += 1;
-                    }
+                    buried.push(k);
                     continue;
                 }
                 holders.entry(k.clone()).or_default().insert(*id);
                 values.entry(k).or_insert(v);
             }
+            if !buried.is_empty() {
+                report.tombstones_enforced += node.remove_many(buried).unwrap_or(0);
+            }
         }
         report.scanned_keys = values.len();
-        // Restore every key onto its first `replication` live successors.
-        for (key, value) in &values {
-            let live_targets: Vec<DhtNodeId> = inner
-                .ring
-                .successors(key, inner.nodes.len())
-                .into_iter()
-                .filter(|id| live_ids.contains(id))
-                .take(inner.replication)
-                .collect();
-            let holding = &holders[key];
-            let missing: Vec<DhtNodeId> = live_targets
-                .iter()
-                .filter(|t| !holding.contains(t))
-                .copied()
-                .collect();
+        // Plan: every key belongs on its first `replication` live
+        // successors; group the copies those lack by destination.
+        let plan: Vec<(&Vec<u8>, Vec<DhtNodeId>, Vec<DhtNodeId>)> = values
+            .keys()
+            .map(|key| {
+                let targets: Vec<DhtNodeId> = inner
+                    .ring
+                    .successors(key, inner.nodes.len())
+                    .into_iter()
+                    .filter(|id| live_ids.contains(id))
+                    .take(inner.replication)
+                    .collect();
+                let missing = targets
+                    .iter()
+                    .filter(|t| !holders[key].contains(t))
+                    .copied()
+                    .collect();
+                (key, targets, missing)
+            })
+            .collect();
+        let mut copies: BTreeMap<DhtNodeId, Vec<(Vec<u8>, Bytes)>> = BTreeMap::new();
+        for (key, _, missing) in &plan {
+            for t in missing {
+                copies
+                    .entry(*t)
+                    .or_default()
+                    .push(((*key).clone(), values[*key].clone()));
+            }
+        }
+        // Copy: one batch per destination. A destination that refuses (died
+        // since the probe) leaves its keys short.
+        let mut refused: HashSet<DhtNodeId> = HashSet::new();
+        for (id, entries) in copies {
+            let n = entries.len();
+            match inner.nodes[&id].put_many(entries) {
+                Ok(()) => report.repaired_copies += n,
+                Err(NodeDown) => {
+                    refused.insert(id);
+                }
+            }
+        }
+        // Settle: count what is still short, and drop misplaced live copies
+        // of keys whose factor is met on the live targets — they are pure
+        // overhead now (and would serve stale data if the key is later
+        // overwritten).
+        let mut strays: BTreeMap<DhtNodeId, Vec<Vec<u8>>> = BTreeMap::new();
+        for (key, targets, missing) in &plan {
             if !missing.is_empty() {
                 report.under_replicated += 1;
             }
-            let mut placed = live_targets.len() - missing.len();
-            for t in &missing {
-                if inner.nodes[t].put(key, value.clone()).is_ok() {
-                    report.repaired_copies += 1;
-                    placed += 1;
+            let short = missing.iter().filter(|t| refused.contains(t)).count();
+            if short == 0 {
+                for h in holders[*key].iter().filter(|h| !targets.contains(h)) {
+                    strays.entry(*h).or_default().push((*key).clone());
                 }
             }
-            if placed >= live_targets.len() {
-                // Factor restored on the live targets: misplaced live copies
-                // are pure overhead now (and would serve stale data if the
-                // key is later overwritten). Drop them.
-                for h in holding {
-                    if !live_targets.contains(h) {
-                        if let Ok(true) = inner.nodes[h].remove(key) {
-                            report.strays_removed += 1;
-                        }
-                    }
-                }
-            }
-            if placed < inner.replication {
+            if targets.len() - short < inner.replication {
                 report.still_under_replicated += 1;
             }
+        }
+        for (id, keys) in strays {
+            report.strays_removed += inner.nodes[&id].remove_many(keys).unwrap_or(0);
         }
         self.repair_runs.fetch_add(1, Ordering::Relaxed);
         self.repaired_entries
@@ -1142,6 +1211,7 @@ impl Dht {
             }
             s.total_entries += node.len();
             s.total_bytes += node.data_bytes();
+            s.node_batches += node.batches_handled();
         }
         if let Some(det) = self.detector.lock().clone() {
             s.failures_detected = det.failures_detected();
@@ -1635,6 +1705,129 @@ mod tests {
         for (i, v) in got.iter().enumerate() {
             assert_eq!(v.as_ref().unwrap(), &entries[i].1, "key {i} lost");
         }
+    }
+
+    #[test]
+    fn a_batch_costs_each_node_one_message_per_charged_round_trip() {
+        let dht = Dht::new(DhtConfig {
+            nodes: 4,
+            replication: 2,
+            ..Default::default()
+        });
+        let entries: Vec<(Vec<u8>, Bytes)> = (0..200u32)
+            .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
+            .collect();
+        let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
+
+        dht.put_many(&entries).unwrap();
+        let written = dht.write_round_trips();
+        assert!((1..=4).contains(&written));
+        assert_eq!(dht.stats().node_batches, written);
+
+        assert!(dht.get_many(&keys).unwrap().iter().all(Option::is_some));
+        let read = dht.read_round_trips();
+        assert!((1..=4).contains(&read));
+        assert_eq!(dht.stats().node_batches, written + read);
+    }
+
+    /// A transport that crashes a DHT node the first time an exchange is
+    /// charged. Batch operations charge while collecting, after every group
+    /// is posted, so this lands the death between post and collect.
+    struct KillOnNextCharge {
+        victim: Arc<DhtNode>,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Transport for KillOnNextCharge {
+        fn exchange(
+            &self,
+            _src: NodeId,
+            _dst: NodeId,
+            _dir: Direction,
+            _bytes_out: u64,
+            _bytes_in: u64,
+        ) -> simcluster::time::SimDuration {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.victim.kill();
+            }
+            simcluster::time::SimDuration::ZERO
+        }
+
+        fn name(&self) -> &'static str {
+            "kill-on-next-charge"
+        }
+    }
+
+    #[test]
+    fn batches_survive_a_node_dying_between_post_and_collect() {
+        let dht = Dht::new(DhtConfig {
+            nodes: 5,
+            replication: 2,
+            ..Default::default()
+        });
+        // The highest id: its group is collected last, well after the kill.
+        let victim = dht.node_ids()[4];
+        let killer = Arc::new(KillOnNextCharge {
+            victim: Arc::clone(&dht.inner.read().nodes[&victim]),
+            armed: std::sync::atomic::AtomicBool::new(true),
+        });
+        dht.attach_wire(killer.clone(), vec![NodeId(0)], NodeId(0));
+        let entries: Vec<(Vec<u8>, Bytes)> = (0..80u32)
+            .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
+            .collect();
+        let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
+        let all_read = |dht: &Dht| {
+            let got = dht.get_many(&keys).unwrap();
+            got.iter()
+                .zip(&entries)
+                .all(|(g, (_, v))| g.as_ref() == Some(v))
+        };
+
+        // Write: the victim's group was in its mailbox before the kill, so
+        // it is accepted (mailbox FIFO) and every entry has its copies.
+        dht.put_many(&entries).unwrap();
+        assert!(!killer.armed.load(Ordering::SeqCst), "the kill fired");
+        assert_eq!(dht.stats().live_nodes, 4);
+        assert_eq!(dht.stats().total_entries, entries.len() * 2);
+        assert!(dht.load_per_node()[&victim] > 0);
+        // Read with the victim dead before the batch: its keys fail over.
+        assert!(all_read(&dht));
+
+        // Read with the victim dying between post and collect: its group was
+        // served before the kill took effect; nothing hangs, nothing is lost.
+        dht.revive(victim).unwrap();
+        killer.armed.store(true, Ordering::SeqCst);
+        assert!(all_read(&dht));
+        assert_eq!(dht.stats().live_nodes, 4);
+
+        // Write with the victim dead before the batch: its group is refused
+        // whole and every entry fails over to `replication` live nodes.
+        let fresh: Vec<(Vec<u8>, Bytes)> = (0..80u32)
+            .map(|i| (format!("n{i}").into_bytes(), Bytes::from(format!("w{i}"))))
+            .collect();
+        let before = dht.load_per_node();
+        dht.put_many(&fresh).unwrap();
+        let after = dht.load_per_node();
+        assert_eq!(
+            after[&victim], before[&victim],
+            "a dead node accepts nothing"
+        );
+        let landed: usize = after.values().sum::<usize>() - before.values().sum::<usize>();
+        assert_eq!(landed, fresh.len() * 2);
+        for (k, v) in &fresh {
+            assert_eq!(&dht.get(k).unwrap(), v);
+        }
+
+        // And repair brings the first batch back to `replication` live
+        // copies without the victim.
+        assert_eq!(dht.repair().still_under_replicated, 0);
+        let live_copies: usize = dht
+            .load_per_node()
+            .iter()
+            .filter(|(id, _)| **id != victim)
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(live_copies, (entries.len() + fresh.len()) * 2);
     }
 
     #[test]

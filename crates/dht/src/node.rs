@@ -39,20 +39,23 @@ pub struct NodeDown;
 /// Result of a data operation against one node.
 pub type NodeResult<T> = Result<T, NodeDown>;
 
-/// Commands understood by the node actor.
+/// Commands understood by the node actor. The data plane is batch-shaped:
+/// one message carries every key (or entry) the sender has for this node,
+/// so one exchange charged on the wire is one mailbox message here. A
+/// single-key operation is a batch of one.
 enum NodeMsg {
-    Put {
-        key: Vec<u8>,
-        value: Bytes,
+    PutMany {
+        entries: Vec<(Vec<u8>, Bytes)>,
         reply: oneshot::Sender<NodeResult<()>>,
     },
-    Get {
-        key: Vec<u8>,
-        reply: oneshot::Sender<NodeResult<Option<Bytes>>>,
+    GetMany {
+        keys: Vec<Vec<u8>>,
+        reply: oneshot::Sender<NodeResult<Vec<Option<Bytes>>>>,
     },
-    Remove {
-        key: Vec<u8>,
-        reply: oneshot::Sender<NodeResult<bool>>,
+    /// Replies with how many of the keys were present.
+    RemoveMany {
+        keys: Vec<Vec<u8>>,
+        reply: oneshot::Sender<NodeResult<usize>>,
     },
     /// Heartbeat probe: replies `true` iff the node is serving. A crashed
     /// node still answers (the actor thread is the simulation substrate,
@@ -72,49 +75,38 @@ struct NodeState {
     /// Mirrors shared with the handle so hot-path reads stay lock-free.
     alive_mirror: Arc<AtomicBool>,
     bytes_mirror: Arc<AtomicU64>,
+    batches_mirror: Arc<AtomicU64>,
 }
 
 impl NodeState {
     fn handle(&mut self, msg: NodeMsg) {
         match msg {
-            NodeMsg::Put { key, value, reply } => {
-                if !self.alive {
-                    let _ = reply.send(Err(NodeDown));
-                    return;
-                }
-                let new_len = value.len() as u64;
-                let old_len = self
-                    .data
-                    .insert(key, value)
-                    .map(|old| old.len() as u64)
-                    .unwrap_or(0);
-                if new_len >= old_len {
-                    self.bytes_mirror
-                        .fetch_add(new_len - old_len, Ordering::Relaxed);
-                } else {
-                    self.bytes_mirror
-                        .fetch_sub(old_len - new_len, Ordering::Relaxed);
-                }
-                let _ = reply.send(Ok(()));
+            NodeMsg::PutMany { entries, reply } => {
+                let _ = reply.send(self.serve(|state| {
+                    for (key, value) in entries {
+                        state
+                            .bytes_mirror
+                            .fetch_add(value.len() as u64, Ordering::Relaxed);
+                        let old = state.data.insert(key, value);
+                        state.forget(old);
+                    }
+                }));
             }
-            NodeMsg::Get { key, reply } => {
-                let _ = reply.send(if self.alive {
-                    Ok(self.data.get(&key).cloned())
-                } else {
-                    Err(NodeDown)
-                });
+            NodeMsg::GetMany { keys, reply } => {
+                let _ = reply.send(
+                    self.serve(|state| keys.iter().map(|k| state.data.get(k).cloned()).collect()),
+                );
             }
-            NodeMsg::Remove { key, reply } => {
-                if !self.alive {
-                    let _ = reply.send(Err(NodeDown));
-                    return;
-                }
-                let removed = self.data.remove(&key);
-                if let Some(old) = &removed {
-                    self.bytes_mirror
-                        .fetch_sub(old.len() as u64, Ordering::Relaxed);
-                }
-                let _ = reply.send(Ok(removed.is_some()));
+            NodeMsg::RemoveMany { keys, reply } => {
+                let _ = reply.send(self.serve(|state| {
+                    let mut removed = 0;
+                    for key in &keys {
+                        let old = state.data.remove(key);
+                        removed += usize::from(old.is_some());
+                        state.forget(old);
+                    }
+                    removed
+                }));
             }
             NodeMsg::Ping(reply) => {
                 let _ = reply.send(self.alive);
@@ -142,6 +134,38 @@ impl NodeState {
             }
         }
     }
+
+    /// Run one data-plane batch: counted as handled, refused whole when the
+    /// node is dead (one liveness check covers the batch).
+    fn serve<T>(&mut self, batch: impl FnOnce(&mut Self) -> T) -> NodeResult<T> {
+        self.batches_mirror.fetch_add(1, Ordering::Relaxed);
+        if self.alive {
+            Ok(batch(self))
+        } else {
+            Err(NodeDown)
+        }
+    }
+
+    /// Take a replaced or removed value out of the stored-bytes mirror.
+    fn forget(&mut self, old: Option<Bytes>) {
+        if let Some(old) = old {
+            self.bytes_mirror
+                .fetch_sub(old.len() as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A batch already posted to a node's mailbox: the node works on it while
+/// the caller posts to other nodes, and [`Pending::wait`] collects the
+/// reply. A node whose actor is gone (reply dropped) reads as [`NodeDown`].
+#[must_use = "the batch is in flight; wait for its reply"]
+pub struct Pending<T>(oneshot::Receiver<NodeResult<T>>);
+
+impl<T> Pending<T> {
+    /// Block for the node's reply.
+    pub fn wait(self) -> NodeResult<T> {
+        self.0.recv().unwrap_or(Err(NodeDown))
+    }
 }
 
 /// One metadata provider: stores key-value pairs and can be killed/revived
@@ -151,6 +175,7 @@ pub struct DhtNode {
     inner: actor::Handle<NodeMsg>,
     alive: Arc<AtomicBool>,
     data_bytes: Arc<AtomicU64>,
+    batches: Arc<AtomicU64>,
 }
 
 impl DhtNode {
@@ -158,11 +183,13 @@ impl DhtNode {
     pub fn new(id: DhtNodeId) -> Self {
         let alive = Arc::new(AtomicBool::new(true));
         let data_bytes = Arc::new(AtomicU64::new(0));
+        let batches = Arc::new(AtomicU64::new(0));
         let state = NodeState {
             data: HashMap::new(),
             alive: true,
             alive_mirror: Arc::clone(&alive),
             bytes_mirror: Arc::clone(&data_bytes),
+            batches_mirror: Arc::clone(&batches),
         };
         let inner = actor::spawn(&format!("dht-node-{}", id.0), state, NodeState::handle);
         DhtNode {
@@ -170,6 +197,7 @@ impl DhtNode {
             inner,
             alive,
             data_bytes,
+            batches,
         }
     }
 
@@ -178,37 +206,61 @@ impl DhtNode {
         self.id
     }
 
-    /// Store a value (replaces any existing value for the key). A dead node
-    /// refuses the write.
-    pub fn put(&self, key: &[u8], value: Bytes) -> NodeResult<()> {
+    /// Post one batch of writes (each replaces any existing value for its
+    /// key). A dead node refuses the whole batch.
+    pub fn post_put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> Pending<()> {
+        Pending(
+            self.inner
+                .request(|reply| NodeMsg::PutMany { entries, reply }),
+        )
+    }
+
+    /// Post one batch of reads; the reply holds one slot per key, in order.
+    /// A dead node refuses the whole batch (it does *not* answer "missing":
+    /// the caller must fail over, not conclude absence).
+    pub fn post_get_many(&self, keys: Vec<Vec<u8>>) -> Pending<Vec<Option<Bytes>>> {
+        Pending(self.inner.request(|reply| NodeMsg::GetMany { keys, reply }))
+    }
+
+    /// [`DhtNode::post_put_many`], then wait for the reply.
+    pub fn put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> NodeResult<()> {
+        self.post_put_many(entries).wait()
+    }
+
+    /// [`DhtNode::post_get_many`], then wait for the reply.
+    pub fn get_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<Vec<Option<Bytes>>> {
+        self.post_get_many(keys).wait()
+    }
+
+    /// Remove a batch of keys in one message; returns how many were present.
+    /// Refused when dead.
+    pub fn remove_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<usize> {
         self.inner
-            .call(|reply| NodeMsg::Put {
-                key: key.to_vec(),
-                value,
-                reply,
-            })
+            .call(|reply| NodeMsg::RemoveMany { keys, reply })
             .unwrap_or(Err(NodeDown))
     }
 
-    /// Fetch a value. A dead node refuses the read (it does *not* answer
-    /// "missing": the caller must fail over, not conclude absence).
+    /// Store a value (replaces any existing value for the key). A dead node
+    /// refuses the write.
+    pub fn put(&self, key: &[u8], value: Bytes) -> NodeResult<()> {
+        self.put_many(vec![(key.to_vec(), value)])
+    }
+
+    /// Fetch a value. A dead node refuses the read.
     pub fn get(&self, key: &[u8]) -> NodeResult<Option<Bytes>> {
-        self.inner
-            .call(|reply| NodeMsg::Get {
-                key: key.to_vec(),
-                reply,
-            })
-            .unwrap_or(Err(NodeDown))
+        let slots = self.get_many(vec![key.to_vec()])?;
+        Ok(slots.into_iter().next().flatten())
     }
 
     /// Remove a value; returns whether one was present. Refused when dead.
     pub fn remove(&self, key: &[u8]) -> NodeResult<bool> {
-        self.inner
-            .call(|reply| NodeMsg::Remove {
-                key: key.to_vec(),
-                reply,
-            })
-            .unwrap_or(Err(NodeDown))
+        Ok(self.remove_many(vec![key.to_vec()])? == 1)
+    }
+
+    /// Data-plane batches this node has handled (served or refused) since
+    /// it was created.
+    pub fn batches_handled(&self) -> u64 {
+        self.batches.load(Ordering::Relaxed)
     }
 
     /// Heartbeat probe: true iff the node answered and is serving.
@@ -275,6 +327,32 @@ mod tests {
         assert!(n.remove(b"a").unwrap());
         assert!(!n.remove(b"a").unwrap());
         assert_eq!(n.data_bytes(), 2);
+    }
+
+    #[test]
+    fn a_batch_is_one_handled_message_and_is_refused_whole_when_dead() {
+        let n = DhtNode::new(DhtNodeId(1));
+        let entries: Vec<(Vec<u8>, Bytes)> = (0..10u8)
+            .map(|i| (vec![i], Bytes::from(vec![i; 3])))
+            .collect();
+        let keys: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i]).collect();
+        // Posted first, collected later: the reply waits in the channel.
+        let put = n.post_put_many(entries);
+        let got = n.post_get_many(keys.clone());
+        put.wait().unwrap();
+        let got = got.wait().unwrap();
+        assert_eq!(got.len(), 12);
+        assert_eq!(got[3].as_ref().unwrap(), &Bytes::from(vec![3u8; 3]));
+        assert!(got[10].is_none() && got[11].is_none());
+        assert_eq!(n.data_bytes(), 30);
+        assert_eq!(n.remove_many(keys[5..].to_vec()), Ok(5));
+        assert_eq!(n.data_bytes(), 15);
+        assert_eq!(n.batches_handled(), 3);
+        n.kill();
+        assert_eq!(n.post_get_many(keys.clone()).wait(), Err(NodeDown));
+        assert_eq!(n.remove_many(keys), Err(NodeDown));
+        assert_eq!(n.len(), 5, "a refused batch changes nothing");
+        assert_eq!(n.batches_handled(), 5, "refused batches were still handled");
     }
 
     #[test]

@@ -795,18 +795,29 @@ pub mod actor {
             self.tx.send(msg).is_ok()
         }
 
-        /// Request/reply: build a message around a fresh reply sender,
-        /// enqueue it, and block for the reply. `Err(Canceled)` if the actor
-        /// died (or dropped the message) before replying — never a hang.
+        /// Post a request without waiting for it: build a message around a
+        /// fresh reply sender, enqueue it now, and hand back the receiver.
+        /// A caller with several destinations posts to all of them and then
+        /// collects, so the actors work while it is still posting. If the
+        /// actor is gone the message — and the reply sender inside it — is
+        /// dropped, so the receiver observes `Canceled`, never a hang.
+        pub fn request<R: Send + 'static>(
+            &self,
+            make: impl FnOnce(oneshot::Sender<R>) -> M,
+        ) -> oneshot::Receiver<R> {
+            let (tx, rx) = oneshot::channel();
+            let _ = self.tx.send(make(tx));
+            rx
+        }
+
+        /// Request/reply: [`Handle::request`], then block for the reply.
+        /// `Err(Canceled)` if the actor died (or dropped the message) before
+        /// replying — never a hang.
         pub fn call<R: Send + 'static>(
             &self,
             make: impl FnOnce(oneshot::Sender<R>) -> M,
         ) -> Result<R, oneshot::Canceled> {
-            let (tx, rx) = oneshot::channel();
-            if self.tx.send(make(tx)).is_err() {
-                return Err(oneshot::Canceled);
-            }
-            rx.recv()
+            self.request(make).recv()
         }
 
         /// [`Handle::call`], but bounded: give up after `timeout` with a
@@ -818,11 +829,7 @@ pub mod actor {
             timeout: Duration,
             make: impl FnOnce(oneshot::Sender<R>) -> M,
         ) -> Result<R, CallError> {
-            let (tx, rx) = oneshot::channel();
-            if self.tx.send(make(tx)).is_err() {
-                return Err(CallError::Canceled);
-            }
-            match rx.recv_timeout(timeout) {
+            match self.request(make).recv_timeout(timeout) {
                 Ok(v) => Ok(v),
                 Err(oneshot::TryRecvError::Canceled) => Err(CallError::Canceled),
                 Err(oneshot::TryRecvError::Empty) => Err(CallError::TimedOut),
@@ -1066,6 +1073,63 @@ mod tests {
         // Canceled, not a hang.
         assert!(h.send(Msg::Explode));
         assert_eq!(h.call(Msg::Ask), Err(oneshot::Canceled));
+    }
+
+    #[test]
+    fn posted_requests_collect_in_posting_order_whatever_the_completion_order() {
+        struct Ask(std::sync::mpsc::Receiver<()>, oneshot::Sender<usize>);
+        let actors: Vec<_> = (0..3usize)
+            .map(|id| {
+                actor::spawn("gated", id, |id, Ask(gate, reply)| {
+                    let _ = gate.recv();
+                    let _ = reply.send(*id);
+                })
+            })
+            .collect();
+        // Post to every actor before collecting anything.
+        let (gates, replies): (Vec<_>, Vec<_>) = actors
+            .iter()
+            .map(|h| {
+                let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+                (gate_tx, h.request(|reply| Ask(gate_rx, reply)))
+            })
+            .unzip();
+        assert!(replies.iter().all(|rx| !rx.is_ready()));
+        // Complete them last-posted first, each strictly before the next.
+        for (gate, rx) in gates.iter().zip(&replies).rev() {
+            gate.send(()).unwrap();
+            while !rx.is_ready() {
+                std::thread::yield_now();
+            }
+        }
+        let collected: Vec<_> = replies.iter().map(|rx| rx.recv()).collect();
+        assert_eq!(collected, vec![Ok(0), Ok(1), Ok(2)]);
+    }
+
+    #[test]
+    fn posted_request_is_canceled_when_the_actor_dies_mid_flight() {
+        enum Msg {
+            DieWhenOpened(std::sync::mpsc::Receiver<()>),
+            Ask(oneshot::Sender<u32>),
+        }
+        let h = actor::spawn("doomed", (), |_, msg| match msg {
+            Msg::DieWhenOpened(gate) => {
+                let _ = gate.recv();
+                panic!("actor died");
+            }
+            Msg::Ask(reply) => {
+                let _ = reply.send(1);
+            }
+        });
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
+        assert!(h.send(Msg::DieWhenOpened(gate_rx)));
+        // In flight: enqueued behind the message that will kill the actor.
+        let in_flight = h.request(Msg::Ask);
+        assert!(!in_flight.is_ready());
+        gate_tx.send(()).unwrap();
+        assert_eq!(in_flight.recv(), Err(oneshot::Canceled));
+        // Posting to the dead mailbox cancels at once.
+        assert_eq!(h.request(Msg::Ask).recv(), Err(oneshot::Canceled));
     }
 
     #[test]

@@ -58,7 +58,9 @@ proptest! {
 
     /// Batch `put_many`/`get_many` are observationally equivalent to loops of
     /// the single-key operations: same stored values, same missing keys —
-    /// only the round-trip count differs.
+    /// only the round-trip count differs. One node, picked at random, is
+    /// dead: either from before the writes (its groups are refused whole and
+    /// fail over) or only for the reads (replication covers it).
     #[test]
     fn dht_batch_ops_match_single_op_loops(
         entries in prop::collection::vec(
@@ -66,23 +68,34 @@ proptest! {
             1..80,
         ),
         extra_keys in prop::collection::vec(any::<u8>(), 0..20),
-        kill_one in any::<bool>(),
+        dead_node in 0usize..6,
+        dead_before_writes in any::<bool>(),
     ) {
         let batched = Dht::new(DhtConfig { nodes: 5, replication: 3, virtual_nodes: 32 });
         let single = Dht::new(DhtConfig { nodes: 5, replication: 3, virtual_nodes: 32 });
+        let kill = |dht: &Dht| {
+            // 5 means nobody dies.
+            if let Some(id) = dht.node_ids().get(dead_node) {
+                dht.kill(*id).unwrap();
+            }
+        };
         let batch: Vec<(Vec<u8>, Bytes)> = entries
             .iter()
             .map(|(k, v)| (vec![*k], Bytes::from(v.clone())))
             .collect();
+        if dead_before_writes {
+            kill(&batched);
+            kill(&single);
+        }
         batched.put_many(&batch).unwrap();
         for (k, v) in &batch {
             single.put(k, v.clone()).unwrap();
         }
-        if kill_one {
-            // Replication covers one dead node; equivalence must survive it.
-            batched.kill(batched.node_ids()[0]).unwrap();
-            single.kill(single.node_ids()[0]).unwrap();
+        if !dead_before_writes {
+            kill(&batched);
+            kill(&single);
         }
+        prop_assert_eq!(batched.stats().total_entries, single.stats().total_entries);
         // Compare on every written key (duplicates included: later entries
         // win in both worlds) plus keys that may never have been written.
         let mut keys: Vec<Vec<u8>> = batch.iter().map(|(k, _)| k.clone()).collect();
