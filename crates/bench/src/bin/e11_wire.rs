@@ -7,20 +7,18 @@
 //! here sleeps):
 //!
 //! * **E1-style reads** — 16 clients, driven round-robin from one thread
-//!   (`io_parallelism = 1`) so the SimNet ledger sees a deterministic
-//!   exchange order. Four ablation arms toggle ranged streaming reads
-//!   (`with_ranged_reads`) and per-destination coalescing
-//!   (`with_coalesced_reads`); a fifth arm repeats the full configuration
-//!   to pin determinism, and an `InProc` run pins output identity.
+//!   so the SimNet ledger sees a deterministic exchange order (reads post
+//!   one ranged, coalesced message per destination provider from the
+//!   calling thread). A second run repeats the arm to pin determinism, and
+//!   an `InProc` run pins output identity.
 //! * **F1-style appends** — the write path over the same wire.
 //! * **E6 sort** — the full MapReduce stack (BSFS storage + jobtracker
 //!   control plane via [`JobTracker::with_transport`]) over SimNet, with a
 //!   rack-local vs rack-oblivious placement ablation.
 //!
-//! `BENCH_E11.json` records the arms for CI, which asserts: ranged reads
-//! move fewer bytes than whole pages (>= 40% cut), coalescing never slows
-//! the naive makespan, the repeated arm reproduces its makespan exactly,
-//! and the SimNet output is byte-identical to InProc.
+//! `BENCH_E11.json` records the arms for CI, which asserts: the repeated
+//! read arm reproduces its makespan exactly, and the SimNet output is
+//! byte-identical to InProc.
 
 use blobseer::{BlobSeer, BlobSeerConfig, PlacementStrategy};
 use bsfs::{Bsfs, BsfsConfig};
@@ -49,19 +47,18 @@ fn wire_topology() -> ClusterTopology {
         .build()
 }
 
-/// FNV-1a over every byte a read returned: the cross-arm identity witness.
+/// FNV-1a over every byte a read returned: the cross-transport identity
+/// witness.
 fn fnv(acc: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(acc, |h, b| {
         (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
     })
 }
 
-#[derive(serde::Serialize, Clone)]
+#[derive(serde::Serialize)]
 struct ReadArm {
     label: String,
     transport: &'static str,
-    ranged: bool,
-    coalesced: bool,
     makespan_us: u64,
     exchanges: u64,
     bytes_on_wire: u64,
@@ -70,14 +67,7 @@ struct ReadArm {
 
 /// One E1 arm: fresh deployment, seed the blobs, reset the wire, then drive
 /// the read sweep single-threaded and account only the sweep's traffic.
-fn run_read_arm(
-    label: &str,
-    rounds: usize,
-    blob_pages: u64,
-    ranged: bool,
-    coalesced: bool,
-    simulate: bool,
-) -> ReadArm {
+fn run_read_arm(label: &str, rounds: usize, blob_pages: u64, simulate: bool) -> ReadArm {
     let topo = wire_topology();
     let clock = Arc::new(SimClock::new());
     let net = Arc::new(SimNet::new(topo.clone(), NetworkModel::grid5000_like()));
@@ -92,9 +82,7 @@ fn run_read_arm(
             .with_providers(PROVIDERS)
             .with_page_size(PAGE)
             .with_page_replication(1)
-            .with_io_parallelism(1)
-            .with_ranged_reads(ranged)
-            .with_coalesced_reads(coalesced),
+            .with_io_parallelism(1),
         &topo,
         &provider_nodes,
         Arc::clone(&clock) as Arc<dyn Clock>,
@@ -124,15 +112,15 @@ fn run_read_arm(
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
     for round in 0..rounds {
         for (i, client) in clients.iter().enumerate() {
-            // One aligned multi-page scan: whole pages under either knob,
-            // but coalescing batches its per-provider fetches.
+            // One aligned multi-page scan: whole pages, one batch per
+            // provider.
             let start = ((round as u64 * 3 + i as u64) % (blob_pages - SCAN_PAGES)) * PAGE;
             let data = client
                 .read_latest(blobs[i], start, SCAN_PAGES * PAGE)
                 .unwrap();
             checksum = fnv(checksum, &data);
             // Four small unaligned reads, each straddling a page boundary:
-            // the ranged-read target (2 KiB wanted vs 32 KiB of pages).
+            // ranged, so 2 KiB cross the wire, not 32 KiB of pages.
             for k in 0..4u64 {
                 let p = (round as u64 * 7 + i as u64 * 5 + k * 3) % (blob_pages - 1);
                 let offset = p * PAGE + PAGE - SMALL / 2;
@@ -151,8 +139,6 @@ fn run_read_arm(
     ReadArm {
         label: label.to_string(),
         transport: if simulate { "simnet" } else { "inproc" },
-        ranged,
-        coalesced,
         makespan_us: net.makespan().as_micros(),
         exchanges: net.exchanges(),
         bytes_on_wire: wire_bytes.bytes_on_wire,
@@ -311,66 +297,26 @@ fn main() {
     );
     println!();
 
-    // -- Phase A: E1-style reads, {ranged x coalesced} ablation ------------
-    let naive = run_read_arm("whole-page, naive", rounds, blob_pages, false, false, true);
-    let ranged = run_read_arm("ranged, naive", rounds, blob_pages, true, false, true);
-    let coalesced = run_read_arm(
-        "whole-page, coalesced",
-        rounds,
-        blob_pages,
-        false,
-        true,
-        true,
+    // -- Phase A: E1-style reads ------------------------------------------
+    let reads = run_read_arm("ranged, coalesced", rounds, blob_pages, true);
+    let repeat = run_read_arm("ranged, coalesced", rounds, blob_pages, true);
+    let inproc = run_read_arm("inproc oracle", rounds, blob_pages, false);
+
+    println!(
+        "E1-style reads over SimNet: makespan {} us, {} exchanges, {} bytes on wire",
+        reads.makespan_us, reads.exchanges, reads.bytes_on_wire
     );
-    let both = run_read_arm("ranged, coalesced", rounds, blob_pages, true, true, true);
-    let repeat = run_read_arm("ranged, coalesced", rounds, blob_pages, true, true, true);
-    let inproc = run_read_arm("inproc oracle", rounds, blob_pages, true, true, false);
+    assert!(reads.makespan_us > 0, "reads must cost simulated time");
 
-    println!("E1-style reads over SimNet:");
-    for arm in [&naive, &ranged, &coalesced, &both] {
-        println!(
-            "  {:>22}: makespan {:>9} us, {:>5} exchanges, {:>9} bytes on wire",
-            arm.label, arm.makespan_us, arm.exchanges, arm.bytes_on_wire
-        );
-    }
-
-    // Identity: the knobs and the transport change costs, never bytes.
-    for arm in [&ranged, &coalesced, &both, &repeat, &inproc] {
-        assert_eq!(
-            arm.checksum, naive.checksum,
-            "'{}' returned different bytes than the naive arm",
-            arm.label
-        );
-    }
-    let identical = inproc.checksum == both.checksum;
+    // Identity: the transport changes costs, never bytes.
+    let identical = inproc.checksum == reads.checksum && repeat.checksum == reads.checksum;
+    assert!(identical, "SimNet returned different bytes than InProc");
     // Determinism: an identical arm reproduces the ledger exactly.
-    let deterministic = both.makespan_us == repeat.makespan_us
-        && both.exchanges == repeat.exchanges
-        && both.bytes_on_wire == repeat.bytes_on_wire;
+    let deterministic = reads.makespan_us == repeat.makespan_us
+        && reads.exchanges == repeat.exchanges
+        && reads.bytes_on_wire == repeat.bytes_on_wire;
     assert!(deterministic, "repeated arm diverged from its twin");
     assert_eq!(inproc.makespan_us, 0, "InProc must charge nothing");
-
-    let ranged_cut = 1.0 - ranged.bytes_on_wire as f64 / naive.bytes_on_wire as f64;
-    assert!(
-        ranged_cut >= 0.40,
-        "ranged reads must cut bytes on wire by >= 40% (got {:.1}%)",
-        ranged_cut * 100.0
-    );
-    assert!(
-        coalesced.makespan_us < naive.makespan_us,
-        "coalescing must shorten the naive makespan ({} !< {})",
-        coalesced.makespan_us,
-        naive.makespan_us
-    );
-    assert!(coalesced.exchanges < naive.exchanges);
-    println!(
-        "  ranged reads cut bytes on wire by {:.1}%; coalescing cut the makespan by {:.1}% \
-         ({} -> {} exchanges)",
-        ranged_cut * 100.0,
-        100.0 * (1.0 - coalesced.makespan_us as f64 / naive.makespan_us as f64),
-        naive.exchanges,
-        coalesced.exchanges,
-    );
     println!();
 
     // -- Phase B: F1-style appends -----------------------------------------
@@ -409,7 +355,6 @@ fn main() {
         providers: usize,
         page_bytes: u64,
         read_arms: Vec<ReadArm>,
-        ranged_bytes_cut_pct: f64,
         makespan_repeat_us: u64,
         deterministic: bool,
         identical: bool,
@@ -425,11 +370,10 @@ fn main() {
             clients: CLIENTS,
             providers: PROVIDERS,
             page_bytes: PAGE,
-            ranged_bytes_cut_pct: ranged_cut * 100.0,
             makespan_repeat_us: repeat.makespan_us,
             deterministic,
             identical,
-            read_arms: vec![naive, ranged, coalesced, both],
+            read_arms: vec![reads, inproc],
             appends,
             sort_arms: vec![local, random],
         },

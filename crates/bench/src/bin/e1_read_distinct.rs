@@ -3,9 +3,8 @@
 //!
 //! Runs the paper-scale sweep (1..250 clients on 270 simulated Grid'5000
 //! nodes, 1 GiB per client) for BSFS and HDFS and prints the throughput
-//! series the paper plots, then a laptop-scale real-data section with the
-//! read-path instrumentation (frontier-batched metadata round trips and
-//! cache hit rate, with the cache on and off).
+//! series the paper plots (`kind: modelled`, flowsim output). The real-data
+//! read path is measured by the benchmark of record's `scan_distinct`.
 
 use workloads::microbench::AccessPattern;
 
@@ -23,16 +22,12 @@ fn main() {
         &hdfs,
         &records,
     );
-    let (clients, bytes_per_client) = if smoke { (2, 256 * 1024) } else { (8, 4 << 20) };
-    let read_path =
-        bench::read_path_section(AccessPattern::ReadDistinctFiles, clients, bytes_per_client);
 
     #[derive(serde::Serialize)]
     struct Snapshot {
         experiment: &'static str,
         smoke: bool,
         sweep: Vec<bench::SweepRecord>,
-        read_path: Vec<bench::ReadPathRecord>,
     }
     bench::emit_bench_json(
         "E1",
@@ -40,7 +35,6 @@ fn main() {
             experiment: "E1",
             smoke,
             sweep: records,
-            read_path,
         },
     );
 }

@@ -1,11 +1,8 @@
 //! E2 — microbenchmark: concurrent clients reading *non-overlapping parts of
 //! the same huge file* (map phase over one shared input, paper §IV-B).
 //!
-//! Runs the paper-scale sweep, then a laptop-scale real-data section with
-//! the read-path instrumentation. The shared file makes this the workload
-//! where the immutable-node cache matters most: every client descends the
-//! same segment tree, so the upper levels are resolved once and then served
-//! from the cache for everyone.
+//! Runs the paper-scale sweep for BSFS and HDFS and prints the throughput
+//! series the paper plots (`kind: modelled`, flowsim output).
 
 use workloads::microbench::AccessPattern;
 
@@ -23,16 +20,12 @@ fn main() {
         &hdfs,
         &records,
     );
-    let (clients, bytes_per_client) = if smoke { (2, 256 * 1024) } else { (8, 4 << 20) };
-    let read_path =
-        bench::read_path_section(AccessPattern::ReadSharedFile, clients, bytes_per_client);
 
     #[derive(serde::Serialize)]
     struct Snapshot {
         experiment: &'static str,
         smoke: bool,
         sweep: Vec<bench::SweepRecord>,
-        read_path: Vec<bench::ReadPathRecord>,
     }
     bench::emit_bench_json(
         "E2",
@@ -40,7 +33,6 @@ fn main() {
             experiment: "E2",
             smoke,
             sweep: records,
-            read_path,
         },
     );
 }

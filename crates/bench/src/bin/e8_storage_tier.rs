@@ -10,7 +10,7 @@
 
 use blobseer::{BlobSeer, BlobSeerConfig};
 use mapreduce::DistFs;
-use workloads::microbench::AccessPattern;
+use workloads::microbench::{prepare_shared_file, read_shared_file, MicrobenchConfig};
 use workloads::TextGenerator;
 
 #[derive(serde::Serialize)]
@@ -36,12 +36,28 @@ struct GcSection {
     pages_deleted: u64,
 }
 
+/// One read-ahead window's row: the measured read phase's metadata
+/// counters (`kind: count`, deterministic up to the cache race between
+/// clients) and its throughput (`kind: wall`, machine-dependent).
+#[derive(serde::Serialize)]
+struct ReadPathRecord {
+    label: String,
+    aggregate_mibps: f64,
+    nodes_read: u64,
+    dht_read_round_trips: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    prefetched_nodes: u64,
+    prefetch_hits: u64,
+    prefetch_wasted: u64,
+}
+
 #[derive(serde::Serialize)]
 struct Snapshot {
     experiment: &'static str,
     smoke: bool,
     compaction: CompactionSection,
-    read_path: Vec<bench::ReadPathRecord>,
+    read_path: Vec<ReadPathRecord>,
     gc: GcSection,
 }
 
@@ -116,33 +132,81 @@ fn compaction_section(smoke: bool) -> CompactionSection {
     }
 }
 
-fn read_path(smoke: bool) -> Vec<bench::ReadPathRecord> {
-    let (clients, bytes_per_client) = if smoke { (2, 256 * 1024) } else { (4, 2 << 20) };
-    let records =
-        bench::read_path_section(AccessPattern::ReadSharedFile, clients, bytes_per_client);
-    let cache_on = records
-        .iter()
-        .find(|r| r.label == "cache on")
-        .expect("cache-on row");
-    let readahead = records
-        .iter()
-        .find(|r| r.label.starts_with("read-ahead"))
-        .expect("read-ahead row");
+/// Clients scan non-overlapping parts of one shared file (real threads and
+/// bytes through BSFS), once without read-ahead and once with a window of
+/// one whole block. Each 256 KiB block stripes over 32 BlobSeer pages, so
+/// every block read is a multi-page lookup, and with the window the next
+/// block's subtree rides the current descent's batches.
+fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
+    // At least two blocks per client even in smoke mode: a client's second
+    // block is what its own first descent prefetched, whatever the other
+    // clients do. With one block each, whether any prefetch is used depends
+    // on which client runs first.
+    let (clients, bytes_per_client) = if smoke { (2, 512 * 1024) } else { (4, 2 << 20) };
+    let block_size = 256 * 1024u64;
+    let page_size = block_size / 32;
+    let config = MicrobenchConfig {
+        clients,
+        bytes_per_client,
+        record_size: 4096,
+    };
+    let records: Vec<ReadPathRecord> = [0usize, 32]
+        .into_iter()
+        .map(|window| {
+            let fs = bench::small_bsfs_full(4, block_size, page_size, window);
+            prepare_shared_file(&fs, &config).expect("prepare read workload");
+            let storage = fs.inner().storage();
+            // The readers model clients on nodes that never saw the writes:
+            // the measured phase starts with a cold node cache.
+            storage.metadata().drop_cached_nodes();
+            let before = storage.metadata().stats();
+            let bench = read_shared_file(&fs, &config).expect("run read workload");
+            let now = storage.metadata().stats();
+            let record = ReadPathRecord {
+                label: format!("read-ahead {window}"),
+                aggregate_mibps: bench.aggregate_bps() / (1024.0 * 1024.0),
+                nodes_read: now.nodes_read - before.nodes_read,
+                dht_read_round_trips: now.dht_read_round_trips - before.dht_read_round_trips,
+                cache_hits: now.cache_hits - before.cache_hits,
+                cache_misses: now.cache_misses - before.cache_misses,
+                prefetched_nodes: now.prefetched_nodes - before.prefetched_nodes,
+                prefetch_hits: now.prefetch_hits - before.prefetch_hits,
+                prefetch_wasted: now.prefetch_wasted - before.prefetch_wasted,
+            };
+            println!(
+                "{:>13}: {:>8.1} MiB/s aggregate | {} nodes requested, {} DHT read round \
+                 trips | cache: {} hits, {} misses | read-ahead: {} prefetched, {} hits, \
+                 {} wasted",
+                record.label,
+                record.aggregate_mibps,
+                record.nodes_read,
+                record.dht_read_round_trips,
+                record.cache_hits,
+                record.cache_misses,
+                record.prefetched_nodes,
+                record.prefetch_hits,
+                record.prefetch_wasted,
+            );
+            record
+        })
+        .collect();
+    let (fixed, readahead) = (&records[0], &records[1]);
     assert!(
         readahead.prefetch_hits > 0,
         "sequential scans must hit the read-ahead window"
     );
     assert!(
-        readahead.dht_read_round_trips <= cache_on.dht_read_round_trips,
+        readahead.dht_read_round_trips <= fixed.dht_read_round_trips,
         "read-ahead must not add metadata round trips to a sequential scan \
          ({} vs {})",
         readahead.dht_read_round_trips,
-        cache_on.dht_read_round_trips,
+        fixed.dht_read_round_trips,
     );
     println!(
         "read-ahead: {} -> {} demand round trips, {} prefetch hits",
-        cache_on.dht_read_round_trips, readahead.dht_read_round_trips, readahead.prefetch_hits
+        fixed.dht_read_round_trips, readahead.dht_read_round_trips, readahead.prefetch_hits
     );
+    println!();
     records
 }
 

@@ -1,12 +1,11 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
-//! Every table/figure of the paper's evaluation (and the ablations added in
-//! DESIGN.md) is regenerated by a binary under `src/bin/` or a bench under
-//! `benches/`; this library holds the pieces they share: deployment builders
-//! for both storage systems on a common topology, sweep runners, and table
-//! formatting.
+//! Every table/figure of the paper's evaluation (and the ablations) is
+//! regenerated by a binary under `src/bin/`; this library holds the pieces
+//! they share: deployment builders for both storage systems on a common
+//! topology, sweep runners, and table formatting.
 
-use blobseer::{BlobSeer, BlobSeerConfig, MetadataStats};
+use blobseer::{BlobSeer, BlobSeerConfig};
 use bsfs::{Bsfs, BsfsConfig};
 use hdfs_sim::{Hdfs, HdfsConfig};
 use mapreduce::fs::{BsfsFs, DistFs, HdfsFs};
@@ -22,9 +21,6 @@ use workloads::simscale::{run_pattern, SimScaleConfig, StorageSystem};
 /// The client counts swept by the paper-scale experiments (the paper sweeps
 /// 1 to 250 concurrent clients on 270 nodes).
 pub const PAPER_CLIENT_COUNTS: &[usize] = &[1, 25, 50, 100, 150, 200, 250];
-
-/// Client counts used by the laptop-scale (real data movement) benches.
-pub const SMALL_CLIENT_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// Is `BENCH_SMOKE` set to a non-empty, non-`"0"` value? CI sets it to
 /// shrink the experiment binaries to tiny does-it-run configurations; all
@@ -46,31 +42,13 @@ pub fn sweep_client_counts(smoke: bool) -> &'static [usize] {
 /// Build a laptop-scale BSFS deployment (real threads, real bytes) over a
 /// flat topology of `nodes` nodes with the given block size.
 pub fn small_bsfs(nodes: u32, block_size: u64) -> BsfsFs {
-    small_bsfs_with_cache(nodes, block_size, block_size, true)
+    small_bsfs_full(nodes, block_size, block_size, 0)
 }
 
 /// [`small_bsfs`] with an explicit BlobSeer page size (blocks stripe over
-/// `block_size / page_size` pages) and metadata-cache toggle, for the
-/// read-path before/after comparison (cache off + per-node accounting
-/// approximates the pre-batching read path).
-pub fn small_bsfs_with_cache(
-    nodes: u32,
-    block_size: u64,
-    page_size: u64,
-    metadata_cache: bool,
-) -> BsfsFs {
-    small_bsfs_full(nodes, block_size, page_size, metadata_cache, 0)
-}
-
-/// [`small_bsfs_with_cache`] plus the sequential metadata read-ahead window
-/// (in pages; 0 disables it), for the read-ahead on/off ablations.
-pub fn small_bsfs_full(
-    nodes: u32,
-    block_size: u64,
-    page_size: u64,
-    metadata_cache: bool,
-    readahead: usize,
-) -> BsfsFs {
+/// `block_size / page_size` pages) and sequential metadata read-ahead window
+/// (in pages; 0 disables it).
+pub fn small_bsfs_full(nodes: u32, block_size: u64, page_size: u64, readahead: usize) -> BsfsFs {
     let topo = ClusterTopology::flat(nodes);
     let provider_nodes: Vec<NodeId> = topo.all_nodes().collect();
     let storage = BlobSeer::with_topology(
@@ -78,7 +56,6 @@ pub fn small_bsfs_full(
             .with_providers(nodes as usize)
             .with_page_size(page_size)
             .with_page_replication(1)
-            .with_metadata_cache(metadata_cache)
             .with_metadata_readahead(readahead),
         &topo,
         &provider_nodes,
@@ -129,168 +106,6 @@ pub fn write_path_report(storage: &BlobSeer) -> String {
         unbatched,
         meta.dht_round_trips,
     )
-}
-
-/// One-line report of read-path instrumentation for a BlobSeer deployment:
-/// metadata nodes requested vs DHT read round trips actually paid, batched
-/// (frontier) lookups, and the immutable-node cache's hit rate. The "with
-/// per-node gets" figure is what the same lookup traffic would have cost
-/// before frontier batching and caching (one DHT `get` per tree node
-/// visited), making the two figures a like-for-like comparison; the
-/// reduction percentage is counter-based and deterministic.
-pub fn read_path_report(storage: &BlobSeer) -> String {
-    read_path_report_since(storage, &MetadataStats::default(), 0)
-}
-
-/// [`read_path_report`] over the counter deltas since a snapshot, so a
-/// measured read phase can be reported without the preparation phase's
-/// metadata traffic mixed in.
-pub fn read_path_report_since(
-    storage: &BlobSeer,
-    baseline: &MetadataStats,
-    baseline_read_ops: u64,
-) -> String {
-    let now = storage.metadata().stats();
-    let nodes_read = now.nodes_read - baseline.nodes_read;
-    let read_rts = now.dht_read_round_trips - baseline.dht_read_round_trips;
-    let batch_lookups = now.batch_lookups - baseline.batch_lookups;
-    let cache_hits = now.cache_hits - baseline.cache_hits;
-    let cache_misses = now.cache_misses - baseline.cache_misses;
-    let read_ops = (storage.stats().read_ops - baseline_read_ops).max(1);
-    let unbatched = nodes_read; // one get (>= one round trip) per node
-    let reduction = if unbatched == 0 {
-        0.0
-    } else {
-        100.0 * (1.0 - read_rts as f64 / unbatched as f64)
-    };
-    let lookups = (cache_hits + cache_misses).max(1);
-    format!(
-        "metadata: {nodes_read} nodes requested, {read_rts} DHT read round trips \
-         ({:.1}/read op; {unbatched} with per-node gets, -{reduction:.1}%), \
-         {batch_lookups} frontier-batched lookups | \
-         cache: {cache_hits} hits, {cache_misses} misses ({:.1}% hit rate)",
-        read_rts as f64 / read_ops as f64,
-        100.0 * cache_hits as f64 / lookups as f64,
-    )
-}
-
-/// One configuration row of the read-path instrumentation section, kept for
-/// the `BENCH_<name>.json` snapshots.
-#[derive(Debug, Clone, Serialize)]
-pub struct ReadPathRecord {
-    /// Configuration label ("cache off" / "cache on" / "read-ahead N").
-    pub label: String,
-    /// Aggregate read throughput in MiB/s (wall-clock, machine-dependent).
-    pub aggregate_mibps: f64,
-    /// Metadata nodes demanded by the measured read phase.
-    pub nodes_read: u64,
-    /// DHT read round trips paid for them.
-    pub dht_read_round_trips: u64,
-    /// Metadata cache hits / misses during the phase.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Nodes speculatively fetched by the read-ahead window.
-    pub prefetched_nodes: u64,
-    /// Prefetched nodes later served to a demand lookup / evicted untouched.
-    pub prefetch_hits: u64,
-    pub prefetch_wasted: u64,
-}
-
-/// Run one real-data read microbenchmark (laptop scale: actual threads and
-/// bytes through BSFS) with the metadata cache off, on, and on with
-/// sequential read-ahead, and print the read-path instrumentation for the
-/// *measured read phase only* (counters snapshotted after the preparation
-/// writes). This is the deterministic, counter-based section E1/E2 record in
-/// EXPERIMENTS.md; the returned records feed the `BENCH_<name>.json`
-/// snapshot.
-///
-/// The deployment stripes each 256 KiB BSFS block over 32 BlobSeer pages
-/// (the paper's page-smaller-than-chunk configuration), so every block read
-/// is a genuine multi-page lookup: the per-node walk would pay one DHT get
-/// per visited tree node, the frontier-batched descent pays at most
-/// (metadata providers) round trips per tree level, and the read-ahead row
-/// additionally pre-warms the next blocks' subtrees inside those same round
-/// trips.
-pub fn read_path_section(
-    pattern: AccessPattern,
-    clients: usize,
-    bytes_per_client: u64,
-) -> Vec<ReadPathRecord> {
-    use mapreduce::fs::DistFs;
-    use mapreduce::MrResult;
-    use workloads::microbench::{
-        prepare_distinct_files, prepare_shared_file, read_distinct_files, read_shared_file,
-        MicrobenchConfig, MicrobenchReport,
-    };
-    type PrepareFn = fn(&dyn DistFs, &MicrobenchConfig) -> MrResult<()>;
-    type ReadFn = fn(&dyn DistFs, &MicrobenchConfig) -> MrResult<MicrobenchReport>;
-    let (prepare, read): (PrepareFn, ReadFn) = match pattern {
-        AccessPattern::ReadDistinctFiles => (prepare_distinct_files, read_distinct_files),
-        AccessPattern::ReadSharedFile => (prepare_shared_file, read_shared_file),
-        AccessPattern::WriteDistinctFiles => {
-            panic!("read_path_section only instruments read patterns")
-        }
-    };
-    let block_size = 256 * 1024u64;
-    let page_size = block_size / 32;
-    println!(
-        "-- read-path instrumentation (real data movement, {clients} clients, 4 nodes, \
-         {} KiB blocks striped into {} KiB pages) --",
-        block_size / 1024,
-        page_size / 1024
-    );
-    let mut records = Vec::new();
-    // The read-ahead window is one whole block (32 pages): a sequential
-    // scan's next block subtree rides the current descent's batches, so
-    // every other block lookup is served entirely from the cache.
-    for (label, cache, readahead) in [
-        ("cache off    ", false, 0usize),
-        ("cache on     ", true, 0),
-        ("read-ahead 32", true, 32),
-    ] {
-        let fs = small_bsfs_full(4, block_size, page_size, cache, readahead);
-        let config = MicrobenchConfig {
-            clients,
-            bytes_per_client,
-            record_size: 4096,
-        };
-        prepare(&fs, &config).expect("prepare read workload");
-        let storage = fs.inner().storage();
-        // Readers in E1/E2 sit on different nodes than the writer, so the
-        // measured phase starts with a cold node cache even though this
-        // process shares one store with the preparation writes.
-        storage.metadata().drop_cached_nodes();
-        let baseline = storage.metadata().stats();
-        let read_ops = storage.stats().read_ops;
-        let bench = read(&fs, &config).expect("run read workload");
-        let counters = read_path_report_since(storage, &baseline, read_ops);
-        let now = storage.metadata().stats();
-        let aggregate_mibps = bench.aggregate_bps() / (1024.0 * 1024.0);
-        let prefetch = if readahead > 0 {
-            format!(
-                " | read-ahead: {} prefetched, {} hits, {} wasted",
-                now.prefetched_nodes - baseline.prefetched_nodes,
-                now.prefetch_hits - baseline.prefetch_hits,
-                now.prefetch_wasted - baseline.prefetch_wasted,
-            )
-        } else {
-            String::new()
-        };
-        println!("{label}: {aggregate_mibps:>8.1} MiB/s aggregate | {counters}{prefetch}");
-        records.push(ReadPathRecord {
-            label: label.trim().to_string(),
-            aggregate_mibps,
-            nodes_read: now.nodes_read - baseline.nodes_read,
-            dht_read_round_trips: now.dht_read_round_trips - baseline.dht_read_round_trips,
-            cache_hits: now.cache_hits - baseline.cache_hits,
-            cache_misses: now.cache_misses - baseline.cache_misses,
-            prefetched_nodes: now.prefetched_nodes - baseline.prefetched_nodes,
-            prefetch_hits: now.prefetch_hits - baseline.prefetch_hits,
-            prefetch_wasted: now.prefetch_wasted - baseline.prefetch_wasted,
-        });
-    }
-    println!();
-    records
 }
 
 /// Build a laptop-scale HDFS deployment matching [`small_bsfs`].
@@ -379,7 +194,7 @@ pub fn print_sweep(
 /// One-line report of a [`wire::CountersSnapshot`] — the message/byte ledger
 /// every transport boundary (DHT, provider, shuffle, control plane) meters
 /// through. Used by the wire experiments so all boundaries print the same
-/// shape, making the E11 ablation arms directly comparable.
+/// shape.
 pub fn wire_report(label: &str, w: &wire::CountersSnapshot) -> String {
     format!(
         "{label}: {} msgs ({} read / {} write), {} bytes sent + {} received = {} on wire",
@@ -395,8 +210,8 @@ pub fn wire_report(label: &str, w: &wire::CountersSnapshot) -> String {
 /// One-line report of a job's storage-materialized shuffle: spill volume,
 /// combiner reduction, and the segment fetches/round trips the reducers paid
 /// against the storage layer. This is the per-job counterpart of
-/// [`write_path_report`]/[`read_path_report`] — deterministic, counter-based
-/// numbers an experiment section can record.
+/// [`write_path_report`] — deterministic, counter-based numbers an
+/// experiment section can record.
 pub fn shuffle_report(result: &JobResult) -> String {
     let s = &result.shuffle;
     let combine = if s.combine_input_records > 0 {

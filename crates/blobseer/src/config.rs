@@ -25,24 +25,20 @@ pub struct BlobSeerConfig {
     pub page_replication: usize,
     /// Placement strategy used by the provider manager.
     pub placement: PlacementStrategy,
-    /// Number of version-manager shards (independent lock + condvar each).
-    pub version_manager_shards: usize,
-    /// Whether clients keep a cache of segment-tree nodes in front of the
-    /// metadata DHT. Tree nodes are versioned and immutable, so the cache
-    /// never needs invalidation; disabling it sends every node lookup to the
-    /// DHT (the configuration used for the read-path ablation).
-    pub metadata_cache: bool,
-    /// Capacity (in tree nodes) of the client-side metadata cache.
+    /// Capacity (in tree nodes) of the client-side cache of segment-tree
+    /// nodes in front of the metadata DHT. Tree nodes are versioned and
+    /// immutable, so the cache never needs invalidation.
     pub metadata_cache_capacity: usize,
-    /// Upper bound on the threads a single read or write operation fans its
-    /// per-page provider I/O out over (1 = fully sequential page transfers).
+    /// Upper bound on the threads a single write or append fans its per-page
+    /// provider uploads out over (1 = fully sequential page transfers). Reads
+    /// do not use it: they post one message per destination provider and
+    /// collect the replies on the calling thread.
     pub io_parallelism: usize,
     /// Sequential read-ahead window (in pages) for the metadata read path.
     /// When non-zero, a read's segment-tree descent also fetches the subtrees
     /// covering up to this many pages past the requested range in the same
     /// `get_many` round trips, pre-warming the metadata cache for the next
-    /// sequential read. 0 disables read-ahead. Only effective when the
-    /// metadata cache is enabled (prefetching into no cache is pure waste).
+    /// sequential read. 0 disables read-ahead.
     pub metadata_readahead: usize,
     /// Snapshot retention policy: keep only the newest K published versions of
     /// each blob eligible for reads, letting [`crate::BlobSeer::collect_garbage`]
@@ -57,12 +53,6 @@ pub struct BlobSeerConfig {
     /// background task on the executor pool. `None` keeps GC purely
     /// caller-driven. Only meaningful together with `gc_keep_last`.
     pub gc_interval_ms: Option<u64>,
-    /// When true, the metadata read-ahead window self-tunes from the
-    /// prefetch counters: it is halved whenever a window wasted prefetched
-    /// nodes (evicted untouched) and grown additively after all-hit windows,
-    /// bounded above by `metadata_readahead`. When false the window is the
-    /// fixed `metadata_readahead` knob.
-    pub adaptive_readahead: bool,
     /// Background repair cadence in milliseconds (of the instance's `Clock`,
     /// so tests drive it with `SimClock`). When set, the deployment attaches
     /// heartbeat failure detectors to the metadata DHT and the provider
@@ -80,17 +70,6 @@ pub struct BlobSeerConfig {
     /// Backoff (wall milliseconds) before the first retry; doubles on each
     /// further retry.
     pub retry_backoff_ms: u64,
-    /// When true, sub-page reads ask providers for only the byte window they
-    /// need (`Download(key, offset, len)`), instead of fetching the whole
-    /// page and slicing locally. Whole-page reads are unaffected. Disabling
-    /// it restores the whole-page fetch (the ranged-vs-whole ablation arm).
-    pub ranged_reads: bool,
-    /// When true, a read's demand page fetches bound for the same provider
-    /// are folded into one `DownloadMany` message — one wire exchange (one
-    /// latency charge) per destination per read instead of one per page.
-    /// Disabling it issues one message per page (the coalescing ablation
-    /// arm).
-    pub coalesce_reads: bool,
 }
 
 impl Default for BlobSeerConfig {
@@ -102,19 +81,14 @@ impl Default for BlobSeerConfig {
             metadata_replication: 2,
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
-            version_manager_shards: crate::version_manager::DEFAULT_SHARDS,
-            metadata_cache: true,
             metadata_cache_capacity: 64 * 1024,
             io_parallelism: 8,
             metadata_readahead: 0,
             gc_keep_last: None,
             gc_interval_ms: None,
-            adaptive_readahead: false,
             repair_interval_ms: None,
             retry_attempts: 1,
             retry_backoff_ms: 1,
-            ranged_reads: true,
-            coalesce_reads: true,
         }
     }
 }
@@ -129,19 +103,14 @@ impl BlobSeerConfig {
             metadata_replication: 2,
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
-            version_manager_shards: 4,
-            metadata_cache: true,
             metadata_cache_capacity: 1024,
             io_parallelism: 4,
             metadata_readahead: 0,
             gc_keep_last: None,
             gc_interval_ms: None,
-            adaptive_readahead: false,
             repair_interval_ms: None,
             retry_attempts: 1,
             retry_backoff_ms: 1,
-            ranged_reads: true,
-            coalesce_reads: true,
         }
     }
 
@@ -166,18 +135,6 @@ impl BlobSeerConfig {
     /// Builder-style override of the placement strategy.
     pub fn with_placement(mut self, placement: PlacementStrategy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Builder-style override of the version-manager shard count.
-    pub fn with_version_manager_shards(mut self, shards: usize) -> Self {
-        self.version_manager_shards = shards;
-        self
-    }
-
-    /// Builder-style toggle of the client-side metadata node cache.
-    pub fn with_metadata_cache(mut self, enabled: bool) -> Self {
-        self.metadata_cache = enabled;
         self
     }
 
@@ -213,12 +170,6 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style toggle of the self-tuning metadata read-ahead window.
-    pub fn with_adaptive_readahead(mut self, enabled: bool) -> Self {
-        self.adaptive_readahead = enabled;
-        self
-    }
-
     /// Builder-style override of the background repair cadence. The interval
     /// is measured on the instance's `Clock` (so `SimClock` tests control
     /// it) and rounded down to whole milliseconds. Setting it also attaches
@@ -234,18 +185,6 @@ impl BlobSeerConfig {
     pub fn with_retry(mut self, attempts: u32, backoff: Duration) -> Self {
         self.retry_attempts = attempts;
         self.retry_backoff_ms = backoff.as_millis() as u64;
-        self
-    }
-
-    /// Builder-style toggle of ranged (sub-page) provider reads.
-    pub fn with_ranged_reads(mut self, enabled: bool) -> Self {
-        self.ranged_reads = enabled;
-        self
-    }
-
-    /// Builder-style toggle of per-destination read coalescing.
-    pub fn with_coalesced_reads(mut self, enabled: bool) -> Self {
-        self.coalesce_reads = enabled;
         self
     }
 
@@ -270,12 +209,8 @@ impl BlobSeerConfig {
             self.providers
         );
         assert!(
-            self.version_manager_shards >= 1,
-            "at least one version-manager shard is required"
-        );
-        assert!(
-            !self.metadata_cache || self.metadata_cache_capacity >= 1,
-            "an enabled metadata cache needs a non-zero capacity"
+            self.metadata_cache_capacity >= 1,
+            "the metadata cache needs a non-zero capacity"
         );
         assert!(
             self.io_parallelism >= 1,
@@ -292,10 +227,6 @@ impl BlobSeerConfig {
         assert!(
             self.gc_interval_ms.is_none() || self.gc_keep_last.is_some(),
             "a background GC interval needs a retention policy (gc_keep_last) to enforce"
-        );
-        assert!(
-            !self.adaptive_readahead || self.metadata_readahead >= 1,
-            "adaptive read-ahead needs a non-zero metadata_readahead as its upper bound"
         );
         assert!(
             self.repair_interval_ms != Some(0),
@@ -325,33 +256,25 @@ mod tests {
             .with_providers(10)
             .with_page_replication(3)
             .with_placement(PlacementStrategy::Random)
-            .with_metadata_cache(false)
             .with_metadata_cache_capacity(128)
             .with_io_parallelism(2)
             .with_metadata_readahead(16)
             .with_gc_keep_last(3)
             .with_gc_interval(Duration::from_secs(30))
-            .with_adaptive_readahead(true)
             .with_repair_interval(Duration::from_secs(2))
-            .with_retry(4, Duration::from_millis(5))
-            .with_ranged_reads(false)
-            .with_coalesced_reads(false);
+            .with_retry(4, Duration::from_millis(5));
         assert_eq!(c.default_page_size, 4096);
         assert_eq!(c.providers, 10);
         assert_eq!(c.page_replication, 3);
         assert_eq!(c.placement, PlacementStrategy::Random);
-        assert!(!c.metadata_cache);
         assert_eq!(c.metadata_cache_capacity, 128);
         assert_eq!(c.io_parallelism, 2);
         assert_eq!(c.metadata_readahead, 16);
         assert_eq!(c.gc_keep_last, Some(3));
         assert_eq!(c.gc_interval_ms, Some(30_000));
-        assert!(c.adaptive_readahead);
         assert_eq!(c.repair_interval_ms, Some(2_000));
         assert_eq!(c.retry_attempts, 4);
         assert_eq!(c.retry_backoff_ms, 5);
-        assert!(!c.ranged_reads);
-        assert!(!c.coalesce_reads);
         c.validate();
     }
 
@@ -382,14 +305,6 @@ mod tests {
     fn gc_interval_without_retention_is_rejected() {
         BlobSeerConfig::for_tests()
             .with_gc_interval(Duration::from_secs(1))
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero metadata_readahead")]
-    fn adaptive_readahead_without_a_window_is_rejected() {
-        BlobSeerConfig::for_tests()
-            .with_adaptive_readahead(true)
             .validate();
     }
 

@@ -193,3 +193,40 @@ pub fn collect_blob_garbage(
     }
     Ok(report)
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::metadata::{NodeKey, TreeNode};
+    use crate::{BlobSeer, BlobSeerConfig};
+
+    #[test]
+    fn retired_nodes_leave_the_warm_cache_with_the_dht() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_gc_keep_last(1));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        // v1 and v2 each rewrite all 8 pages: nothing of v1 survives v2.
+        let v1 = client.write(blob, 0, &[1u8; 16 * 8]).unwrap();
+        client.write(blob, 0, &[2u8; 16 * 8]).unwrap();
+        let store = sys.metadata();
+        // Every node v1 created, read back from the cache the two
+        // publications pre-warmed.
+        let root = sys.version_manager().get_version(blob, v1).unwrap().root;
+        let mut created: Vec<NodeKey> = Vec::new();
+        let mut frontier: Vec<NodeKey> = root.into_iter().collect();
+        while let Some(key) = frontier.pop() {
+            if let TreeNode::Inner { left, right } = store.get_node(key).unwrap() {
+                frontier.extend([left, right].into_iter().flatten());
+            }
+            created.push(key);
+        }
+        let resident = store.cache_stats().entries;
+
+        let report = sys.collect_garbage().unwrap();
+        assert_eq!(report.nodes_removed, 15);
+        assert_eq!(created.len(), 15);
+        for key in created {
+            assert!(store.get_node(key).is_err(), "{key:?} still resolves");
+        }
+        assert_eq!(store.cache_stats().entries, resident - 15);
+    }
+}

@@ -46,18 +46,6 @@ pub struct MetadataCacheStats {
     pub prefetch_wasted: u64,
 }
 
-impl MetadataCacheStats {
-    /// Fraction of lookups answered from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Slot {
     key: NodeKey,
     node: TreeNode,
@@ -143,6 +131,22 @@ impl Shard {
             return (true, wasted);
         }
     }
+
+    /// Drop a node, handing its slot back. The last slot moves into the gap,
+    /// so the ring stays dense.
+    fn remove(&mut self, key: &NodeKey) -> bool {
+        let Some(at) = self.index.remove(key) else {
+            return false;
+        };
+        self.slots.swap_remove(at);
+        if let Some(moved) = self.slots.get(at) {
+            self.index.insert(moved.key, at);
+        }
+        if self.hand >= self.slots.len() {
+            self.hand = 0;
+        }
+        true
+    }
 }
 
 /// A sharded, capacity-bounded cache of `NodeKey -> TreeNode`.
@@ -222,6 +226,13 @@ impl MetadataCache {
         }
     }
 
+    /// Drop one node (garbage collection retired it). Like [`Self::clear`],
+    /// not an eviction: no capacity decision was made. Returns whether the
+    /// node was resident.
+    pub fn remove(&self, key: &NodeKey) -> bool {
+        self.shard_of(key).lock().remove(key)
+    }
+
     /// Drop every resident node, keeping the counters. This models a cold
     /// client (a reader on a node that never saw the writes), so the dropped
     /// entries count neither as evictions nor as wasted prefetches — no
@@ -285,7 +296,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.insertions, 1);
         assert_eq!(stats.entries, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -379,6 +389,31 @@ mod tests {
         // The cache keeps working after a clear.
         cache.insert(key(1, 2), leaf(2));
         assert!(cache.get(&key(1, 2)).is_some());
+    }
+
+    #[test]
+    fn remove_frees_the_slot_and_keeps_the_ring_consistent() {
+        let cache = MetadataCache::new(8);
+        cache.insert(key(1, 0), leaf(0));
+        assert!(cache.remove(&key(1, 0)));
+        assert!(!cache.remove(&key(1, 0)));
+        assert!(cache.get(&key(1, 0)).is_none());
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().evictions, 0, "a removal is not an eviction");
+
+        // One full shard: the last slot moves into the gap and stays
+        // findable, and the freed slot is reused before anyone is evicted.
+        let mut shard = Shard::new(3);
+        for i in 0..3 {
+            shard.insert(key(1, i), leaf(i), false);
+        }
+        assert!(shard.remove(&key(1, 0)));
+        assert!(shard.get(&key(1, 1)).is_some() && shard.get(&key(1, 2)).is_some());
+        assert!(!shard.insert(key(1, 3), leaf(3), false).0);
+        assert!(shard.insert(key(1, 4), leaf(4), false).0, "full again");
+        for (at, slot) in shard.slots.iter().enumerate() {
+            assert_eq!(shard.index[&slot.key], at);
+        }
     }
 
     #[test]

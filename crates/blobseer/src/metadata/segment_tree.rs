@@ -494,7 +494,7 @@ mod tests {
     use crate::types::next_power_of_two;
 
     fn store() -> MetadataStore {
-        MetadataStore::new(3, 1)
+        MetadataStore::new(3, 1, 256)
     }
 
     fn providers(ids: &[u32]) -> Vec<ProviderId> {
@@ -705,13 +705,18 @@ mod tests {
 
     #[test]
     fn batched_lookup_matches_the_walk_and_pays_one_round_trip_per_level() {
-        let s = store();
+        let writer = store();
         let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
-        let root = build_version(&s, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let root =
+            build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        // A second client of the same DHT, cold for each descent: the
+        // writer's publish pre-warm would answer both from its cache.
+        let s = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         let walk_before = s.stats();
         let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
         let walk_after = s.stats();
+        s.drop_cached_nodes();
         let batched = lookup_range(&s, Some(root), 32, 0, 31).unwrap();
         let batch_after = s.stats();
 
@@ -786,7 +791,7 @@ mod tests {
             build_version(&writer, BlobId(14), Version(1), PrevTree::empty(), 32, &w).unwrap();
         // A cold reader cache (the writer's publish pre-warm does not help a
         // different client) so that the read-ahead is what fills it.
-        let reader = MetadataStore::with_dht(writer.dht().clone()).with_node_cache(256);
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         let walked = lookup_range_walk(&writer, Some(root), 32, 0, 15).unwrap();
         let first = lookup_range_readahead(&reader, Some(root), 32, 0, 7, 8).unwrap();
@@ -814,7 +819,7 @@ mod tests {
         let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
         let root =
             build_version(&writer, BlobId(17), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone()).with_node_cache(256);
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         // Cold first range: the window pulls [8, 15] alongside the paid
         // descent.
@@ -846,7 +851,7 @@ mod tests {
         let w: BTreeMap<_, _> = (0..8).map(|p| (p, providers(&[0]))).collect();
         let root =
             build_version(&writer, BlobId(15), Version(1), PrevTree::empty(), 8, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone()).with_node_cache(64);
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 64);
         // The window reaches far past the last page; the clamp keeps the
         // descent inside the tree, so nothing is prefetched.
         let got = lookup_range_readahead(&reader, Some(root), 8, 6, 7, 1000).unwrap();
@@ -862,7 +867,7 @@ mod tests {
             build_version(&writer, BlobId(16), Version(1), PrevTree::empty(), 32, &w).unwrap();
         // A cache far smaller than the 63-node prefetch fan-out: prefetched
         // nodes evict each other before any demand read touches them.
-        let reader = MetadataStore::with_dht(writer.dht().clone()).with_node_cache(4);
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 4);
         let got = lookup_range_readahead(&reader, Some(root), 32, 0, 0, 31).unwrap();
         assert_eq!(got.len(), 1);
         let stats = reader.stats();

@@ -1,7 +1,7 @@
 //! Typed wrapper around the metadata DHT.
 
 use crate::error::{BlobResult, BlobSeerError};
-use crate::metadata::cache::MetadataCache;
+use crate::metadata::cache::{MetadataCache, MetadataCacheStats};
 use crate::metadata::{NodeKey, TreeNode};
 use bytes::Bytes;
 use dht::{Dht, DhtConfig, DhtError};
@@ -45,24 +45,13 @@ pub struct MetadataStats {
     pub prefetch_wasted: u64,
 }
 
-impl MetadataStats {
-    /// Fraction of cached node lookups answered by the cache (0 when the
-    /// cache is disabled or idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The metadata store: segment-tree nodes in a DHT of metadata providers,
-/// optionally fronted by a client-side cache of the (immutable) nodes.
+/// fronted by a client-side cache of the (immutable) nodes. Nodes never change
+/// once published, so the cache needs no invalidation; the write path
+/// pre-warms it when flushing a version's node batch.
 pub struct MetadataStore {
     dht: Arc<Dht>,
-    cache: Option<MetadataCache>,
+    cache: MetadataCache,
     nodes_written: AtomicU64,
     nodes_read: AtomicU64,
     batch_flushes: AtomicU64,
@@ -71,21 +60,24 @@ pub struct MetadataStore {
 }
 
 impl MetadataStore {
-    /// Create a store with a fresh DHT of `metadata_providers` nodes.
-    pub fn new(metadata_providers: usize, replication: usize) -> Self {
+    /// Create a store with a fresh DHT of `metadata_providers` nodes and a
+    /// node cache of up to `cache_capacity` tree nodes.
+    pub fn new(metadata_providers: usize, replication: usize, cache_capacity: usize) -> Self {
         let dht = Dht::new(DhtConfig {
             nodes: metadata_providers,
             replication,
             virtual_nodes: 64,
         });
-        Self::with_dht(Arc::new(dht))
+        Self::with_dht(Arc::new(dht), cache_capacity)
     }
 
-    /// Wrap an existing DHT (lets tests inject failures from outside).
-    pub fn with_dht(dht: Arc<Dht>) -> Self {
+    /// Wrap an existing DHT behind a fresh (cold) node cache: a second client
+    /// of the same metadata providers, and how tests inject failures from
+    /// outside.
+    pub fn with_dht(dht: Arc<Dht>, cache_capacity: usize) -> Self {
         MetadataStore {
             dht,
-            cache: None,
+            cache: MetadataCache::new(cache_capacity),
             nodes_written: AtomicU64::new(0),
             nodes_read: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
@@ -94,27 +86,11 @@ impl MetadataStore {
         }
     }
 
-    /// Builder-style: front the store with a client-side cache of up to
-    /// `capacity` tree nodes. Nodes are immutable once published, so the
-    /// cache needs no invalidation; the write path pre-warms it when flushing
-    /// a version's node batch.
-    pub fn with_node_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(MetadataCache::new(capacity));
-        self
-    }
-
-    /// Is a client-side node cache attached?
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Drop every cached node (counters survive). Benchmarks use this to
     /// model a cold reader: a client on a node that never saw the writes
     /// starts with an empty cache even though the process shares one store.
     pub fn drop_cached_nodes(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
+        self.cache.clear();
     }
 
     /// Access the underlying DHT (failure injection in tests).
@@ -126,9 +102,7 @@ impl MetadataStore {
     pub fn put_node(&self, key: NodeKey, node: &TreeNode) -> BlobResult<()> {
         self.nodes_written.fetch_add(1, Ordering::Relaxed);
         self.dht.put(&key.dht_key(), Bytes::from(node.encode()))?;
-        if let Some(cache) = &self.cache {
-            cache.insert(key, node.clone());
-        }
+        self.cache.insert(key, node.clone());
         Ok(())
     }
 
@@ -151,10 +125,8 @@ impl MetadataStore {
         // Pre-warm the cache with the freshly published tree: the writer (and
         // every reader behind the same client) reads its own version back for
         // free, which covers the common produce-then-consume pattern.
-        if let Some(cache) = &self.cache {
-            for (key, node) in nodes {
-                cache.insert(*key, node.clone());
-            }
+        for (key, node) in nodes {
+            self.cache.insert(*key, node.clone());
         }
         Ok(())
     }
@@ -164,16 +136,12 @@ impl MetadataStore {
     /// dead metadata provider quorum.
     pub fn get_node(&self, key: NodeKey) -> BlobResult<TreeNode> {
         self.nodes_read.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            if let Some(node) = cache.get(&key) {
-                return Ok(node);
-            }
+        if let Some(node) = self.cache.get(&key) {
+            return Ok(node);
         }
         let raw = self.dht.get(&key.dht_key())?;
         let node = Self::decode_node(key, &raw)?;
-        if let Some(cache) = &self.cache {
-            cache.insert(key, node.clone());
-        }
+        self.cache.insert(key, node.clone());
         Ok(node)
     }
 
@@ -220,16 +188,11 @@ impl MetadataStore {
         self.batch_lookups.fetch_add(1, Ordering::Relaxed);
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
         let mut missing: Vec<usize> = Vec::new();
-        match &self.cache {
-            Some(cache) => {
-                for (i, key) in keys.iter().enumerate() {
-                    match cache.get(key) {
-                        Some(node) => out[i] = Some(node),
-                        None => missing.push(i),
-                    }
-                }
+        for (i, key) in keys.iter().enumerate() {
+            match self.cache.get(key) {
+                Some(node) => out[i] = Some(node),
+                None => missing.push(i),
             }
-            None => missing.extend(0..keys.len()),
         }
         if missing.iter().all(|&i| i >= demand) {
             // No demand miss to pay for the round trip: drop the speculative
@@ -250,12 +213,10 @@ impl MetadataStore {
                     })
                 })?;
                 let node = Self::decode_node(keys[i], &raw)?;
-                if let Some(cache) = &self.cache {
-                    if i >= demand {
-                        cache.insert_prefetched(keys[i], node.clone());
-                    } else {
-                        cache.insert(keys[i], node.clone());
-                    }
+                if i >= demand {
+                    self.cache.insert_prefetched(keys[i], node.clone());
+                } else {
+                    self.cache.insert(keys[i], node.clone());
                 }
                 out[i] = Some(node);
             }
@@ -271,18 +232,24 @@ impl MetadataStore {
         })
     }
 
-    /// Remove a tree node (used by version garbage collection).
+    /// Remove a tree node (used by version garbage collection), from the
+    /// cache as well as the DHT: a retired node must stop resolving here and
+    /// give its cache slot back.
     pub fn remove_node(&self, key: NodeKey) -> BlobResult<bool> {
+        self.cache.remove(&key);
         Ok(self.dht.remove(&key.dht_key())?)
+    }
+
+    /// Effectiveness counters of the node cache (resident entries,
+    /// insertions, evictions) beyond the hit/miss figures in
+    /// [`MetadataStore::stats`].
+    pub fn cache_stats(&self) -> MetadataCacheStats {
+        self.cache.stats()
     }
 
     /// Traffic counters.
     pub fn stats(&self) -> MetadataStats {
-        let cache = self
-            .cache
-            .as_ref()
-            .map(MetadataCache::stats)
-            .unwrap_or_default();
+        let cache = self.cache.stats();
         MetadataStats {
             nodes_written: self.nodes_written.load(Ordering::Relaxed),
             nodes_read: self.nodes_read.load(Ordering::Relaxed),
@@ -297,64 +264,6 @@ impl MetadataStore {
             prefetch_hits: cache.prefetch_hits,
             prefetch_wasted: cache.prefetch_wasted,
         }
-    }
-}
-
-/// Self-tuning read-ahead window, driven by the prefetch outcome counters.
-///
-/// The controller follows the classic AIMD shape: a read that wasted
-/// prefetched nodes (they were evicted untouched, so the window overshot the
-/// cache or the access pattern) halves the window; a read whose window was
-/// all profit (new prefetch hits, no new waste) grows it by one page, up to
-/// the configured maximum. Windows with neither signal — e.g. fully cached
-/// re-reads that never prefetch — leave it unchanged.
-///
-/// `observe` compares monotonic totals from [`MetadataStats`] against the
-/// last snapshot, so callers just feed it `stats()` after each read.
-pub struct AdaptiveReadahead {
-    window: AtomicU64,
-    max: u64,
-    last_wasted: AtomicU64,
-    last_hits: AtomicU64,
-}
-
-impl AdaptiveReadahead {
-    /// Start at the configured maximum (the previous fixed-knob behaviour)
-    /// and adapt from there.
-    pub fn new(max_window: usize) -> Self {
-        AdaptiveReadahead {
-            window: AtomicU64::new(max_window as u64),
-            max: max_window as u64,
-            last_wasted: AtomicU64::new(0),
-            last_hits: AtomicU64::new(0),
-        }
-    }
-
-    /// The window (in pages) the next read should use.
-    pub fn window(&self) -> usize {
-        self.window.load(Ordering::Relaxed) as usize
-    }
-
-    /// Feed the controller the current counter totals; returns the window
-    /// chosen for the next read.
-    pub fn observe(&self, stats: &MetadataStats) -> usize {
-        let wasted_delta = stats.prefetch_wasted.saturating_sub(
-            self.last_wasted
-                .swap(stats.prefetch_wasted, Ordering::Relaxed),
-        );
-        let hit_delta = stats
-            .prefetch_hits
-            .saturating_sub(self.last_hits.swap(stats.prefetch_hits, Ordering::Relaxed));
-        let current = self.window.load(Ordering::Relaxed);
-        let next = if wasted_delta > 0 {
-            (current / 2).max(1)
-        } else if hit_delta > 0 {
-            (current + 1).min(self.max)
-        } else {
-            current
-        };
-        self.window.store(next, Ordering::Relaxed);
-        next as usize
     }
 }
 
@@ -374,7 +283,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_and_stats() {
-        let store = MetadataStore::new(3, 2);
+        let store = MetadataStore::new(3, 2, 64);
         let leaf = TreeNode::Leaf {
             page: 5,
             providers: vec![ProviderId(2)],
@@ -389,8 +298,8 @@ mod tests {
 
     #[test]
     fn put_nodes_batch_matches_single_puts_with_fewer_round_trips() {
-        let batched = MetadataStore::new(3, 2);
-        let single = MetadataStore::new(3, 2);
+        let batched = MetadataStore::new(3, 2, 64);
+        let single = MetadataStore::new(3, 2, 64);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..16)
             .map(|i| {
                 (
@@ -414,7 +323,9 @@ mod tests {
         assert_eq!(b.batch_flushes, 1);
         assert!(b.dht_round_trips <= 3);
         assert_eq!(s.dht_round_trips, 32);
-        // And both stores hold identical contents.
+        // And both DHTs hold identical contents.
+        batched.drop_cached_nodes();
+        single.drop_cached_nodes();
         for (k, n) in &nodes {
             assert_eq!(&batched.get_node(*k).unwrap(), n);
             assert_eq!(&single.get_node(*k).unwrap(), n);
@@ -426,26 +337,30 @@ mod tests {
 
     #[test]
     fn missing_node_is_an_error() {
-        let store = MetadataStore::new(2, 1);
+        let store = MetadataStore::new(2, 1, 64);
         assert!(store.get_node(key(9, 0, 1)).is_err());
     }
 
     #[test]
     fn remove_node() {
-        let store = MetadataStore::new(2, 1);
+        // The put pre-warms the cache, so this only passes if the removal
+        // reaches the cache as well as the DHT.
+        let store = MetadataStore::new(2, 1, 64);
         let n = TreeNode::Inner {
             left: None,
             right: None,
         };
         store.put_node(key(1, 0, 2), &n).unwrap();
+        assert_eq!(store.cache_stats().entries, 1);
         assert!(store.remove_node(key(1, 0, 2)).unwrap());
         assert!(store.get_node(key(1, 0, 2)).is_err());
+        assert_eq!(store.cache_stats().entries, 0);
         assert!(!store.remove_node(key(1, 0, 2)).unwrap());
     }
 
     #[test]
     fn get_nodes_matches_per_node_gets_with_fewer_round_trips() {
-        let store = MetadataStore::new(4, 2);
+        let store = MetadataStore::new(4, 2, 64);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..32)
             .map(|i| {
                 (
@@ -458,6 +373,8 @@ mod tests {
             })
             .collect();
         store.put_nodes(&nodes).unwrap();
+        // Forget the publication's pre-warm so the batch goes to the DHT.
+        store.drop_cached_nodes();
         let keys: Vec<NodeKey> = nodes.iter().map(|(k, _)| *k).collect();
 
         let before = store.stats();
@@ -470,7 +387,8 @@ mod tests {
         // providers at most once; per-node gets would pay 32 round trips.
         assert_eq!(after.nodes_read - before.nodes_read, 32);
         assert_eq!(after.batch_lookups - before.batch_lookups, 1);
-        assert!(after.dht_read_round_trips - before.dht_read_round_trips <= 4);
+        let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
+        assert!((1..=4).contains(&read_rts), "{read_rts} round trips");
         // Empty batches are free.
         assert!(store.get_nodes(&[]).unwrap().is_empty());
         assert_eq!(store.stats().batch_lookups, after.batch_lookups);
@@ -478,7 +396,7 @@ mod tests {
 
     #[test]
     fn get_nodes_fails_on_a_dangling_key() {
-        let store = MetadataStore::new(3, 1);
+        let store = MetadataStore::new(3, 1, 64);
         store
             .put_node(
                 key(1, 0, 1),
@@ -493,8 +411,7 @@ mod tests {
 
     #[test]
     fn node_cache_prewarms_from_batch_publication() {
-        let store = MetadataStore::new(3, 2).with_node_cache(256);
-        assert!(store.cache_enabled());
+        let store = MetadataStore::new(3, 2, 256);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..16)
             .map(|i| {
                 (
@@ -520,15 +437,14 @@ mod tests {
         assert_eq!(stats.dht_read_round_trips, read_rts_after_publish);
         assert_eq!(stats.cache_hits, 32);
         assert_eq!(stats.cache_misses, 0);
-        assert!((stats.cache_hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn node_cache_fills_on_demand_and_serves_across_dht_failures() {
-        // Two stores over the same DHT: the writer has no cache, the reader
-        // fills its own cache on first access.
-        let writer = MetadataStore::new(4, 1);
-        let reader = MetadataStore::with_dht(Arc::clone(writer.dht())).with_node_cache(64);
+        // Two stores over the same DHT: the publication pre-warms only the
+        // writer's cache, the reader fills its own on first access.
+        let writer = MetadataStore::new(4, 1, 64);
+        let reader = MetadataStore::with_dht(Arc::clone(writer.dht()), 64);
         let leaf = TreeNode::Leaf {
             page: 3,
             providers: vec![ProviderId(1)],
@@ -543,12 +459,14 @@ mod tests {
         }
         assert_eq!(reader.get_node(key(1, 3, 1)).unwrap(), leaf);
         assert_eq!(reader.stats().cache_hits, 1);
-        assert!(writer.get_node(key(1, 3, 1)).is_err());
+        // A third client that never saw the node has nothing to fall back on.
+        let cold = MetadataStore::with_dht(Arc::clone(writer.dht()), 64);
+        assert!(cold.get_node(key(1, 3, 1)).is_err());
     }
 
     #[test]
     fn metadata_survives_one_dht_node_failure() {
-        let store = MetadataStore::new(4, 2);
+        let store = MetadataStore::new(4, 2, 64);
         let leaf = TreeNode::Leaf {
             page: 0,
             providers: vec![ProviderId(0)],
@@ -557,61 +475,7 @@ mod tests {
         // Kill one of the replicas of that key.
         let replicas = store.dht().replicas_for(&key(1, 0, 1).dht_key());
         store.dht().kill(replicas[0]).unwrap();
+        store.drop_cached_nodes();
         assert_eq!(store.get_node(key(1, 0, 1)).unwrap(), leaf);
-    }
-
-    fn stats_with(prefetch_hits: u64, prefetch_wasted: u64) -> MetadataStats {
-        MetadataStats {
-            prefetch_hits,
-            prefetch_wasted,
-            ..MetadataStats::default()
-        }
-    }
-
-    #[test]
-    fn adaptive_readahead_halves_on_waste() {
-        let ctl = AdaptiveReadahead::new(16);
-        assert_eq!(ctl.window(), 16);
-        // A read that wasted prefetched nodes halves the window...
-        assert_eq!(ctl.observe(&stats_with(0, 3)), 8);
-        // ...repeatedly, down to the floor of one page.
-        assert_eq!(ctl.observe(&stats_with(0, 5)), 4);
-        assert_eq!(ctl.observe(&stats_with(0, 9)), 2);
-        assert_eq!(ctl.observe(&stats_with(0, 10)), 1);
-        assert_eq!(ctl.observe(&stats_with(0, 11)), 1);
-    }
-
-    #[test]
-    fn adaptive_readahead_grows_additively_on_all_hit_windows() {
-        let ctl = AdaptiveReadahead::new(16);
-        // Shrink first so there is room to grow back.
-        assert_eq!(ctl.observe(&stats_with(0, 4)), 8);
-        // All-hit windows (new hits, no new waste) grow by one page each...
-        assert_eq!(ctl.observe(&stats_with(2, 4)), 9);
-        assert_eq!(ctl.observe(&stats_with(5, 4)), 10);
-        // ...capped at the configured maximum.
-        let mut hits = 5;
-        for _ in 0..10 {
-            hits += 1;
-            ctl.observe(&stats_with(hits, 4));
-        }
-        assert_eq!(ctl.window(), 16);
-    }
-
-    #[test]
-    fn adaptive_readahead_holds_steady_without_prefetch_signals() {
-        let ctl = AdaptiveReadahead::new(8);
-        ctl.observe(&stats_with(0, 1)); // -> 4
-                                        // Fully cached re-reads produce neither hits nor waste: no change.
-        assert_eq!(ctl.observe(&stats_with(0, 1)), 4);
-        assert_eq!(ctl.observe(&stats_with(0, 1)), 4);
-    }
-
-    #[test]
-    fn adaptive_readahead_waste_beats_hits_in_a_mixed_window() {
-        let ctl = AdaptiveReadahead::new(8);
-        // A window with both new hits and new waste still shrinks: waste
-        // means the tail of the window overshot.
-        assert_eq!(ctl.observe(&stats_with(3, 2)), 4);
     }
 }

@@ -1,94 +1,18 @@
 //! Failure injection schedules.
 //!
 //! BlobSeer tolerates provider failures through page-level replication and
-//! HDFS through chunk replication; the integration tests and some ablation
-//! benches need a way to declare "node X dies at virtual time T" and query
-//! liveness. The schedule is immutable during a run so that experiments stay
-//! deterministic and reproducible.
+//! repair; the churn experiments and tests need a way to declare "a node
+//! dies (or joins) at virtual time T". The schedule is immutable during a
+//! run so that experiments stay deterministic and reproducible.
 //!
-//! [`FailureSchedule`] models the one-shot case: each node fails at most
-//! once and never comes back. [`ChurnSchedule`] extends that to *churn* —
-//! an ordered stream of kill **and** join events at a configurable rate, the
-//! regime the repair loop has to survive. The schedule only fixes *when*
-//! events happen and of *which kind*; the harness applying it decides which
-//! live node a kill lands on (it knows current membership), keeping the
-//! schedule independent of how membership evolves.
+//! [`ChurnSchedule`] is an ordered stream of kill **and** join events at a
+//! configurable rate, the regime the repair loop has to survive. The
+//! schedule only fixes *when* events happen and of *which kind*; the harness
+//! applying it decides which live node a kill lands on (it knows current
+//! membership), keeping the schedule independent of how membership evolves.
 
 use crate::time::SimTime;
-use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// A set of node failures planned at fixed virtual times.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FailureSchedule {
-    failures: HashMap<NodeId, SimTime>,
-}
-
-impl FailureSchedule {
-    /// A schedule with no failures.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `node` to fail at `when`. If the node was already scheduled,
-    /// the earlier time wins (a node cannot fail twice).
-    pub fn fail_at(mut self, node: NodeId, when: SimTime) -> Self {
-        self.failures
-            .entry(node)
-            .and_modify(|t| {
-                if when < *t {
-                    *t = when;
-                }
-            })
-            .or_insert(when);
-        self
-    }
-
-    /// Schedule several nodes to fail at the same time.
-    pub fn fail_all_at(mut self, nodes: impl IntoIterator<Item = NodeId>, when: SimTime) -> Self {
-        for n in nodes {
-            self = self.fail_at(n, when);
-        }
-        self
-    }
-
-    /// Is `node` alive at virtual time `t`? A node is alive strictly before
-    /// its failure time.
-    pub fn is_alive(&self, node: NodeId, t: SimTime) -> bool {
-        match self.failures.get(&node) {
-            Some(fail_time) => t < *fail_time,
-            None => true,
-        }
-    }
-
-    /// The failure time of `node`, if any.
-    pub fn failure_time(&self, node: NodeId) -> Option<SimTime> {
-        self.failures.get(&node).copied()
-    }
-
-    /// Nodes that are dead at time `t`.
-    pub fn dead_at(&self, t: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .failures
-            .iter()
-            .filter(|(_, when)| **when <= t)
-            .map(|(n, _)| *n)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Number of scheduled failures.
-    pub fn len(&self) -> usize {
-        self.failures.len()
-    }
-
-    /// True when no failures are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
 
 /// What happens at one churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,9 +33,9 @@ pub struct ChurnEvent {
 
 /// A deterministic stream of kill/join events on the virtual timeline.
 ///
-/// Built either explicitly ([`ChurnSchedule::event_at`]), from a
-/// [`FailureSchedule`] (kills only), or generated at a uniform rate with a
-/// seeded xorshift mix of kills and joins ([`ChurnSchedule::uniform`]).
+/// Built either explicitly ([`ChurnSchedule::event_at`]) or generated at a
+/// uniform rate with a seeded xorshift mix of kills and joins
+/// ([`ChurnSchedule::uniform`]).
 /// Events are kept sorted by time; a harness drains them with
 /// [`ChurnSchedule::events_between`] as its clock advances.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -130,15 +54,6 @@ impl ChurnSchedule {
         self.events.push(ChurnEvent { at, kind });
         self.events.sort_by_key(|e| e.at);
         self
-    }
-
-    /// Lift a one-shot [`FailureSchedule`] into a churn stream of kills.
-    pub fn from_failures(failures: &FailureSchedule) -> Self {
-        let mut s = Self::none();
-        for when in failures.failures.values() {
-            s = s.event_at(*when, ChurnEventKind::Kill);
-        }
-        s
     }
 
     /// Generate `count` events uniformly spaced `every` apart starting at
@@ -222,44 +137,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_schedule_keeps_everything_alive() {
-        let s = FailureSchedule::none();
-        assert!(s.is_empty());
-        assert!(s.is_alive(NodeId(0), SimTime::from_secs(1_000_000)));
-        assert!(s.dead_at(SimTime::from_secs(10)).is_empty());
-    }
-
-    #[test]
-    fn node_dies_at_its_time() {
-        let s = FailureSchedule::none().fail_at(NodeId(3), SimTime::from_secs(10));
-        assert!(s.is_alive(NodeId(3), SimTime::from_secs(9)));
-        assert!(!s.is_alive(NodeId(3), SimTime::from_secs(10)));
-        assert!(!s.is_alive(NodeId(3), SimTime::from_secs(11)));
-        assert_eq!(s.failure_time(NodeId(3)), Some(SimTime::from_secs(10)));
-        assert_eq!(s.failure_time(NodeId(4)), None);
-    }
-
-    #[test]
-    fn earlier_failure_time_wins() {
-        let s = FailureSchedule::none()
-            .fail_at(NodeId(1), SimTime::from_secs(20))
-            .fail_at(NodeId(1), SimTime::from_secs(5))
-            .fail_at(NodeId(1), SimTime::from_secs(50));
-        assert_eq!(s.failure_time(NodeId(1)), Some(SimTime::from_secs(5)));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn group_failure_and_dead_listing() {
-        let s = FailureSchedule::none()
-            .fail_all_at(vec![NodeId(2), NodeId(0)], SimTime::from_secs(7))
-            .fail_at(NodeId(5), SimTime::from_secs(100));
-        let dead = s.dead_at(SimTime::from_secs(8));
-        assert_eq!(dead, vec![NodeId(0), NodeId(2)]);
-        assert_eq!(s.dead_at(SimTime::from_secs(200)).len(), 3);
-    }
-
-    #[test]
     fn churn_events_stay_time_ordered() {
         let s = ChurnSchedule::none()
             .event_at(SimTime::from_secs(30), ChurnEventKind::Join)
@@ -312,16 +189,5 @@ mod tests {
         // A different seed reshuffles the kinds.
         let c = ChurnSchedule::uniform(100, crate::time::SimDuration::from_millis(500), 500, 43);
         assert_ne!(a.events(), c.events());
-    }
-
-    #[test]
-    fn from_failures_lifts_kills_only() {
-        let f = FailureSchedule::none()
-            .fail_at(NodeId(1), SimTime::from_secs(5))
-            .fail_at(NodeId(2), SimTime::from_secs(3));
-        let s = ChurnSchedule::from_failures(&f);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.join_count(), 0);
-        assert_eq!(s.events()[0].at, SimTime::from_secs(3));
     }
 }

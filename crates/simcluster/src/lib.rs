@@ -20,9 +20,8 @@
 //!   progressive-filling max-min fair bandwidth sharing; client processes are
 //!   sequences of transfers and compute phases, and the simulator reports
 //!   per-process completion times and aggregate throughput,
-//! * [`failure`] — failure schedules for killing nodes at chosen virtual
-//!   times, and churn schedules ([`failure::ChurnSchedule`]) interleaving
-//!   kill and join events at a configurable rate,
+//! * [`failure`] — churn schedules ([`failure::ChurnSchedule`]) interleaving
+//!   kill and join events at chosen virtual times or a configurable rate,
 //! * [`detector`] — a timeout/suspicion heartbeat failure detector driven on
 //!   any [`clock::Clock`], so components discover dead peers rather than
 //!   being told,
@@ -68,7 +67,7 @@ pub mod topology;
 
 pub use clock::{Clock, SimClock, WallClock};
 pub use detector::{DetectorConfig, FailureDetector, MemberHealth};
-pub use failure::{ChurnEvent, ChurnEventKind, ChurnSchedule, FailureSchedule};
+pub use failure::{ChurnEvent, ChurnEventKind, ChurnSchedule};
 pub use flowsim::{ClientProcess, FlowSimulator, SimReport, Step};
 pub use netmodel::NetworkModel;
 pub use time::{SimDuration, SimTime};

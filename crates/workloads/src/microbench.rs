@@ -11,8 +11,8 @@
 //! * clients concurrently **writing to different files** (reduce phase
 //!   writing per-task outputs).
 //!
-//! These real-mode runs are used for correctness checks and laptop-scale
-//! Criterion benchmarks; the paper-scale (270 nodes, 1 GiB per client)
+//! These real-mode runs are used for correctness checks and the real-bytes
+//! sections of the experiment binaries; the paper-scale (270 nodes, 1 GiB per client)
 //! numbers come from [`crate::simscale`], which replays the same placement
 //! decisions through the flow-level network model.
 

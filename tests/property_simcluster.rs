@@ -82,32 +82,4 @@ proptest! {
         let many = FlowSimulator::new(&topo, net).run(build(base_clients + extra_clients));
         prop_assert!(many.makespan() >= few.makespan());
     }
-
-    /// The failure schedule is consistent: a node is dead exactly from its
-    /// earliest scheduled failure onwards.
-    #[test]
-    fn failure_schedule_is_monotone(
-        failures in prop::collection::vec((0u32..32, 0u64..10_000), 0..16),
-        probe_times in prop::collection::vec(0u64..12_000, 1..16),
-    ) {
-        use simcluster::failure::FailureSchedule;
-        use simcluster::time::SimTime;
-        use std::collections::HashMap;
-
-        let mut schedule = FailureSchedule::none();
-        let mut earliest: HashMap<u32, u64> = HashMap::new();
-        for (node, at) in &failures {
-            schedule = schedule.fail_at(simcluster::NodeId(*node), SimTime::from_micros(*at));
-            earliest
-                .entry(*node)
-                .and_modify(|t| *t = (*t).min(*at))
-                .or_insert(*at);
-        }
-        for probe in probe_times {
-            for (node, first_failure) in &earliest {
-                let alive = schedule.is_alive(simcluster::NodeId(*node), SimTime::from_micros(probe));
-                prop_assert_eq!(alive, probe < *first_failure);
-            }
-        }
-    }
 }

@@ -1,9 +1,10 @@
 //! Transport identity: the simulated wire changes what operations *cost*,
 //! never what they *return*. Random write/append/read interleavings must be
-//! byte-identical across `InProc` and `SimNet` deployments, and across the
-//! ranged/coalesced read knobs — including reads of historical versions, so
-//! coalescing provably never reorders a page fetch against the writes it
-//! conflicts with (every version reads back as the snapshot it committed).
+//! byte-identical across `InProc` and `SimNet` deployments and a local
+//! mirror — including reads of historical versions, so the ranged,
+//! per-destination coalesced page fetch provably never reorders against the
+//! writes it conflicts with (every version reads back as the snapshot it
+//! committed).
 
 use blobseer::{BlobSeer, BlobSeerClient, BlobSeerConfig};
 use proptest::prelude::*;
@@ -43,7 +44,7 @@ struct Arm {
     net: Option<Arc<SimNet>>,
 }
 
-fn deploy(ranged: bool, coalesced: bool, simulate: bool) -> Arm {
+fn deploy(simulate: bool) -> Arm {
     let topo = ClusterTopology::builder()
         .sites(2)
         .racks_per_site(2)
@@ -61,9 +62,7 @@ fn deploy(ranged: bool, coalesced: bool, simulate: bool) -> Arm {
             .with_providers(provider_nodes.len())
             .with_page_size(PAGE)
             .with_page_replication(2)
-            .with_io_parallelism(1)
-            .with_ranged_reads(ranged)
-            .with_coalesced_reads(coalesced),
+            .with_io_parallelism(1),
         &topo,
         &provider_nodes,
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
@@ -83,20 +82,14 @@ fn deploy(ranged: bool, coalesced: bool, simulate: bool) -> Arm {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Drive the same interleaving through four deployments — in-process,
-    /// and SimNet with naive / ranged / ranged+coalesced reads — against a
-    /// local mirror. Every read, every historical version, and the final
-    /// image must agree byte for byte everywhere.
+    /// Drive the same interleaving through an in-process and a SimNet
+    /// deployment against a local mirror. Every read, every historical
+    /// version, and the final image must agree byte for byte everywhere.
     #[test]
     fn simnet_and_read_knobs_are_byte_identical_to_inproc(
         ops in prop::collection::vec(op_strategy(), 1..24),
     ) {
-        let arms = [
-            deploy(true, true, false),  // inproc, ranged+coalesced
-            deploy(false, false, true), // simnet, naive
-            deploy(true, false, true),  // simnet, ranged
-            deploy(true, true, true),   // simnet, ranged+coalesced
-        ];
+        let arms = [deploy(false), deploy(true)];
         let mut mirror: Vec<u8> = Vec::new();
         // Every committed version's expected image, for the snapshot sweep.
         let mut snapshots: Vec<(blobseer::Version, Vec<u8>)> = Vec::new();
