@@ -4,10 +4,13 @@
 //! describes (§II-A): it splits the input, hands map tasks to tasktrackers
 //! (preferring trackers whose node holds the split's data), re-executes
 //! failed tasks, schedules the reduce tasks and reports job-level counters.
-//! Tasktracker slots execute as scoped tasks on the shared `miniexec` worker
-//! pool — concurrent access to the storage layer is genuinely concurrent,
-//! but bounded by the pool width rather than by `trackers x slots` dedicated
-//! threads.
+//! A tasktracker slot is a counted *token* per (node, kind), not a thread:
+//! each running job has one dispatcher — the thread that called
+//! [`JobTracker::run`], or [`JobTracker::submit`]'s driver — which pairs free
+//! tokens with runnable attempts and submits **one attempt as one task** to
+//! the shared `miniexec` worker pool. It waits for events (an attempt ended,
+//! a token came back) and for nothing else, so the pool's width bounds
+//! parallelism only: any job finishes on a single worker.
 //!
 //! ## Multi-tenant job scheduling
 //!
@@ -17,12 +20,12 @@
 //! [`TenantQuota`]s (queue depth, running jobs, namespace/storage budgets
 //! checked against the usage ledger at submit), and the order queued jobs
 //! activate in is the configured [`JobScheduler`]'s choice. Once running,
-//! every job's slot loops compete for one shared pool of per-node map and
-//! reduce *slot leases*: before claiming work, a loop publishes its job's
-//! current demand and asks the scheduler for a grant; after each work item
-//! the lease goes back to the pool. FIFO, weighted fair-share, and hard-cap
+//! every job's dispatcher competes for one shared pool of per-node map and
+//! reduce slot tokens: before each acquire it publishes its job's exact
+//! demand and asks the scheduler for a grant; when the attempt ends the
+//! token goes back to the pool. FIFO, weighted fair-share, and hard-cap
 //! capacity policies live in [`crate::jobsched`]. Speculative clones only
-//! ever run on leases no job has real demand for, and when the fair
+//! ever run on tokens no job has real demand for, and when the fair
 //! scheduler reports a tenant starved of its entitlement while the pool is
 //! exhausted, running clones are preempted (aborted mid-task via their
 //! progress callback) — duplicate work is sacrificed first, exactly like
@@ -47,8 +50,8 @@
 //! Per-task bookkeeping is the [`TaskBook`] attempt state machine: a task
 //! may have several concurrent attempts (retries, and — when the job
 //! configures a [`SpeculationPolicy`](crate::scheduler::SpeculationPolicy) —
-//! speculative clones of stragglers, launched by *idle* worker slots onto a
-//! different node than the incumbent attempt). Whichever attempt finishes
+//! speculative clones of stragglers, launched on *idle* slot tokens of a
+//! different node than the incumbent attempt's). Whichever attempt finishes
 //! first commits by renaming its `_temporary` scratch into the final path
 //! *while holding the phase lock*, so exactly one attempt ever wins; the
 //! loser's scratch is deleted and none of its counters (input records,
@@ -64,7 +67,7 @@ use crate::job::Job;
 use crate::jobsched::{
     FifoScheduler, JobScheduler, JobView, QueuedView, SlotKind, TenantQuota, TenantUsage,
 };
-use crate::scheduler::{classify, pick_map_task, Locality, LocalityCounters};
+use crate::scheduler::{classify, pick_map_task, Locality, LocalityCounters, SpeculationPolicy};
 use crate::shuffle::{self, JobScratch};
 use crate::split::{compute_splits, InputSplit};
 use crate::tasktracker::{
@@ -72,7 +75,7 @@ use crate::tasktracker::{
     FailureVerdict, MapTaskOutput, SpeculationCounters, TaskAttemptId, TaskBook, TaskTracker,
 };
 use parking_lot::{Condvar, Mutex};
-use simcluster::clock::{Clock, WallClock};
+use simcluster::clock::{Clock, Parker, WallClock};
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
 use std::collections::HashMap;
@@ -194,6 +197,10 @@ pub struct JobTracker {
     engine: Arc<Engine>,
 }
 
+/// What a control message is on the wire: a claim reads, a report writes.
+const CLAIM: Direction = Direction::Read;
+const REPORT: Direction = Direction::Write;
+
 /// The jobtracker <-> tasktracker control channel. When a transport is
 /// attached ([`JobTracker::with_transport`]), every task claim and every
 /// attempt-outcome report is charged as one small framed exchange between
@@ -207,89 +214,59 @@ struct ControlWire {
 }
 
 impl ControlWire {
-    /// A slot asks the jobtracker for work: request out, assignment back.
-    fn charge_claim(&self, tracker: NodeId) {
-        self.counters
-            .record(Direction::Read, MSG_OVERHEAD, MSG_OVERHEAD);
-        self.transport.exchange(
-            tracker,
-            self.jt_node,
-            Direction::Read,
-            MSG_OVERHEAD,
-            MSG_OVERHEAD,
-        );
-    }
-
-    /// A slot reports an attempt outcome: status out, ack back.
-    fn charge_report(&self, tracker: NodeId) {
-        self.counters
-            .record(Direction::Write, MSG_OVERHEAD, MSG_OVERHEAD);
-        self.transport.exchange(
-            tracker,
-            self.jt_node,
-            Direction::Write,
-            MSG_OVERHEAD,
-            MSG_OVERHEAD,
-        );
+    /// One control round trip between a slot token's node and the master: a
+    /// claim (request out, assignment back) is a read, an attempt-outcome
+    /// report (status out, ack back) a write.
+    fn charge(&self, direction: Direction, tracker: NodeId) {
+        self.counters.record(direction, MSG_OVERHEAD, MSG_OVERHEAD);
+        self.transport
+            .exchange(tracker, self.jt_node, direction, MSG_OVERHEAD, MSG_OVERHEAD);
     }
 }
 
-/// Per-job accounting the scheduler arbitrates over: how many slots of each
-/// kind the job wants right now, holds, and is burning on speculative
-/// clones. Updated lock-free by the job's slot loops; read under the pool
-/// lock when building [`JobView`]s.
+/// Per-job accounting the scheduler arbitrates over: how many slot tokens
+/// of each kind the job wants right now, holds, and is burning on
+/// speculative clones. Demand is written by the job's dispatcher alone (under
+/// its phase lock, so it is exact at every grant); all of it is read under
+/// the pool lock when building [`JobView`]s.
 struct JobAccount {
     seq: u64,
     tenant: String,
-    map_demand: AtomicUsize,
-    reduce_demand: AtomicUsize,
-    map_held: AtomicUsize,
-    reduce_held: AtomicUsize,
-    map_spec: AtomicUsize,
-    reduce_spec: AtomicUsize,
+    /// Where the job's dispatcher parks between events, and the clock it
+    /// parks through (clones of one jobtracker may run on different clocks).
+    parker: Parker,
+    clock: Arc<dyn Clock>,
+    /// Per [`SlotKind`] (`kind as usize`): claimable work, tokens held, and
+    /// of those the ones running speculative clones.
+    demand: [AtomicUsize; 2],
+    held: [AtomicUsize; 2],
+    spec: [AtomicUsize; 2],
     /// Outstanding preemption requests against this job's speculative
     /// clones; consumed by a clone at its next progress checkpoint.
     preempt: AtomicUsize,
 }
 
 impl JobAccount {
-    fn new(seq: u64, tenant: &str) -> Self {
+    fn new(seq: u64, tenant: &str, clock: Arc<dyn Clock>) -> Self {
         JobAccount {
             seq,
             tenant: tenant.to_string(),
-            map_demand: AtomicUsize::new(0),
-            reduce_demand: AtomicUsize::new(0),
-            map_held: AtomicUsize::new(0),
-            reduce_held: AtomicUsize::new(0),
-            map_spec: AtomicUsize::new(0),
-            reduce_spec: AtomicUsize::new(0),
+            parker: Parker::new(),
+            clock,
+            demand: Default::default(),
+            held: Default::default(),
+            spec: Default::default(),
             preempt: AtomicUsize::new(0),
         }
     }
 
-    fn demand_atomic(&self, kind: SlotKind) -> &AtomicUsize {
-        match kind {
-            SlotKind::Map => &self.map_demand,
-            SlotKind::Reduce => &self.reduce_demand,
-        }
-    }
-
-    fn held_atomic(&self, kind: SlotKind) -> &AtomicUsize {
-        match kind {
-            SlotKind::Map => &self.map_held,
-            SlotKind::Reduce => &self.reduce_held,
-        }
-    }
-
-    fn spec_atomic(&self, kind: SlotKind) -> &AtomicUsize {
-        match kind {
-            SlotKind::Map => &self.map_spec,
-            SlotKind::Reduce => &self.reduce_spec,
-        }
-    }
-
     fn spec_total(&self) -> usize {
-        self.map_spec.load(Ordering::Relaxed) + self.reduce_spec.load(Ordering::Relaxed)
+        self.spec.iter().map(|s| s.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Wake the job's dispatcher: something it may act on has changed.
+    fn wake(&self) {
+        self.clock.unpark(&self.parker);
     }
 
     /// Consume one pending preemption request, if any. Called by
@@ -305,65 +282,73 @@ impl JobAccount {
         JobView {
             seq: self.seq,
             tenant: self.tenant.clone(),
-            demand: self.demand_atomic(kind).load(Ordering::Relaxed),
-            held: self.held_atomic(kind).load(Ordering::Relaxed),
-            speculative: self.spec_atomic(kind).load(Ordering::Relaxed),
+            demand: self.demand[kind as usize].load(Ordering::Relaxed),
+            held: self.held[kind as usize].load(Ordering::Relaxed),
+            speculative: self.spec[kind as usize].load(Ordering::Relaxed),
         }
     }
 }
 
-/// The shared slot-lease pool: per-node free map/reduce slot counts (sized
-/// from the tasktrackers) plus the accounts of every running job.
+/// The shared slot pool: a slot is a counted token per (node, kind) — free
+/// counts sized from the tasktrackers — plus the accounts of every running
+/// job. Every change to it is an event some dispatcher may be waiting for,
+/// so every change wakes the jobs it can matter to.
 struct SlotPool {
-    map_free: HashMap<NodeId, usize>,
-    reduce_free: HashMap<NodeId, usize>,
-    map_total: usize,
-    reduce_total: usize,
+    /// Free tokens per node and their sum at rest, per [`SlotKind`]
+    /// (`kind as usize`).
+    free: [HashMap<NodeId, usize>; 2],
+    total: [usize; 2],
     jobs: Vec<Arc<JobAccount>>,
 }
 
 impl SlotPool {
     fn new(trackers: &[TaskTracker]) -> Self {
-        let mut map_free: HashMap<NodeId, usize> = HashMap::new();
-        let mut reduce_free: HashMap<NodeId, usize> = HashMap::new();
+        let mut free: [HashMap<NodeId, usize>; 2] = Default::default();
         for t in trackers {
-            *map_free.entry(t.node).or_insert(0) += t.map_slots;
-            *reduce_free.entry(t.node).or_insert(0) += t.reduce_slots;
+            *free[SlotKind::Map as usize].entry(t.node).or_insert(0) += t.map_slots;
+            *free[SlotKind::Reduce as usize].entry(t.node).or_insert(0) += t.reduce_slots;
         }
-        let map_total = map_free.values().sum();
-        let reduce_total = reduce_free.values().sum();
+        let total = [0, 1].map(|kind| free[kind].values().sum());
         SlotPool {
-            map_free,
-            reduce_free,
-            map_total,
-            reduce_total,
+            free,
+            total,
             jobs: Vec::new(),
-        }
-    }
-
-    fn free_mut(&mut self, kind: SlotKind) -> &mut HashMap<NodeId, usize> {
-        match kind {
-            SlotKind::Map => &mut self.map_free,
-            SlotKind::Reduce => &mut self.reduce_free,
-        }
-    }
-
-    fn free(&self, kind: SlotKind) -> &HashMap<NodeId, usize> {
-        match kind {
-            SlotKind::Map => &self.map_free,
-            SlotKind::Reduce => &self.reduce_free,
-        }
-    }
-
-    fn total(&self, kind: SlotKind) -> usize {
-        match kind {
-            SlotKind::Map => self.map_total,
-            SlotKind::Reduce => self.reduce_total,
         }
     }
 
     fn views(&self, kind: SlotKind) -> Vec<JobView> {
         self.jobs.iter().map(|a| a.view(kind)).collect()
+    }
+
+    /// Wake every registered job's dispatcher, except job `but`'s own.
+    fn wake(&self, but: Option<u64>) {
+        for job in self.jobs.iter().filter(|j| Some(j.seq) != but) {
+            job.wake();
+        }
+    }
+
+    /// A token of `kind` is free on `node` and no running job has real
+    /// demand of that kind: a speculative clone may take it.
+    fn idle(&self, node: NodeId, kind: SlotKind) -> bool {
+        self.free[kind as usize]
+            .get(&node)
+            .is_some_and(|free| *free > 0)
+            && !self
+                .jobs
+                .iter()
+                .any(|j| j.demand[kind as usize].load(Ordering::Relaxed) > 0)
+    }
+
+    /// Hand one free `kind` token on `node` to `account` (false if the node
+    /// has none). The other jobs' shares just changed: wake them.
+    fn take(&mut self, account: &JobAccount, node: NodeId, kind: SlotKind) -> bool {
+        match self.free[kind as usize].get_mut(&node) {
+            Some(free) if *free > 0 => *free -= 1,
+            _ => return false,
+        }
+        account.held[kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.wake(Some(account.seq));
+        true
     }
 }
 
@@ -387,7 +372,7 @@ const DEFAULT_MAX_CONCURRENT_JOBS: usize = 4;
 
 /// The multi-tenant engine every [`JobTracker`] clone shares: the pluggable
 /// scheduler, per-tenant quotas and the usage ledger, the admission queue,
-/// and the slot-lease pool.
+/// and the slot-token pool.
 struct Engine {
     scheduler: Mutex<Arc<dyn JobScheduler>>,
     quotas: Mutex<HashMap<String, TenantQuota>>,
@@ -512,17 +497,22 @@ impl Engine {
     }
 
     /// Register the activated job's account with the slot pool.
-    fn register(&self, seq: u64, tenant: &str) -> Arc<JobAccount> {
-        let account = Arc::new(JobAccount::new(seq, tenant));
+    fn register(&self, seq: u64, tenant: &str, clock: Arc<dyn Clock>) -> Arc<JobAccount> {
+        let account = Arc::new(JobAccount::new(seq, tenant, clock));
         self.pool.lock().jobs.push(account.clone());
         account
     }
 
-    /// Tear down a finished job: deregister its account, settle the
-    /// tenant's ledger with what the job actually produced, free its
-    /// running-jobs slot and wake the admission queue.
+    /// Tear down a finished job: deregister its account (its share of the
+    /// pool is the other jobs' now — wake them), settle the tenant's ledger
+    /// with what the job actually produced, free its running-jobs slot and
+    /// wake the admission queue.
     fn finish(&self, account: &JobAccount, result: Option<&JobResult>) {
-        self.pool.lock().jobs.retain(|j| j.seq != account.seq);
+        {
+            let mut pool = self.pool.lock();
+            pool.jobs.retain(|j| j.seq != account.seq);
+            pool.wake(None);
+        }
         if let Some(r) = result {
             let mut ledger = self.ledger.lock();
             let usage = ledger.entry(account.tenant.clone()).or_default();
@@ -535,26 +525,30 @@ impl Engine {
         self.admission_cv.notify_all();
     }
 
-    /// Try to lease a slot of `kind` on `node` for regular (non-speculative)
-    /// work: the slot must be free and the scheduler must pick this job.
+    /// Publish `account`'s exact demand of `kind`. A drop hands scheduler
+    /// share (and maybe the idle tier) to the other jobs, so it wakes them.
+    fn publish_demand(&self, account: &JobAccount, kind: SlotKind, demand: usize) {
+        if account.demand[kind as usize].swap(demand, Ordering::Relaxed) > demand {
+            self.pool.lock().wake(Some(account.seq));
+        }
+    }
+
+    /// Try to take a token of `kind` on `node` for regular (non-speculative)
+    /// work: the token must be free and the scheduler must pick this job.
     /// On a miss with the pool fully exhausted, a starved tenant files a
     /// preemption request against some job's speculative clones.
     fn try_acquire(&self, account: &JobAccount, node: NodeId, kind: SlotKind) -> bool {
         let scheduler = self.scheduler.lock().clone();
         let mut pool = self.pool.lock();
         let views = pool.views(kind);
-        let total = pool.total(kind);
-        let node_free = pool.free(kind).get(&node).copied().unwrap_or(0);
-        let granted = node_free > 0
-            && scheduler
-                .pick(kind, total, &views)
-                .is_some_and(|i| pool.jobs[i].seq == account.seq);
-        if granted {
-            *pool.free_mut(kind).get_mut(&node).expect("node in pool") -= 1;
-            account.held_atomic(kind).fetch_add(1, Ordering::Relaxed);
+        let total = pool.total[kind as usize];
+        let picked = scheduler
+            .pick(kind, total, &views)
+            .is_some_and(|i| pool.jobs[i].seq == account.seq);
+        if picked && pool.take(account, node, kind) {
             return true;
         }
-        let total_free: usize = pool.free(kind).values().sum();
+        let total_free: usize = pool.free[kind as usize].values().sum();
         if total_free == 0 {
             let starved = scheduler.starved(kind, total, &views);
             if starved.contains(&account.tenant) {
@@ -571,32 +565,39 @@ impl Engine {
         false
     }
 
-    /// Try to lease a slot of `kind` on `node` for a speculative clone.
+    /// Try to take a token of `kind` on `node` for a speculative clone.
     /// Granted only when *no* running job has real demand of that kind —
     /// clones soak up genuinely idle capacity and never displace primary
     /// attempts (which also means no tenant can be starved at grant time).
     fn try_acquire_idle(&self, account: &JobAccount, node: NodeId, kind: SlotKind) -> bool {
         let mut pool = self.pool.lock();
-        if pool.free(kind).get(&node).copied().unwrap_or(0) == 0 {
-            return false;
+        let granted = pool.idle(node, kind) && pool.take(account, node, kind);
+        if granted {
+            account.spec[kind as usize].fetch_add(1, Ordering::Relaxed);
         }
-        if pool
-            .jobs
-            .iter()
-            .any(|j| j.demand_atomic(kind).load(Ordering::Relaxed) > 0)
-        {
-            return false;
-        }
-        *pool.free_mut(kind).get_mut(&node).expect("node in pool") -= 1;
-        account.held_atomic(kind).fetch_add(1, Ordering::Relaxed);
-        true
+        granted
     }
 
-    /// Return a lease to the pool.
-    fn release(&self, account: &JobAccount, node: NodeId, kind: SlotKind) {
+    /// Would [`Engine::try_acquire_idle`] succeed right now? Read-only: the
+    /// dispatcher arms its straggler deadline only for tokens a clone could
+    /// actually take.
+    fn has_idle(&self, node: NodeId, kind: SlotKind) -> bool {
+        self.pool.lock().idle(node, kind)
+    }
+
+    /// Return a token to the pool (`speculative`: it was an idle-tier grant)
+    /// and wake every dispatcher: the owner has an attempt outcome to act
+    /// on, the others a free token to ask for.
+    fn release(&self, account: &JobAccount, node: NodeId, kind: SlotKind, speculative: bool) {
         let mut pool = self.pool.lock();
-        *pool.free_mut(kind).get_mut(&node).expect("node in pool") += 1;
-        account.held_atomic(kind).fetch_sub(1, Ordering::Relaxed);
+        if let Some(free) = pool.free[kind as usize].get_mut(&node) {
+            *free += 1;
+        }
+        account.held[kind as usize].fetch_sub(1, Ordering::Relaxed);
+        if speculative {
+            account.spec[kind as usize].fetch_sub(1, Ordering::Relaxed);
+        }
+        pool.wake(None);
     }
 }
 
@@ -667,13 +668,17 @@ impl FetchSource {
 /// merging, and isolated singles are published unmerged.
 const COMPACTION_MIN_BATCH: usize = 4;
 
-/// Merge-spill compaction bookkeeping, guarded by the map-phase mutex.
+/// The reducers' fetch plan — which committed files cover which map tasks —
+/// and the merge-spill compaction that shapes it, guarded by the map-phase
+/// mutex. With compaction off a committing map publishes its own spill as a
+/// source; with it on, compactors publish merged runs and leftover spills.
 ///
 /// Compaction only ever merges *contiguous* map-id ranges: the k-way merge
 /// breaks key ties toward the lower run index, so a run interleaving map ids
 /// with its neighbours would put equal keys out of the oracle's
 /// (map id, emit order) sequence. Contiguous ranges keep every record of run
 /// A strictly before or after every record of run B in map-id terms.
+#[derive(Default)]
 struct CompactionPlan {
     /// Compaction is active for this job (threshold exceeded, reducers
     /// exist).
@@ -702,23 +707,13 @@ impl CompactionPlan {
         CompactionPlan {
             enabled,
             claimed: vec![false; num_maps],
-            sources: Vec::new(),
-            covered: 0,
-            attempt_seq: 0,
-            runs: 0,
-            merged_spills: 0,
-            bytes: 0,
+            ..Default::default()
         }
-    }
-
-    /// Every committed spill is covered by a published source (reducers can
-    /// finish without further compactor progress).
-    fn complete(&self) -> bool {
-        !self.enabled || self.covered == self.claimed.len()
     }
 }
 
 /// Shared map-phase state guarded by one mutex.
+#[derive(Default)]
 struct MapPhase {
     /// The attempt state machine: pending/running/committed tasks.
     book: TaskBook,
@@ -733,14 +728,20 @@ struct MapPhase {
     output_files: Vec<String>,
     /// Clock reading when the last task committed (map-only jobs).
     finished_at: Option<Duration>,
-    /// Merge-spill compaction state (inert when disabled).
+    /// The reducers' fetch plan, and merge-spill compaction state (inert
+    /// when disabled).
     plan: CompactionPlan,
 }
 
 /// Shared reduce-phase state.
+#[derive(Default)]
 struct ReducePhase {
     book: TaskBook,
     failure: Option<MrError>,
+    /// Granted attempts between fetch steps: each holds its slot token and
+    /// what it has fetched so far, but no thread. The dispatcher resubmits
+    /// one when the fetch plan has sources it has not seen.
+    parked: Vec<ReduceAttempt>,
     output_bytes: u64,
     output_records: u64,
     output_files: Vec<String>,
@@ -750,6 +751,229 @@ struct ReducePhase {
     read_bytes: u64,
     /// Clock reading when the last partition committed.
     finished_at: Option<Duration>,
+}
+
+/// A granted reduce attempt and its fetch progress. It takes its token at
+/// grant, so fetching overlaps the map phase, but occupies a pool worker only
+/// for a step at a time ([`JobRun::reduce_step`]).
+struct ReduceAttempt {
+    id: TaskAttemptId,
+    node: NodeId,
+    speculative: bool,
+    fetch: FetchProgress,
+}
+
+impl ReduceAttempt {
+    fn new(id: TaskAttemptId, node: NodeId, speculative: bool) -> Self {
+        ReduceAttempt {
+            id,
+            node,
+            speculative,
+            fetch: FetchProgress::default(),
+        }
+    }
+}
+
+#[derive(Default)]
+struct FetchProgress {
+    /// Entries of the fetch plan's source queue consumed so far.
+    taken: usize,
+    /// Map tasks those sources cover; the attempt can finish at `num_maps`.
+    covered: usize,
+    /// The partition's segment of every source fetched so far, still
+    /// encoded: parked state stays compact, and the records are decoded,
+    /// merged and dropped by one thread, in the attempt's last step.
+    segments: Vec<(FetchSource, shuffle::Segment)>,
+    round_trips: u64,
+    bytes: u64,
+}
+
+/// What the dispatcher needs of a phase to hand out its slot tokens; the
+/// grant logic itself ([`Dispatch::grant`]) is the same for both.
+trait Phase {
+    /// A unit of granted work, ready to run as one pool task.
+    type Work;
+    const KIND: SlotKind;
+    /// Phase name in task ids ("map" / "reduce").
+    const NAME: &'static str;
+    fn book(&mut self) -> &mut TaskBook;
+    fn failure(&mut self) -> &mut Option<MrError>;
+    /// Regular work claimable right now: pending tasks and ready compaction
+    /// batches — speculation is not demand, it only uses tokens nobody
+    /// wants. Must be exact: a job that advertises demand it cannot claim
+    /// hoards scheduler grants other jobs are waiting for.
+    fn demand(&self) -> usize;
+    /// Claim regular work for a token on `node`.
+    fn claim(&mut self, at: &Dispatch, node: NodeId, now: Duration) -> Option<Self::Work>;
+    /// Wrap the speculative clone `id` the book just started on `node`.
+    fn clone_work(&self, at: &Dispatch, node: NodeId, id: TaskAttemptId) -> Self::Work;
+
+    /// Route a failed attempt through the book and surface a fatal verdict
+    /// as the phase failure. Shared by task errors and rename-commit errors.
+    fn attempt_failed(
+        &mut self,
+        id: TaskAttemptId,
+        err: &MrError,
+        max_attempts: usize,
+        now: Duration,
+    ) {
+        if let FailureVerdict::Fatal(attempts) = self.book().record_failure(id, now, max_attempts) {
+            self.failure().get_or_insert_with(|| MrError::TaskFailed {
+                task: format!("{}-{}", Self::NAME, id.task),
+                attempts,
+                last_error: err.to_string(),
+            });
+        }
+    }
+}
+
+impl Phase for MapPhase {
+    type Work = MapWork;
+    const KIND: SlotKind = SlotKind::Map;
+    const NAME: &'static str = "map";
+
+    fn book(&mut self) -> &mut TaskBook {
+        &mut self.book
+    }
+
+    fn failure(&mut self) -> &mut Option<MrError> {
+        &mut self.failure
+    }
+
+    fn demand(&self) -> usize {
+        self.book.pending().len() + usize::from(compaction_ready(self))
+    }
+
+    fn claim(&mut self, at: &Dispatch, node: NodeId, now: Duration) -> Option<MapWork> {
+        if let Some((pos, locality)) =
+            pick_map_task(at.topology, node, self.book.pending(), at.splits)
+        {
+            let id = self.book.claim_pending(pos, node, now);
+            return Some(MapWork::Task {
+                id,
+                locality,
+                speculative: false,
+            });
+        }
+        // Nothing pending: fold committed spills into a merged run so
+        // reducers fetch O(runs) segments instead of O(maps).
+        claim_compaction(self).map(|(start, len, seq)| MapWork::Compact { start, len, seq })
+    }
+
+    fn clone_work(&self, at: &Dispatch, node: NodeId, id: TaskAttemptId) -> MapWork {
+        MapWork::Task {
+            id,
+            locality: classify(at.topology, node, &at.splits[id.task]),
+            speculative: true,
+        }
+    }
+}
+
+impl Phase for ReducePhase {
+    type Work = ReduceAttempt;
+    const KIND: SlotKind = SlotKind::Reduce;
+    const NAME: &'static str = "reduce";
+
+    fn book(&mut self) -> &mut TaskBook {
+        &mut self.book
+    }
+
+    fn failure(&mut self) -> &mut Option<MrError> {
+        &mut self.failure
+    }
+
+    fn demand(&self) -> usize {
+        self.book.pending().len()
+    }
+
+    fn claim(&mut self, _at: &Dispatch, node: NodeId, now: Duration) -> Option<ReduceAttempt> {
+        let pos = self.book.pending().len().checked_sub(1)?;
+        let id = self.book.claim_pending(pos, node, now);
+        Some(ReduceAttempt::new(id, node, false))
+    }
+
+    fn clone_work(&self, _at: &Dispatch, node: NodeId, id: TaskAttemptId) -> ReduceAttempt {
+        ReduceAttempt::new(id, node, true)
+    }
+}
+
+/// One job's handle on the engine while it hands out slot tokens: who is
+/// asking, for which trackers' tokens, placing which splits on which
+/// topology, on which clock. Holds no thread and no lock, so grant decisions
+/// are a function tests can call.
+struct Dispatch<'a> {
+    engine: &'a Engine,
+    account: &'a JobAccount,
+    trackers: &'a [TaskTracker],
+    topology: &'a ClusterTopology,
+    splits: &'a [InputSplit],
+    speculation: Option<&'a dyn SpeculationPolicy>,
+    clock: &'a dyn Clock,
+}
+
+impl Dispatch<'_> {
+    /// Grant this job every `P::KIND` token it can get right now, one per
+    /// node per sweep so work spreads over the cluster and each pick is made
+    /// *for the token's node*. While the phase has real demand a token is
+    /// asked of the scheduler ([`Engine::try_acquire`]) and pays for a
+    /// pending task or a compaction batch; with none, the idle tier
+    /// ([`Engine::try_acquire_idle`]) pays for a speculative clone of a
+    /// qualifying straggler. Demand is published — under the caller's phase
+    /// lock, so it is exact — before every acquire and after the last claim.
+    ///
+    /// Returns the granted work with the node whose token it holds, and lowers
+    /// `deadline` to the earliest instant a straggler could qualify for a
+    /// token that is idle now: the only thing the dispatcher cannot be woken
+    /// for by an event.
+    fn grant<P: Phase>(
+        &self,
+        phase: &mut P,
+        deadline: &mut Option<Duration>,
+    ) -> Vec<(NodeId, P::Work)> {
+        let (engine, account, kind) = (self.engine, self.account, P::KIND);
+        let mut granted = Vec::new();
+        if phase.failure().is_some() {
+            engine.publish_demand(account, kind, 0);
+            return granted;
+        }
+        loop {
+            let before = granted.len();
+            for tracker in self.trackers {
+                let node = tracker.node;
+                let demand = phase.demand();
+                engine.publish_demand(account, kind, demand);
+                let now = self.clock.now();
+                // `Some(work)`: a token was taken, for `work` if any.
+                let mut taken = None;
+                if demand > 0 {
+                    if engine.try_acquire(account, node, kind) {
+                        taken = Some(phase.claim(self, node, now));
+                    }
+                } else if let Some(policy) = self.speculation {
+                    match phase.book().speculation_wait(node, now, policy) {
+                        Some(Duration::ZERO) if engine.try_acquire_idle(account, node, kind) => {
+                            let clone = phase.book().claim_speculative(node, now, policy);
+                            taken = Some(clone.map(|id| phase.clone_work(self, node, id)));
+                        }
+                        Some(wait) if !wait.is_zero() && engine.has_idle(node, kind) => {
+                            *deadline = Some(deadline.map_or(now + wait, |d| d.min(now + wait)));
+                        }
+                        _ => {}
+                    }
+                }
+                match taken {
+                    Some(Some(work)) => granted.push((node, work)),
+                    Some(None) => engine.release(account, node, kind, demand == 0),
+                    None => {}
+                }
+            }
+            if granted.len() == before {
+                break;
+            }
+        }
+        engine.publish_demand(account, kind, phase.demand());
+        granted
+    }
 }
 
 impl JobTracker {
@@ -889,7 +1113,7 @@ impl JobTracker {
             .name(format!("mr-driver-{seq}"))
             .spawn(move || {
                 this.engine.await_activation(seq, &tenant);
-                let account = this.engine.register(seq, &tenant);
+                let account = this.engine.register(seq, &tenant, this.clock.clone());
                 let result = this.drive(&*fs, &job, &account);
                 this.engine.finish(&account, result.as_ref().ok());
                 let _ = tx.send(result);
@@ -911,7 +1135,7 @@ impl JobTracker {
         let tenant = job.config.tenant.clone();
         let seq = self.engine.enqueue(&tenant)?;
         self.engine.await_activation(seq, &tenant);
-        let account = self.engine.register(seq, &tenant);
+        let account = self.engine.register(seq, &tenant, self.clock.clone());
         let result = self.drive(fs, job, &account);
         self.engine.finish(&account, result.as_ref().ok());
         result
@@ -922,208 +1146,14 @@ impl JobTracker {
     /// This is the storage-materialized data path: map outputs spill through
     /// `fs` into the job's scoped scratch namespace, reduce tasks pull
     /// segments with positioned reads as the spills commit, and every task
-    /// output is rename-committed. Slot loops lease slots from the shared
-    /// pool before claiming work, so concurrent jobs share the cluster under
-    /// the configured scheduler.
-    fn drive(&self, fs: &dyn DistFs, job: &Job, account: &Arc<JobAccount>) -> MrResult<JobResult> {
-        let clock = &*self.clock;
-        let start = clock.now();
-        let config = &job.config;
-        let splits = self.prepare(fs, job)?;
-        let num_maps = splits.len();
-        let map_only = config.num_reducers == 0;
-        let partitions = if map_only { 1 } else { config.num_reducers };
-        // Scratch dirs are tagged with the job's submission seq: concurrent
-        // jobs over one DistFs (even with identical configs) never share
-        // spill or attempt paths.
-        let scratch = JobScratch::scoped(&config.output_dir, account.seq);
-        fs.mkdirs(scratch.temporary_dir())?;
-        if !map_only {
-            fs.mkdirs(scratch.shuffle_dir())?;
-        }
-        let compaction = !map_only && config.compaction_threshold.is_some_and(|t| num_maps > t);
-
-        let map_state = Mutex::new(MapPhase {
-            book: TaskBook::new(num_maps),
-            results: (0..num_maps).map(|_| None).collect(),
-            failure: None,
-            locality: LocalityCounters::default(),
-            map_output_bytes: 0,
-            map_output_records: 0,
-            output_files: Vec::new(),
-            finished_at: None,
-            plan: CompactionPlan::new(compaction, num_maps),
-        });
-        let reduce_state = Mutex::new(ReducePhase {
-            book: TaskBook::new(partitions),
-            failure: None,
-            output_bytes: 0,
-            output_records: 0,
-            output_files: Vec::new(),
-            segments_fetched: 0,
-            merge_runs: 0,
-            read_round_trips: 0,
-            read_bytes: 0,
-            finished_at: None,
-        });
-
-        // One batch of slot loops for both phases: reduce slots start pulling
-        // committed segments while map slots are still running. The loops are
-        // built once and handed to the configured dispatcher — scoped tasks on
-        // the shared executor pool, or (legacy) one scoped OS thread each.
-        let mut slots: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        let control = self.control.as_deref();
-        let engine = &*self.engine;
-        let account = &**account;
-        let scratch = &scratch;
-        for tracker in &self.trackers {
-            for _slot in 0..tracker.map_slots {
-                let map_state = &map_state;
-                let splits = &splits;
-                let topology = &self.topology;
-                let tracker = *tracker;
-                let output_dir = config.output_dir.clone();
-                let max_attempts = config.max_task_attempts;
-                // Each slot gets a storage handle bound to the tracker's
-                // node, so its I/O originates there.
-                let local_fs = fs.on_node(tracker.node);
-                slots.push(Box::new(move || {
-                    map_worker_loop(
-                        &*local_fs,
-                        topology,
-                        tracker,
-                        splits,
-                        job,
-                        partitions,
-                        map_only,
-                        &output_dir,
-                        scratch,
-                        max_attempts,
-                        clock,
-                        control,
-                        engine,
-                        account,
-                        map_state,
-                    );
-                }));
-            }
-            if !map_only {
-                for _slot in 0..tracker.reduce_slots {
-                    let map_state = &map_state;
-                    let reduce_state = &reduce_state;
-                    let node = tracker.node;
-                    let output_dir = config.output_dir.clone();
-                    let max_attempts = config.max_task_attempts;
-                    let local_fs = fs.on_node(node);
-                    slots.push(Box::new(move || {
-                        reduce_worker_loop(
-                            &*local_fs,
-                            job,
-                            node,
-                            &output_dir,
-                            scratch,
-                            num_maps,
-                            partitions,
-                            max_attempts,
-                            clock,
-                            control,
-                            engine,
-                            account,
-                            map_state,
-                            reduce_state,
-                        );
-                    }));
-                }
-            }
-        }
-        miniexec::scope_blocking(|scope| {
-            for slot in slots {
-                scope.spawn(slot);
-            }
-        });
-
-        let mut map_state = map_state.into_inner();
-        if let Some(err) = map_state.failure.take() {
-            // Failed jobs leave their committed part files for post-mortem
-            // (as Hadoop does), but not the shuffle/scratch debris.
-            scratch.cleanup(fs);
-            return Err(err);
-        }
-        let map_speculation = map_state.book.speculation();
-        let map_retries = map_state.book.retries();
-        let map_outputs: Vec<MapTaskOutput> = map_state
-            .results
-            .into_iter()
-            .map(|r| r.expect("all map tasks finished"))
-            .collect();
-        let input_records: u64 = map_outputs.iter().map(|o| o.records_read).sum();
-        let input_bytes: u64 = map_outputs.iter().map(|o| o.bytes_read).sum();
-        let mut counters = ShuffleCounters::default();
-        for o in &map_outputs {
-            counters.spill_bytes += o.spilled_bytes;
-            counters.spill_records += o.spilled_records;
-            counters.combine_input_records += o.combine_input_records;
-            counters.combine_output_records += o.combine_output_records;
-        }
-
-        if map_only {
-            scratch.cleanup(fs);
-            let finish = map_state.finished_at.unwrap_or_else(|| clock.now());
-            let mut output_files = map_state.output_files;
-            output_files.sort();
-            return Ok(JobResult {
-                job_name: config.name.clone(),
-                fs_name: fs.name().to_string(),
-                map_tasks: num_maps,
-                reduce_tasks: 0,
-                locality: map_state.locality,
-                task_retries: map_retries,
-                input_records,
-                output_records: map_state.map_output_records,
-                input_bytes,
-                output_bytes: map_state.map_output_bytes,
-                shuffle: counters,
-                speculation: map_speculation,
-                elapsed: finish.saturating_sub(start),
-                output_files,
-            });
-        }
-
-        let mut reduce_state = reduce_state.into_inner();
-        if let Some(err) = reduce_state.failure.take() {
-            scratch.cleanup(fs);
-            return Err(err);
-        }
-        counters.segments_fetched = reduce_state.segments_fetched;
-        counters.merge_runs = reduce_state.merge_runs;
-        counters.shuffle_read_round_trips = reduce_state.read_round_trips;
-        counters.shuffle_read_bytes = reduce_state.read_bytes;
-        counters.compaction_runs = map_state.plan.runs;
-        counters.compaction_merged_spills = map_state.plan.merged_spills;
-        counters.compaction_bytes = map_state.plan.bytes;
-        let mut speculation = map_speculation;
-        speculation.merge(&reduce_state.book.speculation());
-        scratch.cleanup(fs);
-        let finish = reduce_state.finished_at.unwrap_or_else(|| clock.now());
-        let mut output_files = reduce_state.output_files;
-        output_files.sort();
-
-        Ok(JobResult {
-            job_name: config.name.clone(),
-            fs_name: fs.name().to_string(),
-            map_tasks: num_maps,
-            reduce_tasks: partitions,
-            locality: map_state.locality,
-            task_retries: map_retries + reduce_state.book.retries(),
-            input_records,
-            output_records: reduce_state.output_records,
-            input_bytes,
-            output_bytes: reduce_state.output_bytes,
-            shuffle: counters,
-            speculation,
-            elapsed: finish.saturating_sub(start),
-            output_files,
-        })
+    /// output is rename-committed. The calling thread is the job's single
+    /// dispatcher ([`JobRun::dispatch`]): it takes slot tokens from the
+    /// shared pool, so concurrent jobs share the cluster under the configured
+    /// scheduler, and runs each granted attempt as one pool task.
+    fn drive(&self, fs: &dyn DistFs, job: &Job, account: &JobAccount) -> MrResult<JobResult> {
+        let run = JobRun::start(self, fs, job, account)?;
+        run.dispatch();
+        run.finish()
     }
 
     /// Run a job with the original in-memory shuffle: map outputs are
@@ -1204,31 +1234,13 @@ impl JobTracker {
     }
 }
 
-/// Route a failed attempt through the book and surface a fatal verdict as
-/// the phase failure. Shared by both phases and by rename-commit errors.
-fn record_attempt_failure(
-    book: &mut TaskBook,
-    failure: &mut Option<MrError>,
-    phase: &str,
-    id: TaskAttemptId,
-    err: &MrError,
-    max_attempts: usize,
-    now: Duration,
-) {
-    if let FailureVerdict::Fatal(attempts) = book.record_failure(id, now, max_attempts) {
-        if failure.is_none() {
-            *failure = Some(MrError::TaskFailed {
-                task: format!("{phase}-{}", id.task),
-                attempts,
-                last_error: err.to_string(),
-            });
-        }
-    }
-}
-
-/// What an idle map slot claimed: a map attempt, or a compaction batch.
+/// What a map token was granted for: a map attempt, or a compaction batch.
 enum MapWork {
-    Task(TaskAttemptId, Locality),
+    Task {
+        id: TaskAttemptId,
+        locality: Locality,
+        speculative: bool,
+    },
     Compact {
         start: usize,
         len: usize,
@@ -1236,35 +1248,34 @@ enum MapWork {
     },
 }
 
-/// Read-only probe: would [`claim_compaction`] make progress right now?
-/// Used to compute the job's slot demand without mutating the plan — demand
-/// must be exact, because a job that advertises demand it cannot claim
-/// hoards scheduler grants other jobs are waiting for.
-fn compaction_ready(s: &MapPhase) -> bool {
-    if !s.plan.enabled || s.plan.complete() {
-        return false;
-    }
+/// The longest maximal run `(start, len)` of committed map ids no compactor
+/// has claimed yet.
+fn longest_unclaimed_run(s: &MapPhase) -> Option<(usize, usize)> {
     let num_maps = s.plan.claimed.len();
-    if s.book.all_committed() {
-        // Every unclaimed spill is work: merged if it has a neighbour,
-        // published as-is otherwise.
-        return s.plan.claimed.iter().any(|claimed| !claimed);
-    }
+    let unclaimed = |i: usize| s.book.is_committed(i) && !s.plan.claimed[i];
+    let mut best: Option<(usize, usize)> = None;
     let mut i = 0;
     while i < num_maps {
-        if s.book.is_committed(i) && !s.plan.claimed[i] {
-            let start = i;
-            while i < num_maps && s.book.is_committed(i) && !s.plan.claimed[i] {
-                i += 1;
-            }
-            if i - start >= COMPACTION_MIN_BATCH {
-                return true;
-            }
-        } else {
+        let start = i;
+        while i < num_maps && unclaimed(i) {
             i += 1;
         }
+        if i - start > best.map_or(0, |(_, len)| len) {
+            best = Some((start, i - start));
+        }
+        i += 1;
     }
-    false
+    best
+}
+
+/// Read-only probe: would [`claim_compaction`] make progress right now?
+/// Used to compute the job's slot demand without mutating the plan. Once the
+/// map phase is done every unclaimed spill is work: merged if it has a
+/// neighbour, published as-is otherwise.
+fn compaction_ready(s: &MapPhase) -> bool {
+    s.plan.enabled
+        && longest_unclaimed_run(s)
+            .is_some_and(|(_, len)| s.book.all_committed() || len >= COMPACTION_MIN_BATCH)
 }
 
 /// Claim the longest contiguous range of committed, unclaimed spills worth
@@ -1276,27 +1287,9 @@ fn claim_compaction(s: &mut MapPhase) -> Option<(usize, usize, usize)> {
     if !s.plan.enabled {
         return None;
     }
-    let num_maps = s.plan.claimed.len();
     let map_phase_done = s.book.all_committed();
     loop {
-        // Longest maximal run of committed-and-unclaimed map ids.
-        let mut best: Option<(usize, usize)> = None;
-        let mut i = 0;
-        while i < num_maps {
-            if s.book.is_committed(i) && !s.plan.claimed[i] {
-                let start = i;
-                while i < num_maps && s.book.is_committed(i) && !s.plan.claimed[i] {
-                    i += 1;
-                }
-                let len = i - start;
-                if best.is_none_or(|(_, best_len)| len > best_len) {
-                    best = Some((start, len));
-                }
-            } else {
-                i += 1;
-            }
-        }
-        let (start, len) = best?;
+        let (start, len) = longest_unclaimed_run(s)?;
         let min_len = if map_phase_done {
             2
         } else {
@@ -1323,177 +1316,257 @@ fn claim_compaction(s: &mut MapPhase) -> Option<(usize, usize, usize)> {
     }
 }
 
-/// Compact the committed spills `start..start + len` into one merged run:
-/// bulk-read each spill, k-way-merge per partition, write the result in
-/// spill layout to `_temporary` scratch, and rename-commit under the phase
-/// lock. On any error the constituent spills are published unmerged —
-/// compaction is an optimization, never a point of failure; the committed
-/// spills themselves are untouched either way.
-fn run_compaction(
-    fs: &dyn DistFs,
-    scratch: &JobScratch,
-    partitions: usize,
-    start: usize,
-    len: usize,
-    seq: usize,
-    state: &Mutex<MapPhase>,
-) {
-    let task = format!("compact-{start:05}");
-    let attempt_scratch = scratch.attempt_path(&task, seq);
-    let outcome = (|| -> MrResult<u64> {
-        let mut buckets: Vec<Vec<Vec<(String, String)>>> =
-            (0..partitions).map(|_| Vec::with_capacity(len)).collect();
-        for map_id in start..start + len {
-            let path = scratch.spill_path(map_id);
-            let spill = shuffle::read_spill_runs(fs, &path, partitions)?;
-            for (p, bucket) in spill.partitions.into_iter().enumerate() {
-                buckets[p].push(bucket);
-            }
-        }
-        let merged: Vec<Vec<(String, String)>> =
-            buckets.into_iter().map(shuffle::merge_runs).collect();
-        let (bytes, _) = shuffle::write_spill(fs, &attempt_scratch, &merged)?;
-        Ok(bytes)
-    })();
-
-    let mut s = state.lock();
-    let published = match outcome {
-        Ok(bytes) => match fs.rename(&attempt_scratch, &scratch.run_path(start, len)) {
-            Ok(()) => {
-                s.plan.sources.push(FetchSource::Run { start, len });
-                s.plan.covered += len;
-                s.plan.runs += 1;
-                s.plan.merged_spills += len as u64;
-                s.plan.bytes += bytes;
-                true
-            }
-            Err(_) => false,
-        },
-        Err(_) => false,
-    };
-    if !published {
-        for map_id in start..start + len {
-            s.plan.sources.push(FetchSource::Spill { map_id });
-        }
-        s.plan.covered += len;
-        drop(s);
-        scratch.discard_attempt(fs, &task, seq);
-    }
+/// How one reduce step ended, before commit arbitration.
+enum ReduceOutcome {
+    /// Every published source is fetched but they do not cover all maps
+    /// yet: the attempt parks until the dispatcher has news for it.
+    Parked,
+    /// The job failed while this attempt was fetching or parked; abort
+    /// quietly.
+    JobFailed,
+    /// A speculative clone consumed a preemption request at the
+    /// post-fetch checkpoint and gave its slot back.
+    Preempted,
+    /// The attempt produced output in its scratch path.
+    Done {
+        bytes: u64,
+        records: u64,
+        merge_runs: u64,
+    },
 }
 
-/// Worker loop executed by every map slot: publish the job's demand, lease a
-/// slot from the shared pool, claim a pending task (or a compaction batch,
-/// or — on an idle lease — a speculative clone of a straggler), execute it,
-/// write its output to the attempt's scoped `_temporary` scratch, and
-/// rename-commit under the phase lock — first finished attempt wins, losers
-/// are discarded. Speculative clones run their map with a progress callback
-/// that both feeds the LATE estimator and honours preemption requests.
-#[allow(clippy::too_many_arguments)]
-fn map_worker_loop(
-    fs: &dyn DistFs,
-    topology: &ClusterTopology,
-    tracker: TaskTracker,
-    splits: &[InputSplit],
-    job: &Job,
+/// One activated job in flight: what its dispatcher and its attempts share.
+struct JobRun<'a> {
+    jt: &'a JobTracker,
+    fs: &'a dyn DistFs,
+    job: &'a Job,
+    account: &'a JobAccount,
+    /// Clock reading at activation.
+    started: Duration,
+    splits: Vec<InputSplit>,
+    /// Reduce partitions (1 bucket for map-only jobs).
     partitions: usize,
     map_only: bool,
-    output_dir: &str,
-    scratch: &JobScratch,
-    max_attempts: usize,
-    clock: &dyn Clock,
-    control: Option<&ControlWire>,
-    engine: &Engine,
-    account: &JobAccount,
-    state: &Mutex<MapPhase>,
-) {
-    loop {
-        // Publish this job's claimable map work so the scheduler can
-        // arbitrate, and decide which tier of work this slot looks for.
-        // Demand counts pending tasks and ready compaction batches —
-        // speculation is not demand, it only uses leases nobody wants.
-        let (real_demand, spec_possible) = {
-            let s = state.lock();
-            if s.failure.is_some() || (s.book.all_committed() && s.plan.complete()) {
-                account.map_demand.store(0, Ordering::Relaxed);
-                return;
-            }
-            let demand = s.book.pending().len() + usize::from(compaction_ready(&s));
-            let spec = job.config.speculation.is_some() && !s.book.all_committed();
-            (demand, spec)
-        };
-        account.map_demand.store(real_demand, Ordering::Relaxed);
+    /// Scratch dirs are tagged with the job's submission seq: concurrent
+    /// jobs over one DistFs (even with identical configs) never share
+    /// spill or attempt paths.
+    scratch: JobScratch,
+    map_state: Mutex<MapPhase>,
+    reduce_state: Mutex<ReducePhase>,
+}
 
-        let leased = if real_demand > 0 {
-            engine.try_acquire(account, tracker.node, SlotKind::Map)
-        } else if spec_possible {
-            engine.try_acquire_idle(account, tracker.node, SlotKind::Map)
+impl<'a> JobRun<'a> {
+    /// Validate and split the job, create its scratch namespace and the
+    /// all-pending phase state.
+    fn start(
+        jt: &'a JobTracker,
+        fs: &'a dyn DistFs,
+        job: &'a Job,
+        account: &'a JobAccount,
+    ) -> MrResult<Self> {
+        let started = jt.clock.now();
+        let config = &job.config;
+        let splits = jt.prepare(fs, job)?;
+        let num_maps = splits.len();
+        let map_only = config.num_reducers == 0;
+        let partitions = if map_only { 1 } else { config.num_reducers };
+        let scratch = JobScratch::scoped(&config.output_dir, account.seq);
+        fs.mkdirs(scratch.temporary_dir())?;
+        if !map_only {
+            fs.mkdirs(scratch.shuffle_dir())?;
+        }
+        let compaction = !map_only && config.compaction_threshold.is_some_and(|t| num_maps > t);
+        Ok(JobRun {
+            jt,
+            fs,
+            job,
+            account,
+            started,
+            splits,
+            partitions,
+            map_only,
+            scratch,
+            map_state: Mutex::new(MapPhase {
+                book: TaskBook::new(num_maps),
+                results: (0..num_maps).map(|_| None).collect(),
+                plan: CompactionPlan::new(compaction, num_maps),
+                ..Default::default()
+            }),
+            reduce_state: Mutex::new(ReducePhase {
+                book: TaskBook::new(partitions),
+                ..Default::default()
+            }),
+        })
+    }
+
+    /// An attempt ended: its token goes back to the pool.
+    fn release(&self, node: NodeId, kind: SlotKind, speculative: bool) {
+        (self.jt.engine).release(self.account, node, kind, speculative);
+    }
+
+    /// Every claim is one control round trip from the token's node to the
+    /// master; every attempt outcome is one report.
+    fn charge(&self, message: Direction, node: NodeId) {
+        if let Some(wire) = self.jt.control.as_deref() {
+            wire.charge(message, node);
+        }
+    }
+
+    /// The job's single dispatcher, on the calling thread: grant what can be
+    /// granted, submit **one attempt as one pool task**, park until an event.
+    ///
+    /// Events are all there is to wait for — an attempt committed, failed,
+    /// lost or was preempted, a spill or merged run was published, any job
+    /// returned a token or lowered its demand ([`SlotPool::wake`]), a reducer
+    /// parked — plus one deadline, armed only while the job speculates and a
+    /// token sits idle: the earliest instant a running attempt can qualify as
+    /// a straggler. Both go through the one [`Clock::park`]. Attempts are
+    /// non-helpable pool tasks (`scope_blocking`: they run long and may sleep
+    /// on the clock, so a sibling's helping wait must never inline one), and
+    /// none of them ever waits for another — a reducer short of map output
+    /// parks as *state*, not as a thread — so the pool's size bounds
+    /// parallelism only: the job finishes on a single worker.
+    fn dispatch(&self) {
+        let (jt, engine, account) = (self.jt, &*self.jt.engine, self.account);
+        let dispatch = Dispatch {
+            engine,
+            account,
+            trackers: &jt.trackers,
+            topology: &jt.topology,
+            splits: &self.splits,
+            speculation: self.job.config.speculation.as_deref(),
+            clock: &*jt.clock,
+        };
+        miniexec::scope_blocking(|scope| {
+            loop {
+                let mut deadline = None;
+                // Map side first: what it publishes, the reduce side fetches.
+                let (maps, sources, mut over) = {
+                    let mut m = self.map_state.lock();
+                    let maps = dispatch.grant(&mut *m, &mut deadline);
+                    let over = m.failure.is_some() || (self.map_only && m.book.all_committed());
+                    (maps, m.plan.sources.len(), over)
+                };
+                for (node, work) in maps {
+                    self.charge(CLAIM, node);
+                    scope.spawn(move || self.run_map_work(node, work));
+                }
+                if !self.map_only && !over {
+                    // Newly granted attempts, and parked ones the fetch plan
+                    // has news for, each get a step.
+                    let (new, mut steps) = {
+                        let mut r = self.reduce_state.lock();
+                        let new = dispatch.grant(&mut *r, &mut deadline);
+                        over = r.failure.is_some() || r.book.all_committed();
+                        let (resumed, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut r.parked)
+                            .into_iter()
+                            .partition(|a| a.fetch.taken < sources);
+                        r.parked = parked;
+                        (new, resumed)
+                    };
+                    for (node, attempt) in new {
+                        self.charge(CLAIM, node);
+                        steps.push(attempt);
+                    }
+                    for attempt in steps {
+                        scope.spawn(move || self.reduce_step(attempt));
+                    }
+                }
+                if over {
+                    break;
+                }
+                jt.clock.park(&account.parker, deadline);
+            }
+            // Done or failed: stop advertising demand while the attempts
+            // still in flight drain (the scope waits for them).
+            engine.publish_demand(account, SlotKind::Map, 0);
+            engine.publish_demand(account, SlotKind::Reduce, 0);
+        });
+        // Attempts still parked when the job went down never run again:
+        // close their books and return their tokens.
+        let parked = std::mem::take(&mut self.reduce_state.lock().parked);
+        for attempt in parked {
+            self.end_reduce_attempt(attempt, Ok(ReduceOutcome::JobFailed));
+        }
+    }
+
+    fn run_map_work(&self, node: NodeId, work: MapWork) {
+        match work {
+            MapWork::Task {
+                id,
+                locality,
+                speculative,
+            } => self.run_map_attempt(node, id, locality, speculative),
+            MapWork::Compact { start, len, seq } => self.run_compaction(node, start, len, seq),
+        }
+    }
+
+    /// Compact the committed spills `start..start + len` into one merged run:
+    /// bulk-read each spill, k-way-merge per partition, write the result in
+    /// spill layout to `_temporary` scratch, rename it into place (the range
+    /// was claimed once, so nobody races for the name) and publish it under
+    /// the phase lock. On any error the spills are published unmerged —
+    /// compaction is an optimization, never a point of failure; the committed
+    /// spills themselves are untouched either way.
+    fn run_compaction(&self, node: NodeId, start: usize, len: usize, seq: usize) {
+        let (fs, scratch, partitions) = (&*self.fs.on_node(node), &self.scratch, self.partitions);
+        let task = format!("compact-{start:05}");
+        let attempt_scratch = scratch.attempt_path(&task, seq);
+        let outcome = (|| -> MrResult<u64> {
+            let mut buckets: Vec<Vec<Vec<(String, String)>>> =
+                (0..partitions).map(|_| Vec::with_capacity(len)).collect();
+            for map_id in start..start + len {
+                let path = scratch.spill_path(map_id);
+                let spill = shuffle::read_spill_runs(fs, &path, partitions)?;
+                for (p, bucket) in spill.partitions.into_iter().enumerate() {
+                    buckets[p].push(bucket);
+                }
+            }
+            let merged: Vec<Vec<(String, String)>> =
+                buckets.into_iter().map(shuffle::merge_runs).collect();
+            let (bytes, _) = shuffle::write_spill(fs, &attempt_scratch, &merged)?;
+            fs.rename(&attempt_scratch, &scratch.run_path(start, len))?;
+            Ok(bytes)
+        })();
+
+        let mut s = self.map_state.lock();
+        s.plan.covered += len;
+        if let Ok(bytes) = outcome {
+            s.plan.sources.push(FetchSource::Run { start, len });
+            s.plan.runs += 1;
+            s.plan.merged_spills += len as u64;
+            s.plan.bytes += bytes;
         } else {
-            false
-        };
-        if !leased {
-            miniexec::poll_wait(Duration::from_millis(1));
-            continue;
+            s.plan
+                .sources
+                .extend((start..start + len).map(|map_id| FetchSource::Spill { map_id }));
+            drop(s);
+            scratch.discard_attempt(fs, &task, seq);
         }
+        self.release(node, SlotKind::Map, false);
+    }
 
-        // Claim an attempt under the phase lock (or give the lease back).
-        let mut speculative = false;
-        let claimed: Option<MapWork> = {
-            let mut s = state.lock();
-            if s.failure.is_some() || (s.book.all_committed() && s.plan.complete()) {
-                None
-            } else if let Some((pos, locality)) =
-                pick_map_task(topology, tracker.node, s.book.pending(), splits)
-            {
-                Some(MapWork::Task(
-                    s.book.claim_pending(pos, tracker.node, clock.now()),
-                    locality,
-                ))
-            } else if let Some((start, len, seq)) = claim_compaction(&mut s) {
-                // Nothing pending: fold committed spills into a merged run
-                // so reducers fetch O(runs) segments instead of O(maps).
-                Some(MapWork::Compact { start, len, seq })
-            } else if real_demand == 0 {
-                // Idle lease: offer this slot a speculative clone of the
-                // slowest qualifying straggler.
-                job.config.speculation.as_deref().and_then(|policy| {
-                    s.book
-                        .claim_speculative(tracker.node, clock.now(), policy)
-                        .map(|id| {
-                            speculative = true;
-                            MapWork::Task(id, classify(topology, tracker.node, &splits[id.task]))
-                        })
-                })
-            } else {
-                None
-            }
-        };
-        // Every successful claim is one control round trip to the master
-        // (the empty poll is local slot idling, not a wire message).
-        if claimed.is_some() {
-            if let Some(cw) = control {
-                cw.charge_claim(tracker.node);
-            }
-        }
-        let (id, locality) = match claimed {
-            Some(MapWork::Task(id, locality)) => (id, locality),
-            Some(MapWork::Compact { start, len, seq }) => {
-                run_compaction(fs, scratch, partitions, start, len, seq, state);
-                engine.release(account, tracker.node, SlotKind::Map);
-                continue;
-            }
-            None => {
-                // Tasks are running on other slots; one could fail (requeue)
-                // or turn into a straggler, so poll until the phase settles.
-                engine.release(account, tracker.node, SlotKind::Map);
-                miniexec::poll_wait(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if speculative {
-            account.map_spec.fetch_add(1, Ordering::Relaxed);
-        }
+    /// One map attempt, start to finish: execute it, write its output to the
+    /// attempt's scoped `_temporary` scratch, and rename-commit under the
+    /// phase lock — first finished attempt wins, losers are discarded.
+    /// Speculative clones run their map with a progress callback that both
+    /// feeds the LATE estimator and honours preemption requests.
+    fn run_map_attempt(
+        &self,
+        node: NodeId,
+        id: TaskAttemptId,
+        locality: Locality,
+        speculative: bool,
+    ) {
+        // A storage handle bound to the token's node, so the attempt's I/O
+        // originates there.
+        let fs = &*self.fs.on_node(node);
+        let (job, scratch, account) = (self.job, &self.scratch, self.account);
+        let (state, clock) = (&self.map_state, &*self.jt.clock);
+        let max_attempts = job.config.max_task_attempts;
         let task = format!("map-{:05}", id.task);
         let attempt_scratch = scratch.attempt_path(&task, id.attempt);
+        state.lock().book.record_started(id, clock.now());
 
         // Execute the attempt outside the lock, writing all output to the
         // scratch path. Progress milestones feed the book (the LATE
@@ -1503,10 +1576,10 @@ fn map_worker_loop(
         // map-only jobs, whose tasks commit straight to a part file.
         let outcome = run_map_task_with_progress(
             fs,
-            &splits[id.task],
+            &self.splits[id.task],
             &*job.mapper,
             &*job.partitioner,
-            partitions,
+            self.partitions,
             &mut |frac| {
                 state.lock().book.report_progress(id, frac);
                 !(speculative && account.take_preempt())
@@ -1516,7 +1589,7 @@ fn map_worker_loop(
             let Some(mut output) = finished else {
                 return Ok(None); // preempted mid-task
             };
-            if map_only {
+            if self.map_only {
                 let records = std::mem::take(&mut output.partitions[0]);
                 let bytes = write_output_file(fs, &attempt_scratch, &records)?;
                 Ok(Some((output, (bytes, records.len() as u64))))
@@ -1553,425 +1626,256 @@ fn map_worker_loop(
         // to scratch outside the lock.
         // The attempt reports its outcome (success, failure, or preemption)
         // before the commit arbitration — charged outside the phase lock.
-        if let Some(cw) = control {
-            cw.charge_report(tracker.node);
-        }
+        self.charge(REPORT, node);
         let mut discard_scratch = true;
         {
             let mut s = state.lock();
-            match outcome {
+            let failed = match outcome {
                 Ok(None) => {
                     // Preempted: the clone's partial work is pure waste by
                     // construction; the incumbent attempt is untouched.
                     s.book.record_preempted(id, clock.now());
+                    None
+                }
+                Ok(Some(_)) if s.book.is_committed(id.task) => {
+                    s.book.record_lost(id, clock.now());
+                    None
                 }
                 Ok(Some((output, (part_bytes, part_records)))) => {
-                    if s.book.is_committed(id.task) {
-                        s.book.record_lost(id, clock.now());
+                    let final_path = if self.map_only {
+                        format!("{}/part-m-{:05}", job.config.output_dir, id.task)
                     } else {
-                        let final_path = if map_only {
-                            format!("{output_dir}/part-m-{:05}", id.task)
-                        } else {
-                            scratch.spill_path(id.task)
-                        };
-                        match fs.rename(&attempt_scratch, &final_path) {
-                            Ok(()) => {
-                                discard_scratch = false;
-                                s.book.record_success(id, clock.now());
-                                s.locality.record(locality);
-                                if map_only {
-                                    s.output_files.push(final_path);
-                                    s.map_output_bytes += part_bytes;
-                                    s.map_output_records += part_records;
-                                }
-                                s.results[id.task] = Some(output);
-                                if s.book.all_committed() {
-                                    s.finished_at = Some(clock.now());
-                                }
-                            }
-                            Err(err) => {
-                                let MapPhase { book, failure, .. } = &mut *s;
-                                record_attempt_failure(
-                                    book,
-                                    failure,
-                                    "map",
-                                    id,
-                                    &err,
-                                    max_attempts,
-                                    clock.now(),
-                                );
-                            }
+                        scratch.spill_path(id.task)
+                    };
+                    fs.rename(&attempt_scratch, &final_path).err().or_else(|| {
+                        discard_scratch = false;
+                        s.book.record_success(id, clock.now());
+                        s.locality.record(locality);
+                        if self.map_only {
+                            s.output_files.push(final_path);
+                            s.map_output_bytes += part_bytes;
+                            s.map_output_records += part_records;
+                        } else if !s.plan.enabled {
+                            // No compactor to go through: the spill is a
+                            // fetch source as it stands.
+                            s.plan.sources.push(FetchSource::Spill { map_id: id.task });
+                            s.plan.covered += 1;
                         }
-                    }
+                        s.results[id.task] = Some(output);
+                        if s.book.all_committed() {
+                            s.finished_at = Some(clock.now());
+                        }
+                        None
+                    })
                 }
-                Err(err) => {
-                    let MapPhase { book, failure, .. } = &mut *s;
-                    record_attempt_failure(
-                        book,
-                        failure,
-                        "map",
-                        id,
-                        &err,
-                        max_attempts,
-                        clock.now(),
-                    );
-                }
+                Err(err) => Some(err),
+            };
+            if let Some(err) = failed {
+                s.attempt_failed(id, &err, max_attempts, clock.now());
             }
-        }
-        if speculative {
-            account.map_spec.fetch_sub(1, Ordering::Relaxed);
         }
         if discard_scratch {
             // Clean the attempt's scratch (failed, lost, or preempted)
             // before retries.
             scratch.discard_attempt(fs, &task, id.attempt);
         }
-        engine.release(account, tracker.node, SlotKind::Map);
+        self.release(node, SlotKind::Map, speculative);
     }
-}
 
-/// What one successful reduce-side fetch collected.
-struct FetchedPartition {
-    /// One key-sorted run per fetch source (per map task without compaction,
-    /// per merged run / leftover spill with it), in map-id order.
-    runs: Vec<Vec<(String, String)>>,
-    segments: u64,
-    round_trips: u64,
-    bytes: u64,
-}
-
-/// Pull partition `partition`'s segment from every map task's spill,
-/// fetching each as soon as its map commits. Returns `Ok(None)` when the map
-/// phase failed (the job is going down; nothing to reduce).
-fn fetch_partition(
-    fs: &dyn DistFs,
-    scratch: &JobScratch,
-    partition: usize,
-    num_maps: usize,
-    partitions: usize,
-    map_state: &Mutex<MapPhase>,
-) -> MrResult<Option<FetchedPartition>> {
-    if map_state.lock().plan.enabled {
-        return fetch_partition_from_sources(
-            fs, scratch, partition, num_maps, partitions, map_state,
-        );
-    }
-    let mut runs: Vec<Option<Vec<(String, String)>>> = (0..num_maps).map(|_| None).collect();
-    let mut fetched = 0usize;
-    let mut segments = 0u64;
-    let mut round_trips = 0u64;
-    let mut bytes = 0u64;
-    while fetched < num_maps {
-        let (available, map_failed) = {
-            let m = map_state.lock();
-            let available: Vec<usize> = (0..num_maps)
-                .filter(|&i| m.book.is_committed(i) && runs[i].is_none())
-                .collect();
-            (available, m.failure.is_some())
-        };
-        if available.is_empty() {
+    /// One step of a reduce attempt, a short pool task: pull the partition's
+    /// segment from every fetch source (map spill, or merged run) published
+    /// since the attempt's last step; if the sources now cover every map
+    /// task, k-way-merge the sorted runs, reduce, write and commit in the
+    /// same task — otherwise park the attempt and tell the dispatcher. The
+    /// source queue only grows, so speculative attempts of one partition
+    /// consume it independently.
+    fn reduce_step(&self, mut attempt: ReduceAttempt) {
+        let fs = &*self.fs.on_node(attempt.node);
+        let (id, partition, fetch) = (attempt.id, attempt.id.task, &mut attempt.fetch);
+        let task = format!("reduce-{partition:05}");
+        let attempt_scratch = self.scratch.attempt_path(&task, id.attempt);
+        let outcome = (|| loop {
+            let (news, map_failed) = {
+                let m = self.map_state.lock();
+                (m.plan.sources[fetch.taken..].to_vec(), m.failure.is_some())
+            };
             if map_failed {
-                return Ok(None);
+                return Ok(ReduceOutcome::JobFailed);
             }
-            miniexec::poll_wait(Duration::from_millis(1));
-            continue;
-        }
-        for map_id in available {
-            let path = scratch.spill_path(map_id);
-            let segment = shuffle::read_segment(fs, &path, partition, partitions)?;
-            segments += 1;
-            round_trips += segment.round_trips;
-            bytes += segment.bytes;
-            runs[map_id] = Some(segment.records);
-            fetched += 1;
-        }
-    }
-    Ok(Some(FetchedPartition {
-        runs: runs
-            .into_iter()
-            .map(|r| r.expect("all segments fetched"))
-            .collect(),
-        segments,
-        round_trips,
-        bytes,
-    }))
-}
-
-/// The compaction-aware fetch: consume the published fetch-source queue
-/// (merged runs and leftover spills) until the sources cover every map task.
-/// The queue only grows, so speculative attempts of one partition can
-/// consume it independently.
-fn fetch_partition_from_sources(
-    fs: &dyn DistFs,
-    scratch: &JobScratch,
-    partition: usize,
-    num_maps: usize,
-    partitions: usize,
-    map_state: &Mutex<MapPhase>,
-) -> MrResult<Option<FetchedPartition>> {
-    let mut taken = 0usize;
-    let mut covered = 0usize;
-    let mut fetched: Vec<(usize, Vec<(String, String)>)> = Vec::new();
-    let mut segments = 0u64;
-    let mut round_trips = 0u64;
-    let mut bytes = 0u64;
-    while covered < num_maps {
-        let (new_sources, map_failed) = {
-            let m = map_state.lock();
-            (m.plan.sources[taken..].to_vec(), m.failure.is_some())
-        };
-        if new_sources.is_empty() {
-            if map_failed {
-                return Ok(None);
-            }
-            miniexec::poll_wait(Duration::from_millis(1));
-            continue;
-        }
-        taken += new_sources.len();
-        for source in new_sources {
-            let segment = shuffle::read_segment(fs, &source.path(scratch), partition, partitions)?;
-            segments += 1;
-            round_trips += segment.round_trips;
-            bytes += segment.bytes;
-            covered += source.len();
-            fetched.push((source.start(), segment.records));
-        }
-    }
-    // Sources cover disjoint contiguous map-id ranges: ordering the runs by
-    // range start restores global map-id order, so the k-way merge's
-    // tie-break still reproduces the oracle's (map id, emit order) sequence.
-    fetched.sort_by_key(|&(start, _)| start);
-    Ok(Some(FetchedPartition {
-        runs: fetched.into_iter().map(|(_, records)| records).collect(),
-        segments,
-        round_trips,
-        bytes,
-    }))
-}
-
-/// How one reduce attempt ended, before commit arbitration.
-enum ReduceOutcome {
-    /// The map phase failed while this attempt was fetching; abort quietly.
-    MapFailed,
-    /// A speculative clone consumed a preemption request at the
-    /// post-fetch checkpoint and gave its slot back.
-    Preempted,
-    /// The attempt produced output in its scratch path.
-    Done {
-        bytes: u64,
-        records: u64,
-        segments: u64,
-        merge_runs: u64,
-        round_trips: u64,
-        read_bytes: u64,
-    },
-}
-
-/// Worker loop executed by every reduce slot: publish demand, lease a slot,
-/// claim a partition (or — on an idle lease — a speculative clone of a
-/// straggling one), pull its segments as map spills commit, k-way-merge the
-/// sorted runs, reduce, and rename-commit the part file under the phase lock
-/// — first finished attempt wins.
-#[allow(clippy::too_many_arguments)]
-fn reduce_worker_loop(
-    fs: &dyn DistFs,
-    job: &Job,
-    node: NodeId,
-    output_dir: &str,
-    scratch: &JobScratch,
-    num_maps: usize,
-    partitions: usize,
-    max_attempts: usize,
-    clock: &dyn Clock,
-    control: Option<&ControlWire>,
-    engine: &Engine,
-    account: &JobAccount,
-    map_state: &Mutex<MapPhase>,
-    state: &Mutex<ReducePhase>,
-) {
-    loop {
-        // The job is failing once either phase records a permanent failure.
-        if map_state.lock().failure.is_some() {
-            account.reduce_demand.store(0, Ordering::Relaxed);
-            return;
-        }
-        let (real_demand, spec_possible) = {
-            let s = state.lock();
-            if s.failure.is_some() || s.book.all_committed() {
-                account.reduce_demand.store(0, Ordering::Relaxed);
-                return;
-            }
-            (
-                s.book.pending().len(),
-                job.config.speculation.is_some() && !s.book.all_committed(),
-            )
-        };
-        account.reduce_demand.store(real_demand, Ordering::Relaxed);
-
-        let leased = if real_demand > 0 {
-            engine.try_acquire(account, node, SlotKind::Reduce)
-        } else if spec_possible {
-            engine.try_acquire_idle(account, node, SlotKind::Reduce)
-        } else {
-            false
-        };
-        if !leased {
-            miniexec::poll_wait(Duration::from_millis(1));
-            continue;
-        }
-
-        let mut speculative = false;
-        let claimed = {
-            let mut s = state.lock();
-            if s.failure.is_some() || s.book.all_committed() {
-                None
-            } else if !s.book.pending().is_empty() {
-                let pos = s.book.pending().len() - 1;
-                Some(s.book.claim_pending(pos, node, clock.now()))
-            } else if real_demand == 0 {
-                job.config.speculation.as_deref().and_then(|policy| {
-                    s.book
-                        .claim_speculative(node, clock.now(), policy)
-                        .inspect(|_| {
-                            speculative = true;
-                        })
-                })
-            } else {
-                None
-            }
-        };
-        let id = match claimed {
-            Some(c) => {
-                // One control round trip per claim, as on the map side.
-                if let Some(cw) = control {
-                    cw.charge_claim(node);
+            if !news.is_empty() {
+                fetch.taken += news.len();
+                for source in news {
+                    let path = source.path(&self.scratch);
+                    let segment = shuffle::read_segment(fs, &path, partition, self.partitions)?;
+                    fetch.round_trips += segment.round_trips;
+                    fetch.bytes += segment.bytes;
+                    fetch.covered += source.len();
+                    fetch.segments.push((source, segment));
                 }
-                c
+                continue; // more may have been published meanwhile
             }
-            None => {
-                // Partitions are running on other slots; one could fail and
-                // requeue, so poll until the phase settles.
-                engine.release(account, node, SlotKind::Reduce);
-                miniexec::poll_wait(Duration::from_millis(1));
-                continue;
+            if fetch.covered < self.splits.len() {
+                return Ok(ReduceOutcome::Parked);
             }
-        };
-        if speculative {
-            account.reduce_spec.fetch_add(1, Ordering::Relaxed);
-        }
-        let task = format!("reduce-{:05}", id.task);
-        let attempt_scratch = scratch.attempt_path(&task, id.attempt);
-
-        let outcome = fetch_partition(fs, scratch, id.task, num_maps, partitions, map_state)
-            .and_then(|fetched| {
-                let Some(fetched) = fetched else {
-                    return Ok(ReduceOutcome::MapFailed);
-                };
-                // Preemption checkpoint between the fetch and the expensive
-                // merge+reduce+write: a speculative clone whose job owes a
-                // starved tenant gives its slot back here.
-                if speculative && account.take_preempt() {
-                    return Ok(ReduceOutcome::Preempted);
-                }
-                let merge_runs = fetched.runs.iter().filter(|r| !r.is_empty()).count() as u64;
-                let merged = shuffle::merge_runs(fetched.runs);
-                let records = shuffle::reduce_merged(merged, &*job.reducer)?;
-                let bytes = write_output_file(fs, &attempt_scratch, &records)?;
-                Ok(ReduceOutcome::Done {
-                    bytes,
-                    records: records.len() as u64,
-                    segments: fetched.segments,
-                    merge_runs,
-                    round_trips: fetched.round_trips,
-                    read_bytes: fetched.bytes,
-                })
+            // Preemption checkpoint between the fetch and the expensive
+            // merge+reduce+write: a speculative clone whose job owes a
+            // starved tenant gives its slot back here.
+            if attempt.speculative && self.account.take_preempt() {
+                return Ok(ReduceOutcome::Preempted);
+            }
+            // Sources cover disjoint contiguous map-id ranges: ordering the
+            // runs by range start restores global map-id order, so the k-way
+            // merge's tie-break reproduces the oracle's (map id, emit order)
+            // sequence.
+            fetch.segments.sort_by_key(|(source, _)| source.start());
+            let runs = (fetch.segments.iter())
+                .map(|(source, segment)| segment.decode(&source.path(&self.scratch)))
+                .collect::<MrResult<Vec<_>>>()?;
+            let merge_runs = runs.iter().filter(|r| !r.is_empty()).count() as u64;
+            let merged = shuffle::merge_runs(runs);
+            let records = shuffle::reduce_merged(merged, &*self.job.reducer)?;
+            let bytes = write_output_file(fs, &attempt_scratch, &records)?;
+            return Ok(ReduceOutcome::Done {
+                bytes,
+                records: records.len() as u64,
+                merge_runs,
             });
-
-        // Report the attempt outcome to the master before arbitration.
-        if let Some(cw) = control {
-            cw.charge_report(node);
+        })();
+        if let Ok(ReduceOutcome::Parked) = outcome {
+            self.reduce_state.lock().parked.push(attempt);
+            // A source may have been published since the last look.
+            self.account.wake();
+        } else {
+            self.end_reduce_attempt(attempt, outcome);
         }
+    }
+
+    /// Close a reduce attempt: report the outcome, rename-commit the part
+    /// file under the phase lock — first finished attempt wins — or record
+    /// why not, clean up, and return the token.
+    fn end_reduce_attempt(&self, attempt: ReduceAttempt, outcome: MrResult<ReduceOutcome>) {
+        let (fs, clock) = (&*self.fs.on_node(attempt.node), &*self.jt.clock);
+        let (id, fetch) = (attempt.id, &attempt.fetch);
+        let task = format!("reduce-{:05}", id.task);
+        let max_attempts = self.job.config.max_task_attempts;
+        // Report the attempt outcome to the master before arbitration.
+        self.charge(REPORT, attempt.node);
         let mut discard_scratch = true;
-        let mut exit = false;
         {
-            let mut s = state.lock();
-            match outcome {
-                Ok(ReduceOutcome::MapFailed) => {
-                    // Map phase failed; the job is going down. Close the
-                    // attempt's bookkeeping so nothing stays `Running`.
+            let mut s = self.reduce_state.lock();
+            let failed = match outcome {
+                Ok(ReduceOutcome::Parked | ReduceOutcome::JobFailed) => {
+                    // The job is going down. Close the attempt's
+                    // bookkeeping so nothing stays `Running`.
                     s.book.record_abandoned(id);
-                    exit = true;
+                    None
                 }
                 Ok(ReduceOutcome::Preempted) => {
                     s.book.record_preempted(id, clock.now());
+                    None
+                }
+                Ok(ReduceOutcome::Done { .. }) if s.book.is_committed(id.task) => {
+                    s.book.record_lost(id, clock.now());
+                    None
                 }
                 Ok(ReduceOutcome::Done {
                     bytes,
                     records,
-                    segments,
                     merge_runs,
-                    round_trips,
-                    read_bytes,
                 }) => {
-                    if s.book.is_committed(id.task) {
-                        s.book.record_lost(id, clock.now());
-                    } else {
-                        let final_path = format!("{output_dir}/part-r-{:05}", id.task);
-                        match fs.rename(&attempt_scratch, &final_path) {
-                            Ok(()) => {
-                                discard_scratch = false;
-                                s.book.record_success(id, clock.now());
-                                s.output_bytes += bytes;
-                                s.output_records += records;
-                                s.output_files.push(final_path);
-                                s.segments_fetched += segments;
-                                s.merge_runs += merge_runs;
-                                s.read_round_trips += round_trips;
-                                s.read_bytes += read_bytes;
-                                if s.book.all_committed() {
-                                    s.finished_at = Some(clock.now());
-                                }
-                            }
-                            Err(err) => {
-                                let ReducePhase { book, failure, .. } = &mut *s;
-                                record_attempt_failure(
-                                    book,
-                                    failure,
-                                    "reduce",
-                                    id,
-                                    &err,
-                                    max_attempts,
-                                    clock.now(),
-                                );
-                            }
+                    let final_path =
+                        format!("{}/part-r-{:05}", self.job.config.output_dir, id.task);
+                    let attempt_scratch = self.scratch.attempt_path(&task, id.attempt);
+                    fs.rename(&attempt_scratch, &final_path).err().or_else(|| {
+                        discard_scratch = false;
+                        s.book.record_success(id, clock.now());
+                        s.output_bytes += bytes;
+                        s.output_records += records;
+                        s.output_files.push(final_path);
+                        s.segments_fetched += fetch.segments.len() as u64;
+                        s.merge_runs += merge_runs;
+                        s.read_round_trips += fetch.round_trips;
+                        s.read_bytes += fetch.bytes;
+                        if s.book.all_committed() {
+                            s.finished_at = Some(clock.now());
                         }
-                    }
+                        None
+                    })
                 }
-                Err(err) => {
-                    let ReducePhase { book, failure, .. } = &mut *s;
-                    record_attempt_failure(
-                        book,
-                        failure,
-                        "reduce",
-                        id,
-                        &err,
-                        max_attempts,
-                        clock.now(),
-                    );
-                }
+                Err(err) => Some(err),
+            };
+            if let Some(err) = failed {
+                s.attempt_failed(id, &err, max_attempts, clock.now());
             }
         }
-        if speculative {
-            account.reduce_spec.fetch_sub(1, Ordering::Relaxed);
-        }
         if discard_scratch {
-            scratch.discard_attempt(fs, &task, id.attempt);
+            self.scratch.discard_attempt(fs, &task, id.attempt);
         }
-        engine.release(account, node, SlotKind::Reduce);
-        if exit {
-            account.reduce_demand.store(0, Ordering::Relaxed);
-            return;
+        self.release(attempt.node, SlotKind::Reduce, attempt.speculative);
+    }
+
+    /// Fold the settled phase state into the job report (or its failure)
+    /// and clean the scratch namespace.
+    fn finish(self) -> MrResult<JobResult> {
+        let (fs, config, clock) = (self.fs, &self.job.config, &*self.jt.clock);
+        // Failed jobs leave their committed part files for post-mortem (as
+        // Hadoop does), but not the shuffle/scratch debris.
+        self.scratch.cleanup(fs);
+        let mut map_state = self.map_state.into_inner();
+        let mut reduce_state = self.reduce_state.into_inner();
+        if let Some(err) = map_state.failure.take().or(reduce_state.failure.take()) {
+            return Err(err);
         }
+        let mut shuffle = ShuffleCounters::default();
+        let (mut input_records, mut input_bytes) = (0, 0);
+        for o in map_state.results.iter().flatten() {
+            input_records += o.records_read;
+            input_bytes += o.bytes_read;
+            shuffle.spill_bytes += o.spilled_bytes;
+            shuffle.spill_records += o.spilled_records;
+            shuffle.combine_input_records += o.combine_input_records;
+            shuffle.combine_output_records += o.combine_output_records;
+        }
+        let mut speculation = map_state.book.speculation();
+        let mut result = JobResult {
+            job_name: config.name.clone(),
+            fs_name: fs.name().to_string(),
+            map_tasks: self.splits.len(),
+            reduce_tasks: 0,
+            locality: map_state.locality,
+            task_retries: map_state.book.retries(),
+            input_records,
+            output_records: map_state.map_output_records,
+            input_bytes,
+            output_bytes: map_state.map_output_bytes,
+            shuffle,
+            speculation,
+            elapsed: Duration::ZERO,
+            output_files: map_state.output_files,
+        };
+        let mut finished_at = map_state.finished_at;
+        if !self.map_only {
+            result.shuffle.segments_fetched = reduce_state.segments_fetched;
+            result.shuffle.merge_runs = reduce_state.merge_runs;
+            result.shuffle.shuffle_read_round_trips = reduce_state.read_round_trips;
+            result.shuffle.shuffle_read_bytes = reduce_state.read_bytes;
+            result.shuffle.compaction_runs = map_state.plan.runs;
+            result.shuffle.compaction_merged_spills = map_state.plan.merged_spills;
+            result.shuffle.compaction_bytes = map_state.plan.bytes;
+            speculation.merge(&reduce_state.book.speculation());
+            result.speculation = speculation;
+            result.reduce_tasks = self.partitions;
+            result.task_retries += reduce_state.book.retries();
+            result.output_records = reduce_state.output_records;
+            result.output_bytes = reduce_state.output_bytes;
+            result.output_files = reduce_state.output_files;
+            finished_at = reduce_state.finished_at;
+        }
+        result.output_files.sort();
+        result.elapsed = finished_at
+            .unwrap_or_else(|| clock.now())
+            .saturating_sub(self.started);
+        Ok(result)
     }
 }
 
@@ -1979,72 +1883,251 @@ fn reduce_worker_loop(
 mod engine_tests {
     use super::*;
     use crate::jobsched::FairScheduler;
+    use crate::scheduler::SlowestFactorPolicy;
+    use crate::split::SplitSource;
+
+    fn clock() -> Arc<dyn Clock> {
+        Arc::new(WallClock::new())
+    }
+
+    fn trackers(nodes: u32, map_slots: usize) -> Vec<TaskTracker> {
+        (0..nodes)
+            .map(|i| TaskTracker::new(NodeId(i)).with_slots(map_slots, 1))
+            .collect()
+    }
 
     fn engine(nodes: u32, map_slots: usize) -> Engine {
-        let trackers: Vec<TaskTracker> = (0..nodes)
-            .map(|i| TaskTracker::new(NodeId(i)).with_slots(map_slots, 1))
-            .collect();
-        Engine::new(&trackers)
+        Engine::new(&trackers(nodes, map_slots))
     }
+
+    const MAP: usize = SlotKind::Map as usize;
 
     #[test]
     fn fifo_grants_the_oldest_demanding_job_and_denies_the_rest() {
         let e = engine(1, 2);
-        let a = e.register(0, "acme");
-        let b = e.register(1, "blue");
-        a.map_demand.store(2, Ordering::Relaxed);
-        b.map_demand.store(2, Ordering::Relaxed);
+        let a = e.register(0, "acme", clock());
+        let b = e.register(1, "blue", clock());
+        a.demand[MAP].store(2, Ordering::Relaxed);
+        b.demand[MAP].store(2, Ordering::Relaxed);
         let node = NodeId(0);
         assert!(!e.try_acquire(&b, node, SlotKind::Map), "fifo owes A first");
         assert!(e.try_acquire(&a, node, SlotKind::Map));
         assert!(e.try_acquire(&a, node, SlotKind::Map));
-        assert_eq!(a.map_held.load(Ordering::Relaxed), 2);
-        // Pool exhausted: nobody gets a lease until A releases.
+        assert_eq!(a.held[MAP].load(Ordering::Relaxed), 2);
+        // Pool exhausted: nobody gets a token until A releases.
         assert!(!e.try_acquire(&a, node, SlotKind::Map));
-        e.release(&a, node, SlotKind::Map);
-        a.map_demand.store(0, Ordering::Relaxed);
-        // With A's demand gone, the freed slot flows to B.
+        e.release(&a, node, SlotKind::Map, false);
+        a.demand[MAP].store(0, Ordering::Relaxed);
+        // With A's demand gone, the freed token flows to B.
         assert!(e.try_acquire(&b, node, SlotKind::Map));
+        // A tracker on a node the pool was not sized from is caller input,
+        // not a panic: nothing to take there, nothing lost by a release.
+        assert!(!e.try_acquire(&b, NodeId(9), SlotKind::Map));
+        assert!(!e.try_acquire_idle(&b, NodeId(9), SlotKind::Reduce));
+        e.release(&b, NodeId(9), SlotKind::Map, false);
     }
 
     #[test]
-    fn idle_leases_require_zero_demand_everywhere() {
+    fn idle_tokens_require_zero_demand_everywhere() {
         let e = engine(1, 2);
-        let a = e.register(0, "acme");
-        let b = e.register(1, "blue");
-        b.map_demand.store(1, Ordering::Relaxed);
-        // B has real map demand, so no clone may take a map lease.
+        let a = e.register(0, "acme", clock());
+        let b = e.register(1, "blue", clock());
+        b.demand[MAP].store(1, Ordering::Relaxed);
+        // B has real map demand, so no clone may take a map token.
+        assert!(!e.has_idle(NodeId(0), SlotKind::Map));
         assert!(!e.try_acquire_idle(&a, NodeId(0), SlotKind::Map));
-        // Reduce demand is zero everywhere: idle reduce leases are fine.
+        // Reduce demand is zero everywhere: idle reduce tokens are fine.
         assert!(e.try_acquire_idle(&a, NodeId(0), SlotKind::Reduce));
-        b.map_demand.store(0, Ordering::Relaxed);
+        b.demand[MAP].store(0, Ordering::Relaxed);
         assert!(e.try_acquire_idle(&a, NodeId(0), SlotKind::Map));
     }
 
     #[test]
     fn starved_tenant_preempts_a_speculative_clone_and_inherits_the_slot() {
-        let e = Engine::new(&[TaskTracker::new(NodeId(0)).with_slots(2, 1)]);
+        let e = engine(1, 2);
         *e.scheduler.lock() = Arc::new(FairScheduler::new());
-        let a = e.register(0, "acme");
-        let b = e.register(1, "blue");
+        let a = e.register(0, "acme", clock());
+        let b = e.register(1, "blue", clock());
         let node = NodeId(0);
         // A soaks up the whole pool with speculative clones (no demand
-        // anywhere, so idle leases are granted).
+        // anywhere, so idle tokens are granted).
         assert!(e.try_acquire_idle(&a, node, SlotKind::Map));
         assert!(e.try_acquire_idle(&a, node, SlotKind::Map));
-        a.map_spec.store(2, Ordering::Relaxed);
+        assert_eq!(a.spec[MAP].load(Ordering::Relaxed), 2);
         // B shows up with real demand: pool exhausted, fair share says B is
         // starved, so a preemption request lands on A's clones.
-        b.map_demand.store(2, Ordering::Relaxed);
+        b.demand[MAP].store(2, Ordering::Relaxed);
         assert!(!e.try_acquire(&b, node, SlotKind::Map));
         assert_eq!(a.preempt.load(Ordering::Relaxed), 1);
         // A clone consumes the request exactly once...
         assert!(a.take_preempt());
         assert!(!a.take_preempt());
-        // ...and gives its slot back; B now gets the lease.
-        a.map_spec.store(1, Ordering::Relaxed);
-        e.release(&a, node, SlotKind::Map);
+        // ...and gives its token back; B now gets it.
+        e.release(&a, node, SlotKind::Map, true);
+        assert_eq!(a.spec[MAP].load(Ordering::Relaxed), 1);
         assert!(e.try_acquire(&b, node, SlotKind::Map));
+    }
+
+    /// A map phase of `n` tasks whose splits have no location.
+    fn map_phase(n: usize) -> (MapPhase, Vec<InputSplit>) {
+        let splits = (0..n)
+            .map(|id| InputSplit {
+                id,
+                source: SplitSource::Synthetic {
+                    index: id,
+                    records: 1,
+                },
+                preferred_nodes: Vec::new(),
+            })
+            .collect();
+        let phase = MapPhase {
+            book: TaskBook::new(n),
+            results: (0..n).map(|_| None).collect(),
+            plan: CompactionPlan::new(false, n),
+            ..Default::default()
+        };
+        (phase, splits)
+    }
+
+    fn view(e: &Engine, account: &JobAccount) -> JobView {
+        let views = e.pool.lock().views(SlotKind::Map);
+        views.into_iter().find(|v| v.seq == account.seq).unwrap()
+    }
+
+    #[test]
+    fn demand_is_exact_after_every_claim_and_clones_only_get_tokens_nobody_wants() {
+        // One node, two map tokens, FIFO. No threads: grant decisions are a
+        // function of the books and the pool.
+        let trackers = trackers(1, 2);
+        let e = Engine::new(&trackers);
+        let topology = ClusterTopology::flat(1);
+        let sim = Arc::new(simcluster::clock::SimClock::new());
+        let policy = SlowestFactorPolicy {
+            slowest_factor: 1.0,
+            min_runtime: Duration::from_secs(5),
+            min_completed: 0,
+        };
+        let a = e.register(0, "acme", sim.clone());
+        let b = e.register(1, "blue", sim.clone());
+        let (mut phase_a, splits_a) = map_phase(1);
+        let (mut phase_b, splits_b) = map_phase(3);
+        let dispatch = |account, splits, speculation| Dispatch {
+            engine: &e,
+            account,
+            trackers: &trackers,
+            topology: &topology,
+            splits,
+            speculation,
+            clock: &*sim,
+        };
+        let (da, db) = (
+            dispatch(&*a, &splits_a[..], Some(&policy as &dyn SpeculationPolicy)),
+            dispatch(&*b, &splits_b[..], None),
+        );
+        let mut deadline = None;
+
+        // A is older and has a pending map on the books: FIFO makes B wait
+        // for it, however often B asks.
+        e.publish_demand(&a, SlotKind::Map, phase_a.demand());
+        assert!(
+            db.grant(&mut phase_b, &mut deadline).is_empty(),
+            "fifo owes A"
+        );
+        assert_eq!(view(&e, &b).demand, 3);
+
+        // A's single claim: its advertised demand must drop to zero with it
+        // (demand that outlives its claim blocks B and the idle tier).
+        let granted = da.grant(&mut phase_a, &mut deadline);
+        assert_eq!(granted.len(), 1);
+        assert_eq!(view(&e, &a).demand, 0, "demand published after the claim");
+        assert_eq!(view(&e, &a).held, 1);
+
+        // So the next free token goes to B (one token left on the node).
+        let granted_b = db.grant(&mut phase_b, &mut deadline);
+        assert_eq!(granted_b.len(), 1);
+        assert_eq!(view(&e, &b).demand, 2, "exact again after B's claim");
+
+        // A's attempt straggles past the policy's floor. B still has real
+        // demand, so A gets no clone — and arms no deadline for one — even
+        // once a token is free: it goes to B's queued regular attempt.
+        sim.advance(Duration::from_secs(60));
+        let MapWork::Task { id: b0, .. } = granted_b[0].1 else {
+            panic!("B was granted a map task");
+        };
+        phase_b.book.record_success(b0, sim.now());
+        e.release(&b, NodeId(0), SlotKind::Map, false);
+        deadline = None;
+        assert!(da.grant(&mut phase_a, &mut deadline).is_empty());
+        assert_eq!(deadline, None, "no idle token, no deadline");
+        assert_eq!(view(&e, &a).speculative, 0);
+        assert_eq!(db.grant(&mut phase_b, &mut deadline).len(), 1);
+
+        // Same node as the straggler: never a clone target either way.
+        assert_eq!(
+            phase_a.book.speculation_wait(NodeId(0), sim.now(), &policy),
+            None
+        );
+        assert_eq!(
+            phase_a.book.speculation_wait(NodeId(1), sim.now(), &policy),
+            Some(Duration::ZERO)
+        );
+    }
+
+    #[test]
+    fn a_token_returned_by_a_clone_goes_to_a_queued_regular_attempt_first() {
+        // Two nodes, one map token each. A's only task straggles on node 0
+        // and gets a clone on node 1 while nobody wants the token; then B
+        // arrives with real demand.
+        let trackers = trackers(2, 1);
+        let e = Engine::new(&trackers);
+        let topology = ClusterTopology::flat(2);
+        let sim = Arc::new(simcluster::clock::SimClock::new());
+        let policy = SlowestFactorPolicy {
+            slowest_factor: 1.0,
+            min_runtime: Duration::from_secs(5),
+            min_completed: 0,
+        };
+        let a = e.register(0, "acme", sim.clone());
+        let b = e.register(1, "blue", sim.clone());
+        let (mut phase_a, splits_a) = map_phase(1);
+        let (mut phase_b, splits_b) = map_phase(1);
+        let da = Dispatch {
+            engine: &e,
+            account: &a,
+            trackers: &trackers,
+            topology: &topology,
+            splits: &splits_a,
+            speculation: Some(&policy),
+            clock: &*sim,
+        };
+        let db = Dispatch {
+            account: &b,
+            splits: &splits_b,
+            speculation: None,
+            ..da
+        };
+        let mut deadline = None;
+        assert_eq!(da.grant(&mut phase_a, &mut deadline).len(), 1);
+        // Node 1's token is idle and the attempt can qualify by time alone:
+        // that instant — one tick past the 5 s floor — is the deadline.
+        assert_eq!(deadline, Some(Duration::from_micros(5_000_001)));
+        sim.advance(deadline.unwrap());
+        let clone = da.grant(&mut phase_a, &mut deadline);
+        assert!(
+            matches!(clone[..], [(node, MapWork::Task { speculative: true, .. })] if node == NodeId(1))
+        );
+        assert_eq!(view(&e, &a).speculative, 1);
+
+        // B wants a token; the pool is exhausted, FIFO starves nobody.
+        assert!(db.grant(&mut phase_b, &mut deadline).is_empty());
+        // The clone returns its token. A has no regular work, and with B's
+        // demand on the books no second clone could take it: it is B's.
+        e.release(&a, NodeId(1), SlotKind::Map, true);
+        assert!(da.grant(&mut phase_a, &mut deadline).is_empty());
+        let granted = db.grant(&mut phase_b, &mut deadline);
+        assert!(
+            matches!(granted[..], [(node, MapWork::Task { speculative: false, .. })] if node == NodeId(1))
+        );
     }
 
     #[test]
@@ -2085,7 +2168,7 @@ mod engine_tests {
         let e = engine(1, 1);
         let seq = e.enqueue("acme").unwrap();
         e.await_activation(seq, "acme");
-        let account = e.register(seq, "acme");
+        let account = e.register(seq, "acme", clock());
         assert_eq!(e.pool.lock().jobs.len(), 1);
         let result = JobResult {
             job_name: "j".into(),
@@ -2110,5 +2193,191 @@ mod engine_tests {
         assert_eq!(usage.namespace_entries, 2);
         assert_eq!(usage.storage_bytes, 123);
         assert_eq!(usage.jobs_completed, 1);
+    }
+}
+
+/// Whole jobs through the dispatcher: residency, the no-deadlock shape, and
+/// that waiting is event-driven.
+#[cfg(test)]
+mod dispatch_tests {
+    use super::*;
+    use crate::fs::BsfsFs;
+    use crate::job::{IdentityReducer, InputSpec, JobConfig, Mapper};
+    use crate::tasktracker::AttemptState;
+    use blobseer::{BlobSeer, BlobSeerConfig};
+    use bsfs::{Bsfs, BsfsConfig};
+    use std::collections::HashSet;
+
+    /// A BSFS deployment over `nodes` nodes with 512-byte blocks, holding
+    /// `/in/data` of `blocks` full blocks of distinct 16-byte lines.
+    fn cluster(nodes: u32, blocks: usize) -> (ClusterTopology, BsfsFs) {
+        let topo = ClusterTopology::flat(nodes);
+        let provider_nodes: Vec<_> = topo.all_nodes().collect();
+        let storage = BlobSeer::with_topology(
+            BlobSeerConfig::for_tests()
+                .with_providers(nodes as usize)
+                .with_page_size(512),
+            &topo,
+            &provider_nodes,
+        );
+        let fs = BsfsFs::new(Bsfs::new(
+            storage,
+            BsfsConfig::for_tests().with_block_size(512),
+        ));
+        let text: String = (0..blocks * 32)
+            .map(|i| format!("k{i:06} v{i:06}\n"))
+            .collect();
+        fs.write_file("/in/data", text.as_bytes()).unwrap();
+        (topo, fs)
+    }
+
+    /// Emits every line under its first word: with an identity reducer, a
+    /// (tiny) sort.
+    struct KeyMapper;
+    impl Mapper for KeyMapper {
+        fn map(&self, _o: u64, line: &str, emit: &mut dyn FnMut(String, String)) -> MrResult<()> {
+            let (key, value) = line.split_once(' ').unwrap_or((line, ""));
+            emit(key.to_string(), value.to_string());
+            Ok(())
+        }
+    }
+
+    fn sort_job(out: &str, reducers: usize) -> Job {
+        Job::new(
+            JobConfig::new("sort", InputSpec::Files(vec!["/in".into()]), out)
+                .with_split_size(512)
+                .with_reducers(reducers),
+            Arc::new(KeyMapper),
+            Arc::new(IdentityReducer),
+        )
+    }
+
+    fn assert_matches_oracle(jt: &JobTracker, fs: &BsfsFs, result: &JobResult, oracle: &Job) {
+        let oracle = jt.run_inmem(fs, oracle).unwrap();
+        assert_eq!(result.output_files.len(), oracle.output_files.len());
+        for (d, o) in result.output_files.iter().zip(&oracle.output_files) {
+            assert_eq!(fs.read_file(d).unwrap(), fs.read_file(o).unwrap(), "{d}");
+        }
+    }
+
+    #[test]
+    fn every_configured_token_hosts_an_attempt_and_picks_are_made_for_its_node() {
+        // The default deployment: 8 trackers x (2 map + 1 reduce) tokens,
+        // tasks >= tokens, one block per split, blocks spread over all nodes.
+        let (topo, fs) = cluster(8, 32);
+        let jt = JobTracker::new(&topo);
+        let job = sort_job("/out", 8);
+        let account = jt.engine.register(0, "default", jt.clock.clone());
+        let run = JobRun::start(&jt, &fs, &job, &account).unwrap();
+        assert_eq!(run.splits.len(), 32);
+        run.dispatch();
+
+        // The attempt records name the node whose token each attempt held:
+        // every node must have hosted at least as many as it has tokens,
+        // however few workers the pool has.
+        for tracker in jt.trackers() {
+            let hosted = |book: &TaskBook, tasks: usize| {
+                (0..tasks)
+                    .flat_map(|t| book.attempts(t).to_vec())
+                    .filter(|a| a.node == tracker.node && a.state == AttemptState::Succeeded)
+                    .count()
+            };
+            let maps = hosted(&run.map_state.lock().book, 32);
+            let reduces = hosted(&run.reduce_state.lock().book, 8);
+            assert!(
+                maps >= tracker.map_slots && reduces >= tracker.reduce_slots,
+                "{:?} ran {maps} maps / {reduces} reduces",
+                tracker.node
+            );
+        }
+        let nodes: HashSet<NodeId> = (0..32)
+            .map(|t| run.map_state.lock().book.attempts(t)[0].node)
+            .collect();
+        assert_eq!(nodes.len(), 8, "map attempts ran on every node");
+
+        let result = run.finish().unwrap();
+        jt.engine.finish(&account, Some(&result));
+        let locality = result.locality;
+        assert_eq!(locality.total(), 32);
+        assert!(
+            locality.data_local * 10 >= locality.total() * 6,
+            "each token picks its node's splits first: {locality:?}"
+        );
+        assert_matches_oracle(&jt, &fs, &result, &sort_job("/oracle", 8));
+    }
+
+    #[test]
+    fn more_reducers_and_maps_than_pool_workers_cannot_deadlock() {
+        // Every reduce token is granted up front and holds an attempt that
+        // cannot finish before the maps do. Were a waiting reducer a thread,
+        // `workers` of them would starve the maps forever; as parked state
+        // they cost nothing, whatever MINIEXEC_WORKERS is.
+        let workers = miniexec::worker_count();
+        let nodes = (workers + 4) as u32;
+        let (topo, fs) = cluster(nodes, workers * 3 + 5);
+        let jt = JobTracker::new(&topo);
+        let reducers = workers + 4;
+        let result = jt.run(&fs, &sort_job("/out", reducers)).unwrap();
+        assert!(result.map_tasks > workers && result.reduce_tasks > workers);
+        assert_eq!(
+            result.shuffle.segments_fetched,
+            (result.map_tasks * result.reduce_tasks) as u64
+        );
+        assert_matches_oracle(&jt, &fs, &result, &sort_job("/oracle", reducers));
+    }
+
+    /// A wall clock that counts how its one wait primitive is used.
+    #[derive(Default)]
+    struct CountingClock {
+        wall: WallClock,
+        parks: AtomicUsize,
+        timed_parks: AtomicUsize,
+    }
+
+    impl Clock for CountingClock {
+        fn now(&self) -> Duration {
+            self.wall.now()
+        }
+        fn park(&self, parker: &Parker, deadline: Option<Duration>) {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            if deadline.is_some() {
+                self.timed_parks.fetch_add(1, Ordering::Relaxed);
+            }
+            self.wall.park(parker, deadline);
+        }
+        fn unpark(&self, parker: &Parker) {
+            self.wall.unpark(parker);
+        }
+    }
+
+    #[test]
+    fn without_speculation_the_dispatcher_only_ever_waits_for_events() {
+        struct NoOp;
+        impl Mapper for NoOp {
+            fn map(&self, _o: u64, _l: &str, _e: &mut dyn FnMut(String, String)) -> MrResult<()> {
+                Ok(())
+            }
+        }
+        let (topo, fs) = cluster(4, 1);
+        let clock = Arc::new(CountingClock::default());
+        let jt = JobTracker::new(&topo).with_clock(clock.clone());
+        let input = InputSpec::Synthetic {
+            splits: 64,
+            records_per_split: 1,
+        };
+        let job = Job::new(
+            JobConfig::new("no-op", input, "/out").with_reducers(2),
+            Arc::new(NoOp),
+            Arc::new(IdentityReducer),
+        );
+        assert!(job.config.speculation.is_none());
+        let result = jt.run(&fs, &job).unwrap();
+        assert_eq!((result.map_tasks, result.reduce_tasks), (64, 2));
+        // No deadline is ever armed, and the waits are bounded by the events
+        // there are to wait for: a handful per attempt (its token coming
+        // back, a reducer parking), not one per millisecond.
+        assert_eq!(clock.timed_parks.load(Ordering::Relaxed), 0);
+        let parks = clock.parks.load(Ordering::Relaxed);
+        assert!(parks > 0 && parks <= 4 * (64 + 2), "{parks} parks");
     }
 }

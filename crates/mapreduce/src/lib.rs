@@ -67,6 +67,11 @@ pub mod shuffle;
 pub mod split;
 pub mod tasktracker;
 
+/// For task bodies — mappers, reducers, [`fs::DistFs`] wrappers — that wait
+/// without using the CPU (a straggler's sleep on a virtual clock): the wait
+/// then costs the executor pool their attempt runs on no worker.
+pub use miniexec::blocking;
+
 pub use error::{MrError, MrResult};
 pub use fs::{BlockHint, BsfsFs, DistFs, FileReader, FileWriter, HdfsFs};
 pub use job::{

@@ -12,8 +12,10 @@
 //! **speculative execution**. A [`SpeculationPolicy`] decides, from a running
 //! attempt's elapsed time and reported progress (an [`AttemptView`]) and the
 //! runtimes of its completed peer tasks (a [`RuntimeHistory`], kept
-//! incrementally sorted so the per-poll consult is O(1), not a fresh sort),
-//! whether an idle slot should launch a duplicate attempt of that task. The
+//! incrementally sorted so the median is O(1), not a fresh sort), whether an
+//! idle slot should launch a duplicate attempt of that task — and, when not
+//! yet, after how long it could, which is the one deadline the jobtracker's
+//! dispatcher ever arms. The
 //! default [`SlowestFactorPolicy`] clones a task once it has run longer than
 //! `slowest_factor ×` the median of its completed peers (with an absolute
 //! floor, so short jobs don't speculate on noise); [`LatePolicy`] instead
@@ -127,12 +129,10 @@ pub struct AttemptView {
 
 /// Incrementally maintained runtime statistics of a phase's committed tasks.
 ///
-/// The speculation policy is consulted from idle worker slots polling under
-/// the phase lock every millisecond; the old implementation cloned and
-/// re-sorted the full runtime vector on every consult, an O(n log n) tax per
-/// poll that a 500-task phase pays thousands of times. This keeps the history
-/// sorted as runtimes arrive (binary-search insert, O(n) worst-case memmove
-/// but amortised far below a full sort), making `median` O(1).
+/// The speculation policy is consulted under the phase lock on every grant
+/// decision; this keeps the history sorted as runtimes arrive (binary-search
+/// insert, O(n) worst-case memmove but amortised far below a full sort),
+/// making `median` O(1).
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeHistory {
     sorted: Vec<Duration>,
@@ -183,13 +183,26 @@ impl RuntimeHistory {
 
 /// Decides whether a running task deserves a speculative duplicate attempt.
 ///
-/// The jobtracker consults the policy from *idle* worker slots (so "spare
+/// The jobtracker consults the policy for *idle* slot tokens (so "spare
 /// slots exist" holds by construction): `attempt` describes the task's sole
 /// running attempt, `history` the runtimes of the tasks of the same phase
 /// that already committed.
 pub trait SpeculationPolicy: Send + Sync {
     /// Should an idle slot clone this task now?
     fn should_speculate(&self, attempt: AttemptView, history: &RuntimeHistory) -> bool;
+
+    /// If this attempt does not qualify now, after how much more runtime
+    /// could it? [`should_speculate`](Self::should_speculate) stays false up
+    /// to that instant and turns true just past it, given the progress and
+    /// history seen so far. `None`: time alone cannot qualify the attempt,
+    /// only a commit can (more history) — an event the dispatcher wakes on
+    /// anyway. A progress report only moves the instant later, so waking at
+    /// a stale one is early, never late. The default suits policies whose
+    /// verdict does not depend on time.
+    fn time_to_qualify(&self, attempt: AttemptView, history: &RuntimeHistory) -> Option<Duration> {
+        let _ = (attempt, history);
+        None
+    }
 
     /// Ranking score used to choose *which* structural candidate to clone
     /// when several qualify: the candidate with the highest urgency is
@@ -241,16 +254,24 @@ impl Default for SlowestFactorPolicy {
     }
 }
 
+impl SlowestFactorPolicy {
+    /// The runtime an attempt must exceed to be cloned; `None` until enough
+    /// peers have completed.
+    fn threshold(&self, history: &RuntimeHistory) -> Option<Duration> {
+        (history.len() >= self.min_completed).then(|| {
+            let factor = history.median().mul_f64(self.slowest_factor);
+            factor.max(self.min_runtime)
+        })
+    }
+}
+
 impl SpeculationPolicy for SlowestFactorPolicy {
     fn should_speculate(&self, attempt: AttemptView, history: &RuntimeHistory) -> bool {
-        if history.len() < self.min_completed {
-            return false;
-        }
-        let threshold = history
-            .median()
-            .mul_f64(self.slowest_factor)
-            .max(self.min_runtime);
-        attempt.runtime > threshold
+        (self.threshold(history)).is_some_and(|threshold| attempt.runtime > threshold)
+    }
+
+    fn time_to_qualify(&self, attempt: AttemptView, history: &RuntimeHistory) -> Option<Duration> {
+        (self.threshold(history)).map(|threshold| threshold.saturating_sub(attempt.runtime))
     }
 }
 
@@ -305,6 +326,21 @@ impl SpeculationPolicy for LatePolicy {
         }
         let threshold = history.median().mul_f64(self.late_factor);
         Self::remaining(attempt) > threshold
+    }
+
+    fn time_to_qualify(&self, attempt: AttemptView, history: &RuntimeHistory) -> Option<Duration> {
+        let p = attempt.progress.clamp(0.0, 1.0).max(LATE_MIN_PROGRESS);
+        // A finished-but-uncommitted attempt has nothing left to estimate.
+        if history.len() < self.min_completed || p >= 1.0 {
+            return None;
+        }
+        // remaining > threshold  <=>  runtime > threshold * p / (1 - p);
+        // an instant too far to represent is as good as never.
+        let secs = history.median().as_secs_f64() * self.late_factor * p / (1.0 - p);
+        let qualifies_at = Duration::try_from_secs_f64(secs)
+            .ok()?
+            .max(self.min_runtime);
+        Some(qualifies_at.saturating_sub(attempt.runtime))
     }
 
     fn urgency(&self, attempt: AttemptView) -> Duration {
@@ -482,6 +518,73 @@ mod tests {
         assert!(policy.urgency(at(s(5), 0.1)) > policy.urgency(at(s(20), 0.9)));
         // remaining() itself: 10s at half progress -> 10s left.
         assert_eq!(LatePolicy::remaining(at(s(10), 0.5)), s(10));
+    }
+
+    /// `should_speculate` is false up to the instant `time_to_qualify` names
+    /// and true just past it.
+    fn assert_qualifies_exactly_at(
+        policy: &dyn SpeculationPolicy,
+        attempt: AttemptView,
+        history: &RuntimeHistory,
+    ) {
+        let tick = Duration::from_micros(1);
+        let wait = policy
+            .time_to_qualify(attempt, history)
+            .expect("time alone qualifies this attempt");
+        assert!(wait > tick, "pick an attempt that does not qualify yet");
+        let after = |extra: Duration| AttemptView {
+            runtime: attempt.runtime + extra,
+            ..attempt
+        };
+        assert!(!policy.should_speculate(attempt, history));
+        assert!(!policy.should_speculate(after(wait - tick), history));
+        assert!(policy.should_speculate(after(wait + tick), history));
+    }
+
+    #[test]
+    fn time_to_qualify_names_the_instant_should_speculate_flips() {
+        let s = Duration::from_secs;
+        let at = |runtime: Duration, progress: f64| AttemptView { runtime, progress };
+        let slowest = SlowestFactorPolicy {
+            slowest_factor: 2.0,
+            min_runtime: s(3),
+            min_completed: 2,
+        };
+        // Floor-dominated (2 x 1s < 3s) and factor-dominated (2 x 10s).
+        assert_qualifies_exactly_at(&slowest, ran(s(1)), &history(&[s(1), s(1)]));
+        assert_qualifies_exactly_at(&slowest, ran(s(7)), &history(&[s(10), s(10)]));
+        assert_eq!(
+            slowest.time_to_qualify(ran(s(7)), &history(&[s(10), s(10)])),
+            Some(s(13))
+        );
+        // No baseline yet: only the next commit can change the verdict.
+        assert_eq!(
+            slowest.time_to_qualify(ran(s(900)), &history(&[s(1)])),
+            None
+        );
+        // Already qualifying: no wait left.
+        assert_eq!(
+            slowest.time_to_qualify(ran(s(30)), &history(&[s(10), s(10)])),
+            Some(Duration::ZERO)
+        );
+
+        let late = LatePolicy {
+            late_factor: 1.0,
+            min_runtime: s(1),
+            min_completed: 1,
+        };
+        let h = history(&[s(10), s(10)]);
+        // Half done: remaining == runtime, so it qualifies past 10s.
+        assert_qualifies_exactly_at(&late, at(s(4), 0.5), &h);
+        // 20% done: remaining = 4 x runtime, qualifies past 2.5s.
+        assert_qualifies_exactly_at(&late, at(s(2), 0.2), &h);
+        // Floor-dominated: no report yet, 100ms in, 1s floor.
+        assert_qualifies_exactly_at(&late, at(Duration::from_millis(100), 0.0), &h);
+        // Progress only moves the instant later.
+        assert!(late.time_to_qualify(at(s(2), 0.6), &h) > late.time_to_qualify(at(s(2), 0.5), &h));
+        // Nothing left to estimate, or nothing to compare against.
+        assert_eq!(late.time_to_qualify(at(s(2), 1.0), &h), None);
+        assert_eq!(late.time_to_qualify(at(s(2), 0.5), &history(&[])), None);
     }
 
     #[test]

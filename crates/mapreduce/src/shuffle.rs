@@ -304,11 +304,15 @@ pub fn write_spill(
     Ok((image.len() as u64, records))
 }
 
-/// One partition's segment pulled out of one map's spill file.
+/// One partition's segment pulled out of one map's spill file: fetched, not
+/// yet decoded — a reduce attempt holds its segments in this compact form
+/// until every map's has arrived ([`Segment::decode`]).
 #[derive(Debug, Default, Clone)]
 pub struct Segment {
-    /// The segment's records, key-sorted (a merge run).
-    pub records: Vec<(String, String)>,
+    /// The segment's still-encoded records.
+    payload: bytes::Bytes,
+    /// Records the spill's index promises the payload holds.
+    pub records: u64,
     /// Bytes fetched from the storage layer (index + payload).
     pub bytes: u64,
     /// Positioned reads issued (1 for the index, +1 when the segment has
@@ -344,22 +348,29 @@ pub fn read_segment(
     let entry = (SPILL_HEADER_LEN + partition as u64 * SPILL_INDEX_ENTRY_LEN) as usize;
     let offset = get_u64(&header, entry)?;
     let len = get_u64(&header, entry + 8)?;
-    let records = get_u64(&header, entry + 16)?;
-    if len == 0 {
-        return Ok(segment);
-    }
-
-    let payload = reader.read_at(offset, len)?;
-    segment.bytes += payload.len() as u64;
-    segment.round_trips += 1;
-    segment.records = decode_records(&payload, records, path)?;
-    if segment.records.len() as u64 != records {
-        return Err(MrError::Storage(format!(
-            "segment {partition} of {path}: index promised {records} records, decoded {}",
-            segment.records.len()
-        )));
+    segment.records = get_u64(&header, entry + 16)?;
+    if len > 0 {
+        segment.payload = reader.read_at(offset, len)?;
+        segment.bytes += segment.payload.len() as u64;
+        segment.round_trips += 1;
     }
     Ok(segment)
+}
+
+impl Segment {
+    /// Decode the segment's records, key-sorted (a merge run). `path` names
+    /// the file it was fetched from, for error messages.
+    pub fn decode(&self, path: &str) -> MrResult<Vec<(String, String)>> {
+        let records = decode_records(&self.payload, self.records, path)?;
+        if records.len() as u64 != self.records {
+            return Err(MrError::Storage(format!(
+                "segment of {path}: index promised {} records, decoded {}",
+                self.records,
+                records.len()
+            )));
+        }
+        Ok(records)
+    }
 }
 
 /// Decode a length-prefixed record stream (one partition's payload).
@@ -637,7 +648,7 @@ mod tests {
 
         for (p, bucket) in buckets.iter().enumerate() {
             let seg = read_segment(&fs, "/out/_shuffle/map-00000", p, 3).unwrap();
-            assert_eq!(&seg.records, bucket, "partition {p}");
+            assert_eq!(&seg.decode("map-00000").unwrap(), bucket, "partition {p}");
             if bucket.is_empty() {
                 assert_eq!(seg.round_trips, 1, "empty segments skip the data read");
             } else {
@@ -709,12 +720,12 @@ mod tests {
         write_spill(&fs, &run_path("/out", 0, 2), &merged).unwrap();
         let seg = read_segment(&fs, &run_path("/out", 0, 2), 0, 2).unwrap();
         assert_eq!(
-            seg.records,
+            seg.decode("run").unwrap(),
             vec![pair("a", "m0"), pair("a", "m1"), pair("c", "m0")],
             "ties break toward the lower map id"
         );
         let seg = read_segment(&fs, &run_path("/out", 0, 2), 1, 2).unwrap();
-        assert_eq!(seg.records, vec![pair("z", "m0")]);
+        assert_eq!(seg.decode("run").unwrap(), vec![pair("z", "m0")]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (which node, how many concurrent slots); the actual task bodies —
 //! reading a split, applying the user's map function, partitioning the
 //! intermediate pairs, applying reduce and writing output files — live in the
-//! free functions of this module so the jobtracker's worker threads and the
+//! free functions of this module so the jobtracker's attempt tasks and the
 //! tests can call them directly.
 //!
 //! The module also owns the **attempt state machine**, [`TaskBook`]: one
@@ -131,7 +131,8 @@ pub struct AttemptRecord {
     pub node: NodeId,
     /// Whether it was launched as a speculative clone of a running attempt.
     pub speculative: bool,
-    /// Clock reading when the attempt was claimed.
+    /// Clock reading when the attempt was claimed, moved up to when it began
+    /// executing by [`TaskBook::record_started`].
     pub started_at: Duration,
     /// Current lifecycle state.
     pub state: AttemptState,
@@ -170,6 +171,9 @@ impl SpeculationCounters {
     }
 }
 
+/// Resolution of the injected clocks (a `SimClock` counts microseconds).
+const CLOCK_TICK: Duration = Duration::from_micros(1);
+
 /// What [`TaskBook::record_failure`] decided about a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureVerdict {
@@ -199,13 +203,13 @@ struct TaskEntry {
 /// phase inside the phase mutex; everything here is pure state driven by
 /// clock readings passed in by the caller, so tests can exercise every
 /// transition deterministically.
+#[derive(Default)]
 pub struct TaskBook {
     tasks: Vec<TaskEntry>,
     pending: Vec<usize>,
     outstanding: usize,
     retries: usize,
     committed: usize,
-    completed_runtimes: Vec<Duration>,
     history: RuntimeHistory,
     speculation: SpeculationCounters,
 }
@@ -222,12 +226,7 @@ impl TaskBook {
                 })
                 .collect(),
             pending: (0..num_tasks).collect(),
-            outstanding: 0,
-            retries: 0,
-            committed: 0,
-            completed_runtimes: Vec::new(),
-            history: RuntimeHistory::new(),
-            speculation: SpeculationCounters::default(),
+            ..Default::default()
         }
     }
 
@@ -269,12 +268,6 @@ impl TaskBook {
         &self.tasks[task].attempts
     }
 
-    /// Runtimes of the committed tasks in commit order (for reporting; the
-    /// speculation policies consult [`TaskBook::history`] instead).
-    pub fn completed_runtimes(&self) -> &[Duration] {
-        &self.completed_runtimes
-    }
-
     /// The committed runtimes as an incrementally sorted [`RuntimeHistory`]
     /// — the speculation policy's baseline, median in O(1) per consult.
     pub fn history(&self) -> &RuntimeHistory {
@@ -288,55 +281,91 @@ impl TaskBook {
         self.start_attempt(task, node, now, false)
     }
 
-    /// Offer an idle slot on `node` a speculative clone: the longest-running
-    /// task that is uncommitted, has never been speculated before (one clone
-    /// per task for the job's lifetime, so a clone that fails cannot trigger
-    /// an endless relaunch loop), has exactly one running attempt, runs on a
-    /// *different* node (cloning onto the straggler's own node would inherit
-    /// its slowness), and passes `policy` against the committed peers'
-    /// runtimes. Returns the claimed attempt, or `None` if nothing
-    /// qualifies.
+    /// The tasks an idle slot on `node` may clone, policy aside: uncommitted,
+    /// never speculated before (one clone per task for the job's lifetime,
+    /// so a clone that fails cannot trigger an endless relaunch loop), with
+    /// exactly one running attempt, on a *different* node (cloning onto the
+    /// straggler's own node would inherit its slowness).
+    fn clone_candidates(
+        &self,
+        node: NodeId,
+        now: Duration,
+    ) -> impl Iterator<Item = (usize, AttemptView)> + '_ {
+        self.tasks
+            .iter()
+            .enumerate()
+            .filter_map(move |(task, entry)| {
+                if entry.committed || entry.attempts.iter().any(|a| a.speculative) {
+                    return None;
+                }
+                let mut running = entry
+                    .attempts
+                    .iter()
+                    .filter(|a| a.state == AttemptState::Running);
+                let (Some(sole), None) = (running.next(), running.next()) else {
+                    return None;
+                };
+                (sole.node != node).then_some((
+                    task,
+                    AttemptView {
+                        runtime: now.saturating_sub(sole.started_at),
+                        progress: sole.progress,
+                    },
+                ))
+            })
+    }
+
+    /// Offer an idle slot on `node` a speculative clone: of the
+    /// [candidates](Self::clone_candidates) that pass `policy` against the
+    /// committed peers' runtimes, the one the policy ranks most urgent
+    /// (elapsed runtime by default, estimated remaining time for LATE; ties
+    /// to the lowest task id). Returns the claimed attempt, or `None` if
+    /// nothing qualifies.
     pub fn claim_speculative(
         &mut self,
         node: NodeId,
         now: Duration,
         policy: &dyn SpeculationPolicy,
     ) -> Option<TaskAttemptId> {
-        // Rank the structural candidates by the policy's urgency score
-        // (elapsed runtime by default, estimated remaining time for LATE),
-        // then consult `should_speculate` once for the most urgent — idle
-        // slots poll this under the phase lock every millisecond, so the
-        // history consult must stay O(1) per poll.
-        let mut candidate: Option<(usize, AttemptView, Duration)> = None;
-        for (task, entry) in self.tasks.iter().enumerate() {
-            if entry.committed || entry.attempts.iter().any(|a| a.speculative) {
-                continue;
-            }
-            let mut running = entry
-                .attempts
-                .iter()
-                .filter(|a| a.state == AttemptState::Running);
-            let (Some(sole), None) = (running.next(), running.next()) else {
-                continue;
-            };
-            if sole.node == node {
-                continue;
-            }
-            let view = AttemptView {
-                runtime: now.saturating_sub(sole.started_at),
-                progress: sole.progress,
-            };
-            let urgency = policy.urgency(view);
-            if candidate.is_none_or(|(_, _, best)| urgency > best) {
-                candidate = Some((task, view, urgency));
-            }
-        }
-        let (task, view, _) = candidate?;
-        if !policy.should_speculate(view, &self.history) {
-            return None;
-        }
+        let (task, _) = self
+            .clone_candidates(node, now)
+            .filter(|(_, view)| policy.should_speculate(*view, &self.history))
+            .min_by_key(|(task, view)| (std::cmp::Reverse(policy.urgency(*view)), *task))?;
         self.speculation.launched += 1;
         Some(self.start_attempt(task, node, now, true))
+    }
+
+    /// How long until [`claim_speculative`](Self::claim_speculative) on
+    /// `node` can succeed if nothing but the clock moves: `ZERO` when it
+    /// would succeed now, `None` when only an event (a commit, a failure, a
+    /// progress report) can make it. A positive wait is one clock tick past
+    /// [`SpeculationPolicy::time_to_qualify`]'s instant, where the policy's
+    /// strict comparison has flipped.
+    pub fn speculation_wait(
+        &self,
+        node: NodeId,
+        now: Duration,
+        policy: &dyn SpeculationPolicy,
+    ) -> Option<Duration> {
+        self.clone_candidates(node, now)
+            .filter_map(|(_, view)| {
+                if policy.should_speculate(view, &self.history) {
+                    Some(Duration::ZERO)
+                } else {
+                    let wait = policy.time_to_qualify(view, &self.history)?;
+                    Some(wait + CLOCK_TICK)
+                }
+            })
+            .min()
+    }
+
+    /// The attempt began executing — it may have queued for a pool worker
+    /// since the claim. Its runtime counts from here, so how wide the pool is
+    /// never makes a healthy attempt look like a straggler.
+    pub fn record_started(&mut self, id: TaskAttemptId, now: Duration) {
+        if let Some(record) = self.tasks[id.task].attempts.iter_mut().find(|a| a.id == id) {
+            record.started_at = now;
+        }
     }
 
     /// Record a progress report from a running attempt (fraction of its
@@ -399,7 +428,6 @@ impl TaskBook {
         self.tasks[id.task].committed = true;
         self.committed += 1;
         let runtime = now.saturating_sub(record.started_at);
-        self.completed_runtimes.push(runtime);
         self.history.record(runtime);
         if record.speculative {
             self.speculation.wins += 1;
@@ -811,7 +839,7 @@ mod tests {
         // t=2s: the fast task commits (runtime 2s becomes the median).
         clock.advance(Duration::from_secs(2));
         book.record_success(fast, clock.now());
-        assert_eq!(book.completed_runtimes(), &[Duration::from_secs(2)]);
+        assert_eq!(book.history().sorted(), &[Duration::from_secs(2)]);
 
         // t=4s: straggler runtime 4s <= 2 x median — no clone yet. The
         // straggler's own node is never offered the clone either.
@@ -851,8 +879,8 @@ mod tests {
         // recorded and the speculation baseline only holds the two winners.
         assert_eq!(book.retries(), 0);
         assert_eq!(
-            book.completed_runtimes(),
-            &[Duration::from_secs(2), Duration::from_secs(1)]
+            book.history().sorted(),
+            &[Duration::from_secs(1), Duration::from_secs(2)]
         );
         assert_eq!(book.attempts(1)[0].state, AttemptState::Lost);
         assert_eq!(book.attempts(1)[1].state, AttemptState::Succeeded);

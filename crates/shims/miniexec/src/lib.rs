@@ -14,6 +14,10 @@
 //!   tasks (newest first, so a reply it is waiting on tends to be serviced
 //!   immediately) and runs them inline. This is what makes nested fan-out on
 //!   a fixed pool deadlock-free.
+//! * **Waiting is not working.** A task that waits without using the CPU (a
+//!   sleep on a virtual clock) wraps the wait in [`blocking`]: a stand-in
+//!   worker takes its seat meanwhile, so the pool's size bounds parallelism,
+//!   never how many tasks may be asleep.
 //! * **Actors own their state single-threaded.** [`actor::spawn`] starts one
 //!   dedicated, census-registered thread per component (provider, DHT node);
 //!   callers hold a cloneable handle and enqueue commands. Dropping the last
@@ -87,16 +91,23 @@ struct QueuedTask {
     f: Task,
     /// Safe to run inline under an idle-waiting caller's stack frame. Short
     /// work items (page I/O, replica pushes, fan-out chunks) are helpable;
-    /// long-running control loops (tasktracker slots) are NOT — inlining a
-    /// reduce loop under a map slot's poll suspends the map slot until the
-    /// whole job finishes, which the reduce loop may itself be waiting on.
+    /// long tasks that may sleep on a clock (MapReduce task attempts) are
+    /// NOT — inlining one under a helping wait suspends the waiter for as
+    /// long as the attempt runs or sleeps.
     helpable: bool,
 }
 
 struct Executor {
-    tasks: Mutex<VecDeque<QueuedTask>>,
+    tasks: Mutex<RunQueue>,
     available: Condvar,
     workers: usize,
+}
+
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<QueuedTask>,
+    /// Stand-in workers (see [`blocking`]) owed an exit.
+    retiring: usize,
 }
 
 static EXECUTOR: OnceLock<&'static Executor> = OnceLock::new();
@@ -121,28 +132,33 @@ pub fn worker_count() -> usize {
 fn executor() -> &'static Executor {
     EXECUTOR.get_or_init(|| {
         let ex: &'static Executor = Box::leak(Box::new(Executor {
-            tasks: Mutex::new(VecDeque::new()),
+            tasks: Mutex::new(RunQueue::default()),
             available: Condvar::new(),
             workers: worker_count(),
         }));
         for i in 0..ex.workers {
             std::thread::Builder::new()
                 .name(format!("miniexec-{i}"))
-                .spawn(move || worker_loop(ex))
+                .spawn(move || worker_loop(ex, false))
                 .expect("spawn miniexec worker");
         }
         ex
     })
 }
 
-fn worker_loop(ex: &'static Executor) {
+/// Run queued tasks forever — or, for a `stand_in`, until one is retired.
+fn worker_loop(ex: &'static Executor, stand_in: bool) {
     let _census = census::Registration::new();
     IS_WORKER.with(|w| w.set(true));
     loop {
         let task = {
             let mut q = ex.tasks.lock().unwrap();
             loop {
-                if let Some(t) = q.pop_front() {
+                if stand_in && q.retiring > 0 {
+                    q.retiring -= 1;
+                    return;
+                }
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
                 q = ex.available.wait(q).unwrap();
@@ -150,6 +166,30 @@ fn worker_loop(ex: &'static Executor) {
         };
         run_task(task.f);
     }
+}
+
+/// Run `f` — a wait that uses no CPU, like a sleep on a virtual clock —
+/// without costing the pool a worker. On a pool worker a stand-in worker is
+/// started first and one is retired afterwards, so `worker_count()` threads
+/// stay available to run tasks however many tasks are asleep: pool size
+/// bounds parallelism, never how many tasks may be waiting. Off the pool
+/// this is just `f()`.
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    if !on_worker_thread() {
+        return f();
+    }
+    let ex = executor();
+    // Detached on purpose, like the pool's own workers: the stand-in may be
+    // mid-task when it is retired, and it exits by itself once that is done.
+    let stand_in = std::thread::Builder::new()
+        .name("miniexec-stand-in".into())
+        .spawn(move || worker_loop(ex, true));
+    let result = f();
+    if stand_in.is_ok() {
+        ex.tasks.lock().unwrap().retiring += 1;
+        ex.available.notify_all();
+    }
+    result
 }
 
 fn run_task(task: Task) {
@@ -164,10 +204,9 @@ fn submit(task: Task) {
 
 fn submit_with(task: Task, helpable: bool) {
     let ex = executor();
-    ex.tasks
-        .lock()
-        .unwrap()
-        .push_back(QueuedTask { f: task, helpable });
+    let mut q = ex.tasks.lock().unwrap();
+    q.tasks.push_back(QueuedTask { f: task, helpable });
+    drop(q);
     ex.available.notify_one();
 }
 
@@ -179,7 +218,7 @@ pub fn on_worker_thread() -> bool {
 /// Pop the most recently queued *helpable* task and run it inline. Returns
 /// false when no helpable task is queued. Newest-first order means a blocked
 /// caller helping itself tends to run exactly the task it is waiting on.
-/// Non-helpable tasks (long-running slot loops) are left for dedicated
+/// Non-helpable tasks (long-running task attempts) are left for dedicated
 /// workers — see [`QueuedTask::helpable`].
 pub fn run_one_queued_task() -> bool {
     let Some(ex) = EXECUTOR.get() else {
@@ -187,8 +226,8 @@ pub fn run_one_queued_task() -> bool {
     };
     let task = {
         let mut q = ex.tasks.lock().unwrap();
-        match q.iter().rposition(|t| t.helpable) {
-            Some(i) => q.remove(i),
+        match q.tasks.iter().rposition(|t| t.helpable) {
+            Some(i) => q.tasks.remove(i),
             None => None,
         }
     };
@@ -343,7 +382,7 @@ pub struct Scope<'env> {
     state: Arc<ScopeState>,
     /// Whether this scope's tokens may be inlined by idle-waiting helpers
     /// ([`run_one_queued_task`]). True for short work items; false for
-    /// long-running loops spawned via [`scope_blocking`].
+    /// long-running tasks spawned via [`scope_blocking`].
     helpable: bool,
     _env: std::marker::PhantomData<&'env mut &'env ()>,
 }
@@ -446,11 +485,11 @@ pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
     scope_impl(true, f)
 }
 
-/// Like [`scope`], but for tasks that run long and may block on each other's
-/// progress (e.g. tasktracker slot loops). Their tokens are never inlined by
-/// idle-waiting helpers — only dedicated pool workers (and threads blocked on
-/// *this* scope) run them, so a polling slot can never suspend itself under a
-/// sibling slot's loop.
+/// Like [`scope`], but for tasks that run long and may sleep (a MapReduce
+/// task attempt under a virtual clock). Their tokens are never inlined by
+/// idle-waiting helpers — only dedicated pool workers (and the thread blocked
+/// on *this* scope, once its closure has returned) run them, so a helping
+/// wait inside one attempt can never suspend itself under a sibling.
 pub fn scope_blocking<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
     scope_impl(false, f)
 }

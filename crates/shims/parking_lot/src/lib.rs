@@ -195,6 +195,24 @@ impl Condvar {
         guard.inner = Some(std_guard);
     }
 
+    /// Blocks until notified or `timeout` elapses; the result says which.
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: std::time::Duration,
+    ) -> sync::WaitTimeoutResult {
+        let std_guard = guard
+            .inner
+            .take()
+            .expect("guard present outside Condvar::wait_for");
+        let (std_guard, result) = self
+            .inner
+            .wait_timeout(std_guard, timeout)
+            .unwrap_or_else(sync::PoisonError::into_inner);
+        guard.inner = Some(std_guard);
+        result
+    }
+
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }

@@ -7,13 +7,19 @@
 //! a test can control. The [`Clock`] trait is that seam:
 //!
 //! * [`WallClock`] is the production implementation — `now` is time since the
-//!   clock was created, `sleep` is a real [`std::thread::sleep`];
+//!   clock was created, waits are real condvar waits;
 //! * [`SimClock`] is a manually advanced virtual clock — `sleep` blocks the
 //!   calling thread on a condvar until someone calls [`SimClock::advance`]
 //!   past the deadline, so a test can inject "a task that takes 60 seconds"
 //!   without the test suite ever waiting 60 real seconds, and a scheduler's
 //!   timing decisions (straggler detection, speculation) become deterministic
 //!   functions of virtual time.
+//!
+//! Waiting is one primitive, [`Clock::park`]: block until a [`Parker`] is
+//! unparked *or* the clock reaches a deadline. [`Clock::sleep`] is the
+//! special case nobody unparks; an event-driven component (the jobtracker's
+//! dispatcher) parks without a deadline and is woken by events, arming a
+//! deadline only for "the earliest instant something can become true".
 //!
 //! [`SimClock::drive`] is the standard harness for running thread-based code
 //! under virtual time: it executes a closure on a scoped thread while the
@@ -23,13 +29,39 @@
 use parking_lot::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A source of time that thread-based components read and sleep against.
+/// A wake-up flag one thread parks on through a [`Clock`]. Unparking is
+/// sticky: an [`Clock::unpark`] that lands before the [`Clock::park`] makes
+/// that park return at once, so no wake-up is ever lost.
+#[derive(Default)]
+pub struct Parker {
+    woken: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Parker {
+    /// A parker with no wake-up pending.
+    pub fn new() -> Self {
+        Parker::default()
+    }
+}
+
+/// A source of time that thread-based components read and wait against.
 pub trait Clock: Send + Sync {
     /// Time elapsed since the clock's origin.
     fn now(&self) -> Duration;
 
+    /// Block the calling thread until `parker` is unparked or, with a
+    /// `deadline`, until [`Clock::now`] reaches it — whichever comes first.
+    /// Consumes the pending wake-up.
+    fn park(&self, parker: &Parker, deadline: Option<Duration>);
+
+    /// Wake the thread parked (now or next) on `parker` through this clock.
+    fn unpark(&self, parker: &Parker);
+
     /// Block the calling thread for `d` of this clock's time.
-    fn sleep(&self, d: Duration);
+    fn sleep(&self, d: Duration) {
+        self.park(&Parker::new(), Some(self.now() + d));
+    }
 }
 
 /// The production clock: real time since construction, real sleeps.
@@ -58,15 +90,31 @@ impl Clock for WallClock {
         self.origin.elapsed()
     }
 
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
+    fn park(&self, parker: &Parker, deadline: Option<Duration>) {
+        let mut woken = parker.woken.lock();
+        while !*woken {
+            match deadline.map(|d| d.saturating_sub(self.now())) {
+                None => parker.cv.wait(&mut woken),
+                Some(left) if left.is_zero() => break,
+                Some(left) => {
+                    parker.cv.wait_for(&mut woken, left);
+                }
+            }
+        }
+        *woken = false;
+    }
+
+    fn unpark(&self, parker: &Parker) {
+        *parker.woken.lock() = true;
+        parker.cv.notify_all();
     }
 }
 
 struct SimClockState {
     /// Virtual microseconds since the clock's origin.
     now_us: u64,
-    /// Deadlines (virtual µs) of threads currently blocked in `sleep`.
+    /// Deadlines (virtual µs) of threads currently parked with a deadline
+    /// (`sleep` included).
     sleepers: Vec<u64>,
 }
 
@@ -107,7 +155,8 @@ impl SimClock {
         self.cv.notify_all();
     }
 
-    /// Number of threads currently blocked in [`Clock::sleep`].
+    /// Number of threads currently waiting for a virtual deadline
+    /// ([`Clock::sleep`], or [`Clock::park`] with one).
     pub fn sleeper_count(&self) -> usize {
         self.state.lock().sleepers.len()
     }
@@ -162,8 +211,10 @@ impl SimClock {
         std::thread::scope(|scope| {
             let worker = scope.spawn(f);
             while !worker.is_finished() {
-                // Let the driven threads reach their next blocking point.
-                std::thread::sleep(Duration::from_millis(2));
+                // Let the driven threads reach their next blocking point:
+                // long enough that a busy two-core host does not turn a
+                // healthy task into a straggler between two ticks.
+                std::thread::sleep(Duration::from_millis(5));
                 if worker.is_finished() {
                     break;
                 }
@@ -188,24 +239,29 @@ impl Clock for SimClock {
         Duration::from_micros(self.now_micros())
     }
 
-    fn sleep(&self, d: Duration) {
-        if d.is_zero() {
-            return;
-        }
+    fn park(&self, parker: &Parker, deadline: Option<Duration>) {
+        let deadline_us = deadline.map(|d| d.as_micros() as u64);
         let mut s = self.state.lock();
-        let deadline = s.now_us.saturating_add(d.as_micros() as u64);
-        s.sleepers.push(deadline);
-        // Wake any pump waiting for a sleeper to appear.
-        self.cv.notify_all();
-        while s.now_us < deadline {
+        if let Some(us) = deadline_us {
+            s.sleepers.push(us);
+            // Wake any pump waiting for a sleeper to appear.
+            self.cv.notify_all();
+        }
+        // The flag is only ever touched under the clock's state lock, so an
+        // unpark cannot slip between this check and the wait.
+        while !*parker.woken.lock() && deadline_us.is_none_or(|us| s.now_us < us) {
             self.cv.wait(&mut s);
         }
-        let pos = s
-            .sleepers
-            .iter()
-            .position(|&d| d == deadline)
-            .expect("own deadline registered");
-        s.sleepers.swap_remove(pos);
+        *parker.woken.lock() = false;
+        if let Some(pos) = deadline_us.and_then(|us| s.sleepers.iter().position(|&d| d == us)) {
+            s.sleepers.swap_remove(pos);
+        }
+    }
+
+    fn unpark(&self, parker: &Parker) {
+        let _s = self.state.lock();
+        *parker.woken.lock() = true;
+        self.cv.notify_all();
     }
 }
 
@@ -263,6 +319,60 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         handle.join().unwrap();
         assert!(woke.load(Ordering::SeqCst));
+        assert_eq!(clock.sleeper_count(), 0);
+    }
+
+    #[test]
+    fn wall_park_returns_on_a_pending_unpark_or_a_passed_deadline() {
+        let clock = WallClock::new();
+        let parker = Parker::new();
+        // Sticky: the unpark lands first, the park consumes it at once...
+        clock.unpark(&parker);
+        clock.park(&parker, None);
+        // ...exactly once: the next park runs into its deadline instead.
+        let before = clock.now();
+        clock.park(&parker, Some(before + Duration::from_millis(5)));
+        assert!(clock.now() >= before + Duration::from_millis(5));
+        clock.park(&parker, Some(Duration::ZERO)); // already passed
+    }
+
+    #[test]
+    fn sim_park_wakes_on_unpark_or_exactly_at_its_deadline() {
+        let clock = Arc::new(SimClock::new());
+        let parker = Arc::new(Parker::new());
+        let park = |deadline: Option<Duration>| {
+            let (clock, parker) = (Arc::clone(&clock), Arc::clone(&parker));
+            std::thread::spawn(move || {
+                clock.park(&parker, deadline);
+                clock.now()
+            })
+        };
+        // Without a deadline the parked thread is no sleeper (the pump has
+        // nothing to advance to) and only an unpark wakes it.
+        let handle = park(None);
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(clock.sleeper_count(), 0);
+        assert!(!clock.advance_while_sleeping(Duration::from_secs(1)));
+        clock.unpark(&parker);
+        assert_eq!(handle.join().unwrap(), Duration::ZERO);
+
+        // With one, it is a registered sleeper the pump advances to exactly.
+        let handle = park(Some(Duration::from_millis(2500)));
+        while clock.sleeper_count() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(clock.advance_while_sleeping(Duration::from_secs(2)));
+        assert!(clock.advance_while_sleeping(Duration::from_secs(2)));
+        assert_eq!(handle.join().unwrap(), Duration::from_millis(2500));
+        assert_eq!(clock.sleeper_count(), 0);
+
+        // An unpark beats a far deadline and deregisters the sleeper.
+        let handle = park(Some(Duration::from_secs(3600)));
+        while clock.sleeper_count() == 0 {
+            std::thread::yield_now();
+        }
+        clock.unpark(&parker);
+        assert_eq!(handle.join().unwrap(), Duration::from_millis(2500));
         assert_eq!(clock.sleeper_count(), 0);
     }
 

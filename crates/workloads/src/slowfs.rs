@@ -123,7 +123,9 @@ impl SlowFs {
     fn apply(&self, op: DelayOp, path: &str) {
         for rule in self.rules.iter() {
             if rule.take(op, path, self.node) {
-                self.clock.sleep(rule.delay);
+                // A straggler is a slow *node*: its wait must not cost the
+                // executor pool that plays every node a worker.
+                mapreduce::blocking(|| self.clock.sleep(rule.delay));
             }
         }
     }
