@@ -207,6 +207,10 @@ struct SortArm {
     exchanges: u64,
     control_messages: u64,
     shuffle_wire_bytes: u64,
+    /// What the job itself put on the storage wire (provider + DHT
+    /// messages, from submit to completion).
+    storage_wire_messages: u64,
+    storage_wire_bytes: u64,
     output_records: u64,
 }
 
@@ -254,7 +258,14 @@ fn run_sort_arm(lines: usize, reducers: usize, placement: PlacementStrategy) -> 
     let jt = JobTracker::new(&topo)
         .with_clock(Arc::clone(&clock) as Arc<dyn Clock>)
         .with_transport(Arc::clone(&net) as Arc<dyn Transport>, topo.node(0));
+    let sys = fs.inner().storage();
+    let storage_wire = || {
+        let dht = sys.metadata().dht().wire_counters().snapshot();
+        sys.provider_wire().snapshot().merged(&dht)
+    };
+    let wire_before = storage_wire();
     let result = jt.run(&fs, &job).unwrap();
+    let storage_wire = storage_wire().since(&wire_before);
 
     let mut output = Vec::new();
     let mut previous: Option<String> = None;
@@ -277,6 +288,8 @@ fn run_sort_arm(lines: usize, reducers: usize, placement: PlacementStrategy) -> 
             exchanges: net.exchanges(),
             control_messages: control.messages(),
             shuffle_wire_bytes: result.shuffle.wire_snapshot().bytes_on_wire,
+            storage_wire_messages: storage_wire.messages,
+            storage_wire_bytes: storage_wire.bytes_on_wire,
             output_records: result.output_records,
         },
         output,
@@ -340,8 +353,14 @@ fn main() {
     for arm in [&local, &random] {
         println!(
             "  {:>14}: makespan {:>9} us, {:>6} exchanges ({} control messages), \
-             shuffle wire bytes {}",
-            arm.label, arm.makespan_us, arm.exchanges, arm.control_messages, arm.shuffle_wire_bytes
+             shuffle wire bytes {}, storage wire {} bytes in {} messages",
+            arm.label,
+            arm.makespan_us,
+            arm.exchanges,
+            arm.control_messages,
+            arm.shuffle_wire_bytes,
+            arm.storage_wire_bytes,
+            arm.storage_wire_messages,
         );
     }
     println!();

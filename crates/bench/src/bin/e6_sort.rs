@@ -103,6 +103,9 @@ fn main() {
     }
     let mut compaction_rows = Vec::new();
     let mut outputs: Vec<Vec<u8>> = Vec::new();
+    // Read amplification of the plain (uncompacted) sort: bytes the BlobSeer
+    // deployment served over bytes the job's tasks asked the file system for.
+    let mut storage_read_bytes_per_requested_byte = 0.0;
     for (label, threshold) in [("compaction off", None), ("compaction on ", Some(0))] {
         let out = format!("/sort-{label}", label = label.trim().replace(' ', "-"));
         let mut job = workloads::distributed_sort_job(
@@ -114,7 +117,18 @@ fn main() {
         )
         .expect("sampling the sort input");
         job.config.compaction_threshold = threshold;
+        let storage_bytes_read = || bsfs.inner().storage().stats().bytes_read;
+        let read_before = storage_bytes_read();
         let (result, _) = bench::run_job_on(&bsfs, &bench::app_topology(), &job);
+        if threshold.is_none() {
+            let requested = result.input_bytes + result.shuffle.shuffle_read_bytes;
+            storage_read_bytes_per_requested_byte =
+                (storage_bytes_read() - read_before) as f64 / requested as f64;
+            println!(
+                "storage read {storage_read_bytes_per_requested_byte:.6} bytes per byte the \
+                 job's tasks requested ({requested} B)"
+            );
+        }
         let mut merged = Vec::new();
         for part in &result.output_files {
             merged.extend_from_slice(&bsfs.read_file(part).unwrap());
@@ -170,6 +184,7 @@ fn main() {
     struct Snapshot {
         experiment: &'static str,
         smoke: bool,
+        storage_read_bytes_per_requested_byte: f64,
         compaction: Vec<CompactionRow>,
     }
     bench::emit_bench_json(
@@ -177,6 +192,7 @@ fn main() {
         &Snapshot {
             experiment: "E6",
             smoke,
+            storage_read_bytes_per_requested_byte,
             compaction: compaction_rows,
         },
     );

@@ -114,15 +114,12 @@ impl ReadCache {
     }
 
     fn lookup(&mut self, block: u64) -> Option<Bytes> {
-        if let Some(idx) = self.blocks.iter().position(|(b, _)| *b == block) {
-            // Move to the back (most recently used).
-            let entry = self.blocks.remove(idx).expect("index valid");
-            let data = entry.1.clone();
-            self.blocks.push_back(entry);
-            Some(data)
-        } else {
-            None
-        }
+        let idx = self.blocks.iter().position(|(b, _)| *b == block)?;
+        // Move to the back (most recently used).
+        let entry = self.blocks.remove(idx)?;
+        let data = entry.1.clone();
+        self.blocks.push_back(entry);
+        Some(data)
     }
 
     fn insert(&mut self, block: u64, data: Bytes) {

@@ -7,10 +7,12 @@
 //!
 //! * a **centralized namespace manager** ([`namespace::NamespaceManager`])
 //!   mapping a hierarchical file namespace onto BlobSeer blobs;
-//! * **client-side caching** ([`cache`]) — reads prefetch a whole block,
-//!   writes are buffered and committed one block at a time — so that the
-//!   4 KB-record access pattern of MapReduce applications does not translate
-//!   into millions of tiny storage operations;
+//! * **client-side caching** ([`cache`]) — a stream of small sequential
+//!   reads prefetches a whole block, writes are buffered and committed one
+//!   block at a time — so that the 4 KB-record access pattern of MapReduce
+//!   applications does not translate into millions of tiny storage
+//!   operations; any other read ([`BsfsReader::read_at`]) names its range
+//!   and moves exactly those bytes;
 //! * a **data-layout exposure** primitive ([`Bsfs::locate`]) so the MapReduce
 //!   scheduler can ship computation to the nodes holding the data.
 //!
@@ -200,7 +202,7 @@ impl Bsfs {
         })
     }
 
-    /// Open a file for positioned reads.
+    /// Open a file for reading.
     pub fn open(&self, path: &str) -> FsResult<BsfsReader> {
         let normalized = namespace::normalize(path)?;
         let entry = self.namespace.lookup(&normalized)?;
@@ -211,6 +213,8 @@ impl Bsfs {
             cache_enabled: self.config.cache_enabled,
             path: normalized,
             position: 0,
+            run: 0,
+            run_end: 0,
         })
     }
 
@@ -371,7 +375,15 @@ impl BsfsWriter {
     }
 }
 
-/// Positioned/sequential reader for one file, with whole-block prefetching.
+/// How many sub-block reads in a row, each starting where the one before
+/// ended, a [`BsfsReader`] serves exactly before it takes them for a stream
+/// of small records. Two is what fetching a header and then the body it
+/// points to looks like (the shuffle's index and segment); a third is a scan.
+const EXACT_READS_BEFORE_STREAM: u32 = 2;
+
+/// Reader for one file. A read moves exactly the bytes it names, until the
+/// reads form a stream of small records: from then on a miss prefetches the
+/// whole block and the records that follow are served from it.
 pub struct BsfsReader {
     client: BlobSeerClient,
     blob: BlobId,
@@ -379,6 +391,10 @@ pub struct BsfsReader {
     cache_enabled: bool,
     path: String,
     position: u64,
+    /// Sub-block reads in a row that each started where the one before ended
+    /// (the first of them included), and where the last one ended.
+    run: u32,
+    run_end: u64,
 }
 
 impl BsfsReader {
@@ -402,13 +418,19 @@ impl BsfsReader {
         self.cache.stats()
     }
 
-    /// Read `len` bytes at an explicit offset.
+    /// Read `len` bytes at an explicit offset: exactly the bytes
+    /// `[offset, offset + len)`, with one ranged blob read — a caller that
+    /// names its range has said all it wants. The exception is the access
+    /// pattern the paper's cache is for, a stream of small records: once
+    /// more than [`EXACT_READS_BEFORE_STREAM`] reads shorter than a block
+    /// have each continued the one before, reads go through the block cache,
+    /// which prefetches whole blocks, until one breaks the run.
     pub fn read_at(&mut self, offset: u64, len: u64) -> FsResult<Bytes> {
         let size = self.len()?;
         // `checked_add`: a huge offset must surface as `OutOfBounds`, not
         // wrap past the bounds check in release builds.
         let requested_end = offset.checked_add(len);
-        if requested_end.is_none() || requested_end.unwrap() > size {
+        if requested_end.is_none_or(|end| end > size) {
             return Err(FsError::OutOfBounds {
                 path: self.path.clone(),
                 requested_end: requested_end.unwrap_or(u64::MAX),
@@ -418,12 +440,19 @@ impl BsfsReader {
         if len == 0 {
             return Ok(Bytes::new());
         }
-        if !self.cache_enabled {
+        let block_size = self.cache.block_size();
+        self.run = if len >= block_size {
+            0
+        } else if self.run > 0 && offset == self.run_end {
+            self.run.saturating_add(1)
+        } else {
+            1
+        };
+        self.run_end = offset + len;
+        if !self.cache_enabled || self.run <= EXACT_READS_BEFORE_STREAM {
             return Ok(self.client.read_latest(self.blob, offset, len)?);
         }
-        let client = &self.client;
-        let blob = self.blob;
-        let block_size = self.cache.block_size();
+        let (client, blob) = (&self.client, self.blob);
         self.cache
             .read(offset, len, size, |block, block_len| {
                 client.read_latest(blob, block * block_size, block_len)
@@ -530,6 +559,64 @@ mod tests {
         // 2048/256 = 8 blocks loaded, not 64 small reads.
         assert_eq!(stats.blocks_loaded, 8);
         assert!(stats.hits > stats.misses);
+    }
+
+    #[test]
+    fn positioned_read_moves_only_the_bytes_it_asked_for() {
+        let fs = fs();
+        let data: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file("/input", &data).unwrap();
+        let mut r = fs.open("/input").unwrap();
+        let before = fs.storage().stats();
+        // The last byte of block 0 (blocks are 256 bytes).
+        assert_eq!(&r.read_at(255, 1).unwrap()[..], &data[255..256]);
+        let after = fs.storage().stats();
+        assert_eq!(after.bytes_read - before.bytes_read, 1);
+        assert_eq!(after.read_ops - before.read_ops, 1);
+        // A read spanning three blocks is still one exact blob read.
+        assert_eq!(&r.read_at(200, 400).unwrap()[..], &data[200..600]);
+        let last = fs.storage().stats();
+        assert_eq!(last.bytes_read - after.bytes_read, 400);
+        assert_eq!(last.read_ops - after.read_ops, 1);
+        // A header and then the body right behind it: two reads, both exact.
+        let mut r = fs.open("/input").unwrap();
+        r.read_at(0, 16).unwrap();
+        r.read_at(16, 100).unwrap();
+        let body = fs.storage().stats();
+        assert_eq!(body.bytes_read - last.bytes_read, 116);
+        assert_eq!(r.cache_stats(), CacheStats::default(), "no block loaded");
+    }
+
+    #[test]
+    fn a_run_of_small_sequential_positioned_reads_becomes_a_stream() {
+        let fs = fs();
+        let data: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file("/input", &data).unwrap();
+        let mut r = fs.open("/input").unwrap();
+        let before = fs.storage().stats();
+        // 32-byte records over four 256-byte blocks: the first two are exact
+        // reads, the third makes it a stream and loads block 0, and from
+        // there one blob read per block serves eight records.
+        for at in (0..1024).step_by(32) {
+            let got = r.read_at(at, 32).unwrap();
+            assert_eq!(&got[..], &data[at as usize..at as usize + 32]);
+        }
+        let scanned = fs.storage().stats();
+        assert_eq!(scanned.read_ops - before.read_ops, 2 + 4);
+        assert_eq!(scanned.bytes_read - before.bytes_read, 64 + 1024);
+        assert_eq!(r.cache_stats().blocks_loaded, 4);
+        // A read elsewhere breaks the run: exact again, no block loaded.
+        assert_eq!(&r.read_at(512, 8).unwrap()[..], &data[512..520]);
+        let jumped = fs.storage().stats();
+        assert_eq!(jumped.bytes_read - scanned.bytes_read, 8);
+        assert_eq!(r.cache_stats().blocks_loaded, 4);
+        // So does a read of a block or more, however sequential.
+        r.read_at(0, 256).unwrap();
+        r.read_at(256, 256).unwrap();
+        r.read_at(512, 256).unwrap();
+        let blocks = fs.storage().stats();
+        assert_eq!(blocks.read_ops - jumped.read_ops, 3);
+        assert_eq!(r.cache_stats().blocks_loaded, 4);
     }
 
     #[test]

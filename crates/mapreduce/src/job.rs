@@ -313,14 +313,16 @@ impl Job {
     }
 }
 
-/// Format an emitted pair the way Hadoop's `TextOutputFormat` does:
-/// `key<TAB>value`, with the tab omitted when the value is empty.
-pub fn format_output_record(key: &str, value: &str) -> String {
-    if value.is_empty() {
-        format!("{key}\n")
-    } else {
-        format!("{key}\t{value}\n")
+/// Format an emitted pair onto the end of `out` the way Hadoop's
+/// `TextOutputFormat` does: `key<TAB>value`, with the tab omitted when the
+/// value is empty.
+pub fn format_output_record(out: &mut Vec<u8>, key: &str, value: &str) {
+    out.extend_from_slice(key.as_bytes());
+    if !value.is_empty() {
+        out.push(b'\t');
+        out.extend_from_slice(value.as_bytes());
     }
+    out.push(b'\n');
 }
 
 #[cfg(test)]
@@ -407,8 +409,10 @@ mod tests {
 
     #[test]
     fn output_record_formatting() {
-        assert_eq!(format_output_record("k", "v"), "k\tv\n");
-        assert_eq!(format_output_record("only-key", ""), "only-key\n");
+        let mut out = Vec::new();
+        format_output_record(&mut out, "k", "v");
+        format_output_record(&mut out, "only-key", "");
+        assert_eq!(out, b"k\tv\nonly-key\n");
     }
 
     #[test]

@@ -72,7 +72,8 @@ use crate::shuffle::{self, JobScratch};
 use crate::split::{compute_splits, InputSplit};
 use crate::tasktracker::{
     group_by_key, run_map_task, run_map_task_with_progress, run_reduce_task, write_output_file,
-    FailureVerdict, MapTaskOutput, SpeculationCounters, TaskAttemptId, TaskBook, TaskTracker,
+    FailureVerdict, MapTaskOutput, OutputFile, SpeculationCounters, TaskAttemptId, TaskBook,
+    TaskTracker,
 };
 use parking_lot::{Condvar, Mutex};
 use simcluster::clock::{Clock, Parker, WallClock};
@@ -780,9 +781,8 @@ struct FetchProgress {
     taken: usize,
     /// Map tasks those sources cover; the attempt can finish at `num_maps`.
     covered: usize,
-    /// The partition's segment of every source fetched so far, still
-    /// encoded: parked state stays compact, and the records are decoded,
-    /// merged and dropped by one thread, in the attempt's last step.
+    /// The partition's segment of every source fetched so far, encoded as
+    /// fetched: the attempt's last step merges them in place.
     segments: Vec<(FetchSource, shuffle::Segment)>,
     round_trips: u64,
     bytes: u64,
@@ -1502,31 +1502,28 @@ impl<'a> JobRun<'a> {
     }
 
     /// Compact the committed spills `start..start + len` into one merged run:
-    /// bulk-read each spill, k-way-merge per partition, write the result in
-    /// spill layout to `_temporary` scratch, rename it into place (the range
-    /// was claimed once, so nobody races for the name) and publish it under
-    /// the phase lock. On any error the spills are published unmerged —
-    /// compaction is an optimization, never a point of failure; the committed
-    /// spills themselves are untouched either way.
+    /// bulk-read each spill, k-way-merge per partition — the reducers' merge,
+    /// records copied through as encoded bytes — write the image to
+    /// `_temporary` scratch, rename it into place (the range was claimed
+    /// once, so nobody races for the name) and publish it under the phase
+    /// lock. On any error the spills are published unmerged — compaction is
+    /// an optimization, never a point of failure; the committed spills
+    /// themselves are untouched either way.
     fn run_compaction(&self, node: NodeId, start: usize, len: usize, seq: usize) {
         let (fs, scratch, partitions) = (&*self.fs.on_node(node), &self.scratch, self.partitions);
         let task = format!("compact-{start:05}");
         let attempt_scratch = scratch.attempt_path(&task, seq);
         let outcome = (|| -> MrResult<u64> {
-            let mut buckets: Vec<Vec<Vec<(String, String)>>> =
-                (0..partitions).map(|_| Vec::with_capacity(len)).collect();
-            for map_id in start..start + len {
-                let path = scratch.spill_path(map_id);
-                let spill = shuffle::read_spill_runs(fs, &path, partitions)?;
-                for (p, bucket) in spill.partitions.into_iter().enumerate() {
-                    buckets[p].push(bucket);
-                }
-            }
-            let merged: Vec<Vec<(String, String)>> =
-                buckets.into_iter().map(shuffle::merge_runs).collect();
-            let (bytes, _) = shuffle::write_spill(fs, &attempt_scratch, &merged)?;
+            let spills = (start..start + len)
+                .map(|map_id| {
+                    let path = scratch.spill_path(map_id);
+                    Ok(shuffle::read_spill(fs, &path, partitions)?.0)
+                })
+                .collect::<MrResult<Vec<_>>>()?;
+            let image = shuffle::merge_spills(&spills, partitions)?;
+            shuffle::write_image(fs, &attempt_scratch, &image)?;
             fs.rename(&attempt_scratch, &scratch.run_path(start, len))?;
-            Ok(bytes)
+            Ok(image.len() as u64)
         })();
 
         let mut s = self.map_state.lock();
@@ -1685,10 +1682,11 @@ impl<'a> JobRun<'a> {
     /// One step of a reduce attempt, a short pool task: pull the partition's
     /// segment from every fetch source (map spill, or merged run) published
     /// since the attempt's last step; if the sources now cover every map
-    /// task, k-way-merge the sorted runs, reduce, write and commit in the
-    /// same task — otherwise park the attempt and tell the dispatcher. The
-    /// source queue only grows, so speculative attempts of one partition
-    /// consume it independently.
+    /// task, stream the k-way merge of the encoded segments through the
+    /// reducer into the part file and commit in the same task — otherwise
+    /// park the attempt and tell the dispatcher. The source queue only
+    /// grows, so speculative attempts of one partition consume it
+    /// independently.
     fn reduce_step(&self, mut attempt: ReduceAttempt) {
         let fs = &*self.fs.on_node(attempt.node);
         let (id, partition, fetch) = (attempt.id, attempt.id.task, &mut attempt.fetch);
@@ -1706,9 +1704,10 @@ impl<'a> JobRun<'a> {
                 fetch.taken += news.len();
                 for source in news {
                     let path = source.path(&self.scratch);
-                    let segment = shuffle::read_segment(fs, &path, partition, self.partitions)?;
-                    fetch.round_trips += segment.round_trips;
-                    fetch.bytes += segment.bytes;
+                    let (segment, cost) =
+                        shuffle::read_segment(fs, &path, partition, self.partitions)?;
+                    fetch.round_trips += cost.round_trips;
+                    fetch.bytes += cost.bytes;
                     fetch.covered += source.len();
                     fetch.segments.push((source, segment));
                 }
@@ -1724,20 +1723,17 @@ impl<'a> JobRun<'a> {
                 return Ok(ReduceOutcome::Preempted);
             }
             // Sources cover disjoint contiguous map-id ranges: ordering the
-            // runs by range start restores global map-id order, so the k-way
-            // merge's tie-break reproduces the oracle's (map id, emit order)
-            // sequence.
+            // segments by range start restores global map-id order, so the
+            // k-way merge's tie-break reproduces the oracle's (map id, emit
+            // order) sequence.
             fetch.segments.sort_by_key(|(source, _)| source.start());
-            let runs = (fetch.segments.iter())
-                .map(|(source, segment)| segment.decode(&source.path(&self.scratch)))
-                .collect::<MrResult<Vec<_>>>()?;
-            let merge_runs = runs.iter().filter(|r| !r.is_empty()).count() as u64;
-            let merged = shuffle::merge_runs(runs);
-            let records = shuffle::reduce_merged(merged, &*self.job.reducer)?;
-            let bytes = write_output_file(fs, &attempt_scratch, &records)?;
+            let mut out = OutputFile::create(fs, &attempt_scratch)?;
+            let segments = fetch.segments.iter().map(|(_, segment)| segment);
+            let merge_runs = shuffle::reduce_segments(segments, &*self.job.reducer, &mut out)?;
+            let records = out.records();
             return Ok(ReduceOutcome::Done {
-                bytes,
-                records: records.len() as u64,
+                bytes: out.close()?,
+                records,
                 merge_runs,
             });
         })();

@@ -10,8 +10,10 @@
 //!   file `<output>/_shuffle/map-<id>` with a per-partition index header
 //!   ([`write_spill`]);
 //! * every reduce task **pulls** its partition's segment out of every map
-//!   file with positioned reads ([`read_segment`]) and **k-way-merges** the
-//!   pre-sorted runs ([`merge_runs`]);
+//!   file with positioned reads ([`read_segment`]) and streams the **k-way
+//!   merge** of the still-encoded, pre-sorted segments through the reducer
+//!   into its part file ([`reduce_segments`]) — a record stays a slice of the
+//!   buffer it was fetched in until the user's `reduce` asks for a `String`;
 //! * task attempts write under `<output>/_temporary/attempt-<task>-<n>`
 //!   ([`attempt_path`]) and [`rename`](crate::fs::DistFs::rename) into place
 //!   on commit — the jobtracker performs that rename under its phase lock so
@@ -40,10 +42,12 @@
 //! merges pre-sorted runs instead of re-sorting the world.
 
 use crate::error::{MrError, MrResult};
-use crate::fs::DistFs;
+use crate::fs::{DistFs, FileReader};
 use crate::job::Reducer;
+use crate::tasktracker::OutputFile;
+use bytes::Bytes;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Magic number at the head of every spill file (`"SHUF"`).
 pub const SPILL_MAGIC: u32 = 0x5348_5546;
@@ -197,33 +201,22 @@ pub struct CombineOutcome {
     pub output_records: u64,
 }
 
-/// Walk a key-sorted record stream, calling `f(key, values)` once per group
-/// of consecutive equal keys — the grouping contract both the combiner and
-/// the reduce side rely on. Takes the records by value so the values move
-/// into their group instead of being cloned.
-fn for_each_group(
-    records: Vec<(String, String)>,
-    mut f: impl FnMut(&str, &[String]) -> MrResult<()>,
-) -> MrResult<()> {
-    let mut it = records.into_iter().peekable();
-    while let Some((key, first)) = it.next() {
-        let mut values = vec![first];
-        while it.peek().is_some_and(|(k, _)| *k == key) {
-            values.push(it.next().expect("peeked").1);
-        }
-        f(&key, &values)?;
-    }
-    Ok(())
-}
-
 /// Run the combiner over a key-sorted bucket, Hadoop's spill-time
-/// mini-reduce.
+/// mini-reduce: once per group of consecutive equal keys (the reduce side
+/// groups the same way over encoded records, in [`reduce_segments`]). Takes
+/// the records by value so the values move into their group instead of being
+/// cloned.
 pub fn combine_run(run: Vec<(String, String)>, combiner: &dyn Reducer) -> MrResult<CombineOutcome> {
     let input_records = run.len() as u64;
     let mut out = Vec::new();
-    for_each_group(run, |key, values| {
-        combiner.reduce(key, values, &mut |k, v| out.push((k, v)))
-    })?;
+    let mut records = run.into_iter().peekable();
+    while let Some((key, first)) = records.next() {
+        let mut values = vec![first];
+        while let Some((_, value)) = records.next_if(|(k, _)| *k == key) {
+            values.push(value);
+        }
+        combiner.reduce(&key, &values, &mut |k, v| out.push((k, v)))?;
+    }
     // A well-behaved combiner emits in key order, but nothing enforces it —
     // re-sort (stable) so the spill's sorted-run contract always holds.
     sort_run(&mut out);
@@ -242,51 +235,65 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+fn truncated() -> MrError {
+    MrError::Storage("truncated shuffle data".into())
+}
+
 fn get_u32(data: &[u8], at: usize) -> MrResult<u32> {
-    data.get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-        .ok_or_else(|| MrError::Storage("truncated shuffle data".into()))
+    let bytes = data.get(at..).and_then(|d| d.first_chunk());
+    Ok(u32::from_le_bytes(*bytes.ok_or_else(truncated)?))
 }
 
 fn get_u64(data: &[u8], at: usize) -> MrResult<u64> {
-    data.get(at..at + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-        .ok_or_else(|| MrError::Storage("truncated shuffle data".into()))
+    let bytes = data.get(at..).and_then(|d| d.first_chunk());
+    Ok(u64::from_le_bytes(*bytes.ok_or_else(truncated)?))
+}
+
+/// Start a spill image whose partitions hold the given `(payload bytes,
+/// records)`: the header and the index are written and room for the payloads
+/// is reserved, so the caller appends each partition's records, in partition
+/// order, and every record is copied exactly once.
+fn begin_spill_image(partitions: &[(u64, u64)]) -> Vec<u8> {
+    let payload: u64 = partitions.iter().map(|(len, _)| len).sum();
+    let mut image = Vec::with_capacity((index_len(partitions.len()) + payload) as usize);
+    put_u32(&mut image, SPILL_MAGIC);
+    put_u32(&mut image, SPILL_VERSION);
+    put_u32(&mut image, partitions.len() as u32);
+    put_u32(&mut image, 0); // reserved
+    let mut offset = index_len(partitions.len());
+    for &(len, records) in partitions {
+        put_u64(&mut image, offset);
+        put_u64(&mut image, len);
+        put_u64(&mut image, records);
+        offset += len;
+    }
+    image
 }
 
 /// Encode partition buckets (each already key-sorted) into the spill layout.
 /// Returns the file image and the total record count.
 pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, u64) {
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(partitions.len());
-    let mut records_total = 0u64;
-    for bucket in partitions {
-        let mut payload = Vec::new();
-        for (k, v) in bucket {
-            put_u32(&mut payload, k.len() as u32);
-            payload.extend_from_slice(k.as_bytes());
-            put_u32(&mut payload, v.len() as u32);
-            payload.extend_from_slice(v.as_bytes());
-        }
-        records_total += bucket.len() as u64;
-        payloads.push(payload);
+    let sizes: Vec<(u64, u64)> = (partitions.iter())
+        .map(|bucket| {
+            let payload: usize = bucket.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+            (payload as u64, bucket.len() as u64)
+        })
+        .collect();
+    let mut image = begin_spill_image(&sizes);
+    for (k, v) in partitions.iter().flatten() {
+        put_u32(&mut image, k.len() as u32);
+        image.extend_from_slice(k.as_bytes());
+        put_u32(&mut image, v.len() as u32);
+        image.extend_from_slice(v.as_bytes());
     }
+    (image, sizes.iter().map(|(_, records)| records).sum())
+}
 
-    let mut file = Vec::new();
-    put_u32(&mut file, SPILL_MAGIC);
-    put_u32(&mut file, SPILL_VERSION);
-    put_u32(&mut file, partitions.len() as u32);
-    put_u32(&mut file, 0); // reserved
-    let mut offset = index_len(partitions.len());
-    for (bucket, payload) in partitions.iter().zip(&payloads) {
-        put_u64(&mut file, offset);
-        put_u64(&mut file, payload.len() as u64);
-        put_u64(&mut file, bucket.len() as u64);
-        offset += payload.len() as u64;
-    }
-    for payload in payloads {
-        file.extend_from_slice(&payload);
-    }
-    (file, records_total)
+/// Write a finished spill image to `path`.
+pub fn write_image(fs: &dyn DistFs, path: &str, image: &[u8]) -> MrResult<()> {
+    let mut writer = fs.create(path)?;
+    writer.write(image)?;
+    writer.close()
 }
 
 /// Write a map task's partition buckets as a spill file at `path` (normally
@@ -298,26 +305,82 @@ pub fn write_spill(
     partitions: &[Vec<(String, String)>],
 ) -> MrResult<(u64, u64)> {
     let (image, records) = encode_spill(partitions);
-    let mut writer = fs.create(path)?;
-    writer.write(&image)?;
-    writer.close()?;
+    write_image(fs, path, &image)?;
     Ok((image.len() as u64, records))
 }
 
-/// One partition's segment pulled out of one map's spill file: fetched, not
-/// yet decoded — a reduce attempt holds its segments in this compact form
-/// until every map's has arrived ([`Segment::decode`]).
+/// One partition's segment pulled out of one spill file (a map's, or a
+/// merged run's): fetched and kept encoded. Nothing ever decodes a segment
+/// into a record vector — [`merge_segments`] walks its payload in place.
 #[derive(Debug, Default, Clone)]
 pub struct Segment {
     /// The segment's still-encoded records.
-    payload: bytes::Bytes,
+    payload: Bytes,
+    /// The file it was fetched from, for error messages.
+    source: String,
     /// Records the spill's index promises the payload holds.
     pub records: u64,
-    /// Bytes fetched from the storage layer (index + payload).
+}
+
+/// What a fetch cost the storage layer.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FetchCost {
+    /// Bytes fetched (index + payload).
     pub bytes: u64,
-    /// Positioned reads issued (1 for the index, +1 when the segment has
-    /// payload).
+    /// Positioned reads issued (1 for the index, +1 when there was payload
+    /// to read).
     pub round_trips: u64,
+}
+
+/// Read and validate the header+index of the spill at `path`: one
+/// positioned read, whose cost is returned with it.
+fn read_index(
+    reader: &mut dyn FileReader,
+    path: &str,
+    num_partitions: usize,
+) -> MrResult<(Bytes, FetchCost)> {
+    let header = reader.read_at(0, index_len(num_partitions))?;
+    if get_u32(&header, 0)? != SPILL_MAGIC || get_u32(&header, 4)? != SPILL_VERSION {
+        return Err(MrError::Storage(format!("{path} is not a spill file")));
+    }
+    let partitions = get_u32(&header, 8)? as usize;
+    if partitions != num_partitions {
+        return Err(MrError::Storage(format!(
+            "{path} holds {partitions} partitions, {num_partitions} expected"
+        )));
+    }
+    let cost = FetchCost {
+        bytes: header.len() as u64,
+        round_trips: 1,
+    };
+    Ok((header, cost))
+}
+
+/// Index entry `partition` of a spill header: `(offset, len, records)`.
+fn index_entry(header: &[u8], partition: usize) -> MrResult<(u64, u64, u64)> {
+    let entry = (SPILL_HEADER_LEN + partition as u64 * SPILL_INDEX_ENTRY_LEN) as usize;
+    Ok((
+        get_u64(header, entry)?,
+        get_u64(header, entry + 8)?,
+        get_u64(header, entry + 16)?,
+    ))
+}
+
+/// Read `len` bytes of payload at `offset` — skipped when there are none —
+/// and add what it cost to `cost`.
+fn read_payload(
+    reader: &mut dyn FileReader,
+    offset: u64,
+    len: u64,
+    cost: &mut FetchCost,
+) -> MrResult<Bytes> {
+    if len == 0 {
+        return Ok(Bytes::new());
+    }
+    let payload = reader.read_at(offset, len)?;
+    cost.bytes += payload.len() as u64;
+    cost.round_trips += 1;
+    Ok(payload)
 }
 
 /// Fetch partition `partition` of the spill at `path` with positioned reads:
@@ -328,146 +391,236 @@ pub fn read_segment(
     path: &str,
     partition: usize,
     num_partitions: usize,
-) -> MrResult<Segment> {
+) -> MrResult<(Segment, FetchCost)> {
     let mut reader = fs.open(path)?;
-    let header = reader.read_at(0, index_len(num_partitions))?;
-    let mut segment = Segment {
-        bytes: header.len() as u64,
-        round_trips: 1,
-        ..Segment::default()
+    let (header, mut cost) = read_index(&mut *reader, path, num_partitions)?;
+    let (offset, len, records) = index_entry(&header, partition)?;
+    let segment = Segment {
+        payload: read_payload(&mut *reader, offset, len, &mut cost)?,
+        source: path.to_string(),
+        records,
     };
-    if get_u32(&header, 0)? != SPILL_MAGIC || get_u32(&header, 4)? != SPILL_VERSION {
-        return Err(MrError::Storage(format!("{path} is not a spill file")));
-    }
-    let partitions = get_u32(&header, 8)? as usize;
-    if partitions != num_partitions || partition >= partitions {
-        return Err(MrError::Storage(format!(
-            "{path} holds {partitions} partitions, segment {partition} of {num_partitions} requested"
-        )));
-    }
-    let entry = (SPILL_HEADER_LEN + partition as u64 * SPILL_INDEX_ENTRY_LEN) as usize;
-    let offset = get_u64(&header, entry)?;
-    let len = get_u64(&header, entry + 8)?;
-    segment.records = get_u64(&header, entry + 16)?;
-    if len > 0 {
-        segment.payload = reader.read_at(offset, len)?;
-        segment.bytes += segment.payload.len() as u64;
-        segment.round_trips += 1;
-    }
-    Ok(segment)
+    Ok((segment, cost))
 }
 
-impl Segment {
-    /// Decode the segment's records, key-sorted (a merge run). `path` names
-    /// the file it was fetched from, for error messages.
-    pub fn decode(&self, path: &str) -> MrResult<Vec<(String, String)>> {
-        let records = decode_records(&self.payload, self.records, path)?;
-        if records.len() as u64 != self.records {
+/// Fetch every partition's segment of the spill at `path`: one positioned
+/// read for the header+index, one for the whole payload region, which the
+/// segments share as views. This is how the compactor ingests the spills it
+/// merges — paying 2 reads per *spill* rather than 2 per map×partition pair.
+pub fn read_spill(
+    fs: &dyn DistFs,
+    path: &str,
+    num_partitions: usize,
+) -> MrResult<(Vec<Segment>, FetchCost)> {
+    let mut reader = fs.open(path)?;
+    let (header, mut cost) = read_index(&mut *reader, path, num_partitions)?;
+    let entries = (0..num_partitions)
+        .map(|p| index_entry(&header, p))
+        .collect::<MrResult<Vec<_>>>()?;
+    let base = index_len(num_partitions);
+    // The index is untrusted: lengths that do not add up are corruption.
+    let payload_len = (entries.iter())
+        .try_fold(0u64, |sum, (_, len, _)| sum.checked_add(*len))
+        .ok_or_else(|| corrupt(path))?;
+    let payload = read_payload(&mut *reader, base, payload_len, &mut cost)?;
+    let segments = (entries.into_iter())
+        .map(|(offset, len, records)| {
+            let from = offset.checked_sub(base).map(|from| from as usize);
+            let range = from.and_then(|from| Some(from..from.checked_add(len as usize)?));
+            match range {
+                Some(range) if range.end <= payload.len() => Ok(Segment {
+                    payload: payload.slice(range),
+                    source: path.to_string(),
+                    records,
+                }),
+                _ => Err(corrupt(path)),
+            }
+        })
+        .collect::<MrResult<Vec<_>>>()?;
+    Ok((segments, cost))
+}
+
+fn corrupt(path: &str) -> MrError {
+    MrError::Storage(format!("corrupt segment in {path}"))
+}
+
+/// One still-encoded record: views into its segment's payload.
+#[derive(Debug, Clone, Copy)]
+pub struct RawRecord<'a> {
+    /// The key's bytes.
+    pub key: &'a [u8],
+    /// The value's bytes.
+    pub value: &'a [u8],
+    /// The whole record as it is encoded, length prefixes included — what a
+    /// merge that writes spill layout copies through unchanged.
+    pub encoded: &'a [u8],
+}
+
+/// A position in a segment's payload. Enforces, in both directions, that the
+/// payload holds exactly the records its index entry promised.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    /// Records the index still promises beyond `rest`'s start.
+    promised: u64,
+    source: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(segment: &'a Segment) -> Self {
+        Cursor {
+            rest: &segment.payload,
+            promised: segment.records,
+            source: &segment.source,
+        }
+    }
+
+    /// Step over the next record; `None` at the end of the segment.
+    fn next(&mut self) -> MrResult<Option<RawRecord<'a>>> {
+        if self.rest.is_empty() && self.promised == 0 {
+            return Ok(None);
+        }
+        if self.rest.is_empty() || self.promised == 0 {
             return Err(MrError::Storage(format!(
-                "segment of {path}: index promised {} records, decoded {}",
-                self.records,
-                records.len()
+                "segment of {}: the index promises {} more records, the payload has {} more bytes",
+                self.source,
+                self.promised,
+                self.rest.len()
             )));
         }
-        Ok(records)
+        let corrupt = || corrupt(self.source);
+        let key_len = get_u32(self.rest, 0)? as usize;
+        let (key, after_key) = (self.rest[4..].split_at_checked(key_len)).ok_or_else(corrupt)?;
+        let value_len = get_u32(after_key, 0)? as usize;
+        let (value, rest) = (after_key[4..].split_at_checked(value_len)).ok_or_else(corrupt)?;
+        let encoded = &self.rest[..self.rest.len() - rest.len()];
+        self.rest = rest;
+        self.promised -= 1;
+        Ok(Some(RawRecord {
+            key,
+            value,
+            encoded,
+        }))
     }
 }
 
-/// Decode a length-prefixed record stream (one partition's payload).
-fn decode_records(payload: &[u8], expected: u64, path: &str) -> MrResult<Vec<(String, String)>> {
-    let mut records = Vec::with_capacity(expected as usize);
-    let mut at = 0usize;
-    while at < payload.len() {
-        let key_len = get_u32(payload, at)? as usize;
-        at += 4;
-        let key = payload
-            .get(at..at + key_len)
-            .ok_or_else(|| MrError::Storage(format!("corrupt segment in {path}")))?;
-        at += key_len;
-        let val_len = get_u32(payload, at)? as usize;
-        at += 4;
-        let val = payload
-            .get(at..at + val_len)
-            .ok_or_else(|| MrError::Storage(format!("corrupt segment in {path}")))?;
-        at += val_len;
-        records.push((
-            String::from_utf8_lossy(key).into_owned(),
-            String::from_utf8_lossy(val).into_owned(),
-        ));
-    }
-    Ok(records)
+/// Entry in the k-way-merge heap: the record a run's cursor stands on.
+/// `BinaryHeap` is a max-heap, so comparisons are reversed; ties break toward
+/// the lower run index (map id), and within a run the cursor supplies records
+/// in position order — reproducing the in-memory shuffle's value arrival
+/// order.
+struct MergeHead<'a> {
+    record: RawRecord<'a>,
+    run: usize,
 }
 
-/// A whole spill read back as per-partition runs, the compactor's bulk-read
-/// form of [`read_segment`].
-#[derive(Debug, Default)]
-pub struct SpillRuns {
-    /// Every partition's key-sorted bucket, in partition order.
-    pub partitions: Vec<Vec<(String, String)>>,
-    /// Bytes fetched from the storage layer (index + payload).
-    pub bytes: u64,
-    /// Positioned reads issued (1 for the index, +1 when any partition has
-    /// payload).
-    pub round_trips: u64,
+impl PartialEq for MergeHead<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.record.key == other.record.key && self.run == other.run
+    }
+}
+impl Eq for MergeHead<'_> {}
+impl PartialOrd for MergeHead<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for MergeHead<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Keys are UTF-8, so byte order is `str` order.
+        (other.record.key.cmp(self.record.key)).then_with(|| other.run.cmp(&self.run))
+    }
 }
 
-/// Read an entire spill file back: one positioned read for the header+index,
-/// one for the whole payload region. This is how the compactor ingests the
-/// spills it merges — paying 2 reads per *spill* rather than 2 per
-/// map×partition pair.
-pub fn read_spill_runs(fs: &dyn DistFs, path: &str, num_partitions: usize) -> MrResult<SpillRuns> {
-    let mut reader = fs.open(path)?;
-    let header = reader.read_at(0, index_len(num_partitions))?;
-    let mut out = SpillRuns {
-        bytes: header.len() as u64,
-        round_trips: 1,
-        ..SpillRuns::default()
-    };
-    if get_u32(&header, 0)? != SPILL_MAGIC || get_u32(&header, 4)? != SPILL_VERSION {
-        return Err(MrError::Storage(format!("{path} is not a spill file")));
-    }
-    let partitions = get_u32(&header, 8)? as usize;
-    if partitions != num_partitions {
-        return Err(MrError::Storage(format!(
-            "{path} holds {partitions} partitions, {num_partitions} expected"
-        )));
-    }
-    let mut entries = Vec::with_capacity(partitions);
-    let mut payload_len = 0u64;
-    for p in 0..partitions {
-        let entry = (SPILL_HEADER_LEN + p as u64 * SPILL_INDEX_ENTRY_LEN) as usize;
-        let offset = get_u64(&header, entry)?;
-        let len = get_u64(&header, entry + 8)?;
-        let records = get_u64(&header, entry + 16)?;
-        entries.push((offset, len, records));
-        payload_len += len;
-    }
-    if payload_len == 0 {
-        out.partitions = vec![Vec::new(); partitions];
-        return Ok(out);
-    }
-    let base = index_len(partitions);
-    let payload = reader.read_at(base, payload_len)?;
-    out.bytes += payload.len() as u64;
-    out.round_trips += 1;
-    for (p, (offset, len, records)) in entries.into_iter().enumerate() {
-        let from = (offset - base) as usize;
-        let slice = payload
-            .get(from..from + len as usize)
-            .ok_or_else(|| MrError::Storage(format!("corrupt segment in {path}")))?;
-        let decoded = decode_records(slice, records, path)?;
-        if decoded.len() as u64 != records {
-            return Err(MrError::Storage(format!(
-                "partition {p} of {path}: index promised {records} records, decoded {}",
-                decoded.len()
-            )));
+/// K-way-merge still-encoded, pre-sorted segments (in map-id order) into one
+/// key-sorted record stream, handing `each` every record as a view. Stable:
+/// for equal keys, records come out in (map id, emit order) — exactly the
+/// order [`merge_runs`] gives the same runs decoded, and the order the
+/// in-memory shuffle's concatenate-then-group produces. Fails with
+/// [`MrError::Storage`] on a truncated or corrupt payload and on a segment
+/// holding more or fewer records than its index promised. Returns the
+/// number of segments that held records.
+pub fn merge_segments<'a>(
+    segments: impl IntoIterator<Item = &'a Segment>,
+    mut each: impl FnMut(RawRecord<'a>) -> MrResult<()>,
+) -> MrResult<u64> {
+    let mut cursors: Vec<Cursor<'a>> = segments.into_iter().map(Cursor::new).collect();
+    let mut heap = BinaryHeap::with_capacity(cursors.len());
+    for (run, cursor) in cursors.iter_mut().enumerate() {
+        if let Some(record) = cursor.next()? {
+            heap.push(MergeHead { record, run });
         }
-        out.partitions.push(decoded);
     }
-    Ok(out)
+    let runs = heap.len() as u64;
+    while let Some(mut head) = heap.peek_mut() {
+        each(head.record)?;
+        // Replacing the head in place costs one sift; a pop and a push, two.
+        match cursors[head.run].next()? {
+            Some(record) => head.record = record,
+            None => drop(PeekMut::pop(head)),
+        }
+    }
+    Ok(runs)
 }
 
-/// Entry in the k-way-merge heap: `BinaryHeap` is a max-heap, so comparisons
+/// The reduce side of the shuffle in one streaming pass: merge the
+/// partition's segments ([`merge_segments`]), group consecutive equal keys,
+/// call the reducer once per group and format what it emits into `out`,
+/// which goes to storage a piece at a time. Only one group's values are
+/// ever decoded at once. Returns the number of segments that held records.
+pub fn reduce_segments<'a>(
+    segments: impl IntoIterator<Item = &'a Segment>,
+    reducer: &dyn Reducer,
+    out: &mut OutputFile,
+) -> MrResult<u64> {
+    let reduce_group = |key: &[u8], values: &[String], out: &mut OutputFile| {
+        let key = String::from_utf8_lossy(key);
+        reducer.reduce(&key, values, &mut |k, v| out.push(&k, &v))?;
+        out.flush_pieces()
+    };
+    let mut group: Option<&[u8]> = None;
+    let mut values: Vec<String> = Vec::new();
+    let runs = merge_segments(segments, |record| {
+        if group != Some(record.key) {
+            if let Some(key) = group.replace(record.key) {
+                reduce_group(key, &values, out)?;
+                values.clear();
+            }
+        }
+        values.push(String::from_utf8_lossy(record.value).into_owned());
+        Ok(())
+    })?;
+    if let Some(key) = group {
+        reduce_group(key, &values, out)?;
+    }
+    Ok(runs)
+}
+
+/// Merge whole spills (each one [`read_spill`]'s segments, in map-id order)
+/// into the image of one merged run: per partition the same merge the
+/// reducers run, with every record copied through as encoded bytes.
+pub fn merge_spills(spills: &[Vec<Segment>], num_partitions: usize) -> MrResult<Vec<u8>> {
+    let partition = |p: usize| spills.iter().filter_map(move |spill| spill.get(p));
+    let sizes: Vec<(u64, u64)> = (0..num_partitions)
+        .map(|p| {
+            partition(p).fold((0, 0), |(bytes, records), segment| {
+                (
+                    bytes + segment.payload.len() as u64,
+                    records + segment.records,
+                )
+            })
+        })
+        .collect();
+    let mut image = begin_spill_image(&sizes);
+    for p in 0..num_partitions {
+        merge_segments(partition(p), |record| {
+            image.extend_from_slice(record.encoded);
+            Ok(())
+        })?;
+    }
+    Ok(image)
+}
+
+/// Entry in [`merge_runs`]' heap: `BinaryHeap` is a max-heap, so comparisons
 /// are reversed; ties break toward the lower run index (map id), reproducing
 /// the in-memory shuffle's value arrival order.
 struct HeapEntry<'a> {
@@ -496,10 +649,12 @@ impl Ord for HeapEntry<'_> {
     }
 }
 
-/// K-way-merge pre-sorted runs (one per map task, in map-id order) into one
-/// key-sorted record stream. Stable: for equal keys, records come out in
-/// (map id, emit order) — exactly the order the in-memory shuffle's
-/// concatenate-then-group produces.
+/// K-way-merge pre-sorted runs of decoded records (one per map task, in
+/// map-id order) into one key-sorted record stream. Stable: for equal keys,
+/// records come out in (map id, emit order) — exactly the order the in-memory
+/// shuffle's concatenate-then-group produces. No job runs this any more: it
+/// is the record-level reference [`merge_segments`] is property-tested
+/// against.
 pub fn merge_runs(runs: Vec<Vec<(String, String)>>) -> Vec<(String, String)> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut heap: BinaryHeap<HeapEntry<'_>> = runs
@@ -531,19 +686,6 @@ pub fn merge_runs(runs: Vec<Vec<(String, String)>>) -> Vec<(String, String)> {
         merged.push(std::mem::take(&mut runs[run][pos]));
     }
     merged
-}
-
-/// Feed a merged, key-sorted record stream through the reducer, grouping
-/// consecutive equal keys. Returns the output records in emit order.
-pub fn reduce_merged(
-    merged: Vec<(String, String)>,
-    reducer: &dyn Reducer,
-) -> MrResult<Vec<(String, String)>> {
-    let mut output = Vec::new();
-    for_each_group(merged, |key, values| {
-        reducer.reduce(key, values, &mut |k, v| output.push((k, v)))
-    })?;
-    Ok(output)
 }
 
 /// Output-commit a task's records in one shot: write them in text output
@@ -634,26 +776,68 @@ mod tests {
         assert_eq!(fs.list("/out").unwrap(), Vec::<String>::new());
     }
 
-    #[test]
-    fn spill_roundtrip_through_storage() {
-        let fs = fs();
-        let buckets = vec![
+    /// A segment's records, decoded — through the merge, the only reader of
+    /// encoded records there is.
+    fn decode(segment: &Segment) -> Vec<(String, String)> {
+        let mut records = Vec::new();
+        merge_segments([segment], |r| {
+            let text = |bytes| String::from_utf8_lossy(bytes).into_owned();
+            records.push((text(r.key), text(r.value)));
+            Ok(())
+        })
+        .unwrap();
+        records
+    }
+
+    fn sample_buckets() -> Vec<Vec<(String, String)>> {
+        vec![
             vec![pair("a", "1"), pair("b", "2")],
             Vec::new(),
             vec![pair("c", "x\ty\n"), pair("c", ""), pair("d", "3")],
-        ];
+        ]
+    }
+
+    /// The spill image of [`sample_buckets`], written out by hand.
+    fn sample_image() -> Vec<u8> {
+        let mut golden = Vec::new();
+        for word in [SPILL_MAGIC, SPILL_VERSION, 3, 0] {
+            golden.extend_from_slice(&word.to_le_bytes());
+        }
+        // (offset, len, records) per partition; the index ends at byte 88.
+        for entry in [[88u64, 20, 2], [108, 0, 0], [108, 32, 3]] {
+            for word in entry {
+                golden.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        golden.extend_from_slice(b"\x01\0\0\0a\x01\0\0\x001\x01\0\0\0b\x01\0\0\x002");
+        golden.extend_from_slice(b"\x01\0\0\0c\x04\0\0\0x\ty\n\x01\0\0\0c\0\0\0\0");
+        golden.extend_from_slice(b"\x01\0\0\0d\x01\0\0\x003");
+        golden
+    }
+
+    #[test]
+    fn spill_roundtrip_through_storage() {
+        let fs = fs();
+        let buckets = sample_buckets();
         let (bytes, records) = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
         assert_eq!(records, 5);
         assert_eq!(bytes, fs.len("/out/_shuffle/map-00000").unwrap());
+        // The layout is pinned byte for byte, and sized exactly up front.
+        let (image, _) = encode_spill(&buckets);
+        assert_eq!(image, sample_image());
+        assert_eq!(image.capacity(), image.len(), "sized from the records");
+        let stored = fs.read_file("/out/_shuffle/map-00000").unwrap();
+        assert_eq!(&stored[..], &image[..]);
 
         for (p, bucket) in buckets.iter().enumerate() {
-            let seg = read_segment(&fs, "/out/_shuffle/map-00000", p, 3).unwrap();
-            assert_eq!(&seg.decode("map-00000").unwrap(), bucket, "partition {p}");
+            let (seg, cost) = read_segment(&fs, "/out/_shuffle/map-00000", p, 3).unwrap();
+            assert_eq!(&decode(&seg), bucket, "partition {p}");
+            assert_eq!(seg.records, bucket.len() as u64);
             if bucket.is_empty() {
-                assert_eq!(seg.round_trips, 1, "empty segments skip the data read");
+                assert_eq!(cost.round_trips, 1, "empty segments skip the data read");
             } else {
-                assert_eq!(seg.round_trips, 2);
-                assert!(seg.bytes > index_len(3));
+                assert_eq!(cost.round_trips, 2);
+                assert!(cost.bytes > index_len(3));
             }
         }
     }
@@ -661,21 +845,38 @@ mod tests {
     #[test]
     fn whole_spill_reads_back_as_runs() {
         let fs = fs();
-        let buckets = vec![
-            vec![pair("a", "1"), pair("b", "2")],
-            Vec::new(),
-            vec![pair("c", "x\ty\n"), pair("c", ""), pair("d", "3")],
-        ];
+        let buckets = sample_buckets();
         let (bytes, _) = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
-        let runs = read_spill_runs(&fs, "/out/_shuffle/map-00000", 3).unwrap();
-        assert_eq!(runs.partitions, buckets);
-        assert_eq!(runs.round_trips, 2, "one index read, one bulk payload read");
-        assert_eq!(runs.bytes, bytes, "the whole file is fetched");
+        let (segments, cost) = read_spill(&fs, "/out/_shuffle/map-00000", 3).unwrap();
+        let runs: Vec<_> = segments.iter().map(decode).collect();
+        assert_eq!(runs, buckets);
+        assert_eq!(cost.round_trips, 2, "one index read, one bulk payload read");
+        assert_eq!(cost.bytes, bytes, "the whole file is fetched");
         // Wrong partition count and non-spill files are rejected.
-        assert!(read_spill_runs(&fs, "/out/_shuffle/map-00000", 2).is_err());
+        assert!(read_spill(&fs, "/out/_shuffle/map-00000", 2).is_err());
         fs.write_file("/junk", b"this is not a spill file at all......")
             .unwrap();
-        assert!(read_spill_runs(&fs, "/junk", 3).is_err());
+        assert!(read_spill(&fs, "/junk", 3).is_err());
+    }
+
+    #[test]
+    fn an_index_whose_lengths_overflow_is_corruption_not_a_panic() {
+        let fs = fs();
+        let mut image = sample_image();
+        // Partitions 0 and 2 each claim `u64::MAX` bytes of payload.
+        for entry in [0, 2] {
+            let len_at = (SPILL_HEADER_LEN + entry * SPILL_INDEX_ENTRY_LEN + 8) as usize;
+            image[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
+        fs.write_file("/overflow", &image).unwrap();
+        assert!(matches!(
+            read_spill(&fs, "/overflow", 3),
+            Err(MrError::Storage(_))
+        ));
+        assert!(matches!(
+            read_segment(&fs, "/overflow", 0, 3),
+            Err(MrError::Storage(_))
+        ));
     }
 
     #[test]
@@ -683,15 +884,17 @@ mod tests {
         let fs = fs();
         let buckets = vec![Vec::new(), Vec::new()];
         write_spill(&fs, "/s", &buckets).unwrap();
-        let runs = read_spill_runs(&fs, "/s", 2).unwrap();
-        assert_eq!(runs.partitions, buckets);
-        assert_eq!(runs.round_trips, 1, "no payload to read");
+        let (segments, cost) = read_spill(&fs, "/s", 2).unwrap();
+        let runs: Vec<_> = segments.iter().map(decode).collect();
+        assert_eq!(runs, buckets);
+        assert_eq!(cost.round_trips, 1, "no payload to read");
     }
 
     #[test]
     fn merged_run_uses_the_spill_layout() {
-        // A compacted run is just a spill file at a run path: write the
-        // merged buckets with write_spill, read them with read_segment.
+        // A compacted run is just a spill file at a run path: merge the
+        // spills' segments encoded-in, encoded-out, read the result with
+        // read_segment.
         let fs = fs();
         let spills = [
             vec![
@@ -703,29 +906,58 @@ mod tests {
         for (i, buckets) in spills.iter().enumerate() {
             write_spill(&fs, &spill_path("/out", i), buckets).unwrap();
         }
-        let merged: Vec<Vec<(String, String)>> = (0..2)
-            .map(|p| {
-                merge_runs(
-                    (0..2)
-                        .map(|m| {
-                            read_spill_runs(&fs, &spill_path("/out", m), 2)
-                                .unwrap()
-                                .partitions[p]
-                                .clone()
-                        })
-                        .collect(),
-                )
-            })
+        let fetched: Vec<Vec<Segment>> = (0..2)
+            .map(|m| read_spill(&fs, &spill_path("/out", m), 2).unwrap().0)
             .collect();
-        write_spill(&fs, &run_path("/out", 0, 2), &merged).unwrap();
-        let seg = read_segment(&fs, &run_path("/out", 0, 2), 0, 2).unwrap();
+        let image = merge_spills(&fetched, 2).unwrap();
+        // Byte for byte what encoding the merged records would have given.
+        let merged: Vec<Vec<(String, String)>> = (0..2)
+            .map(|p| merge_runs(spills.iter().map(|s| s[p].clone()).collect()))
+            .collect();
+        assert_eq!(image, encode_spill(&merged).0);
+        assert_eq!(image.capacity(), image.len(), "sized from the segments");
+        write_image(&fs, &run_path("/out", 0, 2), &image).unwrap();
+        let (seg, _) = read_segment(&fs, &run_path("/out", 0, 2), 0, 2).unwrap();
         assert_eq!(
-            seg.decode("run").unwrap(),
+            decode(&seg),
             vec![pair("a", "m0"), pair("a", "m1"), pair("c", "m0")],
             "ties break toward the lower map id"
         );
-        let seg = read_segment(&fs, &run_path("/out", 0, 2), 1, 2).unwrap();
-        assert_eq!(seg.decode("run").unwrap(), vec![pair("z", "m0")]);
+        let (seg, _) = read_segment(&fs, &run_path("/out", 0, 2), 1, 2).unwrap();
+        assert_eq!(decode(&seg), vec![pair("z", "m0")]);
+    }
+
+    /// A segment over a hand-built payload, with whatever record count the
+    /// "index" claims.
+    fn segment_of(records: &[(String, String)], promised: u64, cut: usize) -> Segment {
+        let (image, _) = encode_spill(&[records.to_vec()]);
+        let payload = &image[index_len(1) as usize..];
+        Segment {
+            payload: Bytes::copy_from_slice(&payload[..payload.len() - cut]),
+            source: "/a/spill".into(),
+            records: promised,
+        }
+    }
+
+    #[test]
+    fn a_segment_must_hold_exactly_the_records_its_index_promises() {
+        let records = vec![pair("a", "1"), pair("b", "22")];
+        let count = |segment: &Segment| {
+            let mut seen = 0;
+            merge_segments([segment], |_| {
+                seen += 1;
+                Ok(())
+            })
+            .map(|_| seen)
+        };
+        assert_eq!(count(&segment_of(&records, 2, 0)).unwrap(), 2);
+        for (promised, cut) in [(3, 0), (1, 0), (2, 1), (2, 7), (0, 0)] {
+            let err = count(&segment_of(&records, promised, cut)).unwrap_err();
+            assert!(
+                matches!(err, MrError::Storage(_)),
+                "promised {promised}, cut {cut}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -775,9 +1007,18 @@ mod tests {
 
     #[test]
     fn reduce_merged_groups_consecutive_keys() {
-        let merged = vec![pair("a", "1"), pair("a", "2"), pair("b", "5")];
-        let out = reduce_merged(merged, &SumReducer).unwrap();
-        assert_eq!(out, vec![pair("a", "3"), pair("b", "5")]);
+        let fs = fs();
+        let segments = [
+            segment_of(&[pair("a", "1"), pair("b", "5")], 2, 0),
+            segment_of(&[], 0, 0),
+            segment_of(&[pair("a", "2")], 1, 0),
+        ];
+        let mut out = OutputFile::create(&fs, "/out/part").unwrap();
+        let runs = reduce_segments(&segments, &SumReducer, &mut out).unwrap();
+        assert_eq!(runs, 2, "the empty segment is not a merge run");
+        assert_eq!(out.records(), 2);
+        assert_eq!(out.close().unwrap(), 8);
+        assert_eq!(&fs.read_file("/out/part").unwrap()[..], b"a\t3\nb\t5\n");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::error::{MrError, MrResult};
 use crate::fs::DistFs;
 use crate::job::InputSpec;
 use simcluster::NodeId;
+use std::borrow::Cow;
 
 /// What a split reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,80 +151,125 @@ fn expand_path(fs: &dyn DistFs, path: &str, out: &mut Vec<String>) -> MrResult<(
     }
 }
 
-/// Read the text records belonging to a file split, following the Hadoop
-/// convention for records that straddle split boundaries. Returns
-/// `(byte offset of the line, line without trailing newline)` pairs, plus the
-/// number of bytes actually read from storage (for the job counters).
+/// How much of the file past the split's end is fetched at a time while
+/// looking for the end of the split's last line.
+const TAIL_CHUNK: u64 = 4096;
+
+/// The text records of one file split, scanned in place: the split (and the
+/// tail of its last line) is read into one buffer, and [`SplitLines::iter`]
+/// yields each line as a view of it, following the Hadoop convention for
+/// records that straddle split boundaries.
+pub struct SplitLines {
+    /// The byte before the split (when there is one), the split, and the
+    /// rest of the line that crosses its end.
+    data: Vec<u8>,
+    /// File offset of `data[0]`.
+    offset: u64,
+    /// Where the first line this split owns starts in `data`.
+    start: usize,
+    /// Bytes read from storage (for the job counters).
+    bytes_read: u64,
+}
+
+impl SplitLines {
+    /// Read the lines that *start* inside `[offset, offset + len)` of `path`
+    /// with one exact positioned read: the byte before the split, the split
+    /// and the 4 KiB past its end, where its last line almost always ends
+    /// (a longer line costs one more read per further 4 KiB).
+    pub fn read(fs: &dyn DistFs, path: &str, offset: u64, len: u64) -> MrResult<SplitLines> {
+        let mut reader = fs.open(path)?;
+        let file_size = reader.len()?;
+        let split_end = offset.saturating_add(len).min(file_size);
+        // The byte before the split says whether its first line is whole.
+        let from = offset.saturating_sub(1);
+        let mut lines = SplitLines {
+            data: Vec::new(),
+            offset: from,
+            start: 0,
+            bytes_read: 0,
+        };
+        if offset >= split_end {
+            return Ok(lines);
+        }
+        let mut read_end = (split_end + TAIL_CHUNK).min(file_size);
+        lines.data = reader.read_at(from, read_end - from)?.to_vec();
+
+        // The split's last line is the one holding its last byte: it ends at
+        // the first newline at or after that byte, or with the file. Nothing
+        // past that newline is kept, so every line in `data` starts before
+        // `split_end`.
+        let mut searched = (split_end - 1 - from) as usize;
+        loop {
+            if let Some(nl) = lines.data[searched..].iter().position(|b| *b == b'\n') {
+                lines.data.truncate(searched + nl + 1);
+                break;
+            }
+            if read_end == file_size {
+                break;
+            }
+            searched = lines.data.len();
+            let chunk = reader.read_at(read_end, TAIL_CHUNK.min(file_size - read_end))?;
+            read_end += chunk.len() as u64;
+            lines.data.extend_from_slice(&chunk);
+        }
+        lines.bytes_read = read_end - from;
+
+        // Skip the partial line at the head of a non-initial split: it
+        // belongs to the previous split (a line is owned by the split
+        // containing its first byte). `data[0]` is the byte before the
+        // split, so the first newline in `data` ends that line — at once,
+        // when the split starts on a fresh line.
+        if offset > 0 {
+            let first_newline = lines.data.iter().position(|b| *b == b'\n');
+            lines.start = first_newline.map_or(lines.data.len(), |nl| nl + 1);
+        }
+        Ok(lines)
+    }
+
+    /// Bytes read from storage to build the buffer.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// `(byte offset of the line in the file, line without its newline)` for
+    /// every line the split owns, each a view of the split's buffer: only a
+    /// line that is not valid UTF-8 is copied.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Cow<'_, str>)> {
+        let mut rest = &self.data[self.start..];
+        let mut at = self.offset + self.start as u64;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let line_len = rest.iter().position(|b| *b == b'\n');
+            let (line, next) = match line_len {
+                Some(nl) => (&rest[..nl], &rest[nl + 1..]),
+                None => (rest, &rest[rest.len()..]),
+            };
+            let line_offset = at;
+            at += (rest.len() - next.len()) as u64;
+            rest = next;
+            Some((line_offset, String::from_utf8_lossy(line)))
+        })
+    }
+}
+
+/// Read the text records belonging to a file split as owned strings — the
+/// convenience form of [`SplitLines`] for callers that keep the lines (the
+/// sort sampler, tests). Returns `(byte offset of the line, line without
+/// trailing newline)` pairs, plus the number of bytes actually read from
+/// storage.
 pub fn read_records(
     fs: &dyn DistFs,
     path: &str,
     offset: u64,
     len: u64,
 ) -> MrResult<(Vec<(u64, String)>, u64)> {
-    let mut reader = fs.open(path)?;
-    let file_size = reader.len()?;
-    let split_end = (offset + len).min(file_size);
-    if offset >= file_size {
-        return Ok((Vec::new(), 0));
-    }
-
-    // Read the split itself.
-    let mut data = reader.read_at(offset, split_end - offset)?.to_vec();
-    let mut bytes_read = data.len() as u64;
-
-    // If the split does not end exactly at EOF or on a newline, keep reading
-    // until the line that started inside the split is complete.
-    let mut tail_pos = split_end;
-    while tail_pos < file_size && !data.ends_with(b"\n") {
-        let chunk_len = 4096.min(file_size - tail_pos);
-        let chunk = reader.read_at(tail_pos, chunk_len)?;
-        bytes_read += chunk.len() as u64;
-        tail_pos += chunk.len() as u64;
-        if let Some(nl) = chunk.iter().position(|b| *b == b'\n') {
-            data.extend_from_slice(&chunk[..=nl]);
-            break;
-        }
-        data.extend_from_slice(&chunk);
-    }
-
-    // Skip the partial line at the head of a non-initial split: it belongs to
-    // the previous split (a line is owned by the split containing its first
-    // byte). The split starts on a fresh line exactly when the byte before it
-    // is a newline, which costs one extra one-byte read to find out.
-    let mut start_in_data = 0usize;
-    if offset > 0 {
-        let prev_byte = reader.read_at(offset - 1, 1)?;
-        bytes_read += 1;
-        if prev_byte.first() != Some(&b'\n') {
-            match data.iter().position(|b| *b == b'\n') {
-                Some(nl) => start_in_data = nl + 1,
-                None => return Ok((Vec::new(), bytes_read)),
-            }
-        }
-    }
-
-    let mut records = Vec::new();
-    let mut line_start = start_in_data;
-    for (i, b) in data.iter().enumerate().skip(start_in_data) {
-        if *b == b'\n' {
-            let line_offset = offset + line_start as u64;
-            // Only lines that *start* inside the split belong to it.
-            if line_offset < split_end {
-                let line = String::from_utf8_lossy(&data[line_start..i]).into_owned();
-                records.push((line_offset, line));
-            }
-            line_start = i + 1;
-        }
-    }
-    // A final line without a trailing newline (end of file).
-    if line_start < data.len() {
-        let line_offset = offset + line_start as u64;
-        if line_offset < split_end && tail_pos >= file_size {
-            let line = String::from_utf8_lossy(&data[line_start..]).into_owned();
-            records.push((line_offset, line));
-        }
-    }
-    Ok((records, bytes_read))
+    let lines = SplitLines::read(fs, path, offset, len)?;
+    let records = (lines.iter())
+        .map(|(at, line)| (at, line.into_owned()))
+        .collect();
+    Ok((records, lines.bytes_read()))
 }
 
 #[cfg(test)]

@@ -34,10 +34,10 @@
 //! [`simcluster::clock::SimClock`].
 
 use crate::error::MrResult;
-use crate::fs::DistFs;
+use crate::fs::{DistFs, FileWriter};
 use crate::job::{format_output_record, Mapper, Partitioner, Reducer};
 use crate::scheduler::{AttemptView, RuntimeHistory, SpeculationPolicy};
-use crate::split::{read_records, InputSplit, SplitSource};
+use crate::split::{InputSplit, SplitLines, SplitSource};
 use simcluster::NodeId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -526,11 +526,10 @@ pub fn run_map_task(
     partitioner: &dyn Partitioner,
     num_partitions: usize,
 ) -> MrResult<MapTaskOutput> {
-    let out =
-        run_map_task_with_progress(fs, split, mapper, partitioner, num_partitions, &mut |_| {
-            true
-        })?;
-    Ok(out.expect("an always-continue map task cannot be preempted"))
+    let (out, _) = map_split(fs, split, mapper, partitioner, num_partitions, &mut |_| {
+        true
+    })?;
+    Ok(out)
 }
 
 /// How many times per task the map loop reports progress (and offers the
@@ -538,8 +537,9 @@ pub fn run_map_task(
 const MAP_PROGRESS_MILESTONES: u64 = 8;
 
 /// [`run_map_task`] with progress reporting: `progress` is called with the
-/// fraction of input records processed at ~[`MAP_PROGRESS_MILESTONES`]
-/// evenly-spaced milestones. The callback's return value is a
+/// fraction of the split processed (by byte position; by record index for a
+/// synthetic split) at ~[`MAP_PROGRESS_MILESTONES`] evenly-spaced milestones
+/// and once more, with `1.0`, at the end. The callback's return value is a
 /// continue/abort decision: returning `false` abandons the task immediately
 /// and the function returns `Ok(None)` — how the jobtracker preempts a
 /// speculative clone mid-flight without losing the original attempt.
@@ -551,43 +551,78 @@ pub fn run_map_task_with_progress(
     num_partitions: usize,
     progress: &mut dyn FnMut(f64) -> bool,
 ) -> MrResult<Option<MapTaskOutput>> {
+    let (out, finished) = map_split(fs, split, mapper, partitioner, num_partitions, progress)?;
+    Ok(finished.then_some(out))
+}
+
+/// The map task body: what the task produced, and whether it ran to the end
+/// of its split (`false`: `progress` abandoned it at a milestone).
+fn map_split(
+    fs: &dyn DistFs,
+    split: &InputSplit,
+    mapper: &dyn Mapper,
+    partitioner: &dyn Partitioner,
+    num_partitions: usize,
+    progress: &mut dyn FnMut(f64) -> bool,
+) -> MrResult<(MapTaskOutput, bool)> {
     let buckets = num_partitions.max(1);
     let mut out = MapTaskOutput {
         partitions: vec![Vec::new(); buckets],
         ..Default::default()
     };
-
-    // Materialise the records for this split.
-    let (source_path, records): (&str, Vec<(u64, String)>) = match &split.source {
-        SplitSource::File { path, offset, len } => {
-            let (records, bytes_read) = read_records(fs, path, *offset, *len)?;
-            out.bytes_read = bytes_read;
-            (path.as_str(), records)
-        }
-        SplitSource::Synthetic { records, .. } => {
-            ("", (0..*records).map(|i| (i, String::new())).collect())
-        }
+    // A record's position in its split — its byte offset for a file split,
+    // its index for a synthetic one — is how far the task has come.
+    let (source_path, base, span) = match &split.source {
+        SplitSource::File { path, offset, len } => (path.as_str(), *offset, *len),
+        SplitSource::Synthetic { records, .. } => ("", 0, *records),
     };
-
-    let total = records.len() as u64;
-    let stride = (total / MAP_PROGRESS_MILESTONES).max(1);
-    for (offset, line) in &records {
+    let step = (span / MAP_PROGRESS_MILESTONES).max(1);
+    let mut milestone = base + step;
+    // Map one record; `false` when `progress` abandons the task at a
+    // milestone the record has reached.
+    let mut map_one = |out: &mut MapTaskOutput, at: u64, line: &str| -> MrResult<bool> {
+        if at >= milestone {
+            if !progress((at - base) as f64 / span as f64) {
+                return Ok(false);
+            }
+            milestone = at - (at - base) % step + step;
+        }
         out.records_read += 1;
         let partitions = &mut out.partitions;
         let mut emitted = 0u64;
-        mapper.map_with_source(source_path, *offset, line, &mut |k, v| {
+        mapper.map_with_source(source_path, at, line, &mut |k, v| {
             let p = partitioner.partition(&k, buckets);
             partitions[p].push((k, v));
             emitted += 1;
         })?;
         out.records_emitted += emitted;
-        if out.records_read.is_multiple_of(stride)
-            && !progress(out.records_read as f64 / total as f64)
-        {
-            return Ok(None);
+        Ok(true)
+    };
+    // The user's map function sees each record as a view: of the split's
+    // buffer for file splits, of nothing for synthetic ones.
+    let mut finished = true;
+    match &split.source {
+        SplitSource::File { path, offset, len } => {
+            let lines = SplitLines::read(fs, path, *offset, *len)?;
+            out.bytes_read = lines.bytes_read();
+            for (at, line) in lines.iter() {
+                finished = map_one(&mut out, at, &line)?;
+                if !finished {
+                    break;
+                }
+            }
+        }
+        SplitSource::Synthetic { records, .. } => {
+            for i in 0..*records {
+                finished = map_one(&mut out, i, "")?;
+                if !finished {
+                    break;
+                }
+            }
         }
     }
-    Ok(Some(out))
+    let finished = finished && progress(1.0);
+    Ok((out, finished))
 }
 
 /// Group one reduce partition's pairs by key, preserving the per-key value
@@ -613,6 +648,71 @@ pub fn run_reduce_task(
     Ok(output)
 }
 
+/// How much formatted output an [`OutputFile`] hands its writer at a time:
+/// one piece is one storage block at the benchmark's 1 MiB blocks, and a
+/// whole number of pieces fills any larger power-of-two block.
+const OUTPUT_PIECE: usize = 1 << 20;
+
+/// A task's output file in Hadoop's text output format
+/// ([`format_output_record`]): records are formatted into one buffer, which
+/// goes to the storage layer's writer in 1 MiB pieces — never a `String` or
+/// a write per record.
+pub struct OutputFile {
+    writer: Box<dyn FileWriter>,
+    buffer: Vec<u8>,
+    bytes: u64,
+    records: u64,
+}
+
+impl OutputFile {
+    /// Create the file at `path`.
+    pub fn create(fs: &dyn DistFs, path: &str) -> MrResult<Self> {
+        Ok(OutputFile {
+            writer: fs.create(path)?,
+            buffer: Vec::with_capacity(OUTPUT_PIECE),
+            bytes: 0,
+            records: 0,
+        })
+    }
+
+    /// Format one record into the buffer. Touches no storage:
+    /// [`OutputFile::flush_pieces`] does, between records or groups.
+    pub fn push(&mut self, key: &str, value: &str) {
+        format_output_record(&mut self.buffer, key, value);
+        self.records += 1;
+    }
+
+    /// Write out every whole piece the buffer holds.
+    pub fn flush_pieces(&mut self) -> MrResult<()> {
+        if self.buffer.len() < OUTPUT_PIECE {
+            return Ok(());
+        }
+        let whole = self.buffer.len() - self.buffer.len() % OUTPUT_PIECE;
+        for piece in self.buffer[..whole].chunks(OUTPUT_PIECE) {
+            self.writer.write(piece)?;
+        }
+        self.bytes += whole as u64;
+        self.buffer.drain(..whole);
+        Ok(())
+    }
+
+    /// Records pushed so far.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Write the rest of the buffer and seal the file. Returns the bytes
+    /// written.
+    pub fn close(mut self) -> MrResult<u64> {
+        self.flush_pieces()?;
+        if !self.buffer.is_empty() {
+            self.writer.write(&self.buffer)?;
+        }
+        self.writer.close()?;
+        Ok(self.bytes + self.buffer.len() as u64)
+    }
+}
+
 /// Write a task's output records to `path` through the storage layer, in
 /// Hadoop's text output format. Returns the number of bytes written.
 pub fn write_output_file(
@@ -620,15 +720,12 @@ pub fn write_output_file(
     path: &str,
     records: &[(String, String)],
 ) -> MrResult<u64> {
-    let mut writer = fs.create(path)?;
-    let mut bytes = 0u64;
+    let mut file = OutputFile::create(fs, path)?;
     for (k, v) in records {
-        let line = format_output_record(k, v);
-        bytes += line.len() as u64;
-        writer.write(line.as_bytes())?;
+        file.push(k, v);
+        file.flush_pieces()?;
     }
-    writer.close()?;
-    Ok(bytes)
+    file.close()
 }
 
 #[cfg(test)]
