@@ -83,101 +83,59 @@ fn main() {
     }
     println!();
 
-    // Merge-spill compaction ablation: the same sort, through BSFS, with the
-    // background compactor off and on. With compaction on, each reducer
-    // fetches a handful of merged runs instead of one segment per map task,
-    // so the positioned reads per reduce task must drop by at least half.
-    println!("== E6: merge-spill compaction ablation (BSFS) ==");
+    // The BSFS sort's shuffle reads. The spill index travels with each map's
+    // commit, so a positioned read fetches exactly one non-empty segment —
+    // positioned reads equal merge runs — and storage serves exactly the
+    // bytes the job's tasks asked for.
+    println!("== E6: shuffle reads of the BSFS sort ==");
     #[derive(serde::Serialize)]
-    struct CompactionRow {
-        label: String,
+    struct SortReads {
         maps: usize,
         reducers: usize,
         segments_fetched: u64,
         positioned_reads: u64,
         positioned_reads_per_reduce: f64,
         merge_runs: u64,
-        compaction_runs: u64,
-        compaction_merged_spills: u64,
-        compaction_bytes: u64,
     }
-    let mut compaction_rows = Vec::new();
-    let mut outputs: Vec<Vec<u8>> = Vec::new();
-    // Read amplification of the plain (uncompacted) sort: bytes the BlobSeer
-    // deployment served over bytes the job's tasks asked the file system for.
-    let mut storage_read_bytes_per_requested_byte = 0.0;
-    for (label, threshold) in [("compaction off", None), ("compaction on ", Some(0))] {
-        let out = format!("/sort-{label}", label = label.trim().replace(' ', "-"));
-        let mut job = workloads::distributed_sort_job(
-            &bsfs,
-            vec!["/input/unsorted.txt".into()],
-            &out,
-            reducers,
-            split_size,
-        )
-        .expect("sampling the sort input");
-        job.config.compaction_threshold = threshold;
-        let storage_bytes_read = || bsfs.inner().storage().stats().bytes_read;
-        let read_before = storage_bytes_read();
-        let (result, _) = bench::run_job_on(&bsfs, &bench::app_topology(), &job);
-        if threshold.is_none() {
-            let requested = result.input_bytes + result.shuffle.shuffle_read_bytes;
-            storage_read_bytes_per_requested_byte =
-                (storage_bytes_read() - read_before) as f64 / requested as f64;
-            println!(
-                "storage read {storage_read_bytes_per_requested_byte:.6} bytes per byte the \
-                 job's tasks requested ({requested} B)"
-            );
-        }
-        let mut merged = Vec::new();
-        for part in &result.output_files {
-            merged.extend_from_slice(&bsfs.read_file(part).unwrap());
-        }
-        outputs.push(merged);
-        let s = &result.shuffle;
-        let per_reduce = s.shuffle_read_round_trips as f64 / result.reduce_tasks as f64;
-        println!(
-            "{label}: {} segments fetched over {} positioned reads \
-             ({per_reduce:.1}/reduce), {} merged runs from {} spills",
-            s.segments_fetched,
-            s.shuffle_read_round_trips,
-            s.compaction_runs,
-            s.compaction_merged_spills,
-        );
-        compaction_rows.push(CompactionRow {
-            label: label.trim().to_string(),
-            maps: result.map_tasks,
-            reducers: result.reduce_tasks,
-            segments_fetched: s.segments_fetched,
-            positioned_reads: s.shuffle_read_round_trips,
-            positioned_reads_per_reduce: per_reduce,
-            merge_runs: s.merge_runs,
-            compaction_runs: s.compaction_runs,
-            compaction_merged_spills: s.compaction_merged_spills,
-            compaction_bytes: s.compaction_bytes,
-        });
-    }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "compaction must not change the job output"
-    );
-    assert!(
-        compaction_rows[1].positioned_reads_per_reduce
-            <= 0.5 * compaction_rows[0].positioned_reads_per_reduce,
-        "compaction must at least halve the positioned reads per reduce task \
-         ({:.1} -> {:.1})",
-        compaction_rows[0].positioned_reads_per_reduce,
-        compaction_rows[1].positioned_reads_per_reduce,
-    );
+    let job = workloads::distributed_sort_job(
+        &bsfs,
+        vec!["/input/unsorted.txt".into()],
+        "/sort-reads",
+        reducers,
+        split_size,
+    )
+    .expect("sampling the sort input");
+    let storage_bytes_read = || bsfs.inner().storage().stats().bytes_read;
+    let read_before = storage_bytes_read();
+    let (result, _) = bench::run_job_on(&bsfs, &bench::app_topology(), &job);
+    // Read amplification: bytes the BlobSeer deployment served over bytes
+    // the job's tasks asked the file system for.
+    let requested = result.input_bytes + result.shuffle.shuffle_read_bytes;
+    let storage_read_bytes_per_requested_byte =
+        (storage_bytes_read() - read_before) as f64 / requested as f64;
     println!(
-        "compaction cut positioned reads per reduce task by {:.1}% \
-         ({:.1} -> {:.1})",
-        100.0
-            * (1.0
-                - compaction_rows[1].positioned_reads_per_reduce
-                    / compaction_rows[0].positioned_reads_per_reduce),
-        compaction_rows[0].positioned_reads_per_reduce,
-        compaction_rows[1].positioned_reads_per_reduce,
+        "storage read {storage_read_bytes_per_requested_byte:.6} bytes per byte the \
+         job's tasks requested ({requested} B)"
+    );
+    let s = &result.shuffle;
+    let sort = SortReads {
+        maps: result.map_tasks,
+        reducers: result.reduce_tasks,
+        segments_fetched: s.segments_fetched,
+        positioned_reads: s.shuffle_read_round_trips,
+        positioned_reads_per_reduce: s.shuffle_read_round_trips as f64 / result.reduce_tasks as f64,
+        merge_runs: s.merge_runs,
+    };
+    println!(
+        "{} segments fetched over {} positioned reads ({:.1}/reduce), {} merge runs",
+        sort.segments_fetched,
+        sort.positioned_reads,
+        sort.positioned_reads_per_reduce,
+        sort.merge_runs,
+    );
+    assert_eq!(
+        sort.positioned_reads, sort.merge_runs,
+        "one positioned read per non-empty segment, none for an index"
     );
 
     #[derive(serde::Serialize)]
@@ -185,7 +143,7 @@ fn main() {
         experiment: &'static str,
         smoke: bool,
         storage_read_bytes_per_requested_byte: f64,
-        compaction: Vec<CompactionRow>,
+        sort: SortReads,
     }
     bench::emit_bench_json(
         "E6",
@@ -193,7 +151,7 @@ fn main() {
             experiment: "E6",
             smoke,
             storage_read_bytes_per_requested_byte,
-            compaction: compaction_rows,
+            sort,
         },
     );
 }

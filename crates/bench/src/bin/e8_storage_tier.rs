@@ -1,7 +1,6 @@
-//! E8 — the storage-tier optimization bundle, measured end to end: merge-spill
-//! compaction (fewer positioned reads per reduce task), sequential metadata
-//! read-ahead (fewer DHT round trips on sequential scans), and snapshot GC
-//! (bounded footprint under a rewrite loop).
+//! E8 — the storage-tier optimization bundle, measured end to end: sequential
+//! metadata read-ahead (fewer DHT round trips on sequential scans) and
+//! snapshot GC (bounded footprint under a rewrite loop).
 //!
 //! Unlike E1–E7, which compare BSFS against HDFS, this experiment compares
 //! BSFS against itself with each optimization off and on, and *asserts* the
@@ -9,20 +8,7 @@
 //! `BENCH_SMOKE=1` as the storage-tier regression gate.
 
 use blobseer::{BlobSeer, BlobSeerConfig};
-use mapreduce::DistFs;
 use workloads::microbench::{prepare_shared_file, read_shared_file, MicrobenchConfig};
-use workloads::TextGenerator;
-
-#[derive(serde::Serialize)]
-struct CompactionSection {
-    maps: usize,
-    reducers: usize,
-    positioned_reads_off: u64,
-    positioned_reads_on: u64,
-    reduction_percent: f64,
-    compaction_runs: u64,
-    compaction_merged_spills: u64,
-}
 
 #[derive(serde::Serialize)]
 struct GcSection {
@@ -56,80 +42,8 @@ struct ReadPathRecord {
 struct Snapshot {
     experiment: &'static str,
     smoke: bool,
-    compaction: CompactionSection,
     read_path: Vec<ReadPathRecord>,
     gc: GcSection,
-}
-
-fn compaction_section(smoke: bool) -> CompactionSection {
-    let (lines, reducers, split_size) = if smoke {
-        (1_000, 2, 4 * 1024)
-    } else {
-        (20_000, 4, 64 * 1024)
-    };
-    let (bsfs, _) = bench::app_backends(1 << 20);
-    let mut generator = TextGenerator::new(42);
-    bsfs.write_file("/input/unsorted.txt", generator.sentences(lines).as_bytes())
-        .unwrap();
-
-    let mut outputs: Vec<Vec<u8>> = Vec::new();
-    let mut per_reduce = Vec::new();
-    let mut raw = Vec::new();
-    let mut compaction = (0u64, 0u64);
-    for (label, threshold) in [("off", None), ("on", Some(0))] {
-        let mut job = workloads::distributed_sort_job(
-            &bsfs,
-            vec!["/input/unsorted.txt".into()],
-            &format!("/sort-compaction-{label}"),
-            reducers,
-            split_size,
-        )
-        .expect("sampling the sort input");
-        job.config.compaction_threshold = threshold;
-        let (result, _) = bench::run_job_on(&bsfs, &bench::app_topology(), &job);
-        let mut merged = Vec::new();
-        for part in &result.output_files {
-            merged.extend_from_slice(&bsfs.read_file(part).unwrap());
-        }
-        outputs.push(merged);
-        let s = &result.shuffle;
-        raw.push((
-            result.map_tasks,
-            result.reduce_tasks,
-            s.shuffle_read_round_trips,
-        ));
-        per_reduce.push(s.shuffle_read_round_trips as f64 / result.reduce_tasks as f64);
-        if threshold.is_some() {
-            compaction = (s.compaction_runs, s.compaction_merged_spills);
-        }
-        println!(
-            "compaction {label}: {} positioned reads ({:.1}/reduce)",
-            s.shuffle_read_round_trips,
-            per_reduce.last().unwrap()
-        );
-    }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "compaction must not change the job output"
-    );
-    assert!(
-        per_reduce[1] <= 0.5 * per_reduce[0],
-        "compaction must at least halve the positioned reads per reduce task \
-         ({:.1} -> {:.1})",
-        per_reduce[0],
-        per_reduce[1],
-    );
-    let reduction = 100.0 * (1.0 - per_reduce[1] / per_reduce[0]);
-    println!("compaction cut positioned reads per reduce task by {reduction:.1}%");
-    CompactionSection {
-        maps: raw[0].0,
-        reducers: raw[0].1,
-        positioned_reads_off: raw[0].2,
-        positioned_reads_on: raw[1].2,
-        reduction_percent: reduction,
-        compaction_runs: compaction.0,
-        compaction_merged_spills: compaction.1,
-    }
 }
 
 /// Clients scan non-overlapping parts of one shared file (real threads and
@@ -287,9 +201,6 @@ fn main() {
 
     println!("== E8: storage-tier optimizations (BSFS vs itself) ==");
     println!();
-    println!("-- merge-spill compaction (distributed sort) --");
-    let compaction = compaction_section(smoke);
-    println!();
     println!("-- sequential metadata read-ahead --");
     let read_path = read_path(smoke);
     println!("-- snapshot GC (rewrite loop) --");
@@ -302,7 +213,6 @@ fn main() {
         &Snapshot {
             experiment: "E8",
             smoke,
-            compaction,
             read_path,
             gc,
         },

@@ -65,9 +65,6 @@ pub struct BsfsConfig {
     pub page_size: Option<u64>,
     /// Number of blocks a reader caches (per open file handle).
     pub read_cache_blocks: usize,
-    /// Whether the client cache is enabled. Disabling it sends every read and
-    /// write straight to BlobSeer — the configuration used by the A2 ablation.
-    pub cache_enabled: bool,
 }
 
 impl Default for BsfsConfig {
@@ -76,7 +73,6 @@ impl Default for BsfsConfig {
             block_size: 64 * 1024 * 1024,
             page_size: None,
             read_cache_blocks: 2,
-            cache_enabled: true,
         }
     }
 }
@@ -88,7 +84,6 @@ impl BsfsConfig {
             block_size: 256,
             page_size: None,
             read_cache_blocks: 2,
-            cache_enabled: true,
         }
     }
 
@@ -101,12 +96,6 @@ impl BsfsConfig {
     /// Builder-style override of the blob page size (page striping).
     pub fn with_page_size(mut self, page_size: u64) -> Self {
         self.page_size = Some(page_size);
-        self
-    }
-
-    /// Builder-style toggle of the client cache.
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
         self
     }
 
@@ -196,7 +185,6 @@ impl Bsfs {
             client: self.client.clone(),
             blob,
             buffer: WriteBuffer::new(self.config.block_size),
-            cache_enabled: self.config.cache_enabled,
             closed: false,
             path: normalized,
         })
@@ -210,7 +198,6 @@ impl Bsfs {
             client: self.client.clone(),
             blob: entry.blob,
             cache: ReadCache::new(self.config.block_size, self.config.read_cache_blocks),
-            cache_enabled: self.config.cache_enabled,
             path: normalized,
             position: 0,
             run: 0,
@@ -322,7 +309,6 @@ pub struct BsfsWriter {
     client: BlobSeerClient,
     blob: BlobId,
     buffer: WriteBuffer,
-    cache_enabled: bool,
     closed: bool,
     path: String,
 }
@@ -344,11 +330,6 @@ impl BsfsWriter {
             return Err(FsError::WriterClosed);
         }
         if data.is_empty() {
-            return Ok(());
-        }
-        if !self.cache_enabled {
-            // Ablation mode: every write is an individual BlobSeer append.
-            self.client.append(self.blob, data)?;
             return Ok(());
         }
         for block in self.buffer.push(data) {
@@ -378,7 +359,7 @@ impl BsfsWriter {
 /// How many sub-block reads in a row, each starting where the one before
 /// ended, a [`BsfsReader`] serves exactly before it takes them for a stream
 /// of small records. Two is what fetching a header and then the body it
-/// points to looks like (the shuffle's index and segment); a third is a scan.
+/// points to looks like; a third is a scan.
 const EXACT_READS_BEFORE_STREAM: u32 = 2;
 
 /// Reader for one file. A read moves exactly the bytes it names, until the
@@ -388,7 +369,6 @@ pub struct BsfsReader {
     client: BlobSeerClient,
     blob: BlobId,
     cache: ReadCache,
-    cache_enabled: bool,
     path: String,
     position: u64,
     /// Sub-block reads in a row that each started where the one before ended
@@ -449,7 +429,7 @@ impl BsfsReader {
             1
         };
         self.run_end = offset + len;
-        if !self.cache_enabled || self.run <= EXACT_READS_BEFORE_STREAM {
+        if self.run <= EXACT_READS_BEFORE_STREAM {
             return Ok(self.client.read_latest(self.blob, offset, len)?);
         }
         let (client, blob) = (&self.client, self.blob);
@@ -521,23 +501,6 @@ mod tests {
             "expected 5 block appends, got {}",
             versions.version.0
         );
-    }
-
-    #[test]
-    fn unbuffered_writer_commits_every_record() {
-        let storage = BlobSeer::new(BlobSeerConfig::for_tests().with_page_size(256));
-        let fs = Bsfs::new(storage, BsfsConfig::for_tests().with_cache(false));
-        let mut w = fs.create("/records").unwrap();
-        for i in 0..20u32 {
-            w.write(format!("rec{i:06}#\n").as_bytes()).unwrap();
-        }
-        w.close().unwrap();
-        let versions = fs.storage().version_manager().latest(w.blob()).unwrap();
-        assert_eq!(
-            versions.version.0, 20,
-            "without the cache every record is one append"
-        );
-        assert_eq!(fs.len("/records").unwrap(), 220);
     }
 
     #[test]

@@ -181,11 +181,6 @@ pub struct JobConfig {
     /// first attempt to commit wins and the loser's work is discarded
     /// (Hadoop's speculative execution). `None` disables speculation.
     pub speculation: Option<Arc<dyn SpeculationPolicy>>,
-    /// Optional merge-spill compaction threshold: when the job's map count
-    /// exceeds this value, idle map slots k-way-merge committed spills into
-    /// per-partition merged runs, so each reducer fetches O(runs) segments
-    /// instead of O(maps). `None` disables compaction.
-    pub compaction_threshold: Option<usize>,
 }
 
 impl fmt::Debug for JobConfig {
@@ -200,7 +195,6 @@ impl fmt::Debug for JobConfig {
             .field("max_task_attempts", &self.max_task_attempts)
             .field("combiner", &self.combiner.is_some())
             .field("speculation", &self.speculation.is_some())
-            .field("compaction_threshold", &self.compaction_threshold)
             .finish()
     }
 }
@@ -219,7 +213,6 @@ impl JobConfig {
             max_task_attempts: 4,
             combiner: None,
             speculation: None,
-            compaction_threshold: None,
         }
     }
 
@@ -257,13 +250,6 @@ impl JobConfig {
     /// Builder-style speculation policy (straggler cloning by idle slots).
     pub fn with_speculation(mut self, policy: Arc<dyn SpeculationPolicy>) -> Self {
         self.speculation = Some(policy);
-        self
-    }
-
-    /// Builder-style merge-spill compaction: enabled for jobs whose map
-    /// count exceeds `threshold` (0 compacts every multi-map job).
-    pub fn with_compaction(mut self, threshold: usize) -> Self {
-        self.compaction_threshold = Some(threshold);
         self
     }
 }
@@ -515,19 +501,6 @@ mod tests {
         let c = c.with_combiner(Arc::new(SumReducer));
         assert!(c.combiner.is_some());
         assert!(format!("{c:?}").contains("combiner: true"));
-    }
-
-    #[test]
-    fn compaction_builder_and_debug() {
-        let c = JobConfig::new("wc", InputSpec::Files(vec!["/in".into()]), "/out");
-        assert!(
-            c.compaction_threshold.is_none(),
-            "compaction off by default"
-        );
-        assert!(format!("{c:?}").contains("compaction_threshold: None"));
-        let c = c.with_compaction(8);
-        assert_eq!(c.compaction_threshold, Some(8));
-        assert!(format!("{c:?}").contains("compaction_threshold: Some(8)"));
     }
 
     #[test]

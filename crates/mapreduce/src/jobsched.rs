@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 /// Which slot pool a grant is drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotKind {
-    /// Map-task slots (also execute spill compaction).
+    /// Map-task slots.
     Map,
     /// Reduce-task slots.
     Reduce,
@@ -46,7 +46,7 @@ pub struct JobView {
     /// The tenant the job belongs to.
     pub tenant: String,
     /// Claimable work items of the arbitrated kind the job has *right now*
-    /// (pending tasks plus ready compaction batches — not speculation).
+    /// (pending tasks — not speculation).
     pub demand: usize,
     /// Slots of the arbitrated kind the job currently holds.
     pub held: usize,

@@ -37,7 +37,8 @@
 //! [`shuffle::JobScratch`] — scoped so concurrent jobs, or one tenant
 //! resubmitting the same config, can never clobber each other's
 //! intermediates), and reduce tasks pull their partition's segment from
-//! every committed map file with positioned reads — starting as soon as
+//! every committed map file with one exact positioned read each, located by
+//! the spill index the map's commit published — starting as soon as
 //! individual map outputs commit, not behind a global map barrier. All task
 //! output (spills and `part-*` files alike) goes through the
 //! write-to-`_temporary`-then-rename commit protocol, so retried attempts
@@ -68,7 +69,7 @@ use crate::jobsched::{
     FifoScheduler, JobScheduler, JobView, QueuedView, SlotKind, TenantQuota, TenantUsage,
 };
 use crate::scheduler::{classify, pick_map_task, Locality, LocalityCounters, SpeculationPolicy};
-use crate::shuffle::{self, JobScratch};
+use crate::shuffle::{self, IndexEntry, JobScratch};
 use crate::split::{compute_splits, InputSplit};
 use crate::tasktracker::{
     group_by_key, run_map_task, run_map_task_with_progress, run_reduce_task, write_output_file,
@@ -91,7 +92,8 @@ use wire::{Direction, Transport, MSG_OVERHEAD};
 /// through storage).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShuffleCounters {
-    /// Bytes of spill files written by map tasks (headers included).
+    /// Bytes of spill files written by map tasks: their records' payload —
+    /// the index travels with the commit, not in the file.
     pub spill_bytes: u64,
     /// Intermediate records written to spill files (post-combine).
     pub spill_records: u64,
@@ -104,16 +106,11 @@ pub struct ShuffleCounters {
     pub segments_fetched: u64,
     /// Non-empty sorted runs fed to the reducers' k-way merges.
     pub merge_runs: u64,
-    /// Positioned reads issued by segment fetches (index + payload reads).
+    /// Positioned reads issued by segment fetches: one per non-empty
+    /// segment, none for an empty one.
     pub shuffle_read_round_trips: u64,
     /// Bytes moved by segment fetches.
     pub shuffle_read_bytes: u64,
-    /// Merged runs committed by the spill compactor (0 with compaction off).
-    pub compaction_runs: u64,
-    /// Map spills folded into merged runs by the compactor.
-    pub compaction_merged_spills: u64,
-    /// Bytes of merged-run files the compactor wrote.
-    pub compaction_bytes: u64,
 }
 
 impl ShuffleCounters {
@@ -121,8 +118,8 @@ impl ShuffleCounters {
     /// [`wire::CountersSnapshot`] schema used by every other boundary in
     /// the stack: each positioned segment read is one read message whose
     /// request is framing-only and whose response carries the fetched
-    /// bytes. Spill and compaction writes are local to the map node and
-    /// move nothing over this wire.
+    /// bytes. Spill writes are local to the map node and move nothing over
+    /// this wire.
     pub fn wire_snapshot(&self) -> wire::CountersSnapshot {
         let sent = self.shuffle_read_round_trips * MSG_OVERHEAD;
         let received = self.shuffle_read_bytes + self.shuffle_read_round_trips * MSG_OVERHEAD;
@@ -626,90 +623,26 @@ impl JobHandle {
     }
 }
 
-/// Where a reduce task pulls one merge source from: a single map's spill, or
-/// a merged run the compactor built from a contiguous map-id range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FetchSource {
-    /// The committed spill of map task `map_id`.
-    Spill { map_id: usize },
-    /// A merged run compacted from spills `start..start + len`.
-    Run { start: usize, len: usize },
+/// A committed map spill the reducers fetch from, with the index its
+/// winning attempt published: where each partition's segment lies in the
+/// file, so a fetch is one exact read.
+#[derive(Debug, Clone)]
+struct FetchSource {
+    map_id: usize,
+    index: Vec<IndexEntry>,
 }
 
 impl FetchSource {
-    /// First map id the source covers. Sources cover disjoint contiguous
-    /// ranges, so ordering fetched runs by this restores global map-id order
-    /// — which the k-way merge's tie-break needs to reproduce the oracle.
-    fn start(&self) -> usize {
-        match *self {
-            FetchSource::Spill { map_id } => map_id,
-            FetchSource::Run { start, .. } => start,
-        }
-    }
-
-    /// Number of map tasks the source covers.
-    fn len(&self) -> usize {
-        match *self {
-            FetchSource::Spill { .. } => 1,
-            FetchSource::Run { len, .. } => len,
-        }
-    }
-
-    /// The committed file the source lives in.
-    fn path(&self, scratch: &JobScratch) -> String {
-        match *self {
-            FetchSource::Spill { map_id } => scratch.spill_path(map_id),
-            FetchSource::Run { start, len } => scratch.run_path(start, len),
-        }
-    }
-}
-
-/// Minimum contiguous committed spills a compactor merges while map tasks
-/// are still running; once the map phase is done any leftover pair is worth
-/// merging, and isolated singles are published unmerged.
-const COMPACTION_MIN_BATCH: usize = 4;
-
-/// The reducers' fetch plan — which committed files cover which map tasks —
-/// and the merge-spill compaction that shapes it, guarded by the map-phase
-/// mutex. With compaction off a committing map publishes its own spill as a
-/// source; with it on, compactors publish merged runs and leftover spills.
-///
-/// Compaction only ever merges *contiguous* map-id ranges: the k-way merge
-/// breaks key ties toward the lower run index, so a run interleaving map ids
-/// with its neighbours would put equal keys out of the oracle's
-/// (map id, emit order) sequence. Contiguous ranges keep every record of run
-/// A strictly before or after every record of run B in map-id terms.
-#[derive(Default)]
-struct CompactionPlan {
-    /// Compaction is active for this job (threshold exceeded, reducers
-    /// exist).
-    enabled: bool,
-    /// Per-map flag: the spill is claimed by a compactor or already
-    /// published as a fetch source. Never cleared — a failed compaction
-    /// publishes its claimed spills unmerged instead of unclaiming them.
-    claimed: Vec<bool>,
-    /// Published fetch sources in publication order. Grows monotonically;
-    /// reducers consume it as a queue and never see an entry retracted.
-    sources: Vec<FetchSource>,
-    /// Sum of source lengths: how many map tasks the sources cover so far.
-    covered: usize,
-    /// Scratch-name sequence for compactor attempts.
-    attempt_seq: usize,
-    /// Merged runs committed.
-    runs: u64,
-    /// Spills folded into merged runs.
-    merged_spills: u64,
-    /// Bytes of merged-run files written.
-    bytes: u64,
-}
-
-impl CompactionPlan {
-    fn new(enabled: bool, num_maps: usize) -> Self {
-        CompactionPlan {
-            enabled,
-            claimed: vec![false; num_maps],
-            ..Default::default()
-        }
+    /// Where `partition`'s segment lies in the spill: an error, not a panic,
+    /// when the published index has no such partition.
+    fn entry(&self, partition: usize) -> MrResult<IndexEntry> {
+        self.index.get(partition).copied().ok_or_else(|| {
+            MrError::Storage(format!(
+                "the spill of map {} indexes {} partitions, not partition {partition}",
+                self.map_id,
+                self.index.len()
+            ))
+        })
     }
 }
 
@@ -729,9 +662,10 @@ struct MapPhase {
     output_files: Vec<String>,
     /// Clock reading when the last task committed (map-only jobs).
     finished_at: Option<Duration>,
-    /// The reducers' fetch plan, and merge-spill compaction state (inert
-    /// when disabled).
-    plan: CompactionPlan,
+    /// The reducers' fetch plan: committed spills in commit order. Grows
+    /// monotonically; reducers consume it as a queue and never see an entry
+    /// retracted.
+    sources: Vec<FetchSource>,
 }
 
 /// Shared reduce-phase state.
@@ -777,13 +711,10 @@ impl ReduceAttempt {
 
 #[derive(Default)]
 struct FetchProgress {
-    /// Entries of the fetch plan's source queue consumed so far.
-    taken: usize,
-    /// Map tasks those sources cover; the attempt can finish at `num_maps`.
-    covered: usize,
-    /// The partition's segment of every source fetched so far, encoded as
-    /// fetched: the attempt's last step merges them in place.
-    segments: Vec<(FetchSource, shuffle::Segment)>,
+    /// The partition's segment of every source fetched so far, by map id,
+    /// encoded as fetched — one per entry of the fetch plan consumed: the
+    /// attempt's last step merges them in place.
+    segments: Vec<(usize, shuffle::Segment)>,
     round_trips: u64,
     bytes: u64,
 }
@@ -798,10 +729,10 @@ trait Phase {
     const NAME: &'static str;
     fn book(&mut self) -> &mut TaskBook;
     fn failure(&mut self) -> &mut Option<MrError>;
-    /// Regular work claimable right now: pending tasks and ready compaction
-    /// batches — speculation is not demand, it only uses tokens nobody
-    /// wants. Must be exact: a job that advertises demand it cannot claim
-    /// hoards scheduler grants other jobs are waiting for.
+    /// Regular work claimable right now: pending tasks — speculation is not
+    /// demand, it only uses tokens nobody wants. Must be exact: a job that
+    /// advertises demand it cannot claim hoards scheduler grants other jobs
+    /// are waiting for.
     fn demand(&self) -> usize;
     /// Claim regular work for a token on `node`.
     fn claim(&mut self, at: &Dispatch, node: NodeId, now: Duration) -> Option<Self::Work>;
@@ -828,7 +759,7 @@ trait Phase {
 }
 
 impl Phase for MapPhase {
-    type Work = MapWork;
+    type Work = MapAttempt;
     const KIND: SlotKind = SlotKind::Map;
     const NAME: &'static str = "map";
 
@@ -841,27 +772,20 @@ impl Phase for MapPhase {
     }
 
     fn demand(&self) -> usize {
-        self.book.pending().len() + usize::from(compaction_ready(self))
+        self.book.pending().len()
     }
 
-    fn claim(&mut self, at: &Dispatch, node: NodeId, now: Duration) -> Option<MapWork> {
-        if let Some((pos, locality)) =
-            pick_map_task(at.topology, node, self.book.pending(), at.splits)
-        {
-            let id = self.book.claim_pending(pos, node, now);
-            return Some(MapWork::Task {
-                id,
-                locality,
-                speculative: false,
-            });
-        }
-        // Nothing pending: fold committed spills into a merged run so
-        // reducers fetch O(runs) segments instead of O(maps).
-        claim_compaction(self).map(|(start, len, seq)| MapWork::Compact { start, len, seq })
+    fn claim(&mut self, at: &Dispatch, node: NodeId, now: Duration) -> Option<MapAttempt> {
+        let (pos, locality) = pick_map_task(at.topology, node, self.book.pending(), at.splits)?;
+        Some(MapAttempt {
+            id: self.book.claim_pending(pos, node, now),
+            locality,
+            speculative: false,
+        })
     }
 
-    fn clone_work(&self, at: &Dispatch, node: NodeId, id: TaskAttemptId) -> MapWork {
-        MapWork::Task {
+    fn clone_work(&self, at: &Dispatch, node: NodeId, id: TaskAttemptId) -> MapAttempt {
+        MapAttempt {
             id,
             locality: classify(at.topology, node, &at.splits[id.task]),
             speculative: true,
@@ -916,9 +840,8 @@ impl Dispatch<'_> {
     /// node per sweep so work spreads over the cluster and each pick is made
     /// *for the token's node*. While the phase has real demand a token is
     /// asked of the scheduler ([`Engine::try_acquire`]) and pays for a
-    /// pending task or a compaction batch; with none, the idle tier
-    /// ([`Engine::try_acquire_idle`]) pays for a speculative clone of a
-    /// qualifying straggler. Demand is published — under the caller's phase
+    /// pending task; with none, the idle tier ([`Engine::try_acquire_idle`])
+    /// pays for a speculative clone of a qualifying straggler. Demand is published — under the caller's phase
     /// lock, so it is exact — before every acquire and after the last claim.
     ///
     /// Returns the granted work with the node whose token it holds, and lowers
@@ -1234,91 +1157,16 @@ impl JobTracker {
     }
 }
 
-/// What a map token was granted for: a map attempt, or a compaction batch.
-enum MapWork {
-    Task {
-        id: TaskAttemptId,
-        locality: Locality,
-        speculative: bool,
-    },
-    Compact {
-        start: usize,
-        len: usize,
-        seq: usize,
-    },
-}
-
-/// The longest maximal run `(start, len)` of committed map ids no compactor
-/// has claimed yet.
-fn longest_unclaimed_run(s: &MapPhase) -> Option<(usize, usize)> {
-    let num_maps = s.plan.claimed.len();
-    let unclaimed = |i: usize| s.book.is_committed(i) && !s.plan.claimed[i];
-    let mut best: Option<(usize, usize)> = None;
-    let mut i = 0;
-    while i < num_maps {
-        let start = i;
-        while i < num_maps && unclaimed(i) {
-            i += 1;
-        }
-        if i - start > best.map_or(0, |(_, len)| len) {
-            best = Some((start, i - start));
-        }
-        i += 1;
-    }
-    best
-}
-
-/// Read-only probe: would [`claim_compaction`] make progress right now?
-/// Used to compute the job's slot demand without mutating the plan. Once the
-/// map phase is done every unclaimed spill is work: merged if it has a
-/// neighbour, published as-is otherwise.
-fn compaction_ready(s: &MapPhase) -> bool {
-    s.plan.enabled
-        && longest_unclaimed_run(s)
-            .is_some_and(|(_, len)| s.book.all_committed() || len >= COMPACTION_MIN_BATCH)
-}
-
-/// Claim the longest contiguous range of committed, unclaimed spills worth
-/// compacting. Called under the phase lock. While map tasks are still in
-/// flight the range must reach [`COMPACTION_MIN_BATCH`] (bigger batches are
-/// coming); once all maps committed, any pair is merged and isolated
-/// leftovers are published directly as unmerged spill sources.
-fn claim_compaction(s: &mut MapPhase) -> Option<(usize, usize, usize)> {
-    if !s.plan.enabled {
-        return None;
-    }
-    let map_phase_done = s.book.all_committed();
-    loop {
-        let (start, len) = longest_unclaimed_run(s)?;
-        let min_len = if map_phase_done {
-            2
-        } else {
-            COMPACTION_MIN_BATCH
-        };
-        if len >= min_len {
-            for claimed in &mut s.plan.claimed[start..start + len] {
-                *claimed = true;
-            }
-            s.plan.attempt_seq += 1;
-            return Some((start, len, s.plan.attempt_seq));
-        }
-        if map_phase_done {
-            // Too short to merge and no more commits are coming: publish the
-            // range's spills as-is and look for another range.
-            for map_id in start..start + len {
-                s.plan.claimed[map_id] = true;
-                s.plan.sources.push(FetchSource::Spill { map_id });
-                s.plan.covered += 1;
-            }
-            continue;
-        }
-        return None;
-    }
+/// What a map token was granted for: a map attempt, and nothing else.
+struct MapAttempt {
+    id: TaskAttemptId,
+    locality: Locality,
+    speculative: bool,
 }
 
 /// How one reduce step ended, before commit arbitration.
 enum ReduceOutcome {
-    /// Every published source is fetched but they do not cover all maps
+    /// Every published source is fetched but not every map has committed
     /// yet: the attempt parks until the dispatcher has news for it.
     Parked,
     /// The job failed while this attempt was fetching or parked; abort
@@ -1375,7 +1223,6 @@ impl<'a> JobRun<'a> {
         if !map_only {
             fs.mkdirs(scratch.shuffle_dir())?;
         }
-        let compaction = !map_only && config.compaction_threshold.is_some_and(|t| num_maps > t);
         Ok(JobRun {
             jt,
             fs,
@@ -1389,7 +1236,6 @@ impl<'a> JobRun<'a> {
             map_state: Mutex::new(MapPhase {
                 book: TaskBook::new(num_maps),
                 results: (0..num_maps).map(|_| None).collect(),
-                plan: CompactionPlan::new(compaction, num_maps),
                 ..Default::default()
             }),
             reduce_state: Mutex::new(ReducePhase {
@@ -1416,11 +1262,11 @@ impl<'a> JobRun<'a> {
     /// granted, submit **one attempt as one pool task**, park until an event.
     ///
     /// Events are all there is to wait for — an attempt committed, failed,
-    /// lost or was preempted, a spill or merged run was published, any job
-    /// returned a token or lowered its demand ([`SlotPool::wake`]), a reducer
-    /// parked — plus one deadline, armed only while the job speculates and a
-    /// token sits idle: the earliest instant a running attempt can qualify as
-    /// a straggler. Both go through the one [`Clock::park`]. Attempts are
+    /// lost or was preempted, a spill was published, any job returned a
+    /// token or lowered its demand ([`SlotPool::wake`]), a reducer parked —
+    /// plus one deadline, armed only while the job speculates and a token
+    /// sits idle: the earliest instant a running attempt can qualify as a
+    /// straggler. Both go through the one [`Clock::park`]. Attempts are
     /// non-helpable pool tasks (`scope_blocking`: they run long and may sleep
     /// on the clock, so a sibling's helping wait must never inline one), and
     /// none of them ever waits for another — a reducer short of map output
@@ -1445,11 +1291,11 @@ impl<'a> JobRun<'a> {
                     let mut m = self.map_state.lock();
                     let maps = dispatch.grant(&mut *m, &mut deadline);
                     let over = m.failure.is_some() || (self.map_only && m.book.all_committed());
-                    (maps, m.plan.sources.len(), over)
+                    (maps, m.sources.len(), over)
                 };
-                for (node, work) in maps {
+                for (node, attempt) in maps {
                     self.charge(CLAIM, node);
-                    scope.spawn(move || self.run_map_work(node, work));
+                    scope.spawn(move || self.run_map_attempt(node, attempt));
                 }
                 if !self.map_only && !over {
                     // Newly granted attempts, and parked ones the fetch plan
@@ -1460,7 +1306,7 @@ impl<'a> JobRun<'a> {
                         over = r.failure.is_some() || r.book.all_committed();
                         let (resumed, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut r.parked)
                             .into_iter()
-                            .partition(|a| a.fetch.taken < sources);
+                            .partition(|a| a.fetch.segments.len() < sources);
                         r.parked = parked;
                         (new, resumed)
                     };
@@ -1490,71 +1336,17 @@ impl<'a> JobRun<'a> {
         }
     }
 
-    fn run_map_work(&self, node: NodeId, work: MapWork) {
-        match work {
-            MapWork::Task {
-                id,
-                locality,
-                speculative,
-            } => self.run_map_attempt(node, id, locality, speculative),
-            MapWork::Compact { start, len, seq } => self.run_compaction(node, start, len, seq),
-        }
-    }
-
-    /// Compact the committed spills `start..start + len` into one merged run:
-    /// bulk-read each spill, k-way-merge per partition — the reducers' merge,
-    /// records copied through as encoded bytes — write the image to
-    /// `_temporary` scratch, rename it into place (the range was claimed
-    /// once, so nobody races for the name) and publish it under the phase
-    /// lock. On any error the spills are published unmerged — compaction is
-    /// an optimization, never a point of failure; the committed spills
-    /// themselves are untouched either way.
-    fn run_compaction(&self, node: NodeId, start: usize, len: usize, seq: usize) {
-        let (fs, scratch, partitions) = (&*self.fs.on_node(node), &self.scratch, self.partitions);
-        let task = format!("compact-{start:05}");
-        let attempt_scratch = scratch.attempt_path(&task, seq);
-        let outcome = (|| -> MrResult<u64> {
-            let spills = (start..start + len)
-                .map(|map_id| {
-                    let path = scratch.spill_path(map_id);
-                    Ok(shuffle::read_spill(fs, &path, partitions)?.0)
-                })
-                .collect::<MrResult<Vec<_>>>()?;
-            let image = shuffle::merge_spills(&spills, partitions)?;
-            shuffle::write_image(fs, &attempt_scratch, &image)?;
-            fs.rename(&attempt_scratch, &scratch.run_path(start, len))?;
-            Ok(image.len() as u64)
-        })();
-
-        let mut s = self.map_state.lock();
-        s.plan.covered += len;
-        if let Ok(bytes) = outcome {
-            s.plan.sources.push(FetchSource::Run { start, len });
-            s.plan.runs += 1;
-            s.plan.merged_spills += len as u64;
-            s.plan.bytes += bytes;
-        } else {
-            s.plan
-                .sources
-                .extend((start..start + len).map(|map_id| FetchSource::Spill { map_id }));
-            drop(s);
-            scratch.discard_attempt(fs, &task, seq);
-        }
-        self.release(node, SlotKind::Map, false);
-    }
-
     /// One map attempt, start to finish: execute it, write its output to the
     /// attempt's scoped `_temporary` scratch, and rename-commit under the
     /// phase lock — first finished attempt wins, losers are discarded.
     /// Speculative clones run their map with a progress callback that both
     /// feeds the LATE estimator and honours preemption requests.
-    fn run_map_attempt(
-        &self,
-        node: NodeId,
-        id: TaskAttemptId,
-        locality: Locality,
-        speculative: bool,
-    ) {
+    fn run_map_attempt(&self, node: NodeId, attempt: MapAttempt) {
+        let MapAttempt {
+            id,
+            locality,
+            speculative,
+        } = attempt;
         // A storage handle bound to the token's node, so the attempt's I/O
         // originates there.
         let fs = &*self.fs.on_node(node);
@@ -1569,8 +1361,9 @@ impl<'a> JobRun<'a> {
         // scratch path. Progress milestones feed the book (the LATE
         // estimator reads them) and double as preemption checkpoints: a
         // speculative clone whose job owes a starved tenant a slot aborts
-        // here, mid-task. `part_written` carries (bytes, records) for
-        // map-only jobs, whose tasks commit straight to a part file.
+        // here, mid-task. A finished attempt carries (bytes, records) of the
+        // part file for map-only jobs, whose tasks commit straight to one,
+        // and its spill's index otherwise.
         let outcome = run_map_task_with_progress(
             fs,
             &self.splits[id.task],
@@ -1589,7 +1382,7 @@ impl<'a> JobRun<'a> {
             if self.map_only {
                 let records = std::mem::take(&mut output.partitions[0]);
                 let bytes = write_output_file(fs, &attempt_scratch, &records)?;
-                Ok(Some((output, (bytes, records.len() as u64))))
+                Ok(Some((output, (bytes, records.len() as u64), Vec::new())))
             } else {
                 // Sort each bucket, run the spill-time combiner, and write
                 // the spill image for the reducers to pull from.
@@ -1604,12 +1397,11 @@ impl<'a> JobRun<'a> {
                         *bucket = combined.records;
                     }
                 }
-                let (bytes, records) =
-                    shuffle::write_spill(fs, &attempt_scratch, &output.partitions)?;
-                output.spilled_bytes = bytes;
-                output.spilled_records = records;
+                let index = shuffle::write_spill(fs, &attempt_scratch, &output.partitions)?;
+                output.spilled_bytes = index.iter().map(|entry| entry.len).sum();
+                output.spilled_records = index.iter().map(|entry| entry.records).sum();
                 output.partitions.clear(); // the data now lives in the spill
-                Ok(Some((output, (0, 0))))
+                Ok(Some((output, (0, 0), index)))
             }
         });
 
@@ -1638,7 +1430,7 @@ impl<'a> JobRun<'a> {
                     s.book.record_lost(id, clock.now());
                     None
                 }
-                Ok(Some((output, (part_bytes, part_records)))) => {
+                Ok(Some((output, (part_bytes, part_records), index))) => {
                     let final_path = if self.map_only {
                         format!("{}/part-m-{:05}", job.config.output_dir, id.task)
                     } else {
@@ -1652,11 +1444,11 @@ impl<'a> JobRun<'a> {
                             s.output_files.push(final_path);
                             s.map_output_bytes += part_bytes;
                             s.map_output_records += part_records;
-                        } else if !s.plan.enabled {
-                            // No compactor to go through: the spill is a
-                            // fetch source as it stands.
-                            s.plan.sources.push(FetchSource::Spill { map_id: id.task });
-                            s.plan.covered += 1;
+                        } else {
+                            // Only the winner publishes: its spill and the
+                            // index that locates every segment in it.
+                            let map_id = id.task;
+                            s.sources.push(FetchSource { map_id, index });
                         }
                         s.results[id.task] = Some(output);
                         if s.book.all_committed() {
@@ -1680,11 +1472,11 @@ impl<'a> JobRun<'a> {
     }
 
     /// One step of a reduce attempt, a short pool task: pull the partition's
-    /// segment from every fetch source (map spill, or merged run) published
-    /// since the attempt's last step; if the sources now cover every map
-    /// task, stream the k-way merge of the encoded segments through the
-    /// reducer into the part file and commit in the same task — otherwise
-    /// park the attempt and tell the dispatcher. The source queue only
+    /// segment from every map spill published since the attempt's last step,
+    /// one exact read each at the offset its index gives; if every map task
+    /// has now been fetched, stream the k-way merge of the encoded segments
+    /// through the reducer into the part file and commit in the same task —
+    /// otherwise park the attempt and tell the dispatcher. The source queue only
     /// grows, so speculative attempts of one partition consume it
     /// independently.
     fn reduce_step(&self, mut attempt: ReduceAttempt) {
@@ -1693,27 +1485,26 @@ impl<'a> JobRun<'a> {
         let task = format!("reduce-{partition:05}");
         let attempt_scratch = self.scratch.attempt_path(&task, id.attempt);
         let outcome = (|| loop {
+            let taken = fetch.segments.len();
             let (news, map_failed) = {
                 let m = self.map_state.lock();
-                (m.plan.sources[fetch.taken..].to_vec(), m.failure.is_some())
+                (m.sources[taken..].to_vec(), m.failure.is_some())
             };
             if map_failed {
                 return Ok(ReduceOutcome::JobFailed);
             }
             if !news.is_empty() {
-                fetch.taken += news.len();
                 for source in news {
-                    let path = source.path(&self.scratch);
+                    let path = self.scratch.spill_path(source.map_id);
                     let (segment, cost) =
-                        shuffle::read_segment(fs, &path, partition, self.partitions)?;
+                        shuffle::read_segment(fs, &path, source.entry(partition)?)?;
                     fetch.round_trips += cost.round_trips;
                     fetch.bytes += cost.bytes;
-                    fetch.covered += source.len();
-                    fetch.segments.push((source, segment));
+                    fetch.segments.push((source.map_id, segment));
                 }
                 continue; // more may have been published meanwhile
             }
-            if fetch.covered < self.splits.len() {
+            if fetch.segments.len() < self.splits.len() {
                 return Ok(ReduceOutcome::Parked);
             }
             // Preemption checkpoint between the fetch and the expensive
@@ -1722,11 +1513,10 @@ impl<'a> JobRun<'a> {
             if attempt.speculative && self.account.take_preempt() {
                 return Ok(ReduceOutcome::Preempted);
             }
-            // Sources cover disjoint contiguous map-id ranges: ordering the
-            // segments by range start restores global map-id order, so the
-            // k-way merge's tie-break reproduces the oracle's (map id, emit
-            // order) sequence.
-            fetch.segments.sort_by_key(|(source, _)| source.start());
+            // Spills commit in any order: ordering the segments by map id
+            // lets the k-way merge's tie-break reproduce the oracle's
+            // (map id, emit order) sequence.
+            fetch.segments.sort_by_key(|(map_id, _)| *map_id);
             let mut out = OutputFile::create(fs, &attempt_scratch)?;
             let segments = fetch.segments.iter().map(|(_, segment)| segment);
             let merge_runs = shuffle::reduce_segments(segments, &*self.job.reducer, &mut out)?;
@@ -1855,9 +1645,6 @@ impl<'a> JobRun<'a> {
             result.shuffle.merge_runs = reduce_state.merge_runs;
             result.shuffle.shuffle_read_round_trips = reduce_state.read_round_trips;
             result.shuffle.shuffle_read_bytes = reduce_state.read_bytes;
-            result.shuffle.compaction_runs = map_state.plan.runs;
-            result.shuffle.compaction_merged_spills = map_state.plan.merged_spills;
-            result.shuffle.compaction_bytes = map_state.plan.bytes;
             speculation.merge(&reduce_state.book.speculation());
             result.speculation = speculation;
             result.reduce_tasks = self.partitions;
@@ -1979,7 +1766,6 @@ mod engine_tests {
         let phase = MapPhase {
             book: TaskBook::new(n),
             results: (0..n).map(|_| None).collect(),
-            plan: CompactionPlan::new(false, n),
             ..Default::default()
         };
         (phase, splits)
@@ -2047,9 +1833,7 @@ mod engine_tests {
         // demand, so A gets no clone — and arms no deadline for one — even
         // once a token is free: it goes to B's queued regular attempt.
         sim.advance(Duration::from_secs(60));
-        let MapWork::Task { id: b0, .. } = granted_b[0].1 else {
-            panic!("B was granted a map task");
-        };
+        let b0 = granted_b[0].1.id;
         phase_b.book.record_success(b0, sim.now());
         e.release(&b, NodeId(0), SlotKind::Map, false);
         deadline = None;
@@ -2110,7 +1894,7 @@ mod engine_tests {
         sim.advance(deadline.unwrap());
         let clone = da.grant(&mut phase_a, &mut deadline);
         assert!(
-            matches!(clone[..], [(node, MapWork::Task { speculative: true, .. })] if node == NodeId(1))
+            matches!(clone[..], [(node, MapAttempt { speculative: true, .. })] if node == NodeId(1))
         );
         assert_eq!(view(&e, &a).speculative, 1);
 
@@ -2122,7 +1906,7 @@ mod engine_tests {
         assert!(da.grant(&mut phase_a, &mut deadline).is_empty());
         let granted = db.grant(&mut phase_b, &mut deadline);
         assert!(
-            matches!(granted[..], [(node, MapWork::Task { speculative: false, .. })] if node == NodeId(1))
+            matches!(granted[..], [(node, MapAttempt { speculative: false, .. })] if node == NodeId(1))
         );
     }
 
@@ -2198,7 +1982,7 @@ mod engine_tests {
 mod dispatch_tests {
     use super::*;
     use crate::fs::BsfsFs;
-    use crate::job::{IdentityReducer, InputSpec, JobConfig, Mapper};
+    use crate::job::{IdentityReducer, InputSpec, JobConfig, Mapper, RangePartitioner};
     use crate::tasktracker::AttemptState;
     use blobseer::{BlobSeer, BlobSeerConfig};
     use bsfs::{Bsfs, BsfsConfig};
@@ -2320,6 +2104,37 @@ mod dispatch_tests {
             (result.map_tasks * result.reduce_tasks) as u64
         );
         assert_matches_oracle(&jt, &fs, &result, &sort_job("/oracle", reducers));
+    }
+
+    #[test]
+    fn an_all_empty_partition_costs_no_reads_and_a_missing_one_is_an_error() {
+        // Every key sorts below the boundary: partition 1's segments are all
+        // empty, so its reducer finishes without a single positioned read.
+        let (topo, fs) = cluster(4, 8);
+        let jt = JobTracker::new(&topo);
+        let job = |out| {
+            let below = RangePartitioner::new(vec!["z".into()]);
+            sort_job(out, 2).with_partitioner(Arc::new(below))
+        };
+        let result = jt.run(&fs, &job("/out")).unwrap();
+        let (maps, s) = (result.map_tasks as u64, result.shuffle);
+        assert_eq!(maps, 8);
+        assert_eq!(s.segments_fetched, 2 * maps);
+        assert_eq!(
+            s.shuffle_read_round_trips, maps,
+            "partition 0's only: {s:?}"
+        );
+        assert_eq!(s.merge_runs, maps);
+        assert_eq!(s.shuffle_read_bytes, s.spill_bytes);
+        assert_matches_oracle(&jt, &fs, &result, &job("/oracle"));
+
+        // A partition the published index does not have is an error.
+        let source = FetchSource {
+            map_id: 3,
+            index: vec![IndexEntry::default(); 2],
+        };
+        assert_eq!(source.entry(1).unwrap(), IndexEntry::default());
+        assert!(matches!(source.entry(2), Err(MrError::Storage(_))));
     }
 
     /// A wall clock that counts how its one wait primitive is used.

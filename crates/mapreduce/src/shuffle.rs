@@ -7,13 +7,15 @@
 //! Hadoop-shaped data path that makes it so:
 //!
 //! * every map task **spills** its output as one sorted, partition-bucketed
-//!   file `<output>/_shuffle/map-<id>` with a per-partition index header
-//!   ([`write_spill`]);
+//!   file `<output>/_shuffle/map-<id>` ([`write_spill`]), whose index — one
+//!   [`IndexEntry`] per partition — the jobtracker publishes with the map's
+//!   commit instead of storing it in the file;
 //! * every reduce task **pulls** its partition's segment out of every map
-//!   file with positioned reads ([`read_segment`]) and streams the **k-way
-//!   merge** of the still-encoded, pre-sorted segments through the reducer
-//!   into its part file ([`reduce_segments`]) — a record stays a slice of the
-//!   buffer it was fetched in until the user's `reduce` asks for a `String`;
+//!   file with one exact positioned read ([`read_segment`]; none for an empty
+//!   segment) and streams the **k-way merge** of the still-encoded,
+//!   pre-sorted segments through the reducer into its part file
+//!   ([`reduce_segments`]) — a record stays a slice of the buffer it was
+//!   fetched in until the user's `reduce` asks for a `String`;
 //! * task attempts write under `<output>/_temporary/attempt-<task>-<n>`
 //!   ([`attempt_path`]) and [`rename`](crate::fs::DistFs::rename) into place
 //!   on commit — the jobtracker performs that rename under its phase lock so
@@ -27,14 +29,16 @@
 //! ## Spill file layout
 //!
 //! ```text
-//! +--------+---------+------------+----------+
-//! | magic  | version | partitions | reserved |   16-byte fixed header (u32 LE)
-//! +--------+---------+------------+----------+
-//! | offset | len | records |  x partitions       24-byte index entries (u64 LE)
-//! +--------+-----+---------+
-//! | partition 0 records ... partition N records
-//! +---------------------------------------------
+//! +---------------------+-----+---------------------+
+//! | partition 0 records | ... | partition N records |
+//! +---------------------+-----+---------------------+
 //! ```
+//!
+//! The file is payload only. Its index — `(offset, len, records)` per
+//! partition — never goes to storage: the map task already holds it in
+//! memory, and the jobtracker hands it to the reducers with the map's commit,
+//! the way Hadoop's map-completion events and index cache do, so a segment
+//! costs one read, not an index read and then a payload read.
 //!
 //! Records are length-prefixed (`u32 key_len, key, u32 val_len, value`), so
 //! keys and values may contain any bytes, and each partition's records are
@@ -42,21 +46,12 @@
 //! merges pre-sorted runs instead of re-sorting the world.
 
 use crate::error::{MrError, MrResult};
-use crate::fs::{DistFs, FileReader};
+use crate::fs::DistFs;
 use crate::job::Reducer;
 use crate::tasktracker::OutputFile;
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-/// Magic number at the head of every spill file (`"SHUF"`).
-pub const SPILL_MAGIC: u32 = 0x5348_5546;
-/// Version of the spill layout.
-pub const SPILL_VERSION: u32 = 1;
-/// Bytes of the fixed header before the partition index.
-pub const SPILL_HEADER_LEN: u64 = 16;
-/// Bytes of one partition index entry (offset, len, records).
-pub const SPILL_INDEX_ENTRY_LEN: u64 = 24;
 
 /// The shuffle directory of a job.
 pub fn shuffle_dir(output_dir: &str) -> String {
@@ -66,13 +61,6 @@ pub fn shuffle_dir(output_dir: &str) -> String {
 /// The committed spill file of one map task.
 pub fn spill_path(output_dir: &str, map_id: usize) -> String {
     format!("{}/map-{map_id:05}", shuffle_dir(output_dir))
-}
-
-/// The committed merged run compacted from the spills of map tasks
-/// `start..start + len` (a contiguous map-id range). Merged runs use the
-/// spill layout unchanged, so [`read_segment`] serves them as-is.
-pub fn run_path(output_dir: &str, start: usize, len: usize) -> String {
-    format!("{}/run-{start:05}-{len:05}", shuffle_dir(output_dir))
 }
 
 /// The scratch directory task attempts write under before committing.
@@ -86,20 +74,14 @@ pub fn attempt_path(output_dir: &str, task: &str, attempt: usize) -> String {
     format!("{}/attempt-{task}-{attempt}", temporary_dir(output_dir))
 }
 
-/// Total bytes of header + index for a spill with `partitions` partitions —
-/// what a reducer reads (one positioned read) to find its segment.
-pub fn index_len(partitions: usize) -> u64 {
-    SPILL_HEADER_LEN + partitions as u64 * SPILL_INDEX_ENTRY_LEN
-}
-
 /// The scratch namespace of one job execution: a uniquely-tagged pair of
 /// shuffle and temporary directories under the job's output directory.
 ///
 /// Before multi-tenancy, every execution used the bare `_shuffle/` and
 /// `_temporary/` names — so two concurrent jobs writing into the same
 /// `DistFs` (or one tenant resubmitting an identical `JobConfig` while the
-/// first run was still in flight) would interleave spill files, compaction
-/// runs and attempt scratch, and each job's cleanup would delete the *other*
+/// first run was still in flight) would interleave spill files and attempt
+/// scratch, and each job's cleanup would delete the *other*
 /// job's live intermediates. Scoping every scratch path by a process-unique
 /// execution tag makes the collision structurally impossible: file *names*
 /// inside the directories are unchanged (delay/fault injection by filename
@@ -122,7 +104,7 @@ impl JobScratch {
         }
     }
 
-    /// This execution's shuffle directory (committed spills + merged runs).
+    /// This execution's shuffle directory (committed spills).
     pub fn shuffle_dir(&self) -> &str {
         &self.shuffle_dir
     }
@@ -135,12 +117,6 @@ impl JobScratch {
     /// The committed spill file of one map task.
     pub fn spill_path(&self, map_id: usize) -> String {
         format!("{}/map-{map_id:05}", self.shuffle_dir)
-    }
-
-    /// The committed merged run compacted from the spills of map tasks
-    /// `start..start + len`.
-    pub fn run_path(&self, start: usize, len: usize) -> String {
-        format!("{}/run-{start:05}-{len:05}", self.shuffle_dir)
     }
 
     /// Where attempt `attempt` of `task` writes before its rename-commit.
@@ -231,10 +207,6 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn truncated() -> MrError {
     MrError::Storage("truncated shuffle data".into())
 }
@@ -244,74 +216,64 @@ fn get_u32(data: &[u8], at: usize) -> MrResult<u32> {
     Ok(u32::from_le_bytes(*bytes.ok_or_else(truncated)?))
 }
 
-fn get_u64(data: &[u8], at: usize) -> MrResult<u64> {
-    let bytes = data.get(at..).and_then(|d| d.first_chunk());
-    Ok(u64::from_le_bytes(*bytes.ok_or_else(truncated)?))
-}
-
-/// Start a spill image whose partitions hold the given `(payload bytes,
-/// records)`: the header and the index are written and room for the payloads
-/// is reserved, so the caller appends each partition's records, in partition
-/// order, and every record is copied exactly once.
-fn begin_spill_image(partitions: &[(u64, u64)]) -> Vec<u8> {
-    let payload: u64 = partitions.iter().map(|(len, _)| len).sum();
-    let mut image = Vec::with_capacity((index_len(partitions.len()) + payload) as usize);
-    put_u32(&mut image, SPILL_MAGIC);
-    put_u32(&mut image, SPILL_VERSION);
-    put_u32(&mut image, partitions.len() as u32);
-    put_u32(&mut image, 0); // reserved
-    let mut offset = index_len(partitions.len());
-    for &(len, records) in partitions {
-        put_u64(&mut image, offset);
-        put_u64(&mut image, len);
-        put_u64(&mut image, records);
-        offset += len;
-    }
-    image
+/// Where one partition's segment lies in a spill image, and how many records
+/// it holds: one entry of the spill's index, which travels with the map's
+/// commit rather than in the file.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct IndexEntry {
+    /// Byte offset of the segment in the spill file.
+    pub(crate) offset: u64,
+    /// Bytes of the segment's encoded records.
+    pub(crate) len: u64,
+    /// Records the segment holds.
+    pub(crate) records: u64,
 }
 
 /// Encode partition buckets (each already key-sorted) into the spill layout.
-/// Returns the file image and the total record count.
-pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, u64) {
-    let sizes: Vec<(u64, u64)> = (partitions.iter())
+/// Returns the file image and its index, one entry per partition. The image
+/// is sized from the records up front and every record is copied once.
+pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, Vec<IndexEntry>) {
+    let mut offset = 0;
+    let index: Vec<IndexEntry> = (partitions.iter())
         .map(|bucket| {
-            let payload: usize = bucket.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
-            (payload as u64, bucket.len() as u64)
+            let len: usize = bucket.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+            let entry = IndexEntry {
+                offset,
+                len: len as u64,
+                records: bucket.len() as u64,
+            };
+            offset += entry.len;
+            entry
         })
         .collect();
-    let mut image = begin_spill_image(&sizes);
+    let mut image = Vec::with_capacity(offset as usize);
     for (k, v) in partitions.iter().flatten() {
         put_u32(&mut image, k.len() as u32);
         image.extend_from_slice(k.as_bytes());
         put_u32(&mut image, v.len() as u32);
         image.extend_from_slice(v.as_bytes());
     }
-    (image, sizes.iter().map(|(_, records)| records).sum())
-}
-
-/// Write a finished spill image to `path`.
-pub fn write_image(fs: &dyn DistFs, path: &str, image: &[u8]) -> MrResult<()> {
-    let mut writer = fs.create(path)?;
-    writer.write(image)?;
-    writer.close()
+    (image, index)
 }
 
 /// Write a map task's partition buckets as a spill file at `path` (normally
-/// an [`attempt_path`], renamed into [`spill_path`] on commit). Returns
-/// `(bytes_written, records_spilled)`.
+/// an [`attempt_path`], renamed into [`spill_path`] on commit). Returns the
+/// spill's index, for the commit to publish.
 pub fn write_spill(
     fs: &dyn DistFs,
     path: &str,
     partitions: &[Vec<(String, String)>],
-) -> MrResult<(u64, u64)> {
-    let (image, records) = encode_spill(partitions);
-    write_image(fs, path, &image)?;
-    Ok((image.len() as u64, records))
+) -> MrResult<Vec<IndexEntry>> {
+    let (image, index) = encode_spill(partitions);
+    let mut writer = fs.create(path)?;
+    writer.write(&image)?;
+    writer.close()?;
+    Ok(index)
 }
 
-/// One partition's segment pulled out of one spill file (a map's, or a
-/// merged run's): fetched and kept encoded. Nothing ever decodes a segment
-/// into a record vector — [`merge_segments`] walks its payload in place.
+/// One partition's segment pulled out of one map's spill: fetched and kept
+/// encoded. Nothing ever decodes a segment into a record vector —
+/// [`merge_segments`] walks its payload in place.
 #[derive(Debug, Default, Clone)]
 pub struct Segment {
     /// The segment's still-encoded records.
@@ -325,119 +287,35 @@ pub struct Segment {
 /// What a fetch cost the storage layer.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FetchCost {
-    /// Bytes fetched (index + payload).
+    /// Payload bytes fetched.
     pub bytes: u64,
-    /// Positioned reads issued (1 for the index, +1 when there was payload
-    /// to read).
+    /// Positioned reads issued: 1, or 0 for an empty segment.
     pub round_trips: u64,
 }
 
-/// Read and validate the header+index of the spill at `path`: one
-/// positioned read, whose cost is returned with it.
-fn read_index(
-    reader: &mut dyn FileReader,
-    path: &str,
-    num_partitions: usize,
-) -> MrResult<(Bytes, FetchCost)> {
-    let header = reader.read_at(0, index_len(num_partitions))?;
-    if get_u32(&header, 0)? != SPILL_MAGIC || get_u32(&header, 4)? != SPILL_VERSION {
-        return Err(MrError::Storage(format!("{path} is not a spill file")));
-    }
-    let partitions = get_u32(&header, 8)? as usize;
-    if partitions != num_partitions {
-        return Err(MrError::Storage(format!(
-            "{path} holds {partitions} partitions, {num_partitions} expected"
-        )));
-    }
-    let cost = FetchCost {
-        bytes: header.len() as u64,
-        round_trips: 1,
-    };
-    Ok((header, cost))
-}
-
-/// Index entry `partition` of a spill header: `(offset, len, records)`.
-fn index_entry(header: &[u8], partition: usize) -> MrResult<(u64, u64, u64)> {
-    let entry = (SPILL_HEADER_LEN + partition as u64 * SPILL_INDEX_ENTRY_LEN) as usize;
-    Ok((
-        get_u64(header, entry)?,
-        get_u64(header, entry + 8)?,
-        get_u64(header, entry + 16)?,
-    ))
-}
-
-/// Read `len` bytes of payload at `offset` — skipped when there are none —
-/// and add what it cost to `cost`.
-fn read_payload(
-    reader: &mut dyn FileReader,
-    offset: u64,
-    len: u64,
-    cost: &mut FetchCost,
-) -> MrResult<Bytes> {
-    if len == 0 {
-        return Ok(Bytes::new());
-    }
-    let payload = reader.read_at(offset, len)?;
-    cost.bytes += payload.len() as u64;
-    cost.round_trips += 1;
-    Ok(payload)
-}
-
-/// Fetch partition `partition` of the spill at `path` with positioned reads:
-/// one read for the header+index, one for the segment payload (skipped when
-/// the segment is empty).
+/// Fetch the segment `entry` locates in the spill at `path`: one positioned
+/// read of exactly its bytes, and none at all when it is empty. The bytes are
+/// not trusted — [`merge_segments`] checks them against `entry.records`.
 pub fn read_segment(
     fs: &dyn DistFs,
     path: &str,
-    partition: usize,
-    num_partitions: usize,
+    entry: IndexEntry,
 ) -> MrResult<(Segment, FetchCost)> {
-    let mut reader = fs.open(path)?;
-    let (header, mut cost) = read_index(&mut *reader, path, num_partitions)?;
-    let (offset, len, records) = index_entry(&header, partition)?;
+    let mut cost = FetchCost::default();
+    let mut payload = Bytes::new();
+    if entry.len > 0 {
+        payload = fs.open(path)?.read_at(entry.offset, entry.len)?;
+        cost = FetchCost {
+            bytes: payload.len() as u64,
+            round_trips: 1,
+        };
+    }
     let segment = Segment {
-        payload: read_payload(&mut *reader, offset, len, &mut cost)?,
+        payload,
         source: path.to_string(),
-        records,
+        records: entry.records,
     };
     Ok((segment, cost))
-}
-
-/// Fetch every partition's segment of the spill at `path`: one positioned
-/// read for the header+index, one for the whole payload region, which the
-/// segments share as views. This is how the compactor ingests the spills it
-/// merges — paying 2 reads per *spill* rather than 2 per map×partition pair.
-pub fn read_spill(
-    fs: &dyn DistFs,
-    path: &str,
-    num_partitions: usize,
-) -> MrResult<(Vec<Segment>, FetchCost)> {
-    let mut reader = fs.open(path)?;
-    let (header, mut cost) = read_index(&mut *reader, path, num_partitions)?;
-    let entries = (0..num_partitions)
-        .map(|p| index_entry(&header, p))
-        .collect::<MrResult<Vec<_>>>()?;
-    let base = index_len(num_partitions);
-    // The index is untrusted: lengths that do not add up are corruption.
-    let payload_len = (entries.iter())
-        .try_fold(0u64, |sum, (_, len, _)| sum.checked_add(*len))
-        .ok_or_else(|| corrupt(path))?;
-    let payload = read_payload(&mut *reader, base, payload_len, &mut cost)?;
-    let segments = (entries.into_iter())
-        .map(|(offset, len, records)| {
-            let from = offset.checked_sub(base).map(|from| from as usize);
-            let range = from.and_then(|from| Some(from..from.checked_add(len as usize)?));
-            match range {
-                Some(range) if range.end <= payload.len() => Ok(Segment {
-                    payload: payload.slice(range),
-                    source: path.to_string(),
-                    records,
-                }),
-                _ => Err(corrupt(path)),
-            }
-        })
-        .collect::<MrResult<Vec<_>>>()?;
-    Ok((segments, cost))
 }
 
 fn corrupt(path: &str) -> MrError {
@@ -451,9 +329,6 @@ pub struct RawRecord<'a> {
     pub key: &'a [u8],
     /// The value's bytes.
     pub value: &'a [u8],
-    /// The whole record as it is encoded, length prefixes included — what a
-    /// merge that writes spill layout copies through unchanged.
-    pub encoded: &'a [u8],
 }
 
 /// A position in a segment's payload. Enforces, in both directions, that the
@@ -492,14 +367,9 @@ impl<'a> Cursor<'a> {
         let (key, after_key) = (self.rest[4..].split_at_checked(key_len)).ok_or_else(corrupt)?;
         let value_len = get_u32(after_key, 0)? as usize;
         let (value, rest) = (after_key[4..].split_at_checked(value_len)).ok_or_else(corrupt)?;
-        let encoded = &self.rest[..self.rest.len() - rest.len()];
         self.rest = rest;
         self.promised -= 1;
-        Ok(Some(RawRecord {
-            key,
-            value,
-            encoded,
-        }))
+        Ok(Some(RawRecord { key, value }))
     }
 }
 
@@ -593,31 +463,6 @@ pub fn reduce_segments<'a>(
         reduce_group(key, &values, out)?;
     }
     Ok(runs)
-}
-
-/// Merge whole spills (each one [`read_spill`]'s segments, in map-id order)
-/// into the image of one merged run: per partition the same merge the
-/// reducers run, with every record copied through as encoded bytes.
-pub fn merge_spills(spills: &[Vec<Segment>], num_partitions: usize) -> MrResult<Vec<u8>> {
-    let partition = |p: usize| spills.iter().filter_map(move |spill| spill.get(p));
-    let sizes: Vec<(u64, u64)> = (0..num_partitions)
-        .map(|p| {
-            partition(p).fold((0, 0), |(bytes, records), segment| {
-                (
-                    bytes + segment.payload.len() as u64,
-                    records + segment.records,
-                )
-            })
-        })
-        .collect();
-    let mut image = begin_spill_image(&sizes);
-    for p in 0..num_partitions {
-        merge_segments(partition(p), |record| {
-            image.extend_from_slice(record.encoded);
-            Ok(())
-        })?;
-    }
-    Ok(image)
 }
 
 /// Entry in [`merge_runs`]' heap: `BinaryHeap` is a max-heap, so comparisons
@@ -754,7 +599,6 @@ mod tests {
         // Same file names, different directories: no path of one execution
         // is a path of the other.
         assert_ne!(a.spill_path(0), b.spill_path(0));
-        assert_ne!(a.run_path(0, 4), b.run_path(0, 4));
         assert_ne!(
             a.attempt_path("map-00000", 0),
             b.attempt_path("map-00000", 0)
@@ -797,141 +641,83 @@ mod tests {
         ]
     }
 
-    /// The spill image of [`sample_buckets`], written out by hand.
+    /// The spill image of [`sample_buckets`], written out by hand: payload
+    /// only.
     fn sample_image() -> Vec<u8> {
         let mut golden = Vec::new();
-        for word in [SPILL_MAGIC, SPILL_VERSION, 3, 0] {
-            golden.extend_from_slice(&word.to_le_bytes());
-        }
-        // (offset, len, records) per partition; the index ends at byte 88.
-        for entry in [[88u64, 20, 2], [108, 0, 0], [108, 32, 3]] {
-            for word in entry {
-                golden.extend_from_slice(&word.to_le_bytes());
-            }
-        }
         golden.extend_from_slice(b"\x01\0\0\0a\x01\0\0\x001\x01\0\0\0b\x01\0\0\x002");
         golden.extend_from_slice(b"\x01\0\0\0c\x04\0\0\0x\ty\n\x01\0\0\0c\0\0\0\0");
         golden.extend_from_slice(b"\x01\0\0\0d\x01\0\0\x003");
         golden
     }
 
+    fn entry(offset: u64, len: u64, records: u64) -> IndexEntry {
+        IndexEntry {
+            offset,
+            len,
+            records,
+        }
+    }
+
     #[test]
     fn spill_roundtrip_through_storage() {
         let fs = fs();
         let buckets = sample_buckets();
-        let (bytes, records) = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
-        assert_eq!(records, 5);
-        assert_eq!(bytes, fs.len("/out/_shuffle/map-00000").unwrap());
-        // The layout is pinned byte for byte, and sized exactly up front.
-        let (image, _) = encode_spill(&buckets);
+        let index = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
+        // The index is pinned entry for entry, the layout byte for byte, and
+        // the image is sized exactly up front.
+        assert_eq!(index, [entry(0, 20, 2), entry(20, 0, 0), entry(20, 32, 3)]);
+        let (image, encoded_index) = encode_spill(&buckets);
+        assert_eq!(encoded_index, index);
         assert_eq!(image, sample_image());
         assert_eq!(image.capacity(), image.len(), "sized from the records");
         let stored = fs.read_file("/out/_shuffle/map-00000").unwrap();
         assert_eq!(&stored[..], &image[..]);
 
         for (p, bucket) in buckets.iter().enumerate() {
-            let (seg, cost) = read_segment(&fs, "/out/_shuffle/map-00000", p, 3).unwrap();
+            let (seg, cost) = read_segment(&fs, "/out/_shuffle/map-00000", index[p]).unwrap();
             assert_eq!(&decode(&seg), bucket, "partition {p}");
             assert_eq!(seg.records, bucket.len() as u64);
-            if bucket.is_empty() {
-                assert_eq!(cost.round_trips, 1, "empty segments skip the data read");
-            } else {
-                assert_eq!(cost.round_trips, 2);
-                assert!(cost.bytes > index_len(3));
-            }
+            let reads = u64::from(!bucket.is_empty());
+            assert_eq!(cost.round_trips, reads, "one exact read, none when empty");
+            assert_eq!(cost.bytes, index[p].len);
         }
-    }
-
-    #[test]
-    fn whole_spill_reads_back_as_runs() {
-        let fs = fs();
-        let buckets = sample_buckets();
-        let (bytes, _) = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
-        let (segments, cost) = read_spill(&fs, "/out/_shuffle/map-00000", 3).unwrap();
-        let runs: Vec<_> = segments.iter().map(decode).collect();
-        assert_eq!(runs, buckets);
-        assert_eq!(cost.round_trips, 2, "one index read, one bulk payload read");
-        assert_eq!(cost.bytes, bytes, "the whole file is fetched");
-        // Wrong partition count and non-spill files are rejected.
-        assert!(read_spill(&fs, "/out/_shuffle/map-00000", 2).is_err());
-        fs.write_file("/junk", b"this is not a spill file at all......")
-            .unwrap();
-        assert!(read_spill(&fs, "/junk", 3).is_err());
     }
 
     #[test]
     fn an_index_whose_lengths_overflow_is_corruption_not_a_panic() {
         let fs = fs();
-        let mut image = sample_image();
-        // Partitions 0 and 2 each claim `u64::MAX` bytes of payload.
-        for entry in [0, 2] {
-            let len_at = (SPILL_HEADER_LEN + entry * SPILL_INDEX_ENTRY_LEN + 8) as usize;
-            image[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs.write_file("/overflow", &sample_image()).unwrap();
+        for bad in [entry(0, u64::MAX, 2), entry(u64::MAX - 1, 4, 1)] {
+            assert!(matches!(
+                read_segment(&fs, "/overflow", bad),
+                Err(MrError::Storage(_))
+            ));
         }
-        fs.write_file("/overflow", &image).unwrap();
-        assert!(matches!(
-            read_spill(&fs, "/overflow", 3),
-            Err(MrError::Storage(_))
-        ));
-        assert!(matches!(
-            read_segment(&fs, "/overflow", 0, 3),
-            Err(MrError::Storage(_))
-        ));
     }
 
     #[test]
     fn empty_spill_reads_back_without_a_payload_round_trip() {
         let fs = fs();
         let buckets = vec![Vec::new(), Vec::new()];
-        write_spill(&fs, "/s", &buckets).unwrap();
-        let (segments, cost) = read_spill(&fs, "/s", 2).unwrap();
-        let runs: Vec<_> = segments.iter().map(decode).collect();
-        assert_eq!(runs, buckets);
-        assert_eq!(cost.round_trips, 1, "no payload to read");
-    }
-
-    #[test]
-    fn merged_run_uses_the_spill_layout() {
-        // A compacted run is just a spill file at a run path: merge the
-        // spills' segments encoded-in, encoded-out, read the result with
-        // read_segment.
-        let fs = fs();
-        let spills = [
-            vec![
-                vec![pair("a", "m0"), pair("c", "m0")],
-                vec![pair("z", "m0")],
-            ],
-            vec![vec![pair("a", "m1")], Vec::new()],
-        ];
-        for (i, buckets) in spills.iter().enumerate() {
-            write_spill(&fs, &spill_path("/out", i), buckets).unwrap();
+        let index = write_spill(&fs, "/s", &buckets).unwrap();
+        assert_eq!(index, [IndexEntry::default(); 2]);
+        let reads = || fs.inner().storage().stats().read_ops;
+        let before = reads();
+        for entry in index {
+            let (segment, cost) = read_segment(&fs, "/s", entry).unwrap();
+            assert!(decode(&segment).is_empty());
+            assert_eq!(cost, FetchCost::default());
         }
-        let fetched: Vec<Vec<Segment>> = (0..2)
-            .map(|m| read_spill(&fs, &spill_path("/out", m), 2).unwrap().0)
-            .collect();
-        let image = merge_spills(&fetched, 2).unwrap();
-        // Byte for byte what encoding the merged records would have given.
-        let merged: Vec<Vec<(String, String)>> = (0..2)
-            .map(|p| merge_runs(spills.iter().map(|s| s[p].clone()).collect()))
-            .collect();
-        assert_eq!(image, encode_spill(&merged).0);
-        assert_eq!(image.capacity(), image.len(), "sized from the segments");
-        write_image(&fs, &run_path("/out", 0, 2), &image).unwrap();
-        let (seg, _) = read_segment(&fs, &run_path("/out", 0, 2), 0, 2).unwrap();
-        assert_eq!(
-            decode(&seg),
-            vec![pair("a", "m0"), pair("a", "m1"), pair("c", "m0")],
-            "ties break toward the lower map id"
-        );
-        let (seg, _) = read_segment(&fs, &run_path("/out", 0, 2), 1, 2).unwrap();
-        assert_eq!(decode(&seg), vec![pair("z", "m0")]);
+        // An empty segment is not even opened: its file need not exist.
+        assert!(read_segment(&fs, "/missing", IndexEntry::default()).is_ok());
+        assert_eq!(reads(), before, "an empty partition costs no read");
     }
 
     /// A segment over a hand-built payload, with whatever record count the
     /// "index" claims.
     fn segment_of(records: &[(String, String)], promised: u64, cut: usize) -> Segment {
-        let (image, _) = encode_spill(&[records.to_vec()]);
-        let payload = &image[index_len(1) as usize..];
+        let (payload, _) = encode_spill(&[records.to_vec()]);
         Segment {
             payload: Bytes::copy_from_slice(&payload[..payload.len() - cut]),
             source: "/a/spill".into(),
@@ -964,14 +750,15 @@ mod tests {
     fn segment_requests_are_validated() {
         let fs = fs();
         let buckets = vec![vec![pair("k", "v")]];
-        write_spill(&fs, "/s", &buckets).unwrap();
-        // Wrong partition count or out-of-range partition.
-        assert!(read_segment(&fs, "/s", 0, 2).is_err());
-        assert!(read_segment(&fs, "/s", 1, 1).is_err());
-        // Not a spill file at all.
-        fs.write_file("/junk", b"this is not a spill file at all......")
-            .unwrap();
-        assert!(read_segment(&fs, "/junk", 0, 1).is_err());
+        let index = write_spill(&fs, "/s", &buckets).unwrap();
+        assert!(read_segment(&fs, "/s", index[0]).is_ok());
+        // A segment reaching past the end of the file, or in no file at all.
+        let past_the_end = entry(1, index[0].len, 1);
+        assert!(matches!(
+            read_segment(&fs, "/s", past_the_end),
+            Err(MrError::Storage(_))
+        ));
+        assert!(read_segment(&fs, "/missing", index[0]).is_err());
     }
 
     #[test]

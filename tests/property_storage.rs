@@ -61,16 +61,15 @@ proptest! {
     }
 
     /// Whatever is written through BSFS is read back identically, for any
-    /// block size and record segmentation, with the cache on or off.
+    /// block size and record segmentation.
     #[test]
     fn bsfs_write_read_roundtrip(
         block_size in 32u64..300,
-        cache in any::<bool>(),
         payload in prop::collection::vec(any::<u8>(), 1..5_000),
         chunking in 1usize..600,
     ) {
         let storage = BlobSeer::new(BlobSeerConfig::for_tests().with_page_size(block_size));
-        let fs = Bsfs::new(storage, BsfsConfig::default().with_block_size(block_size).with_cache(cache));
+        let fs = Bsfs::new(storage, BsfsConfig::default().with_block_size(block_size));
         let mut writer = fs.create("/prop/file").unwrap();
         for chunk in payload.chunks(chunking) {
             writer.write(chunk).unwrap();

@@ -11,7 +11,6 @@ use bytes::Bytes;
 use mapreduce::fs::{BlockHint, BsfsFs, DistFs, FileReader, FileWriter};
 use mapreduce::job::{HashPartitioner, InputSpec, JobConfig, Reducer};
 use mapreduce::jobtracker::JobTracker;
-use mapreduce::shuffle::{index_len, SPILL_HEADER_LEN};
 use mapreduce::split::compute_splits;
 use mapreduce::tasktracker::run_map_task;
 use mapreduce::{Job, MrError, MrResult};
@@ -72,13 +71,11 @@ fn a_sort_reads_exactly_the_bytes_its_tasks_use() {
     // Input side: every split but the last reads one tail chunk, every
     // split but the first the byte before it.
     assert_eq!(result.input_bytes, 4 * SPLIT + 3 * TAIL + 3);
-    // Fetch side: each reducer reads each spill's index and its own quarter
-    // of the payload — every spilled byte is fetched once.
+    // Fetch side: each reducer reads its own quarter of each spill and
+    // nothing else — the index came with the commit, so every spilled byte
+    // is fetched exactly once.
     let shuffle = &result.shuffle;
-    assert_eq!(
-        shuffle.shuffle_read_bytes,
-        shuffle.spill_bytes + (4 * 4 - 4) * index_len(4)
-    );
+    assert_eq!(shuffle.shuffle_read_bytes, shuffle.spill_bytes);
     // Amplification is exactly 1: storage moved those bytes and no others.
     assert_eq!(moved, result.input_bytes + shuffle.shuffle_read_bytes);
 
@@ -228,24 +225,32 @@ fn assert_reduce_failed_and_committed_nothing(
     assert_eq!(fs.list("/out").unwrap(), Vec::<String>::new());
 }
 
-/// Rewrite the record count in partition 0's index entry of every spill.
-fn with_record_count(change: impl Fn(u64) -> u64) -> impl Fn(&str, u64, Bytes) -> Bytes {
-    move |path, offset, data| {
-        if !path.contains("/map-") || offset != 0 {
-            return data;
+/// Rewrite every segment payload read from a spill (a spill read is nothing
+/// else: the index the record counts come from is never read from storage).
+fn on_spill_payloads(
+    change: impl Fn(Bytes) -> Bytes + Send + Sync,
+) -> impl Fn(&str, u64, Bytes) -> Bytes + Send + Sync {
+    move |path, _, data| {
+        if path.contains("/map-") {
+            change(data)
+        } else {
+            data
         }
-        let at = SPILL_HEADER_LEN as usize + 16;
-        let mut header = data.to_vec();
-        let records = u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
-        header[at..at + 8].copy_from_slice(&change(records).to_le_bytes());
-        Bytes::from(header)
     }
+}
+
+/// Bytes of the first encoded record of a payload, length prefixes included.
+fn first_record_len(payload: &[u8]) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let key = u32_at(0);
+    8 + key + u32_at(4 + key)
 }
 
 #[test]
 fn a_segment_with_fewer_records_than_its_index_promises_fails_the_attempt() {
     let topo = ClusterTopology::flat(2);
-    let fs = HookedFs::new(bsfs(&topo, 256), with_record_count(|n| n + 1));
+    let drop_one = on_spill_payloads(|data| data.slice(first_record_len(&data)..));
+    let fs = HookedFs::new(bsfs(&topo, 256), drop_one);
     let outcome = run_small_sort(&fs);
     assert_reduce_failed_and_committed_nothing(&fs, outcome);
 }
@@ -253,7 +258,11 @@ fn a_segment_with_fewer_records_than_its_index_promises_fails_the_attempt() {
 #[test]
 fn a_segment_with_more_records_than_its_index_promises_fails_the_attempt() {
     let topo = ClusterTopology::flat(2);
-    let fs = HookedFs::new(bsfs(&topo, 256), with_record_count(|n| n.saturating_sub(1)));
+    let append_one = on_spill_payloads(|data| {
+        let extra: &[u8] = b"\x04\0\0\0zulu\0\0\0\0";
+        Bytes::from([&data[..], extra].concat())
+    });
+    let fs = HookedFs::new(bsfs(&topo, 256), append_one);
     let outcome = run_small_sort(&fs);
     assert_reduce_failed_and_committed_nothing(&fs, outcome);
 }
@@ -261,14 +270,8 @@ fn a_segment_with_more_records_than_its_index_promises_fails_the_attempt() {
 #[test]
 fn a_payload_truncated_mid_record_fails_the_attempt() {
     let topo = ClusterTopology::flat(2);
-    let truncate = |path: &str, offset: u64, data: Bytes| {
-        if path.contains("/map-") && offset != 0 {
-            data.slice(..data.len() - 3)
-        } else {
-            data
-        }
-    };
-    let fs = HookedFs::new(bsfs(&topo, 256), truncate);
+    let cut_three = on_spill_payloads(|data| data.slice(..data.len() - 3));
+    let fs = HookedFs::new(bsfs(&topo, 256), cut_three);
     let outcome = run_small_sort(&fs);
     assert_reduce_failed_and_committed_nothing(&fs, outcome);
 }

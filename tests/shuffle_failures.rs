@@ -355,63 +355,6 @@ fn both_attempts_killed_retries_the_task_and_the_job_completes() {
     assert_eq!(bytes, oracle_outputs(2));
 }
 
-/// Run word count with merge-spill compaction forced on and `plan` injecting
-/// failures, returning (result, part-file bytes).
-fn run_compacted_faulted(
-    plan: Arc<FaultPlan>,
-    reducers: usize,
-) -> (mapreduce::JobResult, Vec<Vec<u8>>) {
-    let (topo, fs, _) = bsfs_cluster(4, 1);
-    let fs = FaultFs::new(Box::new(fs), plan);
-    fs.write_file("/in/data.txt", input_text().as_bytes())
-        .unwrap();
-    let mut job = word_count_job(vec!["/in/data.txt".into()], "/out", reducers, 512);
-    job.config.compaction_threshold = Some(0);
-    let result = JobTracker::new(&topo).run(&fs, &job).unwrap();
-    let bytes = result
-        .output_files
-        .iter()
-        .map(|f| fs.read_file(f).unwrap().to_vec())
-        .collect();
-    let mut listed = fs.list("/out").unwrap();
-    listed.sort();
-    assert_eq!(
-        listed, result.output_files,
-        "output dir must hold exactly the committed part files"
-    );
-    (result, bytes)
-}
-
-#[test]
-fn compactor_killed_mid_merge_leaves_the_spills_readable() {
-    // The first compactor attempt's scratch writer dies mid-merge. The
-    // merge is an optimization, not a point of failure: the batch's spills
-    // stay published as individual fetch sources, no task retries, and the
-    // output is byte-identical to the clean oracle.
-    let (result, bytes) = run_compacted_faulted(FaultPlan::writes("attempt-compact", 1), 2);
-    assert_eq!(
-        result.task_retries, 0,
-        "a killed compactor must not surface as a task failure"
-    );
-    assert_eq!(bytes, oracle_outputs(2));
-}
-
-#[test]
-fn every_compactor_attempt_killed_degrades_to_the_uncompacted_shuffle() {
-    // All compactor scratch writes fail: no merged run ever commits, every
-    // reducer falls back to fetching one segment per map task, and the job
-    // still produces the oracle's bytes.
-    let (result, bytes) = run_compacted_faulted(FaultPlan::writes("attempt-compact", 10_000), 2);
-    assert_eq!(result.shuffle.compaction_runs, 0);
-    assert_eq!(
-        result.shuffle.segments_fetched,
-        (result.map_tasks * result.reduce_tasks) as u64,
-        "with no merged runs the fetch plan must be the per-map one"
-    );
-    assert_eq!(result.task_retries, 0);
-    assert_eq!(bytes, oracle_outputs(2));
-}
-
 #[test]
 fn shuffle_survives_a_dead_provider_node_with_replication() {
     // A provider node dies while the job runs (killed by the first map
