@@ -680,31 +680,29 @@ impl BlobSeerClient {
             let page_start = pm.page_start(page);
             let page_end_limit = (page_start + page_size).min(ticket.new_size);
             let image_len = (page_end_limit - page_start) as usize;
-            let mut image = vec![0u8; image_len];
-
-            // Old bytes carried over on the boundaries.
-            if page == first_page && needs_head_merge {
-                let keep = ((range.offset - page_start) as usize)
-                    .min(image_len)
-                    .min(head_old.len());
-                image[..keep].copy_from_slice(&head_old[..keep]);
-            }
-            if page == last_page && needs_tail_merge {
-                let from = (range.end() - page_start) as usize;
-                if from < tail_old.len() {
-                    let n = (tail_old.len() - from).min(image_len.saturating_sub(from));
-                    image[from..from + n].copy_from_slice(&tail_old[from..from + n]);
-                }
-            }
-
-            // New bytes from the write itself.
             let copy_start_in_blob = range.offset.max(page_start);
             let copy_end_in_blob = range.end().min(page_start + page_size);
             let dst_from = (copy_start_in_blob - page_start) as usize;
             let dst_to = (copy_end_in_blob - page_start) as usize;
             let src_from = (copy_start_in_blob - range.offset) as usize;
             let src_to = (copy_end_in_blob - range.offset) as usize;
-            image[dst_from..dst_to].copy_from_slice(&data[src_from..src_to]);
+
+            // The image is built front to back, each byte written once and
+            // the buffer sized exactly, so it moves into `Bytes` as is: old
+            // bytes carried over at the head, zeroes up to the write, the
+            // write's own bytes, old bytes carried over at the tail, zeroes
+            // to the end. A page the write covers is one copy of its bytes.
+            let mut image = Vec::with_capacity(image_len);
+            if page == first_page && needs_head_merge {
+                image.extend_from_slice(&head_old[..dst_from.min(head_old.len())]);
+            }
+            image.resize(dst_from, 0);
+            image.extend_from_slice(&data[src_from..src_to]);
+            if page == last_page && needs_tail_merge && dst_to < tail_old.len() {
+                let n = (tail_old.len() - dst_to).min(image_len - dst_to);
+                image.extend_from_slice(&tail_old[dst_to..dst_to + n]);
+            }
+            image.resize(image_len, 0);
 
             // Push to every planned replica provider. A refusal means the
             // provider is dead: feed the failure detector and fail over to
@@ -869,14 +867,17 @@ impl BlobSeerClient {
         // `checked_add`, not `+`: a huge offset must come back as
         // `OutOfBounds`, not wrap around and pass the bounds check in release
         // builds.
-        let requested_end = offset.checked_add(len);
-        if requested_end.is_none() || requested_end.unwrap() > info.size {
-            return Err(BlobSeerError::OutOfBounds {
-                blob,
-                version: info.version,
-                requested_end: requested_end.unwrap_or(u64::MAX),
-                size: info.size,
-            });
+        let out_of_bounds = |requested_end| BlobSeerError::OutOfBounds {
+            blob,
+            version: info.version,
+            requested_end,
+            size: info.size,
+        };
+        let Some(requested_end) = offset.checked_add(len) else {
+            return Err(out_of_bounds(u64::MAX));
+        };
+        if requested_end > info.size {
+            return Err(out_of_bounds(requested_end));
         }
         let page_size = sys.page_size_of(blob)?;
         let pm = PageMath::new(page_size);

@@ -302,11 +302,11 @@ impl Job {
 /// Format an emitted pair onto the end of `out` the way Hadoop's
 /// `TextOutputFormat` does: `key<TAB>value`, with the tab omitted when the
 /// value is empty.
-pub fn format_output_record(out: &mut Vec<u8>, key: &str, value: &str) {
-    out.extend_from_slice(key.as_bytes());
+pub fn format_output_record(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    out.extend_from_slice(key);
     if !value.is_empty() {
         out.push(b'\t');
-        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(value);
     }
     out.push(b'\n');
 }
@@ -396,8 +396,8 @@ mod tests {
     #[test]
     fn output_record_formatting() {
         let mut out = Vec::new();
-        format_output_record(&mut out, "k", "v");
-        format_output_record(&mut out, "only-key", "");
+        format_output_record(&mut out, b"k", b"v");
+        format_output_record(&mut out, b"only-key", b"");
         assert_eq!(out, b"k\tv\nonly-key\n");
     }
 

@@ -69,12 +69,11 @@ use crate::jobsched::{
     FifoScheduler, JobScheduler, JobView, QueuedView, SlotKind, TenantQuota, TenantUsage,
 };
 use crate::scheduler::{classify, pick_map_task, Locality, LocalityCounters, SpeculationPolicy};
-use crate::shuffle::{self, IndexEntry, JobScratch};
+use crate::shuffle::{self, IndexEntry, JobScratch, MapOutputBuffer};
 use crate::split::{compute_splits, InputSplit};
 use crate::tasktracker::{
-    group_by_key, run_map_task, run_map_task_with_progress, run_reduce_task, write_output_file,
-    FailureVerdict, MapTaskOutput, OutputFile, SpeculationCounters, TaskAttemptId, TaskBook,
-    TaskTracker,
+    group_by_key, map_split, run_map_task, run_reduce_task, write_output_file, FailureVerdict,
+    MapTaskOutput, OutputFile, SpeculationCounters, TaskAttemptId, TaskBook, TaskTracker,
 };
 use parking_lot::{Condvar, Mutex};
 use simcluster::clock::{Clock, Parker, WallClock};
@@ -652,7 +651,7 @@ struct MapPhase {
     /// The attempt state machine: pending/running/committed tasks.
     book: TaskBook,
     /// Per-task counters of the *winning* attempt, filled as tasks commit
-    /// (`partitions` cleared — the data lives in the spill files).
+    /// (the data lives in the spill files).
     results: Vec<Option<MapTaskOutput>>,
     failure: Option<MrError>,
     locality: LocalityCounters,
@@ -1361,10 +1360,12 @@ impl<'a> JobRun<'a> {
         // scratch path. Progress milestones feed the book (the LATE
         // estimator reads them) and double as preemption checkpoints: a
         // speculative clone whose job owes a starved tenant a slot aborts
-        // here, mid-task. A finished attempt carries (bytes, records) of the
-        // part file for map-only jobs, whose tasks commit straight to one,
-        // and its spill's index otherwise.
-        let outcome = run_map_task_with_progress(
+        // here, mid-task. Emits go to the attempt's map output buffer. A
+        // finished attempt carries (bytes, records) of the part file for
+        // map-only jobs, whose tasks commit straight to one, and its spill's
+        // index otherwise.
+        let mut buffer = MapOutputBuffer::new(self.partitions);
+        let mapped = map_split(
             fs,
             &self.splits[id.task],
             &*job.mapper,
@@ -1374,34 +1375,25 @@ impl<'a> JobRun<'a> {
                 state.lock().book.report_progress(id, frac);
                 !(speculative && account.take_preempt())
             },
-        )
-        .and_then(|finished| {
-            let Some(mut output) = finished else {
+            &mut |partition, key, value| buffer.push(partition, &key, &value),
+        );
+        let outcome = mapped.and_then(|(mut output, finished)| {
+            if !finished {
                 return Ok(None); // preempted mid-task
-            };
+            }
             if self.map_only {
-                let records = std::mem::take(&mut output.partitions[0]);
-                let bytes = write_output_file(fs, &attempt_scratch, &records)?;
-                Ok(Some((output, (bytes, records.len() as u64), Vec::new())))
+                let bytes = buffer.write_output_file(fs, &attempt_scratch)?;
+                Ok(Some((output, (bytes, buffer.len() as u64), Vec::new())))
             } else {
-                // Sort each bucket, run the spill-time combiner, and write
-                // the spill image for the reducers to pull from.
-                for bucket in output.partitions.iter_mut() {
-                    shuffle::sort_run(bucket);
-                }
-                if let Some(combiner) = &job.config.combiner {
-                    for bucket in output.partitions.iter_mut() {
-                        let combined = shuffle::combine_run(std::mem::take(bucket), &**combiner)?;
-                        output.combine_input_records += combined.input_records;
-                        output.combine_output_records += combined.output_records;
-                        *bucket = combined.records;
-                    }
-                }
-                let index = shuffle::write_spill(fs, &attempt_scratch, &output.partitions)?;
-                output.spilled_bytes = index.iter().map(|entry| entry.len).sum();
-                output.spilled_records = index.iter().map(|entry| entry.records).sum();
-                output.partitions.clear(); // the data now lives in the spill
-                Ok(Some((output, (0, 0), index)))
+                // Sort, combine and encode the buffer, and store the spill
+                // image for the reducers to pull from.
+                let spill = buffer.spill(job.config.combiner.as_deref())?;
+                fs.write_file(&attempt_scratch, &spill.image)?;
+                output.spilled_bytes = spill.image.len() as u64;
+                output.spilled_records = spill.index.iter().map(|entry| entry.records).sum();
+                output.combine_input_records = spill.combine_input_records;
+                output.combine_output_records = spill.combine_output_records;
+                Ok(Some((output, (0, 0), spill.index)))
             }
         });
 
@@ -2135,6 +2127,20 @@ mod dispatch_tests {
         };
         assert_eq!(source.entry(1).unwrap(), IndexEntry::default());
         assert!(matches!(source.entry(2), Err(MrError::Storage(_))));
+    }
+
+    #[test]
+    fn a_zero_split_size_is_an_invalid_job_not_a_panic() {
+        let (topo, fs) = cluster(2, 1);
+        let jt = JobTracker::new(&topo);
+        let job = |out| {
+            let mut job = sort_job(out, 1);
+            job.config = job.config.with_split_size(0);
+            job
+        };
+        let invalid = |outcome: MrResult<JobResult>| matches!(outcome, Err(MrError::InvalidJob(_)));
+        assert!(invalid(jt.run(&fs, &job("/out"))));
+        assert!(invalid(jt.run_inmem(&fs, &job("/oracle"))));
     }
 
     /// A wall clock that counts how its one wait primitive is used.

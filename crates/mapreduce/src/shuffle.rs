@@ -1,30 +1,37 @@
-//! The storage-materialized shuffle: spill files, segment fetches, merges
-//! and the output-commit protocol.
+//! The storage-materialized shuffle: the map output buffer, spill files,
+//! segment fetches and merges.
 //!
 //! The paper's methodology swaps the storage layer under an unchanged
 //! framework (§IV), so the framework's *intermediate* data must flow through
 //! that storage layer for the comparison to mean anything. This module is the
 //! Hadoop-shaped data path that makes it so:
 //!
-//! * every map task **spills** its output as one sorted, partition-bucketed
-//!   file `<output>/_shuffle/map-<id>` ([`write_spill`]), whose index — one
-//!   [`IndexEntry`] per partition — the jobtracker publishes with the map's
-//!   commit instead of storing it in the file;
+//! * every map attempt copies what its mapper emits into one
+//!   [`MapOutputBuffer`] — an arena of key and value bytes plus a metadata
+//!   array, Hadoop's `MapOutputBuffer` — and sorts the metadata, not the
+//!   records; an optional combiner runs over the sorted runs at spill time,
+//!   cutting the bytes the shuffle moves;
+//! * the buffer is encoded straight into one sorted, partition-bucketed
+//!   spill file `<output>/_shuffle-<tag>/map-<id>` ([`MapOutputBuffer::spill`]),
+//!   whose index — one [`IndexEntry`] per partition — the jobtracker
+//!   publishes with the map's commit instead of storing it in the file;
 //! * every reduce task **pulls** its partition's segment out of every map
 //!   file with one exact positioned read ([`read_segment`]; none for an empty
 //!   segment) and streams the **k-way merge** of the still-encoded,
 //!   pre-sorted segments through the reducer into its part file
 //!   ([`reduce_segments`]) — a record stays a slice of the buffer it was
 //!   fetched in until the user's `reduce` asks for a `String`;
-//! * task attempts write under `<output>/_temporary/attempt-<task>-<n>`
-//!   ([`attempt_path`]) and [`rename`](crate::fs::DistFs::rename) into place
-//!   on commit — the jobtracker performs that rename under its phase lock so
-//!   the first finished attempt of a task wins and speculative losers are
-//!   discarded ([`commit_records`] is the one-shot convenience form) — so a
-//!   failed, retried or duplicated attempt can never leave a partial or
-//!   duplicate file behind;
-//! * an optional combiner runs over each sorted bucket at spill time
-//!   ([`combine_run`]), cutting the bytes the shuffle moves.
+//! * task attempts write under their execution's scratch directory
+//!   ([`JobScratch::attempt_path`]) and
+//!   [`rename`](crate::fs::DistFs::rename) into place on commit — the
+//!   jobtracker performs that rename under its phase lock so the first
+//!   finished attempt of a task wins and speculative losers are discarded —
+//!   so a failed, retried or duplicated attempt can never leave a partial or
+//!   duplicate file behind.
+//!
+//! [`sort_run`], [`combine_run`], [`encode_spill`] and [`merge_runs`] are the
+//! same steps over owned `(String, String)` records: the in-memory oracle's
+//! path, which the buffer and the streaming merge are tested against.
 //!
 //! ## Spill file layout
 //!
@@ -52,27 +59,6 @@ use crate::tasktracker::OutputFile;
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-/// The shuffle directory of a job.
-pub fn shuffle_dir(output_dir: &str) -> String {
-    format!("{output_dir}/_shuffle")
-}
-
-/// The committed spill file of one map task.
-pub fn spill_path(output_dir: &str, map_id: usize) -> String {
-    format!("{}/map-{map_id:05}", shuffle_dir(output_dir))
-}
-
-/// The scratch directory task attempts write under before committing.
-pub fn temporary_dir(output_dir: &str) -> String {
-    format!("{output_dir}/_temporary")
-}
-
-/// Where attempt `attempt` of `task` (e.g. `"map-00003"`, `"reduce-00001"`)
-/// writes before its rename-commit.
-pub fn attempt_path(output_dir: &str, task: &str, attempt: usize) -> String {
-    format!("{}/attempt-{task}-{attempt}", temporary_dir(output_dir))
-}
 
 /// The scratch namespace of one job execution: a uniquely-tagged pair of
 /// shuffle and temporary directories under the job's output directory.
@@ -128,22 +114,6 @@ impl JobScratch {
     pub fn mkdirs(&self, fs: &dyn DistFs) -> MrResult<()> {
         fs.mkdirs(&self.temporary_dir)?;
         fs.mkdirs(&self.shuffle_dir)
-    }
-
-    /// Write `records` to this execution's attempt scratch and rename into
-    /// `final_path` (see [`commit_records`]).
-    pub fn commit_records(
-        &self,
-        fs: &dyn DistFs,
-        task: &str,
-        attempt: usize,
-        final_path: &str,
-        records: &[(String, String)],
-    ) -> MrResult<u64> {
-        let scratch = self.attempt_path(task, attempt);
-        let bytes = crate::tasktracker::write_output_file(fs, &scratch, records)?;
-        fs.rename(&scratch, final_path)?;
-        Ok(bytes)
     }
 
     /// Best-effort removal of an attempt's scratch file after a failure.
@@ -203,10 +173,6 @@ pub fn combine_run(run: Vec<(String, String)>, combiner: &dyn Reducer) -> MrResu
     })
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn truncated() -> MrError {
     MrError::Storage("truncated shuffle data".into())
 }
@@ -214,6 +180,25 @@ fn truncated() -> MrError {
 fn get_u32(data: &[u8], at: usize) -> MrResult<u32> {
     let bytes = data.get(at..).and_then(|d| d.first_chunk());
     Ok(u32::from_le_bytes(*bytes.ok_or_else(truncated)?))
+}
+
+/// A key or value length as the spill format stores it: an error, not a
+/// truncation, for 4 GiB or more.
+fn spill_len(len: usize) -> MrResult<u32> {
+    u32::try_from(len).map_err(|_| {
+        MrError::InvalidJob(format!(
+            "a {len}-byte key or value does not fit the spill format's 32-bit length"
+        ))
+    })
+}
+
+/// Append one record in the spill layout.
+fn put_record(image: &mut Vec<u8>, key: &[u8], value: &[u8]) -> MrResult<()> {
+    image.extend_from_slice(&spill_len(key.len())?.to_le_bytes());
+    image.extend_from_slice(key);
+    image.extend_from_slice(&spill_len(value.len())?.to_le_bytes());
+    image.extend_from_slice(value);
+    Ok(())
 }
 
 /// Where one partition's segment lies in a spill image, and how many records
@@ -232,6 +217,11 @@ pub struct IndexEntry {
 /// Encode partition buckets (each already key-sorted) into the spill layout.
 /// Returns the file image and its index, one entry per partition. The image
 /// is sized from the records up front and every record is copied once.
+///
+/// # Panics
+///
+/// On a key or value of 4 GiB or more, which the layout cannot hold (a map
+/// attempt's [`MapOutputBuffer::spill`] returns that as an error).
 pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, Vec<IndexEntry>) {
     let mut offset = 0;
     let index: Vec<IndexEntry> = (partitions.iter())
@@ -248,27 +238,176 @@ pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, Vec<Index
         .collect();
     let mut image = Vec::with_capacity(offset as usize);
     for (k, v) in partitions.iter().flatten() {
-        put_u32(&mut image, k.len() as u32);
-        image.extend_from_slice(k.as_bytes());
-        put_u32(&mut image, v.len() as u32);
-        image.extend_from_slice(v.as_bytes());
+        put_record(&mut image, k.as_bytes(), v.as_bytes())
+            .expect("a record the spill layout can hold");
     }
     (image, index)
 }
 
-/// Write a map task's partition buckets as a spill file at `path` (normally
-/// an [`attempt_path`], renamed into [`spill_path`] on commit). Returns the
-/// spill's index, for the commit to publish.
-pub fn write_spill(
-    fs: &dyn DistFs,
-    path: &str,
-    partitions: &[Vec<(String, String)>],
-) -> MrResult<Vec<IndexEntry>> {
-    let (image, index) = encode_spill(partitions);
-    let mut writer = fs.create(path)?;
-    writer.write(&image)?;
-    writer.close()?;
-    Ok(index)
+/// One emitted record in a [`MapOutputBuffer`]: the partition it goes to,
+/// and where its key and (right after it) its value lie in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Emitted {
+    partition: usize,
+    at: usize,
+    key_len: usize,
+    value_len: usize,
+}
+
+impl Emitted {
+    fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at..self.at + self.key_len]
+    }
+
+    fn value<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        let at = self.at + self.key_len;
+        &arena[at..at + self.value_len]
+    }
+}
+
+/// What a map attempt's emits go into — Hadoop's `MapOutputBuffer`. Each
+/// emitted key and value is copied into one byte arena and described by one
+/// fixed-size metadata entry, so the mapper's `String`s are dropped at once
+/// and no record is ever allocated on the framework's side. The spill sorts
+/// the metadata, runs the combiner over sorted runs of views and encodes
+/// straight from the arena: the same bytes and index as [`sort_run`] (+
+/// [`combine_run`]) + [`encode_spill`] over the same emits in owned buckets.
+/// The buffer, and all it holds, is freed with the attempt.
+#[derive(Debug)]
+pub struct MapOutputBuffer {
+    partitions: usize,
+    /// Every emitted key and value, back to back, in emit order.
+    arena: Vec<u8>,
+    /// One entry per emitted record: in emit order until the spill sorts
+    /// them by (partition, key).
+    records: Vec<Emitted>,
+}
+
+/// A map attempt's spill, ready to store.
+#[derive(Debug)]
+pub struct Spill {
+    /// The spill file's bytes: payload only.
+    pub image: Vec<u8>,
+    /// Where each partition's segment lies in `image`, for the commit to
+    /// publish.
+    pub index: Vec<IndexEntry>,
+    /// Records fed to the combiner (0 without one).
+    pub combine_input_records: u64,
+    /// Records the combiner emitted.
+    pub combine_output_records: u64,
+}
+
+impl MapOutputBuffer {
+    /// An empty buffer for `partitions` reduce partitions (1 for a map-only
+    /// job).
+    pub fn new(partitions: usize) -> Self {
+        MapOutputBuffer {
+            partitions: partitions.max(1),
+            arena: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Copy one emitted pair in, bound for `partition`.
+    pub fn push(&mut self, partition: usize, key: &str, value: &str) {
+        self.records.push(Emitted {
+            partition,
+            at: self.arena.len(),
+            key_len: key.len(),
+            value_len: value.len(),
+        });
+        self.arena.extend_from_slice(key.as_bytes());
+        self.arena.extend_from_slice(value.as_bytes());
+    }
+
+    /// Records pushed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Stable sort of the metadata by (partition, key bytes): equal keys keep
+    /// their emit order, which the reduce-side merge relies on to reproduce
+    /// the in-memory shuffle's value order. Keys are UTF-8, so byte order is
+    /// `str` order.
+    fn sort(&mut self) {
+        let arena = &self.arena;
+        self.records.sort_by(|a, b| {
+            (a.partition.cmp(&b.partition)).then_with(|| a.key(arena).cmp(b.key(arena)))
+        });
+    }
+
+    /// Run `combiner` once per run of equal keys within a partition of the
+    /// sorted buffer, Hadoop's spill-time mini-reduce; what it emits stays in
+    /// the run's partition. Returns the combined buffer, sorted again: a
+    /// well-behaved combiner emits in key order, but nothing enforces it.
+    fn combine(&self, combiner: &dyn Reducer) -> MrResult<MapOutputBuffer> {
+        let arena = &self.arena;
+        let mut out = MapOutputBuffer::new(self.partitions);
+        let mut values = Vec::new();
+        let same_run =
+            |a: &Emitted, b: &Emitted| a.partition == b.partition && a.key(arena) == b.key(arena);
+        for run in self.records.chunk_by(same_run) {
+            let first = run[0];
+            values.clear();
+            values
+                .extend((run.iter()).map(|r| String::from_utf8_lossy(r.value(arena)).into_owned()));
+            let key = String::from_utf8_lossy(first.key(arena));
+            combiner.reduce(&key, &values, &mut |k, v| out.push(first.partition, &k, &v))?;
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    /// Sort, combine (when the job has a combiner) and encode the buffer into
+    /// its spill: the image, sized exactly up front, and its index. Fails on
+    /// a record pushed to a partition the buffer does not have, and on a key
+    /// or value the spill layout cannot hold.
+    pub fn spill(mut self, combiner: Option<&dyn Reducer>) -> MrResult<Spill> {
+        self.sort();
+        let (mut combine_input_records, mut combine_output_records) = (0, 0);
+        if let Some(combiner) = combiner {
+            combine_input_records = self.len() as u64;
+            self = self.combine(combiner)?;
+            combine_output_records = self.len() as u64;
+        }
+        let arena = &self.arena;
+        let mut image = Vec::with_capacity(8 * self.records.len() + arena.len());
+        let mut index = vec![IndexEntry::default(); self.partitions];
+        for record in &self.records {
+            let entry = index.get_mut(record.partition).ok_or_else(|| {
+                MrError::InvalidJob(format!(
+                    "a record for partition {} of {}",
+                    record.partition, self.partitions
+                ))
+            })?;
+            let before = image.len();
+            put_record(&mut image, record.key(arena), record.value(arena))?;
+            entry.len += (image.len() - before) as u64;
+            entry.records += 1;
+        }
+        let mut offset = 0;
+        for entry in &mut index {
+            entry.offset = offset;
+            offset += entry.len;
+        }
+        Ok(Spill {
+            image,
+            index,
+            combine_input_records,
+            combine_output_records,
+        })
+    }
+
+    /// Write the records in emit order to a text output file at `path` — a
+    /// map-only attempt's part file. Returns the bytes written.
+    pub fn write_output_file(&self, fs: &dyn DistFs, path: &str) -> MrResult<u64> {
+        let mut file = OutputFile::create(fs, path)?;
+        for record in &self.records {
+            file.push(record.key(&self.arena), record.value(&self.arena));
+            file.flush_pieces()?;
+        }
+        file.close()
+    }
 }
 
 /// One partition's segment pulled out of one map's spill: fetched and kept
@@ -444,7 +583,9 @@ pub fn reduce_segments<'a>(
 ) -> MrResult<u64> {
     let reduce_group = |key: &[u8], values: &[String], out: &mut OutputFile| {
         let key = String::from_utf8_lossy(key);
-        reducer.reduce(&key, values, &mut |k, v| out.push(&k, &v))?;
+        reducer.reduce(&key, values, &mut |k, v| {
+            out.push(k.as_bytes(), v.as_bytes())
+        })?;
         out.flush_pieces()
     };
     let mut group: Option<&[u8]> = None;
@@ -533,47 +674,6 @@ pub fn merge_runs(runs: Vec<Vec<(String, String)>>) -> Vec<(String, String)> {
     merged
 }
 
-/// Output-commit a task's records in one shot: write them in text output
-/// format to the attempt's scratch path, then rename into `final_path`. A
-/// crash before the rename leaves only scratch under `_temporary` (cleaned
-/// up at job end); after the rename the file is complete — readers can never
-/// observe a partial `part-*` file. Returns the bytes written.
-///
-/// The jobtracker itself splits this into two steps so concurrent attempts
-/// of one task can be arbitrated: the scratch write
-/// ([`crate::tasktracker::write_output_file`] / [`write_spill`]) happens
-/// outside the phase lock, and the rename happens *under* it, after
-/// checking that no peer attempt has committed — first finished attempt
-/// wins, the loser's scratch is discarded. This helper remains the
-/// convenience form for callers without racing attempts, and its tests pin
-/// the protocol's foundation: `rename` refuses to clobber, so a duplicate
-/// commit is an error, never corruption.
-pub fn commit_records(
-    fs: &dyn DistFs,
-    output_dir: &str,
-    task: &str,
-    attempt: usize,
-    final_path: &str,
-    records: &[(String, String)],
-) -> MrResult<u64> {
-    let scratch = attempt_path(output_dir, task, attempt);
-    let bytes = crate::tasktracker::write_output_file(fs, &scratch, records)?;
-    fs.rename(&scratch, final_path)?;
-    Ok(bytes)
-}
-
-/// Best-effort removal of an attempt's scratch file after a failure, so the
-/// retry starts clean.
-pub fn discard_attempt(fs: &dyn DistFs, output_dir: &str, task: &str, attempt: usize) {
-    let _ = fs.delete(&attempt_path(output_dir, task, attempt), false);
-}
-
-/// Best-effort removal of the job's scratch directories after success.
-pub fn cleanup_job_dirs(fs: &dyn DistFs, output_dir: &str) {
-    let _ = fs.delete(&temporary_dir(output_dir), true);
-    let _ = fs.delete(&shuffle_dir(output_dir), true);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,21 +759,44 @@ mod tests {
         }
     }
 
+    /// Store a spill image the way a map attempt does; returns its index.
+    fn store(fs: &BsfsFs, path: &str, buckets: &[Vec<(String, String)>]) -> Vec<IndexEntry> {
+        let (image, index) = encode_spill(buckets);
+        fs.write_file(path, &image).unwrap();
+        index
+    }
+
     #[test]
     fn spill_roundtrip_through_storage() {
         let fs = fs();
         let buckets = sample_buckets();
-        let index = write_spill(&fs, "/out/_shuffle/map-00000", &buckets).unwrap();
         // The index is pinned entry for entry, the layout byte for byte, and
         // the image is sized exactly up front.
+        let (image, index) = encode_spill(&buckets);
         assert_eq!(index, [entry(0, 20, 2), entry(20, 0, 0), entry(20, 32, 3)]);
-        let (image, encoded_index) = encode_spill(&buckets);
-        assert_eq!(encoded_index, index);
         assert_eq!(image, sample_image());
         assert_eq!(image.capacity(), image.len(), "sized from the records");
+
+        // A map output buffer given the same emits in any order (equal keys
+        // in emit order) sorts them into the same image and index.
+        let mut buffer = MapOutputBuffer::new(3);
+        let emits = [
+            (2, "d", "3"),
+            (0, "b", "2"),
+            (2, "c", "x\ty\n"),
+            (0, "a", "1"),
+        ];
+        for (partition, key, value) in emits.into_iter().chain([(2, "c", "")]) {
+            buffer.push(partition, key, value);
+        }
+        let spill = buffer.spill(None).unwrap();
+        assert_eq!((&spill.image, &spill.index), (&image, &index));
+        assert_eq!(spill.image.capacity(), spill.image.len());
+
+        fs.write_file("/out/_shuffle/map-00000", &spill.image)
+            .unwrap();
         let stored = fs.read_file("/out/_shuffle/map-00000").unwrap();
         assert_eq!(&stored[..], &image[..]);
-
         for (p, bucket) in buckets.iter().enumerate() {
             let (seg, cost) = read_segment(&fs, "/out/_shuffle/map-00000", index[p]).unwrap();
             assert_eq!(&decode(&seg), bucket, "partition {p}");
@@ -682,6 +805,19 @@ mod tests {
             assert_eq!(cost.round_trips, reads, "one exact read, none when empty");
             assert_eq!(cost.bytes, index[p].len);
         }
+    }
+
+    #[test]
+    fn a_length_the_layout_cannot_hold_is_an_error_not_a_truncation() {
+        assert_eq!(spill_len(0).unwrap(), 0);
+        assert_eq!(spill_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let too_long = u32::MAX as usize + 1;
+        assert!(matches!(spill_len(too_long), Err(MrError::InvalidJob(_))));
+
+        // Nor is a record for a partition the buffer does not have a panic.
+        let mut buffer = MapOutputBuffer::new(2);
+        buffer.push(2, "k", "v");
+        assert!(matches!(buffer.spill(None), Err(MrError::InvalidJob(_))));
     }
 
     #[test]
@@ -699,8 +835,7 @@ mod tests {
     #[test]
     fn empty_spill_reads_back_without_a_payload_round_trip() {
         let fs = fs();
-        let buckets = vec![Vec::new(), Vec::new()];
-        let index = write_spill(&fs, "/s", &buckets).unwrap();
+        let index = store(&fs, "/s", &[Vec::new(), Vec::new()]);
         assert_eq!(index, [IndexEntry::default(); 2]);
         let reads = || fs.inner().storage().stats().read_ops;
         let before = reads();
@@ -749,8 +884,7 @@ mod tests {
     #[test]
     fn segment_requests_are_validated() {
         let fs = fs();
-        let buckets = vec![vec![pair("k", "v")]];
-        let index = write_spill(&fs, "/s", &buckets).unwrap();
+        let index = store(&fs, "/s", &[vec![pair("k", "v")]]);
         assert!(read_segment(&fs, "/s", index[0]).is_ok());
         // A segment reaching past the end of the file, or in no file at all.
         let past_the_end = entry(1, index[0].len, 1);
@@ -806,39 +940,5 @@ mod tests {
         assert_eq!(out.records(), 2);
         assert_eq!(out.close().unwrap(), 8);
         assert_eq!(&fs.read_file("/out/part").unwrap()[..], b"a\t3\nb\t5\n");
-    }
-
-    #[test]
-    fn commit_is_all_or_nothing() {
-        let fs = fs();
-        fs.mkdirs("/out").unwrap();
-        let records = vec![pair("k", "v")];
-        let bytes = commit_records(
-            &fs,
-            "/out",
-            "reduce-00000",
-            0,
-            "/out/part-r-00000",
-            &records,
-        )
-        .unwrap();
-        assert_eq!(bytes, 4);
-        assert_eq!(&fs.read_file("/out/part-r-00000").unwrap()[..], b"k\tv\n");
-        // The scratch file is gone (renamed), not copied.
-        assert!(!fs.exists(&attempt_path("/out", "reduce-00000", 0)));
-
-        // A second commit of the same task must fail: the final file exists,
-        // so a duplicate attempt cannot clobber committed output.
-        assert!(commit_records(
-            &fs,
-            "/out",
-            "reduce-00000",
-            1,
-            "/out/part-r-00000",
-            &records
-        )
-        .is_err());
-        cleanup_job_dirs(&fs, "/out");
-        assert!(!fs.exists(&temporary_dir("/out")));
     }
 }

@@ -16,6 +16,7 @@
 use crate::error::{MrError, MrResult};
 use crate::fs::DistFs;
 use crate::job::InputSpec;
+use bytes::Bytes;
 use simcluster::NodeId;
 use std::borrow::Cow;
 
@@ -68,7 +69,9 @@ pub fn compute_splits(
     input: &InputSpec,
     split_size: u64,
 ) -> MrResult<Vec<InputSplit>> {
-    assert!(split_size > 0, "split size must be non-zero");
+    if split_size == 0 {
+        return Err(MrError::InvalidJob("split size must be non-zero".into()));
+    }
     match input {
         InputSpec::Synthetic {
             splits,
@@ -155,14 +158,29 @@ fn expand_path(fs: &dyn DistFs, path: &str, out: &mut Vec<String>) -> MrResult<(
 /// looking for the end of the split's last line.
 const TAIL_CHUNK: u64 = 4096;
 
+/// Where the line holding `buf[from]` ends: just past the first newline at
+/// or after `from`.
+fn line_end(buf: &[u8], from: usize) -> Option<usize> {
+    let nl = buf[from..].iter().position(|b| *b == b'\n')?;
+    Some(from + nl + 1)
+}
+
 /// The text records of one file split, scanned in place: the split (and the
 /// tail of its last line) is read into one buffer, and [`SplitLines::iter`]
 /// yields each line as a view of it, following the Hadoop convention for
 /// records that straddle split boundaries.
+///
+/// The scan rule: the lines the split owns are validated as UTF-8 once, as
+/// a whole, and cut at each newline with a `memchr` search — a line is then
+/// a borrowed `&str`, neither copied nor re-validated. Only a buffer that is
+/// not valid UTF-8 is decoded line by line instead
+/// ([`SplitLines::iter_lossy`]), with each malformed sequence becoming
+/// U+FFFD; either way the same `(offset, line)` pairs come out.
 pub struct SplitLines {
     /// The byte before the split (when there is one), the split, and the
-    /// rest of the line that crosses its end.
-    data: Vec<u8>,
+    /// rest of the line that crosses its end: the positioned read's own
+    /// buffer, unless that line ran past the first tail chunk.
+    data: Bytes,
     /// File offset of `data[0]`.
     offset: u64,
     /// Where the first line this split owns starts in `data`.
@@ -175,7 +193,8 @@ impl SplitLines {
     /// Read the lines that *start* inside `[offset, offset + len)` of `path`
     /// with one exact positioned read: the byte before the split, the split
     /// and the 4 KiB past its end, where its last line almost always ends
-    /// (a longer line costs one more read per further 4 KiB).
+    /// (a longer line costs one more read per further 4 KiB, and a copy of
+    /// the buffer).
     pub fn read(fs: &dyn DistFs, path: &str, offset: u64, len: u64) -> MrResult<SplitLines> {
         let mut reader = fs.open(path)?;
         let file_size = reader.len()?;
@@ -183,7 +202,7 @@ impl SplitLines {
         // The byte before the split says whether its first line is whole.
         let from = offset.saturating_sub(1);
         let mut lines = SplitLines {
-            data: Vec::new(),
+            data: Bytes::new(),
             offset: from,
             start: 0,
             bytes_read: 0,
@@ -192,26 +211,28 @@ impl SplitLines {
             return Ok(lines);
         }
         let mut read_end = (split_end + TAIL_CHUNK).min(file_size);
-        lines.data = reader.read_at(from, read_end - from)?.to_vec();
+        let mut data = reader.read_at(from, read_end - from)?;
 
         // The split's last line is the one holding its last byte: it ends at
         // the first newline at or after that byte, or with the file. Nothing
         // past that newline is kept, so every line in `data` starts before
         // `split_end`.
-        let mut searched = (split_end - 1 - from) as usize;
-        loop {
-            if let Some(nl) = lines.data[searched..].iter().position(|b| *b == b'\n') {
-                lines.data.truncate(searched + nl + 1);
-                break;
+        let mut end = line_end(&data, (split_end - 1 - from) as usize);
+        if end.is_none() && read_end < file_size {
+            let mut grown = data.to_vec();
+            while end.is_none() && read_end < file_size {
+                let searched = grown.len();
+                let chunk = reader.read_at(read_end, TAIL_CHUNK.min(file_size - read_end))?;
+                read_end += chunk.len() as u64;
+                grown.extend_from_slice(&chunk);
+                end = line_end(&grown, searched);
             }
-            if read_end == file_size {
-                break;
-            }
-            searched = lines.data.len();
-            let chunk = reader.read_at(read_end, TAIL_CHUNK.min(file_size - read_end))?;
-            read_end += chunk.len() as u64;
-            lines.data.extend_from_slice(&chunk);
+            data = Bytes::from(grown);
         }
+        lines.data = match end {
+            Some(end) => data.slice(..end),
+            None => data,
+        };
         lines.bytes_read = read_end - from;
 
         // Skip the partial line at the head of a non-initial split: it
@@ -220,8 +241,7 @@ impl SplitLines {
         // split, so the first newline in `data` ends that line — at once,
         // when the split starts on a fresh line.
         if offset > 0 {
-            let first_newline = lines.data.iter().position(|b| *b == b'\n');
-            lines.start = first_newline.map_or(lines.data.len(), |nl| nl + 1);
+            lines.start = line_end(&lines.data, 0).unwrap_or(lines.data.len());
         }
         Ok(lines)
     }
@@ -232,24 +252,48 @@ impl SplitLines {
     }
 
     /// `(byte offset of the line in the file, line without its newline)` for
-    /// every line the split owns, each a view of the split's buffer: only a
-    /// line that is not valid UTF-8 is copied.
+    /// every line the split owns, each a view of the split's buffer: the
+    /// buffer is validated once and cut with `memchr`, and only a buffer
+    /// that is not valid UTF-8 takes [`SplitLines::iter_lossy`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, Cow<'_, str>)> {
-        let mut rest = &self.data[self.start..];
-        let mut at = self.offset + self.start as u64;
-        std::iter::from_fn(move || {
-            if rest.is_empty() {
-                return None;
-            }
-            let line_len = rest.iter().position(|b| *b == b'\n');
-            let (line, next) = match line_len {
-                Some(nl) => (&rest[..nl], &rest[nl + 1..]),
-                None => (rest, &rest[rest.len()..]),
+        let owned = &self.data[self.start..];
+        let lines: Box<dyn Iterator<Item = (usize, Cow<'_, str>)>> =
+            match std::str::from_utf8(owned) {
+                Ok(text) => Box::new(text.split_inclusive('\n').map(|piece| {
+                    let line = piece.strip_suffix('\n').unwrap_or(piece);
+                    (piece.len(), Cow::Borrowed(line))
+                })),
+                Err(_) => Box::new(Self::lossy_lines(owned)),
             };
+        self.with_offsets(lines)
+    }
+
+    /// What [`SplitLines::iter`] yields, decoded line by line: each line is
+    /// validated on its own and a malformed sequence becomes U+FFFD — the
+    /// fallback for a buffer that is not valid UTF-8 as a whole.
+    pub fn iter_lossy(&self) -> impl Iterator<Item = (u64, Cow<'_, str>)> {
+        self.with_offsets(Self::lossy_lines(&self.data[self.start..]))
+    }
+
+    /// `(raw length with the newline, decoded line)` for every line of
+    /// `owned`.
+    fn lossy_lines(owned: &[u8]) -> impl Iterator<Item = (usize, Cow<'_, str>)> {
+        owned.split_inclusive(|b| *b == b'\n').map(|piece| {
+            let line = piece.strip_suffix(b"\n").unwrap_or(piece);
+            (piece.len(), String::from_utf8_lossy(line))
+        })
+    }
+
+    /// Turn `(raw length, line)` pairs into `(file offset, line)` pairs.
+    fn with_offsets<'a>(
+        &self,
+        lines: impl Iterator<Item = (usize, Cow<'a, str>)>,
+    ) -> impl Iterator<Item = (u64, Cow<'a, str>)> {
+        let mut at = self.offset + self.start as u64;
+        lines.map(move |(raw_len, line)| {
             let line_offset = at;
-            at += (rest.len() - next.len()) as u64;
-            rest = next;
-            Some((line_offset, String::from_utf8_lossy(line)))
+            at += raw_len as u64;
+            (line_offset, line)
         })
     }
 }

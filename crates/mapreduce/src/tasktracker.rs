@@ -33,7 +33,7 @@
 //! every speculation scenario deterministically with a
 //! [`simcluster::clock::SimClock`].
 
-use crate::error::MrResult;
+use crate::error::{MrError, MrResult};
 use crate::fs::{DistFs, FileWriter};
 use crate::job::{format_output_record, Mapper, Partitioner, Reducer};
 use crate::scheduler::{AttemptView, RuntimeHistory, SpeculationPolicy};
@@ -76,9 +76,10 @@ impl TaskTracker {
 /// The output of one map task.
 #[derive(Debug, Default, Clone)]
 pub struct MapTaskOutput {
-    /// Intermediate pairs, one bucket per reduce partition. Map-only jobs use
-    /// a single bucket. Cleared once the task's spill file commits — the
-    /// data then lives in storage, not RAM.
+    /// Intermediate pairs, one bucket per reduce partition (a single bucket
+    /// for map-only jobs), as [`run_map_task`] collects them. Empty for an
+    /// engine attempt, whose emits go to a
+    /// [`MapOutputBuffer`](crate::shuffle::MapOutputBuffer).
     pub partitions: Vec<Vec<(String, String)>>,
     /// Input records processed.
     pub records_read: u64,
@@ -516,9 +517,10 @@ pub fn partition_for(key: &str, num_partitions: usize) -> usize {
     (h.finish() as usize) % num_partitions
 }
 
-/// Execute one map task: read the split's records, run the user's map
-/// function on each (told which file the record came from, for multi-input
-/// jobs), and partition the emitted pairs with the job's partitioner.
+/// Execute one map task the way the in-memory oracle does: read the split's
+/// records, run the user's map function on each (told which file the record
+/// came from, for multi-input jobs), and collect the emitted pairs in one
+/// owned bucket per partition of the job's partitioner.
 pub fn run_map_task(
     fs: &dyn DistFs,
     split: &InputSplit,
@@ -526,50 +528,48 @@ pub fn run_map_task(
     partitioner: &dyn Partitioner,
     num_partitions: usize,
 ) -> MrResult<MapTaskOutput> {
-    let (out, _) = map_split(fs, split, mapper, partitioner, num_partitions, &mut |_| {
-        true
-    })?;
-    Ok(out)
+    let mut partitions = vec![Vec::new(); num_partitions.max(1)];
+    let (out, _) = map_split(
+        fs,
+        split,
+        mapper,
+        partitioner,
+        num_partitions,
+        &mut |_| true,
+        &mut |p, k, v| partitions[p].push((k, v)),
+    )?;
+    Ok(MapTaskOutput { partitions, ..out })
 }
 
 /// How many times per task the map loop reports progress (and offers the
 /// caller a preemption point).
 const MAP_PROGRESS_MILESTONES: u64 = 8;
 
-/// [`run_map_task`] with progress reporting: `progress` is called with the
-/// fraction of the split processed (by byte position; by record index for a
-/// synthetic split) at ~[`MAP_PROGRESS_MILESTONES`] evenly-spaced milestones
-/// and once more, with `1.0`, at the end. The callback's return value is a
-/// continue/abort decision: returning `false` abandons the task immediately
-/// and the function returns `Ok(None)` — how the jobtracker preempts a
-/// speculative clone mid-flight without losing the original attempt.
-pub fn run_map_task_with_progress(
+/// The map task body, the one map loop of both the engine and the oracle:
+/// read the split's records, run the user's map function on each, and hand
+/// every emitted pair to `emit` with the partition the job's partitioner
+/// gives it — into a [`MapOutputBuffer`](crate::shuffle::MapOutputBuffer) for
+/// an engine attempt, into owned buckets for [`run_map_task`].
+///
+/// `progress` is called with the fraction of the split processed (by byte
+/// position; by record index for a synthetic split) at
+/// ~[`MAP_PROGRESS_MILESTONES`] evenly-spaced milestones and once more, with
+/// `1.0`, at the end. Its return value is a continue/abort decision:
+/// returning `false` abandons the task at once — how the jobtracker preempts
+/// a speculative clone mid-flight without losing the original attempt.
+/// Returns the task's counters, and whether it ran to the end of its split.
+/// A partitioner answer outside `0..num_partitions` fails the task.
+pub(crate) fn map_split(
     fs: &dyn DistFs,
     split: &InputSplit,
     mapper: &dyn Mapper,
     partitioner: &dyn Partitioner,
     num_partitions: usize,
     progress: &mut dyn FnMut(f64) -> bool,
-) -> MrResult<Option<MapTaskOutput>> {
-    let (out, finished) = map_split(fs, split, mapper, partitioner, num_partitions, progress)?;
-    Ok(finished.then_some(out))
-}
-
-/// The map task body: what the task produced, and whether it ran to the end
-/// of its split (`false`: `progress` abandoned it at a milestone).
-fn map_split(
-    fs: &dyn DistFs,
-    split: &InputSplit,
-    mapper: &dyn Mapper,
-    partitioner: &dyn Partitioner,
-    num_partitions: usize,
-    progress: &mut dyn FnMut(f64) -> bool,
+    emit: &mut dyn FnMut(usize, String, String),
 ) -> MrResult<(MapTaskOutput, bool)> {
     let buckets = num_partitions.max(1);
-    let mut out = MapTaskOutput {
-        partitions: vec![Vec::new(); buckets],
-        ..Default::default()
-    };
+    let mut out = MapTaskOutput::default();
     // A record's position in its split — its byte offset for a file split,
     // its index for a synthetic one — is how far the task has come.
     let (source_path, base, span) = match &split.source {
@@ -588,13 +588,21 @@ fn map_split(
             milestone = at - (at - base) % step + step;
         }
         out.records_read += 1;
-        let partitions = &mut out.partitions;
-        let mut emitted = 0u64;
+        let (mut emitted, mut stray) = (0u64, None);
         mapper.map_with_source(source_path, at, line, &mut |k, v| {
             let p = partitioner.partition(&k, buckets);
-            partitions[p].push((k, v));
-            emitted += 1;
+            if p < buckets {
+                emit(p, k, v);
+                emitted += 1;
+            } else {
+                stray.get_or_insert(p);
+            }
         })?;
+        if let Some(p) = stray {
+            return Err(MrError::InvalidJob(format!(
+                "the partitioner sent a key to partition {p} of {buckets}"
+            )));
+        }
         out.records_emitted += emitted;
         Ok(true)
     };
@@ -677,7 +685,7 @@ impl OutputFile {
 
     /// Format one record into the buffer. Touches no storage:
     /// [`OutputFile::flush_pieces`] does, between records or groups.
-    pub fn push(&mut self, key: &str, value: &str) {
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
         format_output_record(&mut self.buffer, key, value);
         self.records += 1;
     }
@@ -722,7 +730,7 @@ pub fn write_output_file(
 ) -> MrResult<u64> {
     let mut file = OutputFile::create(fs, path)?;
     for (k, v) in records {
-        file.push(k, v);
+        file.push(k.as_bytes(), v.as_bytes());
         file.flush_pieces()?;
     }
     file.close()
@@ -873,6 +881,29 @@ mod tests {
             preferred_nodes: vec![],
         };
         assert!(run_map_task(&fs, &split, &FailingMapper, &HashPartitioner, 1).is_err());
+    }
+
+    #[test]
+    fn a_partition_out_of_range_fails_the_task() {
+        struct PastTheEnd;
+        impl Partitioner for PastTheEnd {
+            fn partition(&self, _key: &str, num_partitions: usize) -> usize {
+                num_partitions
+            }
+        }
+        let fs = fs();
+        fs.write_file("/in", b"a b\n").unwrap();
+        let split = InputSplit {
+            id: 0,
+            source: SplitSource::File {
+                path: "/in".into(),
+                offset: 0,
+                len: 4,
+            },
+            preferred_nodes: vec![],
+        };
+        let outcome = run_map_task(&fs, &split, &WordCountMapper, &PastTheEnd, 2);
+        assert!(matches!(outcome, Err(MrError::InvalidJob(_))));
     }
 
     #[test]
@@ -1188,7 +1219,8 @@ mod tests {
         // Continue-everywhere reports monotonically increasing fractions and
         // completes.
         let mut seen = Vec::new();
-        let out = run_map_task_with_progress(
+        let mut emitted = 0;
+        let (out, finished) = map_split(
             &fs,
             &split,
             &WordCountMapper,
@@ -1198,25 +1230,29 @@ mod tests {
                 seen.push(f);
                 true
             },
+            &mut |_, _, _| emitted += 1,
         )
-        .unwrap()
-        .expect("not preempted");
+        .unwrap();
+        assert!(finished, "not preempted");
         assert_eq!(out.records_read, 40);
+        assert_eq!((out.records_emitted, emitted), (80, 80));
         assert!(seen.len() >= 2, "several milestones expected: {seen:?}");
         assert!(seen.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*seen.last().unwrap(), 1.0);
 
-        // Aborting at the first milestone yields Ok(None), not an error.
-        let out = run_map_task_with_progress(
+        // Aborting at the first milestone is an unfinished task, not an
+        // error.
+        let (_, finished) = map_split(
             &fs,
             &split,
             &WordCountMapper,
             &HashPartitioner,
             2,
             &mut |_| false,
+            &mut |_, _, _| {},
         )
         .unwrap();
-        assert!(out.is_none(), "callback returning false preempts the task");
+        assert!(!finished, "callback returning false preempts the task");
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! The container registry is unreachable from the build environment, so the
 //! workspace vendors a minimal, API-compatible subset of `bytes` good enough
 //! for this codebase: an immutable, cheaply cloneable byte buffer with
-//! zero-copy `clone` and `slice`. Anything the real crate offers beyond what
-//! the workspace uses (e.g. `BytesMut`, `Buf`/`BufMut`) is intentionally
-//! absent.
+//! zero-copy `clone` and `slice`. As in the real crate, `From<Vec<u8>>` (and
+//! so `From<String>` and `From<Box<[u8]>>`) moves the vector's allocation
+//! into the `Bytes` instead of copying it, after shrinking it to its length,
+//! so a buffer built once — a read's result, a flushed block, a page image —
+//! is never copied again on its way to its consumers. Anything the real
+//! crate offers beyond what the workspace uses (e.g. `BytesMut`,
+//! `Buf`/`BufMut`) is intentionally absent.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -17,7 +21,9 @@ use std::sync::Arc;
 /// allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The buffer a `Vec` was moved out of: its allocation, shrunk to its
+    /// length, behind one reference-counted header.
+    data: Arc<Box<[u8]>>,
     start: usize,
     end: usize,
 }
@@ -36,13 +42,7 @@ impl Bytes {
 
     /// Creates `Bytes` by copying the given slice.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        let arc: Arc<[u8]> = Arc::from(data);
-        let end = arc.len();
-        Bytes {
-            data: arc,
-            start: 0,
-            end,
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Number of bytes in the view.
@@ -107,14 +107,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's allocation: no byte is copied. Spare capacity is
+    /// released first (a no-op for a vector sized exactly), so a stored
+    /// buffer never keeps a writer's slack alive.
     fn from(v: Vec<u8>) -> Self {
-        let arc: Arc<[u8]> = Arc::from(v);
-        let end = arc.len();
-        Bytes {
-            data: arc,
-            start: 0,
-            end,
-        }
+        Bytes::from(v.into_boxed_slice())
     }
 }
 
@@ -132,7 +129,12 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        Bytes::from(b.into_vec())
+        let end = b.len();
+        Bytes {
+            data: Arc::new(b),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -243,6 +245,23 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(s.as_ref(), &[2, 3, 4]);
         assert_eq!(s.slice(1..).as_ref(), &[3, 4]);
+    }
+
+    #[test]
+    fn from_vec_moves_the_allocation_and_views_share_it() {
+        let v = vec![7u8; 1000];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "the vec's allocation, not a copy");
+        assert_eq!(b.clone().as_ptr(), ptr);
+        assert_eq!(b.slice(10..20).as_ptr(), ptr.wrapping_add(10));
+
+        // Spare capacity is released: the stored buffer holds its bytes.
+        let mut roomy = Vec::with_capacity(4096);
+        roomy.extend_from_slice(b"abc");
+        let b = Bytes::from(roomy);
+        assert_eq!(b.data.len(), 3);
+        assert_eq!(b, *b"abc");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use blobseer::{BlobSeer, BlobSeerConfig};
 use bsfs::{Bsfs, BsfsConfig};
 use mapreduce::fs::{BsfsFs, DistFs};
-use mapreduce::shuffle::{merge_runs, merge_segments, read_segment, sort_run, write_spill};
+use mapreduce::shuffle::{encode_spill, merge_runs, merge_segments, read_segment, sort_run};
 use mapreduce::split::{read_records, SplitLines};
 use proptest::prelude::*;
 
@@ -65,7 +65,8 @@ proptest! {
         let segments: Vec<_> = (runs.iter().enumerate())
             .map(|(i, run)| {
                 let path = format!("/shuffle/map-{i:05}");
-                let index = write_spill(&fs, &path, std::slice::from_ref(run)).unwrap();
+                let (image, index) = encode_spill(std::slice::from_ref(run));
+                fs.write_file(&path, &image).unwrap();
                 read_segment(&fs, &path, index[0]).unwrap().0
             })
             .collect();
