@@ -5,14 +5,14 @@
 //! one blob versus each writing its own blob, and checks no append is lost.
 //!
 //! The client sweep deliberately ends at 80 (a 10x jump over the mid-range
-//! points): since the data plane moved onto the actor/executor core, page
-//! I/O concurrency is bounded by the miniexec pool, so the system-thread
-//! census must stay flat across the whole sweep — asserted below.
+//! points): providers and DHT nodes own no thread and page I/O concurrency
+//! is bounded by the miniexec pool, so the system-thread census must stay
+//! flat across the whole sweep — asserted below.
 //!
 //! `BENCH_SMOKE=1` shrinks everything to a does-it-run configuration (CI).
 
 use blobseer::{BlobSeer, BlobSeerConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(serde::Serialize)]
 struct F1Record {
@@ -30,16 +30,6 @@ fn deployment() -> std::sync::Arc<BlobSeer> {
     )
 }
 
-/// Wait (bounded) for dropped deployments' actor threads to exit, so one
-/// sweep point's teardown cannot overlap the next point's spawn and ratchet
-/// the census high-water mark.
-fn wait_live_back_to(target: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while miniexec::census::live() > target && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 fn main() {
     let smoke = bench::smoke_mode();
     let block = 64 * 1024u64;
@@ -48,10 +38,9 @@ fn main() {
     } else {
         (&[2, 4, 8, 80], 64)
     };
-    // Start the executor pool before taking the census baseline: its workers
-    // live for the whole process, so they belong in every point's floor.
+    // Start the executor pool first: its workers live for the whole
+    // process, so they belong in every point's peak.
     miniexec::block_on(|| {});
-    let idle_live = miniexec::census::live();
     println!("== F1: concurrent appends to one shared blob vs one blob per client ==");
     println!();
     println!(
@@ -87,7 +76,6 @@ fn main() {
         let shared_report = bench::write_path_report(&shared_sys);
         drop(client0);
         drop(shared_sys);
-        wait_live_back_to(idle_live);
 
         // Separate blobs: the current Hadoop-style one-output-per-reducer.
         let separate_sys = deployment();
@@ -106,7 +94,6 @@ fn main() {
         });
         let separate_secs = t0.elapsed().as_secs_f64();
         drop(separate_sys);
-        wait_live_back_to(idle_live);
 
         let census_peak = miniexec::census::peak();
         let mib = total_bytes as f64 / (1024.0 * 1024.0);
@@ -126,11 +113,9 @@ fn main() {
         });
     }
 
-    // The whole point of the actor core: the system's thread high-water mark
-    // is set by the (fixed) pool and per-deployment actor count, not by how
-    // many clients pile on. The first sweep point already instantiates the
-    // full pool and an identical deployment, so every later, larger point
-    // must report the identical peak.
+    // The system's thread high-water mark is set by the (fixed) pool, not by
+    // how many clients pile on or how many deployments come and go, so every
+    // later, larger point must report the first point's peak.
     let first = records.first().expect("sweep is non-empty");
     let last = records.last().expect("sweep is non-empty");
     assert_eq!(

@@ -16,9 +16,10 @@
 //! 2. it obtains page placements from the provider manager and pushes the
 //!    page contents to the chosen providers — the bulk of the work, fully
 //!    parallel across concurrent writers;
-//! 3. it waits for its predecessor version to be published, builds the new
-//!    segment tree (sharing unchanged subtrees with the predecessor), and
-//!    commits the ticket, which publishes the version.
+//! 3. it waits for its predecessor version to be published, pushes any page
+//!    it only partly overwrites (merged with the predecessor's image of that
+//!    page), builds the new segment tree (sharing unchanged subtrees with the
+//!    predecessor), and commits the ticket, which publishes the version.
 //!
 //! Only step 3's metadata work is serialized per blob; its cost is a handful
 //! of small DHT records per write, which is what lets BlobSeer sustain
@@ -631,36 +632,21 @@ impl BlobSeerClient {
         let range = ticket.range;
         let (first_page, last_page) = pm
             .pages_touched(range)
-            .expect("non-empty write touches at least one page");
+            .ok_or_else(|| BlobSeerError::InvalidArgument("zero-length write".into()))?;
         let num_pages = last_page - first_page + 1;
 
         // Step 2a: figure out boundary merges. If the write starts or ends in
         // the middle of a page that already holds data, the old bytes of that
-        // page must be carried into the new page image. Concurrent unaligned
-        // writers to the same page race (as in the original system); aligned
-        // writes — the only kind BSFS and the benchmarks issue — never merge.
+        // page must be carried into the new page image. Such a border page is
+        // built after the wait for the predecessor, from version v−1, so two
+        // concurrent unaligned writers to one page both land. Aligned writes —
+        // the only kind BSFS and the benchmarks issue — have no border page.
         let needs_head_merge =
             !range.offset.is_multiple_of(page_size) && ticket.prev_size > pm.page_start(first_page);
         let tail_unaligned = !range.end().is_multiple_of(page_size);
         let needs_tail_merge = tail_unaligned && range.end() < ticket.prev_size;
-        let latest = sys.version_manager.latest(blob)?;
-        let head_old = if needs_head_merge {
-            self.read_page_image(blob, &latest, pm, first_page)?
-        } else {
-            Vec::new()
-        };
-        let tail_old = if needs_tail_merge && last_page != first_page {
-            self.read_page_image(blob, &latest, pm, last_page)?
-        } else if needs_tail_merge {
-            // Same page as the head; reuse what we already fetched (or fetch
-            // it now if the head did not need merging).
-            if needs_head_merge {
-                head_old.clone()
-            } else {
-                self.read_page_image(blob, &latest, pm, first_page)?
-            }
-        } else {
-            Vec::new()
+        let is_border = |page: u64| {
+            (page == first_page && needs_head_merge) || (page == last_page && needs_tail_merge)
         };
 
         // Step 2b: allocate providers and push the page images.
@@ -671,12 +657,13 @@ impl BlobSeerClient {
             return Err(BlobSeerError::NoProviders);
         }
 
-        // Building one page image and pushing it to its replicas is
-        // independent of every other page, so the per-page work fans out over
-        // a bounded scoped-thread pool (`io_parallelism` workers). Failure
-        // semantics are per page and unchanged: dead replicas are skipped, a
-        // page with no live replica fails the write.
-        let build_and_push = |i: usize, page: u64| -> BlobResult<Vec<ProviderId>> {
+        // The image is built front to back, each byte written once and the
+        // buffer sized exactly, so it moves into `Bytes` as is: `old` bytes
+        // carried over at the head, zeroes up to the write, the write's own
+        // bytes, `old` bytes carried over at the tail, zeroes to the end. A
+        // page the write covers is one copy of its bytes. `old` is the
+        // page's image at v−1 for a border page, empty otherwise.
+        let image_of = |page: u64, old: &[u8]| -> Vec<u8> {
             let page_start = pm.page_start(page);
             let page_end_limit = (page_start + page_size).min(ticket.new_size);
             let image_len = (page_end_limit - page_start) as usize;
@@ -687,31 +674,29 @@ impl BlobSeerClient {
             let src_from = (copy_start_in_blob - range.offset) as usize;
             let src_to = (copy_end_in_blob - range.offset) as usize;
 
-            // The image is built front to back, each byte written once and
-            // the buffer sized exactly, so it moves into `Bytes` as is: old
-            // bytes carried over at the head, zeroes up to the write, the
-            // write's own bytes, old bytes carried over at the tail, zeroes
-            // to the end. A page the write covers is one copy of its bytes.
             let mut image = Vec::with_capacity(image_len);
             if page == first_page && needs_head_merge {
-                image.extend_from_slice(&head_old[..dst_from.min(head_old.len())]);
+                image.extend_from_slice(&old[..dst_from.min(old.len())]);
             }
             image.resize(dst_from, 0);
             image.extend_from_slice(&data[src_from..src_to]);
-            if page == last_page && needs_tail_merge && dst_to < tail_old.len() {
-                let n = (tail_old.len() - dst_to).min(image_len - dst_to);
-                image.extend_from_slice(&tail_old[dst_to..dst_to + n]);
+            if page == last_page && needs_tail_merge && dst_to < old.len() {
+                let n = (old.len() - dst_to).min(image_len - dst_to);
+                image.extend_from_slice(&old[dst_to..dst_to + n]);
             }
             image.resize(image_len, 0);
+            image
+        };
 
-            // Push to every planned replica provider. A refusal means the
-            // provider is dead: feed the failure detector and fail over to
-            // other live providers, so the page still reaches the planned
-            // replica count and the metadata records where the copies really
-            // landed. A page with no live home at all retries under the
-            // configured backoff (a concurrent join, revive or repair pass
-            // may restore capacity) before failing the write.
-            let replicas = &placements[i];
+        // Push one page image to every planned replica provider. A refusal
+        // means the provider is dead: feed the failure detector and fail
+        // over to other live providers, so the page still reaches the
+        // planned replica count and the metadata records where the copies
+        // really landed. A page with no live home at all retries under the
+        // configured backoff (a concurrent join, revive or repair pass may
+        // restore capacity) before failing the write.
+        let push = |page: u64, image: Vec<u8>| -> BlobResult<Vec<ProviderId>> {
+            let replicas = &placements[(page - first_page) as usize];
             let key = page_key(blob, ticket.version, page);
             let image = Bytes::from(image);
             let mut stored: Vec<ProviderId> = Vec::with_capacity(replicas.len());
@@ -782,17 +767,29 @@ impl BlobSeerClient {
             }
             Ok(stored)
         };
-        let pages: Vec<u64> = (first_page..=last_page).collect();
-        let per_page = fan_out(sys.config.io_parallelism, pages.len(), |i| {
-            build_and_push(i, pages[i])
+        // Building one page image and pushing it to its replicas is
+        // independent of every other page, so the interior pages fan out
+        // over the bounded executor pool (`io_parallelism` workers) before
+        // the wait. Failure semantics are per page: dead replicas are
+        // skipped, a page with no live replica fails the write.
+        let interior: Vec<u64> = (first_page..=last_page)
+            .filter(|&p| !is_border(p))
+            .collect();
+        let per_page = fan_out(sys.config.io_parallelism, interior.len(), |i| {
+            push(interior[i], image_of(interior[i], &[]))
         });
         let mut written: BTreeMap<u64, Vec<ProviderId>> = BTreeMap::new();
-        for (page, stored) in pages.iter().zip(per_page) {
+        for (page, stored) in interior.iter().zip(per_page) {
             written.insert(*page, stored?);
         }
 
-        // Step 3: wait for the predecessor, build the new tree, publish.
+        // Step 3: wait for the predecessor, push the border pages built on
+        // it, build the new tree, publish.
         let prev = sys.version_manager.wait_for_predecessor(ticket)?;
+        for page in (first_page..=last_page).filter(|&p| is_border(p)) {
+            let old = self.read_page_image(blob, &prev, pm, page)?;
+            written.insert(page, push(page, image_of(page, &old))?);
+        }
         let prev_tree = PrevTree {
             root: prev.root,
             span: if prev.size == 0 {
@@ -820,8 +817,8 @@ impl BlobSeerClient {
         Ok(info.version)
     }
 
-    /// Read the current image of one page at a given (usually latest) version,
-    /// zero-padded to the page's valid length. Used for boundary merges.
+    /// Read the image of one page at a given version, zero-padded to the
+    /// page's valid length. Used for boundary merges, at the predecessor.
     fn read_page_image(
         &self,
         blob: BlobId,
@@ -1043,10 +1040,9 @@ impl BlobSeerClient {
 
     /// Fetch every page window of a read with per-destination coalescing:
     /// the demand fetches bound for the same (first-replica) provider fold
-    /// into one `DownloadMany` message — one wire exchange, one latency
-    /// charge — per destination. Every destination's message is posted
-    /// before any reply is awaited, so the providers serve side by side;
-    /// replies are collected, and charged, in provider-id order, so a
+    /// into one `DownloadMany` call — one wire exchange, one latency charge —
+    /// per destination. Destinations are served one after another in
+    /// provider-id order, each exchange charged as it is served, so a
     /// single-threaded caller charges a deterministic exchange sequence.
     /// Holes resolve locally; anything a batch could not answer (provider
     /// dead, page missing, page not in the recorded first replica) falls
@@ -1059,62 +1055,52 @@ impl BlobSeerClient {
     ) -> Vec<BlobResult<Bytes>> {
         let sys = &self.system;
         let mut out: Vec<Option<BlobResult<Bytes>>> = locations.iter().map(|_| None).collect();
-        let mut groups: BTreeMap<ProviderId, Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<ProviderId, Vec<(usize, Version)>> = BTreeMap::new();
         for (i, meta) in locations.iter().enumerate() {
-            if meta.created.is_none() {
-                out[i] = Some(Ok(Bytes::new()));
-            } else if let Some(pid) = meta.providers.first() {
-                groups.entry(*pid).or_default().push(i);
+            match (meta.created, meta.providers.first()) {
+                (None, _) => out[i] = Some(Ok(Bytes::new())),
+                (Some(created), Some(pid)) => groups.entry(*pid).or_default().push((i, created)),
+                // No recorded provider: leave for the fall-back path, which
+                // also chases the announcement registry.
+                (Some(_), None) => {}
             }
-            // `created` set but no recorded provider: leave for the
-            // fall-back path, which also chases the announcement registry.
         }
-        let posted: Vec<_> = groups
-            .iter()
-            .filter_map(|(pid, indices)| {
-                let provider = sys.provider_manager.provider(*pid)?;
-                let requests: Vec<PageRequest> = indices
-                    .iter()
-                    .map(|&i| {
-                        let meta = &locations[i];
-                        let (from, to, valid_len) = windows[i];
-                        let (offset, len) = Self::wire_window(from, to, valid_len);
-                        let key = page_key(
-                            blob,
-                            meta.created.expect("grouped pages are created"),
-                            meta.page,
-                        );
-                        PageRequest { key, offset, len }
-                    })
-                    .collect();
-                let req_bytes: u64 = requests.iter().map(|r| r.key.len() as u64).sum();
-                let pending = provider.post_download_many(requests);
-                Some((*pid, indices, provider.node(), req_bytes, pending))
-            })
-            .collect();
-        for (pid, indices, node, req_bytes, pending) in posted {
-            let resp = pending.wait();
+        for (pid, group) in &groups {
+            let Some(provider) = sys.provider_manager.provider(*pid) else {
+                continue;
+            };
+            let requests: Vec<PageRequest> = group
+                .iter()
+                .map(|&(i, created)| {
+                    let (from, to, valid_len) = windows[i];
+                    let (offset, len) = Self::wire_window(from, to, valid_len);
+                    let key = page_key(blob, created, locations[i].page);
+                    PageRequest { key, offset, len }
+                })
+                .collect();
+            let req_bytes: u64 = requests.iter().map(|r| r.key.len() as u64).sum();
+            let resp = provider.download_many(requests);
             let resp_bytes: u64 = match &resp {
                 Ok(slots) => slots.iter().flatten().map(|d| d.len() as u64).sum(),
                 Err(_) => 0,
             };
             sys.charge_provider(
                 self.node,
-                node,
+                provider.node(),
                 Direction::Read,
                 req_bytes + MSG_OVERHEAD,
                 resp_bytes + MSG_OVERHEAD,
             );
             match resp {
                 Ok(slots) => {
-                    for (&i, slot) in indices.iter().zip(slots) {
+                    for (&(i, _), slot) in group.iter().zip(slots) {
                         if let Some(data) = slot {
                             let (from, to, _) = windows[i];
                             out[i] = Some(Ok(Self::window_bytes(&data, from, to)));
                         }
                     }
                 }
-                Err(_) => sys.provider_manager.note_down(pid),
+                Err(_) => sys.provider_manager.note_down(*pid),
             }
         }
         out.into_iter()
@@ -2042,9 +2028,9 @@ mod tests {
         let before = sys.provider_wire().snapshot();
         let got = client.read(blob, v, 0, data.len() as u64).unwrap();
         assert_eq!(got.to_vec(), data);
-        // One posted exchange per destination — the victim's is refused —
-        // then each orphaned page walks its own replicas: the dead first
-        // replica again, then the live second one.
+        // One exchange per destination — the victim's is refused — then
+        // each orphaned page walks its own replicas: the dead first replica
+        // again, then the live second one.
         let spent = sys.provider_wire().snapshot().since(&before);
         assert_eq!(
             spent.read_messages,
@@ -2053,6 +2039,116 @@ mod tests {
         // And an unaligned window over the same pages assembles the same.
         let part = client.read(blob, v, 70, 500).unwrap();
         assert_eq!(part.to_vec(), data[70..570].to_vec());
+    }
+
+    /// A transport that, once armed, holds the next write exchange charged
+    /// until the test opens its gate.
+    #[derive(Default)]
+    struct HoldNextWrite {
+        armed: AtomicBool,
+        /// (an exchange is held, the gate is open)
+        gate: std::sync::Mutex<(bool, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl HoldNextWrite {
+        fn wait_until_holding(&self) {
+            let mut gate = self.gate.lock().unwrap();
+            while !gate.0 {
+                gate = self.changed.wait(gate).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.gate.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl Transport for HoldNextWrite {
+        fn exchange(
+            &self,
+            _src: NodeId,
+            _dst: NodeId,
+            dir: Direction,
+            _bytes_out: u64,
+            _bytes_in: u64,
+        ) -> simcluster::time::SimDuration {
+            if dir == Direction::Write && self.armed.swap(false, Ordering::SeqCst) {
+                let mut gate = self.gate.lock().unwrap();
+                gate.0 = true;
+                self.changed.notify_all();
+                while !gate.1 {
+                    gate = self.changed.wait(gate).unwrap();
+                }
+            }
+            simcluster::time::SimDuration::ZERO
+        }
+
+        fn name(&self) -> &'static str {
+            "hold-next-write"
+        }
+    }
+
+    #[test]
+    fn concurrent_unaligned_writers_to_one_page_keep_both_writes() {
+        let hold = Arc::new(HoldNextWrite::default());
+        let topology = ClusterTopology::flat(2);
+        let nodes: Vec<NodeId> = topology.all_nodes().collect();
+        let sys = BlobSeer::with_transport(
+            BlobSeerConfig::for_tests()
+                .with_page_size(16)
+                .with_providers(2)
+                .with_page_replication(1),
+            &topology,
+            &nodes,
+            Arc::new(WallClock::new()),
+            hold.clone(),
+        );
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        client.write(blob, 0, &[b'x'; 16]).unwrap();
+        let vm = sys.version_manager();
+        let waits = vm.contention_stats().cond_waits;
+        hold.armed.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            // Writer A (v2) overwrites the head of the page; its page push
+            // is held on the wire.
+            let a = s.spawn(|| client.write(blob, 0, b"AAAA").unwrap());
+            hold.wait_until_holding();
+            // Writer B (v3) overwrites the middle of the same page and
+            // reaches its wait for A before A may go on.
+            let b = s.spawn(|| client.write(blob, 8, b"BBBB").unwrap());
+            while vm.contention_stats().cond_waits == waits {
+                std::thread::yield_now();
+            }
+            hold.open();
+            assert_eq!(a.join().unwrap(), Version(2));
+            assert_eq!(b.join().unwrap(), Version(3));
+        });
+        assert_eq!(
+            &client.read_latest(blob, 0, 16).unwrap()[..],
+            b"AAAAxxxxBBBBxxxx",
+            "both writes, applied in version order"
+        );
+    }
+
+    #[test]
+    fn a_ticket_for_an_empty_range_is_an_error_not_a_panic() {
+        let sys = small_system();
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let ticket = WriteTicket {
+            blob,
+            version: Version(1),
+            range: ByteRange::new(0, 0),
+            new_size: 0,
+            prev_size: 0,
+        };
+        assert!(matches!(
+            client.write_reserved(blob, &ticket, &[], &PageMath::new(16)),
+            Err(BlobSeerError::InvalidArgument(_))
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! behind "data is never overwritten: each write or append operation
 //! generates a new version of the blob" (paper §III-A).
 
-use crate::error::BlobResult;
+use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::store::MetadataStore;
 use crate::metadata::{NodeKey, TreeNode};
 use crate::types::{BlobId, ProviderId, Version};
@@ -84,8 +84,10 @@ impl<'a> NodeBatch<'a> {
 /// The new nodes are published to the metadata DHT as a single batch when
 /// the tree is complete; until then nothing of the version is visible.
 ///
-/// Returns the key of the new root. Panics if `written` is empty (a write
-/// always touches at least one page) or if `new_span` is not a power of two.
+/// Returns the key of the new root, or [`BlobSeerError::InvalidArgument`]
+/// if `written` is empty (a write always touches at least one page), if
+/// `new_span` is not a power of two, if a written page lies outside it, or
+/// if it is smaller than `prev.span` (a tree never shrinks).
 pub fn build_version(
     store: &MetadataStore,
     blob: BlobId,
@@ -94,18 +96,19 @@ pub fn build_version(
     new_span: u64,
     written: &BTreeMap<u64, Vec<ProviderId>>,
 ) -> BlobResult<NodeKey> {
-    assert!(!written.is_empty(), "a write must touch at least one page");
-    assert!(
-        new_span.is_power_of_two(),
-        "tree span must be a power of two"
-    );
-    let wfirst = *written.keys().next().unwrap();
-    let wlast = *written.keys().next_back().unwrap();
-    assert!(
-        wlast < new_span,
-        "written pages must fit in the new tree span"
-    );
-    assert!(prev.span <= new_span, "a tree never shrinks");
+    let invalid = |msg: &str| BlobSeerError::InvalidArgument(msg.into());
+    let (Some(&wfirst), Some(&wlast)) = (written.keys().next(), written.keys().next_back()) else {
+        return Err(invalid("a write must touch at least one page"));
+    };
+    if !new_span.is_power_of_two() {
+        return Err(invalid("tree span must be a power of two"));
+    }
+    if wlast >= new_span {
+        return Err(invalid("written pages must fit in the new tree span"));
+    }
+    if prev.span > new_span {
+        return Err(invalid("a tree never shrinks"));
+    }
 
     // When the blob grows, pre-extend the previous tree to the new span by
     // wrapping its root in inner nodes whose right halves are holes. The
@@ -148,7 +151,7 @@ pub fn build_version(
         written,
     };
     let root = build_node(&ctx, &mut batch, 0, new_span, None)?
-        .expect("the root always overlaps the written range");
+        .ok_or_else(|| invalid("the root must overlap the written range"))?;
     batch.flush()?;
     Ok(root)
 }
@@ -883,7 +886,7 @@ mod tests {
     fn empty_write_is_rejected() {
         let s = store();
         let w = BTreeMap::new();
-        let _ = build_version(&s, BlobId(0), Version(1), PrevTree::empty(), 4, &w);
+        build_version(&s, BlobId(0), Version(1), PrevTree::empty(), 4, &w).unwrap();
     }
 
     #[test]
@@ -891,6 +894,33 @@ mod tests {
     fn non_power_of_two_span_is_rejected() {
         let s = store();
         let w = written(&[(0, &[1])]);
-        let _ = build_version(&s, BlobId(0), Version(1), PrevTree::empty(), 6, &w);
+        build_version(&s, BlobId(0), Version(1), PrevTree::empty(), 6, &w).unwrap();
+    }
+
+    #[test]
+    fn out_of_span_and_shrinking_builds_are_errors() {
+        let s = store();
+        let build = |v, prev, span, w: &BTreeMap<u64, Vec<ProviderId>>| {
+            build_version(&s, BlobId(0), Version(v), prev, span, w)
+        };
+        let invalid = |r: BlobResult<NodeKey>| matches!(r, Err(BlobSeerError::InvalidArgument(_)));
+        assert!(invalid(build(
+            1,
+            PrevTree::empty(),
+            4,
+            &written(&[(4, &[1])])
+        )));
+        let w = written(&[(0, &[1])]);
+        let root = build(1, PrevTree::empty(), 8, &w).unwrap();
+        let prev = PrevTree {
+            root: Some(root),
+            span: 8,
+        };
+        assert!(invalid(build(2, prev, 4, &w)));
+        assert_eq!(
+            s.stats().nodes_written,
+            4,
+            "a refused build publishes nothing"
+        );
     }
 }

@@ -6,23 +6,23 @@
 //! locality-aware scheduling and the network model), counts its traffic, and
 //! can be killed/revived for fault-tolerance experiments.
 //!
-//! The store, liveness flag and counters live single-threaded inside a
-//! message-loop actor; the `Provider` the rest of the system holds is a thin
-//! handle enqueueing commands on the mailbox. Mailbox FIFO preserves the
-//! kill-then-put ordering callers rely on.
+//! A call is a call: every method checks the liveness flag, serves on the
+//! caller's thread and returns. The only lock taken is the page store's
+//! own, held for the store operation alone, so it is the innermost lock.
+//! `kill` flips the flag every operation checks, so an operation that starts
+//! after `kill` returns is refused.
 //!
 //! A dead provider *refuses* data operations rather than silently absorbing
 //! them — callers discover the death as an error, the way a broken socket
 //! would surface it. [`Provider::ping`] is the cheap liveness probe the
-//! failure detector and the repair pass use.
+//! failure detector, the repair pass and placement use.
 
 use crate::error::{BlobResult, BlobSeerError};
 use crate::types::{BlobId, ProviderId, Version};
 use bytes::Bytes;
 use kvstore::{MemStore, PageStore};
-use miniexec::{actor, oneshot};
 use simcluster::NodeId;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Build the storage key under which a page is kept on a provider.
@@ -61,193 +61,18 @@ pub struct PageRequest {
     pub len: Option<u64>,
 }
 
-/// Commands understood by the provider actor, shaped like a blob wire
-/// protocol: `Upload` / `Download(key, offset, len)` / `Query` / `Delete`,
-/// plus the coalesced `DownloadMany` batch and the control probes.
-enum ProviderMsg {
-    Upload {
-        key: Vec<u8>,
-        data: Bytes,
-        reply: oneshot::Sender<BlobResult<()>>,
-    },
-    /// Ranged streaming read: serve `[offset, offset + len)` of the stored
-    /// page (clamped to what is stored; `len: None` means "through the
-    /// end"). A whole-page fetch is `offset 0, len None`.
-    Download {
-        key: Vec<u8>,
-        offset: u64,
-        len: Option<u64>,
-        reply: oneshot::Sender<BlobResult<Option<Bytes>>>,
-    },
-    /// Several downloads folded into one mailbox message (one wire exchange
-    /// when a transport is charged in front of the mailbox).
-    DownloadMany {
-        requests: Vec<PageRequest>,
-        reply: oneshot::Sender<BlobResult<Vec<Option<Bytes>>>>,
-    },
-    /// Existence/size probe: the stored length of the page, without moving
-    /// its bytes. Does not count as served traffic.
-    Query {
-        key: Vec<u8>,
-        reply: oneshot::Sender<BlobResult<Option<u64>>>,
-    },
-    Delete {
-        key: Vec<u8>,
-        reply: oneshot::Sender<BlobResult<bool>>,
-    },
-    /// Liveness probe: answers through the mailbox, so it observes any
-    /// kill/revive enqueued before it. Does not count as served traffic.
-    Ping(oneshot::Sender<bool>),
-    Stats(oneshot::Sender<ProviderStats>),
-    Kill(oneshot::Sender<()>),
-    Revive(oneshot::Sender<()>),
-}
-
-/// The actor's single-threaded state: plain fields, no shared locks.
-struct ProviderState {
-    store: Arc<dyn PageStore>,
-    alive: bool,
-    alive_mirror: Arc<AtomicBool>,
-    writes: u64,
-    reads: u64,
-    bytes_written: u64,
-    bytes_read: u64,
-}
-
-impl ProviderState {
-    fn handle(&mut self, msg: ProviderMsg) {
-        match msg {
-            ProviderMsg::Upload { key, data, reply } => {
-                let _ = reply.send(self.put(&key, data));
-            }
-            ProviderMsg::Download {
-                key,
-                offset,
-                len,
-                reply,
-            } => {
-                let _ = reply.send(self.download(&key, offset, len));
-            }
-            ProviderMsg::DownloadMany { requests, reply } => {
-                let _ = reply.send(self.download_many(&requests));
-            }
-            ProviderMsg::Query { key, reply } => {
-                let _ = reply.send(self.query(&key));
-            }
-            ProviderMsg::Delete { key, reply } => {
-                let _ = reply.send(self.delete(&key));
-            }
-            ProviderMsg::Ping(reply) => {
-                let _ = reply.send(self.alive);
-            }
-            ProviderMsg::Stats(reply) => {
-                let _ = reply.send(ProviderStats {
-                    pages: self.store.len(),
-                    stored_bytes: self.store.data_bytes(),
-                    writes: self.writes,
-                    reads: self.reads,
-                    bytes_written: self.bytes_written,
-                    bytes_read: self.bytes_read,
-                });
-            }
-            ProviderMsg::Kill(done) => {
-                self.alive = false;
-                self.alive_mirror.store(false, Ordering::Release);
-                let _ = done.send(());
-            }
-            ProviderMsg::Revive(done) => {
-                self.alive = true;
-                self.alive_mirror.store(true, Ordering::Release);
-                let _ = done.send(());
-            }
-        }
-    }
-
-    fn put(&mut self, key: &[u8], data: Bytes) -> BlobResult<()> {
-        if !self.alive {
-            return Err(BlobSeerError::Storage(kvstore::KvError::Closed));
-        }
-        self.writes += 1;
-        self.bytes_written += data.len() as u64;
-        self.store.put(key, data)?;
-        Ok(())
-    }
-
-    fn download(&mut self, key: &[u8], offset: u64, len: Option<u64>) -> BlobResult<Option<Bytes>> {
-        if !self.alive {
-            return Err(BlobSeerError::Storage(kvstore::KvError::Closed));
-        }
-        let Some(page) = self.store.get(key)? else {
-            return Ok(None);
-        };
-        // Clamp the requested window to what is stored: the caller knows the
-        // page's valid length and pads/truncates; the provider only ever
-        // ships bytes it holds.
-        let start = usize::try_from(offset)
-            .unwrap_or(usize::MAX)
-            .min(page.len());
-        let end = match len {
-            Some(l) => start
-                .saturating_add(usize::try_from(l).unwrap_or(usize::MAX))
-                .min(page.len()),
-            None => page.len(),
-        };
-        let piece = page.slice(start..end);
-        self.reads += 1;
-        self.bytes_read += piece.len() as u64;
-        Ok(Some(piece))
-    }
-
-    fn download_many(&mut self, requests: &[PageRequest]) -> BlobResult<Vec<Option<Bytes>>> {
-        // One liveness check covers the batch; per-entry misses are `None`.
-        if !self.alive {
-            return Err(BlobSeerError::Storage(kvstore::KvError::Closed));
-        }
-        requests
-            .iter()
-            .map(|r| self.download(&r.key, r.offset, r.len))
-            .collect()
-    }
-
-    fn query(&mut self, key: &[u8]) -> BlobResult<Option<u64>> {
-        if !self.alive {
-            return Err(BlobSeerError::Storage(kvstore::KvError::Closed));
-        }
-        Ok(self.store.get(key)?.map(|p| p.len() as u64))
-    }
-
-    fn delete(&mut self, key: &[u8]) -> BlobResult<bool> {
-        if !self.alive {
-            return Err(BlobSeerError::Storage(kvstore::KvError::Closed));
-        }
-        Ok(self.store.delete(key)?)
-    }
-}
-
-/// One data provider.
+/// One data provider, shaped like a blob wire protocol: `Upload` /
+/// `Download(key, offset, len)` / `Query` / `Delete`, plus the coalesced
+/// `DownloadMany` batch and the control probes.
 pub struct Provider {
     id: ProviderId,
     node: NodeId,
-    handle: actor::Handle<ProviderMsg>,
-    alive: Arc<AtomicBool>,
-}
-
-/// A dead actor means the reply channel is dropped; surface that the same
-/// way a dead provider surfaces: the component is not serving.
-fn actor_gone<T>(_: oneshot::Canceled) -> BlobResult<T> {
-    Err(BlobSeerError::Storage(kvstore::KvError::Closed))
-}
-
-/// A `DownloadMany` already posted to a provider's mailbox.
-#[must_use = "the download is in flight; wait for its reply"]
-pub struct PendingDownloads(oneshot::Receiver<BlobResult<Vec<Option<Bytes>>>>);
-
-impl PendingDownloads {
-    /// Block for the provider's reply; a provider whose actor is gone reads
-    /// as not serving, like a dead one.
-    pub fn wait(self) -> BlobResult<Vec<Option<Bytes>>> {
-        self.0.recv().unwrap_or_else(actor_gone)
-    }
+    store: Arc<dyn PageStore>,
+    alive: AtomicBool,
+    writes: AtomicU64,
+    reads: AtomicU64,
+    bytes_written: AtomicU64,
+    bytes_read: AtomicU64,
 }
 
 impl Provider {
@@ -259,22 +84,15 @@ impl Provider {
     /// Create a provider backed by an arbitrary page store (e.g. a
     /// [`kvstore::LogStore`] for durability).
     pub fn with_store(id: ProviderId, node: NodeId, store: Arc<dyn PageStore>) -> Self {
-        let alive = Arc::new(AtomicBool::new(true));
-        let state = ProviderState {
-            store,
-            alive: true,
-            alive_mirror: Arc::clone(&alive),
-            writes: 0,
-            reads: 0,
-            bytes_written: 0,
-            bytes_read: 0,
-        };
-        let handle = actor::spawn(&format!("provider-{}", id.0), state, ProviderState::handle);
         Provider {
             id,
             node,
-            handle,
-            alive,
+            store,
+            alive: AtomicBool::new(true),
+            writes: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
         }
     }
 
@@ -288,43 +106,43 @@ impl Provider {
         self.node
     }
 
-    /// Is the provider serving requests? (Lock-free mirror read; the
-    /// authoritative flag lives with the state and gates every operation.)
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
-    }
-
-    /// Liveness probe through the mailbox: `true` when the provider is
-    /// serving. This is the authoritative check the failure detector and the
-    /// repair pass use; unlike [`Provider::is_alive`] it is serialized with
-    /// every kill/revive that was enqueued before it.
+    /// Liveness probe: `true` when the provider is serving. Reads the flag
+    /// every data operation checks, so it agrees with the last `kill` or
+    /// `revive` that returned.
     pub fn ping(&self) -> bool {
-        self.handle.call(ProviderMsg::Ping).unwrap_or(false)
+        self.alive.load(Ordering::SeqCst)
     }
 
     /// Simulate a crash. The underlying store keeps its data so that a
-    /// revive models a restart from persistent storage. Serialized through
-    /// the mailbox, so operations enqueued after the kill observe the dead
-    /// state.
+    /// revive models a restart from persistent storage. Operations that
+    /// start after this returns observe the dead state.
     pub fn kill(&self) {
-        let _ = self.handle.call(ProviderMsg::Kill);
+        self.alive.store(false, Ordering::SeqCst);
     }
 
     /// Bring the provider back online.
     pub fn revive(&self) {
-        let _ = self.handle.call(ProviderMsg::Revive);
+        self.alive.store(true, Ordering::SeqCst);
+    }
+
+    /// Refuse the operation when the provider is down.
+    fn serving(&self) -> BlobResult<()> {
+        if self.ping() {
+            Ok(())
+        } else {
+            Err(BlobSeerError::Storage(kvstore::KvError::Closed))
+        }
     }
 
     /// Store a page (the wire protocol's `Upload`). Fails if the provider is
     /// down.
     pub fn put_page(&self, key: &[u8], data: Bytes) -> BlobResult<()> {
-        self.handle
-            .call(|reply| ProviderMsg::Upload {
-                key: key.to_vec(),
-                data,
-                reply,
-            })
-            .unwrap_or_else(actor_gone)
+        self.serving()?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.store.put(key, data)?;
+        Ok(())
     }
 
     /// Fetch a whole page (`Download` with `offset 0, len None`). Returns
@@ -344,56 +162,69 @@ impl Provider {
         offset: u64,
         len: Option<u64>,
     ) -> BlobResult<Option<Bytes>> {
-        self.handle
-            .call(|reply| ProviderMsg::Download {
-                key: key.to_vec(),
-                offset,
-                len,
-                reply,
-            })
-            .unwrap_or_else(actor_gone)
+        self.serving()?;
+        self.download(key, offset, len)
     }
 
-    /// Several ranged downloads folded into one mailbox message — the
-    /// coalesced shape: one wire exchange per destination per flush. Returns
-    /// one slot per request, in order.
+    /// Several ranged downloads folded into one call — the coalesced shape:
+    /// one wire exchange per destination per flush. One liveness check
+    /// covers the batch; returns one slot per request, in order, `None`
+    /// where the page is missing.
     pub fn download_many(&self, requests: Vec<PageRequest>) -> BlobResult<Vec<Option<Bytes>>> {
-        self.post_download_many(requests).wait()
+        self.serving()?;
+        requests
+            .iter()
+            .map(|r| self.download(&r.key, r.offset, r.len))
+            .collect()
     }
 
-    /// [`Provider::download_many`] without the wait: the message is in the
-    /// mailbox when this returns, so a reader posts to every provider of a
-    /// read and then collects, and the providers serve it side by side.
-    pub fn post_download_many(&self, requests: Vec<PageRequest>) -> PendingDownloads {
-        PendingDownloads(
-            self.handle
-                .request(|reply| ProviderMsg::DownloadMany { requests, reply }),
-        )
+    /// Serve one window of a stored page, liveness already checked.
+    fn download(&self, key: &[u8], offset: u64, len: Option<u64>) -> BlobResult<Option<Bytes>> {
+        let Some(page) = self.store.get(key)? else {
+            return Ok(None);
+        };
+        // Clamp the requested window to what is stored: the caller knows the
+        // page's valid length and pads/truncates; the provider only ever
+        // ships bytes it holds.
+        let start = usize::try_from(offset)
+            .unwrap_or(usize::MAX)
+            .min(page.len());
+        let end = match len {
+            Some(l) => start
+                .saturating_add(usize::try_from(l).unwrap_or(usize::MAX))
+                .min(page.len()),
+            None => page.len(),
+        };
+        let piece = page.slice(start..end);
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.bytes_read
+            .fetch_add(piece.len() as u64, Ordering::Relaxed);
+        Ok(Some(piece))
     }
 
     /// `Query(key)`: the stored length of a page without moving its bytes.
+    /// Does not count as served traffic.
     pub fn query_page(&self, key: &[u8]) -> BlobResult<Option<u64>> {
-        self.handle
-            .call(|reply| ProviderMsg::Query {
-                key: key.to_vec(),
-                reply,
-            })
-            .unwrap_or_else(actor_gone)
+        self.serving()?;
+        Ok(self.store.get(key)?.map(|p| p.len() as u64))
     }
 
     /// Delete a page (used by version garbage collection).
     pub fn delete_page(&self, key: &[u8]) -> BlobResult<bool> {
-        self.handle
-            .call(|reply| ProviderMsg::Delete {
-                key: key.to_vec(),
-                reply,
-            })
-            .unwrap_or_else(actor_gone)
+        self.serving()?;
+        Ok(self.store.delete(key)?)
     }
 
     /// Current counters.
     pub fn stats(&self) -> ProviderStats {
-        self.handle.call(ProviderMsg::Stats).unwrap_or_default()
+        ProviderStats {
+            pages: self.store.len(),
+            stored_bytes: self.store.data_bytes(),
+            writes: self.writes.load(Ordering::Relaxed),
+            reads: self.reads.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -515,7 +346,7 @@ mod tests {
         let key = page_key(BlobId(0), Version(1), 0);
         p.put_page(&key, Bytes::from_static(b"data")).unwrap();
         p.kill();
-        assert!(!p.is_alive());
+        assert!(!p.ping());
         assert!(p.put_page(&key, Bytes::from_static(b"x")).is_err());
         assert!(p.get_page(&key).is_err());
         assert!(p.delete_page(&key).is_err());
@@ -541,35 +372,5 @@ mod tests {
         let p = Provider::in_memory(ProviderId(0), NodeId(0));
         let _ = p.get_page(b"nope").unwrap();
         assert_eq!(p.stats().reads, 0);
-    }
-
-    #[test]
-    fn dropping_an_actor_provider_mid_traffic_never_hangs_a_caller() {
-        // Four writers hammer the actor while the main thread drops its
-        // handle. Every in-flight call must come back — stored or refused —
-        // and the joins below must not hang. (The executor-level guarantees
-        // behind this — mailbox drain on last-handle drop, reply-waiter
-        // cancellation on actor death — are tested in `miniexec` itself.)
-        let provider = Arc::new(Provider::in_memory(ProviderId(7), NodeId(0)));
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let p = Arc::clone(&provider);
-                std::thread::spawn(move || {
-                    let mut stored = 0u64;
-                    for i in 0..200u64 {
-                        let key = page_key(BlobId(w), Version(1), i);
-                        if p.put_page(&key, Bytes::from_static(b"payload")).is_ok() {
-                            stored += 1;
-                        }
-                    }
-                    stored
-                })
-            })
-            .collect();
-        drop(provider);
-        let stored: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-        // The writers' own Arc clones kept the actor alive, so their traffic
-        // all landed; the point is that the racing drop broke nothing.
-        assert_eq!(stored, 4 * 200);
     }
 }

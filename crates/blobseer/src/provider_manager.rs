@@ -211,7 +211,7 @@ impl ProviderManager {
         client_node: NodeId,
     ) -> Vec<Vec<ProviderId>> {
         let providers = self.providers.read();
-        let live: Vec<&Arc<Provider>> = providers.iter().filter(|p| p.is_alive()).collect();
+        let live: Vec<&Arc<Provider>> = providers.iter().filter(|p| p.ping()).collect();
         if live.is_empty() {
             return Vec::new();
         }

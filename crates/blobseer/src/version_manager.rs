@@ -807,7 +807,7 @@ mod tests {
         let t2 = vm.reserve(blob, WriteIntent::Append { len: 10 }).unwrap();
 
         let vm2 = Arc::clone(&vm);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = miniexec::oneshot::channel();
         std::thread::spawn(move || {
             // v1 never commits; the blob is deleted instead. Pre-fix this
             // waiter hung forever because delete_blob never notified.

@@ -7,8 +7,8 @@
 //! * [`ring::HashRing`] — consistent hashing with virtual nodes, so that keys
 //!   spread evenly and adding/removing a metadata provider only moves a small
 //!   fraction of the keys;
-//! * [`node::DhtNode`] — one metadata provider: an actor-backed key-value
-//!   store plus a liveness flag for failure injection;
+//! * [`node::DhtNode`] — one metadata provider: a key-value store plus a
+//!   liveness flag for failure injection, served on the caller's thread;
 //! * [`Dht`] — the client view: replicated `put`/`get`/`remove` across the
 //!   ring, fail-over on dead replicas, node join/leave with rebalancing, and
 //!   the churn-tolerance layer: a heartbeat failure detector
@@ -49,7 +49,7 @@
 pub mod node;
 pub mod ring;
 
-pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult, Pending};
+pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult};
 pub use ring::HashRing;
 
 use bytes::Bytes;
@@ -142,7 +142,7 @@ pub struct DhtStats {
     pub failures_detected: u64,
     /// Nodes the detector currently suspects dead.
     pub suspected_nodes: usize,
-    /// Data-plane batches the node actors have handled (served or refused),
+    /// Data-plane batches the nodes have handled (served or refused),
     /// summed over current members. One charged client exchange is one
     /// batch, so client traffic advances this in step with
     /// [`Dht::round_trips`]; the reconciliation passes (revive, rebalance,
@@ -261,11 +261,9 @@ impl DhtWire {
 /// tracks node contacts across all operations, which is what the bench
 /// harness uses to report metadata round trips per committed version.
 ///
-/// **One charged exchange is one mailbox message.** A node group travels as
-/// a single batch message to the node's actor, and a batch operation posts
-/// its groups to every node involved before it collects (and charges) the
-/// replies in node-id order — the nodes work concurrently, the charge
-/// sequence is that of a sequential caller.
+/// **One charged exchange is one served batch.** A node group travels as a
+/// single batch call to its node, and a batch operation visits its nodes one
+/// after another in node-id order, charging each exchange as it is served.
 pub struct Dht {
     inner: RwLock<DhtInner>,
     tombstones: Tombstones,
@@ -670,41 +668,30 @@ impl Dht {
                 per_node.entry(id).or_default().push(i);
             }
         }
-        // One message per node, carrying every entry of its group: posted to
-        // every node first, then collected (and charged) in node-id order.
-        // The bytes cross the wire even if the node turns out to be dead.
-        let posted: Vec<_> = per_node
-            .iter()
-            .map(|(id, indices)| {
-                let group: Vec<(Vec<u8>, Bytes)> = indices
-                    .iter()
-                    .map(|&i| (entries[i].0.as_ref().to_vec(), entries[i].1.clone()))
-                    .collect();
-                let group_bytes: u64 = group
-                    .iter()
-                    .map(|(k, v)| k.len() as u64 + v.len() as u64)
-                    .sum();
-                (
-                    id,
-                    indices,
-                    group_bytes,
-                    inner.nodes[id].post_put_many(group),
-                )
-            })
-            .collect();
+        // One batch per node, carrying every entry of its group, served in
+        // node-id order. The bytes cross the wire even if the node turns out
+        // to be dead.
         let mut stored = vec![0usize; entries.len()];
-        for (id, indices, group_bytes, pending) in posted {
+        for (id, indices) in &per_node {
+            let group: Vec<(Vec<u8>, Bytes)> = indices
+                .iter()
+                .map(|&i| (entries[i].0.as_ref().to_vec(), entries[i].1.clone()))
+                .collect();
+            let group_bytes: u64 = group
+                .iter()
+                .map(|(k, v)| k.len() as u64 + v.len() as u64)
+                .sum();
             self.charge_write(*id, group_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            match pending.wait() {
+            match inner.nodes[id].put_many(group) {
                 Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
                 // The node refused the whole group; leave its entries for
                 // the per-entry fail-over pass below.
                 Err(NodeDown) => self.note_node_down(*id),
             }
         }
-        // Entries short of the replication factor (their group's node died
-        // before the batch reached it) fail over individually, clockwise past
-        // the replica set.
+        // Entries short of the replication factor (their group's node was
+        // dead when the batch reached it) fail over individually, clockwise
+        // past the replica set.
         for (i, count) in stored.iter_mut().enumerate() {
             if *count >= inner.replication {
                 continue;
@@ -801,21 +788,14 @@ impl Dht {
                     }
                 }
             }
-            // One message per node: the request carries the group's keys,
-            // the response whatever values the node held. Every node of this
-            // rank is asked before any answer is awaited; answers are
-            // collected (and charged) in node-id order.
-            let posted: Vec<_> = per_node
-                .iter()
-                .map(|(id, indices)| {
-                    let group = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
-                    (id, indices, inner.nodes[id].post_get_many(group))
-                })
-                .collect();
-            for (id, indices, pending) in posted {
+            // One batch per node: the request carries the group's keys, the
+            // response whatever values the node held. Nodes are asked in
+            // node-id order, each exchange charged as it is served.
+            for (id, indices) in &per_node {
+                let group = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
                 let req_bytes: u64 = indices.iter().map(|&i| keys[i].as_ref().len() as u64).sum();
                 let mut resp_bytes = 0u64;
-                match pending.wait() {
+                match inner.nodes[id].get_many(group) {
                     Ok(values) => {
                         for (&i, v) in indices.iter().zip(values) {
                             resp_bytes += v.as_ref().map_or(0, |b| b.len() as u64);
@@ -1004,7 +984,7 @@ impl Dht {
         // what each live node holds.
         let mut all: HashMap<Vec<u8>, Bytes> = HashMap::new();
         let mut held: Vec<(&Arc<DhtNode>, Vec<Vec<u8>>)> = Vec::new();
-        for node in inner.nodes.values().filter(|n| n.is_alive()) {
+        for node in inner.nodes.values().filter(|n| n.ping()) {
             let entries = node.entries();
             held.push((node, entries.iter().map(|(k, _)| k.clone()).collect()));
             for (k, v) in entries {
@@ -1206,7 +1186,7 @@ impl Dht {
             ..Default::default()
         };
         for node in inner.nodes.values() {
-            if node.is_alive() {
+            if node.ping() {
                 s.live_nodes += 1;
             }
             s.total_entries += node.len();
@@ -1731,8 +1711,9 @@ mod tests {
     }
 
     /// A transport that crashes a DHT node the first time an exchange is
-    /// charged. Batch operations charge while collecting, after every group
-    /// is posted, so this lands the death between post and collect.
+    /// charged. A batch operation charges each node group as it serves it,
+    /// in node-id order, so this lands the death after the first group and
+    /// before the victim's.
     struct KillOnNextCharge {
         victim: Arc<DhtNode>,
         armed: std::sync::atomic::AtomicBool,
@@ -1759,13 +1740,13 @@ mod tests {
     }
 
     #[test]
-    fn batches_survive_a_node_dying_between_post_and_collect() {
+    fn batches_survive_a_node_dying_between_two_groups() {
         let dht = Dht::new(DhtConfig {
             nodes: 5,
             replication: 2,
             ..Default::default()
         });
-        // The highest id: its group is collected last, well after the kill.
+        // The highest id: its group is served last, after the kill.
         let victim = dht.node_ids()[4];
         let killer = Arc::new(KillOnNextCharge {
             victim: Arc::clone(&dht.inner.read().nodes[&victim]),
@@ -1782,22 +1763,44 @@ mod tests {
                 .zip(&entries)
                 .all(|(g, (_, v))| g.as_ref() == Some(v))
         };
+        let victims_group = keys
+            .iter()
+            .filter(|k| dht.replicas_for(k).contains(&victim))
+            .count();
+        assert!(victims_group > 0);
 
-        // Write: the victim's group was in its mailbox before the kill, so
-        // it is accepted (mailbox FIFO) and every entry has its copies.
+        // Write: the victim dies after the first group is served. Its own
+        // group is refused whole, and only its entries fail over, one
+        // single-key put each, past the replica set.
         dht.put_many(&entries).unwrap();
         assert!(!killer.armed.load(Ordering::SeqCst), "the kill fired");
         assert_eq!(dht.stats().live_nodes, 4);
+        assert_eq!(
+            dht.load_per_node()[&victim],
+            0,
+            "a dead node accepts nothing"
+        );
         assert_eq!(dht.stats().total_entries, entries.len() * 2);
-        assert!(dht.load_per_node()[&victim] > 0);
+        assert_eq!(dht.write_round_trips(), 5 + victims_group as u64);
+        for (key, _) in &entries {
+            let replicas = dht.replicas_for(key);
+            if !replicas.contains(&victim) {
+                for id in replicas {
+                    let node = &dht.inner.read().nodes[&id];
+                    assert!(node.get(key).unwrap().is_some(), "a served group stays put");
+                }
+            }
+        }
         // Read with the victim dead before the batch: its keys fail over.
         assert!(all_read(&dht));
 
-        // Read with the victim dying between post and collect: its group was
-        // served before the kill took effect; nothing hangs, nothing is lost.
+        // Read with the victim dying between two groups: its group is
+        // refused and its keys are asked of their next replica; nothing is
+        // lost.
         dht.revive(victim).unwrap();
         killer.armed.store(true, Ordering::SeqCst);
         assert!(all_read(&dht));
+        assert!(!killer.armed.load(Ordering::SeqCst), "the kill fired");
         assert_eq!(dht.stats().live_nodes, 4);
 
         // Write with the victim dead before the batch: its group is refused
@@ -1818,8 +1821,8 @@ mod tests {
             assert_eq!(&dht.get(k).unwrap(), v);
         }
 
-        // And repair brings the first batch back to `replication` live
-        // copies without the victim.
+        // And repair finds both batches at `replication` live copies
+        // without the victim.
         assert_eq!(dht.repair().still_under_replicated, 0);
         let live_copies: usize = dht
             .load_per_node()

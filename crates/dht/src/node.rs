@@ -4,11 +4,11 @@
 //! decides *which* nodes a key lives on; the node itself only stores and
 //! serves.
 //!
-//! The map lives single-threaded inside a message-loop actor
-//! ([`miniexec::actor`]); the `DhtNode` the rest of the system holds is a
-//! thin handle that enqueues commands and waits for replies. No shared
-//! locks, and mailbox FIFO gives kill-then-put ordering: a `put` enqueued
-//! after a `kill` observes the dead state.
+//! A call is a call: every method takes the node's one lock, serves on the
+//! caller's thread and returns. The lock is held only for the map work
+//! itself, never across a call into another component, so it is always the
+//! innermost lock. Kill-then-put ordering is lock order: a `put` that starts
+//! after `kill` returns observes the dead state.
 //!
 //! **Failure model.** A dead node *refuses* data operations — `put`, `get`
 //! and `remove` return [`NodeDown`], exactly what a remote peer would
@@ -17,128 +17,39 @@
 //! shared flag. The administrative surface (`len`, `entries`, `data_bytes`)
 //! keeps working while dead: it models reading the node's persistent state,
 //! which is how a revive restores from "disk" and how tests inspect a
-//! crashed node. The only shared state is a read-only mirror of the
-//! liveness flag ([`DhtNode::is_alive`]) kept as a cheap *hint* for
-//! replica-ordering and stats; correctness never depends on it being fresh.
+//! crashed node.
 
 use bytes::Bytes;
-use miniexec::{actor, oneshot};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Identity of a DHT node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DhtNodeId(pub u64);
 
-/// A data operation reached a node that is not serving (crashed, or its
-/// actor is gone). The caller should fail over to another replica.
+/// A data operation reached a node that is not serving (crashed). The
+/// caller should fail over to another replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeDown;
 
 /// Result of a data operation against one node.
 pub type NodeResult<T> = Result<T, NodeDown>;
 
-/// Commands understood by the node actor. The data plane is batch-shaped:
-/// one message carries every key (or entry) the sender has for this node,
-/// so one exchange charged on the wire is one mailbox message here. A
-/// single-key operation is a batch of one.
-enum NodeMsg {
-    PutMany {
-        entries: Vec<(Vec<u8>, Bytes)>,
-        reply: oneshot::Sender<NodeResult<()>>,
-    },
-    GetMany {
-        keys: Vec<Vec<u8>>,
-        reply: oneshot::Sender<NodeResult<Vec<Option<Bytes>>>>,
-    },
-    /// Replies with how many of the keys were present.
-    RemoveMany {
-        keys: Vec<Vec<u8>>,
-        reply: oneshot::Sender<NodeResult<usize>>,
-    },
-    /// Heartbeat probe: replies `true` iff the node is serving. A crashed
-    /// node still answers (the actor thread is the simulation substrate,
-    /// not the simulated process) but answers `false`; an actor whose
-    /// mailbox is gone never answers — both count as a missed heartbeat.
-    Ping(oneshot::Sender<bool>),
-    Len(oneshot::Sender<usize>),
-    Entries(oneshot::Sender<Vec<(Vec<u8>, Bytes)>>),
-    Kill(oneshot::Sender<()>),
-    Revive(oneshot::Sender<()>),
-}
-
-/// The actor's single-threaded state: plain fields, no locks.
+/// Everything a node knows, behind its one lock.
 struct NodeState {
     data: HashMap<Vec<u8>, Bytes>,
     alive: bool,
-    /// Mirrors shared with the handle so hot-path reads stay lock-free.
-    alive_mirror: Arc<AtomicBool>,
-    bytes_mirror: Arc<AtomicU64>,
-    batches_mirror: Arc<AtomicU64>,
+    /// Bytes of values stored.
+    data_bytes: u64,
+    /// Data-plane batches handled, served or refused.
+    batches: u64,
 }
 
 impl NodeState {
-    fn handle(&mut self, msg: NodeMsg) {
-        match msg {
-            NodeMsg::PutMany { entries, reply } => {
-                let _ = reply.send(self.serve(|state| {
-                    for (key, value) in entries {
-                        state
-                            .bytes_mirror
-                            .fetch_add(value.len() as u64, Ordering::Relaxed);
-                        let old = state.data.insert(key, value);
-                        state.forget(old);
-                    }
-                }));
-            }
-            NodeMsg::GetMany { keys, reply } => {
-                let _ = reply.send(
-                    self.serve(|state| keys.iter().map(|k| state.data.get(k).cloned()).collect()),
-                );
-            }
-            NodeMsg::RemoveMany { keys, reply } => {
-                let _ = reply.send(self.serve(|state| {
-                    let mut removed = 0;
-                    for key in &keys {
-                        let old = state.data.remove(key);
-                        removed += usize::from(old.is_some());
-                        state.forget(old);
-                    }
-                    removed
-                }));
-            }
-            NodeMsg::Ping(reply) => {
-                let _ = reply.send(self.alive);
-            }
-            NodeMsg::Len(reply) => {
-                let _ = reply.send(self.data.len());
-            }
-            NodeMsg::Entries(reply) => {
-                let entries = self
-                    .data
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                let _ = reply.send(entries);
-            }
-            NodeMsg::Kill(done) => {
-                self.alive = false;
-                self.alive_mirror.store(false, Ordering::Release);
-                let _ = done.send(());
-            }
-            NodeMsg::Revive(done) => {
-                self.alive = true;
-                self.alive_mirror.store(true, Ordering::Release);
-                let _ = done.send(());
-            }
-        }
-    }
-
     /// Run one data-plane batch: counted as handled, refused whole when the
     /// node is dead (one liveness check covers the batch).
     fn serve<T>(&mut self, batch: impl FnOnce(&mut Self) -> T) -> NodeResult<T> {
-        self.batches_mirror.fetch_add(1, Ordering::Relaxed);
+        self.batches += 1;
         if self.alive {
             Ok(batch(self))
         } else {
@@ -146,58 +57,35 @@ impl NodeState {
         }
     }
 
-    /// Take a replaced or removed value out of the stored-bytes mirror.
+    /// Take a replaced or removed value out of the stored-bytes count.
     fn forget(&mut self, old: Option<Bytes>) {
         if let Some(old) = old {
-            self.bytes_mirror
-                .fetch_sub(old.len() as u64, Ordering::Relaxed);
+            self.data_bytes -= old.len() as u64;
         }
     }
 }
 
-/// A batch already posted to a node's mailbox: the node works on it while
-/// the caller posts to other nodes, and [`Pending::wait`] collects the
-/// reply. A node whose actor is gone (reply dropped) reads as [`NodeDown`].
-#[must_use = "the batch is in flight; wait for its reply"]
-pub struct Pending<T>(oneshot::Receiver<NodeResult<T>>);
-
-impl<T> Pending<T> {
-    /// Block for the node's reply.
-    pub fn wait(self) -> NodeResult<T> {
-        self.0.recv().unwrap_or(Err(NodeDown))
-    }
-}
-
 /// One metadata provider: stores key-value pairs and can be killed/revived
-/// for failure-injection experiments.
+/// for failure-injection experiments. The data plane is batch-shaped: one
+/// call carries every key (or entry) the caller has for this node, so one
+/// exchange charged on the wire is one served batch here. A single-key
+/// operation is a batch of one.
 pub struct DhtNode {
     id: DhtNodeId,
-    inner: actor::Handle<NodeMsg>,
-    alive: Arc<AtomicBool>,
-    data_bytes: Arc<AtomicU64>,
-    batches: Arc<AtomicU64>,
+    state: Mutex<NodeState>,
 }
 
 impl DhtNode {
     /// Create a live, empty node.
     pub fn new(id: DhtNodeId) -> Self {
-        let alive = Arc::new(AtomicBool::new(true));
-        let data_bytes = Arc::new(AtomicU64::new(0));
-        let batches = Arc::new(AtomicU64::new(0));
-        let state = NodeState {
-            data: HashMap::new(),
-            alive: true,
-            alive_mirror: Arc::clone(&alive),
-            bytes_mirror: Arc::clone(&data_bytes),
-            batches_mirror: Arc::clone(&batches),
-        };
-        let inner = actor::spawn(&format!("dht-node-{}", id.0), state, NodeState::handle);
         DhtNode {
             id,
-            inner,
-            alive,
-            data_bytes,
-            batches,
+            state: Mutex::new(NodeState {
+                data: HashMap::new(),
+                alive: true,
+                data_bytes: 0,
+                batches: 0,
+            }),
         }
     }
 
@@ -206,38 +94,39 @@ impl DhtNode {
         self.id
     }
 
-    /// Post one batch of writes (each replaces any existing value for its
+    /// Store one batch of entries (each replaces any existing value for its
     /// key). A dead node refuses the whole batch.
-    pub fn post_put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> Pending<()> {
-        Pending(
-            self.inner
-                .request(|reply| NodeMsg::PutMany { entries, reply }),
-        )
+    pub fn put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> NodeResult<()> {
+        self.state.lock().serve(|state| {
+            for (key, value) in entries {
+                state.data_bytes += value.len() as u64;
+                let old = state.data.insert(key, value);
+                state.forget(old);
+            }
+        })
     }
 
-    /// Post one batch of reads; the reply holds one slot per key, in order.
+    /// Read one batch of keys; the reply holds one slot per key, in order.
     /// A dead node refuses the whole batch (it does *not* answer "missing":
     /// the caller must fail over, not conclude absence).
-    pub fn post_get_many(&self, keys: Vec<Vec<u8>>) -> Pending<Vec<Option<Bytes>>> {
-        Pending(self.inner.request(|reply| NodeMsg::GetMany { keys, reply }))
-    }
-
-    /// [`DhtNode::post_put_many`], then wait for the reply.
-    pub fn put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> NodeResult<()> {
-        self.post_put_many(entries).wait()
-    }
-
-    /// [`DhtNode::post_get_many`], then wait for the reply.
     pub fn get_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<Vec<Option<Bytes>>> {
-        self.post_get_many(keys).wait()
+        self.state
+            .lock()
+            .serve(|state| keys.iter().map(|k| state.data.get(k).cloned()).collect())
     }
 
-    /// Remove a batch of keys in one message; returns how many were present.
-    /// Refused when dead.
+    /// Remove a batch of keys; returns how many were present. Refused when
+    /// dead.
     pub fn remove_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<usize> {
-        self.inner
-            .call(|reply| NodeMsg::RemoveMany { keys, reply })
-            .unwrap_or(Err(NodeDown))
+        self.state.lock().serve(|state| {
+            let mut removed = 0;
+            for key in &keys {
+                let old = state.data.remove(key);
+                removed += usize::from(old.is_some());
+                state.forget(old);
+            }
+            removed
+        })
     }
 
     /// Store a value (replaces any existing value for the key). A dead node
@@ -260,17 +149,19 @@ impl DhtNode {
     /// Data-plane batches this node has handled (served or refused) since
     /// it was created.
     pub fn batches_handled(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.state.lock().batches
     }
 
-    /// Heartbeat probe: true iff the node answered and is serving.
+    /// Heartbeat probe: true iff the node is serving. Reads the same flag
+    /// every data operation checks, so it agrees with the last `kill` or
+    /// `revive` that returned.
     pub fn ping(&self) -> bool {
-        self.inner.call(NodeMsg::Ping).unwrap_or(false)
+        self.state.lock().alive
     }
 
     /// Number of keys stored (administrative; works while dead).
     pub fn len(&self) -> usize {
-        self.inner.call(NodeMsg::Len).unwrap_or(0)
+        self.state.lock().data.len()
     }
 
     /// True when the node stores nothing.
@@ -280,33 +171,30 @@ impl DhtNode {
 
     /// Bytes of values stored.
     pub fn data_bytes(&self) -> u64 {
-        self.data_bytes.load(Ordering::Relaxed)
+        self.state.lock().data_bytes
     }
 
     /// Snapshot of all entries (administrative: used by rebalancing, repair
     /// and revive; works while dead, modelling a read of persistent state).
     pub fn entries(&self) -> Vec<(Vec<u8>, Bytes)> {
-        self.inner.call(NodeMsg::Entries).unwrap_or_default()
-    }
-
-    /// Last-known liveness, from the shared mirror. A cheap *hint* used to
-    /// order replica attempts and compute stats; the data path discovers
-    /// actual death by an operation returning [`NodeDown`].
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        let state = self.state.lock();
+        state
+            .data
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     }
 
     /// Simulate a crash: the node stops serving but keeps its data (so a
-    /// revive models a restart from persistent storage). Serialized through
-    /// the mailbox, so a `put` enqueued after the kill observes the dead
-    /// state.
+    /// revive models a restart from persistent storage). Every operation
+    /// that starts after this returns observes the dead state.
     pub fn kill(&self) {
-        let _ = self.inner.call(NodeMsg::Kill);
+        self.state.lock().alive = false;
     }
 
     /// Bring the node back.
     pub fn revive(&self) {
-        let _ = self.inner.call(NodeMsg::Revive);
+        self.state.lock().alive = true;
     }
 }
 
@@ -336,11 +224,8 @@ mod tests {
             .map(|i| (vec![i], Bytes::from(vec![i; 3])))
             .collect();
         let keys: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i]).collect();
-        // Posted first, collected later: the reply waits in the channel.
-        let put = n.post_put_many(entries);
-        let got = n.post_get_many(keys.clone());
-        put.wait().unwrap();
-        let got = got.wait().unwrap();
+        n.put_many(entries).unwrap();
+        let got = n.get_many(keys.clone()).unwrap();
         assert_eq!(got.len(), 12);
         assert_eq!(got[3].as_ref().unwrap(), &Bytes::from(vec![3u8; 3]));
         assert!(got[10].is_none() && got[11].is_none());
@@ -349,7 +234,7 @@ mod tests {
         assert_eq!(n.data_bytes(), 15);
         assert_eq!(n.batches_handled(), 3);
         n.kill();
-        assert_eq!(n.post_get_many(keys.clone()).wait(), Err(NodeDown));
+        assert_eq!(n.get_many(keys.clone()), Err(NodeDown));
         assert_eq!(n.remove_many(keys), Err(NodeDown));
         assert_eq!(n.len(), 5, "a refused batch changes nothing");
         assert_eq!(n.batches_handled(), 5, "refused batches were still handled");
@@ -369,12 +254,12 @@ mod tests {
     fn kill_and_revive_preserve_data() {
         let n = DhtNode::new(DhtNodeId(1));
         n.put(b"k", Bytes::from_static(b"v")).unwrap();
-        assert!(n.is_alive());
+        assert!(n.ping());
         n.kill();
-        assert!(!n.is_alive());
+        assert!(!n.ping());
         // Data survives the "crash" (models durable storage).
         n.revive();
-        assert!(n.is_alive());
+        assert!(n.ping());
         assert_eq!(n.get(b"k").unwrap().unwrap(), Bytes::from_static(b"v"));
     }
 
@@ -414,12 +299,5 @@ mod tests {
         entries.sort();
         assert_eq!(entries.len(), 10);
         assert_eq!(entries[3].0, vec![3u8]);
-    }
-
-    #[test]
-    fn dropping_the_node_shuts_the_actor_down_without_hanging() {
-        let n = DhtNode::new(DhtNodeId(9));
-        n.put(b"k", Bytes::from_static(b"v")).unwrap();
-        drop(n); // handle drop disconnects the mailbox; the loop exits
     }
 }

@@ -1,7 +1,9 @@
 //! Offline shim for a small task executor, in the spirit of tokio's core
 //! loop but synchronous: a fixed pool of worker threads polling a global run
-//! queue, plus the channel primitives (`oneshot`, `mpsc`) and the
-//! message-loop [`actor`] pattern the data plane is built on.
+//! queue, scoped tasks that borrow from their caller, and the `oneshot`
+//! reply channel the pool is built on. The storage components (page
+//! providers, DHT nodes) own no thread: a call into one is served on the
+//! caller's thread, so the pool is the only system-owned thread set.
 //!
 //! Design points that matter to callers:
 //!
@@ -18,12 +20,6 @@
 //!   sleep on a virtual clock) wraps the wait in [`blocking`]: a stand-in
 //!   worker takes its seat meanwhile, so the pool's size bounds parallelism,
 //!   never how many tasks may be asleep.
-//! * **Actors own their state single-threaded.** [`actor::spawn`] starts one
-//!   dedicated, census-registered thread per component (provider, DHT node);
-//!   callers hold a cloneable handle and enqueue commands. Dropping the last
-//!   handle disconnects the mailbox and the loop exits after draining;
-//!   in-flight repliers are dropped, so waiting callers observe
-//!   [`oneshot::Canceled`] instead of hanging.
 //!
 //! No dependencies; everything is `std::sync`.
 
@@ -33,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Process-wide thread accounting for every thread the storage/compute tier
-/// spawns (executor workers, actor loops, legacy scoped-pool workers). Client
+/// spawns (executor workers and their [`blocking`] stand-ins). Client
 /// threads are *not* registered — the census answers "how many threads does
 /// the system itself burn", which must stay flat as clients scale.
 pub mod census {
@@ -658,248 +654,6 @@ pub mod oneshot {
             let state = self.shared.state.lock().unwrap();
             state.value.is_some() || !state.sender_alive
         }
-
-        pub fn is_canceled(&self) -> bool {
-            let state = self.shared.state.lock().unwrap();
-            state.value.is_none() && !state.sender_alive
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mpsc: unbounded multi-producer mailbox channel.
-// ---------------------------------------------------------------------------
-
-pub mod mpsc {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    /// All senders (on recv) or the receiver (on send) are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Disconnected;
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receiver_alive: bool,
-    }
-
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receiver_alive: true,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), Disconnected> {
-            let mut state = self.shared.state.lock().unwrap();
-            if !state.receiver_alive {
-                return Err(Disconnected);
-            }
-            state.queue.push_back(value);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.state.lock().unwrap().senders += 1;
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.senders -= 1;
-            if state.senders == 0 {
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives; `Err` once every sender is gone
-        /// *and* the queue is drained.
-        pub fn recv(&self) -> Result<T, Disconnected> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(v) = state.queue.pop_front() {
-                    return Ok(v);
-                }
-                if state.senders == 0 {
-                    return Err(Disconnected);
-                }
-                state = self.shared.ready.wait(state).unwrap();
-            }
-        }
-
-        pub fn try_recv(&self) -> Option<T> {
-            self.shared.state.lock().unwrap().queue.pop_front()
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            // Take the undelivered messages out before marking the channel
-            // dead, and drop them *outside* the lock: their destructors run
-            // (releasing e.g. oneshot reply senders so callers observe
-            // Canceled instead of hanging) without holding the queue mutex.
-            let orphans = {
-                let mut state = self.shared.state.lock().unwrap();
-                state.receiver_alive = false;
-                std::mem::take(&mut state.queue)
-            };
-            drop(orphans);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// actor: one dedicated message-loop thread per component.
-// ---------------------------------------------------------------------------
-
-pub mod actor {
-    use super::{census, mpsc, oneshot};
-    use std::time::Duration;
-
-    /// Why a [`Handle::call_timeout`] did not produce a reply.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum CallError {
-        /// The actor died (or dropped the message) before replying.
-        Canceled,
-        /// The actor is alive but did not reply within the deadline — it is
-        /// wedged on an earlier message or simply backlogged. The message
-        /// stays in the mailbox and may still be processed later; the reply
-        /// is discarded.
-        TimedOut,
-    }
-
-    impl std::fmt::Display for CallError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                CallError::Canceled => write!(f, "actor is gone (call canceled)"),
-                CallError::TimedOut => write!(f, "actor did not reply within the deadline"),
-            }
-        }
-    }
-
-    impl std::error::Error for CallError {}
-
-    /// Cloneable handle to an actor's mailbox. When the last handle drops,
-    /// the mailbox disconnects and the actor loop exits after draining
-    /// whatever was already enqueued.
-    pub struct Handle<M> {
-        tx: mpsc::Sender<M>,
-    }
-
-    impl<M> Clone for Handle<M> {
-        fn clone(&self) -> Self {
-            Handle {
-                tx: self.tx.clone(),
-            }
-        }
-    }
-
-    impl<M: Send + 'static> Handle<M> {
-        /// Fire-and-forget enqueue. Returns false if the actor is gone.
-        pub fn send(&self, msg: M) -> bool {
-            self.tx.send(msg).is_ok()
-        }
-
-        /// Post a request without waiting for it: build a message around a
-        /// fresh reply sender, enqueue it now, and hand back the receiver.
-        /// A caller with several destinations posts to all of them and then
-        /// collects, so the actors work while it is still posting. If the
-        /// actor is gone the message — and the reply sender inside it — is
-        /// dropped, so the receiver observes `Canceled`, never a hang.
-        pub fn request<R: Send + 'static>(
-            &self,
-            make: impl FnOnce(oneshot::Sender<R>) -> M,
-        ) -> oneshot::Receiver<R> {
-            let (tx, rx) = oneshot::channel();
-            let _ = self.tx.send(make(tx));
-            rx
-        }
-
-        /// Request/reply: [`Handle::request`], then block for the reply.
-        /// `Err(Canceled)` if the actor died (or dropped the message) before
-        /// replying — never a hang.
-        pub fn call<R: Send + 'static>(
-            &self,
-            make: impl FnOnce(oneshot::Sender<R>) -> M,
-        ) -> Result<R, oneshot::Canceled> {
-            self.request(make).recv()
-        }
-
-        /// [`Handle::call`], but bounded: give up after `timeout` with a
-        /// typed error instead of blocking on a wedged actor forever. On
-        /// [`CallError::TimedOut`] the message remains enqueued — the actor
-        /// may still process it; the reply goes nowhere.
-        pub fn call_timeout<R: Send + 'static>(
-            &self,
-            timeout: Duration,
-            make: impl FnOnce(oneshot::Sender<R>) -> M,
-        ) -> Result<R, CallError> {
-            match self.request(make).recv_timeout(timeout) {
-                Ok(v) => Ok(v),
-                Err(oneshot::TryRecvError::Canceled) => Err(CallError::Canceled),
-                Err(oneshot::TryRecvError::Empty) => Err(CallError::TimedOut),
-            }
-        }
-    }
-
-    /// Spawn a message-loop actor owning `state` on a dedicated,
-    /// census-registered thread. Mailbox order is FIFO, so e.g. a `kill`
-    /// enqueued before a `put` is observed by the `put`.
-    pub fn spawn<S, M>(
-        name: &str,
-        state: S,
-        mut handler: impl FnMut(&mut S, M) + Send + 'static,
-    ) -> Handle<M>
-    where
-        S: Send + 'static,
-        M: Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        std::thread::Builder::new()
-            .name(format!("actor-{name}"))
-            .spawn(move || {
-                let _census = census::Registration::new();
-                let mut state = state;
-                while let Ok(msg) = rx.recv() {
-                    handler(&mut state, msg);
-                }
-            })
-            .expect("spawn actor thread");
-        Handle { tx }
     }
 }
 
@@ -1010,174 +764,11 @@ mod tests {
     }
 
     #[test]
-    fn actor_processes_messages_in_fifo_order() {
-        enum Msg {
-            Add(u64),
-            Get(oneshot::Sender<u64>),
-        }
-        let h = actor::spawn("adder", 0u64, |total, msg| match msg {
-            Msg::Add(n) => *total += n,
-            Msg::Get(reply) => {
-                let _ = reply.send(*total);
-            }
-        });
-        for i in 1..=10 {
-            assert!(h.send(Msg::Add(i)));
-        }
-        assert_eq!(h.call(Msg::Get), Ok(55));
-    }
-
-    #[test]
-    fn actor_shutdown_drains_then_cancels_no_hang() {
-        enum Msg {
-            Slow(oneshot::Sender<u32>),
-        }
-        let h = actor::spawn("slowpoke", (), |_, Msg::Slow(reply)| {
-            std::thread::sleep(Duration::from_millis(20));
-            let _ = reply.send(7);
-        });
-        // Queue a call, then drop the handle while the actor is mid-message:
-        // the enqueued message is still served (drain-on-disconnect).
-        let (tx, rx) = oneshot::channel();
-        assert!(h.send(Msg::Slow(tx)));
-        drop(h);
-        assert_eq!(rx.recv(), Ok(7));
-    }
-
-    #[test]
-    fn call_timeout_surfaces_a_wedged_actor() {
-        enum Msg {
-            Stall(std::sync::mpsc::Receiver<()>),
-            Ask(oneshot::Sender<u32>),
-        }
-        let h = actor::spawn("wedged", (), |_, msg| match msg {
-            Msg::Stall(gate) => {
-                // Deliberately wedge the loop until the test opens the gate.
-                let _ = gate.recv();
-            }
-            Msg::Ask(reply) => {
-                let _ = reply.send(9);
-            }
-        });
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
-        assert!(h.send(Msg::Stall(gate_rx)));
-        // The actor is stuck behind the stall: a bounded call returns a
-        // typed timeout instead of blocking its caller forever.
-        assert_eq!(
-            h.call_timeout(Duration::from_millis(30), Msg::Ask),
-            Err(actor::CallError::TimedOut)
-        );
-        // Unwedge; the queued Ask is still in the mailbox and the actor
-        // recovers — a fresh bounded call succeeds.
-        gate_tx.send(()).unwrap();
-        assert_eq!(h.call_timeout(Duration::from_secs(5), Msg::Ask), Ok(9));
-    }
-
-    #[test]
-    fn call_timeout_reports_canceled_when_actor_is_gone() {
-        enum Msg {
-            Explode,
-            Ask(oneshot::Sender<u32>),
-        }
-        let h = actor::spawn("ephemeral", (), |_, msg| match msg {
-            Msg::Explode => panic!("actor died"),
-            Msg::Ask(reply) => {
-                let _ = reply.send(3);
-            }
-        });
-        assert_eq!(h.call_timeout(Duration::from_secs(5), Msg::Ask), Ok(3));
-        // The panic kills the loop; the Ask behind it is dropped unprocessed
-        // and its reply sender with it — typed Canceled, not a hang.
-        assert!(h.send(Msg::Explode));
-        assert_eq!(
-            h.call_timeout(Duration::from_secs(5), Msg::Ask),
-            Err(actor::CallError::Canceled)
-        );
-    }
-
-    #[test]
-    fn actor_death_cancels_pending_repliers_instead_of_hanging() {
-        enum Msg {
-            Explode,
-            Ask(oneshot::Sender<u32>),
-        }
-        let h = actor::spawn("fragile", (), |_, msg| match msg {
-            Msg::Explode => panic!("actor died"),
-            Msg::Ask(reply) => {
-                let _ = reply.send(1);
-            }
-        });
-        // The panic kills the loop; the message behind it is dropped
-        // unprocessed and its reply sender with it — the caller must see
-        // Canceled, not a hang.
-        assert!(h.send(Msg::Explode));
-        assert_eq!(h.call(Msg::Ask), Err(oneshot::Canceled));
-    }
-
-    #[test]
-    fn posted_requests_collect_in_posting_order_whatever_the_completion_order() {
-        struct Ask(std::sync::mpsc::Receiver<()>, oneshot::Sender<usize>);
-        let actors: Vec<_> = (0..3usize)
-            .map(|id| {
-                actor::spawn("gated", id, |id, Ask(gate, reply)| {
-                    let _ = gate.recv();
-                    let _ = reply.send(*id);
-                })
-            })
-            .collect();
-        // Post to every actor before collecting anything.
-        let (gates, replies): (Vec<_>, Vec<_>) = actors
-            .iter()
-            .map(|h| {
-                let (gate_tx, gate_rx) = std::sync::mpsc::channel();
-                (gate_tx, h.request(|reply| Ask(gate_rx, reply)))
-            })
-            .unzip();
-        assert!(replies.iter().all(|rx| !rx.is_ready()));
-        // Complete them last-posted first, each strictly before the next.
-        for (gate, rx) in gates.iter().zip(&replies).rev() {
-            gate.send(()).unwrap();
-            while !rx.is_ready() {
-                std::thread::yield_now();
-            }
-        }
-        let collected: Vec<_> = replies.iter().map(|rx| rx.recv()).collect();
-        assert_eq!(collected, vec![Ok(0), Ok(1), Ok(2)]);
-    }
-
-    #[test]
-    fn posted_request_is_canceled_when_the_actor_dies_mid_flight() {
-        enum Msg {
-            DieWhenOpened(std::sync::mpsc::Receiver<()>),
-            Ask(oneshot::Sender<u32>),
-        }
-        let h = actor::spawn("doomed", (), |_, msg| match msg {
-            Msg::DieWhenOpened(gate) => {
-                let _ = gate.recv();
-                panic!("actor died");
-            }
-            Msg::Ask(reply) => {
-                let _ = reply.send(1);
-            }
-        });
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel();
-        assert!(h.send(Msg::DieWhenOpened(gate_rx)));
-        // In flight: enqueued behind the message that will kill the actor.
-        let in_flight = h.request(Msg::Ask);
-        assert!(!in_flight.is_ready());
-        gate_tx.send(()).unwrap();
-        assert_eq!(in_flight.recv(), Err(oneshot::Canceled));
-        // Posting to the dead mailbox cancels at once.
-        assert_eq!(h.request(Msg::Ask).recv(), Err(oneshot::Canceled));
-    }
-
-    #[test]
-    fn census_counts_workers_and_actors() {
+    fn census_counts_pool_workers_and_stand_ins() {
         let before = census::spawned();
-        let h = actor::spawn("census-probe", (), |_, ()| {});
-        h.send(());
-        drop(h);
-        // The actor registered itself; peak covers at least one live thread.
+        // A wait wrapped in `blocking` on a pool worker starts a stand-in,
+        // which registers itself from its own thread.
+        block_on(|| blocking(|| ()));
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while census::spawned() <= before && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));

@@ -136,8 +136,8 @@ fn old_versions_read_identically_through_the_cache() {
 }
 
 /// Killing the primary replica of every page must not break a multi-page
-/// read posted to every first replica at once: failover happens per page,
-/// after the refused batches come back.
+/// read batched per first replica: failover happens per page, after the
+/// refused batches come back.
 #[test]
 fn parallel_page_fetch_fails_over_dead_replicas() {
     let sys = BlobSeer::new(
