@@ -81,8 +81,7 @@ fn run_read_arm(label: &str, rounds: usize, blob_pages: u64, simulate: bool) -> 
         BlobSeerConfig::default()
             .with_providers(PROVIDERS)
             .with_page_size(PAGE)
-            .with_page_replication(1)
-            .with_io_parallelism(1),
+            .with_page_replication(1),
         &topo,
         &provider_nodes,
         Arc::clone(&clock) as Arc<dyn Clock>,
@@ -165,8 +164,7 @@ fn run_append_arm(rounds: usize) -> AppendArm {
         BlobSeerConfig::default()
             .with_providers(PROVIDERS)
             .with_page_size(PAGE)
-            .with_page_replication(1)
-            .with_io_parallelism(1),
+            .with_page_replication(1),
         &topo,
         &provider_nodes,
         Arc::clone(&clock) as Arc<dyn Clock>,

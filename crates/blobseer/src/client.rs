@@ -473,49 +473,6 @@ impl BlobSeer {
     }
 }
 
-/// Run `work(i)` for every `i in 0..items` and return the results in index
-/// order. With more than one item and `parallelism > 1` the work is fanned
-/// out as scoped tasks on the process-wide executor's fixed worker pool, so
-/// concurrency is bounded by pool width and queue depth no matter how many
-/// clients fan out at once. Items are assigned to workers by stride, which
-/// keeps the distribution deterministic. The write path's per-page replica
-/// pushes go through this.
-fn fan_out<T, F>(parallelism: usize, items: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = parallelism.max(1).min(items);
-    if workers <= 1 {
-        return (0..items).map(work).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..items).map(|_| None).collect();
-    miniexec::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut i = w;
-                    while i < items {
-                        local.push((i, work(i)));
-                        i += workers;
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join() {
-                out[i] = Some(value);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("every item computed"))
-        .collect()
-}
-
 /// A client handle; cheap to clone and safe to move across threads.
 #[derive(Clone)]
 pub struct BlobSeerClient {
@@ -767,20 +724,13 @@ impl BlobSeerClient {
             }
             Ok(stored)
         };
-        // Building one page image and pushing it to its replicas is
-        // independent of every other page, so the interior pages fan out
-        // over the bounded executor pool (`io_parallelism` workers) before
-        // the wait. Failure semantics are per page: dead replicas are
-        // skipped, a page with no live replica fails the write.
-        let interior: Vec<u64> = (first_page..=last_page)
-            .filter(|&p| !is_border(p))
-            .collect();
-        let per_page = fan_out(sys.config.io_parallelism, interior.len(), |i| {
-            push(interior[i], image_of(interior[i], &[]))
-        });
+        // The interior pages go before the wait, one after another in page
+        // order on the calling thread, like a read's destinations. Failure
+        // semantics are per page: dead replicas are skipped, a page with no
+        // live replica fails the write.
         let mut written: BTreeMap<u64, Vec<ProviderId>> = BTreeMap::new();
-        for (page, stored) in interior.iter().zip(per_page) {
-            written.insert(*page, stored?);
+        for page in (first_page..=last_page).filter(|&p| !is_border(p)) {
+            written.insert(page, push(page, image_of(page, &[]))?);
         }
 
         // Step 3: wait for the predecessor, push the border pages built on
@@ -879,7 +829,9 @@ impl BlobSeerClient {
         let page_size = sys.page_size_of(blob)?;
         let pm = PageMath::new(page_size);
         let range = ByteRange::new(offset, len);
-        let (first_page, last_page) = pm.pages_touched(range).expect("non-empty read");
+        let Some((first_page, last_page)) = pm.pages_touched(range) else {
+            return Err(BlobSeerError::InvalidArgument("empty read range".into()));
+        };
         let span = next_power_of_two(pm.pages_for(info.size));
 
         // One batched, cached metadata descent resolves every page of the
@@ -1140,7 +1092,9 @@ impl BlobSeerClient {
         let page_size = sys.page_size_of(blob)?;
         let pm = PageMath::new(page_size);
         let range = ByteRange::new(offset, end - offset);
-        let (first_page, last_page) = pm.pages_touched(range).expect("non-empty range");
+        let Some((first_page, last_page)) = pm.pages_touched(range) else {
+            return Err(BlobSeerError::InvalidArgument("empty locate range".into()));
+        };
         let span = next_power_of_two(pm.pages_for(info.size));
         let locations = lookup_range(&sys.metadata, info.root, span, first_page, last_page)?;
 
@@ -1368,13 +1322,9 @@ mod tests {
 
     #[test]
     fn parallel_multi_page_read_returns_bytes_in_order() {
-        // 32 pages pushed through the bounded pool and fetched back in one
-        // batch per provider must reassemble exactly.
-        let sys = BlobSeer::new(
-            BlobSeerConfig::for_tests()
-                .with_providers(8)
-                .with_io_parallelism(5),
-        );
+        // 32 pages pushed over 8 providers and fetched back in one batch per
+        // provider must reassemble exactly.
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(64)).unwrap();
         let data: Vec<u8> = (0..64 * 32).map(|i| (i % 251) as u8).collect();
@@ -1387,19 +1337,6 @@ mod tests {
         assert_eq!(
             client.read_latest(blob, 100, 1500).unwrap(),
             data[100..1600].to_vec()
-        );
-    }
-
-    #[test]
-    fn sequential_io_parallelism_one_still_works() {
-        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_io_parallelism(1));
-        let client = sys.client();
-        let blob = client.create(Some(16)).unwrap();
-        let data = vec![3u8; 16 * 6];
-        client.write(blob, 0, &data).unwrap();
-        assert_eq!(
-            client.read_latest(blob, 0, data.len() as u64).unwrap(),
-            data
         );
     }
 
@@ -1835,8 +1772,7 @@ mod tests {
         let sys = BlobSeer::new(
             BlobSeerConfig::for_tests()
                 .with_providers(4)
-                .with_page_replication(2)
-                .with_io_parallelism(2),
+                .with_page_replication(2),
         );
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
@@ -2130,6 +2066,61 @@ mod tests {
             &client.read_latest(blob, 0, 16).unwrap()[..],
             b"AAAAxxxxBBBBxxxx",
             "both writes, applied in version order"
+        );
+    }
+
+    /// A transport that records the thread every write exchange is charged
+    /// on.
+    #[derive(Default)]
+    struct WriteThreads(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl Transport for WriteThreads {
+        fn exchange(
+            &self,
+            _src: NodeId,
+            _dst: NodeId,
+            dir: Direction,
+            _bytes_out: u64,
+            _bytes_in: u64,
+        ) -> simcluster::time::SimDuration {
+            if dir == Direction::Write {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                // Slow enough that an idle pool worker would wake up and
+                // take a share of the pushes if any were queued.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            simcluster::time::SimDuration::ZERO
+        }
+
+        fn name(&self) -> &'static str {
+            "write-threads"
+        }
+    }
+
+    #[test]
+    fn a_write_pushes_every_page_on_the_calling_thread() {
+        let threads = Arc::new(WriteThreads::default());
+        let config = BlobSeerConfig::for_tests();
+        let topology = ClusterTopology::flat(config.providers as u32);
+        let nodes: Vec<NodeId> = topology.all_nodes().collect();
+        let sys = BlobSeer::with_transport(
+            config,
+            &topology,
+            &nodes,
+            Arc::new(WallClock::new()),
+            threads.clone(),
+        );
+        let client = sys.client();
+        let blob = client.create(Some(64)).unwrap();
+        let data: Vec<u8> = (0..64 * 16).map(|i| (i % 251) as u8).collect();
+        client.write(blob, 0, &data).unwrap();
+        assert_eq!(sys.provider_wire().snapshot().write_messages, 16);
+        let seen = threads.0.lock().unwrap();
+        assert!(seen.len() >= 16, "{} write exchanges", seen.len());
+        let me = std::thread::current().id();
+        assert!(
+            seen.iter().all(|id| *id == me),
+            "a write exchange was charged off the writer's thread"
         );
     }
 

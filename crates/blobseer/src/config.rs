@@ -29,11 +29,6 @@ pub struct BlobSeerConfig {
     /// nodes in front of the metadata DHT. Tree nodes are versioned and
     /// immutable, so the cache never needs invalidation.
     pub metadata_cache_capacity: usize,
-    /// Upper bound on the threads a single write or append fans its per-page
-    /// provider uploads out over (1 = fully sequential page transfers). Reads
-    /// do not use it: they post one message per destination provider and
-    /// collect the replies on the calling thread.
-    pub io_parallelism: usize,
     /// Sequential read-ahead window (in pages) for the metadata read path.
     /// When non-zero, a read's segment-tree descent also fetches the subtrees
     /// covering up to this many pages past the requested range in the same
@@ -82,7 +77,6 @@ impl Default for BlobSeerConfig {
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 64 * 1024,
-            io_parallelism: 8,
             metadata_readahead: 0,
             gc_keep_last: None,
             gc_interval_ms: None,
@@ -104,7 +98,6 @@ impl BlobSeerConfig {
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 1024,
-            io_parallelism: 4,
             metadata_readahead: 0,
             gc_keep_last: None,
             gc_interval_ms: None,
@@ -141,12 +134,6 @@ impl BlobSeerConfig {
     /// Builder-style override of the metadata cache capacity (in nodes).
     pub fn with_metadata_cache_capacity(mut self, capacity: usize) -> Self {
         self.metadata_cache_capacity = capacity;
-        self
-    }
-
-    /// Builder-style override of the per-operation page I/O fan-out.
-    pub fn with_io_parallelism(mut self, threads: usize) -> Self {
-        self.io_parallelism = threads;
         self
     }
 
@@ -213,10 +200,6 @@ impl BlobSeerConfig {
             "the metadata cache needs a non-zero capacity"
         );
         assert!(
-            self.io_parallelism >= 1,
-            "page I/O parallelism must be at least 1"
-        );
-        assert!(
             self.gc_keep_last != Some(0),
             "snapshot retention must keep at least one version"
         );
@@ -257,7 +240,6 @@ mod tests {
             .with_page_replication(3)
             .with_placement(PlacementStrategy::Random)
             .with_metadata_cache_capacity(128)
-            .with_io_parallelism(2)
             .with_metadata_readahead(16)
             .with_gc_keep_last(3)
             .with_gc_interval(Duration::from_secs(30))
@@ -268,7 +250,6 @@ mod tests {
         assert_eq!(c.page_replication, 3);
         assert_eq!(c.placement, PlacementStrategy::Random);
         assert_eq!(c.metadata_cache_capacity, 128);
-        assert_eq!(c.io_parallelism, 2);
         assert_eq!(c.metadata_readahead, 16);
         assert_eq!(c.gc_keep_last, Some(3));
         assert_eq!(c.gc_interval_ms, Some(30_000));
@@ -313,14 +294,6 @@ mod tests {
     fn enabled_cache_with_zero_capacity_is_rejected() {
         BlobSeerConfig::for_tests()
             .with_metadata_cache_capacity(0)
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_io_parallelism_is_rejected() {
-        BlobSeerConfig::for_tests()
-            .with_io_parallelism(0)
             .validate();
     }
 

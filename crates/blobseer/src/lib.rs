@@ -20,9 +20,9 @@
 //!   same blob publish in a consistent, gap-free order;
 //! * **data is never overwritten**: every write or append produces a new
 //!   snapshot version, and every past version stays readable;
-//! * fault tolerance comes from page-level replication (and the durable
-//!   [`kvstore`] backend standing in for BerkeleyDB), kept effective under
-//!   churn by heartbeat failure detection and an active re-replication
+//! * fault tolerance comes from page-level replication (pages live in an
+//!   in-memory [`kvstore`] store standing in for BerkeleyDB), kept effective
+//!   under churn by heartbeat failure detection and an active re-replication
 //!   repair loop on both storage tiers (see [`BlobSeer::repair`] and
 //!   [`BlobSeerConfig::with_repair_interval`]).
 //!

@@ -81,8 +81,9 @@ impl Provider {
         Self::with_store(id, node, Arc::new(MemStore::new()))
     }
 
-    /// Create a provider backed by an arbitrary page store (e.g. a
-    /// [`kvstore::LogStore`] for durability).
+    /// Create a provider backed by an arbitrary page store. Every deployment
+    /// uses a [`MemStore`]; a durable store comes back with the
+    /// crash-recovery scenario that needs one.
     pub fn with_store(id: ProviderId, node: NodeId, store: Arc<dyn PageStore>) -> Self {
         Provider {
             id,

@@ -342,11 +342,9 @@ impl VersionManager {
     /// return its descriptor. Writers call this before building their
     /// metadata tree so they can share subtrees with their predecessor.
     ///
-    /// A writer running *on* the executor pool must not idle a worker here:
-    /// the predecessor it waits for may have its own page pushes queued
-    /// behind this very thread. On a pool worker the wait is a help-or-nap
-    /// loop (`poll_wait`, lock dropped each pass); off the pool it stays a
-    /// plain condvar wait.
+    /// The wait is a condvar wait on the blob's shard, on the pool or off
+    /// it: a predecessor's writer does its page pushes on its own thread, so
+    /// nothing it needs can be queued behind this one.
     pub fn wait_for_predecessor(&self, ticket: &WriteTicket) -> BlobResult<VersionInfo> {
         let prev = ticket.version.0 - 1;
         let shard = self.shard_of(ticket.blob);
@@ -363,12 +361,7 @@ impl VersionManager {
                 });
             }
             shard.cond_waits.fetch_add(1, Ordering::Relaxed);
-            if miniexec::on_worker_thread() {
-                drop(blobs);
-                miniexec::poll_wait(std::time::Duration::from_micros(200));
-            } else {
-                shard.published_cond.wait(&mut blobs);
-            }
+            shard.published_cond.wait(&mut blobs);
         }
     }
 
@@ -909,6 +902,23 @@ mod tests {
         vm.commit(&t1, None).unwrap();
         waiter.join().unwrap();
         assert!(vm.contention_stats().cond_waits >= 1);
+    }
+
+    #[test]
+    fn a_pool_resident_writer_waits_for_its_predecessor_without_polling() {
+        let vm = Arc::new(VersionManager::new());
+        let blob = vm.create_blob();
+        let t1 = vm.reserve(blob, WriteIntent::Append { len: 1 }).unwrap();
+        let t2 = vm.reserve(blob, WriteIntent::Append { len: 1 }).unwrap();
+        let vm2 = Arc::clone(&vm);
+        let waiter = miniexec::spawn(move || vm2.wait_for_predecessor(&t2).unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        vm.commit(&t1, None).unwrap();
+        assert_eq!(waiter.join().version, Version(1));
+        // One sleep until the commit (two if the condvar wakes spuriously);
+        // a polling wait would count one per poll.
+        let waits = vm.contention_stats().cond_waits;
+        assert!(waits <= 2, "{waits} waits");
     }
 
     #[test]

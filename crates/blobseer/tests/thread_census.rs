@@ -47,7 +47,6 @@ fn census_peak_is_flat_from_4_to_64_clients() {
 
     let mut config = BlobSeerConfig::for_tests()
         .with_providers(8)
-        .with_io_parallelism(4)
         .with_page_replication(2);
     config.metadata_providers = 8;
     let sys = BlobSeer::new(config);

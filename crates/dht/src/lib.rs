@@ -350,22 +350,22 @@ impl Dht {
     fn with_retry<T>(&self, mut op: impl FnMut() -> DhtResult<T>) -> DhtResult<T> {
         let policy = self.retry_policy();
         let mut backoff = policy.backoff;
-        let mut last = None;
-        for attempt in 0..policy.attempts {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                    backoff *= 2;
-                }
+        let mut result = op();
+        for _ in 1..policy.attempts {
+            if matches!(
+                result,
+                Ok(_) | Err(DhtError::Empty | DhtError::UnknownNode(_))
+            ) {
+                break;
             }
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e @ (DhtError::Empty | DhtError::UnknownNode(_))) => return Err(e),
-                Err(e) => last = Some(e),
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+                backoff *= 2;
             }
+            result = op();
         }
-        Err(last.expect("at least one attempt ran"))
+        result
     }
 
     /// Number of client-to-node exchanges performed so far (reads and
@@ -467,117 +467,31 @@ impl Dht {
         }
     }
 
-    /// Store `value` under `key`, walking the key's successors clockwise and
-    /// skipping past replicas that refuse (dead), until `replication` copies
-    /// are stored or the ring is exhausted. With every primary replica alive
-    /// this stores on exactly the `replication` successors; under failures
-    /// the write degrades gracefully — it lands wherever it can, and the
-    /// repair pass later moves copies back to the proper successors. Reports
+    /// Store `value` under `key`: a batch of one over [`Dht::put_many`]. The
+    /// key's replicas are tried in node-id order; one that refuses (dead) is
+    /// made up for clockwise past the replica set, until `replication`
+    /// copies are stored or the ring is exhausted. The repair pass later
+    /// moves copies back to the proper successors. Reports
     /// [`DhtError::NotEnoughReplicas`] only when *no* node accepted.
     ///
-    /// Retries the walk under the [`RetryPolicy`] when no node accepts.
+    /// Retries under the [`RetryPolicy`] when no node accepts.
     pub fn put(&self, key: &[u8], value: Bytes) -> DhtResult<()> {
-        self.with_retry(|| self.put_once(key, &value))
+        self.put_many(&[(key, value)])
     }
 
-    fn put_once(&self, key: &[u8], value: &Bytes) -> DhtResult<()> {
-        let inner = self.inner.read();
-        if inner.nodes.is_empty() {
-            return Err(DhtError::Empty);
-        }
-        // Unbury before storing: if a remove races this put, its tombstone
-        // lands after ours is cleared and wins — "remove happened last" is a
-        // legal outcome of the race, resurrecting deleted data is not.
-        self.tombstones.unbury(key);
-        let mut stored = 0;
-        for id in inner.ring.successors(key, inner.nodes.len()) {
-            if self.try_put_on(&inner, id, key, value) {
-                stored += 1;
-                if stored == inner.replication {
-                    break;
-                }
-            }
-        }
-        if stored == 0 {
-            return Err(DhtError::NotEnoughReplicas {
-                wanted: inner.replication,
-                available: 0,
-            });
-        }
-        Ok(())
-    }
-
-    /// Fetch the value for `key`, trying each replica in ring order and
-    /// failing over past dead nodes. A miss is declared once `replication`
-    /// live replicas answered "not here"; if any replica refused along the
-    /// way the walk continues past the replica set, because a write racing
-    /// that death may have failed over clockwise.
-    ///
-    /// Retries the walk under the [`RetryPolicy`] — but only when the miss
-    /// followed a dead-node refusal, i.e. a dead replica may hold the copy
-    /// and a repair pass may restore it. A miss with every replica answering
-    /// is authoritative and never retried.
+    /// Fetch the value for `key`: a batch of one over [`Dht::get_many`]. The
+    /// replicas are asked in ring order, failing over past dead nodes; if
+    /// any refused, the walk continues past the replica set, because a
+    /// write racing that death may have failed over clockwise. A miss with
+    /// every replica answering is authoritative; a miss after a refusal is
+    /// retried under the [`RetryPolicy`].
     pub fn get(&self, key: &[u8]) -> DhtResult<Bytes> {
-        let policy = self.retry_policy();
-        let mut backoff = policy.backoff;
-        let mut attempt = 0;
-        loop {
-            let (result, transient) = self.get_once(key)?;
-            attempt += 1;
-            match result {
-                Some(v) => return Ok(v),
-                None if transient && attempt < policy.attempts => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
-                None => {
-                    return Err(DhtError::NotFound {
-                        key: String::from_utf8_lossy(key).into_owned(),
-                    })
-                }
-            }
+        match self.get_many(&[key])?.pop().flatten() {
+            Some(v) => Ok(v),
+            None => Err(DhtError::NotFound {
+                key: String::from_utf8_lossy(key).into_owned(),
+            }),
         }
-    }
-
-    /// One fail-over walk. The second return value marks a miss as
-    /// transient (a replica refused along the way).
-    fn get_once(&self, key: &[u8]) -> DhtResult<(Option<Bytes>, bool)> {
-        let inner = self.inner.read();
-        if inner.nodes.is_empty() {
-            return Err(DhtError::Empty);
-        }
-        let mut live_misses = 0;
-        let mut saw_down = false;
-        for id in inner.ring.successors(key, inner.nodes.len()) {
-            let resp = inner.nodes[&id].get(key);
-            let resp_bytes = match &resp {
-                Ok(Some(v)) => v.len() as u64,
-                _ => 0,
-            };
-            self.charge_read(
-                id,
-                key.len() as u64 + MSG_OVERHEAD,
-                resp_bytes + MSG_OVERHEAD,
-            );
-            match resp {
-                Ok(Some(v)) => return Ok((Some(v), false)),
-                Ok(None) => {
-                    live_misses += 1;
-                    if live_misses >= inner.replication && !saw_down {
-                        // Every node that could hold a copy answered.
-                        break;
-                    }
-                }
-                Err(NodeDown) => {
-                    saw_down = true;
-                    self.note_node_down(id);
-                }
-            }
-        }
-        Ok((None, saw_down))
     }
 
     /// Remove `key` from every replica that holds it. Returns true if at
@@ -607,22 +521,19 @@ impl Dht {
             // with every replica alive — the healthy-cluster common case —
             // leave no tombstone behind.
             self.tombstones.bury(key);
-            if !removed {
-                // The copy may have failed over past the replica set when it
-                // was written; chase it clockwise.
-                for id in inner
-                    .ring
-                    .successors(key, inner.nodes.len())
-                    .into_iter()
-                    .skip(replicas.len())
-                {
-                    self.charge_write(id, key.len() as u64 + MSG_OVERHEAD, MSG_OVERHEAD);
-                    if let Ok(r) = inner.nodes[&id].remove(key) {
-                        if r {
-                            removed = true;
-                            break;
-                        }
-                    }
+            // A write that met a dead replica made up for it past the replica
+            // set, on whichever successor accepted: remove the key from every
+            // one of them, or a read failing over past the dead replica finds
+            // the copy again.
+            for id in inner
+                .ring
+                .successors(key, inner.nodes.len())
+                .into_iter()
+                .skip(replicas.len())
+            {
+                self.charge_write(id, key.len() as u64 + MSG_OVERHEAD, MSG_OVERHEAD);
+                if let Ok(r) = inner.nodes[&id].remove(key) {
+                    removed |= r;
                 }
             }
         }
@@ -662,7 +573,10 @@ impl Dht {
         // batch groups are visited in deterministic (node-id) order.
         let mut per_node: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
         for (i, (key, _)) in entries.iter().enumerate() {
-            // Unbury before storing, as in `put`: a racing remove must win.
+            // Unbury before storing: if a remove races this put, its
+            // tombstone lands after ours is cleared and wins — "remove
+            // happened last" is a legal outcome of the race, resurrecting
+            // deleted data is not.
             self.tombstones.unbury(key.as_ref());
             for id in inner.ring.successors(key.as_ref(), inner.replication) {
                 per_node.entry(id).or_default().push(i);
@@ -1313,6 +1227,23 @@ mod tests {
         // surviving node instead of erroring.
         dht.put(b"key", Bytes::from_static(b"value2")).unwrap();
         assert_eq!(dht.get(b"key").unwrap(), Bytes::from_static(b"value2"));
+    }
+
+    #[test]
+    fn a_key_removed_while_its_primary_is_dead_does_not_come_back() {
+        let dht = Dht::new(DhtConfig {
+            nodes: 5,
+            replication: 3,
+            ..Default::default()
+        });
+        let primary = dht.replicas_for(b"key")[0];
+        dht.kill(primary).unwrap();
+        // Two replicas take the write, and the first successor past the
+        // replica set takes the copy the dead primary could not.
+        dht.put(b"key", Bytes::from_static(b"value")).unwrap();
+        assert_eq!(dht.remove(b"key"), Ok(true));
+        assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
+        assert_eq!(dht.get_many(&[b"key"]).unwrap(), vec![None]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Error type shared by the page-store back-ends.
+//! Error type of the page store.
 
 use std::fmt;
-use std::io;
 
 /// Convenience alias used throughout the crate.
 pub type KvResult<T> = Result<T, KvError>;
@@ -9,17 +8,6 @@ pub type KvResult<T> = Result<T, KvError>;
 /// Errors surfaced by the key-value store.
 #[derive(Debug)]
 pub enum KvError {
-    /// An underlying filesystem operation failed.
-    Io(io::Error),
-    /// A record on disk failed its checksum or had an impossible length;
-    /// the payload names the offending segment file.
-    Corrupt { segment: String, detail: String },
-    /// A key or value exceeded the configured limits.
-    TooLarge {
-        what: &'static str,
-        len: usize,
-        max: usize,
-    },
     /// The store has been closed and can no longer serve requests.
     Closed,
 }
@@ -27,35 +15,12 @@ pub enum KvError {
 impl fmt::Display for KvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KvError::Io(e) => write!(f, "I/O error: {e}"),
-            KvError::Corrupt { segment, detail } => {
-                write!(f, "corrupt record in segment {segment}: {detail}")
-            }
-            KvError::TooLarge { what, len, max } => {
-                write!(
-                    f,
-                    "{what} of {len} bytes exceeds the maximum of {max} bytes"
-                )
-            }
             KvError::Closed => write!(f, "store is closed"),
         }
     }
 }
 
-impl std::error::Error for KvError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KvError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for KvError {
-    fn from(e: io::Error) -> Self {
-        KvError::Io(e)
-    }
-}
+impl std::error::Error for KvError {}
 
 #[cfg(test)]
 mod tests {
@@ -63,29 +28,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = KvError::Corrupt {
-            segment: "seg-3.log".into(),
-            detail: "bad crc".into(),
-        };
-        assert!(e.to_string().contains("seg-3.log"));
-        assert!(e.to_string().contains("bad crc"));
-
-        let e = KvError::TooLarge {
-            what: "key",
-            len: 10,
-            max: 5,
-        };
-        assert!(e.to_string().contains("key"));
-        assert!(e.to_string().contains("10"));
-
         assert_eq!(KvError::Closed.to_string(), "store is closed");
-    }
-
-    #[test]
-    fn io_error_conversion_preserves_source() {
-        let io_err = io::Error::new(io::ErrorKind::NotFound, "gone");
-        let e: KvError = io_err.into();
-        assert!(e.to_string().contains("gone"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -1,20 +1,17 @@
-//! # kvstore — durable page storage for BlobSeer providers
+//! # kvstore — page storage for BlobSeer providers
 //!
 //! BlobSeer providers persist their pages through a BerkeleyDB layer (paper
 //! §III-A: "offers persistency through a BerkleyDB layer"). This crate is the
-//! from-scratch substitute: a small, dependency-free key-value store with two
-//! interchangeable back-ends behind the [`PageStore`] trait:
+//! from-scratch substitute, a small, dependency-free key-value store behind
+//! the [`PageStore`] trait:
 //!
-//! * [`MemStore`] — a sharded in-memory map. Used by unit tests, by
-//!   simulation-mode experiments, and as the page cache tier of providers.
-//! * [`LogStore`] — an append-only, log-structured on-disk store: records are
-//!   written sequentially to segment files with a CRC-32 checksum, an
-//!   in-memory index maps keys to their latest on-disk location, deletions are
-//!   tombstones, old segments are garbage-collected by compaction, and the
-//!   whole index is rebuilt by scanning segments on startup (crash recovery).
+//! * [`MemStore`] — a sharded in-memory map, the store of every page
+//!   provider and HDFS datanode.
 //!
-//! The trait is object-safe so that providers can be configured with either
-//! backend at run time.
+//! No deployment keeps pages on disk: the process is the cluster, and no
+//! scenario restarts a provider. A durable back-end returns together with a
+//! crash-recovery scenario that exercises it. The trait is object-safe, so a
+//! provider (`blobseer::Provider::with_store`) takes its store at run time.
 //!
 //! ```
 //! use kvstore::{MemStore, PageStore};
@@ -26,14 +23,10 @@
 //! assert_eq!(store.len(), 1);
 //! ```
 
-mod crc32;
 mod error;
-mod logstore;
 mod memstore;
 
-pub use crc32::{crc32, Crc32};
 pub use error::{KvError, KvResult};
-pub use logstore::{LogStore, LogStoreConfig, LogStoreStats};
 pub use memstore::MemStore;
 
 use bytes::Bytes;
@@ -69,20 +62,14 @@ pub trait PageStore: Send + Sync {
 
     /// Total number of live value bytes (used for provider load accounting).
     fn data_bytes(&self) -> u64;
-
-    /// Flush any buffered writes to stable storage. A no-op for purely
-    /// in-memory stores.
-    fn sync(&self) -> KvResult<()> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod trait_tests {
     use super::*;
 
-    // The default-method behaviour is shared by both back-ends; test it once
-    // through the trait object to make sure object-safety holds too.
+    // Test the default methods through the trait object, to make sure
+    // object-safety holds too.
     fn exercise(store: &dyn PageStore) {
         assert!(store.is_empty());
         store.put(b"k", Bytes::from_static(b"v")).unwrap();
@@ -90,7 +77,6 @@ mod trait_tests {
         assert!(!store.contains(b"missing").unwrap());
         assert!(!store.is_empty());
         assert_eq!(store.data_bytes(), 1);
-        store.sync().unwrap();
         assert!(store.delete(b"k").unwrap());
         assert!(!store.delete(b"k").unwrap());
         assert!(store.is_empty());
@@ -99,14 +85,5 @@ mod trait_tests {
     #[test]
     fn memstore_satisfies_trait_contract() {
         exercise(&MemStore::new());
-    }
-
-    #[test]
-    fn logstore_satisfies_trait_contract() {
-        let dir = std::env::temp_dir().join(format!("kvstore-trait-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = LogStore::open(&dir, LogStoreConfig::default()).unwrap();
-        exercise(&store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1266,11 +1266,10 @@ impl<'a> JobRun<'a> {
     /// plus one deadline, armed only while the job speculates and a token
     /// sits idle: the earliest instant a running attempt can qualify as a
     /// straggler. Both go through the one [`Clock::park`]. Attempts are
-    /// non-helpable pool tasks (`scope_blocking`: they run long and may sleep
-    /// on the clock, so a sibling's helping wait must never inline one), and
-    /// none of them ever waits for another — a reducer short of map output
-    /// parks as *state*, not as a thread — so the pool's size bounds
-    /// parallelism only: the job finishes on a single worker.
+    /// scoped pool tasks, and none of them ever waits for another — a
+    /// reducer short of map output parks as *state*, not as a thread — so
+    /// the pool's size bounds parallelism only: the job finishes on a single
+    /// worker.
     fn dispatch(&self) {
         let (jt, engine, account) = (self.jt, &*self.jt.engine, self.account);
         let dispatch = Dispatch {
@@ -1282,7 +1281,7 @@ impl<'a> JobRun<'a> {
             speculation: self.job.config.speculation.as_deref(),
             clock: &*jt.clock,
         };
-        miniexec::scope_blocking(|scope| {
+        miniexec::scope(|scope| {
             loop {
                 let mut deadline = None;
                 // Map side first: what it publishes, the reduce side fetches.

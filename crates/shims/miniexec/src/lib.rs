@@ -2,20 +2,25 @@
 //! loop but synchronous: a fixed pool of worker threads polling a global run
 //! queue, scoped tasks that borrow from their caller, and the `oneshot`
 //! reply channel the pool is built on. The storage components (page
-//! providers, DHT nodes) own no thread: a call into one is served on the
+//! providers, DHT nodes) own no thread: a call into one — a read's
+//! downloads, a write's page pushes, a metadata batch — is served on the
 //! caller's thread, so the pool is the only system-owned thread set.
 //!
-//! Design points that matter to callers:
+//! Two kinds of task run on the pool: MapReduce task attempts, spawned into
+//! a [`scope`] by their job's dispatcher, and the storage tier's background
+//! GC and repair ticks, [`spawn`]ed with their handle dropped. Design points
+//! that matter to callers:
 //!
 //! * **Bounded threads.** The pool is sized once (`worker_count`, clamped to
 //!   4..=16, overridable with `MINIEXEC_WORKERS`) and never grows. In-flight
 //!   concurrency is bounded by queue depth, not thread count, which is what
 //!   the [`census`] module exists to prove.
-//! * **Helping waits.** A worker thread that blocks joining another task
-//!   (`JoinHandle::join`, `scope`, `join_all`) does not idle: it pops queued
-//!   tasks (newest first, so a reply it is waiting on tends to be serviced
-//!   immediately) and runs them inline. This is what makes nested fan-out on
-//!   a fixed pool deadlock-free.
+//! * **No task waits on the pool.** A join ([`JoinHandle::join`],
+//!   [`block_on`]) is a plain blocking receive, for threads off the pool. The
+//!   one wait a thread makes on pool tasks is the end of a [`scope`]: it runs
+//!   that scope's still-queued tasks itself, then sleeps until the ones
+//!   already running finish. It never runs another scope's task, so no wait
+//!   ever ends up under a frame it is waiting for.
 //! * **Waiting is not working.** A task that waits without using the CPU (a
 //!   sleep on a virtual clock) wraps the wait in [`blocking`]: a stand-in
 //!   worker takes its seat meanwhile, so the pool's size bounds parallelism,
@@ -26,7 +31,6 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Process-wide thread accounting for every thread the storage/compute tier
 /// spawns (executor workers and their [`blocking`] stand-ins). Client
@@ -83,16 +87,6 @@ pub mod census {
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-struct QueuedTask {
-    f: Task,
-    /// Safe to run inline under an idle-waiting caller's stack frame. Short
-    /// work items (page I/O, replica pushes, fan-out chunks) are helpable;
-    /// long tasks that may sleep on a clock (MapReduce task attempts) are
-    /// NOT — inlining one under a helping wait suspends the waiter for as
-    /// long as the attempt runs or sleeps.
-    helpable: bool,
-}
-
 struct Executor {
     tasks: Mutex<RunQueue>,
     available: Condvar,
@@ -101,7 +95,7 @@ struct Executor {
 
 #[derive(Default)]
 struct RunQueue {
-    tasks: VecDeque<QueuedTask>,
+    tasks: VecDeque<Task>,
     /// Stand-in workers (see [`blocking`]) owed an exit.
     retiring: usize,
 }
@@ -160,7 +154,7 @@ fn worker_loop(ex: &'static Executor, stand_in: bool) {
                 q = ex.available.wait(q).unwrap();
             }
         };
-        run_task(task.f);
+        run_task(task);
     }
 }
 
@@ -171,7 +165,7 @@ fn worker_loop(ex: &'static Executor, stand_in: bool) {
 /// bounds parallelism, never how many tasks may be waiting. Off the pool
 /// this is just `f()`.
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
-    if !on_worker_thread() {
+    if !IS_WORKER.with(|w| w.get()) {
         return f();
     }
     let ex = executor();
@@ -195,54 +189,9 @@ fn run_task(task: Task) {
 }
 
 fn submit(task: Task) {
-    submit_with(task, true);
-}
-
-fn submit_with(task: Task, helpable: bool) {
     let ex = executor();
-    let mut q = ex.tasks.lock().unwrap();
-    q.tasks.push_back(QueuedTask { f: task, helpable });
-    drop(q);
+    ex.tasks.lock().unwrap().tasks.push_back(task);
     ex.available.notify_one();
-}
-
-/// True when called from a pool worker thread.
-pub fn on_worker_thread() -> bool {
-    IS_WORKER.with(|w| w.get())
-}
-
-/// Pop the most recently queued *helpable* task and run it inline. Returns
-/// false when no helpable task is queued. Newest-first order means a blocked
-/// caller helping itself tends to run exactly the task it is waiting on.
-/// Non-helpable tasks (long-running task attempts) are left for dedicated
-/// workers — see [`QueuedTask::helpable`].
-pub fn run_one_queued_task() -> bool {
-    let Some(ex) = EXECUTOR.get() else {
-        return false;
-    };
-    let task = {
-        let mut q = ex.tasks.lock().unwrap();
-        match q.tasks.iter().rposition(|t| t.helpable) {
-            Some(i) => q.tasks.remove(i),
-            None => None,
-        }
-    };
-    match task {
-        Some(t) => {
-            run_task(t.f);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Idle-wait used by polling loops: on a worker thread, donate the wait to a
-/// queued task if one exists; otherwise (or off-pool) sleep for `d`.
-pub fn poll_wait(d: Duration) {
-    if on_worker_thread() && run_one_queued_task() {
-        return;
-    }
-    std::thread::sleep(d);
 }
 
 /// Spawn `f` onto the pool and return a handle to its result.
@@ -274,57 +223,12 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// Wait for the task, helping the pool while blocked. Panics propagate.
+    /// Block until the task finishes. Panics propagate.
     pub fn join(self) -> T {
-        match recv_helping(&self.rx) {
+        match self.rx.recv() {
             Ok(Ok(v)) => v,
             Ok(Err(panic)) => resume_unwind(panic),
             Err(oneshot::Canceled) => panic!("miniexec task was dropped without completing"),
-        }
-    }
-
-    /// True once the task has finished (or been lost); `join` will not block.
-    pub fn is_finished(&self) -> bool {
-        self.rx.is_ready()
-    }
-}
-
-/// Join every handle, in order, helping the pool while blocked.
-pub fn join_all<T>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
-    handles.into_iter().map(|h| h.join()).collect()
-}
-
-/// `select`-ish helper: wait until *any* of the handles completes, remove it
-/// from the vec, and return its index and value.
-pub fn select_ready<T>(handles: &mut Vec<JoinHandle<T>>) -> Option<(usize, T)> {
-    if handles.is_empty() {
-        return None;
-    }
-    loop {
-        if let Some(i) = handles.iter().position(|h| h.is_finished()) {
-            return Some((i, handles.swap_remove(i).join()));
-        }
-        poll_wait(Duration::from_micros(200));
-    }
-}
-
-fn recv_helping<T>(rx: &oneshot::Receiver<T>) -> Result<T, oneshot::Canceled> {
-    if !on_worker_thread() {
-        return rx.recv();
-    }
-    loop {
-        match rx.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(oneshot::TryRecvError::Canceled) => return Err(oneshot::Canceled),
-            Err(oneshot::TryRecvError::Empty) => {
-                if !run_one_queued_task() {
-                    match rx.recv_timeout(Duration::from_micros(200)) {
-                        Ok(v) => return Ok(v),
-                        Err(oneshot::TryRecvError::Canceled) => return Err(oneshot::Canceled),
-                        Err(oneshot::TryRecvError::Empty) => {}
-                    }
-                }
-            }
         }
     }
 }
@@ -338,12 +242,10 @@ fn recv_helping<T>(rx: &oneshot::Receiver<T>) -> Result<T, oneshot::Canceled> {
 // A scope keeps its tasks in its OWN queue and submits one opaque "token"
 // per task to the global pool; a token makes a worker run one task from the
 // scope's queue (a no-op once the queue is drained). The point of the
-// indirection: a thread blocked on this scope (`scope` itself, or a
-// `ScopedHandle::join`) helps by running tasks *of this scope only*. Helping
-// on arbitrary pool tasks is a deadlock: the helper may be mid-way through
-// work that a popped task transitively waits on (e.g. a page push whose
-// commit a reduce slot is polling for), and inlining that task under the
-// helper's frame makes the wait circular.
+// indirection: the thread that opened the scope, once its closure returns,
+// runs the scope's still-queued tasks itself instead of idling until a
+// worker comes by, and it runs tasks *of this scope only*, never work a
+// task of its own might be waiting on.
 // ---------------------------------------------------------------------------
 
 struct ScopeState {
@@ -360,82 +262,26 @@ struct ScopeInner {
     queue: VecDeque<Task>,
 }
 
-/// Pop one task of `state`'s scope and run it inline. False if none queued.
-fn run_scope_task(state: &ScopeState) -> bool {
-    let task = state.inner.lock().unwrap().queue.pop_front();
-    match task {
-        Some(t) => {
-            run_task(t);
-            true
-        }
-        None => false,
-    }
-}
-
 /// Spawn site for borrowing tasks; shareable with the tasks themselves, so
 /// a scoped task may spawn further scoped tasks.
 pub struct Scope<'env> {
     state: Arc<ScopeState>,
-    /// Whether this scope's tokens may be inlined by idle-waiting helpers
-    /// ([`run_one_queued_task`]). True for short work items; false for
-    /// long-running tasks spawned via [`scope_blocking`].
-    helpable: bool,
     _env: std::marker::PhantomData<&'env mut &'env ()>,
 }
 
-/// Handle to one scoped task's result.
-pub struct ScopedHandle<T> {
-    rx: oneshot::Receiver<T>,
-    state: Arc<ScopeState>,
-}
-
-impl<T> ScopedHandle<T> {
-    /// Wait for the task, helping its own scope while blocked. If the task
-    /// panicked the panic is re-raised here.
-    pub fn join(self) -> T {
-        loop {
-            match self.rx.try_recv() {
-                Ok(v) => return v,
-                Err(oneshot::TryRecvError::Canceled) => panic!("scoped task panicked"),
-                Err(oneshot::TryRecvError::Empty) => {
-                    if !run_scope_task(&self.state) {
-                        // The task is running on another thread (or queued
-                        // behind a racing helper): wait for the reply, but
-                        // re-check the scope queue periodically in case a
-                        // sibling task spawns more scoped work.
-                        match self.rx.recv_timeout(Duration::from_micros(200)) {
-                            Ok(v) => return v,
-                            Err(oneshot::TryRecvError::Canceled) => {
-                                panic!("scoped task panicked")
-                            }
-                            Err(oneshot::TryRecvError::Empty) => {}
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl<'env> Scope<'env> {
-    pub fn spawn<T, F>(&self, f: F) -> ScopedHandle<T>
+    /// Queue `f` on the pool. It runs before [`scope`] returns; a panic in
+    /// it is re-raised there.
+    pub fn spawn<F>(&self, f: F)
     where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
+        F: FnOnce() + Send + 'env,
     {
-        let (tx, rx) = oneshot::channel();
         let state = Arc::clone(&self.state);
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(v) => {
-                    let _ = tx.send(v);
-                }
-                Err(panic) => {
-                    drop(tx); // joiners observe Canceled
-                    let mut slot = state.panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(panic);
-                    }
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(f)) {
+                let mut slot = state.panic.lock().unwrap();
+                if slot.is_none() {
+                    *slot = Some(panic);
                 }
             }
             let mut inner = state.inner.lock().unwrap();
@@ -458,39 +304,22 @@ impl<'env> Scope<'env> {
         }
         self.state.signal.notify_all();
         // The token: any pool worker may come and run one task of this
-        // scope. Harmlessly idempotent if a helper drained the queue first.
+        // scope. Harmlessly idempotent if the scope's owner drained it first.
         let st = Arc::clone(&self.state);
-        submit_with(
-            Box::new(move || {
-                run_scope_task(&st);
-            }),
-            self.helpable,
-        );
-        ScopedHandle {
-            rx,
-            state: Arc::clone(&self.state),
-        }
+        submit(Box::new(move || {
+            let task = st.inner.lock().unwrap().queue.pop_front();
+            if let Some(t) = task {
+                run_task(t);
+            }
+        }));
     }
 }
 
-/// Run `f` with a [`Scope`] that can spawn borrowing tasks onto the pool;
-/// block (helping the scope's own tasks) until all of them finish. The first
-/// task panic is re-raised after the scope is quiesced, like
+/// Run `f` with a [`Scope`] that can spawn borrowing tasks onto the pool,
+/// then run the scope's still-queued tasks and wait for the rest to finish.
+/// The first task panic is re-raised after the scope is quiesced, like
 /// `std::thread::scope`.
 pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    scope_impl(true, f)
-}
-
-/// Like [`scope`], but for tasks that run long and may sleep (a MapReduce
-/// task attempt under a virtual clock). Their tokens are never inlined by
-/// idle-waiting helpers — only dedicated pool workers (and the thread blocked
-/// on *this* scope, once its closure has returned) run them, so a helping
-/// wait inside one attempt can never suspend itself under a sibling.
-pub fn scope_blocking<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    scope_impl(false, f)
-}
-
-fn scope_impl<'env, R>(helpable: bool, f: impl FnOnce(&Scope<'env>) -> R) -> R {
     let s = Scope {
         state: Arc::new(ScopeState {
             inner: Mutex::new(ScopeInner {
@@ -500,7 +329,6 @@ fn scope_impl<'env, R>(helpable: bool, f: impl FnOnce(&Scope<'env>) -> R) -> R {
             signal: Condvar::new(),
             panic: Mutex::new(None),
         }),
-        helpable,
         _env: std::marker::PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&s)));
@@ -640,20 +468,6 @@ pub mod oneshot {
                 }
             }
         }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().unwrap();
-            match state.value.take() {
-                Some(v) => Ok(v),
-                None if state.sender_alive => Err(TryRecvError::Empty),
-                None => Err(TryRecvError::Canceled),
-            }
-        }
-
-        pub fn is_ready(&self) -> bool {
-            let state = self.shared.state.lock().unwrap();
-            state.value.is_some() || !state.sender_alive
-        }
     }
 }
 
@@ -661,6 +475,7 @@ pub mod oneshot {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn spawn_and_join_returns_value() {
@@ -671,31 +486,6 @@ mod tests {
     #[test]
     fn block_on_runs_to_completion() {
         assert_eq!(block_on(|| "done".to_string()), "done");
-    }
-
-    #[test]
-    fn join_all_preserves_order() {
-        let handles: Vec<_> = (0..32).map(|i| spawn(move || i * i)).collect();
-        let out = join_all(handles);
-        assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn select_ready_returns_a_finished_handle() {
-        let mut handles: Vec<_> = (0..4)
-            .map(|i| {
-                spawn(move || {
-                    std::thread::sleep(Duration::from_millis(i * 5));
-                    i
-                })
-            })
-            .collect();
-        let mut seen = Vec::new();
-        while let Some((_, v)) = select_ready(&mut handles) {
-            seen.push(v);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -719,33 +509,27 @@ mod tests {
     }
 
     #[test]
-    fn scope_handles_return_values_in_order() {
-        let squares: Vec<u64> = scope(|s| {
-            let handles: Vec<_> = (0..16u64).map(|i| s.spawn(move || i * i)).collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        assert_eq!(squares, (0..16u64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn nested_scopes_on_the_fixed_pool_do_not_deadlock() {
-        // More blocking joins than pool workers: only sound because blocked
-        // tasks help run the queue.
+        // More nested scopes than pool workers: each outer task waits for
+        // its inner scope, which is only sound because the waiting thread
+        // runs its own scope's queued tasks.
         let n = worker_count() * 4;
-        let total: usize = scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|_| {
-                    s.spawn(|| {
-                        scope(|inner| {
-                            let hs: Vec<_> = (0..4).map(|i| inner.spawn(move || i)).collect();
-                            hs.into_iter().map(|h| h.join()).sum::<usize>()
-                        })
+        let total = AtomicUsize::new(0);
+        scope(|s| {
+            for _ in 0..n {
+                s.spawn(|| {
+                    scope(|inner| {
+                        for i in 0..4 {
+                            let total = &total;
+                            inner.spawn(move || {
+                                total.fetch_add(i, Ordering::SeqCst);
+                            });
+                        }
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).sum()
+                });
+            }
         });
-        assert_eq!(total, n * 6);
+        assert_eq!(total.load(Ordering::SeqCst), n * 6);
     }
 
     #[test]

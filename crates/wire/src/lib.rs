@@ -38,15 +38,16 @@
 //! Determinism: the ledger is order-sensitive (as a real shared network is),
 //! so a benchmark that wants a reproducible makespan must issue its
 //! exchanges in a deterministic order — drive clients round-robin from one
-//! thread and keep per-operation I/O fan-out at 1.
+//! thread. Each storage operation issues its exchanges one after another on
+//! its caller's thread, so that is enough.
 //!
 //! ## Source propagation
 //!
 //! Deeply nested layers (the DHT front-end) do not carry a "which node is
 //! calling" parameter through every signature. [`source_guard`] pins the
 //! calling node on the current thread; [`current_source`] reads it back at
-//! the charge point. The guard does not cross thread-pool boundaries — call
-//! sites that fan out to pool workers must charge with an explicit source.
+//! the charge point. The guard does not cross threads — work handed to
+//! another thread must charge with an explicit source.
 
 use parking_lot::Mutex;
 use serde::Serialize;

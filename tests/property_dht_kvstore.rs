@@ -1,10 +1,9 @@
-//! Property-based tests for the DHT and the durable page store: both must
-//! behave exactly like an in-memory map under arbitrary operation sequences,
-//! and the log store must additionally survive a close/reopen cycle.
+//! Property-based tests for the DHT: it must behave exactly like an
+//! in-memory map under arbitrary operation sequences, and its batch
+//! operations like loops of the single-key ones.
 
 use bytes::Bytes;
 use dht::{Dht, DhtConfig};
-use kvstore::{LogStore, LogStoreConfig, PageStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -113,48 +112,4 @@ proptest! {
         }
     }
 
-    /// The log-structured store agrees with a HashMap model, both live and
-    /// after a crash-recovery style reopen (optionally with a compaction in
-    /// between).
-    #[test]
-    fn logstore_matches_hashmap_model_across_reopen(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        segment_max in 128u64..2_048,
-        compact in any::<bool>(),
-    ) {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let id = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("logstore-prop-{}-{id}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let config = LogStoreConfig { segment_max_bytes: segment_max, ..Default::default() };
-        let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
-        {
-            let store = LogStore::open(&dir, config.clone()).unwrap();
-            for op in &ops {
-                match op {
-                    Op::Put(k, v) => {
-                        store.put(&[*k], Bytes::from(v.clone())).unwrap();
-                        model.insert(*k, v.clone());
-                    }
-                    Op::Delete(k) => {
-                        store.delete(&[*k]).unwrap();
-                        model.remove(k);
-                    }
-                }
-            }
-            if compact {
-                store.compact().unwrap();
-            }
-            prop_assert_eq!(store.len(), model.len());
-            store.sync().unwrap();
-        }
-        // Reopen from disk and compare against the model.
-        let store = LogStore::open(&dir, config).unwrap();
-        prop_assert_eq!(store.len(), model.len());
-        for (k, v) in &model {
-            prop_assert_eq!(store.get(&[*k]).unwrap().unwrap().to_vec(), v.clone());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

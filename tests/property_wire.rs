@@ -61,8 +61,7 @@ fn deploy(simulate: bool) -> Arm {
         BlobSeerConfig::for_tests()
             .with_providers(provider_nodes.len())
             .with_page_size(PAGE)
-            .with_page_replication(2)
-            .with_io_parallelism(1),
+            .with_page_replication(2),
         &topo,
         &provider_nodes,
         Arc::new(SimClock::new()) as Arc<dyn Clock>,
