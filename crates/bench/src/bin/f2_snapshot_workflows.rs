@@ -3,8 +3,18 @@
 //! dataset". A grep-style scan runs against snapshot v1 of a dataset while a
 //! concurrent writer keeps appending new data (creating later versions); the
 //! scan's result must reflect exactly the snapshot it targets.
+//!
+//! Two footprint gates follow: snapshot GC under a rewrite loop, and the
+//! delete loop — 1 000 small sort jobs on one deployment (20 under
+//! `BENCH_SMOKE`), each job's output deleted once checked. Deleting frees,
+//! so the storage a deployment holds before the loop, at its middle and at
+//! its end must be identical, counted five ways.
 
 use blobseer::{BlobSeer, BlobSeerConfig, Version};
+use mapreduce::jobtracker::JobTracker;
+use mapreduce::DistFs;
+use simcluster::topology::ClusterTopology;
+use std::time::Instant;
 use workloads::TextGenerator;
 
 fn count_matches(data: &[u8], pattern: &str) -> usize {
@@ -14,7 +24,85 @@ fn count_matches(data: &[u8], pattern: &str) -> usize {
         .count()
 }
 
+/// What a deployment stores at one point of the delete loop.
+#[derive(serde::Serialize, Clone, Copy, PartialEq, Eq, Debug)]
+struct Reading {
+    provider_pages: usize,
+    dht_entries: usize,
+    holder_records: usize,
+    blobs: usize,
+    metadata_cache_entries: u64,
+}
+
+impl Reading {
+    fn of(sys: &BlobSeer) -> Reading {
+        Reading {
+            provider_pages: sys
+                .provider_manager()
+                .providers()
+                .iter()
+                .map(|p| p.stats().pages)
+                .sum(),
+            dht_entries: sys.metadata().dht().stats().total_entries,
+            holder_records: sys.provider_manager().announced_pages(),
+            blobs: sys.version_manager().blob_ids().len(),
+            metadata_cache_entries: sys.metadata().cache_stats().entries,
+        }
+    }
+}
+
+#[derive(serde::Serialize)]
+struct DeleteLoop {
+    jobs: usize,
+    before: Reading,
+    middle: Reading,
+    end: Reading,
+    flat: bool,
+    /// Wall-clock seconds the loop took.
+    wall_s: f64,
+}
+
+/// `jobs` sort jobs over one small text on one deployment; each job's
+/// output is checked, then deleted.
+fn delete_loop(jobs: usize) -> DeleteLoop {
+    let nodes = 4u32;
+    let block = 4 * 1024u64;
+    let fs = bench::small_bsfs(nodes, block);
+    let topo = ClusterTopology::flat(nodes);
+    let text = TextGenerator::new(2026).sentences(400);
+    let lines = text.lines().count() as u64;
+    fs.write_file("/input/text", text.as_bytes()).unwrap();
+    let sys = fs.inner().storage();
+    let tracker = JobTracker::new(&topo);
+
+    let before = Reading::of(sys);
+    let mut middle = before;
+    let start = Instant::now();
+    for job in 1..=jobs {
+        let sort =
+            workloads::distributed_sort_job(&fs, vec!["/input/text".into()], "/sorted", 2, block)
+                .expect("sampling the sort input");
+        let result = tracker.run(&fs, &sort).expect("the sort job");
+        assert_eq!(result.output_records, lines, "job {job} lost records");
+        fs.delete("/sorted", true).unwrap();
+        if job == jobs / 2 {
+            middle = Reading::of(sys);
+        }
+    }
+    let wall_s = start.elapsed().as_secs_f64();
+    let end = Reading::of(sys);
+    DeleteLoop {
+        jobs,
+        before,
+        middle,
+        end,
+        flat: before == middle && middle == end,
+        wall_s,
+    }
+}
+
 fn main() {
+    let smoke = bench::smoke_mode();
     let block = 64 * 1024u64;
     let sys = BlobSeer::new(
         BlobSeerConfig::default()
@@ -190,20 +278,47 @@ fn main() {
         gc_rows[0].provider_pages_end,
     );
 
+    println!();
+
+    let jobs = if smoke { 20 } else { 1_000 };
+    println!("== F2: delete loop ({jobs} sort jobs on one deployment, each output deleted) ==");
+    let deletes = delete_loop(jobs);
+    for (at, r) in [
+        ("before", &deletes.before),
+        ("middle", &deletes.middle),
+        ("end", &deletes.end),
+    ] {
+        println!(
+            "{at:>6}: {} provider pages, {} DHT entries, {} holder records, {} blobs, \
+             {} metadata-cache entries",
+            r.provider_pages, r.dht_entries, r.holder_records, r.blobs, r.metadata_cache_entries
+        );
+    }
+    println!("{jobs} jobs in {:.2} s (wall)", deletes.wall_s);
+    assert!(
+        deletes.flat,
+        "deleting each job's output must hold the footprint flat"
+    );
+    println!("the loop's footprint is flat: every job's scratch and output was freed");
+
     #[derive(serde::Serialize)]
     struct Snapshot {
         experiment: &'static str,
+        smoke: bool,
         snapshot_markers_expected: usize,
         snapshot_markers_found: usize,
         gc_loop: Vec<GcRow>,
+        delete_loop: DeleteLoop,
     }
     bench::emit_bench_json(
         "F2",
         &Snapshot {
             experiment: "F2",
+            smoke,
             snapshot_markers_expected: expected_v1,
             snapshot_markers_found: snapshot_count,
             gc_loop: gc_rows,
+            delete_loop: deletes,
         },
     );
 }

@@ -31,6 +31,7 @@ use crate::metadata::segment_tree::{
     build_version, lookup_range, lookup_range_readahead, PrevTree,
 };
 use crate::metadata::store::MetadataStore;
+use crate::metadata::NodeKey;
 use crate::provider::page_key;
 use crate::provider::PageRequest;
 use crate::provider_manager::{ProviderManager, ProviderRepairReport};
@@ -102,6 +103,11 @@ pub struct BlobSeer {
     /// Per-blob overrides of the keep-last-K retention policy (see
     /// [`BlobSeer::with_gc_keep_last_for`]).
     gc_keep_overrides: RwLock<HashMap<BlobId, usize>>,
+    /// Held by a retention pass from retiring a blob's versions to the end
+    /// of their sweep, and by a delete from taking its blobs' chains to the
+    /// end of theirs (see [`crate::gc`]): the two never interleave on a
+    /// blob, so neither sweeps a node the other's mark phase still needs.
+    sweep_lock: Mutex<()>,
     gc_last: Mutex<Duration>,
     gc_running: AtomicBool,
     gc_ticks: AtomicU64,
@@ -217,6 +223,7 @@ impl BlobSeer {
             transport,
             provider_wire: wire::Counters::new(),
             gc_keep_overrides: RwLock::new(HashMap::new()),
+            sweep_lock: Mutex::new(()),
             gc_last: Mutex::new(gc_origin),
             gc_running: AtomicBool::new(false),
             gc_ticks: AtomicU64::new(0),
@@ -283,7 +290,14 @@ impl BlobSeer {
     }
 
     /// Record one client↔provider exchange and charge it on the transport.
-    fn charge_provider(&self, src: NodeId, dst: NodeId, dir: Direction, out: u64, back: u64) {
+    pub(crate) fn charge_provider(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        dir: Direction,
+        out: u64,
+        back: u64,
+    ) {
         self.provider_wire.record(dir, out, back);
         self.transport.exchange(src, dst, dir, out, back);
     }
@@ -322,13 +336,15 @@ impl BlobSeer {
     /// configured keep-last-K retention policy (see
     /// [`crate::BlobSeerConfig::gc_keep_last`]; a no-op when unset). Retired
     /// snapshots become unreadable immediately; the metadata nodes and page
-    /// images only they referenced are reclaimed, and DHT tombstones with no
-    /// lingering replica left behind are dropped.
+    /// images only they referenced are reclaimed through the same sweep a
+    /// delete uses, and DHT tombstones with no lingering replica left behind
+    /// are dropped.
     pub fn collect_garbage(&self) -> BlobResult<crate::gc::GcReport> {
         let overrides = self.gc_keep_overrides.read().clone();
         if self.config.gc_keep_last.is_none() && overrides.is_empty() {
             return Ok(crate::gc::GcReport::default());
         }
+        let src = self.background_source();
         let mut report = crate::gc::GcReport::default();
         for blob in self.version_manager.blob_ids() {
             // Per-blob override first, then the deployment-wide policy; a
@@ -336,41 +352,48 @@ impl BlobSeer {
             let Some(keep) = overrides.get(&blob).copied().or(self.config.gc_keep_last) else {
                 continue;
             };
-            // A blob deleted between listing and retiring is simply gone —
-            // nothing left to reclaim through the version history.
-            let dead = match self.version_manager.retire_expired(blob, keep) {
-                Ok(dead) => dead,
+            // Retire and sweep under the sweep lock, with the retired and
+            // surviving chains read in one go: a delete can neither take the
+            // blob between the two reads nor sweep nodes this pass's mark
+            // phase still has to see. A blob deleted before the retire is
+            // simply gone — its delete reclaimed it.
+            let _sweep = self.sweep_lock.lock();
+            let reclaim = match self.version_manager.retire_expired(blob, keep) {
+                Ok(reclaim) => reclaim,
                 Err(BlobSeerError::UnknownBlob(_)) => continue,
                 Err(e) => return Err(e),
             };
-            if dead.is_empty() {
+            if reclaim.dead.is_empty() {
                 continue;
             }
-            let surviving = self.version_manager.published_versions(blob)?;
-            let swept = crate::gc::collect_blob_garbage(
-                &self.metadata,
-                &self.provider_manager,
-                blob,
-                &dead,
-                &surviving,
-            )?;
-            report.absorb(&swept);
+            report.absorb(&crate::gc::collect(self, src, &[reclaim])?);
         }
         report.tombstones_compacted = self.metadata.dht().compact_tombstones() as u64;
         Ok(report)
+    }
+
+    /// Where a background pass's exchanges are charged from: the thread's
+    /// pinned source, else the first provider's node — the node the metadata
+    /// DHT charges unattributed exchanges to as well.
+    fn background_source(&self) -> NodeId {
+        wire::current_source()
+            .or_else(|| self.provider_manager.node_of(ProviderId(0)))
+            .unwrap_or_else(|| self.topology.node(0))
     }
 
     /// Override the keep-last-K snapshot retention for one blob: its GC
     /// sweeps keep `keep` published versions regardless of the deployment's
     /// `gc_keep_last` (including when the deployment has none — the override
     /// alone makes the blob eligible for collection). Pinned snapshots
-    /// survive regardless.
-    pub fn with_gc_keep_last_for(&self, blob: BlobId, keep: usize) {
-        assert!(
-            keep >= 1,
-            "snapshot retention must keep at least one version"
-        );
+    /// survive regardless. A `keep` of 0 is an `InvalidArgument`.
+    pub fn with_gc_keep_last_for(&self, blob: BlobId, keep: usize) -> BlobResult<()> {
+        if keep == 0 {
+            return Err(BlobSeerError::InvalidArgument(
+                "snapshot retention must keep at least one version".into(),
+            ));
+        }
         self.gc_keep_overrides.write().insert(blob, keep);
+        Ok(())
     }
 
     /// Drop a per-blob retention override; returns whether one was set.
@@ -473,6 +496,16 @@ impl BlobSeer {
     }
 }
 
+/// What a write in progress has stored under its own version, for the sweep
+/// a failed write runs on it.
+#[derive(Default)]
+struct Stored {
+    /// Pages pushed so far, each with the providers holding it.
+    pages: BTreeMap<u64, Vec<ProviderId>>,
+    /// The root of the write's tree, once its nodes are published.
+    root: Option<NodeKey>,
+}
+
 /// A client handle; cheap to clone and safe to move across threads.
 #[derive(Clone)]
 pub struct BlobSeerClient {
@@ -505,11 +538,44 @@ impl BlobSeerClient {
         Ok(blob)
     }
 
-    /// Delete a blob and all its versions' metadata bookkeeping.
+    /// Delete a blob and free everything it stored: a batch of one over
+    /// [`BlobSeerClient::delete_all`].
     pub fn delete(&self, blob: BlobId) -> BlobResult<()> {
-        self.system.version_manager.delete_blob(blob)?;
-        self.system.page_sizes.write().remove(&blob);
-        Ok(())
+        self.delete_all(&[blob])
+    }
+
+    /// Delete blobs and free everything they stored, synchronously: each
+    /// blob's whole version chain goes to the sweep retention GC uses (see
+    /// [`crate::gc`]), with nothing surviving, so its pages, tree nodes and
+    /// holder records are removed before this returns. All the blobs share
+    /// one sweep: one `DeleteMany` per provider and one `RemoveMany` per
+    /// metadata provider, plus the mark phase's one read per tree level.
+    ///
+    /// Pins guard against retention, not against deletion: a deleted blob's
+    /// pins go with it. A read racing the delete may fail with an error but
+    /// never returns wrong bytes; a write racing it fails with `UnknownBlob`
+    /// and sweeps what it had stored itself.
+    ///
+    /// Every blob that exists is deleted and swept even if another does not;
+    /// the first `UnknownBlob` is then reported.
+    pub fn delete_all(&self, blobs: &[BlobId]) -> BlobResult<()> {
+        let _src = wire::source_guard(self.node);
+        let sys = &self.system;
+        let _sweep = sys.sweep_lock.lock();
+        let mut reclaims = Vec::with_capacity(blobs.len());
+        let mut unknown = None;
+        for &blob in blobs {
+            match sys.version_manager.delete_blob(blob) {
+                Ok(reclaim) => reclaims.push(reclaim),
+                Err(e) => {
+                    unknown.get_or_insert(e);
+                }
+            }
+            sys.page_sizes.write().remove(&blob);
+            sys.gc_keep_overrides.write().remove(&blob);
+        }
+        crate::gc::collect(sys, self.node, &reclaims)?;
+        unknown.map_or(Ok(()), Err)
     }
 
     /// The latest published version of a blob.
@@ -565,24 +631,38 @@ impl BlobSeerClient {
 
         // Step 1: reserve a version (and the offset, for appends).
         let ticket = sys.version_manager.reserve(blob, intent)?;
-        let result = self.write_reserved(blob, &ticket, data, &pm);
+        let mut stored = Stored::default();
+        let result = self.write_reserved(blob, &ticket, data, &pm, &mut stored);
         if result.is_err() {
             // Nothing was published under the reserved version: alias the
             // ticket to its predecessor so later writers are not stuck in
-            // `wait_for_predecessor` on a version that will never appear.
+            // `wait_for_predecessor` on a version that will never appear
+            // (this fails harmlessly when the blob was deleted). Then sweep
+            // what the write stored under its version: no tree references
+            // it, and no one else ever will.
             let _ = sys.version_manager.abort(&ticket);
+            let _ = crate::gc::sweep_failed_write(
+                sys,
+                self.node,
+                blob,
+                ticket.version,
+                stored.root,
+                &stored.pages,
+            );
         }
         result
     }
 
     /// Steps 2–3 of the write protocol, with a reservation already held. Any
-    /// error returned here makes `do_write` abort the ticket.
+    /// error returned here makes `do_write` abort the ticket and sweep what
+    /// `stored` records: the pages pushed so far and the published root.
     fn write_reserved(
         &self,
         blob: BlobId,
         ticket: &WriteTicket,
         data: &[u8],
         pm: &PageMath,
+        stored: &mut Stored,
     ) -> BlobResult<Version> {
         let sys = &self.system;
         let page_size = pm.page_size();
@@ -728,9 +808,9 @@ impl BlobSeerClient {
         // order on the calling thread, like a read's destinations. Failure
         // semantics are per page: dead replicas are skipped, a page with no
         // live replica fails the write.
-        let mut written: BTreeMap<u64, Vec<ProviderId>> = BTreeMap::new();
         for page in (first_page..=last_page).filter(|&p| !is_border(p)) {
-            written.insert(page, push(page, image_of(page, &[]))?);
+            let replicas = push(page, image_of(page, &[]))?;
+            stored.pages.insert(page, replicas);
         }
 
         // Step 3: wait for the predecessor, push the border pages built on
@@ -738,7 +818,8 @@ impl BlobSeerClient {
         let prev = sys.version_manager.wait_for_predecessor(ticket)?;
         for page in (first_page..=last_page).filter(|&p| is_border(p)) {
             let old = self.read_page_image(blob, &prev, pm, page)?;
-            written.insert(page, push(page, image_of(page, &old))?);
+            let replicas = push(page, image_of(page, &old))?;
+            stored.pages.insert(page, replicas);
         }
         let prev_tree = PrevTree {
             root: prev.root,
@@ -755,8 +836,9 @@ impl BlobSeerClient {
             ticket.version,
             prev_tree,
             new_span,
-            &written,
+            &stored.pages,
         )?;
+        stored.root = Some(root);
         let info = sys.version_manager.commit(ticket, Some(root))?;
 
         sys.bytes_written
@@ -1977,11 +2059,12 @@ mod tests {
         assert_eq!(part.to_vec(), data[70..570].to_vec());
     }
 
-    /// A transport that, once armed, holds the next write exchange charged
-    /// until the test opens its gate.
+    /// A transport that, once armed, lets `pass` write exchanges through and
+    /// holds the next one until the test opens its gate.
     #[derive(Default)]
     struct HoldNextWrite {
         armed: AtomicBool,
+        pass: AtomicU64,
         /// (an exchange is held, the gate is open)
         gate: std::sync::Mutex<(bool, bool)>,
         changed: std::sync::Condvar,
@@ -2010,7 +2093,14 @@ mod tests {
             _bytes_out: u64,
             _bytes_in: u64,
         ) -> simcluster::time::SimDuration {
-            if dir == Direction::Write && self.armed.swap(false, Ordering::SeqCst) {
+            if dir == Direction::Write
+                && self.armed.load(Ordering::SeqCst)
+                && self
+                    .pass
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_err()
+                && self.armed.swap(false, Ordering::SeqCst)
+            {
                 let mut gate = self.gate.lock().unwrap();
                 gate.0 = true;
                 self.changed.notify_all();
@@ -2067,6 +2157,181 @@ mod tests {
             b"AAAAxxxxBBBBxxxx",
             "both writes, applied in version order"
         );
+    }
+
+    /// DHT entries, provider pages, holder records and blobs: everything a
+    /// deployment stores for its blobs. All four are 0 once every blob is
+    /// deleted.
+    fn holdings(sys: &Arc<BlobSeer>) -> [usize; 4] {
+        let (entries, pages) = footprint(sys);
+        [
+            entries,
+            pages,
+            sys.provider_manager().announced_pages(),
+            sys.version_manager().blob_ids().len(),
+        ]
+    }
+
+    /// A two-provider deployment of 16-byte pages whose wire is `hold`.
+    fn held_system(hold: &Arc<HoldNextWrite>) -> Arc<BlobSeer> {
+        let topology = ClusterTopology::flat(2);
+        let nodes: Vec<NodeId> = topology.all_nodes().collect();
+        BlobSeer::with_transport(
+            BlobSeerConfig::for_tests()
+                .with_page_size(16)
+                .with_providers(2)
+                .with_page_replication(1),
+            &topology,
+            &nodes,
+            Arc::new(WallClock::new()),
+            hold.clone(),
+        )
+    }
+
+    /// Writer A's write is held on the wire after `pass` write exchanges;
+    /// the blob is deleted under it; then A goes on and must fail with
+    /// `UnknownBlob`, leaving nothing behind.
+    fn delete_under_a_held_write(pass: u64, data: &[u8]) {
+        let hold = Arc::new(HoldNextWrite::default());
+        let sys = held_system(&hold);
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        client.write(blob, 0, &[b'x'; 16]).unwrap();
+        hold.pass.store(pass, Ordering::SeqCst);
+        hold.armed.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| client.write(blob, 16, data));
+            hold.wait_until_holding();
+            client.delete(blob).unwrap();
+            hold.open();
+            assert!(matches!(
+                a.join().unwrap(),
+                Err(BlobSeerError::UnknownBlob(_))
+            ));
+        });
+        assert_eq!(holdings(&sys), [0; 4], "DHT entries, pages, holders, blobs");
+    }
+
+    #[test]
+    fn a_write_that_loses_its_blob_after_pushing_sweeps_its_pages() {
+        // Held on its first page push: both pages are pushed by the time
+        // `wait_for_predecessor` meets the deleted blob.
+        delete_under_a_held_write(0, &[b'A'; 32]);
+    }
+
+    #[test]
+    fn a_write_that_loses_its_blob_after_publishing_sweeps_its_tree() {
+        // Held on its first metadata publication (after its one page push):
+        // the tree lands after the delete, and `commit` meets the deleted
+        // blob.
+        delete_under_a_held_write(1, &[b'A'; 16]);
+    }
+
+    #[test]
+    fn a_delete_frees_every_page_node_and_holder_record() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_page_replication(2));
+        let client = sys.client();
+        let kept = client.create(Some(16)).unwrap();
+        client.write(kept, 0, &[7u8; 64]).unwrap();
+        let baseline = holdings(&sys);
+
+        let blob = client.create(Some(16)).unwrap();
+        let v1 = client.write(blob, 0, &[1u8; 128]).unwrap();
+        client.write(blob, 32, &[2u8; 40]).unwrap();
+        client.append(blob, &[3u8; 20]).unwrap();
+        // Neither a pin nor a retention override keeps a deleted blob.
+        sys.pin_snapshot(blob, v1).unwrap();
+        sys.with_gc_keep_last_for(blob, 1).unwrap();
+        let before = sys.provider_wire().snapshot();
+        client.delete(blob).unwrap();
+
+        assert_eq!(holdings(&sys), baseline, "only the kept blob remains");
+        assert!(!sys.clear_gc_keep_last_for(blob), "the override went too");
+        assert!(matches!(
+            client.read(blob, v1, 0, 16),
+            Err(BlobSeerError::UnknownBlob(_))
+        ));
+        assert!(matches!(
+            client.delete(blob),
+            Err(BlobSeerError::UnknownBlob(_))
+        ));
+        // The page deletes are charged, one write exchange per provider.
+        let swept = sys.provider_wire().snapshot().since(&before);
+        assert!((1..=4).contains(&swept.write_messages), "{swept:?}");
+        assert_eq!(
+            client.read_latest(kept, 0, 64).unwrap().to_vec(),
+            vec![7u8; 64]
+        );
+    }
+
+    #[test]
+    fn retention_racing_deletes_reclaims_everything_without_errors() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_gc_keep_last(1));
+        let client = sys.client();
+        // Partial overwrites: every retired version shares nodes and pages
+        // with the surviving one.
+        let blobs: Vec<BlobId> = (0..100u8)
+            .map(|i| {
+                let blob = client.create(Some(16)).unwrap();
+                client.write(blob, 0, &[i; 128]).unwrap();
+                client.write(blob, 16, &[i ^ 1; 32]).unwrap();
+                client.write(blob, 96, &[i ^ 2; 16]).unwrap();
+                blob
+            })
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..5 {
+                        sys.collect_garbage().expect("a GC cycle racing deletes");
+                    }
+                });
+            }
+            for half in blobs.chunks(50) {
+                let (client, start) = (&client, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for &blob in half {
+                        client.delete(blob).unwrap();
+                    }
+                });
+            }
+        });
+        sys.collect_garbage().unwrap();
+        assert_eq!(holdings(&sys), [0; 4], "DHT entries, pages, holders, blobs");
+    }
+
+    #[test]
+    fn reads_racing_a_delete_fail_or_return_their_snapshot() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests());
+        let client = sys.client();
+        let blobs: Vec<(BlobId, Vec<u8>)> = (0..40u8)
+            .map(|i| {
+                let blob = client.create(Some(16)).unwrap();
+                let data: Vec<u8> = (0..96).map(|j| i.wrapping_mul(31) ^ j).collect();
+                client.write(blob, 0, &data).unwrap();
+                (blob, data)
+            })
+            .collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (blob, _) in &blobs {
+                    client.delete(*blob).unwrap();
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for (blob, data) in blobs.iter().cycle().take(400) {
+                        if let Ok(got) = client.read(*blob, Version(1), 0, 96) {
+                            assert_eq!(&got[..], &data[..], "a racing read returned wrong bytes");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(holdings(&sys), [0; 4]);
     }
 
     /// A transport that records the thread every write exchange is charged
@@ -2137,7 +2402,13 @@ mod tests {
             prev_size: 0,
         };
         assert!(matches!(
-            client.write_reserved(blob, &ticket, &[], &PageMath::new(16)),
+            client.write_reserved(
+                blob,
+                &ticket,
+                &[],
+                &PageMath::new(16),
+                &mut Stored::default()
+            ),
             Err(BlobSeerError::InvalidArgument(_))
         ));
     }
@@ -2156,7 +2427,7 @@ mod tests {
         }
         assert!(sys.collect_garbage().unwrap().versions_retired == 0);
 
-        sys.with_gc_keep_last_for(trimmed, 1);
+        sys.with_gc_keep_last_for(trimmed, 1).unwrap();
         let report = sys.collect_garbage().unwrap();
         assert!(
             report.versions_retired >= 3,
@@ -2180,9 +2451,13 @@ mod tests {
         for i in 0..5 {
             client.write(blob, 0, &[i as u8; 64]).unwrap();
         }
-        sys.with_gc_keep_last_for(blob, 1);
+        sys.with_gc_keep_last_for(blob, 1).unwrap();
         sys.collect_garbage().unwrap();
         assert_eq!(client.versions(blob).unwrap().len(), 1);
+        assert!(matches!(
+            sys.with_gc_keep_last_for(blob, 0),
+            Err(BlobSeerError::InvalidArgument(_))
+        ));
     }
 
     #[test]

@@ -1,48 +1,76 @@
-//! Snapshot garbage collection: mark-and-sweep reclamation of retired
-//! versions.
+//! Reclamation: one mark-and-sweep for retired snapshots and deleted blobs.
 //!
 //! BlobSeer never overwrites data — every write publishes a new snapshot and
-//! old snapshots stay readable. Under a workload that rewrites the same
-//! blobs in a loop (a MapReduce job chain re-running over the same files)
-//! the history grows without bound: metadata tree nodes accumulate in the
-//! DHT and superseded page images accumulate on the providers. This module
-//! bounds that footprint. A keep-last-K retention policy on the version
-//! manager retires old snapshots ([`crate::VersionManager::retire_expired`],
-//! pinned snapshots exempt), and the sweep here reclaims everything only the
-//! retired snapshots referenced.
+//! old snapshots stay readable — so reclaiming space is the system's own
+//! job. Two clients hand versions to the one sweep here:
 //!
-//! Correctness leans on two structural facts of the path-copied segment
+//! * **retention** — a keep-last-K policy on the version manager retires old
+//!   snapshots ([`crate::VersionManager::retire_expired`], pinned snapshots
+//!   exempt), which bounds a rewrite loop's footprint;
+//! * **delete** — [`crate::BlobSeerClient::delete_all`] takes a deleted
+//!   blob's whole chain ([`crate::VersionManager::delete_blob`]) with nothing
+//!   surviving, so a MapReduce job's scratch (`_shuffle-*`, `_temporary-*`)
+//!   is freed when the job deletes it. A pin guards a version against
+//!   retention, not against deletion: the pins go with the blob.
+//!
+//! Both arrive as a [`Reclaim`] read under one hold of the blob's shard lock,
+//! and both hold the deployment's sweep lock from that read to the end of the
+//! sweep, so a retention pass and a delete never interleave on a blob.
+//!
+//! Correctness leans on three structural facts of the path-copied segment
 //! tree:
 //!
-//! * the nodes *created* by version `d` carry `key.version == d` and form a
-//!   connected subtree containing `d`'s root — everything else reachable
-//!   from that root is shared with older versions;
-//! * a parent's version is never older than its children's, so a descent
-//!   can prune below any node older than the oldest retired version:
-//!   nothing created by a retired version can appear underneath.
+//! * a node sits at its own coordinates: a tree holds at most one node per
+//!   `(offset, span)`, and a node key carries the coordinates it sits at;
+//! * version `v`'s tree is its predecessor's with a path copied: every node
+//!   of it is either created by `v` (`key.version == v`) or in `v - 1`'s
+//!   tree (an aborted version aliases its predecessor's tree outright);
+//! * so the versions whose tree holds a node `X` form an interval
+//!   `[X.version, e]`: `X` is created once and, once replaced, never comes
+//!   back.
 //!
-//! The sweep deletes exactly `candidates - live`: nodes created by retired
-//! versions, minus those still reachable from a surviving tree (subtree
-//! sharing — or a root aliased by an aborted write — keeps them alive).
-//! Page images are stored under the version whose write created them, which
-//! is exactly the owning leaf's version, so a reclaimed leaf takes its page
-//! replicas with it: no surviving tree can resolve that page to the same
-//! image except through the (now unreachable) leaf.
+//! The mark phase walks each dead version `d`'s tree top down. A node `X`
+//! of it is live exactly when some surviving version's tree holds it, and by
+//! the interval fact two checks decide that: is there a survivor in
+//! `[X.version, d)` (one comparison), and does the nearest survivor above
+//! `d` hold `X` at `X`'s coordinates? The walk carries that survivor's node
+//! at the same coordinates as a *shadow*, reading it along with `X`. A live
+//! node is pruned with its whole subtree; everything else the walk reaches
+//! is dead — whichever version created it. So a node that outlived its own
+//! version because a survivor shared it is reclaimed when its last version
+//! goes, and the walk stays within where the dead and surviving trees
+//! differ. It reads one tree level per [`MetadataStore::get_nodes`] call,
+//! across every blob of the sweep at once. Page images are stored under the
+//! version whose write created them, which is exactly the owning leaf's
+//! version, so a reclaimed leaf takes its page replicas with it: no
+//! surviving tree can resolve that page to the same image except through the
+//! (now unreachable) leaf.
+//!
+//! The sweep phase pays one exchange per destination, like every other
+//! exchange: the pages' holder records leave the registry in one pass, each
+//! provider gets one `DeleteMany`, and each metadata provider one
+//! `RemoveMany`. A read racing a delete may fail with an error (a node or
+//! page it needs is gone), but it never returns wrong bytes: keys are never
+//! reused, so whatever it does resolve is the snapshot it asked for.
 
-use crate::error::BlobResult;
+use crate::client::BlobSeer;
+use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::store::MetadataStore;
 use crate::metadata::{NodeKey, TreeNode};
 use crate::provider::page_key;
-use crate::provider_manager::ProviderManager;
-use crate::types::BlobId;
-use crate::version_manager::VersionInfo;
+use crate::types::{BlobId, ProviderId, Version};
+use crate::version_manager::Reclaim;
+use dht::DhtError;
 use serde::Serialize;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use simcluster::NodeId;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use wire::{Direction, MSG_OVERHEAD};
 
-/// What one garbage-collection cycle reclaimed.
+/// What one garbage-collection cycle (or one delete) reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct GcReport {
-    /// Snapshots retired by the retention policy.
+    /// Snapshots retired by the retention policy, or taken with a deleted
+    /// blob.
     pub versions_retired: u64,
     /// Segment-tree nodes removed from the metadata DHT.
     pub nodes_removed: u64,
@@ -65,132 +93,248 @@ impl GcReport {
     }
 }
 
-/// Reclaim the metadata nodes and page images that only the retired
-/// snapshots of `blob` referenced.
+/// Reclaim the metadata nodes and page images that only the `dead` versions
+/// of each [`Reclaim`] referenced, in one mark phase and one sweep, charging
+/// the sweep's exchanges as sent from `src`.
 ///
-/// `dead` is what [`crate::VersionManager::retire_expired`] returned;
-/// `surviving` is the blob's remaining published history. The caller must
-/// pass the *complete* surviving history: any surviving version left out
-/// could have nodes it shares with a retired version swept from under it.
-pub fn collect_blob_garbage(
-    store: &MetadataStore,
-    providers: &ProviderManager,
-    blob: BlobId,
-    dead: &[VersionInfo],
-    surviving: &[VersionInfo],
-) -> BlobResult<GcReport> {
-    let mut report = GcReport {
-        versions_retired: dead.len() as u64,
-        ..GcReport::default()
-    };
-    let dead_set: BTreeSet<u64> = dead.iter().map(|v| v.version.0).collect();
-    let Some(&min_dead) = dead_set.first() else {
-        return Ok(report);
-    };
-
-    // Mark phase 1 — candidates: every node created by a retired version,
-    // found by descending from the retired roots through retired-version
-    // nodes only (an older child is shared, not a candidate). A retired
-    // root can itself be an alias of an older version (aborted write); it
-    // only seeds the walk when some retired version created it.
-    let mut candidates: HashMap<NodeKey, TreeNode> = HashMap::new();
+/// Each `surviving` must be its blob's *complete* remaining chain: a
+/// surviving version left out could have nodes it shares with a dead version
+/// swept from under it.
+pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> BlobResult<GcReport> {
+    // One walk per dead root, shadowed by the nearest survivor above its
+    // version and bounded by the nearest one below (chains are oldest
+    // first). A root shared by several dead versions (aliases of an aborted
+    // write) is walked once: by the interval fact, liveness does not depend
+    // on which dead version reached a node.
     let mut queued: HashSet<NodeKey> = HashSet::new();
-    let mut frontier: Vec<NodeKey> = Vec::new();
-    for info in dead {
-        if let Some(root) = info.root {
-            if dead_set.contains(&root.version.0) && queued.insert(root) {
-                frontier.push(root);
+    let mut frontier: Vec<Walk> = Vec::new();
+    for reclaim in reclaims {
+        for dead in &reclaim.dead {
+            let Some(root) = dead.root else {
+                continue;
+            };
+            let survivors = &reclaim.surviving;
+            let below = survivors.iter().rev().find(|s| s.version < dead.version);
+            let above = survivors.iter().find(|s| s.version > dead.version);
+            if queued.insert(root) {
+                frontier.push(Walk {
+                    node: root,
+                    shadow: above.and_then(|s| s.root),
+                    below: below.map(|s| s.version),
+                });
             }
         }
-    }
-    while !frontier.is_empty() {
-        let nodes = store.get_nodes(&frontier)?;
-        let mut next = Vec::new();
-        for (key, node) in frontier.drain(..).zip(nodes) {
-            if let TreeNode::Inner { left, right } = &node {
-                for child in [left, right].into_iter().flatten() {
-                    if dead_set.contains(&child.version.0) && queued.insert(*child) {
-                        next.push(*child);
-                    }
-                }
-            }
-            candidates.insert(key, node);
-        }
-        frontier = next;
     }
 
-    // Mark phase 2 — live: candidates still reachable from a surviving
-    // tree. The descent prunes below anything older than the oldest retired
-    // version; whole trees older than that are skipped outright.
-    let mut live: HashSet<NodeKey> = HashSet::new();
-    let mut visited: HashSet<NodeKey> = HashSet::new();
-    let mut frontier: Vec<NodeKey> = surviving
-        .iter()
-        .filter_map(|info| info.root)
-        .filter(|root| root.version.0 >= min_dead && visited.insert(*root))
-        .collect();
+    let store = sys.metadata();
+    let mut pages = Vec::new();
+    let mut nodes = Vec::new();
     while !frontier.is_empty() {
-        let nodes = store.get_nodes(&frontier)?;
+        let mut keys: Vec<NodeKey> = Vec::new();
+        let mut listed: HashSet<NodeKey> = HashSet::new();
+        for walk in &frontier {
+            for key in std::iter::once(walk.node).chain(walk.shadow) {
+                if listed.insert(key) {
+                    keys.push(key);
+                }
+            }
+        }
+        let read: HashMap<NodeKey, TreeNode> =
+            keys.iter().copied().zip(store.get_nodes(&keys)?).collect();
+        let node_at = |key: &NodeKey| {
+            read.get(key).ok_or_else(|| {
+                BlobSeerError::Metadata(DhtError::NotFound {
+                    key: format!("{key:?}"),
+                })
+            })
+        };
         let mut next = Vec::new();
-        for (key, node) in frontier.drain(..).zip(nodes) {
-            if dead_set.contains(&key.version.0) {
-                live.insert(key);
+        for walk in frontier.drain(..) {
+            // Live in the nearest survivor below, which holds it by the
+            // interval fact: the survivor lies in [created, dead version).
+            if walk.below.is_some_and(|below| below >= walk.node.version) {
+                continue;
             }
-            if let TreeNode::Inner { left, right } = &node {
-                for child in [left, right].into_iter().flatten() {
-                    if child.version.0 >= min_dead && visited.insert(*child) {
-                        next.push(*child);
-                    }
+            if let Some(shadow) = walk.shadow {
+                if shadow == walk.node {
+                    // Live in the nearest survivor above.
+                    continue;
+                }
+                if shadow.span > walk.node.span {
+                    // The survivor's tree is wider: step its shadow down one
+                    // level towards the node's coordinates first.
+                    let step = match node_at(&shadow)? {
+                        TreeNode::Inner { left, right }
+                            if walk.node.offset < shadow.offset + shadow.span / 2 =>
+                        {
+                            *left
+                        }
+                        TreeNode::Inner { right, .. } => *right,
+                        TreeNode::Leaf { .. } => None,
+                    };
+                    next.push(Walk {
+                        shadow: step,
+                        ..walk
+                    });
+                    continue;
                 }
             }
-        }
-        frontier = next;
-    }
-
-    // Sweep: delete page replicas of unreachable leaves, then the nodes
-    // themselves. A downed provider is skipped — its lingering replica is
-    // unreadable anyway and the page image key is never reused (versions are
-    // never reissued), so this stays safe without coordination.
-    for (key, node) in &candidates {
-        if live.contains(key) {
-            continue;
-        }
-        if let TreeNode::Leaf {
-            page,
-            providers: replicas,
-        } = node
-        {
-            if !replicas.is_empty() {
-                let pkey = page_key(blob, key.version, *page);
-                // The leaf records where the write put the copies; repair
-                // may since have rebuilt replicas elsewhere, so sweep the
-                // announced holders too and drop the page from the registry
-                // (otherwise repair would resurrect the deleted image).
-                let mut targets: Vec<_> = replicas.clone();
-                for pid in providers.holders(&pkey) {
-                    if !targets.contains(&pid) {
-                        targets.push(pid);
-                    }
-                }
-                let mut deleted_any = false;
-                for pid in &targets {
-                    if let Some(provider) = providers.provider(*pid) {
-                        if let Ok(true) = provider.delete_page(&pkey) {
-                            report.page_replicas_deleted += 1;
-                            deleted_any = true;
+            // Dead: no surviving tree holds it. Its children are dead or
+            // live on their own account.
+            let node = node_at(&walk.node)?;
+            match node {
+                TreeNode::Inner { left, right } => {
+                    let (shadow_left, shadow_right) =
+                        match walk.shadow.map(|s| node_at(&s)).transpose()? {
+                            Some(TreeNode::Inner { left, right }) => (*left, *right),
+                            _ => (None, None),
+                        };
+                    for (child, shadow) in [(*left, shadow_left), (*right, shadow_right)] {
+                        if let Some(child) = child.filter(|c| queued.insert(*c)) {
+                            next.push(Walk {
+                                node: child,
+                                shadow,
+                                below: walk.below,
+                            });
                         }
                     }
                 }
-                providers.withdraw_page(&pkey);
-                if deleted_any {
-                    report.pages_deleted += 1;
+                TreeNode::Leaf { page, providers } if !providers.is_empty() => {
+                    let key = page_key(walk.node.blob, walk.node.version, *page);
+                    pages.push((key, providers.clone()));
                 }
+                TreeNode::Leaf { .. } => {}
+            }
+            nodes.push(walk.node);
+        }
+        frontier = next;
+    }
+    let mut report = sweep(sys, src, pages, &nodes)?;
+    report.versions_retired = reclaims.iter().map(|r| r.dead.len() as u64).sum();
+    Ok(report)
+}
+
+/// One step of the mark phase's walk down a dead tree.
+struct Walk {
+    /// A node of the dead tree.
+    node: NodeKey,
+    /// The nearest surviving version above's node at `node`'s coordinates,
+    /// or an ancestor of that position while its tree is wider; `None` where
+    /// that tree has nothing there.
+    shadow: Option<NodeKey>,
+    /// The nearest surviving version below the dead one.
+    below: Option<Version>,
+}
+
+/// Sweep what a failed write stored under its own `version`: the pages it
+/// pushed (`written`) and, when its tree was published (`root`), the nodes
+/// of that tree created at its version. Versions are never reissued, so no
+/// other writer holds these keys, and no published tree references them.
+pub(crate) fn sweep_failed_write(
+    sys: &BlobSeer,
+    src: NodeId,
+    blob: BlobId,
+    version: Version,
+    root: Option<NodeKey>,
+    written: &BTreeMap<u64, Vec<ProviderId>>,
+) -> BlobResult<GcReport> {
+    let pages = written
+        .iter()
+        .map(|(&page, replicas)| (page_key(blob, version, page), replicas.clone()))
+        .collect();
+    let nodes = created_at(sys.metadata(), root, version)?;
+    sweep(sys, src, pages, &nodes)
+}
+
+/// The nodes of `root`'s tree created at `version`: a connected subtree
+/// under the root, read one level per [`MetadataStore::get_nodes`] call.
+fn created_at(
+    store: &MetadataStore,
+    root: Option<NodeKey>,
+    version: Version,
+) -> BlobResult<Vec<NodeKey>> {
+    let mut created = Vec::new();
+    let mut frontier: Vec<NodeKey> = root.filter(|r| r.version == version).into_iter().collect();
+    while !frontier.is_empty() {
+        let nodes = store.get_nodes(&frontier)?;
+        let mut next = Vec::new();
+        for (key, node) in frontier.drain(..).zip(nodes) {
+            if let TreeNode::Inner { left, right } = node {
+                next.extend(
+                    [left, right]
+                        .into_iter()
+                        .flatten()
+                        .filter(|c| c.version == version),
+                );
+            }
+            created.push(key);
+        }
+        frontier = next;
+    }
+    Ok(created)
+}
+
+/// Delete page images (each with the replicas its leaf recorded) and tree
+/// nodes, one exchange per destination.
+///
+/// The pages' holder records leave the registry first, in one pass: repair
+/// may have rebuilt replicas beyond the recorded ones, so the announced
+/// holders are swept too, and once withdrawn no repair pass can copy a page
+/// that is on its way out. Then every provider holding any of the pages gets
+/// one `DeleteMany`, charged as one write exchange; a downed provider is
+/// skipped — its lingering replica is unreadable anyway and the page key is
+/// never reused (versions are never reissued). Last, the nodes go in one
+/// [`MetadataStore::remove_nodes`].
+fn sweep(
+    sys: &BlobSeer,
+    src: NodeId,
+    pages: Vec<(Vec<u8>, Vec<ProviderId>)>,
+    nodes: &[NodeKey],
+) -> BlobResult<GcReport> {
+    let mut report = GcReport::default();
+    let pm = sys.provider_manager();
+    let keys: Vec<&[u8]> = pages.iter().map(|(key, _)| key.as_slice()).collect();
+    let mut per_provider: BTreeMap<ProviderId, Vec<usize>> = BTreeMap::new();
+    for (i, ((_, recorded), announced)) in pages.iter().zip(pm.withdraw_pages(&keys)).enumerate() {
+        let mut targets = recorded.clone();
+        for pid in announced {
+            if !targets.contains(&pid) {
+                targets.push(pid);
             }
         }
-        if store.remove_node(*key)? {
-            report.nodes_removed += 1;
+        for pid in targets {
+            per_provider.entry(pid).or_default().push(i);
         }
     }
+    let mut deleted = vec![false; pages.len()];
+    for (pid, indices) in per_provider {
+        let Some(provider) = pm.provider(pid) else {
+            continue;
+        };
+        let batch: Vec<&[u8]> = indices.iter().map(|&i| keys[i]).collect();
+        let request: u64 = batch.iter().map(|key| key.len() as u64).sum();
+        let held = provider.delete_many(&batch);
+        sys.charge_provider(
+            src,
+            provider.node(),
+            Direction::Write,
+            request + MSG_OVERHEAD,
+            MSG_OVERHEAD,
+        );
+        match held {
+            Ok(slots) => {
+                for (&i, held) in indices.iter().zip(slots) {
+                    if held {
+                        report.page_replicas_deleted += 1;
+                        deleted[i] = true;
+                    }
+                }
+            }
+            Err(_) => pm.note_down(pid),
+        }
+    }
+    report.pages_deleted = deleted.into_iter().filter(|d| *d).count() as u64;
+    report.nodes_removed = sys.metadata().remove_nodes(nodes)? as u64;
     Ok(report)
 }
 

@@ -70,4 +70,6 @@ pub use metadata::store::MetadataStats;
 pub use provider::{Provider, ProviderStats};
 pub use provider_manager::{PlacementStrategy, ProviderManager, ProviderRepairReport};
 pub use types::{BlobId, ByteRange, PageMath, ProviderId, Version};
-pub use version_manager::{ShardStats, VersionInfo, VersionManager, WriteIntent, WriteTicket};
+pub use version_manager::{
+    Reclaim, ShardStats, VersionInfo, VersionManager, WriteIntent, WriteTicket,
+};

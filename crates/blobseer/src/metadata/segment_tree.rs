@@ -67,9 +67,17 @@ impl<'a> NodeBatch<'a> {
         }
     }
 
+    /// Publish the batch, all or nothing: a publication that failed part
+    /// way (some node reached no replica) takes back what it did store, so a
+    /// failed build leaves no node behind.
     fn flush(self) -> BlobResult<()> {
         let nodes: Vec<(NodeKey, TreeNode)> = self.pending.into_iter().collect();
-        self.store.put_nodes(&nodes)
+        let published = self.store.put_nodes(&nodes);
+        if published.is_err() {
+            let keys: Vec<NodeKey> = nodes.iter().map(|(key, _)| *key).collect();
+            let _ = self.store.remove_nodes(&keys);
+        }
+        published
     }
 }
 

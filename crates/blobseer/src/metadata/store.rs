@@ -156,11 +156,16 @@ impl MetadataStore {
     /// holds fails the whole batch, matching [`MetadataStore::get_node`]'s
     /// contract that a dangling key is corruption, not a hole.
     pub fn get_nodes(&self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
-        Ok(self
-            .get_nodes_readahead(keys, keys.len())?
-            .into_iter()
-            .map(|n| n.expect("demand slots are always resolved"))
-            .collect())
+        keys.iter()
+            .zip(self.get_nodes_readahead(keys, keys.len())?)
+            .map(|(key, node)| node.ok_or_else(|| Self::missing(key)))
+            .collect()
+    }
+
+    fn missing(key: &NodeKey) -> BlobSeerError {
+        BlobSeerError::Metadata(DhtError::NotFound {
+            key: String::from_utf8_lossy(&key.dht_key()).into_owned(),
+        })
     }
 
     /// [`MetadataStore::get_nodes`] with a read-ahead tail: the first
@@ -207,11 +212,7 @@ impl MetadataStore {
             let dht_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].dht_key()).collect();
             let fetched = self.dht.get_many(&dht_keys)?;
             for (&i, raw) in missing.iter().zip(fetched) {
-                let raw = raw.ok_or_else(|| {
-                    BlobSeerError::Metadata(DhtError::NotFound {
-                        key: String::from_utf8_lossy(&keys[i].dht_key()).into_owned(),
-                    })
-                })?;
+                let raw = raw.ok_or_else(|| Self::missing(&keys[i]))?;
                 let node = Self::decode_node(keys[i], &raw)?;
                 if i >= demand {
                     self.cache.insert_prefetched(keys[i], node.clone());
@@ -232,12 +233,24 @@ impl MetadataStore {
         })
     }
 
-    /// Remove a tree node (used by version garbage collection), from the
-    /// cache as well as the DHT: a retired node must stop resolving here and
-    /// give its cache slot back.
+    /// Remove one tree node: a batch of one over
+    /// [`MetadataStore::remove_nodes`].
     pub fn remove_node(&self, key: NodeKey) -> BlobResult<bool> {
-        self.cache.remove(&key);
-        Ok(self.dht.remove(&key.dht_key())?)
+        Ok(self.remove_nodes(&[key])? == 1)
+    }
+
+    /// Remove a batch of tree nodes (the sweep of a retention pass or a
+    /// delete), from the cache as well as the DHT: a swept node must stop
+    /// resolving here and give its cache slot back. The DHT side is one
+    /// [`Dht::remove_many`], so each metadata provider gets one message.
+    /// Returns how many nodes some replica still held.
+    pub fn remove_nodes(&self, keys: &[NodeKey]) -> BlobResult<usize> {
+        for key in keys {
+            self.cache.remove(key);
+        }
+        let dht_keys: Vec<Vec<u8>> = keys.iter().map(NodeKey::dht_key).collect();
+        let removed = self.dht.remove_many(&dht_keys)?;
+        Ok(removed.into_iter().filter(|r| *r).count())
     }
 
     /// Effectiveness counters of the node cache (resident entries,

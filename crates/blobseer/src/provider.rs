@@ -63,7 +63,7 @@ pub struct PageRequest {
 
 /// One data provider, shaped like a blob wire protocol: `Upload` /
 /// `Download(key, offset, len)` / `Query` / `Delete`, plus the coalesced
-/// `DownloadMany` batch and the control probes.
+/// `DownloadMany` and `DeleteMany` batches and the control probes.
 pub struct Provider {
     id: ProviderId,
     node: NodeId,
@@ -210,10 +210,26 @@ impl Provider {
         Ok(self.store.get(key)?.map(|p| p.len() as u64))
     }
 
-    /// Delete a page (used by version garbage collection).
+    /// Delete one page: a batch of one over [`Provider::delete_many`].
     pub fn delete_page(&self, key: &[u8]) -> BlobResult<bool> {
+        Ok(self.delete_many(&[key])?.contains(&true))
+    }
+
+    /// `Delete` for a batch of pages — the one call a sweep sends each
+    /// provider. One liveness check covers the batch; returns one slot per
+    /// key, in order, `true` where the page was held.
+    pub fn delete_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> BlobResult<Vec<bool>> {
         self.serving()?;
-        Ok(self.store.delete(key)?)
+        keys.iter()
+            .map(|key| Ok(self.store.delete(key.as_ref())?))
+            .collect()
+    }
+
+    /// Every page key this provider stores, dead or alive (administrative,
+    /// like [`Provider::stats`]: invariant checks compare it with what the
+    /// metadata still references).
+    pub fn page_keys(&self) -> Vec<Vec<u8>> {
+        self.store.keys()
     }
 
     /// Current counters.
@@ -266,6 +282,25 @@ mod tests {
 
         assert!(p.delete_page(&key).unwrap());
         assert_eq!(p.stats().pages, 0);
+    }
+
+    #[test]
+    fn delete_many_answers_every_key_in_order() {
+        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let k0 = page_key(BlobId(0), Version(1), 0);
+        let k1 = page_key(BlobId(0), Version(1), 1);
+        p.put_page(&k0, Bytes::from(vec![1u8; 8])).unwrap();
+        p.put_page(&k1, Bytes::from(vec![2u8; 8])).unwrap();
+        assert_eq!(p.page_keys().len(), 2);
+        let missing = b"missing".to_vec();
+        assert_eq!(
+            p.delete_many(&[k1.clone(), missing, k0.clone()]).unwrap(),
+            vec![true, false, true]
+        );
+        assert_eq!(p.stats().pages, 0);
+        assert_eq!(p.stats().stored_bytes, 0);
+        p.kill();
+        assert!(p.delete_many(&[k0]).is_err(), "a dead provider refuses");
     }
 
     #[test]

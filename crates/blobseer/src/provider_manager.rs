@@ -368,10 +368,26 @@ impl ProviderManager {
         }
     }
 
-    /// Drop a page from the registry entirely (garbage collection removed
-    /// every replica).
+    /// Drop a page from the registry entirely: a batch of one over
+    /// [`ProviderManager::withdraw_pages`].
     pub fn withdraw_page(&self, key: &[u8]) {
-        self.announcements.lock().remove(key);
+        self.withdraw_pages(&[key]);
+    }
+
+    /// Drop a batch of pages from the registry in one pass, returning each
+    /// page's announced holders (empty where none was announced). A sweep
+    /// withdraws before it deletes: from then on a repair pass cannot copy
+    /// a page that is on its way out onto a provider the sweep never visits.
+    pub fn withdraw_pages<K: AsRef<[u8]>>(&self, keys: &[K]) -> Vec<Vec<ProviderId>> {
+        let mut ann = self.announcements.lock();
+        keys.iter()
+            .map(|key| ann.remove(key.as_ref()).unwrap_or_default())
+            .collect()
+    }
+
+    /// Every announced page key, in key order (invariant checks).
+    pub fn announced_keys(&self) -> Vec<Vec<u8>> {
+        self.announcements.lock().keys().cloned().collect()
     }
 
     /// The announced holders of `key`, primary-first in announcement order.

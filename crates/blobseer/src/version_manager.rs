@@ -70,6 +70,24 @@ pub struct VersionInfo {
     pub size: u64,
 }
 
+/// One blob's versions, split for a sweep ([`crate::gc`]): the versions
+/// whose nodes and pages may go, and the versions that stay. Handed out by
+/// [`VersionManager::retire_expired`] and [`VersionManager::delete_blob`],
+/// each from one hold of the blob's shard lock, so the split is never torn
+/// by a concurrent retention pass, delete or commit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reclaim {
+    /// The blob.
+    pub blob: BlobId,
+    /// Versions to reclaim, oldest first: the ones a retention pass retired,
+    /// or a deleted blob's whole chain.
+    pub dead: Vec<VersionInfo>,
+    /// What the blob still holds, oldest first: its remaining published
+    /// versions and any committed-but-pending ones. Empty for a deleted
+    /// blob.
+    pub surviving: Vec<VersionInfo>,
+}
+
 /// Lock/condvar traffic counters for one shard (or, summed, for the whole
 /// manager). All counters are monotonic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,6 +149,25 @@ impl BlobState {
             aborted: BTreeMap::new(),
             pinned: BTreeSet::new(),
         }
+    }
+
+    /// The versions a sweep must account for, oldest first: every published
+    /// version and every committed one parked in `pending` — its writer has
+    /// already been told `Ok`. Outstanding tickets are not part of it: their
+    /// writers clean up after themselves.
+    fn chain(&self) -> Vec<VersionInfo> {
+        let mut chain: Vec<VersionInfo> = self
+            .published
+            .iter()
+            .chain(&self.pending)
+            .map(|(&v, &(root, size))| VersionInfo {
+                version: Version(v),
+                root,
+                size,
+            })
+            .collect();
+        chain.sort_by_key(|info| info.version);
+        chain
     }
 
     /// Move consecutive pending versions into the published map.
@@ -281,17 +318,25 @@ impl VersionManager {
         ids
     }
 
-    /// Delete a blob entirely (BSFS uses this for file deletion). Outstanding
-    /// tickets are invalidated, and any writer blocked in
-    /// [`VersionManager::wait_for_predecessor`] on this blob is woken so its
-    /// `UnknownBlob` re-check can fire instead of hanging forever.
-    pub fn delete_blob(&self, blob: BlobId) -> BlobResult<()> {
+    /// Delete a blob entirely (BSFS uses this for file deletion) and return
+    /// its chain — published plus committed-but-pending versions — as the
+    /// `dead` half of a [`Reclaim`], taken under the same lock hold as the
+    /// removal. Its pins go with it: a pin guards a version against
+    /// retention, not against deletion. Outstanding tickets are invalidated,
+    /// and any writer blocked in [`VersionManager::wait_for_predecessor`] on
+    /// this blob is woken so its `UnknownBlob` re-check can fire instead of
+    /// hanging forever.
+    pub fn delete_blob(&self, blob: BlobId) -> BlobResult<Reclaim> {
         let shard = self.shard_of(blob);
         let removed = shard.lock().remove(&blob);
         match removed {
-            Some(_) => {
+            Some(state) => {
                 shard.notify_published();
-                Ok(())
+                Ok(Reclaim {
+                    blob,
+                    dead: state.chain(),
+                    surviving: Vec::new(),
+                })
             }
             None => Err(BlobSeerError::UnknownBlob(blob)),
         }
@@ -510,14 +555,21 @@ impl VersionManager {
     /// remove every published version except the newest `keep`, the pinned
     /// ones, and anything not yet fully published. Retired versions become
     /// unreadable immediately ([`VersionManager::get_version`] reports
-    /// `UnknownVersion`); their descriptors are returned so the caller can
-    /// reclaim the metadata nodes and pages only they referenced.
+    /// `UnknownVersion`). Returns them as the `dead` half of a [`Reclaim`]
+    /// whose `surviving` half is the chain left behind, both read under the
+    /// one lock hold, so the caller can reclaim the metadata nodes and pages
+    /// only the retired versions referenced.
     ///
     /// Retirement never touches a version an in-flight write could still
     /// alias or wait on: an outstanding ticket's predecessor is at least
-    /// `published_up_to`, which the policy always keeps (`keep >= 1`).
-    pub fn retire_expired(&self, blob: BlobId, keep: usize) -> BlobResult<Vec<VersionInfo>> {
-        assert!(keep >= 1, "retention must keep at least one version");
+    /// `published_up_to`, which the policy always keeps (`keep >= 1`; a
+    /// `keep` of 0 is an `InvalidArgument`).
+    pub fn retire_expired(&self, blob: BlobId, keep: usize) -> BlobResult<Reclaim> {
+        if keep == 0 {
+            return Err(BlobSeerError::InvalidArgument(
+                "snapshot retention must keep at least one version".into(),
+            ));
+        }
         let mut blobs = self.shard_of(blob).lock();
         let state = blobs
             .get_mut(&blob)
@@ -528,23 +580,27 @@ impl VersionManager {
             .copied()
             .filter(|&v| v <= state.published_up_to)
             .collect();
-        if visible.len() <= keep {
-            return Ok(Vec::new());
-        }
-        let cutoff = visible[visible.len() - keep];
-        let mut retired = Vec::new();
-        for v in visible {
-            if v >= cutoff || state.pinned.contains(&v) {
-                continue;
-            }
-            let (root, size) = state.published.remove(&v).expect("version was visible");
-            retired.push(VersionInfo {
-                version: Version(v),
-                root,
-                size,
+        let mut dead = Vec::new();
+        if visible.len() > keep {
+            let cutoff = visible[visible.len() - keep];
+            let pinned = &state.pinned;
+            state.published.retain(|&v, &mut (root, size)| {
+                let stays = v >= cutoff || pinned.contains(&v);
+                if !stays {
+                    dead.push(VersionInfo {
+                        version: Version(v),
+                        root,
+                        size,
+                    });
+                }
+                stays
             });
         }
-        Ok(retired)
+        Ok(Reclaim {
+            blob,
+            dead,
+            surviving: state.chain(),
+        })
     }
 
     /// Number of reservations handed out (instrumentation).
@@ -940,8 +996,10 @@ mod tests {
 
         // Visible history is v0..v6; keep the newest 2 plus the pin.
         let retired = vm.retire_expired(blob, 2).unwrap();
-        let retired_vs: Vec<u64> = retired.iter().map(|i| i.version.0).collect();
+        let retired_vs: Vec<u64> = retired.dead.iter().map(|i| i.version.0).collect();
         assert_eq!(retired_vs, vec![0, 1, 3, 4]);
+        let surviving: Vec<u64> = retired.surviving.iter().map(|i| i.version.0).collect();
+        assert_eq!(surviving, vec![2, 5, 6]);
         assert!(vm.get_version(blob, Version(1)).is_err());
         assert!(vm.get_version(blob, Version(2)).is_ok());
         assert!(vm.get_version(blob, Version(5)).is_ok());
@@ -949,14 +1007,53 @@ mod tests {
         assert_eq!(vm.published_versions(blob).unwrap().len(), 3);
 
         // Retention is idempotent until history grows again.
-        assert!(vm.retire_expired(blob, 2).unwrap().is_empty());
+        assert!(vm.retire_expired(blob, 2).unwrap().dead.is_empty());
 
         // Dropping the pin frees the version at the next cycle.
         assert!(vm.unpin_version(blob, Version(2)).unwrap());
-        let retired2 = vm.retire_expired(blob, 2).unwrap();
+        let retired2 = vm.retire_expired(blob, 2).unwrap().dead;
         assert_eq!(retired2.len(), 1);
         assert_eq!(retired2[0].version, Version(2));
         assert_eq!(retired2[0].root, Some(leaf_key(blob, 2)));
+    }
+
+    #[test]
+    fn retention_of_zero_versions_is_an_error_not_a_panic() {
+        let vm = VersionManager::new();
+        let blob = vm.create_blob();
+        assert!(matches!(
+            vm.retire_expired(blob, 0),
+            Err(BlobSeerError::InvalidArgument(_))
+        ));
+        assert_eq!(vm.published_versions(blob).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn delete_hands_back_the_whole_chain_pending_included_and_drops_the_pins() {
+        let vm = VersionManager::new();
+        let blob = vm.create_blob();
+        let t1 = vm.reserve(blob, WriteIntent::Append { len: 10 }).unwrap();
+        let t2 = vm.reserve(blob, WriteIntent::Append { len: 10 }).unwrap();
+        let _t3 = vm.reserve(blob, WriteIntent::Append { len: 10 }).unwrap();
+        let t4 = vm.reserve(blob, WriteIntent::Append { len: 10 }).unwrap();
+        vm.commit(&t1, Some(leaf_key(blob, 1))).unwrap();
+        vm.commit(&t2, Some(leaf_key(blob, 2))).unwrap();
+        vm.pin_version(blob, Version(1)).unwrap();
+        // v4 has told its writer `Ok` but waits in `pending` behind the
+        // outstanding v3: its tree is the deleted blob's to reclaim; v3's
+        // writer cleans up after itself.
+        vm.commit(&t4, Some(leaf_key(blob, 4))).unwrap();
+        let chain = vm.delete_blob(blob).unwrap();
+        assert_eq!(chain.blob, blob);
+        assert!(chain.surviving.is_empty());
+        let versions: Vec<u64> = chain.dead.iter().map(|i| i.version.0).collect();
+        assert_eq!(versions, vec![0, 1, 2, 4]);
+        assert_eq!(chain.dead[3].root, Some(leaf_key(blob, 4)));
+        // The pins went with the blob.
+        assert!(matches!(
+            vm.pinned_versions(blob),
+            Err(BlobSeerError::UnknownBlob(_))
+        ));
     }
 
     #[test]
@@ -968,9 +1065,12 @@ mod tests {
         // v2 committed out of order: it is pending, not visible, and must not
         // be counted by (or retired through) the retention policy.
         vm.commit(&t2, Some(leaf_key(blob, 2))).unwrap();
-        assert!(vm.retire_expired(blob, 1).unwrap().is_empty());
+        let held = vm.retire_expired(blob, 1).unwrap();
+        assert!(held.dead.is_empty());
+        // ...but it survives: a sweep must not take nodes it shares.
+        assert_eq!(held.surviving.last().map(|i| i.version), Some(Version(2)));
         vm.commit(&t1, Some(leaf_key(blob, 1))).unwrap();
-        let retired = vm.retire_expired(blob, 1).unwrap();
+        let retired = vm.retire_expired(blob, 1).unwrap().dead;
         let retired_vs: Vec<u64> = retired.iter().map(|i| i.version.0).collect();
         assert_eq!(retired_vs, vec![0, 1]);
         assert_eq!(vm.latest(blob).unwrap().version, Version(2));

@@ -231,24 +231,19 @@ impl Bsfs {
         self.namespace.list(path)
     }
 
-    /// Delete a file (releasing its blob) or, with `recursive`, a directory
-    /// tree.
+    /// Delete a file or, with `recursive`, a directory tree, and free the
+    /// storage behind it: every blob the delete removed from the namespace
+    /// goes to one [`BlobSeerClient::delete_all`], so a directory of any
+    /// size costs one sweep — one delete batch per provider and one removal
+    /// batch per metadata provider — before this returns.
     pub fn delete(&self, path: &str, recursive: bool) -> FsResult<()> {
-        match self.namespace.status(path)? {
-            PathStatus::File(_) => {
-                let entry = self.namespace.remove_file(path)?;
-                self.client.delete(entry.blob)?;
-                Ok(())
-            }
-            PathStatus::Directory => {
-                let removed = self.namespace.remove_dir(path, recursive)?;
-                for entry in removed {
-                    self.client.delete(entry.blob)?;
-                }
-                Ok(())
-            }
-            PathStatus::Missing => Err(FsError::FileNotFound(path.to_string())),
-        }
+        let removed = match self.namespace.status(path)? {
+            PathStatus::File(_) => vec![self.namespace.remove_file(path)?],
+            PathStatus::Directory => self.namespace.remove_dir(path, recursive)?,
+            PathStatus::Missing => return Err(FsError::FileNotFound(path.to_string())),
+        };
+        let blobs: Vec<BlobId> = removed.iter().map(|entry| entry.blob).collect();
+        Ok(self.client.delete_all(&blobs)?)
     }
 
     /// Rename a file or directory.
@@ -683,6 +678,62 @@ mod tests {
         assert!(fs.exists("/keep/other"));
         // The blobs backing deleted files are gone from BlobSeer too.
         assert_eq!(fs.storage().version_manager().blob_ids().len(), 1);
+    }
+
+    #[test]
+    fn a_directory_delete_is_one_sweep_with_one_batch_per_destination() {
+        let fs = fs();
+        let storage = fs.storage();
+        let footprint = || {
+            let pages: usize = storage
+                .provider_manager()
+                .providers()
+                .iter()
+                .map(|p| p.stats().pages)
+                .sum();
+            (
+                storage.metadata().dht().stats().total_entries,
+                pages,
+                storage.provider_manager().announced_pages(),
+                storage.version_manager().blob_ids().len(),
+            )
+        };
+        fs.write_file("/keep/x", &[5u8; 700]).unwrap();
+        let kept = footprint();
+        // Ten files of four 256-byte blocks: four versions each, trees three
+        // levels deep.
+        for i in 0..10u8 {
+            fs.write_file(&format!("/scratch/part-{i}"), &[i; 1024])
+                .unwrap();
+        }
+        // A cold mark phase: every tree level is a real `get_many`.
+        storage.metadata().drop_cached_nodes();
+        let dht = storage.metadata().dht();
+        let (dht_before, pages_before) = (
+            dht.wire_counters().snapshot(),
+            storage.provider_wire().snapshot(),
+        );
+        let lookups_before = storage.metadata().stats().batch_lookups;
+
+        fs.delete("/scratch", true).unwrap();
+
+        let metadata_providers = storage.config().metadata_providers as u64;
+        let dht_spent = dht.wire_counters().snapshot().since(&dht_before);
+        let levels = storage.metadata().stats().batch_lookups - lookups_before;
+        assert_eq!(levels, 3, "one read per tree level, across all ten blobs");
+        assert!(dht_spent.read_messages <= levels * metadata_providers);
+        assert!(
+            dht_spent.write_messages <= metadata_providers,
+            "one RemoveMany per metadata provider: {dht_spent:?}"
+        );
+        let page_spent = storage.provider_wire().snapshot().since(&pages_before);
+        assert_eq!(page_spent.read_messages, 0);
+        assert!(
+            page_spent.write_messages <= storage.config().providers as u64,
+            "one DeleteMany per provider: {page_spent:?}"
+        );
+        assert_eq!(footprint(), kept, "the directory's storage is freed");
+        assert_eq!(&fs.read_file("/keep/x").unwrap()[..], &[5u8; 700][..]);
     }
 
     #[test]

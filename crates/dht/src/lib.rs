@@ -494,50 +494,87 @@ impl Dht {
         }
     }
 
-    /// Remove `key` from every replica that holds it. Returns true if at
-    /// least one replica removed a value.
+    /// Remove `key` from every replica that holds it: a batch of one over
+    /// [`Dht::remove_many`]. Returns true if at least one replica removed a
+    /// value.
     pub fn remove(&self, key: &[u8]) -> DhtResult<bool> {
+        Ok(self.remove_many(&[key])?.contains(&true))
+    }
+
+    /// Remove a batch of keys from every replica that holds them, grouping
+    /// keys by responsible node under a single ring read-lock pass: each node
+    /// involved is sent one `RemoveMany` carrying every key it is a replica
+    /// for, in node-id order. Returns one slot per key, in order: `true`
+    /// where at least one replica removed a value.
+    ///
+    /// A key whose replica refused (dead) may still be held there, and a
+    /// write that met that death made up for it past the replica set. Such
+    /// a key gets a tombstone, which stops the dead copy from resurrecting
+    /// the value at revive or repair time, and is chased through every
+    /// successor past its replica set — again one batch per node. A batch
+    /// with every replica alive, the healthy-cluster case, leaves no
+    /// tombstone and sends nothing past the replica sets.
+    pub fn remove_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> DhtResult<Vec<bool>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
         let inner = self.inner.read();
         if inner.nodes.is_empty() {
             return Err(DhtError::Empty);
         }
-        let replicas = inner.ring.successors(key, inner.replication);
-        let mut removed = false;
-        let mut any_down = false;
-        for id in &replicas {
-            let node = &inner.nodes[id];
-            self.charge_write(*id, key.len() as u64 + MSG_OVERHEAD, MSG_OVERHEAD);
-            match node.remove(key) {
-                Ok(r) => removed |= r,
-                Err(NodeDown) => {
-                    any_down = true;
-                    self.note_node_down(*id);
-                }
+        let mut per_node: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            for id in inner.ring.successors(key.as_ref(), inner.replication) {
+                per_node.entry(id).or_default().push(i);
             }
         }
-        if any_down {
-            // A dead replica may still hold the key; the tombstone stops it
-            // from resurrecting the value at revive/repair time. Removes
-            // with every replica alive — the healthy-cluster common case —
-            // leave no tombstone behind.
-            self.tombstones.bury(key);
-            // A write that met a dead replica made up for it past the replica
-            // set, on whichever successor accepted: remove the key from every
-            // one of them, or a read failing over past the dead replica finds
-            // the copy again.
+        let mut removed = vec![false; keys.len()];
+        let refused = self.remove_groups(&inner, keys, &per_node, &mut removed);
+
+        let mut chase: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
+        for (i, key) in keys.iter().enumerate().filter(|(i, _)| refused[*i]) {
+            self.tombstones.bury(key.as_ref());
             for id in inner
                 .ring
-                .successors(key, inner.nodes.len())
+                .successors(key.as_ref(), inner.nodes.len())
                 .into_iter()
-                .skip(replicas.len())
+                .skip(inner.replication)
             {
-                self.charge_write(id, key.len() as u64 + MSG_OVERHEAD, MSG_OVERHEAD);
-                if let Ok(r) = inner.nodes[&id].remove(key) {
-                    removed |= r;
+                chase.entry(id).or_default().push(i);
+            }
+        }
+        self.remove_groups(&inner, keys, &chase, &mut removed);
+        Ok(removed)
+    }
+
+    /// Send each node its group of `keys` as one charged `RemoveMany`, in
+    /// node-id order, marking what was removed. Returns which keys met a
+    /// refusal.
+    fn remove_groups<K: AsRef<[u8]>>(
+        &self,
+        inner: &DhtInner,
+        keys: &[K],
+        groups: &BTreeMap<DhtNodeId, Vec<usize>>,
+        removed: &mut [bool],
+    ) -> Vec<bool> {
+        let mut refused = vec![false; keys.len()];
+        for (id, indices) in groups {
+            let group: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
+            let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
+            self.charge_write(*id, req_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
+            match inner.nodes[id].remove_each(group) {
+                Ok(slots) => {
+                    for (&i, r) in indices.iter().zip(slots) {
+                        removed[i] |= r;
+                    }
+                }
+                Err(NodeDown) => {
+                    self.note_node_down(*id);
+                    indices.iter().for_each(|&i| refused[i] = true);
                 }
             }
         }
-        Ok(removed)
+        refused
     }
 
     /// Store a batch of key-value pairs, grouping keys by responsible node
@@ -1144,19 +1181,32 @@ impl Dht {
     /// grow the tombstone set without bound. Returns the number dropped.
     pub fn compact_tombstones(&self) -> usize {
         let inner = self.inner.read();
-        // This is a question about *persistent* state — a dead node's disk
-        // still holds copies — so it uses the administrative entries() view
-        // rather than data-plane gets (which dead nodes refuse).
-        let mut held: HashSet<Vec<u8>> = HashSet::new();
-        for node in inner.nodes.values() {
-            for (k, _) in node.entries() {
-                held.insert(k);
-            }
-        }
+        let held = Self::copies_held(&inner);
         let mut keys = self.tombstones.keys.lock();
         let before = keys.len();
-        keys.retain(|key| held.contains(key));
+        keys.retain(|key| held.contains_key(key));
         before - keys.len()
+    }
+
+    /// Every key any node — live or dead — holds, with its number of copies.
+    /// Administrative, like [`Dht::stats`]: it reads the nodes' persistent
+    /// state, so invariant checks can compare the DHT's contents against
+    /// what the metadata still references.
+    pub fn key_copies(&self) -> HashMap<Vec<u8>, usize> {
+        Self::copies_held(&self.inner.read())
+    }
+
+    /// A question about *persistent* state — a dead node's disk still holds
+    /// copies — so it uses the administrative entries() view rather than
+    /// data-plane gets (which dead nodes refuse).
+    fn copies_held(inner: &DhtInner) -> HashMap<Vec<u8>, usize> {
+        let mut held: HashMap<Vec<u8>, usize> = HashMap::new();
+        for node in inner.nodes.values() {
+            for (k, _) in node.entries() {
+                *held.entry(k).or_default() += 1;
+            }
+        }
+        held
     }
 }
 
@@ -1244,6 +1294,74 @@ mod tests {
         assert_eq!(dht.remove(b"key"), Ok(true));
         assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
         assert_eq!(dht.get_many(&[b"key"]).unwrap(), vec![None]);
+    }
+
+    #[test]
+    fn remove_many_sends_each_node_one_charged_batch() {
+        let dht = Dht::new(DhtConfig {
+            nodes: 4,
+            replication: 2,
+            ..Default::default()
+        });
+        let entries: Vec<(Vec<u8>, Bytes)> = (0..200u32)
+            .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
+            .collect();
+        let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
+        dht.put_many(&entries).unwrap();
+        let batches = |dht: &Dht| -> BTreeMap<DhtNodeId, u64> {
+            let inner = dht.inner.read();
+            inner
+                .nodes
+                .iter()
+                .map(|(id, n)| (*id, n.batches_handled()))
+                .collect()
+        };
+        let involved: HashSet<DhtNodeId> = keys.iter().flat_map(|k| dht.replicas_for(k)).collect();
+        let (writes, before) = (dht.write_round_trips(), batches(&dht));
+
+        assert!(dht.remove_many(&keys).unwrap().into_iter().all(|r| r));
+        assert_eq!(dht.write_round_trips() - writes, involved.len() as u64);
+        for (id, n) in batches(&dht) {
+            let expected = u64::from(involved.contains(&id));
+            assert_eq!(n - before[&id], expected, "node {id:?}");
+        }
+        assert_eq!(dht.stats().total_entries, 0);
+        assert_eq!(dht.tombstone_count(), 0, "a healthy batch buries nothing");
+        // Removing again finds nothing, still one batch per node.
+        assert!(dht.remove_many(&keys).unwrap().into_iter().all(|r| !r));
+        assert_eq!(dht.write_round_trips() - writes, 2 * involved.len() as u64);
+        assert!(dht.remove_many::<&[u8]>(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_dead_primary_does_not_bring_a_batch_removed_key_back() {
+        let dht = Dht::new(DhtConfig {
+            nodes: 5,
+            replication: 3,
+            ..Default::default()
+        });
+        let entries: Vec<(Vec<u8>, Bytes)> = (0..40u32)
+            .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
+            .collect();
+        let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
+        let victim = dht.replicas_for(&keys[0])[0];
+        // The first half lands while the victim lives, so it keeps stale
+        // copies through its death; the second half lands while it is dead,
+        // so those copies fail over past the replica set.
+        dht.put_many(&entries[..20]).unwrap();
+        dht.kill(victim).unwrap();
+        dht.put_many(&entries[20..]).unwrap();
+
+        assert!(dht.remove_many(&keys).unwrap().into_iter().all(|r| r));
+        assert!(dht.get_many(&keys).unwrap().iter().all(Option::is_none));
+        assert!(dht.tombstone_count() > 0, "the refused keys are buried");
+        // The victim comes back holding its stale copies: the tombstones
+        // drop them instead of letting them resurrect.
+        dht.revive(victim).unwrap();
+        assert!(dht.get_many(&keys).unwrap().iter().all(Option::is_none));
+        assert_eq!(dht.stats().total_entries, 0);
+        assert!(dht.compact_tombstones() > 0);
+        assert_eq!(dht.tombstone_count(), 0);
     }
 
     #[test]

@@ -115,18 +115,25 @@ impl DhtNode {
             .serve(|state| keys.iter().map(|k| state.data.get(k).cloned()).collect())
     }
 
+    /// Remove a batch of keys; the reply holds one slot per key, in order,
+    /// `true` where a value was present. Refused when dead.
+    pub fn remove_each(&self, keys: Vec<Vec<u8>>) -> NodeResult<Vec<bool>> {
+        self.state.lock().serve(|state| {
+            keys.iter()
+                .map(|key| {
+                    let old = state.data.remove(key);
+                    let present = old.is_some();
+                    state.forget(old);
+                    present
+                })
+                .collect()
+        })
+    }
+
     /// Remove a batch of keys; returns how many were present. Refused when
     /// dead.
     pub fn remove_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<usize> {
-        self.state.lock().serve(|state| {
-            let mut removed = 0;
-            for key in &keys {
-                let old = state.data.remove(key);
-                removed += usize::from(old.is_some());
-                state.forget(old);
-            }
-            removed
-        })
+        Ok(self.remove_each(keys)?.into_iter().filter(|r| *r).count())
     }
 
     /// Store a value (replaces any existing value for the key). A dead node
@@ -143,7 +150,7 @@ impl DhtNode {
 
     /// Remove a value; returns whether one was present. Refused when dead.
     pub fn remove(&self, key: &[u8]) -> NodeResult<bool> {
-        Ok(self.remove_many(vec![key.to_vec()])? == 1)
+        Ok(self.remove_each(vec![key.to_vec()])?.contains(&true))
     }
 
     /// Data-plane batches this node has handled (served or refused) since

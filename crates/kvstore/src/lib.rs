@@ -62,6 +62,9 @@ pub trait PageStore: Send + Sync {
 
     /// Total number of live value bytes (used for provider load accounting).
     fn data_bytes(&self) -> u64;
+
+    /// A snapshot of every live key (invariant checks and maintenance).
+    fn keys(&self) -> Vec<Vec<u8>>;
 }
 
 #[cfg(test)]

@@ -44,16 +44,6 @@ impl MemStore {
         (h.finish() as usize) & (SHARDS - 1)
     }
 
-    /// Iterate over a snapshot of all keys (used by tests and compaction-style
-    /// maintenance). The snapshot is not atomic across shards.
-    pub fn keys(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.read().keys().cloned());
-        }
-        out
-    }
-
     /// Remove every entry.
     pub fn clear(&self) {
         for shard in &self.shards {
@@ -110,6 +100,15 @@ impl PageStore for MemStore {
 
     fn data_bytes(&self) -> u64 {
         self.data_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The snapshot is not atomic across shards.
+    fn keys(&self) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(shard.read().keys().cloned());
+        }
+        out
     }
 }
 

@@ -9,7 +9,10 @@ use hdfs_sim::{Hdfs, HdfsConfig};
 use mapreduce::fs::{BsfsFs, DistFs, HdfsFs};
 use mapreduce::jobtracker::JobTracker;
 use simcluster::ClusterTopology;
-use workloads::{distributed_grep_job, random_text_writer_job, word_count_job, TextGenerator};
+use workloads::{
+    distributed_grep_job, distributed_sort_job, random_text_writer_job, word_count_job,
+    TextGenerator,
+};
 
 fn backends(topo: &ClusterTopology, block: u64) -> (BsfsFs, HdfsFs) {
     let nodes: Vec<_> = topo.all_nodes().collect();
@@ -121,6 +124,56 @@ fn jobs_survive_a_storage_node_failure_with_replication() {
     let result = JobTracker::new(&topo).run(fs, &job).unwrap();
     let output = fs.read_file(&result.output_files[0]).unwrap();
     assert_eq!(String::from_utf8_lossy(&output), "needle\t50\n");
+}
+
+#[test]
+fn sort_jobs_deleting_their_predecessors_output_hold_a_flat_footprint() {
+    // A job's shuffle and attempt scratch goes with the job, and a deleted
+    // output goes with its delete: twenty jobs in, BlobSeer stores what it
+    // stored after the second.
+    let topo = ClusterTopology::flat(4);
+    let (bsfs, _) = backends(&topo, 4 * 1024);
+    let fs: &dyn DistFs = &bsfs;
+    let text = TextGenerator::new(17).sentences(600);
+    let lines = text.lines().count() as u64;
+    fs.write_file("/in/text", text.as_bytes()).unwrap();
+    let storage = bsfs.inner().storage();
+    let footprint = || {
+        let pages: usize = storage
+            .provider_manager()
+            .providers()
+            .iter()
+            .map(|p| p.stats().pages)
+            .sum();
+        (
+            pages,
+            storage.metadata().dht().stats().total_entries,
+            storage.provider_manager().announced_pages(),
+            storage.version_manager().blob_ids().len(),
+        )
+    };
+    let tracker = JobTracker::new(&topo);
+    let mut after_second = None;
+    for job in 1..=20 {
+        let out = format!("/sorted-{job}");
+        let sort = distributed_sort_job(fs, vec!["/in/text".into()], &out, 2, 4 * 1024).unwrap();
+        let result = tracker.run(fs, &sort).unwrap();
+        assert_eq!(result.output_records, lines, "job {job}");
+        if job > 1 {
+            fs.delete(&format!("/sorted-{}", job - 1), true).unwrap();
+        }
+        if job == 2 {
+            after_second = Some(footprint());
+        }
+    }
+    assert_eq!(
+        Some(footprint()),
+        after_second,
+        "(provider pages, DHT entries, holder records, blobs) after job 20 vs job 2"
+    );
+    // Only the input and the last output remain.
+    let outputs = fs.list("/sorted-20").unwrap().len();
+    assert_eq!(storage.version_manager().blob_ids().len(), 1 + outputs);
 }
 
 #[test]

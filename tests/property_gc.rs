@@ -1,13 +1,18 @@
-//! Property-based safety test of snapshot garbage collection: under random
-//! interleavings of writes, appends, pins, unpins and GC cycles, no byte of
-//! any *surviving* snapshot is ever lost — keep-last-K retention may only
-//! take versions that fell out of the window and were not pinned, and
-//! everything else must keep reading exactly as the in-memory model says it
-//! did when published.
+//! Property-based tests of reclamation. Safety: under random interleavings
+//! of writes, appends, pins, unpins and GC cycles, no byte of any
+//! *surviving* snapshot is ever lost — keep-last-K retention may only take
+//! versions that fell out of the window and were not pinned, and everything
+//! else must keep reading exactly as the in-memory model says it did when
+//! published. Liveness: with deletes in the mix, storage holds exactly what
+//! the surviving snapshots reach — no page, tree node or holder record
+//! outlives the last version that references it.
 
-use blobseer::{BlobSeer, BlobSeerConfig, Version};
+use blobseer::metadata::{NodeKey, TreeNode};
+use blobseer::provider::page_key;
+use blobseer::{BlobId, BlobSeer, BlobSeerConfig, Version};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// A reference model of a sparse, growing byte array.
 fn apply_to_model(model: &mut Vec<u8>, offset: usize, data: &[u8]) {
@@ -128,5 +133,171 @@ proptest! {
         if size > 0 {
             prop_assert_eq!(client.read_latest(blob, 0, size).unwrap().to_vec(), model);
         }
+    }
+}
+
+/// The DHT keys of every tree node and the storage keys of every page that
+/// some published version of a live blob reaches.
+fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
+    let (mut nodes, mut pages) = (BTreeSet::new(), BTreeSet::new());
+    let mut seen: HashSet<NodeKey> = HashSet::new();
+    let vm = sys.version_manager();
+    for blob in vm.blob_ids() {
+        for info in vm.published_versions(blob).unwrap() {
+            let mut frontier: Vec<NodeKey> = info.root.into_iter().collect();
+            while let Some(key) = frontier.pop() {
+                if !seen.insert(key) {
+                    continue;
+                }
+                nodes.insert(key.dht_key());
+                match sys.metadata().get_node(key).unwrap() {
+                    TreeNode::Inner { left, right } => {
+                        frontier.extend([left, right].into_iter().flatten())
+                    }
+                    TreeNode::Leaf { page, providers } if !providers.is_empty() => {
+                        pages.insert(page_key(key.blob, key.version, page));
+                    }
+                    TreeNode::Leaf { .. } => {}
+                }
+            }
+        }
+    }
+    (nodes, pages)
+}
+
+/// Storage holds exactly what the surviving snapshots reach: the providers'
+/// pages are the reachable pages (once each: no page replication), the DHT
+/// holds every reachable node at the replication factor and nothing else,
+/// and every holder record names a stored page.
+fn storage_is_exactly_reachable(sys: &Arc<BlobSeer>) -> Result<(), TestCaseError> {
+    let (nodes, pages) = reachable(sys);
+    let mut stored: Vec<Vec<u8>> = sys
+        .provider_manager()
+        .providers()
+        .iter()
+        .flat_map(|p| p.page_keys())
+        .collect();
+    stored.sort();
+    prop_assert_eq!(&stored, &pages.iter().cloned().collect::<Vec<_>>());
+    let copies = sys.metadata().dht().key_copies();
+    let held: BTreeSet<Vec<u8>> = copies.keys().cloned().collect();
+    prop_assert_eq!(&held, &nodes);
+    let replication = sys.config().metadata_replication;
+    prop_assert!(copies.values().all(|&n| n == replication));
+    for key in sys.provider_manager().announced_keys() {
+        prop_assert!(pages.contains(&key), "a holder record outlived its page");
+    }
+    Ok(())
+}
+
+/// One blob of the reclamation property: its id, its current content, and
+/// the content of every version retention has not taken.
+struct Slot {
+    blob: BlobId,
+    model: Vec<u8>,
+    alive: BTreeMap<u64, Vec<u8>>,
+}
+
+impl Slot {
+    fn fresh(sys: &Arc<BlobSeer>) -> Slot {
+        let blob = sys.client().create(None).unwrap();
+        Slot {
+            blob,
+            model: Vec::new(),
+            alive: BTreeMap::from([(0, Vec::new())]),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn storage_holds_exactly_what_surviving_snapshots_reach(
+        page_size in 16u64..96,
+        keep in 1usize..4,
+        ops in prop::collection::vec(
+            (
+                0usize..3,                                // blob slot
+                0usize..400,                              // write offset
+                prop::collection::vec(any::<u8>(), 1..200), // payload
+                0u8..7, // 0: write, 1: append, 2: pin latest, 3: GC, 4: delete the slot's blob, 5: delete_all, 6: write
+            ),
+            1..20,
+        ),
+    ) {
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_page_size(page_size)
+                .with_gc_keep_last(keep),
+        );
+        let client = sys.client();
+        let mut slots: Vec<Slot> = (0..3).map(|_| Slot::fresh(&sys)).collect();
+
+        for (slot, offset, data, action) in &ops {
+            match action {
+                2 => {
+                    let s = &slots[*slot];
+                    let latest = client.latest_version(s.blob).unwrap().version;
+                    sys.pin_snapshot(s.blob, latest).unwrap();
+                }
+                3 => {
+                    sys.collect_garbage().unwrap();
+                    // Retention took what fell out of the window and was not
+                    // pinned; the model follows the version manager.
+                    for s in &mut slots {
+                        let published: BTreeSet<u64> = client
+                            .versions(s.blob)
+                            .unwrap()
+                            .iter()
+                            .map(|i| i.version.0)
+                            .collect();
+                        let latest = *s.alive.keys().next_back().unwrap();
+                        prop_assert!(published.contains(&latest));
+                        s.alive.retain(|v, _| published.contains(v));
+                    }
+                }
+                4 => {
+                    client.delete(slots[*slot].blob).unwrap();
+                    slots[*slot] = Slot::fresh(&sys);
+                }
+                5 => {
+                    let blobs: Vec<BlobId> = slots.iter().map(|s| s.blob).collect();
+                    client.delete_all(&blobs).unwrap();
+                    slots = (0..3).map(|_| Slot::fresh(&sys)).collect();
+                }
+                _ => {
+                    let s = &mut slots[*slot];
+                    let version = if *action == 1 {
+                        let at = s.model.len();
+                        apply_to_model(&mut s.model, at, data);
+                        client.append(s.blob, data).unwrap()
+                    } else {
+                        apply_to_model(&mut s.model, *offset, data);
+                        client.write(s.blob, *offset as u64, data).unwrap()
+                    };
+                    s.alive.insert(version.0, s.model.clone());
+                }
+            }
+
+            storage_is_exactly_reachable(&sys)?;
+            for s in &slots {
+                for (v, expected) in &s.alive {
+                    let info = client.version_info(s.blob, Version(*v)).unwrap();
+                    prop_assert_eq!(info.size, expected.len() as u64);
+                    if !expected.is_empty() {
+                        let got = client.read(s.blob, Version(*v), 0, info.size).unwrap();
+                        prop_assert!(got[..] == expected[..], "version {} diverged", v);
+                    }
+                }
+            }
+        }
+
+        // Deleting everything leaves nothing behind.
+        let blobs: Vec<BlobId> = slots.iter().map(|s| s.blob).collect();
+        client.delete_all(&blobs).unwrap();
+        storage_is_exactly_reachable(&sys)?;
+        prop_assert_eq!(sys.metadata().dht().stats().total_entries, 0);
+        prop_assert_eq!(sys.provider_manager().announced_pages(), 0);
     }
 }
