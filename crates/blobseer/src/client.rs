@@ -39,6 +39,7 @@ use crate::types::{next_power_of_two, BlobId, ByteRange, PageMath, ProviderId, V
 use crate::version_manager::{VersionInfo, VersionManager, WriteIntent, WriteTicket};
 use bytes::Bytes;
 use dht::DhtRepairReport;
+use kvstore::FastMap;
 use parking_lot::{Mutex, RwLock};
 use simcluster::topology::ClusterTopology;
 use simcluster::{Clock, DetectorConfig, NodeId, WallClock};
@@ -85,7 +86,7 @@ pub struct BlobSeer {
     provider_manager: Arc<ProviderManager>,
     metadata: Arc<MetadataStore>,
     /// Per-blob page size (configurable per blob, as in the paper).
-    page_sizes: RwLock<HashMap<BlobId, u64>>,
+    page_sizes: RwLock<FastMap<BlobId, u64>>,
     /// Back-reference to the owning `Arc`, so deadline-triggered background
     /// work (GC ticks) can capture a `Weak` and never keep the system alive.
     self_weak: Weak<BlobSeer>,
@@ -217,7 +218,7 @@ impl BlobSeer {
             version_manager: Arc::new(VersionManager::new()),
             provider_manager,
             metadata,
-            page_sizes: RwLock::new(HashMap::new()),
+            page_sizes: RwLock::default(),
             self_weak: weak.clone(),
             clock,
             transport,
@@ -857,38 +858,39 @@ impl BlobSeerClient {
         version: &VersionInfo,
         pm: &PageMath,
         page: u64,
-    ) -> BlobResult<Vec<u8>> {
+    ) -> BlobResult<Bytes> {
         let page_start = pm.page_start(page);
         if page_start >= version.size {
-            return Ok(Vec::new());
+            return Ok(Bytes::new());
         }
         let len = (version.size - page_start).min(pm.page_size());
-        self.read_vec(blob, version, page_start, len)
+        self.read_bytes(blob, version, page_start, len)
     }
 
     /// Read `len` bytes at `offset` from a specific published version.
     pub fn read(&self, blob: BlobId, version: Version, offset: u64, len: u64) -> BlobResult<Bytes> {
         let info = self.system.version_manager.get_version(blob, version)?;
-        self.read_vec(blob, &info, offset, len).map(Bytes::from)
+        self.read_bytes(blob, &info, offset, len)
     }
 
     /// Read from the latest published version.
     pub fn read_latest(&self, blob: BlobId, offset: u64, len: u64) -> BlobResult<Bytes> {
         let info = self.system.version_manager.latest(blob)?;
-        self.read_vec(blob, &info, offset, len).map(Bytes::from)
+        self.read_bytes(blob, &info, offset, len)
     }
 
     /// The read path proper: resolve the pages, fetch their windows, and
-    /// assemble them into one buffer sized up front.
-    fn read_vec(
+    /// assemble them into one buffer sized up front — or, when one window
+    /// serves the whole read, hand back the provider's bytes as they came.
+    fn read_bytes(
         &self,
         blob: BlobId,
         info: &VersionInfo,
         offset: u64,
         len: u64,
-    ) -> BlobResult<Vec<u8>> {
+    ) -> BlobResult<Bytes> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(Bytes::new());
         }
         // Attribute this thread's metadata descent to the client's node.
         let _src = wire::source_guard(self.node);
@@ -945,16 +947,22 @@ impl BlobSeerClient {
         // provider's response.
         let pieces = self.fetch_pages_coalesced(blob, &locations, &windows);
 
-        // The one copy of the read: each view goes straight into its slot
-        // of the zeroed output. Holes, and windows reaching past the end of
-        // a stored image, leave their zeroes in place.
-        let mut out = vec![0u8; len as usize];
-        let mut at = 0;
-        for (piece, &(from, to, _)) in pieces.into_iter().zip(&windows) {
-            let piece = piece?;
-            out[at..at + piece.len()].copy_from_slice(&piece);
-            at += to - from;
-        }
+        // A read one stored window serves whole is that window: no copy.
+        // Otherwise comes the one copy of the read: each view is appended in
+        // order, and only holes, and windows reaching past the end of a
+        // stored image, are filled with zeroes.
+        let out = match (pieces.as_slice(), windows.as_slice()) {
+            ([Ok(piece)], [(from, to, _)]) if piece.len() == to - from => piece.clone(),
+            _ => {
+                let mut out = Vec::with_capacity(len as usize);
+                for (piece, &(from, to, _)) in pieces.into_iter().zip(&windows) {
+                    let piece = piece?;
+                    out.extend_from_slice(&piece);
+                    out.resize(out.len() + (to - from - piece.len()), 0);
+                }
+                Bytes::from(out)
+            }
+        };
 
         sys.bytes_read.fetch_add(len, Ordering::Relaxed);
         sys.read_ops.fetch_add(1, Ordering::Relaxed);
@@ -1993,6 +2001,32 @@ mod tests {
         let spent = sys.provider_wire().snapshot().since(&before);
         assert_eq!(spent.messages, 16);
         assert_eq!(spent.bytes_received, 16 * (16 + MSG_OVERHEAD));
+    }
+
+    #[test]
+    fn a_read_one_window_serves_returns_the_providers_bytes() {
+        let data: Vec<u8> = (0..255u8).cycle().take(4096).collect();
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_page_size(1024));
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        let version = client.write(blob, 0, &data).unwrap();
+        let stored = |page: u64| {
+            let key = page_key(blob, version, page);
+            let holder = sys.provider_manager().holders(&key)[0];
+            let provider = sys.provider_manager().provider(holder).unwrap();
+            provider.get_page(&key).unwrap().unwrap()
+        };
+        // A whole page and a window inside one are views into the stored
+        // page: no byte is copied on the client.
+        let page = client.read_latest(blob, 1024, 1024).unwrap();
+        assert_eq!(page.as_ptr(), stored(1).as_ptr());
+        let window = client.read_latest(blob, 2048 + 100, 16).unwrap();
+        assert_eq!(window.as_ptr(), stored(2)[100..].as_ptr());
+        assert_eq!(&window[..], &data[2148..2164]);
+        // A read across pages is assembled into a buffer of its own.
+        let across = client.read_latest(blob, 1000, 100).unwrap();
+        assert_eq!(&across[..], &data[1000..1100]);
+        assert!(!stored(0).as_ptr_range().contains(&across.as_ptr()));
     }
 
     #[test]

@@ -61,9 +61,10 @@ use crate::provider::page_key;
 use crate::types::{BlobId, ProviderId, Version};
 use crate::version_manager::Reclaim;
 use dht::DhtError;
+use kvstore::{FastMap, FastSet};
 use serde::Serialize;
 use simcluster::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use wire::{Direction, MSG_OVERHEAD};
 
 /// What one garbage-collection cycle (or one delete) reclaimed.
@@ -106,7 +107,7 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
     // first). A root shared by several dead versions (aliases of an aborted
     // write) is walked once: by the interval fact, liveness does not depend
     // on which dead version reached a node.
-    let mut queued: HashSet<NodeKey> = HashSet::new();
+    let mut queued: FastSet<NodeKey> = FastSet::default();
     let mut frontier: Vec<Walk> = Vec::new();
     for reclaim in reclaims {
         for dead in &reclaim.dead {
@@ -131,7 +132,7 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
     let mut nodes = Vec::new();
     while !frontier.is_empty() {
         let mut keys: Vec<NodeKey> = Vec::new();
-        let mut listed: HashSet<NodeKey> = HashSet::new();
+        let mut listed: FastSet<NodeKey> = FastSet::default();
         for walk in &frontier {
             for key in std::iter::once(walk.node).chain(walk.shadow) {
                 if listed.insert(key) {
@@ -139,7 +140,7 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
                 }
             }
         }
-        let read: HashMap<NodeKey, TreeNode> =
+        let read: FastMap<NodeKey, TreeNode> =
             keys.iter().copied().zip(store.get_nodes(&keys)?).collect();
         let node_at = |key: &NodeKey| {
             read.get(key).ok_or_else(|| {

@@ -17,9 +17,8 @@
 //! list on every hit — a hit is one hash lookup and one relaxed bit store.
 
 use crate::metadata::{NodeKey, TreeNode};
+use kvstore::{fast_hash, shard_index, FastMap};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of independently locked shards. A power of two so the shard index
@@ -58,7 +57,7 @@ struct Slot {
 
 struct Shard {
     /// Key -> index into `slots`.
-    index: HashMap<NodeKey, usize>,
+    index: FastMap<NodeKey, usize>,
     slots: Vec<Slot>,
     /// Clock hand: next slot the eviction sweep examines.
     hand: usize,
@@ -68,7 +67,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Self {
         Shard {
-            index: HashMap::with_capacity(capacity),
+            index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             hand: 0,
             capacity,
@@ -180,9 +179,7 @@ impl MetadataCache {
     }
 
     fn shard_of(&self, key: &NodeKey) -> &Mutex<Shard> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
+        &self.shards[shard_index(fast_hash(key), SHARDS)]
     }
 
     /// Look a node up, counting the hit or miss (and the prefetch hit when
@@ -283,6 +280,49 @@ mod tests {
             page,
             providers: vec![ProviderId(page as u32)],
         }
+    }
+
+    /// Every node of eight versions of one blob's 1 024-page tree.
+    fn one_blobs_tree_keys() -> Vec<NodeKey> {
+        let mut keys = Vec::new();
+        for version in 1..=8 {
+            let mut span = 1;
+            while span <= 1024 {
+                for offset in (0..1024).step_by(span as usize) {
+                    keys.push(NodeKey {
+                        blob: BlobId(3),
+                        version: Version(version),
+                        offset,
+                        span,
+                    });
+                }
+                span *= 2;
+            }
+        }
+        keys
+    }
+
+    /// No shard of `shards` holds more than twice its share of `hashes`.
+    fn assert_spread(hashes: impl Iterator<Item = u64>, shards: usize) {
+        let mut counts = vec![0usize; shards];
+        let mut n = 0;
+        for h in hashes {
+            counts[shard_index(h, shards)] += 1;
+            n += 1;
+        }
+        let mean = n / shards;
+        assert!(counts.iter().all(|&c| c <= 2 * mean), "{counts:?}");
+    }
+
+    #[test]
+    fn one_blobs_keys_spread_over_every_shard() {
+        let keys = one_blobs_tree_keys();
+        // The cache shards hash the key itself; a `MemStore`'s 64 shards
+        // hash key bytes, here both the node keys' and the page keys'.
+        assert_spread(keys.iter().map(fast_hash), SHARDS);
+        assert_spread(keys.iter().map(|k| fast_hash(k.dht_key().as_bytes())), 64);
+        let pages = (keys.iter()).map(|k| crate::provider::page_key(k.blob, k.version, k.offset));
+        assert_spread(pages.map(|p| fast_hash(p.as_slice())), 64);
     }
 
     #[test]

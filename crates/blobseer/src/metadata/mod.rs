@@ -11,7 +11,7 @@
 //! extra space cost beyond the nodes that actually changed.
 //!
 //! * [`NodeKey`] names a tree node: `(blob, version-created, offset, span)` in
-//!   page units. The key doubles as the DHT key.
+//!   page units. Its DHT key is the same four numbers as an [`InlineKey`].
 //! * [`TreeNode`] is the stored payload: an inner node holding the keys of its
 //!   two children (either may be absent, representing a hole of zeroes), or a
 //!   leaf holding the replica providers of one page.
@@ -23,7 +23,10 @@ pub mod cache;
 pub mod segment_tree;
 pub mod store;
 
-use crate::types::{BlobId, ProviderId, Version};
+use crate::types::{BlobId, InlineKey, ProviderId, Version};
+
+/// The tag byte of a tree node's DHT key (page keys carry another).
+const NODE_KEY_TAG: u8 = b'm';
 
 /// Identity of one segment-tree node. Also its DHT key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,13 +43,13 @@ pub struct NodeKey {
 }
 
 impl NodeKey {
-    /// Render the DHT key for this node.
-    pub fn dht_key(&self) -> Vec<u8> {
-        format!(
-            "meta/{}/{}/{}/{}",
-            self.blob.0, self.version.0, self.offset, self.span
+    /// The DHT key for this node: a tag byte and the varints of blob,
+    /// version, offset and span, built on the stack.
+    pub fn dht_key(&self) -> InlineKey {
+        InlineKey::new(
+            NODE_KEY_TAG,
+            &[self.blob.0, self.version.0, self.offset, self.span],
         )
-        .into_bytes()
     }
 }
 
@@ -179,9 +182,38 @@ mod tests {
     fn dht_key_is_unique() {
         assert_ne!(key(1, 0, 4).dht_key(), key(1, 0, 2).dht_key());
         assert_ne!(key(1, 0, 4).dht_key(), key(2, 0, 4).dht_key());
+        // Fields that would concatenate alike as digits stay apart as
+        // varints: (1, 23) is not (12, 3).
+        assert_ne!(key(1, 23, 4).dht_key(), key(12, 3, 4).dht_key());
+        // A tag and one byte per small field; large fields take more.
+        assert_eq!(key(3, 8, 4).dht_key().as_bytes(), b"m\x07\x03\x08\x04");
         assert_eq!(
-            String::from_utf8(key(3, 8, 4).dht_key()).unwrap(),
-            "meta/7/3/8/4"
+            key(300, 0, 1).dht_key().as_bytes(),
+            b"m\x07\xac\x02\x00\x01"
+        );
+    }
+
+    #[test]
+    fn virtual_nodes_balance_binary_node_keys() {
+        // 100 k node keys of one blob, placed the way the metadata DHT
+        // places them: every node still gets its share.
+        let mut ring = dht::HashRing::new(128);
+        for i in 0..8 {
+            ring.add_node(dht::DhtNodeId(i));
+        }
+        let mut counts = std::collections::HashMap::new();
+        for v in 1..=100 {
+            for o in 0..1000 {
+                let owner = ring.primary(key(v, o, 1).dht_key().as_bytes()).unwrap();
+                *counts.entry(owner).or_insert(0usize) += 1;
+            }
+        }
+        let min = counts.values().min().copied().unwrap_or(0);
+        let max = counts.values().max().copied().unwrap_or(0);
+        assert_eq!(counts.len(), 8, "every node should own some keys");
+        assert!(
+            (max as f64) < (min as f64) * 3.0,
+            "virtual nodes should balance load: min={min}, max={max}"
         );
     }
 

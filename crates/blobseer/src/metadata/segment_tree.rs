@@ -13,7 +13,8 @@ use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::store::MetadataStore;
 use crate::metadata::{NodeKey, TreeNode};
 use crate::types::{BlobId, ProviderId, Version};
-use std::collections::{BTreeMap, HashMap};
+use kvstore::FastMap;
+use std::collections::BTreeMap;
 
 /// Description of a previously published tree that a new version builds upon.
 #[derive(Debug, Clone, Copy)]
@@ -42,14 +43,14 @@ impl PrevTree {
 /// the same build), then fall through to the store.
 struct NodeBatch<'a> {
     store: &'a MetadataStore,
-    pending: HashMap<NodeKey, TreeNode>,
+    pending: FastMap<NodeKey, TreeNode>,
 }
 
 impl<'a> NodeBatch<'a> {
     fn new(store: &'a MetadataStore) -> Self {
         NodeBatch {
             store,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
         }
     }
 
@@ -298,7 +299,7 @@ pub fn lookup_range_readahead(
     last_page: u64,
     window: u64,
 ) -> BlobResult<Vec<PageMeta>> {
-    assert!(first_page <= last_page, "page range must be non-empty");
+    check_page_range(first_page, last_page)?;
     let mut out = Vec::with_capacity((last_page - first_page + 1) as usize);
     let covered_span = span.max(1);
     // The furthest page the descent touches: the demanded range plus the
@@ -394,6 +395,16 @@ pub fn lookup_range_readahead(
     Ok(out)
 }
 
+/// A lookup names a non-empty, inclusive page range.
+fn check_page_range(first_page: u64, last_page: u64) -> BlobResult<()> {
+    if first_page > last_page {
+        return Err(BlobSeerError::InvalidArgument(format!(
+            "empty page range {first_page}..={last_page}"
+        )));
+    }
+    Ok(())
+}
+
 /// Does the node covering `[offset, offset + span)` overlap the requested
 /// inclusive page interval `[first, last]`?
 fn overlaps(offset: u64, span: u64, first: u64, last: u64) -> bool {
@@ -426,7 +437,7 @@ pub fn lookup_range_walk(
     first_page: u64,
     last_page: u64,
 ) -> BlobResult<Vec<PageMeta>> {
-    assert!(first_page <= last_page, "page range must be non-empty");
+    check_page_range(first_page, last_page)?;
     let mut out = Vec::with_capacity((last_page - first_page + 1) as usize);
     let covered_span = span.max(1);
     collect(
@@ -930,5 +941,24 @@ mod tests {
             4,
             "a refused build publishes nothing"
         );
+    }
+
+    #[test]
+    fn an_empty_page_range_is_an_error_not_a_panic() {
+        let s = store();
+        let root = build_version(
+            &s,
+            BlobId(0),
+            Version(1),
+            PrevTree::empty(),
+            4,
+            &written(&[(0, &[1])]),
+        )
+        .unwrap();
+        let invalid =
+            |r: BlobResult<Vec<PageMeta>>| matches!(r, Err(BlobSeerError::InvalidArgument(_)));
+        assert!(invalid(lookup_range(&s, Some(root), 4, 3, 2)));
+        assert!(invalid(lookup_range_readahead(&s, Some(root), 4, 1, 0, 8)));
+        assert!(invalid(lookup_range_walk(&s, Some(root), 4, 3, 2)));
     }
 }

@@ -3,6 +3,7 @@
 use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::cache::{MetadataCache, MetadataCacheStats};
 use crate::metadata::{NodeKey, TreeNode};
+use crate::types::InlineKey;
 use bytes::Bytes;
 use dht::{Dht, DhtConfig, DhtError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,7 +102,8 @@ impl MetadataStore {
     /// Persist a tree node.
     pub fn put_node(&self, key: NodeKey, node: &TreeNode) -> BlobResult<()> {
         self.nodes_written.fetch_add(1, Ordering::Relaxed);
-        self.dht.put(&key.dht_key(), Bytes::from(node.encode()))?;
+        self.dht
+            .put(key.dht_key().as_bytes(), Bytes::from(node.encode()))?;
         self.cache.insert(key, node.clone());
         Ok(())
     }
@@ -117,7 +119,7 @@ impl MetadataStore {
         self.nodes_written
             .fetch_add(nodes.len() as u64, Ordering::Relaxed);
         self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        let entries: Vec<(Vec<u8>, Bytes)> = nodes
+        let entries: Vec<(InlineKey, Bytes)> = nodes
             .iter()
             .map(|(key, node)| (key.dht_key(), Bytes::from(node.encode())))
             .collect();
@@ -139,7 +141,8 @@ impl MetadataStore {
         if let Some(node) = self.cache.get(&key) {
             return Ok(node);
         }
-        let raw = self.dht.get(&key.dht_key())?;
+        let raw = (self.dht.get_many(&[key.dht_key()])?.pop().flatten())
+            .ok_or_else(|| Self::missing(&key))?;
         let node = Self::decode_node(key, &raw)?;
         self.cache.insert(key, node.clone());
         Ok(node)
@@ -164,7 +167,7 @@ impl MetadataStore {
 
     fn missing(key: &NodeKey) -> BlobSeerError {
         BlobSeerError::Metadata(DhtError::NotFound {
-            key: String::from_utf8_lossy(&key.dht_key()).into_owned(),
+            key: format!("{key:?}"),
         })
     }
 
@@ -209,7 +212,7 @@ impl MetadataStore {
                 missing.iter().filter(|&&i| i >= demand).count() as u64,
                 Ordering::Relaxed,
             );
-            let dht_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].dht_key()).collect();
+            let dht_keys: Vec<InlineKey> = missing.iter().map(|&i| keys[i].dht_key()).collect();
             let fetched = self.dht.get_many(&dht_keys)?;
             for (&i, raw) in missing.iter().zip(fetched) {
                 let raw = raw.ok_or_else(|| Self::missing(&keys[i]))?;
@@ -248,7 +251,7 @@ impl MetadataStore {
         for key in keys {
             self.cache.remove(key);
         }
-        let dht_keys: Vec<Vec<u8>> = keys.iter().map(NodeKey::dht_key).collect();
+        let dht_keys: Vec<InlineKey> = keys.iter().map(NodeKey::dht_key).collect();
         let removed = self.dht.remove_many(&dht_keys)?;
         Ok(removed.into_iter().filter(|r| *r).count())
     }
@@ -351,7 +354,13 @@ mod tests {
     #[test]
     fn missing_node_is_an_error() {
         let store = MetadataStore::new(2, 1, 64);
-        assert!(store.get_node(key(9, 0, 1)).is_err());
+        let named = "NodeKey { blob: BlobId(1), version: Version(9), offset: 0, span: 1 }";
+        for err in [
+            store.get_node(key(9, 0, 1)).unwrap_err(),
+            store.get_nodes(&[key(9, 0, 1)]).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]
@@ -486,7 +495,7 @@ mod tests {
         };
         store.put_node(key(1, 0, 1), &leaf).unwrap();
         // Kill one of the replicas of that key.
-        let replicas = store.dht().replicas_for(&key(1, 0, 1).dht_key());
+        let replicas = store.dht().replicas_for(key(1, 0, 1).dht_key().as_bytes());
         store.dht().kill(replicas[0]).unwrap();
         store.drop_cached_nodes();
         assert_eq!(store.get_node(key(1, 0, 1)).unwrap(), leaf);

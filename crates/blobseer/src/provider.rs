@@ -18,19 +18,25 @@
 //! failure detector, the repair pass and placement use.
 
 use crate::error::{BlobResult, BlobSeerError};
-use crate::types::{BlobId, ProviderId, Version};
+use crate::types::{BlobId, InlineKey, ProviderId, Version};
 use bytes::Bytes;
 use kvstore::{MemStore, PageStore};
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Build the storage key under which a page is kept on a provider.
+/// The tag byte of a page's storage key (tree-node keys carry another).
+const PAGE_KEY_TAG: u8 = b'p';
+
+/// Build the storage key under which a page is kept on a provider: a tag
+/// byte and the varints of blob, version and page (an [`InlineKey`]).
 ///
 /// Pages are immutable once written (BlobSeer never overwrites data), so the
 /// key embeds the version that created the page.
 pub fn page_key(blob: BlobId, version: Version, page_index: u64) -> Vec<u8> {
-    format!("{}/{}/page-{}", blob, version, page_index).into_bytes()
+    InlineKey::new(PAGE_KEY_TAG, &[blob.0, version.0, page_index])
+        .as_bytes()
+        .to_vec()
 }
 
 /// Traffic and storage counters for one provider.
@@ -258,7 +264,12 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
-        assert_eq!(String::from_utf8(a).unwrap(), "blob-1/v2/page-3");
+        assert_eq!(a, b"p\x01\x02\x03");
+        assert_eq!(
+            page_key(BlobId(1), Version(128), 0),
+            b"p\x01\x80\x01\x00",
+            "a varint takes a byte per seven bits"
+        );
     }
 
     #[test]

@@ -174,6 +174,62 @@ pub fn next_power_of_two(n: u64) -> u64 {
     n.max(1).next_power_of_two()
 }
 
+/// A storage key built in place: a tag byte naming what the key is for,
+/// then the LEB128 varints of up to four integers. At most
+/// [`InlineKey::CAPACITY`] bytes and no allocation.
+///
+/// A varint ends at its first byte without the high bit, so a tag and its
+/// fields are prefix-free: two keys are equal exactly when their tags and
+/// fields are, and keys with different tags never collide.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct InlineKey {
+    len: u8,
+    bytes: [u8; InlineKey::CAPACITY],
+}
+
+impl InlineKey {
+    /// The longest key: a tag byte and four ten-byte varints.
+    pub const CAPACITY: usize = 1 + 4 * 10;
+
+    /// Encode `tag` and `fields` (at most four).
+    pub(crate) fn new(tag: u8, fields: &[u64]) -> Self {
+        debug_assert!(fields.len() <= 4, "an inline key holds four fields");
+        let mut key = InlineKey {
+            len: 1,
+            bytes: [0; Self::CAPACITY],
+        };
+        key.bytes[0] = tag;
+        for &field in fields {
+            let mut v = field;
+            while v >= 0x80 {
+                key.bytes[key.len as usize] = (v as u8) | 0x80;
+                key.len += 1;
+                v >>= 7;
+            }
+            key.bytes[key.len as usize] = v as u8;
+            key.len += 1;
+        }
+        key
+    }
+
+    /// The encoded key.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl AsRef<[u8]> for InlineKey {
+    fn as_ref(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Debug for InlineKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "InlineKey(\"{}\")", self.as_bytes().escape_ascii())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +320,26 @@ mod tests {
         assert_eq!(pm.page_start(u64::MAX), u64::MAX);
         let (first, last) = pm.pages_touched(ByteRange::new(u64::MAX - 1, 2)).unwrap();
         assert!(first <= last);
+    }
+
+    #[test]
+    fn inline_keys_are_tagged_varints() {
+        assert_eq!(InlineKey::new(b'x', &[]).as_bytes(), b"x");
+        assert_eq!(InlineKey::new(b'x', &[0, 127]).as_bytes(), b"x\x00\x7f");
+        assert_eq!(
+            InlineKey::new(b'x', &[128, 300]).as_bytes(),
+            b"x\x80\x01\xac\x02"
+        );
+        let max = InlineKey::new(b'x', &[u64::MAX; 4]);
+        assert_eq!(max.as_bytes().len(), InlineKey::CAPACITY);
+        assert_eq!(
+            &max.as_bytes()[1..11],
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"
+        );
+        assert_eq!(
+            format!("{:?}", InlineKey::new(b'm', &[1, 200])),
+            r#"InlineKey("m\x01\xc8\x01")"#
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! * [`ReadCache`] — holds up to `capacity` most-recently-used whole blocks;
 //!   a miss triggers a whole-block fetch through the supplied loader.
-//! * [`WriteBuffer`] — accumulates sequential writes and hands back a full
-//!   block every time one fills up; the owner commits it as a single
+//! * [`WriteBuffer`] — accumulates sequential writes and hands every block
+//!   that fills up to a commit closure, straight from the caller's slice
+//!   when the block lies whole in it; the owner commits each as a single
 //!   BlobSeer append.
 //!
 //! Both are deliberately *not* thread-safe: each MapReduce task owns its own
@@ -156,28 +157,51 @@ impl WriteBuffer {
         }
     }
 
-    /// Append `data`, returning every full block that became available (in
-    /// order). The caller commits each returned block as one storage write.
-    pub fn push(&mut self, data: &[u8]) -> Vec<Bytes> {
-        self.total += data.len() as u64;
-        let mut out = Vec::new();
+    /// Append `data`, handing every block it fills to `commit`, in order —
+    /// one storage write each. Full blocks go to `commit` straight out of
+    /// `data`, uncopied; only a partial block is buffered, the head that
+    /// tops up an earlier partial block included, and only the tail shorter
+    /// than a block stays behind.
+    ///
+    /// Stops at the first failed commit and returns its error. The bytes of
+    /// that block and everything after it are not accepted, and a failed
+    /// top-up leaves the partial block as it was: no buffered byte is lost.
+    pub fn push<E>(
+        &mut self,
+        data: &[u8],
+        mut commit: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut rest = data;
-        // Top up a partial block first; it is released once it fills.
+        // Top up a partial block first; it is committed once it fills.
         if !self.buffer.is_empty() {
-            let (fill, tail) = rest.split_at(rest.len().min(self.block_size - self.buffer.len()));
-            self.buffer.extend_from_slice(fill);
-            rest = tail;
-            if self.buffer.len() == self.block_size {
-                let full = std::mem::replace(&mut self.buffer, Vec::with_capacity(self.block_size));
-                out.push(Bytes::from(full));
+            let room = self.block_size - self.buffer.len();
+            if rest.len() < room {
+                self.accept(rest);
+                return Ok(());
             }
+            let (fill, tail) = rest.split_at(room);
+            self.buffer.extend_from_slice(fill);
+            if let Err(e) = commit(&self.buffer) {
+                self.buffer.truncate(self.block_size - room);
+                return Err(e);
+            }
+            self.buffer.clear();
+            self.total += room as u64;
+            rest = tail;
         }
-        // Full blocks come straight out of `data`, each byte copied once;
-        // only the tail shorter than a block is buffered.
         let mut blocks = rest.chunks_exact(self.block_size);
-        out.extend(blocks.by_ref().map(Bytes::copy_from_slice));
-        self.buffer.extend_from_slice(blocks.remainder());
-        out
+        for block in blocks.by_ref() {
+            commit(block)?;
+            self.total += block.len() as u64;
+        }
+        self.accept(blocks.remainder());
+        Ok(())
+    }
+
+    /// Buffer bytes that do not fill a block.
+    fn accept(&mut self, bytes: &[u8]) {
+        self.buffer.extend_from_slice(bytes);
+        self.total += bytes.len() as u64;
     }
 
     /// Take whatever partial block remains (used on close/flush). Returns
@@ -321,19 +345,73 @@ mod tests {
         let _ = ReadCache::new(0, 1);
     }
 
+    /// Push through `buf`, collecting the committed blocks.
+    fn push_collect(buf: &mut WriteBuffer, data: &[u8]) -> Vec<Vec<u8>> {
+        let mut blocks = Vec::new();
+        buf.push(data, |block| -> Result<(), Infallible> {
+            blocks.push(block.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        blocks
+    }
+
     #[test]
     fn write_buffer_releases_full_blocks_in_order() {
         let mut buf = WriteBuffer::new(10);
-        assert!(buf.push(b"12345").is_empty());
+        assert!(push_collect(&mut buf, b"12345").is_empty());
         assert_eq!(buf.buffered(), 5);
-        let blocks = buf.push(b"6789012345678");
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(&blocks[0][..], b"1234567890");
+        let blocks = push_collect(&mut buf, b"6789012345678");
+        assert_eq!(blocks, [b"1234567890"]);
         assert_eq!(buf.buffered(), 8);
         // A huge push can release several blocks at once.
-        let blocks = buf.push(&[b'x'; 32]);
+        let blocks = push_collect(&mut buf, &[b'x'; 32]);
         assert_eq!(blocks.len(), 4);
         assert_eq!(buf.total_bytes(), 5 + 13 + 32);
+    }
+
+    #[test]
+    fn write_buffer_commits_whole_blocks_from_the_callers_slice() {
+        let data: Vec<u8> = (0..35u8).collect();
+        let mut buf = WriteBuffer::new(10);
+        push_collect(&mut buf, &data[..3]);
+        // The top-up block is assembled in the buffer; the two whole blocks
+        // after it are views into `data` itself.
+        let mut from_slice = Vec::new();
+        buf.push(&data[3..], |block| -> Result<(), Infallible> {
+            from_slice.push(data.as_ptr_range().contains(&block.as_ptr()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(from_slice, [false, true, true]);
+        assert_eq!(buf.buffered(), 5);
+    }
+
+    #[test]
+    fn a_failed_commit_loses_no_buffered_bytes() {
+        let mut buf = WriteBuffer::new(4);
+        push_collect(&mut buf, b"ab");
+        // The top-up's commit fails: the partial block is as it was.
+        assert_eq!(buf.push(b"cdefgh", |_| Err("down")), Err("down"));
+        assert_eq!((buf.buffered(), buf.total_bytes()), (2, 2));
+        // The second of three blocks fails: the first is committed, the
+        // rest is not accepted, and the buffer is untouched.
+        let mut buf = WriteBuffer::new(4);
+        let mut committed = Vec::new();
+        let mut calls = 0;
+        let failed = buf.push(b"abcdefghijkl", |block| {
+            calls += 1;
+            if calls == 2 {
+                return Err("down");
+            }
+            committed.push(block.to_vec());
+            Ok(())
+        });
+        assert_eq!(failed, Err("down"));
+        assert_eq!(committed, [b"abcd"]);
+        assert_eq!((buf.buffered(), buf.total_bytes()), (0, 4));
+        // A retry of the rest goes through from where it stopped.
+        assert_eq!(push_collect(&mut buf, b"efghijkl"), [b"efgh", b"ijkl"]);
     }
 
     #[test]
@@ -344,14 +422,21 @@ mod tests {
         let block = 256 * 1024;
         let data: Vec<u8> = (0..(64usize << 20) + 100).map(|i| (i >> 8) as u8).collect();
         let mut buf = WriteBuffer::new(block as u64);
-        assert!(buf.push(&data[..100]).is_empty());
+        assert!(push_collect(&mut buf, &data[..100]).is_empty());
         let started = std::time::Instant::now();
-        let blocks = buf.push(&data[100..]);
+        let mut blocks = 0;
+        buf.push(&data[100..], |b| -> Result<(), Infallible> {
+            assert_eq!(
+                b,
+                &data[blocks * block..(blocks + 1) * block],
+                "block {blocks}"
+            );
+            blocks += 1;
+            Ok(())
+        })
+        .unwrap();
         let push_took = started.elapsed();
-        assert_eq!(blocks.len(), 256);
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(&b[..], &data[i * block..(i + 1) * block], "block {i}");
-        }
+        assert_eq!(blocks, 256);
         assert_eq!(buf.buffered(), 100);
         assert_eq!(buf.total_bytes(), data.len() as u64);
         assert_eq!(&buf.flush().unwrap()[..], &data[256 * block..]);
@@ -370,10 +455,9 @@ mod tests {
     #[test]
     fn write_buffer_flush_returns_partial_tail() {
         let mut buf = WriteBuffer::new(8);
-        buf.push(b"abcdefgh");
-        buf.push(b"ij");
-        let blocks = buf.push(b"");
-        assert!(blocks.is_empty());
+        push_collect(&mut buf, b"abcdefgh");
+        push_collect(&mut buf, b"ij");
+        assert!(push_collect(&mut buf, b"").is_empty());
         let tail = buf.flush().unwrap();
         assert_eq!(&tail[..], b"ij");
         assert!(buf.flush().is_none());
@@ -383,8 +467,7 @@ mod tests {
     #[test]
     fn write_buffer_exact_multiple_leaves_nothing() {
         let mut buf = WriteBuffer::new(4);
-        let blocks = buf.push(b"abcdefgh");
-        assert_eq!(blocks.len(), 2);
+        assert_eq!(push_collect(&mut buf, b"abcdefgh").len(), 2);
         assert!(buf.flush().is_none());
     }
 }

@@ -327,9 +327,8 @@ impl BsfsWriter {
         if data.is_empty() {
             return Ok(());
         }
-        for block in self.buffer.push(data) {
-            self.client.append(self.blob, &block)?;
-        }
+        self.buffer
+            .push(data, |block| self.client.append(self.blob, block).map(drop))?;
         Ok(())
     }
 

@@ -53,6 +53,7 @@ pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult};
 pub use ring::HashRing;
 
 use bytes::Bytes;
+use kvstore::{FastMap, FastSet};
 use parking_lot::{Mutex, RwLock};
 use simcluster::clock::Clock;
 use simcluster::detector::{DetectorConfig, FailureDetector};
@@ -200,7 +201,7 @@ pub struct DhtRepairReport {
 
 struct DhtInner {
     ring: HashRing,
-    nodes: HashMap<DhtNodeId, Arc<DhtNode>>,
+    nodes: FastMap<DhtNodeId, Arc<DhtNode>>,
     next_id: u64,
     replication: usize,
     virtual_nodes: usize,
@@ -213,7 +214,7 @@ struct DhtInner {
 /// the marker.
 #[derive(Default)]
 struct Tombstones {
-    keys: Mutex<HashSet<Vec<u8>>>,
+    keys: Mutex<FastSet<Vec<u8>>>,
 }
 
 impl Tombstones {
@@ -301,7 +302,7 @@ impl Dht {
         );
         let mut inner = DhtInner {
             ring: HashRing::new(config.virtual_nodes),
-            nodes: HashMap::new(),
+            nodes: FastMap::default(),
             next_id: 0,
             replication: config.replication,
             virtual_nodes: config.virtual_nodes,
@@ -489,7 +490,7 @@ impl Dht {
         match self.get_many(&[key])?.pop().flatten() {
             Some(v) => Ok(v),
             None => Err(DhtError::NotFound {
-                key: String::from_utf8_lossy(key).into_owned(),
+                key: key.escape_ascii().to_string(),
             }),
         }
     }
@@ -559,10 +560,10 @@ impl Dht {
     ) -> Vec<bool> {
         let mut refused = vec![false; keys.len()];
         for (id, indices) in groups {
-            let group: Vec<Vec<u8>> = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
+            let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_ref()).collect();
             let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
             self.charge_write(*id, req_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            match inner.nodes[id].remove_each(group) {
+            match inner.nodes[id].remove_each(&group) {
                 Ok(slots) => {
                     for (&i, r) in indices.iter().zip(slots) {
                         removed[i] |= r;
@@ -624,16 +625,16 @@ impl Dht {
         // to be dead.
         let mut stored = vec![0usize; entries.len()];
         for (id, indices) in &per_node {
-            let group: Vec<(Vec<u8>, Bytes)> = indices
+            let group: Vec<(&[u8], Bytes)> = indices
                 .iter()
-                .map(|&i| (entries[i].0.as_ref().to_vec(), entries[i].1.clone()))
+                .map(|&i| (entries[i].0.as_ref(), entries[i].1.clone()))
                 .collect();
             let group_bytes: u64 = group
                 .iter()
                 .map(|(k, v)| k.len() as u64 + v.len() as u64)
                 .sum();
             self.charge_write(*id, group_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            match inner.nodes[id].put_many(group) {
+            match inner.nodes[id].put_many(&group) {
                 Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
                 // The node refused the whole group; leave its entries for
                 // the per-entry fail-over pass below.
@@ -722,7 +723,7 @@ impl Dht {
             .collect();
         let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
         let mut saw_down = vec![false; keys.len()];
-        let mut down_nodes: HashSet<DhtNodeId> = HashSet::new();
+        let mut down_nodes: FastSet<DhtNodeId> = FastSet::default();
         for rank in 0..inner.replication {
             let mut per_node: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
             for (i, replicas) in replica_lists.iter().enumerate() {
@@ -743,10 +744,10 @@ impl Dht {
             // response whatever values the node held. Nodes are asked in
             // node-id order, each exchange charged as it is served.
             for (id, indices) in &per_node {
-                let group = indices.iter().map(|&i| keys[i].as_ref().to_vec()).collect();
-                let req_bytes: u64 = indices.iter().map(|&i| keys[i].as_ref().len() as u64).sum();
+                let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_ref()).collect();
+                let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
                 let mut resp_bytes = 0u64;
-                match inner.nodes[id].get_many(group) {
+                match inner.nodes[id].get_many(&group) {
                     Ok(values) => {
                         for (&i, v) in indices.iter().zip(values) {
                             resp_bytes += v.as_ref().map_or(0, |b| b.len() as u64);
@@ -901,8 +902,8 @@ impl Dht {
                 }
             }
             for (peer, indices) in per_peer {
-                let group = indices.iter().map(|&i| keys[i].clone()).collect();
-                if let Ok(values) = inner.nodes[&peer].get_many(group) {
+                let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_slice()).collect();
+                if let Ok(values) = inner.nodes[&peer].get_many(&group) {
                     for (i, value) in indices.into_iter().zip(values) {
                         fresh[i] = value;
                     }
@@ -917,8 +918,8 @@ impl Dht {
                 None => {}
             }
         }
-        let _ = node.put_many(refresh);
-        let _ = node.remove_many(drop_keys);
+        let _ = node.put_many(&refresh);
+        let _ = node.remove_many(&drop_keys);
         if let Some(det) = self.detector.lock().clone() {
             det.observe(id, true);
         }
@@ -959,9 +960,10 @@ impl Dht {
         }
         for (node, keys) in held {
             let mine = placed.remove(&node.id()).unwrap_or_default();
-            let stray = keys.into_iter().filter(|k| !mine.contains_key(k)).collect();
-            let _ = node.remove_many(stray);
-            let _ = node.put_many(mine.into_iter().collect());
+            let stray: Vec<Vec<u8>> = keys.into_iter().filter(|k| !mine.contains_key(k)).collect();
+            let mine: Vec<(Vec<u8>, Bytes)> = mine.into_iter().collect();
+            let _ = node.remove_many(&stray);
+            let _ = node.put_many(&mine);
         }
     }
 
@@ -1051,7 +1053,7 @@ impl Dht {
                 values.entry(k).or_insert(v);
             }
             if !buried.is_empty() {
-                report.tombstones_enforced += node.remove_many(buried).unwrap_or(0);
+                report.tombstones_enforced += node.remove_many(&buried).unwrap_or(0);
             }
         }
         report.scanned_keys = values.len();
@@ -1089,7 +1091,7 @@ impl Dht {
         let mut refused: HashSet<DhtNodeId> = HashSet::new();
         for (id, entries) in copies {
             let n = entries.len();
-            match inner.nodes[&id].put_many(entries) {
+            match inner.nodes[&id].put_many(&entries) {
                 Ok(()) => report.repaired_copies += n,
                 Err(NodeDown) => {
                     refused.insert(id);
@@ -1116,7 +1118,7 @@ impl Dht {
             }
         }
         for (id, keys) in strays {
-            report.strays_removed += inner.nodes[&id].remove_many(keys).unwrap_or(0);
+            report.strays_removed += inner.nodes[&id].remove_many(&keys).unwrap_or(0);
         }
         self.repair_runs.fetch_add(1, Ordering::Relaxed);
         self.repaired_entries
@@ -1225,6 +1227,9 @@ mod tests {
         assert!(dht.remove(b"k1").unwrap());
         assert!(!dht.contains(b"k1"));
         assert!(matches!(dht.get(b"k1"), Err(DhtError::NotFound { .. })));
+        // A binary key is named readably, byte for byte.
+        let err = dht.get(b"m\x01\xff").unwrap_err();
+        assert_eq!(err.to_string(), r"key not found in DHT: m\x01\xff");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! crashed node.
 
 use bytes::Bytes;
+use kvstore::FastMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Identity of a DHT node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,7 +37,7 @@ pub type NodeResult<T> = Result<T, NodeDown>;
 
 /// Everything a node knows, behind its one lock.
 struct NodeState {
-    data: HashMap<Vec<u8>, Bytes>,
+    data: FastMap<Vec<u8>, Bytes>,
     alive: bool,
     /// Bytes of values stored.
     data_bytes: u64,
@@ -69,7 +69,8 @@ impl NodeState {
 /// for failure-injection experiments. The data plane is batch-shaped: one
 /// call carries every key (or entry) the caller has for this node, so one
 /// exchange charged on the wire is one served batch here. A single-key
-/// operation is a batch of one.
+/// operation is a batch of one. A batch borrows its keys: the node copies a
+/// key only to store it under a key it does not hold yet.
 pub struct DhtNode {
     id: DhtNodeId,
     state: Mutex<NodeState>,
@@ -81,7 +82,7 @@ impl DhtNode {
         DhtNode {
             id,
             state: Mutex::new(NodeState {
-                data: HashMap::new(),
+                data: FastMap::default(),
                 alive: true,
                 data_bytes: 0,
                 batches: 0,
@@ -96,11 +97,15 @@ impl DhtNode {
 
     /// Store one batch of entries (each replaces any existing value for its
     /// key). A dead node refuses the whole batch.
-    pub fn put_many(&self, entries: Vec<(Vec<u8>, Bytes)>) -> NodeResult<()> {
+    pub fn put_many<K: AsRef<[u8]>>(&self, entries: &[(K, Bytes)]) -> NodeResult<()> {
         self.state.lock().serve(|state| {
             for (key, value) in entries {
+                let key = key.as_ref();
                 state.data_bytes += value.len() as u64;
-                let old = state.data.insert(key, value);
+                let old = match state.data.get_mut(key) {
+                    Some(slot) => Some(std::mem::replace(slot, value.clone())),
+                    None => state.data.insert(key.to_vec(), value.clone()),
+                };
                 state.forget(old);
             }
         })
@@ -109,19 +114,21 @@ impl DhtNode {
     /// Read one batch of keys; the reply holds one slot per key, in order.
     /// A dead node refuses the whole batch (it does *not* answer "missing":
     /// the caller must fail over, not conclude absence).
-    pub fn get_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<Vec<Option<Bytes>>> {
-        self.state
-            .lock()
-            .serve(|state| keys.iter().map(|k| state.data.get(k).cloned()).collect())
+    pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> NodeResult<Vec<Option<Bytes>>> {
+        self.state.lock().serve(|state| {
+            keys.iter()
+                .map(|k| state.data.get(k.as_ref()).cloned())
+                .collect()
+        })
     }
 
     /// Remove a batch of keys; the reply holds one slot per key, in order,
     /// `true` where a value was present. Refused when dead.
-    pub fn remove_each(&self, keys: Vec<Vec<u8>>) -> NodeResult<Vec<bool>> {
+    pub fn remove_each<K: AsRef<[u8]>>(&self, keys: &[K]) -> NodeResult<Vec<bool>> {
         self.state.lock().serve(|state| {
             keys.iter()
                 .map(|key| {
-                    let old = state.data.remove(key);
+                    let old = state.data.remove(key.as_ref());
                     let present = old.is_some();
                     state.forget(old);
                     present
@@ -132,25 +139,25 @@ impl DhtNode {
 
     /// Remove a batch of keys; returns how many were present. Refused when
     /// dead.
-    pub fn remove_many(&self, keys: Vec<Vec<u8>>) -> NodeResult<usize> {
+    pub fn remove_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> NodeResult<usize> {
         Ok(self.remove_each(keys)?.into_iter().filter(|r| *r).count())
     }
 
     /// Store a value (replaces any existing value for the key). A dead node
     /// refuses the write.
     pub fn put(&self, key: &[u8], value: Bytes) -> NodeResult<()> {
-        self.put_many(vec![(key.to_vec(), value)])
+        self.put_many(&[(key, value)])
     }
 
     /// Fetch a value. A dead node refuses the read.
     pub fn get(&self, key: &[u8]) -> NodeResult<Option<Bytes>> {
-        let slots = self.get_many(vec![key.to_vec()])?;
+        let slots = self.get_many(&[key])?;
         Ok(slots.into_iter().next().flatten())
     }
 
     /// Remove a value; returns whether one was present. Refused when dead.
     pub fn remove(&self, key: &[u8]) -> NodeResult<bool> {
-        Ok(self.remove_each(vec![key.to_vec()])?.contains(&true))
+        Ok(self.remove_each(&[key])?.contains(&true))
     }
 
     /// Data-plane batches this node has handled (served or refused) since
@@ -231,18 +238,18 @@ mod tests {
             .map(|i| (vec![i], Bytes::from(vec![i; 3])))
             .collect();
         let keys: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i]).collect();
-        n.put_many(entries).unwrap();
-        let got = n.get_many(keys.clone()).unwrap();
+        n.put_many(&entries).unwrap();
+        let got = n.get_many(&keys).unwrap();
         assert_eq!(got.len(), 12);
         assert_eq!(got[3].as_ref().unwrap(), &Bytes::from(vec![3u8; 3]));
         assert!(got[10].is_none() && got[11].is_none());
         assert_eq!(n.data_bytes(), 30);
-        assert_eq!(n.remove_many(keys[5..].to_vec()), Ok(5));
+        assert_eq!(n.remove_many(&keys[5..]), Ok(5));
         assert_eq!(n.data_bytes(), 15);
         assert_eq!(n.batches_handled(), 3);
         n.kill();
-        assert_eq!(n.get_many(keys.clone()), Err(NodeDown));
-        assert_eq!(n.remove_many(keys), Err(NodeDown));
+        assert_eq!(n.get_many(&keys), Err(NodeDown));
+        assert_eq!(n.remove_many(&keys), Err(NodeDown));
         assert_eq!(n.len(), 5, "a refused batch changes nothing");
         assert_eq!(n.batches_handled(), 5, "refused batches were still handled");
     }

@@ -6,35 +6,33 @@
 //! distribution, and `successors` walks further around the circle to find the
 //! `n` *distinct* physical nodes that hold a key's replicas — the standard
 //! Dynamo/Chord construction.
+//!
+//! The circle is a sorted vector of positions, rebuilt only when a node
+//! joins or leaves. A lookup is one binary search and a short walk from
+//! there; positions are [`kvstore::fast_hash`]es, so placement is the same
+//! in every process.
 
 use crate::node::DhtNodeId;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use kvstore::fast_hash;
 
-/// Hash an arbitrary byte string (or hashable value) onto the ring.
-fn hash_bytes(data: &[u8]) -> u64 {
-    let mut h = DefaultHasher::new();
-    data.hash(&mut h);
-    h.finish()
+/// A key's position on the circle.
+fn hash_key(key: &[u8]) -> u64 {
+    fast_hash(key)
 }
 
+/// The position of virtual node `replica` of `node`. The constant keeps
+/// vnode positions apart from key positions in pathological cases.
 fn hash_vnode(node: DhtNodeId, replica: usize) -> u64 {
-    let mut h = DefaultHasher::new();
-    node.0.hash(&mut h);
-    replica.hash(&mut h);
-    // Mix in a constant so vnode hashes don't collide with raw key hashes in
-    // pathological cases.
-    0x9E37_79B9_7F4A_7C15u64.hash(&mut h);
-    h.finish()
+    fast_hash(&(node.0, replica as u64, 0x9E37_79B9_7F4A_7C15u64))
 }
 
 /// The consistent-hashing ring.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     virtual_nodes: usize,
-    /// position on the circle -> physical node
-    ring: BTreeMap<u64, DhtNodeId>,
+    /// (position on the circle, physical node), sorted by position, one
+    /// entry per position.
+    ring: Vec<(u64, DhtNodeId)>,
 }
 
 impl HashRing {
@@ -47,7 +45,7 @@ impl HashRing {
         );
         HashRing {
             virtual_nodes,
-            ring: BTreeMap::new(),
+            ring: Vec::new(),
         }
     }
 
@@ -55,7 +53,7 @@ impl HashRing {
     pub fn len(&self) -> usize {
         // Each physical node occupies exactly `virtual_nodes` positions, but
         // hash collisions could in principle merge two; count distinct ids.
-        let mut ids: Vec<DhtNodeId> = self.ring.values().copied().collect();
+        let mut ids: Vec<DhtNodeId> = self.ring.iter().map(|&(_, id)| id).collect();
         ids.sort();
         ids.dedup();
         ids.len()
@@ -66,16 +64,19 @@ impl HashRing {
         self.ring.is_empty()
     }
 
-    /// Add a physical node (idempotent).
+    /// Add a physical node (idempotent). Two nodes hashing to one position
+    /// leave it to the smaller id, so the ring does not depend on the order
+    /// nodes joined in.
     pub fn add_node(&mut self, node: DhtNodeId) {
-        for r in 0..self.virtual_nodes {
-            self.ring.insert(hash_vnode(node, r), node);
-        }
+        self.ring
+            .extend((0..self.virtual_nodes).map(|r| (hash_vnode(node, r), node)));
+        self.ring.sort_unstable();
+        self.ring.dedup_by_key(|&mut (position, _)| position);
     }
 
     /// Remove a physical node (idempotent).
     pub fn remove_node(&mut self, node: DhtNodeId) {
-        self.ring.retain(|_, v| *v != node);
+        self.ring.retain(|&(_, id)| id != node);
     }
 
     /// The primary owner of `key`, or `None` if the ring is empty.
@@ -90,12 +91,15 @@ impl HashRing {
         if self.ring.is_empty() || n == 0 {
             return Vec::new();
         }
-        let start = hash_bytes(key);
+        let start = hash_key(key);
+        let (before, after) = self
+            .ring
+            .split_at(self.ring.partition_point(|&(position, _)| position < start));
         let mut out: Vec<DhtNodeId> = Vec::with_capacity(n);
         // Walk from `start` to the end of the circle, then wrap around.
-        for (_, node) in self.ring.range(start..).chain(self.ring.range(..start)) {
-            if !out.contains(node) {
-                out.push(*node);
+        for &(_, node) in after.iter().chain(before) {
+            if !out.contains(&node) {
+                out.push(node);
                 if out.len() == n {
                     break;
                 }
@@ -108,7 +112,72 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The ring as it was before it became a sorted vector: a `BTreeMap`
+    /// from position to node, walked with `range(start..)` then
+    /// `range(..start)`. The oracle for `successors`.
+    fn btree_successors(
+        nodes: &[DhtNodeId],
+        vnodes: usize,
+        key: &[u8],
+        n: usize,
+    ) -> Vec<DhtNodeId> {
+        let mut ring = BTreeMap::new();
+        for &node in nodes {
+            for r in 0..vnodes {
+                ring.entry(hash_vnode(node, r)).or_insert(node);
+            }
+        }
+        let start = hash_key(key);
+        let mut out = Vec::new();
+        for (_, node) in ring.range(start..).chain(ring.range(..start)) {
+            if out.len() < n && !out.contains(node) {
+                out.push(*node);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn successors_match_the_ordered_map_walk() {
+        let nodes: Vec<DhtNodeId> = (0..7).map(DhtNodeId).collect();
+        let mut ring = HashRing::new(16);
+        for &node in &nodes {
+            ring.add_node(node);
+        }
+        for i in 0..2000u32 {
+            let key = i.to_le_bytes();
+            for n in [1, 2, 3, 7, 9] {
+                assert_eq!(
+                    ring.successors(&key, n),
+                    btree_successors(&nodes, 16, &key, n),
+                    "key {i}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn successors_do_not_depend_on_the_order_nodes_joined_in() {
+        let mut forward = HashRing::new(32);
+        let mut backward = HashRing::new(32);
+        let mut churned = HashRing::new(32);
+        for i in 0..6 {
+            forward.add_node(DhtNodeId(i));
+            backward.add_node(DhtNodeId(5 - i));
+            churned.add_node(DhtNodeId((i * 5) % 6));
+        }
+        // A node that leaves and rejoins lands where it was.
+        churned.remove_node(DhtNodeId(3));
+        churned.add_node(DhtNodeId(3));
+        for i in 0..1000u32 {
+            let key = format!("k{i}");
+            let want = forward.successors(key.as_bytes(), 3);
+            assert_eq!(backward.successors(key.as_bytes(), 3), want);
+            assert_eq!(churned.successors(key.as_bytes(), 3), want);
+        }
+    }
 
     #[test]
     fn empty_ring_has_no_owners() {

@@ -6,7 +6,10 @@
 //! the [`PageStore`] trait:
 //!
 //! * [`MemStore`] — a sharded in-memory map, the store of every page
-//!   provider and HDFS datanode.
+//!   provider and HDFS datanode;
+//! * [`hash`] — [`FastHasher`], the one hasher of the storage path, and its
+//!   [`FastMap`]/[`FastSet`] collections, shared with the DHT and the
+//!   metadata layer.
 //!
 //! No deployment keeps pages on disk: the process is the cluster, and no
 //! scenario restarts a provider. A durable back-end returns together with a
@@ -24,17 +27,19 @@
 //! ```
 
 mod error;
+pub mod hash;
 mod memstore;
 
 pub use error::{KvError, KvResult};
+pub use hash::{fast_hash, shard_index, FastHasher, FastMap, FastSet};
 pub use memstore::MemStore;
 
 use bytes::Bytes;
 
 /// Object-safe interface of a page store.
 ///
-/// Keys are arbitrary byte strings (BlobSeer uses `"<blob>/<version>/<page>"`
-/// style keys); values are page contents. All operations must be safe to call
+/// Keys are arbitrary byte strings (BlobSeer's page keys are a tag byte and
+/// the LEB128 varints of blob, version and page); values are page contents. All operations must be safe to call
 /// concurrently from many threads.
 pub trait PageStore: Send + Sync {
     /// Store `value` under `key`, replacing any previous value.

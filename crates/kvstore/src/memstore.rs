@@ -6,12 +6,10 @@
 //! shard is chosen by hashing, so independent keys almost never contend.
 
 use crate::error::KvResult;
+use crate::hash::{fast_hash, shard_index, FastMap};
 use crate::PageStore;
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of independent shards. A power of two so that the modulo is a mask.
@@ -19,7 +17,7 @@ const SHARDS: usize = 64;
 
 /// In-memory, thread-safe key-value store.
 pub struct MemStore {
-    shards: Vec<RwLock<HashMap<Vec<u8>, Bytes>>>,
+    shards: Vec<RwLock<FastMap<Vec<u8>, Bytes>>>,
     data_bytes: AtomicU64,
 }
 
@@ -33,15 +31,13 @@ impl MemStore {
     /// Create an empty store.
     pub fn new() -> Self {
         MemStore {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             data_bytes: AtomicU64::new(0),
         }
     }
 
     fn shard_of(&self, key: &[u8]) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARDS - 1)
+        shard_index(fast_hash(key), SHARDS)
     }
 
     /// Remove every entry.
@@ -58,7 +54,12 @@ impl PageStore for MemStore {
         let shard = &self.shards[self.shard_of(key)];
         let mut guard = shard.write();
         let new_len = value.len() as u64;
-        match guard.insert(key.to_vec(), value) {
+        // The key is copied only when it is new.
+        let old = match guard.get_mut(key) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => guard.insert(key.to_vec(), value),
+        };
+        match old {
             Some(old) => {
                 // Replacing: adjust by the delta.
                 let old_len = old.len() as u64;

@@ -57,8 +57,30 @@ use crate::fs::DistFs;
 use crate::job::Reducer;
 use crate::tasktracker::OutputFile;
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+/// Text of a key or value as the user's code sees it: a borrowed `str` when
+/// the bytes are UTF-8, which everything a mapper emits is; replacement
+/// characters otherwise, exactly as `String::from_utf8_lossy` gives them.
+fn text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
+
+/// A key's first eight bytes, big-endian and zero-padded: comparing two
+/// prefixes orders keys the way comparing the keys does, except where the
+/// prefixes tie, so a sort or merge compares them first and reads the key
+/// bytes only on a tie.
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = key.len().min(8);
+    word[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(word)
+}
 
 /// The scratch namespace of one job execution: a uniquely-tagged pair of
 /// shuffle and temporary directories under the job's output directory.
@@ -245,10 +267,13 @@ pub fn encode_spill(partitions: &[Vec<(String, String)>]) -> (Vec<u8>, Vec<Index
 }
 
 /// One emitted record in a [`MapOutputBuffer`]: the partition it goes to,
-/// and where its key and (right after it) its value lie in the arena.
+/// its key's [`key_prefix`], its place in emit order, and where its key and
+/// (right after it) its value lie in the arena.
 #[derive(Debug, Clone, Copy)]
 struct Emitted {
-    partition: usize,
+    prefix: u64,
+    partition: u32,
+    index: u32,
     at: usize,
     key_len: usize,
     value_len: usize,
@@ -311,7 +336,11 @@ impl MapOutputBuffer {
     /// Copy one emitted pair in, bound for `partition`.
     pub fn push(&mut self, partition: usize, key: &str, value: &str) {
         self.records.push(Emitted {
-            partition,
+            prefix: key_prefix(key.as_bytes()),
+            // Out of range either way: the spill reports it.
+            partition: u32::try_from(partition).unwrap_or(u32::MAX),
+            index: u32::try_from(self.records.len())
+                .expect("fewer than 2^32 records: their metadata alone would be 160 GiB"),
             at: self.arena.len(),
             key_len: key.len(),
             value_len: value.len(),
@@ -325,14 +354,18 @@ impl MapOutputBuffer {
         self.records.len()
     }
 
-    /// Stable sort of the metadata by (partition, key bytes): equal keys keep
-    /// their emit order, which the reduce-side merge relies on to reproduce
-    /// the in-memory shuffle's value order. Keys are UTF-8, so byte order is
-    /// `str` order.
+    /// Sort the metadata by (partition, key bytes), equal keys in emit
+    /// order, which the reduce-side merge relies on to reproduce the
+    /// in-memory shuffle's value order. The emit index makes every record's
+    /// sort key distinct, so an unstable sort gives the stable order. Keys
+    /// are UTF-8, so byte order is `str` order.
     fn sort(&mut self) {
         let arena = &self.arena;
-        self.records.sort_by(|a, b| {
-            (a.partition.cmp(&b.partition)).then_with(|| a.key(arena).cmp(b.key(arena)))
+        self.records.sort_unstable_by(|a, b| {
+            (a.partition.cmp(&b.partition))
+                .then(a.prefix.cmp(&b.prefix))
+                .then_with(|| a.key(arena).cmp(b.key(arena)))
+                .then(a.index.cmp(&b.index))
         });
     }
 
@@ -344,15 +377,16 @@ impl MapOutputBuffer {
         let arena = &self.arena;
         let mut out = MapOutputBuffer::new(self.partitions);
         let mut values = Vec::new();
-        let same_run =
-            |a: &Emitted, b: &Emitted| a.partition == b.partition && a.key(arena) == b.key(arena);
+        let same_run = |a: &Emitted, b: &Emitted| {
+            a.partition == b.partition && a.prefix == b.prefix && a.key(arena) == b.key(arena)
+        };
         for run in self.records.chunk_by(same_run) {
             let first = run[0];
             values.clear();
-            values
-                .extend((run.iter()).map(|r| String::from_utf8_lossy(r.value(arena)).into_owned()));
-            let key = String::from_utf8_lossy(first.key(arena));
-            combiner.reduce(&key, &values, &mut |k, v| out.push(first.partition, &k, &v))?;
+            values.extend((run.iter()).map(|r| text(r.value(arena)).into_owned()));
+            let key = text(first.key(arena));
+            let partition = first.partition as usize;
+            combiner.reduce(&key, &values, &mut |k, v| out.push(partition, &k, &v))?;
         }
         out.sort();
         Ok(out)
@@ -374,7 +408,7 @@ impl MapOutputBuffer {
         let mut image = Vec::with_capacity(8 * self.records.len() + arena.len());
         let mut index = vec![IndexEntry::default(); self.partitions];
         for record in &self.records {
-            let entry = index.get_mut(record.partition).ok_or_else(|| {
+            let entry = index.get_mut(record.partition as usize).ok_or_else(|| {
                 MrError::InvalidJob(format!(
                     "a record for partition {} of {}",
                     record.partition, self.partitions
@@ -512,14 +546,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Entry in the k-way-merge heap: the record a run's cursor stands on.
-/// `BinaryHeap` is a max-heap, so comparisons are reversed; ties break toward
-/// the lower run index (map id), and within a run the cursor supplies records
-/// in position order — reproducing the in-memory shuffle's value arrival
-/// order.
+/// Entry in the k-way-merge heap: the record a run's cursor stands on, and
+/// its key's [`key_prefix`]. `BinaryHeap` is a max-heap, so comparisons are
+/// reversed; ties break toward the lower run index (map id), and within a
+/// run the cursor supplies records in position order — reproducing the
+/// in-memory shuffle's value arrival order.
 struct MergeHead<'a> {
+    prefix: u64,
     record: RawRecord<'a>,
     run: usize,
+}
+
+impl<'a> MergeHead<'a> {
+    fn new(record: RawRecord<'a>, run: usize) -> Self {
+        MergeHead {
+            prefix: key_prefix(record.key),
+            record,
+            run,
+        }
+    }
 }
 
 impl PartialEq for MergeHead<'_> {
@@ -536,7 +581,9 @@ impl PartialOrd for MergeHead<'_> {
 impl Ord for MergeHead<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Keys are UTF-8, so byte order is `str` order.
-        (other.record.key.cmp(self.record.key)).then_with(|| other.run.cmp(&self.run))
+        (other.prefix.cmp(&self.prefix))
+            .then_with(|| other.record.key.cmp(self.record.key))
+            .then_with(|| other.run.cmp(&self.run))
     }
 }
 
@@ -556,7 +603,7 @@ pub fn merge_segments<'a>(
     let mut heap = BinaryHeap::with_capacity(cursors.len());
     for (run, cursor) in cursors.iter_mut().enumerate() {
         if let Some(record) = cursor.next()? {
-            heap.push(MergeHead { record, run });
+            heap.push(MergeHead::new(record, run));
         }
     }
     let runs = heap.len() as u64;
@@ -564,7 +611,7 @@ pub fn merge_segments<'a>(
         each(head.record)?;
         // Replacing the head in place costs one sift; a pop and a push, two.
         match cursors[head.run].next()? {
-            Some(record) => head.record = record,
+            Some(record) => *head = MergeHead::new(record, head.run),
             None => drop(PeekMut::pop(head)),
         }
     }
@@ -582,7 +629,7 @@ pub fn reduce_segments<'a>(
     out: &mut OutputFile,
 ) -> MrResult<u64> {
     let reduce_group = |key: &[u8], values: &[String], out: &mut OutputFile| {
-        let key = String::from_utf8_lossy(key);
+        let key = text(key);
         reducer.reduce(&key, values, &mut |k, v| {
             out.push(k.as_bytes(), v.as_bytes())
         })?;
@@ -597,7 +644,7 @@ pub fn reduce_segments<'a>(
                 values.clear();
             }
         }
-        values.push(String::from_utf8_lossy(record.value).into_owned());
+        values.push(text(record.value).into_owned());
         Ok(())
     })?;
     if let Some(key) = group {
@@ -940,5 +987,59 @@ mod tests {
         assert_eq!(out.records(), 2);
         assert_eq!(out.close().unwrap(), 8);
         assert_eq!(&fs.read_file("/out/part").unwrap()[..], b"a\t3\nb\t5\n");
+    }
+
+    #[test]
+    fn invalid_utf8_reaches_the_reducer_as_replacement_characters() {
+        // A hand-built segment: nothing a mapper emits is invalid UTF-8, but
+        // storage bytes are not trusted to be text.
+        let fs = fs();
+        let mut payload = Vec::new();
+        for (key, value) in [
+            (&b"k\xff"[..], &b"a\xffb"[..]),
+            (b"k\xff", b"\xc3"),
+            (b"z", b"ok"),
+        ] {
+            put_record(&mut payload, key, value).unwrap();
+        }
+        let segment = Segment {
+            payload: Bytes::from(payload),
+            source: "/a/spill".into(),
+            records: 3,
+        };
+        let mut out = OutputFile::create(&fs, "/out/part").unwrap();
+        reduce_segments([&segment], &crate::job::IdentityReducer, &mut out).unwrap();
+        out.close().unwrap();
+        let expected = "k\u{FFFD}\ta\u{FFFD}b\nk\u{FFFD}\t\u{FFFD}\nz\tok\n";
+        assert_eq!(&fs.read_file("/out/part").unwrap()[..], expected.as_bytes());
+        assert_eq!(text(b"a\xffb"), String::from_utf8_lossy(b"a\xffb"));
+        assert!(matches!(text(b"valid"), Cow::Borrowed("valid")));
+    }
+
+    #[test]
+    fn a_key_prefix_orders_like_the_key() {
+        let keys: [&[u8]; 8] = [
+            b"",
+            b"\0",
+            b"a",
+            b"a\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefghi",
+            b"b",
+        ];
+        for a in keys {
+            for b in keys {
+                let (pa, pb) = (key_prefix(a), key_prefix(b));
+                if pa != pb {
+                    assert_eq!(pa.cmp(&pb), a.cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        assert_eq!(
+            key_prefix(b"a"),
+            key_prefix(b"a\0"),
+            "a tie the key bytes break"
+        );
     }
 }

@@ -104,10 +104,19 @@ fn expected_bytes_read(text: &[u8], offset: u64, len: u64) -> u64 {
 }
 
 /// Keys from a small alphabet with a two-byte character, so they repeat
-/// within and across partitions; the empty key included.
+/// within and across partitions; the empty key included. A piece that
+/// fills the buffer's eight-byte sort prefix alone ("abcdefgh") and a NUL
+/// (which the prefix's zero padding must not confuse with a shorter key)
+/// make keys whose prefixes tie while the keys differ.
 fn key_strategy() -> impl Strategy<Value = String> {
-    let ch = prop_oneof![Just('a'), Just('b'), Just('é')];
-    prop::collection::vec(ch, 0..3).prop_map(|cs| cs.into_iter().collect())
+    let piece = prop_oneof![
+        Just("a"),
+        Just("b"),
+        Just("é"),
+        Just("\0"),
+        Just("abcdefgh"),
+    ];
+    prop::collection::vec(piece, 0..3).prop_map(|pieces| pieces.concat())
 }
 
 /// Values with tabs, newlines and non-ASCII in them; the empty value

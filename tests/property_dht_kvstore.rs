@@ -1,11 +1,38 @@
 //! Property-based tests for the DHT: it must behave exactly like an
 //! in-memory map under arbitrary operation sequences, and its batch
-//! operations like loops of the single-key ones.
+//! operations like loops of the single-key ones. The binary keys BlobSeer
+//! stores under must name what they encode and nothing else.
 
+use blobseer::metadata::NodeKey;
+use blobseer::provider::page_key;
+use blobseer::types::InlineKey;
+use blobseer::{BlobId, Version};
 use bytes::Bytes;
 use dht::{Dht, DhtConfig};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// Numbers at the varint edges (one byte, two bytes, the widest) and
+/// anywhere between.
+fn field_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..3,
+        126u64..130,
+        16_380u64..16_390,
+        Just(u64::MAX),
+        Just(u64::MAX - 1),
+        any::<u64>(),
+    ]
+}
+
+fn node_key(fields: [u64; 4]) -> NodeKey {
+    NodeKey {
+        blob: BlobId(fields[0]),
+        version: Version(fields[1]),
+        offset: fields[2],
+        span: fields[3],
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -22,6 +49,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Node keys and page keys are injective over their tuples, never equal
+    /// each other, and fit their bounds.
+    #[test]
+    fn binary_keys_are_injective_disjoint_and_bounded(
+        tuples in prop::collection::vec(
+            (field_strategy(), field_strategy(), field_strategy(), field_strategy()),
+            1..200,
+        ),
+    ) {
+        let mut nodes: HashMap<Vec<u8>, [u64; 4]> = HashMap::new();
+        let mut pages: HashMap<Vec<u8>, [u64; 3]> = HashMap::new();
+        for (a, b, c, d) in tuples {
+            let node = node_key([a, b, c, d]).dht_key();
+            prop_assert!(node.as_bytes().len() <= InlineKey::CAPACITY);
+            if let Some(seen) = nodes.insert(node.as_bytes().to_vec(), [a, b, c, d]) {
+                prop_assert_eq!(seen, [a, b, c, d]);
+            }
+            let page = page_key(BlobId(a), Version(b), c);
+            prop_assert!(page.len() <= 1 + 3 * 10);
+            if let Some(seen) = pages.insert(page, [a, b, c]) {
+                prop_assert_eq!(seen, [a, b, c]);
+            }
+        }
+        let node_keys: HashSet<&Vec<u8>> = nodes.keys().collect();
+        prop_assert!(pages.keys().all(|page| !node_keys.contains(page)));
+    }
 
     /// The DHT agrees with a plain HashMap for any operation sequence, even
     /// with a node killed halfway through (replication covers it).

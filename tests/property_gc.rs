@@ -149,7 +149,7 @@ fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
                 if !seen.insert(key) {
                     continue;
                 }
-                nodes.insert(key.dht_key());
+                nodes.insert(key.dht_key().as_bytes().to_vec());
                 match sys.metadata().get_node(key).unwrap() {
                     TreeNode::Inner { left, right } => {
                         frontier.extend([left, right].into_iter().flatten())

@@ -36,6 +36,21 @@ fn value_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(ch, 0..4).prop_map(|cs| cs.into_iter().collect())
 }
 
+/// Keys built to defeat the merge's eight-byte key prefix: pieces that fill
+/// the prefix alike ("abcdefgh"), keys shorter than eight bytes, NUL bytes
+/// (which the prefix's zero padding must not confuse with a shorter key)
+/// and a two-byte character; the empty key included.
+fn edge_key_strategy() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        Just("abcdefgh"),
+        Just("abcdefg"),
+        Just("a"),
+        Just("\0"),
+        Just("é"),
+    ];
+    prop::collection::vec(piece, 0..4).prop_map(|pieces| pieces.concat())
+}
+
 /// Lines over an alphabet with a space, a two-byte character and a byte
 /// (0xFF) that is never valid UTF-8; the empty line included.
 fn line_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -54,7 +69,10 @@ proptest! {
     #[test]
     fn streaming_merge_equals_merge_runs_record_for_record(
         runs in prop::collection::vec(
-            prop::collection::vec((key_strategy(), value_strategy()), 0..10),
+            prop::collection::vec(
+                (prop_oneof![key_strategy(), edge_key_strategy()], value_strategy()),
+                0..10,
+            ),
             1..65,
         ),
     ) {
