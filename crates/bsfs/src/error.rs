@@ -1,5 +1,6 @@
 //! Error type for BSFS file-system operations.
 
+use simcluster::fs::NamespaceError;
 use std::fmt;
 
 /// Result alias for BSFS operations.
@@ -8,19 +9,9 @@ pub type FsResult<T> = Result<T, FsError>;
 /// Errors surfaced by the BSFS layer.
 #[derive(Debug)]
 pub enum FsError {
-    /// The path does not name an existing file.
-    FileNotFound(String),
-    /// The path already names a file or directory.
-    AlreadyExists(String),
-    /// The path is not a directory (for list operations) or is a directory
-    /// where a file was expected.
-    NotADirectory(String),
-    /// The path names a directory where a file was expected.
-    IsADirectory(String),
-    /// The parent directory of the path does not exist.
-    ParentMissing(String),
-    /// A path was syntactically invalid (empty, not absolute, ...).
-    InvalidPath(String),
+    /// A namespace operation failed: missing or existing path, file where a
+    /// directory was expected, invalid path, ...
+    Namespace(NamespaceError),
     /// A read past the end of a file.
     OutOfBounds {
         path: String,
@@ -29,8 +20,6 @@ pub enum FsError {
     },
     /// The writer was already closed.
     WriterClosed,
-    /// The directory is not empty and recursive deletion was not requested.
-    DirectoryNotEmpty(String),
     /// An error bubbled up from the BlobSeer storage layer.
     Storage(blobseer::BlobSeerError),
 }
@@ -38,12 +27,7 @@ pub enum FsError {
 impl fmt::Display for FsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FsError::FileNotFound(p) => write!(f, "file not found: {p}"),
-            FsError::AlreadyExists(p) => write!(f, "path already exists: {p}"),
-            FsError::NotADirectory(p) => write!(f, "not a directory: {p}"),
-            FsError::IsADirectory(p) => write!(f, "is a directory: {p}"),
-            FsError::ParentMissing(p) => write!(f, "parent directory does not exist: {p}"),
-            FsError::InvalidPath(p) => write!(f, "invalid path: {p}"),
+            FsError::Namespace(e) => fmt::Display::fmt(e, f),
             FsError::OutOfBounds {
                 path,
                 requested_end,
@@ -55,7 +39,6 @@ impl fmt::Display for FsError {
                 )
             }
             FsError::WriterClosed => write!(f, "writer already closed"),
-            FsError::DirectoryNotEmpty(p) => write!(f, "directory not empty: {p}"),
             FsError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -67,6 +50,12 @@ impl std::error::Error for FsError {
             FsError::Storage(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<NamespaceError> for FsError {
+    fn from(e: NamespaceError) -> Self {
+        FsError::Namespace(e)
     }
 }
 
@@ -82,19 +71,9 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        assert!(FsError::FileNotFound("/a".into())
-            .to_string()
-            .contains("/a"));
-        assert!(FsError::AlreadyExists("/b".into())
-            .to_string()
-            .contains("exists"));
-        assert!(FsError::InvalidPath("".into())
-            .to_string()
-            .contains("invalid"));
+        let e: FsError = NamespaceError::FileNotFound("/a".into()).into();
+        assert_eq!(e.to_string(), "file not found: /a");
         assert!(FsError::WriterClosed.to_string().contains("closed"));
-        assert!(FsError::DirectoryNotEmpty("/d".into())
-            .to_string()
-            .contains("not empty"));
         let e = FsError::OutOfBounds {
             path: "/f".into(),
             requested_end: 10,

@@ -6,13 +6,14 @@
 //! System - BSFS" (§III-B). It consists of:
 //!
 //! * a **centralized namespace manager** ([`namespace::NamespaceManager`])
-//!   mapping a hierarchical file namespace onto BlobSeer blobs;
-//! * **client-side caching** ([`cache`]) — a stream of small sequential
-//!   reads prefetches a whole block, writes are buffered and committed one
-//!   block at a time — so that the 4 KB-record access pattern of MapReduce
-//!   applications does not translate into millions of tiny storage
-//!   operations; any other read ([`BsfsReader::read_at`]) names its range
-//!   and moves exactly those bytes;
+//!   mapping a hierarchical file namespace onto BlobSeer blobs — the same
+//!   namespace tree ([`simcluster::fs::Namespace`]) the HDFS baseline keeps;
+//! * **client-side caching** — a stream of small sequential reads is served
+//!   from one prefetched whole block ([`BsfsReader`]), writes are buffered
+//!   and committed one block at a time ([`simcluster::fs::WriteBuffer`]) —
+//!   so that the 4 KB-record access pattern of MapReduce applications does
+//!   not translate into millions of tiny storage operations; any other read
+//!   ([`BsfsReader::read_at`]) names its range and moves exactly those bytes;
 //! * a **data-layout exposure** primitive ([`Bsfs::locate`]) so the MapReduce
 //!   scheduler can ship computation to the nodes holding the data.
 //!
@@ -37,24 +38,25 @@
 //! assert_eq!(&r.read_at(0, 10).unwrap()[..], b"one record");
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod error;
 pub mod namespace;
 
-pub use cache::{CacheStats, ReadCache, WriteBuffer};
 pub use error::{FsError, FsResult};
-pub use namespace::{NamespaceManager, PathStatus};
+pub use namespace::{FileEntry, NamespaceManager, PathStatus};
 
 use blobseer::{BlobId, BlobSeer, BlobSeerClient, ByteRange};
 use bytes::Bytes;
+use cache::StreamBlock;
+use simcluster::fs::{normalize, NamespaceError, WriteBuffer};
 use simcluster::NodeId;
 use std::sync::Arc;
 
 /// Configuration of the BSFS layer.
 #[derive(Debug, Clone)]
 pub struct BsfsConfig {
-    /// Block size used for the client cache and as the write/commit unit
-    /// (Hadoop-style 64 MiB by default).
+    /// Block size a record stream is prefetched in and the write/commit
+    /// unit (Hadoop-style 64 MiB by default).
     pub block_size: u64,
     /// BlobSeer page size backing each file's blob. `None` (the default)
     /// makes one BSFS block one BlobSeer page; setting it smaller stripes
@@ -63,8 +65,6 @@ pub struct BsfsConfig {
     /// ("the page is the data-management unit" and is chosen smaller than
     /// the Hadoop chunk). Must divide `block_size` when set.
     pub page_size: Option<u64>,
-    /// Number of blocks a reader caches (per open file handle).
-    pub read_cache_blocks: usize,
 }
 
 impl Default for BsfsConfig {
@@ -72,7 +72,6 @@ impl Default for BsfsConfig {
         BsfsConfig {
             block_size: 64 * 1024 * 1024,
             page_size: None,
-            read_cache_blocks: 2,
         }
     }
 }
@@ -83,7 +82,6 @@ impl BsfsConfig {
         BsfsConfig {
             block_size: 256,
             page_size: None,
-            read_cache_blocks: 2,
         }
     }
 
@@ -171,16 +169,19 @@ impl Bsfs {
         &self.config
     }
 
-    /// Create a file and return a writer. The parent directory is created
-    /// implicitly (like Hadoop's `FileSystem.create`).
+    /// Create a file and return a writer. Missing ancestor directories are
+    /// created implicitly (like Hadoop's `FileSystem.create`).
     pub fn create(&self, path: &str) -> FsResult<BsfsWriter> {
-        let normalized = namespace::normalize(path)?;
-        let parent = namespace::parent_of(&normalized);
-        self.namespace.mkdirs(&parent)?;
+        // An invalid path fails before a blob is made.
+        let normalized = normalize(path)?;
         let blob = self
             .client
             .create(Some(self.config.effective_page_size()))?;
-        self.namespace.create_file(&normalized, blob)?;
+        if let Err(e) = self.namespace.create_file(&normalized, FileEntry { blob }) {
+            // Nothing refers to the blob: free it before reporting.
+            self.client.delete(blob)?;
+            return Err(e.into());
+        }
         Ok(BsfsWriter {
             client: self.client.clone(),
             blob,
@@ -192,12 +193,12 @@ impl Bsfs {
 
     /// Open a file for reading.
     pub fn open(&self, path: &str) -> FsResult<BsfsReader> {
-        let normalized = namespace::normalize(path)?;
+        let normalized = normalize(path)?;
         let entry = self.namespace.lookup(&normalized)?;
         Ok(BsfsReader {
             client: self.client.clone(),
             blob: entry.blob,
-            cache: ReadCache::new(self.config.block_size, self.config.read_cache_blocks),
+            stream: StreamBlock::new(self.config.block_size),
             path: normalized,
             position: 0,
             run: 0,
@@ -223,12 +224,12 @@ impl Bsfs {
 
     /// Create a directory and its ancestors.
     pub fn mkdirs(&self, path: &str) -> FsResult<()> {
-        self.namespace.mkdirs(path)
+        Ok(self.namespace.mkdirs(path)?)
     }
 
     /// List the children of a directory.
     pub fn list(&self, path: &str) -> FsResult<Vec<String>> {
-        self.namespace.list(path)
+        Ok(self.namespace.list(path)?)
     }
 
     /// Delete a file or, with `recursive`, a directory tree, and free the
@@ -240,7 +241,9 @@ impl Bsfs {
         let removed = match self.namespace.status(path)? {
             PathStatus::File(_) => vec![self.namespace.remove_file(path)?],
             PathStatus::Directory => self.namespace.remove_dir(path, recursive)?,
-            PathStatus::Missing => return Err(FsError::FileNotFound(path.to_string())),
+            PathStatus::Missing => {
+                return Err(NamespaceError::FileNotFound(path.to_string()).into())
+            }
         };
         let blobs: Vec<BlobId> = removed.iter().map(|entry| entry.blob).collect();
         Ok(self.client.delete_all(&blobs)?)
@@ -248,7 +251,7 @@ impl Bsfs {
 
     /// Rename a file or directory.
     pub fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        self.namespace.rename(from, to)
+        Ok(self.namespace.rename(from, to)?)
     }
 
     /// Expose the data layout of a byte range of a file: which cluster nodes
@@ -327,8 +330,9 @@ impl BsfsWriter {
         if data.is_empty() {
             return Ok(());
         }
-        self.buffer
-            .push(data, |block| self.client.append(self.blob, block).map(drop))?;
+        self.buffer.push(data, |block| {
+            self.client.append(self.blob, &block).map(drop)
+        })?;
         Ok(())
     }
 
@@ -357,12 +361,13 @@ impl BsfsWriter {
 const EXACT_READS_BEFORE_STREAM: u32 = 2;
 
 /// Reader for one file. A read moves exactly the bytes it names, until the
-/// reads form a stream of small records: from then on a miss prefetches the
-/// whole block and the records that follow are served from it.
+/// reads form a stream of small records: from then on the reader prefetches
+/// the whole block a record lies in, holds it, and serves the records that
+/// follow from it.
 pub struct BsfsReader {
     client: BlobSeerClient,
     blob: BlobId,
-    cache: ReadCache,
+    stream: StreamBlock,
     path: String,
     position: u64,
     /// Sub-block reads in a row that each started where the one before ended
@@ -387,18 +392,13 @@ impl BsfsReader {
         Ok(self.len()? == 0)
     }
 
-    /// Cache statistics for this reader (A2 ablation instrumentation).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Read `len` bytes at an explicit offset: exactly the bytes
     /// `[offset, offset + len)`, with one ranged blob read — a caller that
     /// names its range has said all it wants. The exception is the access
     /// pattern the paper's cache is for, a stream of small records: once
     /// more than [`EXACT_READS_BEFORE_STREAM`] reads shorter than a block
-    /// have each continued the one before, reads go through the block cache,
-    /// which prefetches whole blocks, until one breaks the run.
+    /// have each continued the one before, reads are served from the held
+    /// block, prefetched whole, until one breaks the run.
     pub fn read_at(&mut self, offset: u64, len: u64) -> FsResult<Bytes> {
         let size = self.len()?;
         // `checked_add`: a huge offset must surface as `OutOfBounds`, not
@@ -414,7 +414,7 @@ impl BsfsReader {
         if len == 0 {
             return Ok(Bytes::new());
         }
-        let block_size = self.cache.block_size();
+        let block_size = self.stream.block_size();
         self.run = if len >= block_size {
             0
         } else if self.run > 0 && offset == self.run_end {
@@ -427,7 +427,7 @@ impl BsfsReader {
             return Ok(self.client.read_latest(self.blob, offset, len)?);
         }
         let (client, blob) = (&self.client, self.blob);
-        self.cache
+        self.stream
             .read(offset, len, size, |block, block_len| {
                 client.read_latest(blob, block * block_size, block_len)
             })
@@ -503,6 +503,7 @@ mod tests {
         let data: Vec<u8> = (0..2048u32).map(|i| (i % 256) as u8).collect();
         fs.write_file("/input", &data).unwrap();
         let mut r = fs.open("/input").unwrap();
+        let before = fs.storage().stats();
         let mut assembled = Vec::new();
         loop {
             let chunk = r.read(32).unwrap();
@@ -512,10 +513,11 @@ mod tests {
             assembled.extend_from_slice(&chunk);
         }
         assert_eq!(assembled, data);
-        let stats = r.cache_stats();
-        // 2048/256 = 8 blocks loaded, not 64 small reads.
-        assert_eq!(stats.blocks_loaded, 8);
-        assert!(stats.hits > stats.misses);
+        let after = fs.storage().stats();
+        // Two exact records, then 2048/256 = 8 whole blocks: 10 blob reads,
+        // not 64 small ones.
+        assert_eq!(after.read_ops - before.read_ops, 2 + 8);
+        assert_eq!(after.bytes_read - before.bytes_read, 64 + 2048);
     }
 
     #[test]
@@ -541,7 +543,7 @@ mod tests {
         r.read_at(16, 100).unwrap();
         let body = fs.storage().stats();
         assert_eq!(body.bytes_read - last.bytes_read, 116);
-        assert_eq!(r.cache_stats(), CacheStats::default(), "no block loaded");
+        assert_eq!(body.read_ops - last.read_ops, 2, "no block loaded");
     }
 
     #[test]
@@ -561,19 +563,18 @@ mod tests {
         let scanned = fs.storage().stats();
         assert_eq!(scanned.read_ops - before.read_ops, 2 + 4);
         assert_eq!(scanned.bytes_read - before.bytes_read, 64 + 1024);
-        assert_eq!(r.cache_stats().blocks_loaded, 4);
         // A read elsewhere breaks the run: exact again, no block loaded.
         assert_eq!(&r.read_at(512, 8).unwrap()[..], &data[512..520]);
         let jumped = fs.storage().stats();
         assert_eq!(jumped.bytes_read - scanned.bytes_read, 8);
-        assert_eq!(r.cache_stats().blocks_loaded, 4);
+        assert_eq!(jumped.read_ops - scanned.read_ops, 1);
         // So does a read of a block or more, however sequential.
         r.read_at(0, 256).unwrap();
         r.read_at(256, 256).unwrap();
         r.read_at(512, 256).unwrap();
         let blocks = fs.storage().stats();
         assert_eq!(blocks.read_ops - jumped.read_ops, 3);
-        assert_eq!(r.cache_stats().blocks_loaded, 4);
+        assert_eq!(blocks.bytes_read - jumped.bytes_read, 768);
     }
 
     #[test]
@@ -621,15 +622,21 @@ mod tests {
     #[test]
     fn open_missing_file_fails() {
         let fs = fs();
-        assert!(matches!(fs.open("/nope"), Err(FsError::FileNotFound(_))));
-        assert!(matches!(fs.len("/nope"), Err(FsError::FileNotFound(_))));
+        assert!(matches!(
+            fs.open("/nope"),
+            Err(FsError::Namespace(NamespaceError::FileNotFound(_)))
+        ));
+        assert!(matches!(
+            fs.len("/nope"),
+            Err(FsError::Namespace(NamespaceError::FileNotFound(_)))
+        ));
         assert!(matches!(
             fs.read_file("/nope"),
-            Err(FsError::FileNotFound(_))
+            Err(FsError::Namespace(NamespaceError::FileNotFound(_)))
         ));
         assert!(matches!(
             fs.delete("/nope", false),
-            Err(FsError::FileNotFound(_))
+            Err(FsError::Namespace(NamespaceError::FileNotFound(_)))
         ));
     }
 
@@ -637,7 +644,13 @@ mod tests {
     fn create_existing_file_fails() {
         let fs = fs();
         fs.write_file("/dup", b"x").unwrap();
-        assert!(matches!(fs.create("/dup"), Err(FsError::AlreadyExists(_))));
+        let blobs = fs.storage().version_manager().blob_ids();
+        assert!(matches!(
+            fs.create("/dup"),
+            Err(FsError::Namespace(NamespaceError::AlreadyExists(_)))
+        ));
+        // The blob the failed create made is freed, not leaked.
+        assert_eq!(fs.storage().version_manager().blob_ids(), blobs);
     }
 
     #[test]

@@ -2,338 +2,37 @@
 //!
 //! "This layer consists in a centralized namespace manager, which is
 //! responsible for maintaining a file system namespace, and for mapping files
-//! to BLOBs" (paper §III-B). The manager keeps an in-memory table of absolute
-//! paths: files map to the [`blobseer::BlobId`] holding their contents,
-//! directories are pure namespace entries. All operations are thread-safe and
-//! serialized on a single lock — exactly the centralization the paper
-//! describes (and the same design point as HDFS's namenode).
+//! to BLOBs" (paper §III-B). The manager is the shared namespace tree
+//! ([`simcluster::fs::Namespace`]) over [`FileEntry`]: files map to the
+//! [`blobseer::BlobId`] holding their contents, directories are pure
+//! namespace entries. All operations are thread-safe and serialized on a
+//! single lock — exactly the centralization the paper describes, and the same
+//! tree HDFS's namenode keeps.
 
-use crate::error::{FsError, FsResult};
 use blobseer::BlobId;
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use simcluster::fs::Namespace;
 
 /// Metadata kept for every file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileEntry {
     /// Blob storing the file contents.
     pub blob: BlobId,
-    /// Logical creation order (monotonic counter, stands in for a timestamp
-    /// so that runs are deterministic).
-    pub created_seq: u64,
 }
+
+/// The centralized namespace manager: the namespace tree over BSFS files.
+pub type NamespaceManager = Namespace<FileEntry>;
 
 /// Status returned by [`NamespaceManager::status`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathStatus {
-    /// The path is a file backed by the given blob.
-    File(FileEntry),
-    /// The path is a directory.
-    Directory,
-    /// The path does not exist.
-    Missing,
-}
-
-/// Normalise an absolute path: require a leading '/', collapse duplicate
-/// slashes, strip a trailing slash (except for the root itself).
-pub fn normalize(path: &str) -> FsResult<String> {
-    if path.is_empty() || !path.starts_with('/') {
-        return Err(FsError::InvalidPath(path.to_string()));
-    }
-    let mut parts: Vec<&str> = Vec::new();
-    for part in path.split('/') {
-        match part {
-            "" | "." => continue,
-            ".." => return Err(FsError::InvalidPath(path.to_string())),
-            p => parts.push(p),
-        }
-    }
-    if parts.is_empty() {
-        Ok("/".to_string())
-    } else {
-        Ok(format!("/{}", parts.join("/")))
-    }
-}
-
-/// The parent directory of a normalised path ("/" for top-level entries).
-pub fn parent_of(path: &str) -> String {
-    match path.rfind('/') {
-        Some(0) | None => "/".to_string(),
-        Some(idx) => path[..idx].to_string(),
-    }
-}
-
-struct Inner {
-    files: BTreeMap<String, FileEntry>,
-    directories: BTreeSet<String>,
-    next_seq: u64,
-}
-
-/// The centralized namespace manager.
-pub struct NamespaceManager {
-    inner: Mutex<Inner>,
-}
-
-impl Default for NamespaceManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NamespaceManager {
-    /// Create a namespace containing only the root directory.
-    pub fn new() -> Self {
-        let mut directories = BTreeSet::new();
-        directories.insert("/".to_string());
-        NamespaceManager {
-            inner: Mutex::new(Inner {
-                files: BTreeMap::new(),
-                directories,
-                next_seq: 0,
-            }),
-        }
-    }
-
-    /// Register a new file at `path` backed by `blob`. The parent directory
-    /// must exist; intermediate directories are *not* created implicitly (use
-    /// [`NamespaceManager::mkdirs`]).
-    pub fn create_file(&self, path: &str, blob: BlobId) -> FsResult<()> {
-        let path = normalize(path)?;
-        if path == "/" {
-            return Err(FsError::IsADirectory(path));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) || inner.directories.contains(&path) {
-            return Err(FsError::AlreadyExists(path));
-        }
-        let parent = parent_of(&path);
-        if !inner.directories.contains(&parent) {
-            return Err(FsError::ParentMissing(parent));
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.files.insert(
-            path,
-            FileEntry {
-                blob,
-                created_seq: seq,
-            },
-        );
-        Ok(())
-    }
-
-    /// Create a directory and any missing ancestors.
-    pub fn mkdirs(&self, path: &str) -> FsResult<()> {
-        let path = normalize(path)?;
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(FsError::AlreadyExists(path));
-        }
-        // Walk down from the root creating every component.
-        let mut current = String::new();
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            current.push('/');
-            current.push_str(part);
-            if inner.files.contains_key(&current) {
-                return Err(FsError::NotADirectory(current));
-            }
-            inner.directories.insert(current.clone());
-        }
-        Ok(())
-    }
-
-    /// Look up the blob backing a file.
-    pub fn lookup(&self, path: &str) -> FsResult<FileEntry> {
-        let path = normalize(path)?;
-        let inner = self.inner.lock();
-        if inner.directories.contains(&path) {
-            return Err(FsError::IsADirectory(path));
-        }
-        inner
-            .files
-            .get(&path)
-            .cloned()
-            .ok_or(FsError::FileNotFound(path))
-    }
-
-    /// Status of a path.
-    pub fn status(&self, path: &str) -> FsResult<PathStatus> {
-        let path = normalize(path)?;
-        let inner = self.inner.lock();
-        if let Some(entry) = inner.files.get(&path) {
-            Ok(PathStatus::File(entry.clone()))
-        } else if inner.directories.contains(&path) {
-            Ok(PathStatus::Directory)
-        } else {
-            Ok(PathStatus::Missing)
-        }
-    }
-
-    /// Does the path exist (as a file or a directory)?
-    pub fn exists(&self, path: &str) -> bool {
-        matches!(
-            self.status(path),
-            Ok(PathStatus::File(_)) | Ok(PathStatus::Directory)
-        )
-    }
-
-    /// List the immediate children of a directory (file and directory names,
-    /// sorted).
-    pub fn list(&self, path: &str) -> FsResult<Vec<String>> {
-        let path = normalize(path)?;
-        let inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(FsError::NotADirectory(path));
-        }
-        if !inner.directories.contains(&path) {
-            return Err(FsError::FileNotFound(path));
-        }
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
-        let mut children = BTreeSet::new();
-        for candidate in inner.files.keys().chain(inner.directories.iter()) {
-            if candidate == &path {
-                continue;
-            }
-            if let Some(rest) = candidate.strip_prefix(&prefix) {
-                if let Some(first) = rest.split('/').next() {
-                    if !first.is_empty() {
-                        children.insert(format!("{prefix}{first}"));
-                    }
-                }
-            }
-        }
-        Ok(children.into_iter().collect())
-    }
-
-    /// Remove a file, returning the blob that backed it (the caller deletes
-    /// the blob from BlobSeer).
-    pub fn remove_file(&self, path: &str) -> FsResult<FileEntry> {
-        let path = normalize(path)?;
-        let mut inner = self.inner.lock();
-        if inner.directories.contains(&path) {
-            return Err(FsError::IsADirectory(path));
-        }
-        inner.files.remove(&path).ok_or(FsError::FileNotFound(path))
-    }
-
-    /// Remove a directory. When `recursive` is false the directory must be
-    /// empty. Returns the file entries that were removed (their blobs are the
-    /// caller's to delete).
-    pub fn remove_dir(&self, path: &str, recursive: bool) -> FsResult<Vec<FileEntry>> {
-        let path = normalize(path)?;
-        if path == "/" {
-            return Err(FsError::InvalidPath(
-                "cannot remove the root directory".into(),
-            ));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(FsError::NotADirectory(path));
-        }
-        if !inner.directories.contains(&path) {
-            return Err(FsError::FileNotFound(path));
-        }
-        let prefix = format!("{path}/");
-        let child_files: Vec<String> = inner
-            .files
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        let child_dirs: Vec<String> = inner
-            .directories
-            .iter()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        if !recursive && (!child_files.is_empty() || !child_dirs.is_empty()) {
-            return Err(FsError::DirectoryNotEmpty(path));
-        }
-        let mut removed = Vec::with_capacity(child_files.len());
-        for f in child_files {
-            if let Some(entry) = inner.files.remove(&f) {
-                removed.push(entry);
-            }
-        }
-        for d in child_dirs {
-            inner.directories.remove(&d);
-        }
-        inner.directories.remove(&path);
-        Ok(removed)
-    }
-
-    /// Rename a file or directory (and, for directories, everything under it).
-    pub fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        let from = normalize(from)?;
-        let to = normalize(to)?;
-        if from == "/" || to == "/" {
-            return Err(FsError::InvalidPath(
-                "cannot rename the root directory".into(),
-            ));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&to) || inner.directories.contains(&to) {
-            return Err(FsError::AlreadyExists(to));
-        }
-        let to_parent = parent_of(&to);
-        if !inner.directories.contains(&to_parent) {
-            return Err(FsError::ParentMissing(to_parent));
-        }
-        if let Some(entry) = inner.files.remove(&from) {
-            inner.files.insert(to, entry);
-            return Ok(());
-        }
-        if inner.directories.contains(&from) {
-            let prefix = format!("{from}/");
-            let moved_files: Vec<(String, FileEntry)> = inner
-                .files
-                .iter()
-                .filter(|(k, _)| k.starts_with(&prefix))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            for (k, v) in moved_files {
-                inner.files.remove(&k);
-                let new_key = format!("{to}/{}", &k[prefix.len()..]);
-                inner.files.insert(new_key, v);
-            }
-            let moved_dirs: Vec<String> = inner
-                .directories
-                .iter()
-                .filter(|k| k.starts_with(&prefix) || **k == from)
-                .cloned()
-                .collect();
-            for d in moved_dirs {
-                inner.directories.remove(&d);
-                let new_key = if d == from {
-                    to.clone()
-                } else {
-                    format!("{to}/{}", &d[prefix.len()..])
-                };
-                inner.directories.insert(new_key);
-            }
-            return Ok(());
-        }
-        Err(FsError::FileNotFound(from))
-    }
-
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.inner.lock().files.len()
-    }
-
-    /// All file paths, sorted (used by tests and the experiment harness).
-    pub fn all_files(&self) -> Vec<String> {
-        self.inner.lock().files.keys().cloned().collect()
-    }
-}
+pub type PathStatus = simcluster::fs::PathStatus<FileEntry>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcluster::fs::{normalize, parent_of, NamespaceError};
+
+    fn file(id: u64) -> FileEntry {
+        FileEntry { blob: BlobId(id) }
+    }
 
     #[test]
     fn normalize_paths() {
@@ -356,7 +55,7 @@ mod tests {
     #[test]
     fn create_lookup_remove_file() {
         let ns = NamespaceManager::new();
-        ns.create_file("/data.txt", BlobId(1)).unwrap();
+        ns.create_file("/data.txt", file(1)).unwrap();
         let entry = ns.lookup("/data.txt").unwrap();
         assert_eq!(entry.blob, BlobId(1));
         assert!(ns.exists("/data.txt"));
@@ -366,34 +65,40 @@ mod tests {
         assert!(!ns.exists("/data.txt"));
         assert!(matches!(
             ns.lookup("/data.txt"),
-            Err(FsError::FileNotFound(_))
+            Err(NamespaceError::FileNotFound(_))
         ));
     }
 
     #[test]
     fn duplicate_creation_fails() {
         let ns = NamespaceManager::new();
-        ns.create_file("/f", BlobId(0)).unwrap();
+        ns.create_file("/f", file(0)).unwrap();
         assert!(matches!(
-            ns.create_file("/f", BlobId(1)),
-            Err(FsError::AlreadyExists(_))
+            ns.create_file("/f", file(1)),
+            Err(NamespaceError::AlreadyExists(_))
         ));
         ns.mkdirs("/d").unwrap();
         assert!(matches!(
-            ns.create_file("/d", BlobId(1)),
-            Err(FsError::AlreadyExists(_))
+            ns.create_file("/d", file(1)),
+            Err(NamespaceError::AlreadyExists(_))
         ));
     }
 
     #[test]
     fn parent_must_exist() {
         let ns = NamespaceManager::new();
+        // A create makes its missing ancestors, as Hadoop's `create` does...
+        ns.create_file("/missing/file", file(0)).unwrap();
+        assert_eq!(ns.status("/missing").unwrap(), PathStatus::Directory);
+        // ...but never through a file, and a rename needs its parent.
         assert!(matches!(
-            ns.create_file("/missing/file", BlobId(0)),
-            Err(FsError::ParentMissing(_))
+            ns.create_file("/missing/file/below", file(1)),
+            Err(NamespaceError::NotADirectory(_))
         ));
-        ns.mkdirs("/missing").unwrap();
-        ns.create_file("/missing/file", BlobId(0)).unwrap();
+        assert!(matches!(
+            ns.rename("/missing/file", "/absent/file"),
+            Err(NamespaceError::ParentMissing(_))
+        ));
     }
 
     #[test]
@@ -403,39 +108,45 @@ mod tests {
         assert!(ns.exists("/a"));
         assert!(ns.exists("/a/b"));
         assert!(ns.exists("/a/b/c"));
-        ns.create_file("/a/b/file1", BlobId(1)).unwrap();
-        ns.create_file("/a/b/file2", BlobId(2)).unwrap();
+        ns.create_file("/a/b/file1", file(1)).unwrap();
+        ns.create_file("/a/b/file2", file(2)).unwrap();
         let children = ns.list("/a/b").unwrap();
         assert_eq!(children, vec!["/a/b/c", "/a/b/file1", "/a/b/file2"]);
         let top = ns.list("/").unwrap();
         assert_eq!(top, vec!["/a"]);
         assert!(matches!(
             ns.list("/a/b/file1"),
-            Err(FsError::NotADirectory(_))
+            Err(NamespaceError::NotADirectory(_))
         ));
-        assert!(matches!(ns.list("/nope"), Err(FsError::FileNotFound(_))));
+        assert!(matches!(
+            ns.list("/nope"),
+            Err(NamespaceError::FileNotFound(_))
+        ));
     }
 
     #[test]
     fn status_variants() {
         let ns = NamespaceManager::new();
         ns.mkdirs("/dir").unwrap();
-        ns.create_file("/dir/f", BlobId(3)).unwrap();
+        ns.create_file("/dir/f", file(3)).unwrap();
         assert_eq!(ns.status("/dir").unwrap(), PathStatus::Directory);
         assert!(matches!(ns.status("/dir/f").unwrap(), PathStatus::File(_)));
         assert_eq!(ns.status("/other").unwrap(), PathStatus::Missing);
-        assert!(matches!(ns.lookup("/dir"), Err(FsError::IsADirectory(_))));
+        assert!(matches!(
+            ns.lookup("/dir"),
+            Err(NamespaceError::IsADirectory(_))
+        ));
     }
 
     #[test]
     fn remove_dir_requires_empty_unless_recursive() {
         let ns = NamespaceManager::new();
         ns.mkdirs("/out/logs").unwrap();
-        ns.create_file("/out/part-0", BlobId(1)).unwrap();
-        ns.create_file("/out/logs/l0", BlobId(2)).unwrap();
+        ns.create_file("/out/part-0", file(1)).unwrap();
+        ns.create_file("/out/logs/l0", file(2)).unwrap();
         assert!(matches!(
             ns.remove_dir("/out", false),
-            Err(FsError::DirectoryNotEmpty(_))
+            Err(NamespaceError::DirectoryNotEmpty(_))
         ));
         let removed = ns.remove_dir("/out", true).unwrap();
         assert_eq!(removed.len(), 2);
@@ -444,7 +155,7 @@ mod tests {
         assert_eq!(ns.file_count(), 0);
         assert!(matches!(
             ns.remove_dir("/", true),
-            Err(FsError::InvalidPath(_))
+            Err(NamespaceError::InvalidPath(_))
         ));
     }
 
@@ -453,13 +164,13 @@ mod tests {
         let ns = NamespaceManager::new();
         ns.mkdirs("/a").unwrap();
         ns.mkdirs("/b").unwrap();
-        ns.create_file("/a/f", BlobId(1)).unwrap();
+        ns.create_file("/a/f", file(1)).unwrap();
         ns.rename("/a/f", "/b/g").unwrap();
         assert!(!ns.exists("/a/f"));
         assert_eq!(ns.lookup("/b/g").unwrap().blob, BlobId(1));
 
         // Directory rename moves everything under it.
-        ns.create_file("/a/nested", BlobId(2)).unwrap();
+        ns.create_file("/a/nested", file(2)).unwrap();
         ns.rename("/a", "/c").unwrap();
         assert!(!ns.exists("/a"));
         assert!(ns.exists("/c"));
@@ -468,51 +179,22 @@ mod tests {
         // Destination collisions and missing parents are rejected.
         assert!(matches!(
             ns.rename("/c/nested", "/b/g"),
-            Err(FsError::AlreadyExists(_))
+            Err(NamespaceError::AlreadyExists(_))
         ));
         assert!(matches!(
             ns.rename("/c/nested", "/zz/x"),
-            Err(FsError::ParentMissing(_))
+            Err(NamespaceError::ParentMissing(_))
         ));
         assert!(matches!(
             ns.rename("/ghost", "/b/h"),
-            Err(FsError::FileNotFound(_))
+            Err(NamespaceError::FileNotFound(_))
         ));
-    }
-
-    #[test]
-    fn all_files_is_sorted() {
-        let ns = NamespaceManager::new();
-        ns.create_file("/z", BlobId(0)).unwrap();
-        ns.create_file("/a", BlobId(1)).unwrap();
-        assert_eq!(ns.all_files(), vec!["/a", "/z"]);
-    }
-
-    #[test]
-    fn concurrent_creates_get_distinct_sequence_numbers() {
-        let ns = std::sync::Arc::new(NamespaceManager::new());
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let ns = std::sync::Arc::clone(&ns);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        ns.create_file(&format!("/t{t}-f{i}"), BlobId(t * 1000 + i))
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ns.file_count(), 400);
-        let mut seqs: Vec<u64> = ns
-            .all_files()
-            .iter()
-            .map(|f| ns.lookup(f).unwrap().created_seq)
-            .collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 400, "sequence numbers must be unique");
+        // A directory cannot move below itself: the subtree would be cut
+        // off from the root.
+        assert!(matches!(
+            ns.rename("/c", "/c/d"),
+            Err(NamespaceError::InvalidPath(_))
+        ));
+        assert_eq!(ns.list("/c").unwrap(), ["/c/nested"]);
     }
 }

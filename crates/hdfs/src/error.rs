@@ -1,5 +1,6 @@
 //! Error type for the HDFS-like baseline file system.
 
+use simcluster::fs::NamespaceError;
 use std::fmt;
 
 /// Result alias for HDFS operations.
@@ -8,18 +9,9 @@ pub type HdfsResult<T> = Result<T, HdfsError>;
 /// Errors surfaced by the HDFS baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HdfsError {
-    /// The path does not name an existing file.
-    FileNotFound(String),
-    /// The path already exists.
-    AlreadyExists(String),
-    /// The path is a directory where a file was expected.
-    IsADirectory(String),
-    /// The path is a file where a directory was expected.
-    NotADirectory(String),
-    /// The parent directory does not exist.
-    ParentMissing(String),
-    /// A path was syntactically invalid.
-    InvalidPath(String),
+    /// A namespace operation failed: missing or existing path, file where a
+    /// directory was expected, invalid path, ...
+    Namespace(NamespaceError),
     /// HDFS files are write-once: the file is still being written (not yet
     /// closed) and cannot be read, or it is closed and cannot be written.
     WrongFileState {
@@ -32,8 +24,6 @@ pub enum HdfsError {
         requested_end: u64,
         size: u64,
     },
-    /// The directory is not empty and recursive deletion was not requested.
-    DirectoryNotEmpty(String),
     /// No datanode is available to hold a chunk replica.
     NoDatanodes,
     /// A chunk could not be read from any replica.
@@ -45,12 +35,7 @@ pub enum HdfsError {
 impl fmt::Display for HdfsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HdfsError::FileNotFound(p) => write!(f, "file not found: {p}"),
-            HdfsError::AlreadyExists(p) => write!(f, "path already exists: {p}"),
-            HdfsError::IsADirectory(p) => write!(f, "is a directory: {p}"),
-            HdfsError::NotADirectory(p) => write!(f, "not a directory: {p}"),
-            HdfsError::ParentMissing(p) => write!(f, "parent directory does not exist: {p}"),
-            HdfsError::InvalidPath(p) => write!(f, "invalid path: {p}"),
+            HdfsError::Namespace(e) => fmt::Display::fmt(e, f),
             HdfsError::WrongFileState { path, expected } => {
                 write!(f, "file {path} is not in the required state ({expected})")
             }
@@ -64,7 +49,6 @@ impl fmt::Display for HdfsError {
                     "read past end of {path}: requested byte {requested_end}, size {size}"
                 )
             }
-            HdfsError::DirectoryNotEmpty(p) => write!(f, "directory not empty: {p}"),
             HdfsError::NoDatanodes => write!(f, "no datanodes available"),
             HdfsError::ChunkUnavailable { path, chunk_index } => {
                 write!(
@@ -79,15 +63,20 @@ impl fmt::Display for HdfsError {
 
 impl std::error::Error for HdfsError {}
 
+impl From<NamespaceError> for HdfsError {
+    fn from(e: NamespaceError) -> Self {
+        HdfsError::Namespace(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_messages() {
-        assert!(HdfsError::FileNotFound("/x".into())
-            .to_string()
-            .contains("/x"));
+        let e: HdfsError = NamespaceError::FileNotFound("/x".into()).into();
+        assert_eq!(e.to_string(), "file not found: /x");
         assert!(HdfsError::NoDatanodes.to_string().contains("datanodes"));
         assert!(HdfsError::WrongFileState {
             path: "/f".into(),

@@ -5,7 +5,8 @@
 //! (§II-C and §IV-B of the paper):
 //!
 //! * a single **namenode** holding the namespace and chunk locations
-//!   ([`namenode::Namenode`]);
+//!   ([`namenode::Namenode`]) — its namespace is the tree BSFS keeps too
+//!   ([`simcluster::fs::Namespace`]);
 //! * **datanodes** storing fixed-size chunks (64 MiB by default)
 //!   ([`datanode::Datanode`]);
 //! * **write-once semantics** — a file is created, written by one client,
@@ -41,6 +42,7 @@ pub use namenode::{ChunkInfo, ChunkLocation, FileMeta, FileState, Namenode};
 pub use placement::PlacementPolicy;
 
 use bytes::Bytes;
+use simcluster::fs::{normalize, Block, NamespaceError, PathStatus, WriteBuffer};
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
 use std::sync::Arc;
@@ -177,7 +179,7 @@ impl Hdfs {
             namenode: Arc::clone(&self.namenode),
             path: normalized,
             node: self.node,
-            buffer: Vec::with_capacity(self.namenode.chunk_size() as usize),
+            buffer: WriteBuffer::new(self.namenode.chunk_size()),
             closed: false,
         })
     }
@@ -188,7 +190,7 @@ impl Hdfs {
         Ok(HdfsReader {
             namenode: Arc::clone(&self.namenode),
             meta,
-            path: namenode::normalize(path)?,
+            path: normalize(path)?,
             node: self.node,
             position: 0,
         })
@@ -201,32 +203,35 @@ impl Hdfs {
 
     /// True when the namespace holds no files.
     pub fn is_empty(&self) -> bool {
-        self.namenode.file_count() == 0
+        self.namenode.namespace().file_count() == 0
     }
 
     /// Does the path exist?
     pub fn exists(&self, path: &str) -> bool {
-        self.namenode.exists(path)
+        self.namenode.namespace().exists(path)
     }
 
     /// Create a directory and its ancestors.
     pub fn mkdirs(&self, path: &str) -> HdfsResult<()> {
-        self.namenode.mkdirs(path)
+        Ok(self.namenode.namespace().mkdirs(path)?)
     }
 
     /// List the children of a directory.
     pub fn list(&self, path: &str) -> HdfsResult<Vec<String>> {
-        self.namenode.list(path)
+        Ok(self.namenode.namespace().list(path)?)
     }
 
     /// Delete a file or (recursively) a directory, releasing chunk replicas.
     pub fn delete(&self, path: &str, recursive: bool) -> HdfsResult<()> {
-        let chunks = if self.namenode.exists(path) && self.namenode.list(path).is_ok() {
-            self.namenode.remove_dir(path, recursive)?
-        } else {
-            self.namenode.remove_file(path)?
+        let namespace = self.namenode.namespace();
+        let removed = match namespace.status(path)? {
+            PathStatus::File(_) => vec![namespace.remove_file(path)?],
+            PathStatus::Directory => namespace.remove_dir(path, recursive)?,
+            PathStatus::Missing => {
+                return Err(NamespaceError::FileNotFound(path.to_string()).into())
+            }
         };
-        for chunk in chunks {
+        for chunk in removed.into_iter().flat_map(|file| file.chunks) {
             for replica in chunk.replicas {
                 if let Some(dn) = self.namenode.datanode(replica) {
                     dn.delete_chunk(chunk.id);
@@ -238,7 +243,7 @@ impl Hdfs {
 
     /// Rename a file or directory.
     pub fn rename(&self, from: &str, to: &str) -> HdfsResult<()> {
-        self.namenode.rename(from, to)
+        Ok(self.namenode.namespace().rename(from, to)?)
     }
 
     /// Locality query (chunk piece -> nodes), for the MapReduce scheduler.
@@ -272,7 +277,7 @@ pub struct HdfsWriter {
     namenode: Arc<Namenode>,
     path: String,
     node: NodeId,
-    buffer: Vec<u8>,
+    buffer: WriteBuffer,
     closed: bool,
 }
 
@@ -287,32 +292,14 @@ impl HdfsWriter {
         if self.closed {
             return Err(HdfsError::WriterClosed);
         }
-        self.buffer.extend_from_slice(data);
-        let chunk_size = self.namenode.chunk_size() as usize;
-        while self.buffer.len() >= chunk_size {
-            let rest = self.buffer.split_off(chunk_size);
-            let full = std::mem::replace(&mut self.buffer, rest);
-            self.commit_chunk(Bytes::from(full))?;
-        }
-        Ok(())
-    }
-
-    fn commit_chunk(&mut self, data: Bytes) -> HdfsResult<()> {
-        let info = self
-            .namenode
-            .allocate_chunk(&self.path, data.len() as u64, self.node)?;
-        let mut stored = 0;
-        for replica in &info.replicas {
-            if let Some(dn) = self.namenode.datanode(*replica) {
-                if dn.put_chunk(info.id, data.clone()) {
-                    stored += 1;
-                }
-            }
-        }
-        if stored == 0 {
-            return Err(HdfsError::NoDatanodes);
-        }
-        Ok(())
+        let (namenode, path, node) = (&self.namenode, &self.path, self.node);
+        self.buffer.push(data, |chunk| {
+            let data = match chunk {
+                Block::Borrowed(chunk) => Bytes::copy_from_slice(chunk),
+                Block::Buffered(chunk) => Bytes::from(std::mem::take(chunk)),
+            };
+            commit_chunk(namenode, path, node, data)
+        })
     }
 
     /// Flush the final partial chunk and seal the file.
@@ -320,14 +307,30 @@ impl HdfsWriter {
         if self.closed {
             return Ok(());
         }
-        if !self.buffer.is_empty() {
-            let tail = Bytes::from(std::mem::take(&mut self.buffer));
-            self.commit_chunk(tail)?;
+        if let Some(tail) = self.buffer.flush() {
+            commit_chunk(&self.namenode, &self.path, self.node, Bytes::from(tail))?;
         }
         self.namenode.complete_file(&self.path)?;
         self.closed = true;
         Ok(())
     }
+}
+
+/// Allocate one chunk of `path` and push `data` to every replica datanode.
+fn commit_chunk(namenode: &Namenode, path: &str, node: NodeId, data: Bytes) -> HdfsResult<()> {
+    let info = namenode.allocate_chunk(path, data.len() as u64, node)?;
+    let mut stored = 0;
+    for replica in &info.replicas {
+        if let Some(dn) = namenode.datanode(*replica) {
+            if dn.put_chunk(info.id, data.clone()) {
+                stored += 1;
+            }
+        }
+    }
+    if stored == 0 {
+        return Err(HdfsError::NoDatanodes);
+    }
+    Ok(())
 }
 
 /// Reader for a closed file. Reads fetch whole chunks from the closest live
@@ -359,20 +362,22 @@ impl HdfsReader {
     /// Read `len` bytes at `offset`.
     pub fn read_at(&mut self, offset: u64, len: u64) -> HdfsResult<Bytes> {
         let size = self.len();
-        if offset + len > size {
+        // `checked_add`: a huge offset must surface as `OutOfBounds`, not
+        // wrap past the bounds check in release builds.
+        let requested_end = offset.checked_add(len);
+        let Some(end) = requested_end.filter(|&end| end <= size) else {
             return Err(HdfsError::OutOfBounds {
                 path: self.path.clone(),
-                requested_end: offset + len,
+                requested_end: requested_end.unwrap_or(u64::MAX),
                 size,
             });
-        }
+        };
         if len == 0 {
             return Ok(Bytes::new());
         }
         let mut out = Vec::with_capacity(len as usize);
-        let end = offset + len;
         let mut chunk_start = 0u64;
-        for (idx, chunk) in self.meta.chunks.clone().iter().enumerate() {
+        for (idx, chunk) in self.meta.chunks.iter().enumerate() {
             let chunk_end = chunk_start + chunk.size;
             if chunk_end > offset && chunk_start < end {
                 let data = self.fetch_chunk(idx, chunk)?;
@@ -449,6 +454,21 @@ mod tests {
     }
 
     #[test]
+    fn small_writes_fill_whole_chunks_in_order() {
+        let fs = fs();
+        let data: Vec<u8> = (0..700u32).map(|i| (i % 253) as u8).collect();
+        let mut w = fs.create("/records").unwrap();
+        for record in data.chunks(100) {
+            w.write(record).unwrap();
+        }
+        w.close().unwrap();
+        let meta = fs.namenode().get_file("/records").unwrap();
+        let sizes: Vec<u64> = meta.chunks.iter().map(|c| c.size).collect();
+        assert_eq!(sizes, [256, 256, 188]);
+        assert_eq!(fs.read_file("/records").unwrap().to_vec(), data);
+    }
+
+    #[test]
     fn file_is_unreadable_until_closed_and_immutable_after() {
         let fs = fs();
         let mut w = fs.create("/wip").unwrap();
@@ -467,7 +487,7 @@ mod tests {
         assert!(matches!(w.write(b"more"), Err(HdfsError::WriterClosed)));
         assert!(matches!(
             fs.create("/wip"),
-            Err(HdfsError::AlreadyExists(_))
+            Err(HdfsError::Namespace(NamespaceError::AlreadyExists(_)))
         ));
         // Closing twice is harmless.
         w.close().unwrap();
@@ -493,6 +513,27 @@ mod tests {
         assert!(r.read(10).unwrap().is_empty());
         assert_eq!(r.position(), 700);
         assert!(!r.is_empty());
+    }
+
+    #[test]
+    fn huge_offset_read_is_rejected_not_wrapped() {
+        // Regression: `offset + len` was unchecked, so a read at offset
+        // u64::MAX - 1 wrapped past the bounds check in release builds (and
+        // panicked in debug builds).
+        let fs = fs();
+        fs.write_file("/f", b"payload!").unwrap();
+        let mut r = fs.open("/f").unwrap();
+        for len in [2u64, 4, 1 << 40] {
+            assert!(
+                matches!(
+                    r.read_at(u64::MAX - 1, len),
+                    Err(HdfsError::OutOfBounds { .. })
+                ),
+                "offset u64::MAX - 1, len {len} must be out of bounds"
+            );
+        }
+        // Saturating locate on the same offsets just reports nothing.
+        assert!(fs.locate("/f", u64::MAX - 1, 4).unwrap().is_empty());
     }
 
     #[test]
@@ -638,6 +679,6 @@ mod tests {
             let (path, fs) = h.join().unwrap();
             assert_eq!(fs.read_file(&path).unwrap().len(), 16 * 64);
         }
-        assert_eq!(fs.namenode().file_count(), 8);
+        assert_eq!(fs.namenode().namespace().file_count(), 8);
     }
 }

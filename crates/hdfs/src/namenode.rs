@@ -13,14 +13,17 @@
 //!   [`crate::placement::PlacementPolicy`];
 //! * the namenode answers locality queries (`locate`) so the MapReduce
 //!   scheduler can place tasks near the data.
+//!
+//! The namespace itself is the tree BSFS keeps too
+//! ([`simcluster::fs::Namespace`]), here over [`FileMeta`]; the namenode adds
+//! only what is HDFS's own.
 
 use crate::datanode::{ChunkId, Datanode, DatanodeId};
 use crate::error::{HdfsError, HdfsResult};
 use crate::placement::PlacementPolicy;
-use parking_lot::Mutex;
+use simcluster::fs::{normalize, Namespace};
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,44 +74,11 @@ pub struct ChunkLocation {
     pub nodes: Vec<NodeId>,
 }
 
-/// Normalise an absolute path (leading '/', no duplicate or trailing slashes).
-pub fn normalize(path: &str) -> HdfsResult<String> {
-    if path.is_empty() || !path.starts_with('/') {
-        return Err(HdfsError::InvalidPath(path.to_string()));
-    }
-    let mut parts = Vec::new();
-    for part in path.split('/') {
-        match part {
-            "" | "." => continue,
-            ".." => return Err(HdfsError::InvalidPath(path.to_string())),
-            p => parts.push(p),
-        }
-    }
-    if parts.is_empty() {
-        Ok("/".to_string())
-    } else {
-        Ok(format!("/{}", parts.join("/")))
-    }
-}
-
-/// Parent directory of a normalised path.
-pub fn parent_of(path: &str) -> String {
-    match path.rfind('/') {
-        Some(0) | None => "/".to_string(),
-        Some(idx) => path[..idx].to_string(),
-    }
-}
-
-struct Inner {
-    files: BTreeMap<String, FileMeta>,
-    directories: BTreeSet<String>,
-}
-
 /// The centralized namenode.
 pub struct Namenode {
     chunk_size: u64,
     replication: usize,
-    inner: Mutex<Inner>,
+    namespace: Namespace<FileMeta>,
     datanodes: Vec<Arc<Datanode>>,
     placement: PlacementPolicy,
     next_chunk: AtomicU64,
@@ -126,15 +96,10 @@ impl Namenode {
         assert!(chunk_size > 0, "chunk size must be non-zero");
         assert!(replication >= 1, "replication must be at least 1");
         assert!(!datanodes.is_empty(), "at least one datanode is required");
-        let mut directories = BTreeSet::new();
-        directories.insert("/".to_string());
         Namenode {
             chunk_size,
             replication,
-            inner: Mutex::new(Inner {
-                files: BTreeMap::new(),
-                directories,
-            }),
+            namespace: Namespace::new(),
             datanodes,
             placement: PlacementPolicy::new(topology, seed),
             next_chunk: AtomicU64::new(0),
@@ -166,36 +131,20 @@ impl Namenode {
         &self.placement
     }
 
-    /// Register a new file in the under-construction state. The parent
-    /// directory is created implicitly (Hadoop's `create` behaviour).
+    /// The namespace: paths, directories and every file's metadata.
+    pub fn namespace(&self) -> &Namespace<FileMeta> {
+        &self.namespace
+    }
+
+    /// Register a new file in the under-construction state. Missing
+    /// ancestor directories are created implicitly (Hadoop's `create`
+    /// behaviour). Returns the normalised path.
     pub fn create_file(&self, path: &str) -> HdfsResult<String> {
-        let path = normalize(path)?;
-        if path == "/" {
-            return Err(HdfsError::IsADirectory(path));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) || inner.directories.contains(&path) {
-            return Err(HdfsError::AlreadyExists(path));
-        }
-        // Implicitly create ancestors.
-        let mut current = String::new();
-        let parent = parent_of(&path);
-        for part in parent.split('/').filter(|p| !p.is_empty()) {
-            current.push('/');
-            current.push_str(part);
-            if inner.files.contains_key(&current) {
-                return Err(HdfsError::NotADirectory(current));
-            }
-            inner.directories.insert(current.clone());
-        }
-        inner.files.insert(
-            path.clone(),
-            FileMeta {
-                state: FileState::UnderConstruction,
-                chunks: Vec::new(),
-            },
-        );
-        Ok(path)
+        let file = FileMeta {
+            state: FileState::UnderConstruction,
+            chunks: Vec::new(),
+        };
+        Ok(self.namespace.create_file(path, file)?)
     }
 
     /// Allocate a chunk of `size` bytes for a file under construction,
@@ -206,246 +155,45 @@ impl Namenode {
         size: u64,
         writer_node: NodeId,
     ) -> HdfsResult<ChunkInfo> {
-        let path = normalize(path)?;
         let replicas = self
             .placement
             .choose(&self.datanodes, self.replication, writer_node);
         if replicas.is_empty() {
             return Err(HdfsError::NoDatanodes);
         }
-        let mut inner = self.inner.lock();
-        let meta = inner
-            .files
-            .get_mut(&path)
-            .ok_or(HdfsError::FileNotFound(path.clone()))?;
-        if meta.state != FileState::UnderConstruction {
-            return Err(HdfsError::WrongFileState {
-                path,
-                expected: "under construction",
-            });
-        }
-        let id = ChunkId(self.next_chunk.fetch_add(1, Ordering::Relaxed));
-        let info = ChunkInfo { id, size, replicas };
-        meta.chunks.push(info.clone());
-        Ok(info)
+        self.namespace.update_file(path, |meta| {
+            under_construction(path, meta)?;
+            let id = ChunkId(self.next_chunk.fetch_add(1, Ordering::Relaxed));
+            let info = ChunkInfo { id, size, replicas };
+            meta.chunks.push(info.clone());
+            Ok(info)
+        })
     }
 
     /// Close a file, making it immutable and readable.
     pub fn complete_file(&self, path: &str) -> HdfsResult<()> {
-        let path = normalize(path)?;
-        let mut inner = self.inner.lock();
-        let meta = inner
-            .files
-            .get_mut(&path)
-            .ok_or(HdfsError::FileNotFound(path.clone()))?;
-        if meta.state != FileState::UnderConstruction {
-            return Err(HdfsError::WrongFileState {
-                path,
-                expected: "under construction",
-            });
-        }
-        meta.state = FileState::Closed;
-        Ok(())
+        self.namespace.update_file(path, |meta| {
+            under_construction(path, meta)?;
+            meta.state = FileState::Closed;
+            Ok(())
+        })
     }
 
     /// Metadata of a closed file (readers use this).
     pub fn get_file(&self, path: &str) -> HdfsResult<FileMeta> {
-        let path = normalize(path)?;
-        let inner = self.inner.lock();
-        if inner.directories.contains(&path) {
-            return Err(HdfsError::IsADirectory(path));
-        }
-        let meta = inner
-            .files
-            .get(&path)
-            .ok_or(HdfsError::FileNotFound(path.clone()))?;
+        let meta = self.namespace.lookup(path)?;
         if meta.state != FileState::Closed {
             return Err(HdfsError::WrongFileState {
-                path,
+                path: normalize(path)?,
                 expected: "closed",
             });
         }
-        Ok(meta.clone())
+        Ok(meta)
     }
 
     /// Size of a closed file.
     pub fn file_size(&self, path: &str) -> HdfsResult<u64> {
         Ok(self.get_file(path)?.size())
-    }
-
-    /// Does the path exist (file or directory)?
-    pub fn exists(&self, path: &str) -> bool {
-        match normalize(path) {
-            Ok(p) => {
-                let inner = self.inner.lock();
-                inner.files.contains_key(&p) || inner.directories.contains(&p)
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Create a directory and its ancestors.
-    pub fn mkdirs(&self, path: &str) -> HdfsResult<()> {
-        let path = normalize(path)?;
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(HdfsError::AlreadyExists(path));
-        }
-        let mut current = String::new();
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            current.push('/');
-            current.push_str(part);
-            if inner.files.contains_key(&current) {
-                return Err(HdfsError::NotADirectory(current));
-            }
-            inner.directories.insert(current.clone());
-        }
-        Ok(())
-    }
-
-    /// List the immediate children of a directory.
-    pub fn list(&self, path: &str) -> HdfsResult<Vec<String>> {
-        let path = normalize(path)?;
-        let inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(HdfsError::NotADirectory(path));
-        }
-        if !inner.directories.contains(&path) {
-            return Err(HdfsError::FileNotFound(path));
-        }
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
-        let mut children = BTreeSet::new();
-        for candidate in inner.files.keys().chain(inner.directories.iter()) {
-            if candidate == &path {
-                continue;
-            }
-            if let Some(rest) = candidate.strip_prefix(&prefix) {
-                if let Some(first) = rest.split('/').next() {
-                    if !first.is_empty() {
-                        children.insert(format!("{prefix}{first}"));
-                    }
-                }
-            }
-        }
-        Ok(children.into_iter().collect())
-    }
-
-    /// Remove a file, returning its chunks so the caller can release them on
-    /// the datanodes.
-    pub fn remove_file(&self, path: &str) -> HdfsResult<Vec<ChunkInfo>> {
-        let path = normalize(path)?;
-        let mut inner = self.inner.lock();
-        if inner.directories.contains(&path) {
-            return Err(HdfsError::IsADirectory(path));
-        }
-        match inner.files.remove(&path) {
-            Some(meta) => Ok(meta.chunks),
-            None => Err(HdfsError::FileNotFound(path)),
-        }
-    }
-
-    /// Remove a directory (recursively if asked); returns the chunks of every
-    /// removed file.
-    pub fn remove_dir(&self, path: &str, recursive: bool) -> HdfsResult<Vec<ChunkInfo>> {
-        let path = normalize(path)?;
-        if path == "/" {
-            return Err(HdfsError::InvalidPath(
-                "cannot remove the root directory".into(),
-            ));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&path) {
-            return Err(HdfsError::NotADirectory(path));
-        }
-        if !inner.directories.contains(&path) {
-            return Err(HdfsError::FileNotFound(path));
-        }
-        let prefix = format!("{path}/");
-        let child_files: Vec<String> = inner
-            .files
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        let child_dirs: Vec<String> = inner
-            .directories
-            .iter()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        if !recursive && (!child_files.is_empty() || !child_dirs.is_empty()) {
-            return Err(HdfsError::DirectoryNotEmpty(path));
-        }
-        let mut chunks = Vec::new();
-        for f in child_files {
-            if let Some(meta) = inner.files.remove(&f) {
-                chunks.extend(meta.chunks);
-            }
-        }
-        for d in child_dirs {
-            inner.directories.remove(&d);
-        }
-        inner.directories.remove(&path);
-        Ok(chunks)
-    }
-
-    /// Rename a file or directory (directories move their whole subtree).
-    pub fn rename(&self, from: &str, to: &str) -> HdfsResult<()> {
-        let from = normalize(from)?;
-        let to = normalize(to)?;
-        if from == "/" || to == "/" {
-            return Err(HdfsError::InvalidPath(
-                "cannot rename the root directory".into(),
-            ));
-        }
-        let mut inner = self.inner.lock();
-        if inner.files.contains_key(&to) || inner.directories.contains(&to) {
-            return Err(HdfsError::AlreadyExists(to));
-        }
-        let to_parent = parent_of(&to);
-        if !inner.directories.contains(&to_parent) {
-            return Err(HdfsError::ParentMissing(to_parent));
-        }
-        if let Some(meta) = inner.files.remove(&from) {
-            inner.files.insert(to, meta);
-            return Ok(());
-        }
-        if inner.directories.contains(&from) {
-            let prefix = format!("{from}/");
-            let moved: Vec<(String, FileMeta)> = inner
-                .files
-                .iter()
-                .filter(|(k, _)| k.starts_with(&prefix))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            for (k, v) in moved {
-                inner.files.remove(&k);
-                inner
-                    .files
-                    .insert(format!("{to}/{}", &k[prefix.len()..]), v);
-            }
-            let moved_dirs: Vec<String> = inner
-                .directories
-                .iter()
-                .filter(|k| k.starts_with(&prefix) || **k == from)
-                .cloned()
-                .collect();
-            for d in moved_dirs {
-                inner.directories.remove(&d);
-                let new_key = if d == from {
-                    to.clone()
-                } else {
-                    format!("{to}/{}", &d[prefix.len()..])
-                };
-                inner.directories.insert(new_key);
-            }
-            return Ok(());
-        }
-        Err(HdfsError::FileNotFound(from))
     }
 
     /// Locality query: which cluster nodes hold each chunk overlapping
@@ -454,7 +202,7 @@ impl Namenode {
         let meta = self.get_file(path)?;
         let mut out = Vec::new();
         let mut chunk_start = 0u64;
-        let end = offset + len;
+        let end = offset.saturating_add(len);
         for chunk in &meta.chunks {
             let chunk_end = chunk_start + chunk.size;
             if chunk_end > offset && chunk_start < end {
@@ -475,16 +223,24 @@ impl Namenode {
         }
         Ok(out)
     }
+}
 
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.inner.lock().files.len()
+/// HDFS files are write-once: chunks are added, and the file closed, only
+/// while it is under construction.
+fn under_construction(path: &str, meta: &FileMeta) -> HdfsResult<()> {
+    if meta.state != FileState::UnderConstruction {
+        return Err(HdfsError::WrongFileState {
+            path: path.to_string(),
+            expected: "under construction",
+        });
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcluster::fs::NamespaceError;
 
     fn namenode() -> Namenode {
         let topo = ClusterTopology::builder()
@@ -535,36 +291,20 @@ mod tests {
         nn.create_file("/f").unwrap();
         assert!(matches!(
             nn.create_file("/f"),
-            Err(HdfsError::AlreadyExists(_))
+            Err(HdfsError::Namespace(NamespaceError::AlreadyExists(_)))
         ));
         assert!(matches!(
             nn.get_file("/ghost"),
-            Err(HdfsError::FileNotFound(_))
+            Err(HdfsError::Namespace(NamespaceError::FileNotFound(_)))
         ));
         assert!(matches!(
             nn.allocate_chunk("/ghost", 1, NodeId(0)),
-            Err(HdfsError::FileNotFound(_))
+            Err(HdfsError::Namespace(NamespaceError::FileNotFound(_)))
         ));
         assert!(matches!(
-            nn.remove_file("/ghost"),
-            Err(HdfsError::FileNotFound(_))
+            nn.namespace().remove_file("/ghost"),
+            Err(NamespaceError::FileNotFound(_))
         ));
-    }
-
-    #[test]
-    fn listing_and_directories() {
-        let nn = namenode();
-        nn.create_file("/a/b/file1").unwrap();
-        nn.create_file("/a/file2").unwrap();
-        nn.mkdirs("/a/empty").unwrap();
-        assert!(nn.exists("/a/b"));
-        let children = nn.list("/a").unwrap();
-        assert_eq!(children, vec!["/a/b", "/a/empty", "/a/file2"]);
-        assert!(matches!(
-            nn.list("/a/file2"),
-            Err(HdfsError::NotADirectory(_))
-        ));
-        assert_eq!(nn.file_count(), 2);
     }
 
     #[test]
@@ -573,24 +313,24 @@ mod tests {
         nn.create_file("/tmp/out").unwrap();
         nn.allocate_chunk("/tmp/out", 50, NodeId(1)).unwrap();
         nn.complete_file("/tmp/out").unwrap();
-        nn.mkdirs("/final").unwrap();
-        nn.rename("/tmp/out", "/final/out").unwrap();
-        assert!(!nn.exists("/tmp/out"));
+        nn.namespace().mkdirs("/final").unwrap();
+        nn.namespace().rename("/tmp/out", "/final/out").unwrap();
+        assert!(!nn.namespace().exists("/tmp/out"));
         assert_eq!(nn.file_size("/final/out").unwrap(), 50);
-        let chunks = nn.remove_file("/final/out").unwrap();
-        assert_eq!(chunks.len(), 1);
+        let removed = nn.namespace().remove_file("/final/out").unwrap();
+        assert_eq!(removed.chunks.len(), 1);
         // Directory deletion collects chunks of all files below it.
         nn.create_file("/job/o1").unwrap();
         nn.allocate_chunk("/job/o1", 10, NodeId(0)).unwrap();
         nn.create_file("/job/sub/o2").unwrap();
         nn.allocate_chunk("/job/sub/o2", 10, NodeId(0)).unwrap();
         assert!(matches!(
-            nn.remove_dir("/job", false),
-            Err(HdfsError::DirectoryNotEmpty(_))
+            nn.namespace().remove_dir("/job", false),
+            Err(NamespaceError::DirectoryNotEmpty(_))
         ));
-        let chunks = nn.remove_dir("/job", true).unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert!(!nn.exists("/job"));
+        let removed = nn.namespace().remove_dir("/job", true).unwrap();
+        assert_eq!(removed.iter().map(|f| f.chunks.len()).sum::<usize>(), 2);
+        assert!(!nn.namespace().exists("/job"));
     }
 
     #[test]
@@ -614,6 +354,20 @@ mod tests {
         assert_eq!(partial[0].len, 28);
         assert_eq!(partial[1].offset, 128);
         assert_eq!(partial[1].len, 32);
+    }
+
+    #[test]
+    fn huge_offset_locate_saturates_instead_of_wrapping() {
+        // Regression: `offset + len` was unchecked: it wrapped in release
+        // builds and panicked in debug builds.
+        let nn = namenode();
+        nn.create_file("/big").unwrap();
+        nn.allocate_chunk("/big", 128, NodeId(0)).unwrap();
+        nn.allocate_chunk("/big", 44, NodeId(0)).unwrap();
+        nn.complete_file("/big").unwrap();
+        assert!(nn.locate("/big", u64::MAX - 1, 4).unwrap().is_empty());
+        let tail = nn.locate("/big", 150, u64::MAX).unwrap();
+        assert_eq!((tail.len(), tail[0].offset, tail[0].len), (1, 150, 22));
     }
 
     #[test]

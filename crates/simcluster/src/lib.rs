@@ -25,11 +25,14 @@
 //! * [`detector`] — a timeout/suspicion heartbeat failure detector driven on
 //!   any [`clock::Clock`], so components discover dead peers rather than
 //!   being told,
-//! * [`metrics`] — small helpers to aggregate throughput series.
+//! * [`metrics`] — small helpers to aggregate throughput series,
+//! * [`fs`] — the file-system layer's shared mechanisms: the namespace tree
+//!   ([`fs::Namespace`], generic over what a file is) and the block
+//!   [`fs::WriteBuffer`], used alike by BSFS and the HDFS baseline.
 //!
 //! The storage systems themselves (`blobseer`, `hdfs-sim`, `bsfs`) are real
-//! implementations that move real bytes; this crate is only consulted when an
-//! experiment wants *paper-scale* numbers: the experiment harness asks the
+//! implementations that move real bytes; this crate's simulator is only
+//! consulted when an experiment wants *paper-scale* numbers: the experiment harness asks the
 //! storage system where each block would be placed (using its real placement
 //! logic) and feeds the resulting transfers into [`flowsim::FlowSimulator`].
 //!
@@ -60,6 +63,7 @@ pub mod clock;
 pub mod detector;
 pub mod failure;
 pub mod flowsim;
+pub mod fs;
 pub mod metrics;
 pub mod netmodel;
 pub mod time;
