@@ -104,6 +104,15 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
             record
         })
         .collect();
+    for record in &records {
+        assert_eq!(
+            record.cache_hits + record.cache_misses,
+            record.nodes_read,
+            "{}: every demanded node is one cache hit or miss, and a \
+             speculative probe is neither",
+            record.label,
+        );
+    }
     let (fixed, readahead) = (&records[0], &records[1]);
     assert!(
         readahead.prefetch_hits > 0,

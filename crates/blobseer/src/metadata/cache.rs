@@ -9,12 +9,26 @@
 //! is why the cache lives on the client side of the DHT rather than on the
 //! metadata providers: every hit removes a client-to-provider round trip.
 //!
-//! The implementation is a sharded clock (second-chance) cache: the key hash
-//! picks a shard, each shard is an independently locked ring of slots, and
-//! eviction sweeps the ring clearing reference bits until it finds a slot
-//! that was not touched since the last sweep. Clock keeps the hot upper
-//! levels of the tree resident like LRU would, without having to reorder a
-//! list on every hit — a hit is one hash lookup and one relaxed bit store.
+//! The implementation is a sharded second-chance cache: the key hash picks
+//! a shard, each shard is an independently locked array of slots, and a
+//! demand hit sets the slot's reference bit. A node enters unreferenced —
+//! demand fill, write pre-warm and read-ahead alike — so only a node that a
+//! reader came back for has earned a second chance. To make room, an insert
+//! draws slots from the shard's seeded generator: a referenced slot loses
+//! its bit and is skipped, the first unreferenced one drawn is evicted.
+//!
+//! Second chance is what keeps the hot set resident: the upper tree levels
+//! every descent passes through, and a pinned version read over and over,
+//! are hit again before two draws can land on them. Random order is what
+//! makes the cache useful to a scan larger than itself. A MapReduce input
+//! scan repeats, and evicting in the order slots were filled throws out
+//! exactly the node the scan needs next, so every lap misses everything
+//! below the top levels. Random victims break
+//! that link: a scan 1.25x the cache keeps most of its tree from one lap to
+//! the next. The generator's seed is a constant per shard, so a sequence of
+//! calls evicts the same keys on every run. A hit is one hash lookup and one
+//! flag-byte store; the flags sit in a dense array beside the slots, so a
+//! probe reads one byte instead of a whole slot.
 
 use crate::metadata::{NodeKey, TreeNode};
 use kvstore::{fast_hash, shard_index, FastMap};
@@ -24,6 +38,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Number of independently locked shards. A power of two so the shard index
 /// is a mask of the key hash.
 const SHARDS: usize = 16;
+
+/// Seed of shard 0's victim generator; shard `i` mixes `i` into the high
+/// half.
+const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Slot flag: a demand hit touched the slot since a probe last cleared it.
+const REFERENCED: u8 = 1;
+/// Slot flag: inserted by read-ahead and not yet touched by a demand
+/// lookup. The first demand hit clears it (a prefetch hit); eviction while
+/// it is still set means the prefetch was wasted.
+const PREFETCHED: u8 = 2;
 
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,101 +73,114 @@ pub struct MetadataCacheStats {
 struct Slot {
     key: NodeKey,
     node: TreeNode,
-    referenced: bool,
-    /// Inserted by read-ahead and not yet touched by a demand lookup. The
-    /// first demand hit clears the flag (a prefetch hit); eviction while the
-    /// flag is still set means the prefetch was wasted.
-    prefetched: bool,
 }
 
 struct Shard {
     /// Key -> index into `slots`.
     index: FastMap<NodeKey, usize>,
     slots: Vec<Slot>,
-    /// Clock hand: next slot the eviction sweep examines.
-    hand: usize,
+    /// `REFERENCED | PREFETCHED` bits of `slots[i]`, kept in step with
+    /// `slots` so that an eviction probe reads one dense byte array.
+    flags: Vec<u8>,
+    /// Xorshift state drawing the slots an eviction examines (never zero).
+    rng: u64,
     capacity: usize,
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, seed: u64) -> Self {
         Shard {
             index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
-            hand: 0,
+            flags: Vec::with_capacity(capacity),
+            rng: seed | 1,
             capacity,
         }
     }
 
-    /// Look a node up. The second return flags a first demand hit on a
-    /// prefetched slot (the prefetch paid off).
+    /// Look a node up and mark it referenced. The second return flags a
+    /// first demand hit on a prefetched slot (the prefetch paid off).
     fn get(&mut self, key: &NodeKey) -> Option<(TreeNode, bool)> {
-        let slot = *self.index.get(key)?;
-        let slot = &mut self.slots[slot];
-        slot.referenced = true;
-        let first_demand_hit = slot.prefetched;
-        slot.prefetched = false;
-        Some((slot.node.clone(), first_demand_hit))
+        let at = *self.index.get(key)?;
+        let first_demand_hit = self.flags[at] & PREFETCHED != 0;
+        self.flags[at] = REFERENCED;
+        Some((self.slots[at].node.clone(), first_demand_hit))
     }
 
-    /// Insert or refresh a node. Returns `(evicted, wasted)`: whether an
-    /// existing entry was evicted to make room, and whether that entry was a
-    /// never-demanded prefetch.
+    /// Look a node up leaving its flags alone: no reference bit, and a
+    /// prefetched slot stays prefetched.
+    fn peek(&self, key: &NodeKey) -> Option<TreeNode> {
+        let at = *self.index.get(key)?;
+        Some(self.slots[at].node.clone())
+    }
+
+    /// Insert or refresh a node; it enters unreferenced. Returns `(evicted,
+    /// wasted)`: whether an existing entry was evicted to make room, and
+    /// whether that entry was a never-demanded prefetch.
     fn insert(&mut self, key: NodeKey, node: TreeNode, prefetched: bool) -> (bool, bool) {
-        if let Some(&slot) = self.index.get(&key) {
-            // Immutable nodes make a re-insert a no-op value-wise, but the
-            // write may be pre-warming a slot that demand-filling put there
-            // first; refresh the reference bit either way. A resident demand
-            // entry never regresses to prefetched.
-            self.slots[slot].referenced = true;
-            self.slots[slot].node = node;
-            self.slots[slot].prefetched &= prefetched;
+        if let Some(&at) = self.index.get(&key) {
+            // Immutable nodes make a re-insert a no-op value-wise. The
+            // reference bit stays as it is (an insert is no demand hit), and
+            // a resident demand entry never regresses to prefetched.
+            self.slots[at].node = node;
+            if !prefetched {
+                self.flags[at] &= !PREFETCHED;
+            }
             return (false, false);
         }
+        let flags = if prefetched { PREFETCHED } else { 0 };
         if self.slots.len() < self.capacity {
             self.index.insert(key, self.slots.len());
-            self.slots.push(Slot {
-                key,
-                node,
-                referenced: true,
-                prefetched,
-            });
+            self.slots.push(Slot { key, node });
+            self.flags.push(flags);
             return (false, false);
         }
-        // Clock sweep: give every referenced slot a second chance.
+        let (at, _) = self.victim();
+        let wasted = self.flags[at] & PREFETCHED != 0;
+        let slot = &mut self.slots[at];
+        self.index.remove(&slot.key);
+        self.index.insert(key, at);
+        *slot = Slot { key, node };
+        self.flags[at] = flags;
+        (true, wasted)
+    }
+
+    /// Choose the slot of a full shard to evict: draw slots at random,
+    /// clearing the bit of each referenced one (its second chance), until an
+    /// unreferenced slot comes up. Returns it with the number of slots
+    /// examined, at most `capacity + 1`: every probe evicts or clears a bit.
+    fn victim(&mut self) -> (usize, usize) {
+        let mut examined = 0;
         loop {
-            let slot = &mut self.slots[self.hand];
-            if slot.referenced {
-                slot.referenced = false;
-                self.hand = (self.hand + 1) % self.capacity;
-                continue;
+            examined += 1;
+            let at = self.draw();
+            if self.flags[at] & REFERENCED == 0 {
+                return (at, examined);
             }
-            let wasted = slot.prefetched;
-            self.index.remove(&slot.key);
-            self.index.insert(key, self.hand);
-            *slot = Slot {
-                key,
-                node,
-                referenced: true,
-                prefetched,
-            };
-            self.hand = (self.hand + 1) % self.capacity;
-            return (true, wasted);
+            self.flags[at] &= !REFERENCED;
         }
     }
 
-    /// Drop a node, handing its slot back. The last slot moves into the gap,
-    /// so the ring stays dense.
+    /// A uniform slot index from the shard's xorshift64 generator.
+    fn draw(&mut self) -> usize {
+        let mut x = self.rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.rng = x;
+        ((u128::from(x) * self.slots.len() as u128) >> 64) as usize
+    }
+
+    /// Drop a node, handing its slot back. The last slot (and its flags)
+    /// moves into the gap, so the array stays dense.
     fn remove(&mut self, key: &NodeKey) -> bool {
         let Some(at) = self.index.remove(key) else {
             return false;
         };
         self.slots.swap_remove(at);
+        self.flags.swap_remove(at);
         if let Some(moved) = self.slots.get(at) {
             self.index.insert(moved.key, at);
-        }
-        if self.hand >= self.slots.len() {
-            self.hand = 0;
         }
         true
     }
@@ -167,7 +205,7 @@ impl MetadataCache {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         MetadataCache {
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|i| Mutex::new(Shard::new(per_shard, SEED ^ ((i as u64) << 32))))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -199,6 +237,13 @@ impl MetadataCache {
                 None
             }
         }
+    }
+
+    /// Look a node up for a speculative probe: counted neither as a hit nor
+    /// as a miss, and the node's flags are left alone, so it earns no second
+    /// chance and a prefetched node stays unclaimed.
+    pub fn peek(&self, key: &NodeKey) -> Option<TreeNode> {
+        self.shard_of(key).lock().peek(key)
     }
 
     /// Insert (or refresh) a node.
@@ -239,7 +284,7 @@ impl MetadataCache {
             let mut shard = shard.lock();
             shard.index.clear();
             shard.slots.clear();
-            shard.hand = 0;
+            shard.flags.clear();
         }
     }
 
@@ -355,24 +400,128 @@ mod tests {
         assert_eq!(stats.evictions, 1000 - stats.entries);
     }
 
+    /// A demand read as the store makes it: a hit, or a miss and a fill.
+    /// Returns whether it hit.
+    fn read(cache: &MetadataCache, k: NodeKey) -> bool {
+        let hit = cache.get(&k).is_some();
+        if !hit {
+            cache.insert(k, leaf(k.offset));
+        }
+        hit
+    }
+
+    /// Every resident key, shard by shard in slot order.
+    fn resident(cache: &MetadataCache) -> Vec<NodeKey> {
+        (cache.shards.iter())
+            .flat_map(|s| {
+                s.lock()
+                    .slots
+                    .iter()
+                    .map(|slot| slot.key)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     #[test]
-    fn clock_sweep_evicts_unreferenced_slots_first() {
-        // A single-shard-sized cache would be flaky to target through the
-        // hash, so drive one shard directly.
-        let mut shard = Shard::new(2);
-        shard.insert(key(1, 0), leaf(0), false);
-        shard.insert(key(1, 1), leaf(1), false);
-        // The first over-capacity insert sweeps both reference bits clear,
-        // evicts slot 0 and leaves slot 1's bit cleared.
-        shard.insert(key(1, 2), leaf(2), false);
-        assert!(shard.get(&key(1, 2)).is_some());
-        assert!(shard.get(&key(1, 0)).is_none());
-        assert_eq!(shard.slots.len(), 2);
-        // Touch node 2 (done by the gets above) and insert again: node 1,
-        // whose bit is still clear, goes; the referenced node 2 survives.
-        shard.insert(key(1, 3), leaf(3), false);
-        assert!(shard.get(&key(1, 2)).is_some());
-        assert!(shard.get(&key(1, 1)).is_none());
+    fn a_cyclic_scan_larger_than_the_cache_keeps_most_of_it() {
+        // A scan that repeats over 1.25x the cache. Evicting in fill order
+        // (a clock sweeping its ring) always throws out the key the scan
+        // comes back to next, so laps after the first hit about never;
+        // random victims keep most of the loop resident.
+        let capacity = 1024;
+        let cache = MetadataCache::new(capacity);
+        let keys: Vec<NodeKey> = (0..capacity as u64 * 5 / 4).map(|i| key(1, i)).collect();
+        for &k in &keys {
+            read(&cache, k);
+        }
+        let before = cache.stats();
+        for _ in 1..4 {
+            for &k in &keys {
+                read(&cache, k);
+            }
+        }
+        let after = cache.stats();
+        let hits = after.hits - before.hits;
+        let lookups = hits + after.misses - before.misses;
+        assert!(
+            hits * 2 >= lookups,
+            "laps 2-4 hit {hits} of {lookups} lookups"
+        );
+    }
+
+    #[test]
+    fn a_hot_set_survives_a_scan_four_times_the_cache() {
+        // A hot quarter of the cache, two hot keys read after every step
+        // of a one-pass scan over 4x the cache. The reference bit keeps the
+        // hot set resident: a hot key is read again long before two probes
+        // land on it. A clock sweep passes this too; evicting at random with
+        // no reference bit does not (a hot key then goes as readily as a
+        // scan key, and about one read in eight misses).
+        let capacity = 1024u64;
+        let cache = MetadataCache::new(capacity as usize);
+        let hot: Vec<NodeKey> = (0..capacity / 4).map(|i| key(1, i)).collect();
+        for &k in &hot {
+            read(&cache, k);
+        }
+        let (mut hot_reads, mut hot_hits) = (0u64, 0u64);
+        let mut next = hot.iter().cycle();
+        for i in 0..capacity * 4 {
+            read(&cache, key(2, i));
+            for &k in next.by_ref().take(2) {
+                hot_reads += 1;
+                hot_hits += u64::from(read(&cache, k));
+            }
+        }
+        let present = hot.iter().filter(|k| cache.peek(k).is_some()).count();
+        assert!(
+            hot_hits * 100 >= hot_reads * 95,
+            "hot reads hit {hot_hits} of {hot_reads}"
+        );
+        assert!(
+            present * 100 >= hot.len() * 95,
+            "{present} hot keys resident"
+        );
+    }
+
+    #[test]
+    fn the_same_calls_evict_the_same_keys() {
+        let (a, b) = (MetadataCache::new(64), MetadataCache::new(64));
+        for i in 0..2000 {
+            let k = key(1, i * 7 % 300);
+            assert_eq!(read(&a, k), read(&b, k), "call {i}");
+            if i % 5 == 0 {
+                a.insert_prefetched(key(2, i), leaf(i));
+                b.insert_prefetched(key(2, i), leaf(i));
+            }
+        }
+        assert!(a.stats().evictions > 0);
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(resident(&a), resident(&b));
+    }
+
+    #[test]
+    fn an_insert_into_a_fully_referenced_shard_examines_at_most_capacity_plus_one() {
+        for capacity in [1u64, 2, 7, 64] {
+            let mut shard = Shard::new(capacity as usize, SEED);
+            for round in 0..50 {
+                // Fill or refresh, then reference every slot.
+                for i in 0..capacity {
+                    shard.insert(key(round, i), leaf(i), false);
+                    assert!(shard.get(&key(round, i)).is_some());
+                }
+                assert!(shard.flags.iter().all(|&f| f & REFERENCED != 0));
+                // Every probe clears a bit or evicts, so the first slot
+                // drawn twice is the victim.
+                let (at, examined) = shard.victim();
+                assert!(examined <= capacity as usize + 1, "{examined} probes");
+                assert_eq!(shard.flags[at] & REFERENCED, 0);
+                // Evict everything, so the next round fills afresh.
+                for i in 0..capacity {
+                    shard.remove(&key(round, i));
+                }
+            }
+        }
     }
 
     #[test]
@@ -396,16 +545,16 @@ mod tests {
 
     #[test]
     fn evicting_an_untouched_prefetch_counts_as_waste() {
-        // Drive one shard directly so eviction order is deterministic.
-        let mut shard = Shard::new(1);
+        // Drive a one-slot shard directly so the victim is known.
+        let mut shard = Shard::new(1, SEED);
         let (_, wasted) = shard.insert(key(1, 0), leaf(0), true);
         assert!(!wasted);
-        // Over-capacity insert: the sweep clears the reference bit first,
-        // then evicts the never-demanded prefetch.
+        // Over-capacity insert: the prefetch entered unreferenced, so the
+        // first probe evicts it, never demanded.
         let (evicted, wasted) = shard.insert(key(1, 1), leaf(1), false);
         assert!(evicted && wasted, "untouched prefetch must count as waste");
         // A demanded prefetch does not count as waste when later evicted.
-        let mut shard = Shard::new(1);
+        let mut shard = Shard::new(1, SEED);
         shard.insert(key(1, 2), leaf(2), true);
         assert!(shard.get(&key(1, 2)).is_some());
         let (evicted, wasted) = shard.insert(key(1, 3), leaf(3), false);
@@ -441,16 +590,20 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().evictions, 0, "a removal is not an eviction");
 
-        // One full shard: the last slot moves into the gap and stays
-        // findable, and the freed slot is reused before anyone is evicted.
-        let mut shard = Shard::new(3);
+        // One full shard: the last slot moves into the gap with its flags
+        // and stays findable, and the freed slot is reused before anyone is
+        // evicted.
+        let mut shard = Shard::new(3, SEED);
         for i in 0..3 {
             shard.insert(key(1, i), leaf(i), false);
         }
+        assert!(shard.get(&key(1, 2)).is_some());
         assert!(shard.remove(&key(1, 0)));
+        assert_eq!(shard.flags, [REFERENCED, 0]);
         assert!(shard.get(&key(1, 1)).is_some() && shard.get(&key(1, 2)).is_some());
         assert!(!shard.insert(key(1, 3), leaf(3), false).0);
         assert!(shard.insert(key(1, 4), leaf(4), false).0, "full again");
+        assert_eq!(shard.flags.len(), shard.slots.len());
         for (at, slot) in shard.slots.iter().enumerate() {
             assert_eq!(shard.index[&slot.key], at);
         }

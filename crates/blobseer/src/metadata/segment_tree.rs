@@ -868,6 +868,29 @@ mod tests {
     }
 
     #[test]
+    fn readahead_probes_are_not_counted_as_cache_traffic() {
+        let writer = store();
+        let w: BTreeMap<_, _> = (0..64).map(|p| (p, providers(&[p as u32]))).collect();
+        let root =
+            build_version(&writer, BlobId(18), Version(1), PrevTree::empty(), 64, &w).unwrap();
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
+        // A sequential scan eight pages at a time with a 16-page window:
+        // every descent probes subtrees ahead of its range, some already
+        // prefetched, some not. Only demanded nodes are cache traffic.
+        for first in (0..64).step_by(8) {
+            lookup_range_readahead(&reader, Some(root), 64, first, first + 7, 16).unwrap();
+            let s = reader.stats();
+            assert_eq!(
+                s.cache_hits + s.cache_misses,
+                s.nodes_read,
+                "after the range at page {first}"
+            );
+        }
+        let s = reader.stats();
+        assert!(s.prefetched_nodes > 0 && s.prefetch_hits > 0, "{s:?}");
+    }
+
+    #[test]
     fn readahead_past_eof_is_a_no_op() {
         let writer = store();
         let w: BTreeMap<_, _> = (0..8).map(|p| (p, providers(&[0]))).collect();

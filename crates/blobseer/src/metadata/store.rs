@@ -197,7 +197,14 @@ impl MetadataStore {
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
         let mut missing: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            match self.cache.get(key) {
+            // A speculative probe is not a demand read: it neither counts
+            // as cache traffic nor earns the node a second chance.
+            let cached = if i < demand {
+                self.cache.get(key)
+            } else {
+                self.cache.peek(key)
+            };
+            match cached {
                 Some(node) => out[i] = Some(node),
                 None => missing.push(i),
             }

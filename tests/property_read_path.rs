@@ -135,6 +135,44 @@ fn old_versions_read_identically_through_the_cache() {
     );
 }
 
+/// A scan that repeats over a tree 1.25x the metadata cache keeps most of
+/// the tree from one lap to the next (eviction order is not scan order), and
+/// what the cache keeps reads exactly what a cold descent reads.
+#[test]
+fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
+    let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
+    let client = sys.client();
+    let blob = client.create(None).unwrap();
+    let page = sys.config().default_page_size;
+    // 160 pages: 321 tree nodes under a 256-page span.
+    let data: Vec<u8> = (0..160 * page).map(|i| (i * 7 % 253) as u8).collect();
+    let v = client.write(blob, 0, &data).unwrap();
+    let block = 4 * page;
+    let lap = || -> u64 {
+        let before = sys.metadata().stats().cache_misses;
+        for offset in (0..data.len() as u64).step_by(block as usize) {
+            let got = client.read(blob, v, offset, block).unwrap();
+            assert_eq!(got, data[offset as usize..(offset + block) as usize]);
+        }
+        sys.metadata().stats().cache_misses - before
+    };
+    // The first lap starts cold: the write's pre-warm did not fit anyway.
+    sys.metadata().drop_cached_nodes();
+    let first = lap();
+    let second = lap();
+    assert!(first >= 321, "a cold lap misses every node once: {first}");
+    assert!(
+        second * 10 <= first * 6,
+        "the second lap missed {second} nodes, the first {first}"
+    );
+    // Every block the warm cache served reads the same from a cold one.
+    for offset in (0..data.len() as u64).step_by(block as usize) {
+        let warm = client.read(blob, v, offset, block).unwrap();
+        sys.metadata().drop_cached_nodes();
+        assert_eq!(warm, client.read(blob, v, offset, block).unwrap());
+    }
+}
+
 /// Killing the primary replica of every page must not break a multi-page
 /// read batched per first replica: failover happens per page, after the
 /// refused batches come back.
