@@ -29,6 +29,8 @@ struct GcSection {
 struct ReadPathRecord {
     label: String,
     aggregate_mibps: f64,
+    /// Pages the clients read: the floor of `nodes_read` (one leaf each).
+    pages_read: u64,
     nodes_read: u64,
     dht_read_round_trips: u64,
     cache_hits: u64,
@@ -74,11 +76,14 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
             // the measured phase starts with a cold node cache.
             storage.metadata().drop_cached_nodes();
             let before = storage.metadata().stats();
+            let bytes_before = storage.stats().bytes_read;
             let bench = read_shared_file(&fs, &config).expect("run read workload");
             let now = storage.metadata().stats();
+            let bytes_read = storage.stats().bytes_read - bytes_before;
             let record = ReadPathRecord {
                 label: format!("read-ahead {window}"),
                 aggregate_mibps: bench.aggregate_bps() / (1024.0 * 1024.0),
+                pages_read: bytes_read.div_ceil(page_size),
                 nodes_read: now.nodes_read - before.nodes_read,
                 dht_read_round_trips: now.dht_read_round_trips - before.dht_read_round_trips,
                 cache_hits: now.cache_hits - before.cache_hits,
@@ -88,11 +93,12 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
                 prefetch_wasted: now.prefetch_wasted - before.prefetch_wasted,
             };
             println!(
-                "{:>13}: {:>8.1} MiB/s aggregate | {} nodes requested, {} DHT read round \
-                 trips | cache: {} hits, {} misses | read-ahead: {} prefetched, {} hits, \
+                "{:>13}: {:>8.1} MiB/s aggregate | {} pages, {} nodes requested, {} DHT read \
+                 round trips | cache: {} hits, {} misses | read-ahead: {} prefetched, {} hits, \
                  {} wasted",
                 record.label,
                 record.aggregate_mibps,
+                record.pages_read,
                 record.nodes_read,
                 record.dht_read_round_trips,
                 record.cache_hits,

@@ -1430,18 +1430,30 @@ mod tests {
         );
     }
 
+    /// Write `pages` pages of 16 bytes one page per version: the tree of the
+    /// last version has the shape of a one-write tree, but every inner node
+    /// shares a child with an older version, so none is full.
+    fn write_one_page_at_a_time(client: &BlobSeerClient, blob: BlobId, pages: u64, byte: u8) {
+        for page in 0..pages {
+            client.write(blob, page * 16, &[byte; 16]).unwrap();
+        }
+    }
+
     #[test]
     fn read_path_batches_and_caches_metadata_round_trips() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
+        write_one_page_at_a_time(&client, blob, 16, 7);
         let data = vec![7u8; 16 * 16]; // 16 pages
-        client.write(blob, 0, &data).unwrap();
         let after_write = sys.metadata().stats();
 
-        // First read: the cache was pre-warmed by the write's own batch
-        // flush, so the whole descent is answered without touching the DHT.
-        client.read_latest(blob, 0, data.len() as u64).unwrap();
+        // First read: the cache was pre-warmed by the writes' own batch
+        // flushes, so the whole descent is answered without touching the DHT.
+        assert_eq!(
+            client.read_latest(blob, 0, data.len() as u64).unwrap(),
+            data
+        );
         let after_read = sys.metadata().stats();
         assert_eq!(
             after_read.dht_read_round_trips, after_write.dht_read_round_trips,
@@ -1452,16 +1464,40 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_read_of_one_write_jumps_from_its_full_root_to_the_leaves() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let data = vec![7u8; 16 * 16]; // 16 pages in one write: a full root
+        client.write(blob, 0, &data).unwrap();
+        let before = sys.metadata().stats();
+        assert_eq!(
+            client.read_latest(blob, 0, data.len() as u64).unwrap(),
+            data
+        );
+        let after = sys.metadata().stats();
+        assert_eq!(after.dht_read_round_trips, before.dht_read_round_trips);
+        // The root, then its 16 leaves: two batches, all from the cache.
+        assert_eq!(after.nodes_read - before.nodes_read, 17);
+        assert_eq!(after.cache_hits - before.cache_hits, 17);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
+    }
+
+    #[test]
     fn uncached_read_path_still_batches_by_tree_level() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
-        let data = vec![9u8; 16 * 16]; // 16 pages -> 31-node tree, depth 5
-        client.write(blob, 0, &data).unwrap();
-        // A cold descent: forget what the write's publication pre-warmed.
+        // 16 pages -> 31-node tree, depth 5
+        write_one_page_at_a_time(&client, blob, 16, 9);
+        let data = vec![9u8; 16 * 16];
+        // A cold descent: forget what the writes' publications pre-warmed.
         sys.metadata().drop_cached_nodes();
         let before = sys.metadata().stats();
-        client.read_latest(blob, 0, data.len() as u64).unwrap();
+        assert_eq!(
+            client.read_latest(blob, 0, data.len() as u64).unwrap(),
+            data
+        );
         let after = sys.metadata().stats();
         let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
         let nodes = after.nodes_read - before.nodes_read;
@@ -1473,6 +1509,31 @@ mod tests {
             "expected level-batched reads, got {read_rts}"
         );
         assert!((read_rts as f64) < 0.6 * nodes as f64);
+    }
+
+    #[test]
+    fn an_uncached_read_of_one_write_pays_two_batches() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let data = vec![9u8; 16 * 16]; // 16 pages in one write: a full root
+        client.write(blob, 0, &data).unwrap();
+        sys.metadata().drop_cached_nodes();
+        let before = sys.metadata().stats();
+        assert_eq!(
+            client.read_latest(blob, 0, data.len() as u64).unwrap(),
+            data
+        );
+        let after = sys.metadata().stats();
+        let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
+        // The root, then its 16 leaves, every one from the DHT.
+        assert_eq!(after.nodes_read - before.nodes_read, 17);
+        assert_eq!(after.cache_misses - before.cache_misses, 17);
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
+        // One round trip for the root, one per metadata provider for the
+        // leaves.
+        assert!(read_rts <= 1 + 3, "got {read_rts}");
     }
 
     #[test]

@@ -164,14 +164,11 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
                 if shadow.span > walk.node.span {
                     // The survivor's tree is wider: step its shadow down one
                     // level towards the node's coordinates first.
-                    let step = match node_at(&shadow)? {
-                        TreeNode::Inner { left, right }
-                            if walk.node.offset < shadow.offset + shadow.span / 2 =>
-                        {
-                            *left
-                        }
-                        TreeNode::Inner { right, .. } => *right,
-                        TreeNode::Leaf { .. } => None,
+                    let [left, right] = node_at(&shadow)?.children(shadow);
+                    let step = if walk.node.offset < shadow.offset + shadow.span / 2 {
+                        left
+                    } else {
+                        right
                     };
                     next.push(Walk {
                         shadow: step,
@@ -182,15 +179,19 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
             }
             // Dead: no surviving tree holds it. Its children are dead or
             // live on their own account.
-            let node = node_at(&walk.node)?;
-            match node {
-                TreeNode::Inner { left, right } => {
-                    let (shadow_left, shadow_right) =
-                        match walk.shadow.map(|s| node_at(&s)).transpose()? {
-                            Some(TreeNode::Inner { left, right }) => (*left, *right),
-                            _ => (None, None),
-                        };
-                    for (child, shadow) in [(*left, shadow_left), (*right, shadow_right)] {
+            match node_at(&walk.node)? {
+                TreeNode::Leaf { page, providers } => {
+                    if !providers.is_empty() {
+                        let key = page_key(walk.node.blob, walk.node.version, *page);
+                        pages.push((key, providers.clone()));
+                    }
+                }
+                node => {
+                    let shadows = match walk.shadow {
+                        Some(s) => node_at(&s)?.children(s),
+                        None => [None, None],
+                    };
+                    for (child, shadow) in node.children(walk.node).into_iter().zip(shadows) {
                         if let Some(child) = child.filter(|c| queued.insert(*c)) {
                             next.push(Walk {
                                 node: child,
@@ -200,11 +201,6 @@ pub(crate) fn collect(sys: &BlobSeer, src: NodeId, reclaims: &[Reclaim]) -> Blob
                         }
                     }
                 }
-                TreeNode::Leaf { page, providers } if !providers.is_empty() => {
-                    let key = page_key(walk.node.blob, walk.node.version, *page);
-                    pages.push((key, providers.clone()));
-                }
-                TreeNode::Leaf { .. } => {}
             }
             nodes.push(walk.node);
         }
@@ -260,14 +256,8 @@ fn created_at(
         let nodes = store.get_nodes(&frontier)?;
         let mut next = Vec::new();
         for (key, node) in frontier.drain(..).zip(nodes) {
-            if let TreeNode::Inner { left, right } = node {
-                next.extend(
-                    [left, right]
-                        .into_iter()
-                        .flatten()
-                        .filter(|c| c.version == version),
-                );
-            }
+            let children = node.children(key).into_iter().flatten();
+            next.extend(children.filter(|c| c.version == version));
             created.push(key);
         }
         frontier = next;
@@ -341,7 +331,7 @@ fn sweep(
 
 #[cfg(test)]
 mod tests {
-    use crate::metadata::{NodeKey, TreeNode};
+    use crate::metadata::NodeKey;
     use crate::{BlobSeer, BlobSeerConfig};
 
     #[test]
@@ -359,9 +349,8 @@ mod tests {
         let mut created: Vec<NodeKey> = Vec::new();
         let mut frontier: Vec<NodeKey> = root.into_iter().collect();
         while let Some(key) = frontier.pop() {
-            if let TreeNode::Inner { left, right } = store.get_node(key).unwrap() {
-                frontier.extend([left, right].into_iter().flatten());
-            }
+            let children = store.get_node(key).unwrap().children(key);
+            frontier.extend(children.into_iter().flatten());
             created.push(key);
         }
         let resident = store.cache_stats().entries;

@@ -12,9 +12,14 @@
 //!
 //! * [`NodeKey`] names a tree node: `(blob, version-created, offset, span)` in
 //!   page units. Its DHT key is the same four numbers as an [`InlineKey`].
-//! * [`TreeNode`] is the stored payload: an inner node holding the keys of its
-//!   two children (either may be absent, representing a hole of zeroes), or a
-//!   leaf holding the replica providers of one page.
+//! * [`TreeNode`] is the stored payload, one of three kinds:
+//!   - an inner node holding the keys of its two children (either may be
+//!     absent, representing a hole of zeroes);
+//!   - a *full* inner node, one whose every page its own version wrote: it
+//!     stores nothing, because its children are the same version's halves of
+//!     its coordinates, down to the leaf `(blob, version, page, 1)` of each
+//!     page ([`TreeNode::children`]);
+//!   - a leaf holding the replica providers of one page.
 //! * [`store::MetadataStore`] is the thin typed wrapper around the DHT.
 //! * [`segment_tree`] holds the build (write path) and lookup (read path)
 //!   algorithms.
@@ -62,6 +67,11 @@ pub enum TreeNode {
         left: Option<NodeKey>,
         right: Option<NodeKey>,
     },
+    /// An inner node whose every page was written by the version in its key,
+    /// so both children exist and are implied by that key: each half is the
+    /// same version's node at the half's coordinates, itself full or a leaf.
+    /// It costs one tag byte in the DHT and no payload in memory.
+    Full,
     /// A leaf describing one page: the providers holding its replicas, in
     /// preference order. An empty provider list also denotes a hole.
     Leaf {
@@ -71,6 +81,25 @@ pub enum TreeNode {
 }
 
 impl TreeNode {
+    /// The two children of the inner node stored under `key`, left then
+    /// right: stored for [`TreeNode::Inner`], derived from `key` for
+    /// [`TreeNode::Full`]. A leaf has none.
+    pub fn children(&self, key: NodeKey) -> [Option<NodeKey>; 2] {
+        match self {
+            TreeNode::Inner { left, right } => [*left, *right],
+            TreeNode::Full => {
+                let span = key.span / 2;
+                let left = NodeKey { span, ..key };
+                let right = NodeKey {
+                    offset: key.offset + span,
+                    ..left
+                };
+                [Some(left), Some(right)]
+            }
+            TreeNode::Leaf { .. } => [None, None],
+        }
+    }
+
     /// Serialize to a compact binary representation for the DHT.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(80);
@@ -80,6 +109,7 @@ impl TreeNode {
                 encode_opt_key(&mut out, left);
                 encode_opt_key(&mut out, right);
             }
+            TreeNode::Full => out.push(2u8),
             TreeNode::Leaf { page, providers } => {
                 out.push(1u8);
                 out.extend_from_slice(&page.to_le_bytes());
@@ -117,10 +147,11 @@ impl TreeNode {
                 }
                 let providers = rest
                     .chunks_exact(4)
-                    .map(|c| ProviderId(u32::from_le_bytes(c.try_into().unwrap())))
+                    .map(|c| ProviderId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
                     .collect();
                 Some(TreeNode::Leaf { page, providers })
             }
+            2 if rest.is_empty() => Some(TreeNode::Full),
             _ => None,
         }
     }
@@ -263,6 +294,38 @@ mod tests {
             let decoded = TreeNode::decode(&node.encode()).unwrap();
             assert_eq!(decoded, node);
         }
+    }
+
+    #[test]
+    fn a_full_node_is_one_tag_byte_and_no_bigger_in_memory() {
+        assert_eq!(TreeNode::Full.encode(), vec![2]);
+        assert_eq!(TreeNode::decode(&[2]), Some(TreeNode::Full));
+        assert_eq!(TreeNode::decode(&[2, 0]), None, "trailing bytes");
+        // The kind has no payload: it takes a niche of `Inner`'s option
+        // tags, so every cached node stays the size of two child keys.
+        assert_eq!(std::mem::size_of::<TreeNode>(), 80);
+    }
+
+    #[test]
+    fn a_full_node_derives_its_children_from_its_key() {
+        assert_eq!(
+            TreeNode::Full.children(key(4, 8, 8)),
+            [Some(key(4, 8, 4)), Some(key(4, 12, 4))]
+        );
+        assert_eq!(
+            TreeNode::Full.children(key(4, 6, 2)),
+            [Some(key(4, 6, 1)), Some(key(4, 7, 1))]
+        );
+        let inner = TreeNode::Inner {
+            left: None,
+            right: Some(key(1, 4, 4)),
+        };
+        assert_eq!(inner.children(key(3, 0, 8)), [None, Some(key(1, 4, 4))]);
+        let leaf = TreeNode::Leaf {
+            page: 5,
+            providers: vec![ProviderId(1)],
+        };
+        assert_eq!(leaf.children(key(3, 5, 1)), [None, None]);
     }
 
     #[test]

@@ -159,8 +159,8 @@ pub fn build_version(
         wlast,
         written,
     };
-    let root = build_node(&ctx, &mut batch, 0, new_span, None)?
-        .ok_or_else(|| invalid("the root must overlap the written range"))?;
+    let (root, _) = build_node(&ctx, &mut batch, 0, new_span, None, false)?;
+    let root = root.ok_or_else(|| invalid("the root must overlap the written range"))?;
     batch.flush()?;
     Ok(root)
 }
@@ -175,14 +175,23 @@ struct BuildCtx<'a> {
 }
 
 /// Recursive path-copying build. `prev_here` is the previous version's node
-/// covering exactly `(offset, span)`, when known from the parent.
+/// covering exactly `(offset, span)`, when known from the parent, and
+/// `prev_full` says the parent was [`TreeNode::Full`], which makes
+/// `prev_here` full too (or a leaf) without reading it.
+///
+/// Returns the node now at `(offset, span)` and whether this build wrote
+/// every page under it. Such a node is stored as [`TreeNode::Full`]: a
+/// written leaf is full, an inner node is full when this call built both of
+/// its children and both are full, and a shared subtree or a growth wrapper
+/// never is.
 fn build_node(
     ctx: &BuildCtx<'_>,
     batch: &mut NodeBatch<'_>,
     offset: u64,
     span: u64,
     prev_here: Option<NodeKey>,
-) -> BlobResult<Option<NodeKey>> {
+    prev_full: bool,
+) -> BlobResult<(Option<NodeKey>, bool)> {
     // When the new tree is taller than the previous one, the previous root
     // reappears as the node covering (0, prev.span) somewhere down the left
     // spine; graft it in when we reach that position.
@@ -195,7 +204,7 @@ fn build_node(
     let overlaps = ctx.wfirst < offset + span && ctx.wlast >= offset;
     if !overlaps {
         // Untouched subtree: share the previous node (or keep the hole).
-        return Ok(prev_here);
+        return Ok((prev_here, false));
     }
 
     if span == 1 {
@@ -217,24 +226,24 @@ fn build_node(
                         providers: providers.clone(),
                     },
                 );
-                Ok(Some(key))
+                Ok((Some(key), true))
             }
-            None => Ok(prev_here),
+            None => Ok((prev_here, false)),
         };
     }
 
     let half = span / 2;
-    let (prev_left, prev_right) = match prev_here {
-        Some(pk) => match batch.get(pk)? {
-            TreeNode::Inner { left, right } => (left, right),
-            // A leaf cannot cover more than one page; treat defensively.
-            TreeNode::Leaf { .. } => (None, None),
-        },
-        None => (None, None),
+    let ([prev_left, prev_right], prev_full) = match prev_here {
+        Some(pk) if prev_full => (TreeNode::Full.children(pk), true),
+        Some(pk) => {
+            let node = batch.get(pk)?;
+            (node.children(pk), node == TreeNode::Full)
+        }
+        None => ([None, None], false),
     };
 
-    let left = build_node(ctx, batch, offset, half, prev_left)?;
-    let right = build_node(ctx, batch, offset + half, half, prev_right)?;
+    let (left, left_full) = build_node(ctx, batch, offset, half, prev_left, prev_full)?;
+    let (right, right_full) = build_node(ctx, batch, offset + half, half, prev_right, prev_full)?;
 
     let key = NodeKey {
         blob: ctx.blob,
@@ -242,8 +251,14 @@ fn build_node(
         offset,
         span,
     };
-    batch.put(key, TreeNode::Inner { left, right });
-    Ok(Some(key))
+    let full = left_full && right_full;
+    let node = if full {
+        TreeNode::Full
+    } else {
+        TreeNode::Inner { left, right }
+    };
+    batch.put(key, node);
+    Ok((Some(key), full))
 }
 
 /// Location metadata for one page, as resolved by [`lookup_range`].
@@ -268,9 +283,13 @@ pub struct PageMeta {
 /// The descent is breadth-first and *frontier-batched*: every node of one
 /// tree level that overlaps the requested range is resolved through a single
 /// [`MetadataStore::get_nodes`] call (one `Dht::get_many` pass contacting
-/// each responsible metadata provider once). A range lookup therefore costs
-/// O(tree depth) metadata round trips instead of one round trip per visited
-/// node — the read-side counterpart of the batched write publication.
+/// each responsible metadata provider once). At a [`TreeNode::Full`] node the
+/// descent skips the levels below: the leaves of the requested pages under
+/// it are known from its key, so they join the next batch directly. A range
+/// lookup therefore costs one batch per level down to the first full node
+/// on each path, plus one for the leaves under it, instead of one round trip
+/// per visited node — the read-side counterpart of the batched write
+/// publication.
 pub fn lookup_range(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -361,6 +380,21 @@ pub fn lookup_range_readahead(
                         });
                     }
                 }
+                TreeNode::Full => {
+                    // Every page under a full node is a leaf of its version:
+                    // jump to the leaves the read and its window need. A
+                    // missing one fails the batch like any missing child.
+                    let lo = offset.max(first_page);
+                    let hi = (offset + span - 1).min(fetch_last);
+                    for page in lo..=hi {
+                        let leaf = NodeKey {
+                            offset: page,
+                            span: 1,
+                            ..key
+                        };
+                        next.push((leaf, page, 1, page <= last_page));
+                    }
+                }
                 TreeNode::Inner { left, right } => {
                     let half = span / 2;
                     for (child, child_offset) in [(left, offset), (right, offset + half)] {
@@ -427,9 +461,10 @@ fn emit_holes(offset: u64, span: u64, first: u64, last: u64, out: &mut Vec<PageM
 
 /// The retained node-at-a-time reference walk: semantically identical to
 /// [`lookup_range`] but resolving every tree node with an individual
-/// [`MetadataStore::get_node`] call (one DHT round trip each). Kept as the
-/// differential-testing oracle for the batched descent and as the "before"
-/// measurement for the read-batching experiments.
+/// [`MetadataStore::get_node`] call (one DHT round trip each), through every
+/// level of a full subtree as well (its children are derived, then read).
+/// Kept as the differential-testing oracle for the batched descent and as
+/// the "before" measurement for the read-batching experiments.
 pub fn lookup_range_walk(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -500,7 +535,8 @@ fn collect(
                     });
                 }
             }
-            TreeNode::Inner { left, right } => {
+            node => {
+                let [left, right] = node.children(key);
                 let half = span / 2;
                 collect(store, left, offset, half, first, last, out)?;
                 collect(store, right, offset + half, half, first, last, out)?;
@@ -725,12 +761,26 @@ mod tests {
         }
     }
 
+    /// Build `pages` pages under a `pages`-page span one page per version:
+    /// the last tree has the shape of a one-write tree, but every inner node
+    /// shares a child with an older version, so none is full.
+    fn one_page_per_version(s: &MetadataStore, blob: BlobId, pages: u64) -> NodeKey {
+        let mut prev = PrevTree::empty();
+        for page in 0..pages {
+            let w = written(&[(page, &[page as u32])]);
+            let root = build_version(s, blob, Version(page + 1), prev, pages, &w).unwrap();
+            prev = PrevTree {
+                root: Some(root),
+                span: pages,
+            };
+        }
+        prev.root.unwrap()
+    }
+
     #[test]
     fn batched_lookup_matches_the_walk_and_pays_one_round_trip_per_level() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
-        let root =
-            build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let root = one_page_per_version(&writer, BlobId(11), 32);
         // A second client of the same DHT, cold for each descent: the
         // writer's publish pre-warm would answer both from its cache.
         let s = MetadataStore::with_dht(writer.dht().clone(), 256);
@@ -759,6 +809,80 @@ mod tests {
         );
         // And the reduction clears the 60% bar by a wide margin.
         assert!((batch_rts as f64) < 0.4 * walk_rts as f64);
+    }
+
+    #[test]
+    fn a_cold_read_of_one_write_jumps_from_the_full_root_to_the_leaves() {
+        let writer = store();
+        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let root =
+            build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        assert_eq!(writer.get_node(root).unwrap(), TreeNode::Full);
+        let s = MetadataStore::with_dht(writer.dht().clone(), 256);
+
+        let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
+        // The walk still reads every stored node, full ones included.
+        assert_eq!(s.stats().nodes_read, 63);
+        s.drop_cached_nodes();
+        let before = s.stats();
+        let batched = lookup_range(&s, Some(root), 32, 0, 31).unwrap();
+        let after = s.stats();
+        assert_eq!(walked, batched);
+        // The root, then its 32 leaves in one batch.
+        assert_eq!(after.nodes_read - before.nodes_read, 33);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
+        assert!(after.dht_read_round_trips - before.dht_read_round_trips <= 1 + 3);
+    }
+
+    #[test]
+    fn a_missing_leaf_under_a_full_node_fails_the_read() {
+        let writer = store();
+        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let blob = BlobId(19);
+        let root = build_version(&writer, blob, Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let leaf = NodeKey {
+            blob,
+            version: Version(1),
+            offset: 13,
+            span: 1,
+        };
+        assert!(writer.remove_node(leaf).unwrap());
+        for (first, last, window) in [(0, 31, 0), (13, 13, 0), (8, 15, 0), (10, 13, 4)] {
+            writer.drop_cached_nodes();
+            let got = lookup_range_readahead(&writer, Some(root), 32, first, last, window);
+            assert!(
+                matches!(got, Err(BlobSeerError::Metadata(_))),
+                "[{first}, {last}] + {window}: {got:?}"
+            );
+            writer.drop_cached_nodes();
+            assert!(lookup_range_walk(&writer, Some(root), 32, first, last).is_err());
+        }
+        // Ranges that do not reach the missing leaf still resolve.
+        writer.drop_cached_nodes();
+        assert_eq!(
+            lookup_range(&writer, Some(root), 32, 0, 12).unwrap().len(),
+            13
+        );
+    }
+
+    #[test]
+    fn a_full_node_stored_at_a_leaf_is_corrupt_not_a_loop() {
+        let s = store();
+        let w: BTreeMap<_, _> = (0..4).map(|p| (p, providers(&[0]))).collect();
+        let blob = BlobId(20);
+        let root = build_version(&s, blob, Version(1), PrevTree::empty(), 4, &w).unwrap();
+        let leaf = NodeKey {
+            blob,
+            version: Version(1),
+            offset: 2,
+            span: 1,
+        };
+        s.dht()
+            .put(leaf.dht_key().as_bytes(), TreeNode::Full.encode().into())
+            .unwrap();
+        s.drop_cached_nodes();
+        assert!(lookup_range(&s, Some(root), 4, 0, 3).is_err());
+        assert!(s.get_node(leaf).is_err());
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct MetadataStats {
     /// committed version on the write path, regardless of tree size.
     pub batch_flushes: u64,
     /// Batched resolutions ([`MetadataStore::get_nodes`] calls): one per
-    /// tree level on the lookup path, regardless of frontier width.
+    /// tree level on the lookup path, regardless of frontier width, down to
+    /// the first full node of a path, then one for the leaves under it.
     pub batch_lookups: u64,
     /// Client-to-metadata-node round trips performed by the underlying DHT
     /// (reads and writes combined).
@@ -153,7 +154,7 @@ impl MetadataStore {
     /// provider through [`Dht::get_many`], so each provider is contacted once
     /// per batch instead of once per node. The frontier-batched tree descent
     /// ([`crate::metadata::segment_tree::lookup_range`]) resolves one whole
-    /// tree level through a single call.
+    /// tree level, or the leaves under full nodes, through a single call.
     ///
     /// Returns the nodes in request order. Any node that no live replica
     /// holds fails the whole batch, matching [`MetadataStore::get_node`]'s
@@ -235,8 +236,11 @@ impl MetadataStore {
         Ok(out)
     }
 
+    /// Decode a fetched node. A full node stored at a single page is corrupt
+    /// too: a descent would take it for its own leaf, forever.
     fn decode_node(key: NodeKey, raw: &[u8]) -> BlobResult<TreeNode> {
-        TreeNode::decode(raw).ok_or_else(|| {
+        let node = TreeNode::decode(raw).filter(|n| key.span > 1 || *n != TreeNode::Full);
+        node.ok_or_else(|| {
             BlobSeerError::Metadata(DhtError::NotFound {
                 key: format!("undecodable metadata node {key:?}"),
             })

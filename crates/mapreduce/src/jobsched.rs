@@ -136,9 +136,15 @@ impl FairScheduler {
     }
 
     /// Builder-style per-tenant weight override (default 1.0; values are
-    /// clamped to be positive).
+    /// clamped to `[1e-9, 1e9]`, a NaN to the bottom, so every share stays a
+    /// finite number).
     pub fn with_weight(mut self, tenant: &str, weight: f64) -> Self {
-        self.weights.insert(tenant.to_string(), weight.max(1e-9));
+        let weight = if weight.is_nan() {
+            1e-9
+        } else {
+            weight.clamp(1e-9, 1e9)
+        };
+        self.weights.insert(tenant.to_string(), weight);
         self
     }
 
@@ -189,7 +195,7 @@ impl JobScheduler for FairScheduler {
         let (winner, _) = shares.iter().max_by(|(_, a), (_, b)| {
             let da = a.0 - a.1 as f64;
             let db = b.0 - b.1 as f64;
-            da.partial_cmp(&db).unwrap().then(b.2.cmp(&a.2)) // older job (smaller seq) wins ties
+            da.total_cmp(&db).then(b.2.cmp(&a.2)) // older job (smaller seq) wins ties
         })?;
         jobs.iter()
             .enumerate()
@@ -208,7 +214,7 @@ impl JobScheduler for FairScheduler {
             .min_by(|(_, a), (_, b)| {
                 let la = a.running_of_tenant as f64 / self.weight(&a.tenant);
                 let lb = b.running_of_tenant as f64 / self.weight(&b.tenant);
-                la.partial_cmp(&lb).unwrap().then(a.seq.cmp(&b.seq))
+                la.total_cmp(&lb).then(a.seq.cmp(&b.seq))
             })
             .map(|(i, _)| i)
     }
@@ -430,6 +436,26 @@ mod tests {
         let jobs = vec![job(1, "gold", 10, 4), job(2, "bronze", 10, 2)];
         // gold deficit 2, bronze deficit 0.
         assert_eq!(s.pick(SlotKind::Map, 8, &jobs), Some(0));
+    }
+
+    #[test]
+    fn fair_picks_a_job_whatever_the_weights() {
+        for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX, 0.0] {
+            let s = FairScheduler::new()
+                .with_weight("a", weight)
+                .with_weight("b", f64::INFINITY);
+            let jobs = vec![job(1, "a", 10, 0), job(2, "b", 10, 3)];
+            assert!(s.pick(SlotKind::Map, 8, &jobs).is_some(), "weight {weight}");
+            let queued: Vec<QueuedView> = [(1, "a", 2), (2, "b", 0)]
+                .into_iter()
+                .map(|(seq, tenant, running_of_tenant)| QueuedView {
+                    seq,
+                    tenant: tenant.into(),
+                    running_of_tenant,
+                })
+                .collect();
+            assert!(s.pick_next(&queued).is_some(), "weight {weight}");
+        }
     }
 
     #[test]

@@ -133,13 +133,14 @@ pub fn jain_fairness_index(xs: &[f64]) -> f64 {
 }
 
 /// The `p`-th percentile (0..=100) of an unsorted sample, by
-/// nearest-rank on a sorted copy. Returns 0.0 for an empty sample.
+/// nearest-rank on a sorted copy (a NaN sample sorts last). Returns 0.0 for
+/// an empty sample.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
+    sorted.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
 }
@@ -186,6 +187,9 @@ mod tests {
         assert!(percentile(&xs, 99.0) >= 99.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
+        // A NaN sample sorts last instead of panicking.
+        assert_eq!(percentile(&[3.0, f64::NAN, 1.0], 0.0), 1.0);
+        assert!(percentile(&[3.0, f64::NAN, 1.0], 100.0).is_nan());
     }
 
     #[test]

@@ -150,14 +150,12 @@ fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
                     continue;
                 }
                 nodes.insert(key.dht_key().as_bytes().to_vec());
-                match sys.metadata().get_node(key).unwrap() {
-                    TreeNode::Inner { left, right } => {
-                        frontier.extend([left, right].into_iter().flatten())
-                    }
+                let node = sys.metadata().get_node(key).unwrap();
+                match node {
                     TreeNode::Leaf { page, providers } if !providers.is_empty() => {
                         pages.insert(page_key(key.blob, key.version, page));
                     }
-                    TreeNode::Leaf { .. } => {}
+                    _ => frontier.extend(node.children(key).into_iter().flatten()),
                 }
             }
         }

@@ -4,8 +4,11 @@
 //! sees (only how fast it sees it), and per-page replica failover must
 //! survive the per-provider batched page fetch.
 
-use blobseer::metadata::segment_tree::{build_version, lookup_range, lookup_range_walk, PrevTree};
+use blobseer::metadata::segment_tree::{
+    build_version, lookup_range, lookup_range_readahead, lookup_range_walk, PrevTree,
+};
 use blobseer::metadata::store::MetadataStore;
+use blobseer::metadata::{NodeKey, TreeNode};
 use blobseer::types::next_power_of_two;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, BlobSeerError, ProviderId, Version};
 use proptest::prelude::*;
@@ -84,6 +87,94 @@ proptest! {
         // counter the two stores share, so count the warm store's misses).
         prop_assert_eq!(warm.stats().cache_misses, warm_misses);
     }
+
+    /// Random contiguous writes over several versions — page-aligned powers
+    /// of two, unaligned runs and sparse page sets, growing the tree and
+    /// overwriting it — store a node as `Full` exactly when every page under
+    /// it resolves to a leaf of its own version, and the batched descent,
+    /// which jumps from a full node to its leaves, agrees with the
+    /// node-at-a-time walk for every version and range, with and without
+    /// read-ahead, on a cold and a warm cache.
+    #[test]
+    fn full_nodes_are_exactly_the_own_version_subtrees_and_the_jump_matches_the_walk(
+        writes in prop::collection::vec((0u8..3, 0u64..48, 1u64..24, any::<u64>()), 1..7),
+        queries in prop::collection::vec((0u64..72, 0u64..72), 1..6),
+    ) {
+        let warm = MetadataStore::new(3, 2, 4096);
+        let cold = MetadataStore::with_dht(warm.dht().clone(), 256);
+        let blob = BlobId(2);
+        let mut prev = PrevTree::empty();
+        let mut roots = Vec::new();
+        for (v, &(kind, start, len, mask)) in writes.iter().enumerate() {
+            let pages: Vec<u64> = match kind {
+                // A power-of-two run at a multiple of its length.
+                0 => {
+                    let size = 1u64 << (len % 5);
+                    let at = start / size * size;
+                    (at..at + size).collect()
+                }
+                1 => (start..start + len).collect(),
+                // A sparse set inside the run; its first page always stays.
+                _ => (start..start + len)
+                    .filter(|p| *p == start || mask >> ((p - start) % 64) & 1 == 1)
+                    .collect(),
+            };
+            let written: BTreeMap<u64, Vec<ProviderId>> = pages
+                .iter()
+                .map(|&p| (p, vec![ProviderId((p % 5) as u32)]))
+                .collect();
+            let span = next_power_of_two(prev.span.max(pages[pages.len() - 1] + 1));
+            let root = build_version(&warm, blob, Version(v as u64 + 1), prev, span, &written)
+                .unwrap();
+            roots.push((root, span));
+            prev = PrevTree { root: Some(root), span };
+        }
+
+        for &(root, span) in &roots {
+            full_nodes_are_own_version_subtrees(&cold, Some(root), span)?;
+            for &(a, b) in &queries {
+                let (first, last) = (a.min(b), a.max(b));
+                cold.drop_cached_nodes();
+                let walk = lookup_range_walk(&cold, Some(root), span, first, last).unwrap();
+                for window in [0, 8] {
+                    cold.drop_cached_nodes();
+                    let bfs_cold =
+                        lookup_range_readahead(&cold, Some(root), span, first, last, window)
+                            .unwrap();
+                    let bfs_warm =
+                        lookup_range_readahead(&warm, Some(root), span, first, last, window)
+                            .unwrap();
+                    prop_assert_eq!(&walk, &bfs_cold);
+                    prop_assert_eq!(&walk, &bfs_warm);
+                }
+            }
+        }
+    }
+}
+
+/// Check, under the node at `node` covering `span` pages, that a node is
+/// `Full` exactly when every page under it resolves to a leaf of its own
+/// version; return the version each page under it resolves to (`None` for a
+/// hole).
+fn full_nodes_are_own_version_subtrees(
+    store: &MetadataStore,
+    node: Option<NodeKey>,
+    span: u64,
+) -> Result<Vec<Option<Version>>, TestCaseError> {
+    let Some(key) = node else {
+        return Ok(vec![None; span as usize]);
+    };
+    prop_assert_eq!(key.span, span);
+    let node = store.get_node(key).unwrap();
+    if let TreeNode::Leaf { .. } = node {
+        return Ok(vec![Some(key.version)]);
+    }
+    let [left, right] = node.children(key);
+    let mut pages = full_nodes_are_own_version_subtrees(store, left, span / 2)?;
+    pages.extend(full_nodes_are_own_version_subtrees(store, right, span / 2)?);
+    let own = pages.iter().all(|v| *v == Some(key.version));
+    prop_assert!((node == TreeNode::Full) == own, "{:?} full: {}", key, own);
+    Ok(pages)
 }
 
 /// Reading an old version after many later overwrites returns the old bytes
@@ -137,7 +228,9 @@ fn old_versions_read_identically_through_the_cache() {
 
 /// A scan that repeats over a tree 1.25x the metadata cache keeps most of
 /// the tree from one lap to the next (eviction order is not scan order), and
-/// what the cache keeps reads exactly what a cold descent reads.
+/// what the cache keeps reads exactly what a cold descent reads. The tree is
+/// written one page per version, so no inner node is full and every descent
+/// visits every level.
 #[test]
 fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
     let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
@@ -146,7 +239,12 @@ fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
     let page = sys.config().default_page_size;
     // 160 pages: 321 tree nodes under a 256-page span.
     let data: Vec<u8> = (0..160 * page).map(|i| (i * 7 % 253) as u8).collect();
-    let v = client.write(blob, 0, &data).unwrap();
+    let mut v = Version(0);
+    for offset in (0..data.len()).step_by(page as usize) {
+        v = client
+            .write(blob, offset as u64, &data[offset..offset + page as usize])
+            .unwrap();
+    }
     let block = 4 * page;
     let lap = || -> u64 {
         let before = sys.metadata().stats().cache_misses;
@@ -171,6 +269,44 @@ fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
         sys.metadata().drop_cached_nodes();
         assert_eq!(warm, client.read(blob, v, offset, block).unwrap());
     }
+}
+
+/// The same scan over the same 160 pages written at once: the descent jumps
+/// from each full subtree to its leaves, so a lap reads 165 distinct nodes
+/// (the root, the full (0, 128) and (128, 32) subtrees, the two inner nodes
+/// between them, and the 160 leaves), fewer than the cache's 256 slots.
+#[test]
+fn a_repeated_scan_of_one_write_misses_each_node_once_then_almost_never() {
+    let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
+    let client = sys.client();
+    let blob = client.create(None).unwrap();
+    let page = sys.config().default_page_size;
+    let data: Vec<u8> = (0..160 * page).map(|i| (i * 7 % 253) as u8).collect();
+    let v = client.write(blob, 0, &data).unwrap();
+    let block = 4 * page;
+    let lap = || -> (u64, u64) {
+        let before = sys.metadata().stats();
+        for offset in (0..data.len() as u64).step_by(block as usize) {
+            let got = client.read(blob, v, offset, block).unwrap();
+            assert_eq!(got, data[offset as usize..(offset + block) as usize]);
+        }
+        let after = sys.metadata().stats();
+        (
+            after.cache_misses - before.cache_misses,
+            after.nodes_read - before.nodes_read,
+        )
+    };
+    sys.metadata().drop_cached_nodes();
+    // 32 blocks under the full (0, 128) node read the root, that node and
+    // four leaves; 8 blocks under (128, 32) read four nodes above the leaves.
+    let first = lap();
+    assert_eq!(first, (165, 32 * 6 + 8 * 8));
+    // The cache's shards split its 256 slots evenly and the 165 nodes hash
+    // unevenly over them, so a full shard evicts a few: those are all the
+    // second lap misses.
+    let second = lap();
+    assert_eq!(second.1, first.1);
+    assert!(second.0 * 20 < first.0, "{second:?}");
 }
 
 /// Killing the primary replica of every page must not break a multi-page
