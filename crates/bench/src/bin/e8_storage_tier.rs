@@ -29,7 +29,9 @@ struct GcSection {
 struct ReadPathRecord {
     label: String,
     aggregate_mibps: f64,
-    /// Pages the clients read: the floor of `nodes_read` (one leaf each).
+    /// Pages the clients read. A block written at once is answered by its
+    /// full subtree's root, which maps every page under it, so `nodes_read`
+    /// falls well below it.
     pages_read: u64,
     nodes_read: u64,
     dht_read_round_trips: u64,

@@ -929,6 +929,21 @@ impl BlobSeerClient {
             last_page,
             sys.config.metadata_readahead as u64,
         )?;
+        // One location per page of the range, in page order: metadata that
+        // dropped, moved or repeated a page fails the read instead of
+        // shifting its bytes.
+        if !locations
+            .iter()
+            .map(|meta| meta.page)
+            .eq(first_page..=last_page)
+        {
+            return Err(BlobSeerError::Metadata(dht::DhtError::NotFound {
+                key: format!(
+                    "pages {first_page}..={last_page} of {blob} at {}",
+                    info.version
+                ),
+            }));
+        }
         // Per-location byte window within the page: the read wants
         // `[from, to)` of a page whose valid (readable) length at this
         // version is `valid_len`. `to <= valid_len` always, because the
@@ -1230,6 +1245,7 @@ impl BlobSeerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::TreeNode;
     use crate::provider_manager::PlacementStrategy;
 
     fn small_system() -> Arc<BlobSeer> {
@@ -1463,12 +1479,44 @@ mod tests {
         assert!(after_read.batch_lookups > after_write.batch_lookups);
     }
 
+    /// Write 32 pages of 16 bytes at once, then rewrite page 0: the second
+    /// version shares the first's full (16, 16) subtree, which carries no
+    /// map (only the first version's root does), so a read of pages 16..32
+    /// jumps from it to the leaves.
+    fn write_a_block_then_rewrite_its_first_page(client: &BlobSeerClient, blob: BlobId, byte: u8) {
+        client.write(blob, 0, &[byte; 32 * 16]).unwrap();
+        client.write(blob, 0, &[byte; 16]).unwrap();
+    }
+
     #[test]
     fn a_warm_read_of_one_write_jumps_from_its_full_root_to_the_leaves() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
-        let data = vec![7u8; 16 * 16]; // 16 pages in one write: a full root
+        write_a_block_then_rewrite_its_first_page(&client, blob, 7);
+        let data = vec![7u8; 16 * 16]; // pages 16..32, under a shared full node
+        let before = sys.metadata().stats();
+        assert_eq!(
+            client
+                .read_latest(blob, 16 * 16, data.len() as u64)
+                .unwrap(),
+            data
+        );
+        let after = sys.metadata().stats();
+        assert_eq!(after.dht_read_round_trips, before.dht_read_round_trips);
+        // The root, the full (16, 16), then its 16 leaves: three batches,
+        // all from the cache.
+        assert_eq!(after.nodes_read - before.nodes_read, 18);
+        assert_eq!(after.cache_hits - before.cache_hits, 18);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 3);
+    }
+
+    #[test]
+    fn a_warm_read_of_one_write_resolves_its_pages_at_the_mapped_root() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let data = vec![7u8; 16 * 16]; // 16 pages in one write: a mapped root
         client.write(blob, 0, &data).unwrap();
         let before = sys.metadata().stats();
         assert_eq!(
@@ -1477,10 +1525,10 @@ mod tests {
         );
         let after = sys.metadata().stats();
         assert_eq!(after.dht_read_round_trips, before.dht_read_round_trips);
-        // The root, then its 16 leaves: two batches, all from the cache.
-        assert_eq!(after.nodes_read - before.nodes_read, 17);
-        assert_eq!(after.cache_hits - before.cache_hits, 17);
-        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
+        // The root alone answers all 16 pages.
+        assert_eq!(after.nodes_read - before.nodes_read, 1);
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 1);
     }
 
     #[test]
@@ -1512,11 +1560,39 @@ mod tests {
     }
 
     #[test]
-    fn an_uncached_read_of_one_write_pays_two_batches() {
+    fn an_uncached_read_through_a_shared_full_node_pays_three_batches() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
-        let data = vec![9u8; 16 * 16]; // 16 pages in one write: a full root
+        write_a_block_then_rewrite_its_first_page(&client, blob, 9);
+        let data = vec![9u8; 16 * 16]; // pages 16..32, under a shared full node
+        sys.metadata().drop_cached_nodes();
+        let before = sys.metadata().stats();
+        assert_eq!(
+            client
+                .read_latest(blob, 16 * 16, data.len() as u64)
+                .unwrap(),
+            data
+        );
+        let after = sys.metadata().stats();
+        let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
+        // The root, the full (16, 16), then its 16 leaves, every one from
+        // the DHT.
+        assert_eq!(after.nodes_read - before.nodes_read, 18);
+        assert_eq!(after.cache_misses - before.cache_misses, 18);
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 3);
+        // One round trip each for the root and the full node, one per
+        // metadata provider for the leaves.
+        assert!(read_rts <= 1 + 1 + 3, "got {read_rts}");
+    }
+
+    #[test]
+    fn an_uncached_read_of_one_write_pays_one_node() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let data = vec![9u8; 16 * 16]; // 16 pages in one write: a mapped root
         client.write(blob, 0, &data).unwrap();
         sys.metadata().drop_cached_nodes();
         let before = sys.metadata().stats();
@@ -1525,15 +1601,82 @@ mod tests {
             data
         );
         let after = sys.metadata().stats();
-        let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
-        // The root, then its 16 leaves, every one from the DHT.
-        assert_eq!(after.nodes_read - before.nodes_read, 17);
-        assert_eq!(after.cache_misses - before.cache_misses, 17);
+        // The root, from the DHT, answers all 16 pages.
+        assert_eq!(after.nodes_read - before.nodes_read, 1);
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
         assert_eq!(after.cache_hits, before.cache_hits);
-        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
-        // One round trip for the root, one per metadata provider for the
-        // leaves.
-        assert!(read_rts <= 1 + 3, "got {read_rts}");
+        assert_eq!(after.batch_lookups - before.batch_lookups, 1);
+        assert_eq!(after.dht_read_round_trips - before.dht_read_round_trips, 1);
+    }
+
+    /// Pages 0..4 of 16 bytes written one page per version, page 2's leaf
+    /// key `(v3, 2, 1)`, and the `case`-th of two nodes that once made a read
+    /// return `Ok` when stored there: one that drops page 2, and page 3's
+    /// leaf, which reports page 3 twice and page 2 never.
+    fn four_pages_and_a_wrong_node_for_page_2(
+        case: usize,
+    ) -> (Arc<BlobSeer>, BlobId, NodeKey, TreeNode) {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(4));
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        for page in 0..4u8 {
+            client.write(blob, page as u64 * 16, &[page; 16]).unwrap();
+        }
+        let leaf = |page: u64| NodeKey {
+            blob,
+            version: Version(page + 1),
+            offset: page,
+            span: 1,
+        };
+        let node = match case {
+            0 => TreeNode::Inner {
+                left: None,
+                right: None,
+            },
+            _ => sys.metadata().get_node(leaf(3)).unwrap(),
+        };
+        (sys, blob, leaf(2), node)
+    }
+
+    #[test]
+    fn a_stored_node_of_the_wrong_kind_fails_the_read() {
+        for case in 0..2 {
+            let (sys, blob, at, node) = four_pages_and_a_wrong_node_for_page_2(case);
+            let dht = sys.metadata().dht();
+            dht.put(at.dht_key().as_bytes(), node.encode().into())
+                .unwrap();
+            sys.metadata().drop_cached_nodes();
+            let client = sys.client();
+            let got = client.read(blob, Version(4), 0, 64);
+            assert!(
+                matches!(got, Err(BlobSeerError::Metadata(_))),
+                "{node:?}: {got:?}"
+            );
+            sys.metadata().drop_cached_nodes();
+            assert!(client.locate(blob, Version(4), 0, 64).is_err());
+        }
+    }
+
+    #[test]
+    fn a_read_fails_unless_its_lookup_returns_each_page_once() {
+        // A writer's cache serves a node as it was published, unchecked: the
+        // lookup then drops or repeats a page, and the read must fail rather
+        // than shift the bytes that remain.
+        for case in 0..2 {
+            let (sys, blob, at, node) = four_pages_and_a_wrong_node_for_page_2(case);
+            sys.metadata().put_node(at, &node).unwrap();
+            let info = sys.version_manager().get_version(blob, Version(4)).unwrap();
+            let pages = lookup_range(sys.metadata(), info.root, 4, 0, 3).unwrap();
+            assert_ne!(
+                pages.iter().map(|m| m.page).collect::<Vec<_>>(),
+                [0, 1, 2, 3]
+            );
+            let got = sys.client().read(blob, Version(4), 0, 64);
+            assert!(
+                matches!(got, Err(BlobSeerError::Metadata(_))),
+                "{node:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * [`TreeNode`] is the stored payload, one of three kinds:
 //!   - an inner node holding the keys of its two children (either may be
 //!     absent, representing a hole of zeroes);
-//!   - a *full* inner node, one whose every page its own version wrote: it
-//!     stores nothing, because its children are the same version's halves of
-//!     its coordinates, down to the leaf `(blob, version, page, 1)` of each
-//!     page ([`TreeNode::children`]);
+//!   - a *full* inner node, one whose every page its own version wrote: its
+//!     children are the same version's halves of its coordinates, down to
+//!     the leaf `(blob, version, page, 1)` of each page
+//!     ([`TreeNode::children`]). The topmost full node of a write's full
+//!     subtree also carries a [`PageMap`], the providers of every page under
+//!     it, so a read resolves those pages at that node; the full nodes below
+//!     it store nothing;
 //!   - a leaf holding the replica providers of one page.
 //! * [`store::MetadataStore`] is the thin typed wrapper around the DHT.
 //! * [`segment_tree`] holds the build (write path) and lookup (read path)
@@ -29,6 +32,7 @@ pub mod segment_tree;
 pub mod store;
 
 use crate::types::{BlobId, InlineKey, ProviderId, Version};
+use std::sync::Arc;
 
 /// The tag byte of a tree node's DHT key (page keys carry another).
 const NODE_KEY_TAG: u8 = b'm';
@@ -56,6 +60,18 @@ impl NodeKey {
             &[self.blob.0, self.version.0, self.offset, self.span],
         )
     }
+
+    /// The same version's keys of the two halves of this node's pages, left
+    /// then right.
+    pub fn halves(&self) -> [NodeKey; 2] {
+        let span = self.span / 2;
+        let left = NodeKey { span, ..*self };
+        let right = NodeKey {
+            offset: self.offset + span,
+            ..left
+        };
+        [left, right]
+    }
 }
 
 /// Payload of a segment-tree node.
@@ -70,8 +86,11 @@ pub enum TreeNode {
     /// An inner node whose every page was written by the version in its key,
     /// so both children exist and are implied by that key: each half is the
     /// same version's node at the half's coordinates, itself full or a leaf.
-    /// It costs one tag byte in the DHT and no payload in memory.
-    Full,
+    /// Without a map it costs one tag byte in the DHT and no payload in
+    /// memory. The topmost full node of a write's subtree carries the page
+    /// map of every page under it, when those pages all have the same
+    /// number of replicas.
+    Full { map: Option<PageMap> },
     /// A leaf describing one page: the providers holding its replicas, in
     /// preference order. An empty provider list also denotes a hole.
     Leaf {
@@ -87,15 +106,7 @@ impl TreeNode {
     pub fn children(&self, key: NodeKey) -> [Option<NodeKey>; 2] {
         match self {
             TreeNode::Inner { left, right } => [*left, *right],
-            TreeNode::Full => {
-                let span = key.span / 2;
-                let left = NodeKey { span, ..key };
-                let right = NodeKey {
-                    offset: key.offset + span,
-                    ..left
-                };
-                [Some(left), Some(right)]
-            }
+            TreeNode::Full { .. } => key.halves().map(Some),
             TreeNode::Leaf { .. } => [None, None],
         }
     }
@@ -109,7 +120,14 @@ impl TreeNode {
                 encode_opt_key(&mut out, left);
                 encode_opt_key(&mut out, right);
             }
-            TreeNode::Full => out.push(2u8),
+            TreeNode::Full { map: None } => out.push(2u8),
+            TreeNode::Full { map: Some(map) } => {
+                out.push(3u8);
+                out.push(map.stride);
+                for p in map.providers.iter() {
+                    out.extend_from_slice(&p.0.to_le_bytes());
+                }
+            }
             TreeNode::Leaf { page, providers } => {
                 out.push(1u8);
                 out.extend_from_slice(&page.to_le_bytes());
@@ -145,16 +163,97 @@ impl TreeNode {
                 if rest.len() != count * 4 {
                     return None;
                 }
-                let providers = rest
-                    .chunks_exact(4)
-                    .map(|c| ProviderId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
-                Some(TreeNode::Leaf { page, providers })
+                Some(TreeNode::Leaf {
+                    page,
+                    providers: decode_providers(rest).collect(),
+                })
             }
-            2 if rest.is_empty() => Some(TreeNode::Full),
+            2 if rest.is_empty() => Some(TreeNode::Full { map: None }),
+            3 => {
+                let (&stride, rest) = rest.split_first()?;
+                if rest.len() % 4 != 0 {
+                    return None;
+                }
+                let providers = decode_providers(rest).collect();
+                Some(TreeNode::Full {
+                    map: Some(PageMap { providers, stride }),
+                })
+            }
             _ => None,
         }
     }
+
+    /// Whether this node can be the one stored under `key`: a one-page key
+    /// holds the leaf of its own page; a wider key holds an inner node whose
+    /// present children sit at the key's two halves, of the same blob and no
+    /// newer version, or a full node whose map, if any, lists `stride`
+    /// providers for each of its pages. A node of the wrong kind would make a
+    /// descent drop, move or repeat pages, or loop at a leaf.
+    pub fn fits(&self, key: NodeKey) -> bool {
+        match self {
+            TreeNode::Leaf { page, .. } => key.span == 1 && *page == key.offset,
+            _ if key.span < 2 => false,
+            TreeNode::Inner { left, right } => {
+                let at = |child: &Option<NodeKey>, half: NodeKey| {
+                    child.is_none_or(|c| {
+                        c.version <= key.version
+                            && NodeKey {
+                                version: key.version,
+                                ..c
+                            } == half
+                    })
+                };
+                let [left_half, right_half] = key.halves();
+                at(left, left_half) && at(right, right_half)
+            }
+            TreeNode::Full { map: None } => true,
+            TreeNode::Full { map: Some(map) } => {
+                map.stride > 0 && map.providers.len() as u64 == key.span * map.stride as u64
+            }
+        }
+    }
+}
+
+/// The replica providers of every page under a full node, `stride` per page
+/// in page order, in one shared list: a cache hit clones the `Arc`, not the
+/// list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageMap {
+    providers: Arc<[ProviderId]>,
+    stride: u8,
+}
+
+impl PageMap {
+    /// The map of consecutive pages from their provider lists, in page
+    /// order; `None` unless every list has the same length, between 1 and
+    /// 255 (a fail-over can leave one page a replica short).
+    pub fn of_pages<'a>(pages: impl IntoIterator<Item = &'a [ProviderId]>) -> Option<PageMap> {
+        let mut pages = pages.into_iter().peekable();
+        let stride = u8::try_from(pages.peek()?.len()).ok().filter(|&s| s > 0)?;
+        let mut providers = Vec::new();
+        for list in pages {
+            if list.len() != stride as usize {
+                return None;
+            }
+            providers.extend_from_slice(list);
+        }
+        Some(PageMap {
+            providers: providers.into(),
+            stride,
+        })
+    }
+
+    /// The providers of the `index`-th page under the node, in preference
+    /// order.
+    pub fn page(&self, index: usize) -> &[ProviderId] {
+        let stride = self.stride as usize;
+        &self.providers[index * stride..][..stride]
+    }
+}
+
+fn decode_providers(data: &[u8]) -> impl Iterator<Item = ProviderId> + '_ {
+    data.chunks_exact(4)
+        .map(|c| ProviderId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
 }
 
 fn encode_opt_key(out: &mut Vec<u8>, key: &Option<NodeKey>) {
@@ -207,6 +306,10 @@ mod tests {
             offset: o,
             span: s,
         }
+    }
+
+    fn providers(ids: &[u32]) -> Vec<ProviderId> {
+        ids.iter().map(|&i| ProviderId(i)).collect()
     }
 
     #[test]
@@ -298,24 +401,102 @@ mod tests {
 
     #[test]
     fn a_full_node_is_one_tag_byte_and_no_bigger_in_memory() {
-        assert_eq!(TreeNode::Full.encode(), vec![2]);
-        assert_eq!(TreeNode::decode(&[2]), Some(TreeNode::Full));
+        let full = TreeNode::Full { map: None };
+        assert_eq!(full.encode(), vec![2]);
+        assert_eq!(TreeNode::decode(&[2]), Some(full));
         assert_eq!(TreeNode::decode(&[2, 0]), None, "trailing bytes");
-        // The kind has no payload: it takes a niche of `Inner`'s option
-        // tags, so every cached node stays the size of two child keys.
+        // The kind takes a niche of `Inner`'s option tags, and its optional
+        // map is a shared list and a byte: every cached node stays the size
+        // of two child keys.
         assert_eq!(std::mem::size_of::<TreeNode>(), 80);
     }
 
     #[test]
+    fn a_page_map_roundtrips_and_shares_its_list() {
+        let lists = [
+            providers(&[1, 2]),
+            providers(&[3, 4]),
+            providers(&[5, 6]),
+            providers(&[7, 8]),
+        ];
+        let map = PageMap::of_pages(lists.iter().map(Vec::as_slice)).unwrap();
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(map.page(i), list.as_slice());
+        }
+        let node = TreeNode::Full { map: Some(map) };
+        let bytes = node.encode();
+        assert_eq!(bytes.len(), 2 + 8 * 4, "tag, stride, then the providers");
+        assert_eq!(&bytes[..2], &[3, 2]);
+        assert_eq!(TreeNode::decode(&bytes), Some(node.clone()));
+        assert!(TreeNode::decode(&bytes[..bytes.len() - 1]).is_none());
+        assert!(TreeNode::decode(&[3]).is_none(), "no stride");
+        // A clone, as a cache hit makes, shares the list.
+        let (TreeNode::Full { map: Some(a) }, TreeNode::Full { map: Some(b) }) =
+            (&node, &node.clone())
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&a.providers, &b.providers));
+    }
+
+    #[test]
+    fn a_page_map_needs_one_replica_count_between_1_and_255() {
+        let of = |lists: &[Vec<ProviderId>]| PageMap::of_pages(lists.iter().map(Vec::as_slice));
+        assert!(of(&[providers(&[1]), providers(&[2])]).is_some());
+        // A fail-over left the second page one replica short.
+        assert!(of(&[providers(&[1, 2]), providers(&[3])]).is_none());
+        assert!(of(&[providers(&[]), providers(&[])]).is_none());
+        assert!(of(&[]).is_none());
+        let wide: Vec<u32> = (0..256).collect();
+        assert!(of(&[providers(&wide)]).is_none());
+        assert!(of(&[providers(&wide[..255])]).is_some());
+    }
+
+    #[test]
+    fn a_node_fits_only_a_key_of_its_kind() {
+        let leaf = |page| TreeNode::Leaf {
+            page,
+            providers: providers(&[1]),
+        };
+        let full = TreeNode::Full { map: None };
+        let inner = |left, right| TreeNode::Inner { left, right };
+        assert!(leaf(5).fits(key(3, 5, 1)));
+        assert!(!leaf(6).fits(key(3, 5, 1)), "a leaf of another page");
+        assert!(!leaf(4).fits(key(3, 4, 2)), "a leaf above a page");
+        assert!(!full.fits(key(3, 5, 1)));
+        assert!(!inner(None, None).fits(key(3, 5, 1)));
+        assert!(full.fits(key(3, 4, 2)));
+        // A page map's length and stride are checked through decoding, in
+        // `store::tests`.
+        // An inner node's children: its halves, no newer than itself.
+        assert!(inner(None, None).fits(key(3, 4, 4)));
+        assert!(inner(Some(key(1, 4, 2)), Some(key(3, 6, 2))).fits(key(3, 4, 4)));
+        assert!(!inner(Some(key(4, 4, 2)), None).fits(key(3, 4, 4)), "newer");
+        assert!(!inner(Some(key(1, 6, 2)), None).fits(key(3, 4, 4)), "moved");
+        assert!(!inner(None, Some(key(1, 6, 1))).fits(key(3, 4, 4)), "span");
+        let other_blob = NodeKey {
+            blob: BlobId(8),
+            ..key(1, 4, 2)
+        };
+        assert!(!inner(Some(other_blob), None).fits(key(3, 4, 4)));
+    }
+
+    #[test]
     fn a_full_node_derives_its_children_from_its_key() {
+        let full = TreeNode::Full { map: None };
         assert_eq!(
-            TreeNode::Full.children(key(4, 8, 8)),
+            full.children(key(4, 8, 8)),
             [Some(key(4, 8, 4)), Some(key(4, 12, 4))]
         );
         assert_eq!(
-            TreeNode::Full.children(key(4, 6, 2)),
+            full.children(key(4, 6, 2)),
             [Some(key(4, 6, 1)), Some(key(4, 7, 1))]
         );
+        // A map changes nothing about the children.
+        let mapped = TreeNode::Full {
+            map: PageMap::of_pages([[ProviderId(1)].as_slice(); 8]),
+        };
+        assert_eq!(mapped.children(key(4, 8, 8)), full.children(key(4, 8, 8)));
         let inner = TreeNode::Inner {
             left: None,
             right: Some(key(1, 4, 4)),

@@ -11,7 +11,7 @@
 
 use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::store::MetadataStore;
-use crate::metadata::{NodeKey, TreeNode};
+use crate::metadata::{NodeKey, PageMap, TreeNode};
 use crate::types::{BlobId, ProviderId, Version};
 use kvstore::FastMap;
 use std::collections::BTreeMap;
@@ -159,8 +159,11 @@ pub fn build_version(
         wlast,
         written,
     };
-    let (root, _) = build_node(&ctx, &mut batch, 0, new_span, None, false)?;
+    let (root, full) = build_node(&ctx, &mut batch, 0, new_span, None, false)?;
     let root = root.ok_or_else(|| invalid("the root must overlap the written range"))?;
+    if full {
+        map_full_node(&ctx, &mut batch, root);
+    }
     batch.flush()?;
     Ok(root)
 }
@@ -183,7 +186,8 @@ struct BuildCtx<'a> {
 /// every page under it. Such a node is stored as [`TreeNode::Full`]: a
 /// written leaf is full, an inner node is full when this call built both of
 /// its children and both are full, and a shared subtree or a growth wrapper
-/// never is.
+/// never is. A node that is not full gives its full inner children their
+/// page maps ([`map_full_node`]); the caller does so for a full root.
 fn build_node(
     ctx: &BuildCtx<'_>,
     batch: &mut NodeBatch<'_>,
@@ -234,10 +238,10 @@ fn build_node(
 
     let half = span / 2;
     let ([prev_left, prev_right], prev_full) = match prev_here {
-        Some(pk) if prev_full => (TreeNode::Full.children(pk), true),
+        Some(pk) if prev_full => (pk.halves().map(Some), true),
         Some(pk) => {
             let node = batch.get(pk)?;
-            (node.children(pk), node == TreeNode::Full)
+            (node.children(pk), matches!(node, TreeNode::Full { .. }))
         }
         None => ([None, None], false),
     };
@@ -253,12 +257,31 @@ fn build_node(
     };
     let full = left_full && right_full;
     let node = if full {
-        TreeNode::Full
+        TreeNode::Full { map: None }
     } else {
+        for (child, child_full) in [(left, left_full), (right, right_full)] {
+            if let (Some(child), true) = (child, child_full) {
+                map_full_node(ctx, batch, child);
+            }
+        }
         TreeNode::Inner { left, right }
     };
     batch.put(key, node);
     Ok((Some(key), full))
+}
+
+/// Store the topmost node of a full subtree this build wrote with the page
+/// map of every page under it, taken from `written`. A full leaf stays a
+/// leaf, and a node over pages with unequal replica counts stays
+/// payload-less.
+fn map_full_node(ctx: &BuildCtx<'_>, batch: &mut NodeBatch<'_>, key: NodeKey) {
+    if key.span < 2 {
+        return;
+    }
+    let pages = ctx.written.range(key.offset..key.offset + key.span);
+    if let Some(map) = PageMap::of_pages(pages.map(|(_, providers)| providers.as_slice())) {
+        batch.put(key, TreeNode::Full { map: Some(map) });
+    }
 }
 
 /// Location metadata for one page, as resolved by [`lookup_range`].
@@ -284,12 +307,14 @@ pub struct PageMeta {
 /// tree level that overlaps the requested range is resolved through a single
 /// [`MetadataStore::get_nodes`] call (one `Dht::get_many` pass contacting
 /// each responsible metadata provider once). At a [`TreeNode::Full`] node the
-/// descent skips the levels below: the leaves of the requested pages under
-/// it are known from its key, so they join the next batch directly. A range
-/// lookup therefore costs one batch per level down to the first full node
-/// on each path, plus one for the leaves under it, instead of one round trip
-/// per visited node — the read-side counterpart of the batched write
-/// publication.
+/// descent skips the levels below: a node with a [`PageMap`] answers the
+/// requested pages under it itself, and under a payload-less one (a full
+/// subtree a later version shares, or one whose pages have unequal replica
+/// counts) the leaves of the requested pages are known from its key, so they
+/// join the next batch directly. A range lookup therefore costs one batch
+/// per level down to the first full node on each path, plus one for the
+/// leaves under a payload-less one, instead of one round trip per visited
+/// node — the read-side counterpart of the batched write publication.
 pub fn lookup_range(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -380,7 +405,20 @@ pub fn lookup_range_readahead(
                         });
                     }
                 }
-                TreeNode::Full => {
+                TreeNode::Full { map: Some(map) } => {
+                    // The map answers every demanded page under the node;
+                    // nothing below it is fetched, for demand or read-ahead.
+                    let lo = offset.max(first_page);
+                    let hi = (offset + span - 1).min(last_page);
+                    for page in lo..=hi {
+                        out.push(PageMeta {
+                            page,
+                            created: Some(key.version),
+                            providers: map.page((page - offset) as usize).to_vec(),
+                        });
+                    }
+                }
+                TreeNode::Full { map: None } => {
                     // Every page under a full node is a leaf of its version:
                     // jump to the leaves the read and its window need. A
                     // missing one fails the batch like any missing child.
@@ -561,6 +599,25 @@ mod tests {
 
     fn written(pages: &[(u64, &[u32])]) -> BTreeMap<u64, Vec<ProviderId>> {
         pages.iter().map(|(p, ids)| (*p, providers(ids))).collect()
+    }
+
+    /// One write of pages `0..pages` on two providers each, but for the last
+    /// page, which a fail-over left one replica short: the tree is full, and
+    /// its root carries no map, so a read jumps from the root to the leaves.
+    fn one_write_a_replica_short(pages: u64) -> BTreeMap<u64, Vec<ProviderId>> {
+        (0..pages)
+            .map(|p| {
+                let ids = [p as u32, p as u32 + 1];
+                let replicas = if p + 1 < pages { &ids[..] } else { &ids[..1] };
+                (p, providers(replicas))
+            })
+            .collect()
+    }
+
+    /// One write of pages `0..pages`, one provider each: the root is full
+    /// and carries the page map.
+    fn one_write(pages: u64) -> BTreeMap<u64, Vec<ProviderId>> {
+        (0..pages).map(|p| (p, providers(&[p as u32]))).collect()
     }
 
     /// Brute-force reference model: page index -> providers, per version.
@@ -814,10 +871,10 @@ mod tests {
     #[test]
     fn a_cold_read_of_one_write_jumps_from_the_full_root_to_the_leaves() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(32);
         let root =
             build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        assert_eq!(writer.get_node(root).unwrap(), TreeNode::Full);
+        assert_eq!(writer.get_node(root).unwrap(), TreeNode::Full { map: None });
         let s = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
@@ -835,9 +892,97 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_read_of_one_write_resolves_its_pages_at_the_mapped_root() {
+        let writer = store();
+        let w = one_write(32);
+        let root =
+            build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let map = PageMap::of_pages(w.values().map(Vec::as_slice));
+        assert_eq!(writer.get_node(root).unwrap(), TreeNode::Full { map });
+        // Every full node below the root is stored, and stores nothing.
+        for half in root.halves() {
+            assert_eq!(writer.get_node(half).unwrap(), TreeNode::Full { map: None });
+        }
+        let s = MetadataStore::with_dht(writer.dht().clone(), 256);
+
+        let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
+        // The walk still reads every stored node.
+        assert_eq!(s.stats().nodes_read, 63);
+        s.drop_cached_nodes();
+        let before = s.stats();
+        let batched = lookup_range(&s, Some(root), 32, 0, 31).unwrap();
+        let after = s.stats();
+        assert_eq!(walked, batched);
+        // The root alone, in one batch and one round trip.
+        assert_eq!(after.nodes_read - before.nodes_read, 1);
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 1);
+        assert_eq!(after.dht_read_round_trips - before.dht_read_round_trips, 1);
+        // Warm, a sub-range is one cache hit.
+        let got = lookup_range(&s, Some(root), 32, 5, 9).unwrap();
+        assert_eq!(got[..], walked[5..10]);
+        let warm = s.stats();
+        assert_eq!(warm.nodes_read - after.nodes_read, 1);
+        assert_eq!(warm.cache_hits - after.cache_hits, 1);
+        assert_eq!(warm.dht_read_round_trips, after.dht_read_round_trips);
+    }
+
+    #[test]
+    fn only_the_topmost_full_node_of_a_write_carries_a_map() {
+        let s = store();
+        let blob = BlobId(22);
+        let key = |v, offset, span| NodeKey {
+            blob,
+            version: Version(v),
+            offset,
+            span,
+        };
+        let map_of = |k: NodeKey| match s.get_node(k).unwrap() {
+            TreeNode::Full { map } => map,
+            node => panic!("{k:?} is not full: {node:?}"),
+        };
+        // v1 fills an 8-page tree: the root is mapped, the full nodes below
+        // it are not.
+        let root1 =
+            build_version(&s, blob, Version(1), PrevTree::empty(), 8, &one_write(8)).unwrap();
+        assert!(map_of(root1).is_some());
+        for k in [key(1, 0, 4), key(1, 4, 4), key(1, 2, 2)] {
+            assert_eq!(map_of(k), None);
+        }
+        // v2 appends pages 8..12: its full subtree (8, 4) hangs below an
+        // inner node, and the growth shares v1's mapped root as it is.
+        let w2 = written(&[(8, &[1]), (9, &[2]), (10, &[3]), (11, &[4])]);
+        let prev = PrevTree {
+            root: Some(root1),
+            span: 8,
+        };
+        let root2 = build_version(&s, blob, Version(2), prev, 16, &w2).unwrap();
+        assert_eq!(
+            s.get_node(root2).unwrap(),
+            TreeNode::Inner {
+                left: Some(root1),
+                right: Some(key(2, 8, 8))
+            }
+        );
+        assert!(map_of(key(2, 8, 4)).is_some());
+        assert_eq!(map_of(key(2, 8, 2)), None);
+        // v3 rewrites pages 0..4, one of them on a second replica: the full
+        // (0, 4) has no map, nor does anything below it.
+        let w3 = written(&[(0, &[5]), (1, &[5, 6]), (2, &[5]), (3, &[5])]);
+        let prev = PrevTree {
+            root: Some(root2),
+            span: 16,
+        };
+        build_version(&s, blob, Version(3), prev, 16, &w3).unwrap();
+        for k in [key(3, 0, 4), key(3, 0, 2), key(3, 2, 2)] {
+            assert_eq!(map_of(k), None);
+        }
+    }
+
+    #[test]
     fn a_missing_leaf_under_a_full_node_fails_the_read() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(32);
         let blob = BlobId(19);
         let root = build_version(&writer, blob, Version(1), PrevTree::empty(), 32, &w).unwrap();
         let leaf = NodeKey {
@@ -866,9 +1011,32 @@ mod tests {
     }
 
     #[test]
+    fn a_mapped_root_answers_its_pages_without_reading_its_leaves() {
+        let writer = store();
+        let w = one_write(32);
+        let blob = BlobId(19);
+        let root = build_version(&writer, blob, Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let leaf = NodeKey {
+            blob,
+            version: Version(1),
+            offset: 13,
+            span: 1,
+        };
+        assert!(writer.remove_node(leaf).unwrap());
+        for (first, last, window) in [(0, 31, 0), (13, 13, 0), (8, 15, 0), (10, 13, 4)] {
+            writer.drop_cached_nodes();
+            let got = lookup_range_readahead(&writer, Some(root), 32, first, last, window);
+            assert_eq!(got.unwrap().len() as u64, last - first + 1);
+            // The walk, which reads every stored node, still misses it.
+            writer.drop_cached_nodes();
+            assert!(lookup_range_walk(&writer, Some(root), 32, first, last).is_err());
+        }
+    }
+
+    #[test]
     fn a_full_node_stored_at_a_leaf_is_corrupt_not_a_loop() {
         let s = store();
-        let w: BTreeMap<_, _> = (0..4).map(|p| (p, providers(&[0]))).collect();
+        let w = one_write_a_replica_short(4);
         let blob = BlobId(20);
         let root = build_version(&s, blob, Version(1), PrevTree::empty(), 4, &w).unwrap();
         let leaf = NodeKey {
@@ -878,11 +1046,56 @@ mod tests {
             span: 1,
         };
         s.dht()
-            .put(leaf.dht_key().as_bytes(), TreeNode::Full.encode().into())
+            .put(
+                leaf.dht_key().as_bytes(),
+                TreeNode::Full { map: None }.encode().into(),
+            )
             .unwrap();
         s.drop_cached_nodes();
         assert!(lookup_range(&s, Some(root), 4, 0, 3).is_err());
         assert!(s.get_node(leaf).is_err());
+    }
+
+    #[test]
+    fn a_stored_node_of_the_wrong_kind_fails_every_lookup() {
+        // Pages 0..4 written one per version: page 2's leaf is (v3, 2, 1).
+        let leaf = |page| NodeKey {
+            blob: BlobId(23),
+            version: Version(page + 1),
+            offset: page,
+            span: 1,
+        };
+        let wrong = [
+            // Would drop page 2.
+            TreeNode::Inner {
+                left: None,
+                right: None,
+            },
+            // Would report page 3 twice and page 2 never.
+            TreeNode::Leaf {
+                page: 3,
+                providers: providers(&[3]),
+            },
+        ];
+        for node in wrong {
+            let s = store();
+            let root = one_page_per_version(&s, BlobId(23), 4);
+            s.dht()
+                .put(leaf(2).dht_key().as_bytes(), node.encode().into())
+                .unwrap();
+            s.drop_cached_nodes();
+            let lookups = [
+                lookup_range(&s, Some(root), 4, 0, 3),
+                lookup_range_readahead(&s, Some(root), 4, 0, 3, 8),
+                lookup_range_walk(&s, Some(root), 4, 0, 3),
+            ];
+            for got in lookups {
+                assert!(
+                    matches!(got, Err(BlobSeerError::Metadata(_))),
+                    "{node:?}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -932,7 +1145,7 @@ mod tests {
     #[test]
     fn readahead_prewarms_the_cache_for_the_next_sequential_range() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(32);
         let root =
             build_version(&writer, BlobId(14), Version(1), PrevTree::empty(), 32, &w).unwrap();
         // A cold reader cache (the writer's publish pre-warm does not help a
@@ -962,7 +1175,7 @@ mod tests {
     #[test]
     fn readahead_is_free_when_the_demand_range_is_already_cached() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(32);
         let root =
             build_version(&writer, BlobId(17), Version(1), PrevTree::empty(), 32, &w).unwrap();
         let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
@@ -994,7 +1207,7 @@ mod tests {
     #[test]
     fn readahead_probes_are_not_counted_as_cache_traffic() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..64).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(64);
         let root =
             build_version(&writer, BlobId(18), Version(1), PrevTree::empty(), 64, &w).unwrap();
         let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
@@ -1015,6 +1228,33 @@ mod tests {
     }
 
     #[test]
+    fn readahead_stops_at_a_mapped_root() {
+        let writer = store();
+        let w = one_write(32);
+        let root =
+            build_version(&writer, BlobId(21), Version(1), PrevTree::empty(), 32, &w).unwrap();
+        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
+        let walked = lookup_range_walk(&writer, Some(root), 32, 0, 31).unwrap();
+        // The root answers the range and its window: nothing below it is
+        // fetched, and the next range is one cache hit.
+        let first = lookup_range_readahead(&reader, Some(root), 32, 0, 7, 8).unwrap();
+        assert_eq!(first[..], walked[..8]);
+        let after_first = reader.stats();
+        assert_eq!(after_first.nodes_read, 1);
+        assert_eq!(after_first.prefetched_nodes, 0);
+        assert_eq!(reader.cache_stats().entries, 1);
+        let second = lookup_range_readahead(&reader, Some(root), 32, 8, 15, 8).unwrap();
+        assert_eq!(second[..], walked[8..16]);
+        let after_second = reader.stats();
+        assert_eq!(after_second.nodes_read, 2);
+        assert_eq!(after_second.cache_hits, 1);
+        assert_eq!(
+            after_second.dht_read_round_trips,
+            after_first.dht_read_round_trips
+        );
+    }
+
+    #[test]
     fn readahead_past_eof_is_a_no_op() {
         let writer = store();
         let w: BTreeMap<_, _> = (0..8).map(|p| (p, providers(&[0]))).collect();
@@ -1031,7 +1271,7 @@ mod tests {
     #[test]
     fn capacity_pressure_evicts_prefetched_nodes_as_waste() {
         let writer = store();
-        let w: BTreeMap<_, _> = (0..32).map(|p| (p, providers(&[p as u32]))).collect();
+        let w = one_write_a_replica_short(32);
         let root =
             build_version(&writer, BlobId(16), Version(1), PrevTree::empty(), 32, &w).unwrap();
         // A cache far smaller than the 63-node prefetch fan-out: prefetched

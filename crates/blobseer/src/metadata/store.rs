@@ -23,7 +23,9 @@ pub struct MetadataStats {
     pub batch_flushes: u64,
     /// Batched resolutions ([`MetadataStore::get_nodes`] calls): one per
     /// tree level on the lookup path, regardless of frontier width, down to
-    /// the first full node of a path, then one for the leaves under it.
+    /// the first full node of a path, whose page map, if it has one,
+    /// answers its pages; then one for the leaves under a full node without
+    /// a map.
     pub batch_lookups: u64,
     /// Client-to-metadata-node round trips performed by the underlying DHT
     /// (reads and writes combined).
@@ -236,13 +238,15 @@ impl MetadataStore {
         Ok(out)
     }
 
-    /// Decode a fetched node. A full node stored at a single page is corrupt
-    /// too: a descent would take it for its own leaf, forever.
+    /// Decode a fetched node. A node of the wrong kind for its key
+    /// ([`TreeNode::fits`]) is corrupt too: a full node at a single page
+    /// would loop a descent, and a leaf of another page, or an inner node
+    /// at a page or with misplaced children, would drop or move pages.
     fn decode_node(key: NodeKey, raw: &[u8]) -> BlobResult<TreeNode> {
-        let node = TreeNode::decode(raw).filter(|n| key.span > 1 || *n != TreeNode::Full);
+        let node = TreeNode::decode(raw).filter(|n| n.fits(key));
         node.ok_or_else(|| {
             BlobSeerError::Metadata(DhtError::NotFound {
-                key: format!("undecodable metadata node {key:?}"),
+                key: format!("undecodable or misplaced metadata node {key:?}"),
             })
         })
     }
@@ -371,6 +375,51 @@ mod tests {
             store.get_nodes(&[key(9, 0, 1)]).unwrap_err(),
         ] {
             assert!(err.to_string().contains(named), "{err}");
+        }
+    }
+
+    /// Store `raw` under `at` in the DHT, behind the cache, and read it back
+    /// through both fetch paths.
+    fn fetch_raw(at: NodeKey, raw: Vec<u8>) -> [BlobResult<TreeNode>; 2] {
+        let store = MetadataStore::new(2, 1, 64);
+        store
+            .dht()
+            .put(at.dht_key().as_bytes(), raw.into())
+            .unwrap();
+        [
+            store.get_node(at),
+            store.get_nodes(&[at]).map(|mut nodes| nodes.remove(0)),
+        ]
+    }
+
+    #[test]
+    fn decode_rejects_a_malformed_page_map() {
+        let map = |stride: u8, providers: u32| {
+            let mut raw = vec![3, stride];
+            for p in 0..providers {
+                raw.extend_from_slice(&p.to_le_bytes());
+            }
+            raw
+        };
+        for got in fetch_raw(key(1, 0, 4), map(2, 8)) {
+            assert!(
+                matches!(got, Ok(TreeNode::Full { map: Some(_) })),
+                "{got:?}"
+            );
+        }
+        for (at, raw, why) in [
+            (key(1, 0, 4), map(2, 6), "three pages' providers for four"),
+            (key(1, 0, 4), map(1, 8), "eight pages' providers for four"),
+            (key(1, 0, 4), map(0, 0), "a stride of 0"),
+            (key(1, 0, 4), map(0, 4), "a stride of 0"),
+            (key(1, 3, 1), map(1, 1), "a map at a one-page key"),
+        ] {
+            for got in fetch_raw(at, raw.clone()) {
+                assert!(
+                    matches!(got, Err(BlobSeerError::Metadata(_))),
+                    "{why}: {got:?}"
+                );
+            }
         }
     }
 

@@ -28,13 +28,6 @@ impl Version {
     pub fn next(&self) -> Version {
         Version(self.0 + 1)
     }
-
-    /// The previous version number (panics on version 0, which has no
-    /// predecessor).
-    pub fn prev(&self) -> Version {
-        assert!(self.0 > 0, "version 0 has no predecessor");
-        Version(self.0 - 1)
-    }
 }
 
 impl fmt::Display for Version {
@@ -238,13 +231,6 @@ mod tests {
     fn version_sequencing() {
         assert_eq!(Version::ZERO.next(), Version(1));
         assert_eq!(Version(5).next(), Version(6));
-        assert_eq!(Version(5).prev(), Version(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "no predecessor")]
-    fn version_zero_has_no_predecessor() {
-        let _ = Version::ZERO.prev();
     }
 
     #[test]

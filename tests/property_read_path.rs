@@ -90,14 +90,20 @@ proptest! {
 
     /// Random contiguous writes over several versions — page-aligned powers
     /// of two, unaligned runs and sparse page sets, growing the tree and
-    /// overwriting it — store a node as `Full` exactly when every page under
-    /// it resolves to a leaf of its own version, and the batched descent,
-    /// which jumps from a full node to its leaves, agrees with the
-    /// node-at-a-time walk for every version and range, with and without
-    /// read-ahead, on a cold and a warm cache.
+    /// overwriting it, each page on 1 to 3 providers and sometimes one page
+    /// a replica short — store a node as `Full` exactly when every page under
+    /// it resolves to a leaf of its own version, give a full node a page map
+    /// exactly when it is the topmost of its write's full subtree and its
+    /// pages have one replica count, and the batched descent, which answers
+    /// pages from a map and jumps from a payload-less full node to its
+    /// leaves, agrees with the node-at-a-time walk for every version and
+    /// range, with and without read-ahead, on a cold and a warm cache.
     #[test]
     fn full_nodes_are_exactly_the_own_version_subtrees_and_the_jump_matches_the_walk(
-        writes in prop::collection::vec((0u8..3, 0u64..48, 1u64..24, any::<u64>()), 1..7),
+        writes in prop::collection::vec(
+            (0u8..3, 0u64..48, 1u64..24, any::<u64>(), 0usize..6),
+            1..7,
+        ),
         queries in prop::collection::vec((0u64..72, 0u64..72), 1..6),
     ) {
         let warm = MetadataStore::new(3, 2, 4096);
@@ -105,7 +111,7 @@ proptest! {
         let blob = BlobId(2);
         let mut prev = PrevTree::empty();
         let mut roots = Vec::new();
-        for (v, &(kind, start, len, mask)) in writes.iter().enumerate() {
+        for (v, &(kind, start, len, mask, replicas)) in writes.iter().enumerate() {
             let pages: Vec<u64> = match kind {
                 // A power-of-two run at a multiple of its length.
                 0 => {
@@ -119,9 +125,16 @@ proptest! {
                     .filter(|p| *p == start || mask >> ((p - start) % 64) & 1 == 1)
                     .collect(),
             };
+            // 1 to 3 replicas a page; from 3 on, one page is a replica short,
+            // as a fail-over can leave it.
+            let count = 1 + replicas % 3;
+            let short = (replicas >= 3).then(|| pages[mask as usize % pages.len()]);
             let written: BTreeMap<u64, Vec<ProviderId>> = pages
                 .iter()
-                .map(|&p| (p, vec![ProviderId((p % 5) as u32)]))
+                .map(|&p| {
+                    let n = if Some(p) == short { count.max(2) - 1 } else { count };
+                    (p, (0..n as u64).map(|i| ProviderId(((p + i) % 5) as u32)).collect())
+                })
                 .collect();
             let span = next_power_of_two(prev.span.max(pages[pages.len() - 1] + 1));
             let root = build_version(&warm, blob, Version(v as u64 + 1), prev, span, &written)
@@ -131,7 +144,7 @@ proptest! {
         }
 
         for &(root, span) in &roots {
-            full_nodes_are_own_version_subtrees(&cold, Some(root), span)?;
+            full_nodes_are_own_version_subtrees(&cold, Some(root), span, root.version, false)?;
             for &(a, b) in &queries {
                 let (first, last) = (a.min(b), a.max(b));
                 cold.drop_cached_nodes();
@@ -152,28 +165,57 @@ proptest! {
     }
 }
 
-/// Check, under the node at `node` covering `span` pages, that a node is
-/// `Full` exactly when every page under it resolves to a leaf of its own
-/// version; return the version each page under it resolves to (`None` for a
-/// hole).
+/// Check, under the node at `node` covering `span` pages in the tree of
+/// `version`, whose parent there is full when `parent_full` says so, that a
+/// node is `Full` exactly when every page under it resolves to a leaf of its
+/// own version, and that a node `version` built carries a page map exactly
+/// when it is full, its parent is not, and its pages have one replica count.
+/// Return the version and replica count each page under it resolves to
+/// (`None` for a hole).
 fn full_nodes_are_own_version_subtrees(
     store: &MetadataStore,
     node: Option<NodeKey>,
     span: u64,
-) -> Result<Vec<Option<Version>>, TestCaseError> {
+    version: Version,
+    parent_full: bool,
+) -> Result<Vec<Option<(Version, usize)>>, TestCaseError> {
     let Some(key) = node else {
         return Ok(vec![None; span as usize]);
     };
     prop_assert_eq!(key.span, span);
     let node = store.get_node(key).unwrap();
-    if let TreeNode::Leaf { .. } = node {
-        return Ok(vec![Some(key.version)]);
+    if let TreeNode::Leaf { providers, .. } = node {
+        return Ok(vec![Some((key.version, providers.len()))]);
     }
-    let [left, right] = node.children(key);
-    let mut pages = full_nodes_are_own_version_subtrees(store, left, span / 2)?;
-    pages.extend(full_nodes_are_own_version_subtrees(store, right, span / 2)?);
-    let own = pages.iter().all(|v| *v == Some(key.version));
-    prop_assert!((node == TreeNode::Full) == own, "{:?} full: {}", key, own);
+    let full = matches!(node, TreeNode::Full { .. });
+    let mut pages = Vec::with_capacity(span as usize);
+    for child in node.children(key) {
+        pages.extend(full_nodes_are_own_version_subtrees(
+            store,
+            child,
+            span / 2,
+            version,
+            full,
+        )?);
+    }
+    let own = pages
+        .iter()
+        .all(|p| p.is_some_and(|(v, _)| v == key.version));
+    prop_assert!(full == own, "{:?} full: {}", key, own);
+    // A shared node was checked in the tree of the version that built it,
+    // under the parent that build gave it.
+    if key.version == version {
+        let one_count = pages.windows(2).all(|w| w[0] == w[1]);
+        let mapped = matches!(node, TreeNode::Full { map: Some(_) });
+        prop_assert!(
+            mapped == (own && !parent_full && one_count),
+            "{:?} mapped: {}, parent full: {}, one replica count: {}",
+            key,
+            mapped,
+            parent_full,
+            one_count
+        );
+    }
     Ok(pages)
 }
 
@@ -271,12 +313,62 @@ fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
     }
 }
 
-/// The same scan over the same 160 pages written at once: the descent jumps
-/// from each full subtree to its leaves, so a lap reads 165 distinct nodes
-/// (the root, the full (0, 128) and (128, 32) subtrees, the two inner nodes
-/// between them, and the 160 leaves), fewer than the cache's 256 slots.
+/// The same scan over the same 160 pages written at once, then with pages 0
+/// and 128 rewritten one at a time: the last version shares the payload-less
+/// full subtrees beside the two rewritten pages, and the descent jumps from
+/// each to its leaves, so a lap reads 185 distinct nodes (the root, the 14
+/// inner nodes above the rewritten pages, the 10 full subtrees beside them
+/// and the 160 leaves), fewer than the cache's 256 slots.
 #[test]
 fn a_repeated_scan_of_one_write_misses_each_node_once_then_almost_never() {
+    let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
+    let client = sys.client();
+    let blob = client.create(None).unwrap();
+    let page = sys.config().default_page_size;
+    let data: Vec<u8> = (0..160 * page).map(|i| (i * 7 % 253) as u8).collect();
+    client.write(blob, 0, &data).unwrap();
+    for at in [0, 128 * page] {
+        let at = at as usize;
+        client
+            .write(blob, at as u64, &data[at..at + page as usize])
+            .unwrap();
+    }
+    let v = client.latest_version(blob).unwrap().version;
+    let block = 4 * page;
+    let lap = || -> (u64, u64) {
+        let before = sys.metadata().stats();
+        for offset in (0..data.len() as u64).step_by(block as usize) {
+            let got = client.read(blob, v, offset, block).unwrap();
+            assert_eq!(got, data[offset as usize..(offset + block) as usize]);
+        }
+        let after = sys.metadata().stats();
+        (
+            after.cache_misses - before.cache_misses,
+            after.nodes_read - before.nodes_read,
+        )
+    };
+    sys.metadata().drop_cached_nodes();
+    // A block reads the inner nodes down to its full subtree (2 to 6), that
+    // subtree and four leaves; the two blocks at the rewritten pages read
+    // seven inner nodes, then the two-page one over the rewritten page and
+    // the full one beside it, and four leaves. The 32 blocks left of page
+    // 128 read 256 nodes, the 8 right of it 80.
+    let first = lap();
+    assert_eq!(first, (185, 256 + 80));
+    // The cache's shards split its 256 slots evenly and the nodes hash
+    // unevenly over them, so a full shard evicts a few: those are all the
+    // second lap misses.
+    let second = lap();
+    assert_eq!(second.1, first.1);
+    assert!(second.0 * 20 < first.0, "{second:?}");
+}
+
+/// The same scan over the same 160 pages written at once: each block is
+/// answered by the page map of the full (0, 128) or (128, 32) subtree's
+/// root, so a lap reads five distinct nodes (those two and the three inner
+/// nodes above them) and the second lap none from the DHT.
+#[test]
+fn a_repeated_scan_of_one_write_reads_its_mapped_roots_only() {
     let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
     let client = sys.client();
     let blob = client.create(None).unwrap();
@@ -297,16 +389,12 @@ fn a_repeated_scan_of_one_write_misses_each_node_once_then_almost_never() {
         )
     };
     sys.metadata().drop_cached_nodes();
-    // 32 blocks under the full (0, 128) node read the root, that node and
-    // four leaves; 8 blocks under (128, 32) read four nodes above the leaves.
+    // 32 blocks under (0, 128) read the root and that node; 8 blocks under
+    // (128, 32) read the root, (128, 128), (128, 64) and (128, 32).
     let first = lap();
-    assert_eq!(first, (165, 32 * 6 + 8 * 8));
-    // The cache's shards split its 256 slots evenly and the 165 nodes hash
-    // unevenly over them, so a full shard evicts a few: those are all the
-    // second lap misses.
+    assert_eq!(first, (5, 32 * 2 + 8 * 4));
     let second = lap();
-    assert_eq!(second.1, first.1);
-    assert!(second.0 * 20 < first.0, "{second:?}");
+    assert_eq!(second, (0, first.1));
 }
 
 /// Killing the primary replica of every page must not break a multi-page
