@@ -18,13 +18,37 @@
 //!   tiers reports nothing left under-replicated, and no provider was ever
 //!   revived (dead members stay dead; only joins add capacity).
 //!
+//! It also records what the repair passes read from the providers
+//! (`repair_page_reads`, `repair_page_bytes_read`): a pass lists each
+//! member's keys and reads one copy of each page it re-replicates, so the
+//! bytes stay within `repaired_page_copies × page_bytes`.
+//!
 //! `BENCH_SMOKE=1` shrinks the schedule to a does-it-run configuration.
 
-use blobseer::{BlobSeer, BlobSeerConfig, ProviderId};
+use blobseer::{BlobSeer, BlobSeerConfig, ProviderId, ProviderManager, RepairReport};
 use simcluster::topology::ClusterTopology;
 use simcluster::{ChurnEventKind, ChurnSchedule, NodeId, SimClock, SimDuration, SimTime};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Pages and bytes the providers have served so far, summed.
+fn provider_reads(pm: &ProviderManager) -> (u64, u64) {
+    pm.providers().iter().fold((0, 0), |(reads, bytes), p| {
+        let s = p.stats();
+        (reads + s.reads, bytes + s.bytes_read)
+    })
+}
+
+/// One repair pass over both tiers, adding what it read from the providers
+/// to `traffic`.
+fn repair(sys: &BlobSeer, traffic: &mut (u64, u64)) -> (RepairReport, RepairReport) {
+    let before = provider_reads(sys.provider_manager());
+    let reports = sys.repair();
+    let after = provider_reads(sys.provider_manager());
+    traffic.0 += after.0 - before.0;
+    traffic.1 += after.1 - before.1;
+    reports
+}
 
 /// One committed append: enough to re-read and byte-compare it later.
 struct Committed {
@@ -79,6 +103,7 @@ fn main() {
 
     let mut committed: Vec<Committed> = Vec::new();
     let mut verified_reads = 0u64;
+    let mut repair_traffic = (0u64, 0u64);
     let (mut append_secs, mut read_secs) = (0f64, 0f64);
     let mut now = SimTime::from_micros(0);
 
@@ -167,9 +192,9 @@ fn main() {
         }
         read_secs += t0.elapsed().as_secs_f64();
 
-        // The repair loop's pass for this round: heartbeat both tiers, then
+        // The repair loop's pass for this round: probe both tiers, then
         // re-replicate everything the kills left under factor.
-        sys.repair();
+        repair(&sys, &mut repair_traffic);
     }
 
     // Final sweep: every committed version must still read back intact, and
@@ -183,14 +208,16 @@ fn main() {
         }
     }
     read_secs += t0.elapsed().as_secs_f64();
-    let (dht_report, provider_report) = sys.repair();
+    let (dht_report, provider_report) = repair(&sys, &mut repair_traffic);
+    let (repair_page_reads, repair_page_bytes_read) = repair_traffic;
 
     let append_mib = (committed.len() as u64 * page) as f64 / (1024.0 * 1024.0);
     let read_mib = (verified_reads * page) as f64 / (1024.0 * 1024.0);
     let append_mibps = append_mib / append_secs.max(1e-9);
     let read_mibps = read_mib / read_secs.max(1e-9);
     let provider_failures_detected = pm
-        .failure_detector()
+        .health()
+        .detector()
         .map(|d| d.failures_detected())
         .unwrap_or(0);
     let dht_stats = dht.stats();
@@ -210,13 +237,17 @@ fn main() {
         "repair: {} page copies over {} passes (final under-replicated {}), \
          dht {} entries re-replicated (final under-replicated {}), \
          failures detected: {} provider / {} dht",
-        pm.repaired_pages(),
-        pm.repair_runs(),
+        pm.health().copies(),
+        pm.health().runs(),
         provider_report.still_under_replicated,
         dht_stats.repaired_entries,
         dht_report.still_under_replicated,
         provider_failures_detected,
         dht_stats.failures_detected,
+    );
+    println!(
+        "repair traffic: {repair_page_reads} pages / {repair_page_bytes_read} bytes read \
+         from providers"
     );
 
     assert_eq!(lost, 0, "a committed version became unreadable under churn");
@@ -231,6 +262,10 @@ fn main() {
     assert!(
         kills_applied > 0 && joins_applied > 0,
         "the schedule must actually exercise churn"
+    );
+    assert!(
+        repair_page_bytes_read <= pm.health().copies() * page,
+        "repair reads at most one page per copy it makes"
     );
 
     #[derive(serde::Serialize)]
@@ -250,6 +285,8 @@ fn main() {
         append_mibps: f64,
         read_mibps: f64,
         repaired_page_copies: u64,
+        repair_page_reads: u64,
+        repair_page_bytes_read: u64,
         repaired_dht_entries: u64,
         provider_under_replicated_final: usize,
         dht_under_replicated_final: usize,
@@ -273,7 +310,9 @@ fn main() {
             lost_versions: lost,
             append_mibps,
             read_mibps,
-            repaired_page_copies: pm.repaired_pages(),
+            repaired_page_copies: pm.health().copies(),
+            repair_page_reads,
+            repair_page_bytes_read,
             repaired_dht_entries: dht_stats.repaired_entries,
             provider_under_replicated_final: provider_report.still_under_replicated,
             dht_under_replicated_final: dht_report.still_under_replicated,

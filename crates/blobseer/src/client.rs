@@ -34,13 +34,13 @@ use crate::metadata::store::MetadataStore;
 use crate::metadata::NodeKey;
 use crate::provider::page_key;
 use crate::provider::PageRequest;
-use crate::provider_manager::{ProviderManager, ProviderRepairReport};
+use crate::provider_manager::ProviderManager;
 use crate::types::{next_power_of_two, BlobId, ByteRange, PageMath, ProviderId, Version};
 use crate::version_manager::{VersionInfo, VersionManager, WriteIntent, WriteTicket};
 use bytes::Bytes;
-use dht::DhtRepairReport;
 use kvstore::FastMap;
 use parking_lot::{Mutex, RwLock};
+use simcluster::replica::RepairReport;
 use simcluster::topology::ClusterTopology;
 use simcluster::{Clock, DetectorConfig, NodeId, WallClock};
 use std::collections::{BTreeMap, HashMap};
@@ -203,13 +203,19 @@ impl BlobSeer {
             provider_nodes[0],
         );
         if config.repair_interval_ms.is_some() {
-            // Dead members are *discovered*: heartbeat rounds and refused
+            // Dead members are *discovered*: repair's probes and refused
             // data operations feed timeout/suspicion detectors on both tiers.
-            metadata
-                .dht()
-                .enable_failure_detection(Arc::clone(&clock), DetectorConfig::default());
-            provider_manager
-                .enable_failure_detection(Arc::clone(&clock), DetectorConfig::default());
+            let dht = metadata.dht();
+            dht.health().enable_failure_detection(
+                Arc::clone(&clock),
+                DetectorConfig::default(),
+                dht.node_ids(),
+            );
+            provider_manager.health().enable_failure_detection(
+                Arc::clone(&clock),
+                DetectorConfig::default(),
+                provider_manager.providers().iter().map(|p| p.id()),
+            );
         }
         let gc_origin = clock.now();
         Arc::new_cyclic(|weak| BlobSeer {
@@ -453,15 +459,14 @@ impl BlobSeer {
     }
 
     /// One full repair pass over both storage tiers, run synchronously:
-    /// heartbeat-probe every member, then actively re-replicate
-    /// under-replicated metadata DHT keys and announced provider pages onto
-    /// live members. Nothing here relies on `revive`: dead members stay
-    /// dead, replicas are rebuilt elsewhere from surviving copies.
-    pub fn repair(&self) -> (DhtRepairReport, ProviderRepairReport) {
-        let dht = self.metadata.dht();
-        dht.heartbeat_tick();
-        self.provider_manager.heartbeat_tick();
-        let metadata_report = dht.repair();
+    /// each tier probes every member once (its heartbeat round), then
+    /// actively re-replicates under-replicated metadata DHT keys and
+    /// announced provider pages onto live members. Returns the metadata
+    /// tier's report, then the page tier's. Nothing here relies on
+    /// `revive`: dead members stay dead, replicas are rebuilt elsewhere from
+    /// surviving copies.
+    pub fn repair(&self) -> (RepairReport, RepairReport) {
+        let metadata_report = self.metadata.dht().repair();
         let page_report = self.provider_manager.repair(self.config.page_replication);
         (metadata_report, page_report)
     }
@@ -764,7 +769,7 @@ impl BlobSeerClient {
                     );
                     match pushed {
                         Ok(()) => stored.push(*pid),
-                        Err(_) => sys.provider_manager.note_down(*pid),
+                        Err(_) => sys.provider_manager.health().note_down(*pid),
                     }
                 }
                 // Fail over past dead planned replicas onto any other live
@@ -1075,7 +1080,7 @@ impl BlobSeerClient {
                     }
                     Ok(None) => continue,
                     Err(_) => {
-                        sys.provider_manager.note_down(*pid);
+                        sys.provider_manager.health().note_down(*pid);
                         saw_down = true;
                         continue;
                     }
@@ -1157,7 +1162,7 @@ impl BlobSeerClient {
                         }
                     }
                 }
-                Err(_) => sys.provider_manager.note_down(*pid),
+                Err(_) => sys.provider_manager.health().note_down(*pid),
             }
         }
         out.into_iter()
@@ -2087,6 +2092,42 @@ mod tests {
     }
 
     #[test]
+    fn repair_reads_one_copy_per_short_page_and_nothing_when_healthy() {
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_providers(4)
+                .with_page_replication(2),
+        );
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let v = client.write(blob, 0, &[5u8; 16 * 32]).unwrap();
+        let served = || -> Vec<(u64, u64)> {
+            sys.provider_manager()
+                .providers()
+                .iter()
+                .map(|p| (p.stats().reads, p.stats().bytes_read))
+                .collect()
+        };
+        let before = served();
+        let (_, healthy) = sys.repair();
+        assert_eq!(healthy.under_replicated, 0);
+        assert_eq!(served(), before, "a healthy pass reads no page");
+
+        let victim = client.locate(blob, v, 0, 16).unwrap()[0].providers[0];
+        sys.provider_manager().kill(victim);
+        let (_, pages) = sys.repair();
+        assert!(pages.under_replicated > 0);
+        assert_eq!(pages.copied, pages.under_replicated, "R = 2: one copy each");
+        let read: u64 = served().iter().zip(&before).map(|(a, b)| a.0 - b.0).sum();
+        let bytes: u64 = served().iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+        assert_eq!(
+            read, pages.under_replicated as u64,
+            "one read per short page"
+        );
+        assert_eq!(bytes, 16 * read);
+    }
+
+    #[test]
     fn repair_restores_page_replication_without_revive() {
         let sys = BlobSeer::new(
             BlobSeerConfig::for_tests()
@@ -2106,7 +2147,7 @@ mod tests {
         let (_, pages) = sys.repair();
         assert!(pages.under_replicated > 0, "the victim's pages were short");
         assert_eq!(pages.still_under_replicated, 0);
-        assert!(pages.repaired_copies > 0);
+        assert!(pages.copied > 0);
 
         // Now kill every provider the metadata records for page 0; the read
         // must chase the announced repair copy, which lives outside the
@@ -2155,9 +2196,9 @@ mod tests {
         // nothing left to do.
         let (_, pages) = sys.repair();
         assert_eq!(pages.under_replicated, 0);
-        assert!(sys.provider_manager().repaired_pages() > 0);
+        assert!(sys.provider_manager().health().copies() > 0);
         // The detector knows about the victim without anyone declaring it.
-        let det = sys.provider_manager().failure_detector().unwrap();
+        let det = sys.provider_manager().health().detector().unwrap();
         assert!(det.failures_detected() >= 1);
     }
 

@@ -321,7 +321,7 @@ fn sweep(
                     }
                 }
             }
-            Err(_) => pm.note_down(pid),
+            Err(_) => pm.health().note_down(pid),
         }
     }
     report.pages_deleted = deleted.into_iter().filter(|d| *d).count() as u64;

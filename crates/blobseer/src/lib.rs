@@ -68,7 +68,8 @@ pub use error::{BlobResult, BlobSeerError};
 pub use gc::GcReport;
 pub use metadata::store::MetadataStats;
 pub use provider::{Provider, ProviderStats};
-pub use provider_manager::{PlacementStrategy, ProviderManager, ProviderRepairReport};
+pub use provider_manager::{PlacementStrategy, ProviderManager};
+pub use simcluster::replica::RepairReport;
 pub use types::{BlobId, ByteRange, PageMath, ProviderId, Version};
 pub use version_manager::{
     Reclaim, ShardStats, VersionInfo, VersionManager, WriteIntent, WriteTicket,

@@ -21,6 +21,7 @@ use crate::error::{BlobResult, BlobSeerError};
 use crate::types::{BlobId, InlineKey, ProviderId, Version};
 use bytes::Bytes;
 use kvstore::{MemStore, PageStore};
+use simcluster::replica::Member;
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,6 +249,44 @@ impl Provider {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A provider as the repair loop sees it: the listing is its page keys,
+/// the copy reads are one `DownloadMany`, the writes one `Upload` per page.
+impl Member for Provider {
+    type Id = ProviderId;
+    type Value = Bytes;
+
+    fn id(&self) -> ProviderId {
+        self.id
+    }
+
+    fn ping(&self) -> bool {
+        Provider::ping(self)
+    }
+
+    fn keys(&self) -> Vec<Vec<u8>> {
+        self.page_keys()
+    }
+
+    fn read(&self, keys: &[&[u8]]) -> Option<Vec<Option<Bytes>>> {
+        let requests = keys
+            .iter()
+            .map(|key| PageRequest {
+                key: key.to_vec(),
+                offset: 0,
+                len: None,
+            })
+            .collect();
+        self.download_many(requests).ok()
+    }
+
+    fn write(&self, entries: &[(&[u8], Bytes)]) -> usize {
+        entries
+            .iter()
+            .take_while(|(key, page)| self.put_page(key, page.clone()).is_ok())
+            .count()
     }
 }
 

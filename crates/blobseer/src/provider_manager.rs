@@ -10,23 +10,22 @@
 //!
 //! Beyond placement, the manager is the storage tier's membership authority
 //! under churn: providers *announce* every page replica they accept, an
-//! optional heartbeat [`FailureDetector`] turns refused probes into suspicion,
-//! and [`ProviderManager::repair`] actively re-replicates announced pages
+//! optional failure detector ([`ProviderManager::health`]) turns refused
+//! probes into suspicion, and [`ProviderManager::repair`] (the shared
+//! [`simcluster::replica`] loop) actively re-replicates announced pages
 //! whose live copy count fell below the replication factor — so a provider
 //! crash costs redundancy only until the next repair pass, not until an
 //! operator revives the node.
 
 use crate::provider::Provider;
 use crate::types::ProviderId;
-use bytes::Bytes;
 use kvstore::PageStore;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use simcluster::detector::{DetectorConfig, FailureDetector};
+use simcluster::replica::{Inventory, Placement, RepairReport, ReplicaHealth};
 use simcluster::topology::{ClusterTopology, Proximity};
-use simcluster::{Clock, NodeId};
+use simcluster::NodeId;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How the provider manager spreads pages over providers.
@@ -44,24 +43,6 @@ pub enum PlacementStrategy {
     /// Uniformly random placement (a second ablation point: load-balancing
     /// without the least-loaded feedback loop).
     Random,
-}
-
-/// What one [`ProviderManager::repair`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProviderRepairReport {
-    /// Providers probed with a ping.
-    pub probed_providers: usize,
-    /// Providers that refused the probe.
-    pub dead_providers: usize,
-    /// Announced pages scanned.
-    pub scanned_pages: usize,
-    /// Pages whose live replica count was below the target.
-    pub under_replicated: usize,
-    /// Replica copies created on live providers.
-    pub repaired_copies: usize,
-    /// Pages still short of the target after the pass (not enough live
-    /// providers, or no live copy left to read from).
-    pub still_under_replicated: usize,
 }
 
 /// A registry of providers plus the placement logic.
@@ -82,11 +63,9 @@ pub struct ProviderManager {
     /// the page store is persistent, so a revived provider still serves its
     /// old pages.
     announcements: Mutex<BTreeMap<Vec<u8>, Vec<ProviderId>>>,
-    /// Optional heartbeat failure detector over the provider set.
-    detector: Mutex<Option<Arc<FailureDetector<ProviderId>>>>,
-    repair_runs: AtomicU64,
-    repaired_pages: AtomicU64,
-    under_replicated_last: AtomicU64,
+    /// The optional failure detector over the provider set, and the repair
+    /// counters.
+    health: ReplicaHealth<ProviderId>,
 }
 
 impl ProviderManager {
@@ -132,10 +111,7 @@ impl ProviderManager {
             cursor: Mutex::new(0),
             rng_state: Mutex::new(0x1234_5678_9ABC_DEF0),
             announcements: Mutex::new(BTreeMap::new()),
-            detector: Mutex::new(None),
-            repair_runs: AtomicU64::new(0),
-            repaired_pages: AtomicU64::new(0),
-            under_replicated_last: AtomicU64::new(0),
+            health: ReplicaHealth::default(),
         }
     }
 
@@ -146,9 +122,7 @@ impl ProviderManager {
         let mut providers = self.providers.write();
         let id = ProviderId(providers.len() as u32);
         providers.push(Arc::new(Provider::in_memory(id, node)));
-        if let Some(d) = self.detector.lock().as_ref() {
-            d.register(id);
-        }
+        self.health.register(id);
         id
     }
 
@@ -357,23 +331,6 @@ impl ProviderManager {
         }
     }
 
-    /// Drop one holder from a page's announcement (the replica was deleted).
-    pub fn withdraw(&self, key: &[u8], holder: ProviderId) {
-        let mut ann = self.announcements.lock();
-        if let Some(holders) = ann.get_mut(key) {
-            holders.retain(|h| *h != holder);
-            if holders.is_empty() {
-                ann.remove(key);
-            }
-        }
-    }
-
-    /// Drop a page from the registry entirely: a batch of one over
-    /// [`ProviderManager::withdraw_pages`].
-    pub fn withdraw_page(&self, key: &[u8]) {
-        self.withdraw_pages(&[key]);
-    }
-
     /// Drop a batch of pages from the registry in one pass, returning each
     /// page's announced holders (empty where none was announced). A sweep
     /// withdraws before it deletes: from then on a repair pass cannot copy
@@ -406,156 +363,68 @@ impl ProviderManager {
 
     // ---- failure detection and repair --------------------------------------
 
-    /// Attach a heartbeat failure detector reading time from `clock` and
-    /// register every current provider with it.
-    pub fn enable_failure_detection(&self, clock: Arc<dyn Clock>, config: DetectorConfig) {
-        let detector = Arc::new(FailureDetector::new(clock, config));
-        for p in self.providers.read().iter() {
-            detector.register(p.id());
-        }
-        *self.detector.lock() = Some(detector);
+    /// The failure detector slot and repair counters of this tier. Attach
+    /// a detector with `health().enable_failure_detection(..)`; joins keep
+    /// its membership in sync, and repair probes and refused data
+    /// operations (`note_down`) feed it.
+    pub fn health(&self) -> &ReplicaHealth<ProviderId> {
+        &self.health
     }
 
-    /// The attached failure detector, if any.
-    pub fn failure_detector(&self) -> Option<Arc<FailureDetector<ProviderId>>> {
-        self.detector.lock().clone()
-    }
-
-    /// Feed a data-path refusal into the detector: an operation on `id` came
-    /// back "not serving", which is evidence of death just like a missed
-    /// heartbeat.
-    pub fn note_down(&self, id: ProviderId) {
-        if let Some(d) = self.detector.lock().as_ref() {
-            d.observe(id, false);
-        }
-    }
-
-    /// Run one heartbeat round: ping every provider and feed the outcomes to
-    /// the detector (when attached). Returns the providers that refused the
-    /// probe.
-    pub fn heartbeat_tick(&self) -> Vec<ProviderId> {
-        let detector = self.detector.lock().clone();
-        let mut down = Vec::new();
-        for p in self.providers.read().iter() {
-            let ok = p.ping();
-            if let Some(d) = &detector {
-                d.observe(p.id(), ok);
-            }
-            if !ok {
-                down.push(p.id());
-            }
-        }
-        down
-    }
-
-    /// Repair passes completed.
-    pub fn repair_runs(&self) -> u64 {
-        self.repair_runs.load(Ordering::Relaxed)
-    }
-
-    /// Replica copies created by repair passes (monotonic).
-    pub fn repaired_pages(&self) -> u64 {
-        self.repaired_pages.load(Ordering::Relaxed)
-    }
-
-    /// Pages the last repair pass found under-replicated.
-    pub fn under_replicated(&self) -> u64 {
-        self.under_replicated_last.load(Ordering::Relaxed)
-    }
-
-    /// One active re-replication pass over the announced pages.
+    /// One active re-replication pass over the announced pages (the shared
+    /// [`simcluster::replica`] loop). Probes every provider and lists each
+    /// live one's page keys once; a page's holders are the providers that
+    /// are announced, live and list it. A page with fewer than
+    /// `replication` holders is read once from a holder and copied to the
+    /// least-announced live non-holders until the factor is restored (or
+    /// the live set is exhausted). New copies are announced, so a second
+    /// pass over a healthy set reads and copies nothing.
     ///
-    /// Probes every provider, then for each announced page counts the holders
-    /// that are both live and actually serve the page. When that count is
-    /// below `replication`, the page is copied from a surviving live holder
-    /// to the least-announced live non-holders until the factor is restored
-    /// (or the live set is exhausted). New copies are announced, so a second
-    /// pass over a healthy set is a no-op.
-    pub fn repair(&self, replication: usize) -> ProviderRepairReport {
-        let mut report = ProviderRepairReport::default();
+    /// Holds the registry lock for the pass: a sweep withdraws a page
+    /// before deleting it, so repair never copies a page on its way out.
+    pub fn repair(&self, replication: usize) -> RepairReport {
         let providers = self.providers.read();
-        let detector = self.detector.lock().clone();
-
-        // Probe phase: discover liveness; never trust a cached flag.
-        let mut live: HashMap<ProviderId, Arc<Provider>> = HashMap::new();
-        for p in providers.iter() {
-            report.probed_providers += 1;
-            let ok = p.ping();
-            if let Some(d) = &detector {
-                d.observe(p.id(), ok);
-            }
-            if ok {
-                live.insert(p.id(), Arc::clone(p));
-            } else {
-                report.dead_providers += 1;
-            }
-        }
-
-        // Announcement load per provider, used to spread repair copies the
-        // same way the allocator spreads fresh writes.
+        let members: Vec<&Provider> = providers.iter().map(|p| &**p).collect();
         let mut ann = self.announcements.lock();
-        let mut load: HashMap<ProviderId, usize> = HashMap::new();
-        for holders in ann.values() {
-            for h in holders {
+        let plan = |live: &[ProviderId], inventory: Inventory<ProviderId>| {
+            // Announcement load per provider, so repair copies spread the
+            // way the allocator spreads fresh writes.
+            let mut load: HashMap<ProviderId, usize> = HashMap::new();
+            for h in ann.values().flatten() {
                 *load.entry(*h).or_insert(0) += 1;
             }
-        }
-
-        for (key, holders) in ann.iter_mut() {
-            report.scanned_pages += 1;
-            let target = replication.min(live.len());
-            // A holder counts only if it is live *and* serves the page: a
-            // revived provider with a wiped store announces nothing.
-            let mut data: Option<Bytes> = None;
-            let mut live_holders = 0usize;
-            for h in holders.iter() {
-                if let Some(p) = live.get(h) {
-                    if let Ok(Some(page)) = p.get_page(key) {
-                        live_holders += 1;
-                        data.get_or_insert(page);
+            let mut plans = Vec::with_capacity(ann.len());
+            for (key, announced) in ann.iter() {
+                let listed = inventory.get(key).map_or(&[][..], Vec::as_slice);
+                // A revived provider with a wiped store lists nothing.
+                let holders: Vec<ProviderId> = announced
+                    .iter()
+                    .copied()
+                    .filter(|h| listed.contains(h))
+                    .collect();
+                let mut targets = holders.clone();
+                if !holders.is_empty() && holders.len() < replication {
+                    let mut candidates: Vec<(usize, ProviderId)> = live
+                        .iter()
+                        .filter(|id| !announced.contains(id))
+                        .map(|id| (load.get(id).copied().unwrap_or(0), *id))
+                        .collect();
+                    candidates.sort();
+                    for (_, id) in candidates.into_iter().take(replication - holders.len()) {
+                        *load.entry(id).or_insert(0) += 1;
+                        targets.push(id);
                     }
                 }
+                plans.push(Placement::new(key.clone(), holders, targets));
             }
-            if live_holders >= target {
-                continue;
-            }
-            report.under_replicated += 1;
-            let Some(data) = data else {
-                // Every live holder lost the page: nothing to copy from.
-                report.still_under_replicated += 1;
-                continue;
-            };
-            // Copy to the least-loaded live providers that do not hold it.
-            let mut candidates: Vec<(usize, u32)> = live
-                .keys()
-                .filter(|id| !holders.contains(id))
-                .map(|id| (load.get(id).copied().unwrap_or(0), id.0))
-                .collect();
-            candidates.sort();
-            for (_, raw) in candidates {
-                if live_holders >= target {
-                    break;
-                }
-                let id = ProviderId(raw);
-                let p = &live[&id];
-                if p.put_page(key, data.clone()).is_ok() {
-                    holders.push(id);
-                    *load.entry(id).or_insert(0) += 1;
-                    live_holders += 1;
-                    report.repaired_copies += 1;
-                }
-            }
-            if live_holders < target {
-                report.still_under_replicated += 1;
+            plans
+        };
+        let (report, plans) = self.health.repair(&members, replication, plan);
+        for plan in plans.iter().filter(|p| !p.copied.is_empty()) {
+            if let Some(holders) = ann.get_mut(&plan.key) {
+                holders.extend(&plan.copied);
             }
         }
-        drop(ann);
-
-        self.repair_runs.fetch_add(1, Ordering::Relaxed);
-        self.repaired_pages
-            .fetch_add(report.repaired_copies as u64, Ordering::Relaxed);
-        self.under_replicated_last
-            .store(report.under_replicated as u64, Ordering::Relaxed);
         report
     }
 }
@@ -750,9 +619,10 @@ mod tests {
         m.announce(b"k", ProviderId(1)); // duplicate is a no-op
         assert_eq!(m.holders(b"k"), vec![ProviderId(1), ProviderId(2)]);
         assert_eq!(m.announced_pages(), 1);
-        m.withdraw(b"k", ProviderId(1));
-        assert_eq!(m.holders(b"k"), vec![ProviderId(2)]);
-        m.withdraw_page(b"k");
+        assert_eq!(
+            m.withdraw_pages(&[&b"k"[..], b"none"]),
+            vec![vec![ProviderId(1), ProviderId(2)], vec![]]
+        );
         assert!(m.holders(b"k").is_empty());
         assert_eq!(m.announced_pages(), 0);
     }
@@ -774,13 +644,13 @@ mod tests {
         m.kill(ProviderId(0));
 
         let report = m.repair(2);
-        assert_eq!(report.dead_providers, 1);
+        assert_eq!(report.dead, 1);
         assert_eq!(report.under_replicated, 1);
-        assert_eq!(report.repaired_copies, 1);
+        assert_eq!(report.copied, 1);
         assert_eq!(report.still_under_replicated, 0);
-        assert_eq!(m.under_replicated(), 1);
-        assert_eq!(m.repair_runs(), 1);
-        assert_eq!(m.repaired_pages(), 1);
+        assert_eq!(m.health().still_short(), 0);
+        assert_eq!(m.health().runs(), 1);
+        assert_eq!(m.health().copies(), 1);
 
         // The new holder is announced and actually serves the page.
         let holders = m.holders(b"blob-1/v1/page-0");
@@ -804,7 +674,7 @@ mod tests {
         // A second pass over the (now healthy) set is a no-op.
         let again = m.repair(2);
         assert_eq!(again.under_replicated, 0);
-        assert_eq!(again.repaired_copies, 0);
+        assert_eq!(again.copied, 0);
     }
 
     #[test]
@@ -815,7 +685,7 @@ mod tests {
         m.kill(ProviderId(1));
         let report = m.repair(2);
         assert_eq!(report.under_replicated, 1);
-        assert_eq!(report.repaired_copies, 0);
+        assert_eq!(report.copied, 0);
         assert_eq!(report.still_under_replicated, 1);
     }
 
@@ -830,41 +700,87 @@ mod tests {
         let id = m.join_in_memory(NodeId(0));
         assert_eq!(id, ProviderId(2));
         let report = m.repair(2);
-        assert_eq!(report.repaired_copies, 1);
+        assert_eq!(report.copied, 1);
         assert!(m.holders(b"k").contains(&ProviderId(2)));
     }
 
     #[test]
     fn heartbeats_feed_the_detector() {
         use simcluster::clock::SimClock;
+        use simcluster::{Clock, DetectorConfig};
         use std::time::Duration;
 
         let m = manager(PlacementStrategy::LoadBalanced);
         let clock = Arc::new(SimClock::new());
-        m.enable_failure_detection(
+        m.health().enable_failure_detection(
             Arc::clone(&clock) as Arc<dyn Clock>,
             DetectorConfig {
-                heartbeat_interval: Duration::from_millis(10),
                 suspicion_timeout: Duration::from_millis(30),
             },
+            m.providers().iter().map(|p| p.id()),
         );
-        let det = m.failure_detector().unwrap();
+        let det = m.health().detector().unwrap();
         assert_eq!(det.member_count(), 8);
 
         m.kill(ProviderId(3));
-        assert_eq!(m.heartbeat_tick(), vec![ProviderId(3)]);
+        assert_eq!(m.repair(2).dead, 1);
         assert!(
             !det.is_suspect(ProviderId(3)),
             "before the timeout: tolerated"
         );
         clock.advance(Duration::from_millis(30));
-        m.heartbeat_tick();
+        m.repair(2);
         assert!(det.is_suspect(ProviderId(3)));
         assert_eq!(det.failures_detected(), 1);
 
         m.revive(ProviderId(3));
-        m.heartbeat_tick();
+        m.repair(2);
         assert!(!det.is_suspect(ProviderId(3)));
         assert_eq!(det.recoveries_observed(), 1);
+    }
+
+    /// Every provider's (reads, bytes read).
+    fn reads(m: &ProviderManager) -> Vec<(u64, u64)> {
+        m.providers()
+            .iter()
+            .map(|p| (p.stats().reads, p.stats().bytes_read))
+            .collect()
+    }
+
+    #[test]
+    fn repair_reads_only_the_copies_it_makes() {
+        let m = manager(PlacementStrategy::LoadBalanced);
+        for i in 0..16u32 {
+            seed_page(&m, format!("page-{i}").as_bytes(), &[i % 8, (i + 1) % 8]);
+        }
+        // A healthy R = 2 deployment: the pass moves no page byte.
+        let before = reads(&m);
+        let healthy = m.repair(2);
+        assert_eq!((healthy.under_replicated, healthy.copied), (0, 0));
+        assert_eq!(reads(&m), before, "a healthy pass reads nothing");
+
+        // One holder dies: each of its 4 pages is read once, from its one
+        // surviving holder.
+        m.kill(ProviderId(3));
+        let report = m.repair(2);
+        assert_eq!((report.under_replicated, report.copied), (4, 4));
+        let after = reads(&m);
+        let read: u64 = after.iter().zip(&before).map(|(a, b)| a.0 - b.0).sum();
+        let bytes: u64 = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+        assert_eq!(read, 4);
+        assert_eq!(bytes, 4 * b"page-data".len() as u64);
+    }
+
+    #[test]
+    fn too_few_live_providers_leave_pages_short() {
+        let t = ClusterTopology::flat(2);
+        let nodes: Vec<NodeId> = t.all_nodes().collect();
+        let m = ProviderManager::new_in_memory(&t, &nodes, PlacementStrategy::LoadBalanced);
+        seed_page(&m, b"k", &[0, 1]);
+        m.kill(ProviderId(1));
+        let report = m.repair(2);
+        assert_eq!(report.under_replicated, 1);
+        assert_eq!(report.still_under_replicated, 1, "one live copy of two");
+        assert_eq!(m.health().still_short(), 1);
     }
 }

@@ -10,11 +10,12 @@
 //! * [`node::DhtNode`] — one metadata provider: a key-value store plus a
 //!   liveness flag for failure injection, served on the caller's thread;
 //! * [`Dht`] — the client view: replicated `put`/`get`/`remove` across the
-//!   ring, fail-over on dead replicas, node join/leave with rebalancing, and
-//!   the churn-tolerance layer: a heartbeat failure detector
-//!   ([`Dht::heartbeat_tick`]) and an active re-replication pass
-//!   ([`Dht::repair`]) that restores the replication factor after unannounced
-//!   node deaths.
+//!   ring, fail-over on dead replicas, node join/leave, and the
+//!   churn-tolerance layer: an active re-replication pass ([`Dht::repair`],
+//!   the shared [`simcluster::replica`] loop) whose probe is the heartbeat
+//!   round of the tier's failure detector, and which restores the
+//!   replication factor after unannounced deaths and moves keys onto joined
+//!   nodes.
 //!
 //! The DHT is *in-process*: nodes are objects, not sockets. This is
 //! deliberate — the paper's experiments never stress the metadata network
@@ -31,11 +32,11 @@
 //! peer by a failed RPC. Writes walk clockwise past refused replicas until
 //! the replication factor is met (or at least one copy lands); reads fail
 //! over the same way. The [`simcluster::detector::FailureDetector`] attached
-//! via [`Dht::enable_failure_detection`] turns missed heartbeats into
-//! suspicion on a deterministic clock, and [`Dht::repair`] re-replicates
-//! every under-replicated key onto its first live successors — so churn
-//! (kills and joins without any explicit `revive`) converges back to full
-//! replication.
+//! via [`Dht::health`] turns missed heartbeats (repair's probes) and refused
+//! operations into suspicion on a deterministic clock, and [`Dht::repair`]
+//! re-replicates every under-replicated key onto its first live successors
+//! — so churn (kills and joins without any explicit `revive`) converges
+//! back to full replication.
 //!
 //! ```
 //! use dht::{Dht, DhtConfig};
@@ -55,10 +56,9 @@ pub use ring::HashRing;
 use bytes::Bytes;
 use kvstore::{FastMap, FastSet};
 use parking_lot::{Mutex, RwLock};
-use simcluster::clock::Clock;
-use simcluster::detector::{DetectorConfig, FailureDetector};
+use simcluster::replica::{Inventory, Placement, RepairReport, ReplicaHealth};
 use simcluster::topology::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,8 +146,8 @@ pub struct DhtStats {
     /// Data-plane batches the nodes have handled (served or refused),
     /// summed over current members. One charged client exchange is one
     /// batch, so client traffic advances this in step with
-    /// [`Dht::round_trips`]; the reconciliation passes (revive, rebalance,
-    /// repair) add uncharged batches of their own.
+    /// [`Dht::round_trips`]; the reconciliation passes (revive, repair) add
+    /// uncharged batches of their own.
     pub node_batches: u64,
 }
 
@@ -175,28 +175,6 @@ impl Default for RetryPolicy {
             backoff: std::time::Duration::from_millis(0),
         }
     }
-}
-
-/// What one [`Dht::repair`] pass found and fixed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DhtRepairReport {
-    /// Nodes probed with a heartbeat at the start of the pass.
-    pub probed_nodes: usize,
-    /// Nodes that failed the probe.
-    pub dead_nodes: usize,
-    /// Distinct keys seen on live nodes.
-    pub scanned_keys: usize,
-    /// Keys found below the replication factor on live targets.
-    pub under_replicated: usize,
-    /// Replica copies created to restore the factor.
-    pub repaired_copies: usize,
-    /// Misplaced live copies dropped after the factor was restored.
-    pub strays_removed: usize,
-    /// Lingering copies of removed (tombstoned) keys dropped.
-    pub tombstones_enforced: usize,
-    /// Keys still below the factor when the pass ended (not enough live
-    /// nodes to hold every replica).
-    pub still_under_replicated: usize,
 }
 
 struct DhtInner {
@@ -252,7 +230,7 @@ impl DhtWire {
 /// The distributed hash table used by BlobSeer's metadata layer.
 ///
 /// All methods are safe to call from many threads concurrently; the ring is
-/// only write-locked by membership changes (join/leave/rebalance/repair),
+/// only write-locked by membership changes (join/leave/revive/repair),
 /// never by data operations.
 ///
 /// Besides per-key `put`/`get`, the DHT offers [`Dht::put_many`] and
@@ -268,10 +246,10 @@ impl DhtWire {
 pub struct Dht {
     inner: RwLock<DhtInner>,
     tombstones: Tombstones,
-    /// Heartbeat failure detector, attached by
-    /// [`Dht::enable_failure_detection`]. Optional: a bare DHT (unit tests,
-    /// benches that do not exercise churn) runs without one.
-    detector: Mutex<Option<Arc<FailureDetector<DhtNodeId>>>>,
+    /// The failure detector slot and repair counters. The detector is
+    /// optional: a bare DHT (unit tests, benches that do not exercise
+    /// churn) runs without one.
+    health: ReplicaHealth<DhtNodeId>,
     /// Client-to-node exchanges performed (one per node contacted, for both
     /// single-key and batch operations), with bytes per direction. Repair and
     /// heartbeat traffic is control-plane and intentionally *not* counted
@@ -281,12 +259,6 @@ pub struct Dht {
     /// transport (simulated latency + bandwidth). `None` keeps the historic
     /// free-wire behavior.
     wire: RwLock<Option<DhtWire>>,
-    /// Repair passes completed.
-    repair_runs: AtomicU64,
-    /// Replica copies created by repair passes.
-    repaired_entries: AtomicU64,
-    /// Keys below the replication factor at the end of the last repair.
-    under_replicated_last: AtomicU64,
     /// Client-side retry policy for data operations.
     retry: Mutex<RetryPolicy>,
     /// Operation retries performed under the policy.
@@ -316,12 +288,9 @@ impl Dht {
         Dht {
             inner: RwLock::new(inner),
             tombstones: Tombstones::default(),
-            detector: Mutex::new(None),
+            health: ReplicaHealth::default(),
             counters: wire::Counters::new(),
             wire: RwLock::new(None),
-            repair_runs: AtomicU64::new(0),
-            repaired_entries: AtomicU64::new(0),
-            under_replicated_last: AtomicU64::new(0),
             retry: Mutex::new(RetryPolicy::default()),
             retries: AtomicU64::new(0),
         }
@@ -442,15 +411,6 @@ impl Dht {
         ids
     }
 
-    /// Report a refused data operation to the detector (when attached): a
-    /// failed exchange is heartbeat evidence too, so the data plane
-    /// contributes to discovery between probe rounds.
-    fn note_node_down(&self, id: DhtNodeId) {
-        if let Some(det) = self.detector.lock().clone() {
-            det.observe(id, false);
-        }
-    }
-
     /// Attempt one replica write; false when the node refused (dead).
     fn try_put_on(&self, inner: &DhtInner, id: DhtNodeId, key: &[u8], value: &Bytes) -> bool {
         let node = &inner.nodes[&id];
@@ -462,7 +422,7 @@ impl Dht {
         match node.put(key, value.clone()) {
             Ok(()) => true,
             Err(NodeDown) => {
-                self.note_node_down(id);
+                self.health.note_down(id);
                 false
             }
         }
@@ -570,7 +530,7 @@ impl Dht {
                     }
                 }
                 Err(NodeDown) => {
-                    self.note_node_down(*id);
+                    self.health.note_down(*id);
                     indices.iter().for_each(|&i| refused[i] = true);
                 }
             }
@@ -638,7 +598,7 @@ impl Dht {
                 Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
                 // The node refused the whole group; leave its entries for
                 // the per-entry fail-over pass below.
-                Err(NodeDown) => self.note_node_down(*id),
+                Err(NodeDown) => self.health.note_down(*id),
             }
         }
         // Entries short of the replication factor (their group's node was
@@ -757,7 +717,7 @@ impl Dht {
                     Err(NodeDown) => {
                         down_nodes.insert(*id);
                         indices.iter().for_each(|&i| saw_down[i] = true);
-                        self.note_node_down(*id);
+                        self.health.note_down(*id);
                     }
                 }
                 self.charge_read(*id, req_bytes + MSG_OVERHEAD, resp_bytes + MSG_OVERHEAD);
@@ -801,32 +761,27 @@ impl Dht {
         self.get(key).is_ok()
     }
 
-    /// Add a new node to the ring and return its id. Call [`Dht::rebalance`]
-    /// (or let the [`Dht::repair`] loop run) to move keys onto it.
+    /// Add a new node to the ring and return its id. The next
+    /// [`Dht::repair`] pass moves its share of the keys onto it.
     pub fn join(&self) -> DhtNodeId {
         let mut inner = self.inner.write();
         let id = DhtNodeId(inner.next_id);
         inner.next_id += 1;
         inner.ring.add_node(id);
         inner.nodes.insert(id, Arc::new(DhtNode::new(id)));
-        if let Some(det) = self.detector.lock().clone() {
-            det.register(id);
-        }
+        self.health.register(id);
         id
     }
 
-    /// Remove a node from the ring. Its keys remain on other replicas; call
-    /// [`Dht::rebalance`] or let [`Dht::repair`] restore the replication
-    /// factor.
+    /// Remove a node from the ring. Its keys remain on other replicas; the
+    /// next [`Dht::repair`] pass restores the replication factor.
     pub fn leave(&self, id: DhtNodeId) -> DhtResult<()> {
         let mut inner = self.inner.write();
         if inner.nodes.remove(&id).is_none() {
             return Err(DhtError::UnknownNode(id));
         }
         inner.ring.remove_node(id);
-        if let Some(det) = self.detector.lock().clone() {
-            det.forget(id);
-        }
+        self.health.forget(id);
         Ok(())
     }
 
@@ -847,7 +802,7 @@ impl Dht {
     /// Revive a previously killed node, reconciling its contents.
     ///
     /// Everything the node stored before the failure is suspect: while it was
-    /// dead it missed overwrites, and any rebalance skipped it both as a
+    /// dead it missed overwrites, and any repair pass skipped it both as a
     /// source and as a destination. Without reconciliation a revived node
     /// that comes first in ring order serves its stale pre-failure values
     /// ahead of the fresh replicas. So, for every key the node holds:
@@ -857,7 +812,7 @@ impl Dht {
     /// * if ring membership changed and the node is no longer a replica, the
     ///   entry is purged — unless no live replica holds the key, in which
     ///   case this may be the only surviving copy and it is kept for a later
-    ///   [`Dht::rebalance`]/[`Dht::repair`] to re-place;
+    ///   [`Dht::repair`] to re-place;
     /// * keys removed while the node was dead carry a tombstone and are
     ///   dropped rather than resurrected.
     ///
@@ -880,9 +835,8 @@ impl Dht {
         node.revive();
         // A key removed while this node was dead must not resurrect.
         let (mut drop_keys, keys): (Vec<Vec<u8>>, Vec<Vec<u8>>) = node
-            .entries()
+            .keys()
             .into_iter()
-            .map(|(key, _)| key)
             .partition(|key| self.tombstones.contains(key));
         let targets: Vec<Vec<DhtNodeId>> = keys
             .iter()
@@ -920,211 +874,71 @@ impl Dht {
         }
         let _ = node.put_many(&refresh);
         let _ = node.remove_many(&drop_keys);
-        if let Some(det) = self.detector.lock().clone() {
-            det.observe(id, true);
-        }
+        self.health.observe(id, true);
         Ok(())
     }
 
-    /// Re-distribute every key so that it lives exactly on its `replication`
-    /// successors under the current ring. Used after joins/leaves. Dead nodes
-    /// are skipped both as sources and as destinations; whatever they still
-    /// hold is reconciled when [`Dht::revive`] brings them back.
-    pub fn rebalance(&self) {
-        let inner = self.inner.write();
-        // Collect the union of all keys with one representative value, and
-        // what each live node holds.
-        let mut all: HashMap<Vec<u8>, Bytes> = HashMap::new();
-        let mut held: Vec<(&Arc<DhtNode>, Vec<Vec<u8>>)> = Vec::new();
-        for node in inner.nodes.values().filter(|n| n.ping()) {
-            let entries = node.entries();
-            held.push((node, entries.iter().map(|(k, _)| k.clone()).collect()));
-            for (k, v) in entries {
-                // Tombstoned keys were removed; re-placing a lingering copy
-                // would resurrect them.
-                if !self.tombstones.contains(&k) {
-                    all.entry(k).or_insert(v);
-                }
-            }
-        }
-        // Re-place every key: one batch of removals and one of writes per
-        // node.
-        let mut placed: HashMap<DhtNodeId, HashMap<Vec<u8>, Bytes>> = HashMap::new();
-        for (key, value) in &all {
-            for id in inner.ring.successors(key, inner.replication) {
-                placed
-                    .entry(id)
-                    .or_default()
-                    .insert(key.clone(), value.clone());
-            }
-        }
-        for (node, keys) in held {
-            let mine = placed.remove(&node.id()).unwrap_or_default();
-            let stray: Vec<Vec<u8>> = keys.into_iter().filter(|k| !mine.contains_key(k)).collect();
-            let mine: Vec<(Vec<u8>, Bytes)> = mine.into_iter().collect();
-            let _ = node.remove_many(&stray);
-            let _ = node.put_many(&mine);
-        }
+    /// The failure detector slot and repair counters of this tier. Attach
+    /// a detector with `health().enable_failure_detection(.., node_ids())`;
+    /// joins and leaves keep its membership in sync, and repair probes and
+    /// refused data operations feed it.
+    pub fn health(&self) -> &ReplicaHealth<DhtNodeId> {
+        &self.health
     }
 
-    /// Attach a heartbeat failure detector reading time from `clock`. Every
-    /// current member is registered; joins and leaves keep the membership in
-    /// sync. [`Dht::heartbeat_tick`] then probes members and turns missed
-    /// heartbeats into suspicion; refused data operations feed the detector
-    /// as well.
-    pub fn enable_failure_detection(&self, clock: Arc<dyn Clock>, config: DetectorConfig) {
-        let det = Arc::new(FailureDetector::new(clock, config));
-        for id in self.node_ids() {
-            det.register(id);
-        }
-        *self.detector.lock() = Some(det);
-    }
-
-    /// The attached failure detector, if any.
-    pub fn failure_detector(&self) -> Option<Arc<FailureDetector<DhtNodeId>>> {
-        self.detector.lock().clone()
-    }
-
-    /// Probe every member with a heartbeat and report the outcomes to the
-    /// detector. Returns the members that *newly* became suspect in this
-    /// round. No-op (empty) when no detector is attached.
-    pub fn heartbeat_tick(&self) -> Vec<DhtNodeId> {
-        let Some(det) = self.detector.lock().clone() else {
-            return Vec::new();
-        };
-        let inner = self.inner.read();
-        let mut ids: Vec<DhtNodeId> = inner.nodes.keys().copied().collect();
-        ids.sort();
-        let mut newly = Vec::new();
-        for id in ids {
-            let was_suspect = det.is_suspect(id);
-            let ok = inner.nodes[&id].ping();
-            det.observe(id, ok);
-            if !was_suspect && det.is_suspect(id) {
-                newly.push(id);
-            }
-        }
-        newly
-    }
-
-    /// One active re-replication pass: probe liveness, scan every live
-    /// node's contents, and restore each key onto its first `replication`
-    /// *live* successors — copying from surviving replicas, dropping
-    /// misplaced strays once the factor is met, and enforcing tombstones.
-    /// This is how replication recovers from unannounced deaths (no
-    /// [`Dht::revive`] needed) and how joined nodes receive their share of
-    /// existing keys.
+    /// One active re-replication pass (the shared [`simcluster::replica`]
+    /// loop): probe every node, list each live node's keys once, and keep
+    /// each key on its first `replication` *live* successors — copying from
+    /// a surviving replica, dropping misplaced strays once the factor is
+    /// met, and enforcing tombstones. This is how replication recovers from
+    /// unannounced deaths (no [`Dht::revive`] needed) and how joined nodes
+    /// receive their share of existing keys.
     ///
     /// Takes the membership write lock for the duration of the pass, so it
-    /// serializes with data operations like rebalance does.
-    pub fn repair(&self) -> DhtRepairReport {
+    /// serializes with data operations.
+    pub fn repair(&self) -> RepairReport {
         let inner = self.inner.write();
-        let mut report = DhtRepairReport::default();
-        // Discover liveness by probing, never by reading the injected flag.
         let mut ids: Vec<DhtNodeId> = inner.nodes.keys().copied().collect();
         ids.sort();
-        let detector = self.detector.lock().clone();
-        let mut live_ids: HashSet<DhtNodeId> = HashSet::new();
-        for id in &ids {
-            report.probed_nodes += 1;
-            let ok = inner.nodes[id].ping();
-            if let Some(det) = &detector {
-                det.observe(*id, ok);
-            }
-            if ok {
-                live_ids.insert(*id);
-            } else {
-                report.dead_nodes += 1;
-            }
-        }
-        // Scan the live nodes' contents: who holds what, plus one
-        // representative value per key to copy from.
-        let mut holders: HashMap<Vec<u8>, HashSet<DhtNodeId>> = HashMap::new();
-        let mut values: HashMap<Vec<u8>, Bytes> = HashMap::new();
-        for id in ids.iter().filter(|id| live_ids.contains(id)) {
-            let node = &inner.nodes[id];
-            let mut buried = Vec::new();
-            for (k, v) in node.entries() {
-                if self.tombstones.contains(&k) {
-                    buried.push(k);
+        let members: Vec<&DhtNode> = ids.iter().map(|id| &*inner.nodes[id]).collect();
+        // A removed key is not kept: its lingering live copies are dropped.
+        let mut buried: BTreeMap<DhtNodeId, Vec<Vec<u8>>> = BTreeMap::new();
+        let plan = |live: &[DhtNodeId], inventory: Inventory<DhtNodeId>| {
+            let mut plans = Vec::new();
+            for (key, holders) in inventory {
+                if self.tombstones.contains(&key) {
+                    for id in holders {
+                        buried.entry(id).or_default().push(key.clone());
+                    }
                     continue;
                 }
-                holders.entry(k.clone()).or_default().insert(*id);
-                values.entry(k).or_insert(v);
-            }
-            if !buried.is_empty() {
-                report.tombstones_enforced += node.remove_many(&buried).unwrap_or(0);
-            }
-        }
-        report.scanned_keys = values.len();
-        // Plan: every key belongs on its first `replication` live
-        // successors; group the copies those lack by destination.
-        let plan: Vec<(&Vec<u8>, Vec<DhtNodeId>, Vec<DhtNodeId>)> = values
-            .keys()
-            .map(|key| {
-                let targets: Vec<DhtNodeId> = inner
+                let targets = inner
                     .ring
-                    .successors(key, inner.nodes.len())
+                    .successors(&key, inner.nodes.len())
                     .into_iter()
-                    .filter(|id| live_ids.contains(id))
+                    .filter(|id| live.contains(id))
                     .take(inner.replication)
                     .collect();
-                let missing = targets
-                    .iter()
-                    .filter(|t| !holders[key].contains(t))
-                    .copied()
-                    .collect();
-                (key, targets, missing)
-            })
-            .collect();
-        let mut copies: BTreeMap<DhtNodeId, Vec<(Vec<u8>, Bytes)>> = BTreeMap::new();
-        for (key, _, missing) in &plan {
-            for t in missing {
-                copies
-                    .entry(*t)
-                    .or_default()
-                    .push(((*key).clone(), values[*key].clone()));
+                plans.push(Placement::new(key, holders, targets));
             }
+            plans
+        };
+        let (mut report, plans) = self.health.repair(&members, inner.replication, plan);
+        for (id, keys) in buried {
+            report.tombstones_enforced += inner.nodes[&id].remove_many(&keys).unwrap_or(0);
         }
-        // Copy: one batch per destination. A destination that refuses (died
-        // since the probe) leaves its keys short.
-        let mut refused: HashSet<DhtNodeId> = HashSet::new();
-        for (id, entries) in copies {
-            let n = entries.len();
-            match inner.nodes[&id].put_many(&entries) {
-                Ok(()) => report.repaired_copies += n,
-                Err(NodeDown) => {
-                    refused.insert(id);
-                }
-            }
-        }
-        // Settle: count what is still short, and drop misplaced live copies
-        // of keys whose factor is met on the live targets — they are pure
-        // overhead now (and would serve stale data if the key is later
-        // overwritten).
-        let mut strays: BTreeMap<DhtNodeId, Vec<Vec<u8>>> = BTreeMap::new();
-        for (key, targets, missing) in &plan {
-            if !missing.is_empty() {
-                report.under_replicated += 1;
-            }
-            let short = missing.iter().filter(|t| refused.contains(t)).count();
-            if short == 0 {
-                for h in holders[*key].iter().filter(|h| !targets.contains(h)) {
-                    strays.entry(*h).or_default().push((*key).clone());
-                }
-            }
-            if targets.len() - short < inner.replication {
-                report.still_under_replicated += 1;
+        // Misplaced live copies of a key whose targets are full are pure
+        // overhead now, and would serve stale data if the key is later
+        // overwritten.
+        let mut strays: BTreeMap<DhtNodeId, Vec<&[u8]>> = BTreeMap::new();
+        for plan in plans.iter().filter(|p| p.is_full()) {
+            for id in plan.holders.iter().filter(|h| !plan.targets.contains(h)) {
+                strays.entry(*id).or_default().push(&plan.key);
             }
         }
         for (id, keys) in strays {
             report.strays_removed += inner.nodes[&id].remove_many(&keys).unwrap_or(0);
         }
-        self.repair_runs.fetch_add(1, Ordering::Relaxed);
-        self.repaired_entries
-            .fetch_add(report.repaired_copies as u64, Ordering::Relaxed);
-        self.under_replicated_last
-            .store(report.still_under_replicated as u64, Ordering::Relaxed);
         report
     }
 
@@ -1133,9 +947,9 @@ impl Dht {
         let inner = self.inner.read();
         let mut s = DhtStats {
             nodes: inner.nodes.len(),
-            under_replicated: self.under_replicated_last.load(Ordering::Relaxed) as usize,
-            repair_runs: self.repair_runs.load(Ordering::Relaxed),
-            repaired_entries: self.repaired_entries.load(Ordering::Relaxed),
+            under_replicated: self.health.still_short() as usize,
+            repair_runs: self.health.runs(),
+            repaired_entries: self.health.copies(),
             ..Default::default()
         };
         for node in inner.nodes.values() {
@@ -1146,7 +960,7 @@ impl Dht {
             s.total_bytes += node.data_bytes();
             s.node_batches += node.batches_handled();
         }
-        if let Some(det) = self.detector.lock().clone() {
+        if let Some(det) = self.health.detector() {
             s.failures_detected = det.failures_detected();
             s.suspected_nodes = det.suspects().len();
         }
@@ -1199,12 +1013,12 @@ impl Dht {
     }
 
     /// A question about *persistent* state — a dead node's disk still holds
-    /// copies — so it uses the administrative entries() view rather than
+    /// copies — so it uses the administrative keys() listing rather than
     /// data-plane gets (which dead nodes refuse).
     fn copies_held(inner: &DhtInner) -> HashMap<Vec<u8>, usize> {
         let mut held: HashMap<Vec<u8>, usize> = HashMap::new();
         for node in inner.nodes.values() {
-            for (k, _) in node.entries() {
+            for k in node.keys() {
                 *held.entry(k).or_default() += 1;
             }
         }
@@ -1215,7 +1029,9 @@ impl Dht {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcluster::clock::SimClock;
+    use simcluster::clock::{Clock, SimClock};
+    use simcluster::detector::DetectorConfig;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     #[test]
@@ -1386,38 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn join_and_rebalance_preserve_all_keys() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
-        for i in 0..200u32 {
-            dht.put(
-                format!("key-{i}").as_bytes(),
-                Bytes::from(format!("value-{i}")),
-            )
-            .unwrap();
-        }
-        let new_node = dht.join();
-        dht.rebalance();
-        // All keys still readable.
-        for i in 0..200u32 {
-            assert_eq!(
-                dht.get(format!("key-{i}").as_bytes()).unwrap(),
-                Bytes::from(format!("value-{i}"))
-            );
-        }
-        // The new node received some share of the keys.
-        let load = dht.load_per_node();
-        assert!(
-            load[&new_node] > 0,
-            "new node should hold keys after rebalance"
-        );
-    }
-
-    #[test]
-    fn leave_and_rebalance_restore_replication() {
+    fn leave_and_repair_restore_replication() {
         let dht = Dht::new(DhtConfig {
             nodes: 4,
             replication: 2,
@@ -1429,7 +1214,7 @@ mod tests {
         }
         let victim = dht.node_ids()[0];
         dht.leave(victim).unwrap();
-        dht.rebalance();
+        dht.repair();
         for i in 0..100u32 {
             assert!(dht.contains(format!("key-{i}").as_bytes()));
         }
@@ -1495,7 +1280,7 @@ mod tests {
         dht.kill(replicas[0]).unwrap();
         // Overwrite while the primary is down: only the live replicas see it.
         dht.put(b"key", Bytes::from_static(b"new")).unwrap();
-        dht.rebalance();
+        dht.repair();
         dht.revive(replicas[0]).unwrap();
         // Pre-fix the revived primary, first in ring order, answered with its
         // stale pre-failure value.
@@ -1524,7 +1309,7 @@ mod tests {
         // Ring membership changes while the node is dead.
         dht.join();
         dht.join();
-        dht.rebalance();
+        dht.repair();
         dht.revive(victim).unwrap();
         // Every key is still readable with the right value...
         for i in 0..200u32 {
@@ -1537,7 +1322,7 @@ mod tests {
         // for: stale entries for re-homed keys were purged.
         let inner = dht.inner.read();
         let node = &inner.nodes[&victim];
-        for (key, _) in node.entries() {
+        for key in node.keys() {
             assert!(
                 inner
                     .ring
@@ -1962,9 +1747,9 @@ mod tests {
             .0;
         dht.kill(victim).unwrap();
         let report = dht.repair();
-        assert_eq!(report.dead_nodes, 1);
+        assert_eq!(report.dead, 1);
         assert!(report.under_replicated > 0, "the kill shed replicas");
-        assert!(report.repaired_copies > 0, "repair created copies");
+        assert!(report.copied > 0, "repair created copies");
         assert_eq!(report.still_under_replicated, 0);
         let stats = dht.stats();
         assert!(stats.repaired_entries > 0);
@@ -2002,9 +1787,9 @@ mod tests {
         }
         let first = dht.repair();
         assert_eq!(first.under_replicated, 0);
-        assert_eq!(first.repaired_copies, 0);
+        assert_eq!(first.copied, 0);
         assert_eq!(first.strays_removed, 0);
-        assert_eq!(first.scanned_keys, 50);
+        assert_eq!(first.scanned, 50);
     }
 
     #[test]
@@ -2021,7 +1806,7 @@ mod tests {
         let newcomer = dht.join();
         let report = dht.repair();
         assert!(
-            report.repaired_copies > 0,
+            report.copied > 0,
             "the joined node takes over successor slots, so keys must move"
         );
         assert!(report.strays_removed > 0, "old holders shed moved keys");
@@ -2059,61 +1844,56 @@ mod tests {
         assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
     }
 
-    #[test]
-    fn heartbeats_discover_deaths_on_the_sim_clock() {
-        let clock = Arc::new(SimClock::new());
+    /// A DHT with a detector on `clock` (suspicion after 30 ms).
+    fn detected(clock: &Arc<SimClock>, nodes: usize) -> Dht {
         let dht = Dht::new(DhtConfig {
-            nodes: 4,
+            nodes,
             replication: 2,
             ..Default::default()
         });
-        dht.enable_failure_detection(
-            Arc::clone(&clock) as Arc<dyn Clock>,
+        dht.health().enable_failure_detection(
+            Arc::clone(clock) as Arc<dyn Clock>,
             DetectorConfig {
-                heartbeat_interval: Duration::from_millis(10),
                 suspicion_timeout: Duration::from_millis(30),
             },
+            dht.node_ids(),
         );
+        dht
+    }
+
+    #[test]
+    fn heartbeats_discover_deaths_on_the_sim_clock() {
+        let clock = Arc::new(SimClock::new());
+        let dht = detected(&clock, 4);
         let victim = dht.node_ids()[0];
         dht.kill(victim).unwrap();
         // Within the suspicion window: the miss is tolerated.
         clock.advance(Duration::from_millis(10));
-        assert!(dht.heartbeat_tick().is_empty());
+        assert_eq!(dht.repair().dead, 1);
         assert_eq!(dht.stats().failures_detected, 0);
         // Past the window: the next failed probe turns into suspicion.
         clock.advance(Duration::from_millis(30));
-        assert_eq!(dht.heartbeat_tick(), vec![victim]);
+        dht.repair();
         let stats = dht.stats();
         assert_eq!(stats.failures_detected, 1);
         assert_eq!(stats.suspected_nodes, 1);
-        assert!(dht.failure_detector().unwrap().is_suspect(victim));
+        assert!(dht.health().detector().unwrap().is_suspect(victim));
         // Recovery clears the suspicion.
         dht.revive(victim).unwrap();
-        assert!(dht.heartbeat_tick().is_empty());
+        assert_eq!(dht.repair().dead, 0);
         assert_eq!(dht.stats().suspected_nodes, 0);
     }
 
     #[test]
     fn refused_operations_feed_the_detector() {
         let clock = Arc::new(SimClock::new());
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
-        dht.enable_failure_detection(
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            DetectorConfig {
-                heartbeat_interval: Duration::from_millis(10),
-                suspicion_timeout: Duration::from_millis(30),
-            },
-        );
+        let dht = detected(&clock, 3);
         let victim = dht.replicas_for(b"key")[0];
         dht.kill(victim).unwrap();
         clock.advance(Duration::from_millis(50));
         // No heartbeat round ran; the refused write itself is the evidence.
         dht.put(b"key", Bytes::from_static(b"v")).unwrap();
-        assert!(dht.failure_detector().unwrap().is_suspect(victim));
+        assert!(dht.health().detector().unwrap().is_suspect(victim));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and `remove` return [`NodeDown`], exactly what a remote peer would
 //! observe as a connection error. Callers are expected to discover death
 //! this way (or via [`DhtNode::ping`] heartbeats) rather than trust any
-//! shared flag. The administrative surface (`len`, `entries`, `data_bytes`)
+//! shared flag. The administrative surface (`len`, `keys`, `data_bytes`)
 //! keeps working while dead: it models reading the node's persistent state,
 //! which is how a revive restores from "disk" and how tests inspect a
 //! crashed node.
@@ -22,6 +22,7 @@
 use bytes::Bytes;
 use kvstore::FastMap;
 use parking_lot::Mutex;
+use simcluster::replica::Member;
 
 /// Identity of a DHT node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -188,15 +189,10 @@ impl DhtNode {
         self.state.lock().data_bytes
     }
 
-    /// Snapshot of all entries (administrative: used by rebalancing, repair
-    /// and revive; works while dead, modelling a read of persistent state).
-    pub fn entries(&self) -> Vec<(Vec<u8>, Bytes)> {
-        let state = self.state.lock();
-        state
-            .data
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Every key stored (administrative: used by repair and revive; works
+    /// while dead, modelling a read of persistent state).
+    pub fn keys(&self) -> Vec<Vec<u8>> {
+        self.state.lock().data.keys().cloned().collect()
     }
 
     /// Simulate a crash: the node stops serving but keeps its data (so a
@@ -209,6 +205,33 @@ impl DhtNode {
     /// Bring the node back.
     pub fn revive(&self) {
         self.state.lock().alive = true;
+    }
+}
+
+/// A DHT node as the repair loop sees it: the listing is administrative,
+/// the copy reads and writes are data-plane batches.
+impl Member for DhtNode {
+    type Id = DhtNodeId;
+    type Value = Bytes;
+
+    fn id(&self) -> DhtNodeId {
+        self.id
+    }
+
+    fn ping(&self) -> bool {
+        DhtNode::ping(self)
+    }
+
+    fn keys(&self) -> Vec<Vec<u8>> {
+        DhtNode::keys(self)
+    }
+
+    fn read(&self, keys: &[&[u8]]) -> Option<Vec<Option<Bytes>>> {
+        self.get_many(keys).ok()
+    }
+
+    fn write(&self, entries: &[(&[u8], Bytes)]) -> usize {
+        self.put_many(entries).map_or(0, |()| entries.len())
     }
 }
 
@@ -289,7 +312,7 @@ mod tests {
         assert!(!n.ping());
         // Administrative plane: the persistent state stays inspectable.
         assert_eq!(n.len(), 1);
-        assert_eq!(n.entries().len(), 1);
+        assert_eq!(n.keys().len(), 1);
         assert_eq!(n.data_bytes(), 1);
     }
 
@@ -304,14 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn entries_snapshot() {
+    fn keys_snapshot() {
         let n = DhtNode::new(DhtNodeId(1));
         for i in 0..10u8 {
             n.put(&[i], Bytes::from(vec![i; 4])).unwrap();
         }
-        let mut entries = n.entries();
-        entries.sort();
-        assert_eq!(entries.len(), 10);
-        assert_eq!(entries[3].0, vec![3u8]);
+        let mut keys = n.keys();
+        keys.sort();
+        assert_eq!(keys.len(), 10);
+        assert_eq!(keys[3], vec![3u8]);
     }
 }

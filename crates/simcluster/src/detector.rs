@@ -9,9 +9,9 @@
 //! the classic trade-off of timeout-based detectors).
 //!
 //! The detector is deliberately passive: it holds no threads and sends no
-//! messages itself. The owning component drives it from its own cadence
-//! ([`FailureDetector::round_due`] rate-limits probe rounds against the
-//! clock), which keeps the whole mechanism deterministic under
+//! messages itself. The owning tier feeds it from its repair pass, whose
+//! probe is the heartbeat round ([`crate::replica`]), and from refused data
+//! operations, which keeps the whole mechanism deterministic under
 //! [`crate::clock::SimClock`].
 
 use crate::clock::Clock;
@@ -25,8 +25,6 @@ use std::time::Duration;
 /// Tuning knobs of a [`FailureDetector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Minimum spacing between heartbeat rounds ([`FailureDetector::round_due`]).
-    pub heartbeat_interval: Duration,
     /// How long since the last successful heartbeat before a failed probe
     /// turns into suspicion. Longer tolerates slow members; shorter detects
     /// crashes faster.
@@ -36,20 +34,9 @@ pub struct DetectorConfig {
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            heartbeat_interval: Duration::from_millis(50),
             suspicion_timeout: Duration::from_millis(150),
         }
     }
-}
-
-/// What the detector currently believes about a member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberHealth {
-    /// Heartbeats are answered (or the member has not been suspect long
-    /// enough to say otherwise).
-    Alive,
-    /// Probes have failed for longer than the suspicion timeout.
-    Suspect,
 }
 
 struct MemberRecord {
@@ -64,8 +51,6 @@ pub struct FailureDetector<K: Eq + Hash + Copy> {
     clock: Arc<dyn Clock>,
     config: DetectorConfig,
     members: Mutex<HashMap<K, MemberRecord>>,
-    last_round: Mutex<Option<Duration>>,
-    heartbeats_sent: AtomicU64,
     failures_detected: AtomicU64,
     recoveries_observed: AtomicU64,
 }
@@ -77,16 +62,9 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
             clock,
             config,
             members: Mutex::new(HashMap::new()),
-            last_round: Mutex::new(None),
-            heartbeats_sent: AtomicU64::new(0),
             failures_detected: AtomicU64::new(0),
             recoveries_observed: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this detector runs with.
-    pub fn config(&self) -> DetectorConfig {
-        self.config
     }
 
     /// Start tracking a member, presumed alive as of now (a member that
@@ -104,27 +82,14 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
         self.members.lock().remove(&member);
     }
 
-    /// Rate-limit heartbeat rounds: true at most once per
-    /// `heartbeat_interval` of clock time (and always on the first call).
-    pub fn round_due(&self) -> bool {
+    /// Report one heartbeat probe outcome (ignored for an unregistered
+    /// member).
+    pub fn observe(&self, member: K, ok: bool) {
         let now = self.clock.now();
-        let mut last = self.last_round.lock();
-        match *last {
-            Some(prev) if now.saturating_sub(prev) < self.config.heartbeat_interval => false,
-            _ => {
-                *last = Some(now);
-                true
-            }
-        }
-    }
-
-    /// Report one heartbeat probe outcome. Returns the member's health after
-    /// absorbing the observation (`None` for an unregistered member).
-    pub fn observe(&self, member: K, ok: bool) -> Option<MemberHealth> {
-        let now = self.clock.now();
-        self.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
         let mut members = self.members.lock();
-        let rec = members.get_mut(&member)?;
+        let Some(rec) = members.get_mut(&member) else {
+            return;
+        };
         if ok {
             if rec.suspect {
                 self.recoveries_observed.fetch_add(1, Ordering::Relaxed);
@@ -135,27 +100,12 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
             rec.suspect = true;
             self.failures_detected.fetch_add(1, Ordering::Relaxed);
         }
-        Some(if rec.suspect {
-            MemberHealth::Suspect
-        } else {
-            MemberHealth::Alive
-        })
     }
 
-    /// The detector's current belief about a member.
-    pub fn health(&self, member: K) -> Option<MemberHealth> {
-        self.members.lock().get(&member).map(|r| {
-            if r.suspect {
-                MemberHealth::Suspect
-            } else {
-                MemberHealth::Alive
-            }
-        })
-    }
-
-    /// True when the member is currently suspected dead.
+    /// True when the member's probes have failed for longer than the
+    /// suspicion timeout (false for an unregistered member).
     pub fn is_suspect(&self, member: K) -> bool {
-        self.health(member) == Some(MemberHealth::Suspect)
+        self.members.lock().get(&member).is_some_and(|r| r.suspect)
     }
 
     /// All currently suspected members.
@@ -171,11 +121,6 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
     /// Number of members currently tracked.
     pub fn member_count(&self) -> usize {
         self.members.lock().len()
-    }
-
-    /// Total heartbeat probe outcomes absorbed.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.heartbeats_sent.load(Ordering::Relaxed)
     }
 
     /// Alive→suspect transitions observed (each distinct detection counts
@@ -200,7 +145,6 @@ mod tests {
         let det = FailureDetector::new(
             Arc::clone(&clock) as Arc<dyn Clock>,
             DetectorConfig {
-                heartbeat_interval: Duration::from_millis(10),
                 suspicion_timeout: Duration::from_millis(timeout_ms),
             },
         );
@@ -212,7 +156,7 @@ mod tests {
         let (clock, det) = detector(100);
         det.register(1);
         clock.advance(Duration::from_millis(50));
-        assert_eq!(det.observe(1, false), Some(MemberHealth::Alive));
+        det.observe(1, false);
         assert!(!det.is_suspect(1));
         assert_eq!(det.failures_detected(), 0);
     }
@@ -222,7 +166,8 @@ mod tests {
         let (clock, det) = detector(100);
         det.register(7);
         clock.advance(Duration::from_millis(100));
-        assert_eq!(det.observe(7, false), Some(MemberHealth::Suspect));
+        det.observe(7, false);
+        assert!(det.is_suspect(7));
         assert_eq!(det.suspects(), vec![7]);
         assert_eq!(det.failures_detected(), 1);
         // Further failed probes do not re-count the same detection.
@@ -239,22 +184,12 @@ mod tests {
         det.observe(3, false);
         assert!(det.is_suspect(3));
         det.observe(3, true);
-        assert_eq!(det.health(3), Some(MemberHealth::Alive));
+        assert!(!det.is_suspect(3));
         assert_eq!(det.recoveries_observed(), 1);
         // Suspicion timing restarts from the recovery.
         clock.advance(Duration::from_millis(50));
-        assert_eq!(det.observe(3, false), Some(MemberHealth::Alive));
-    }
-
-    #[test]
-    fn round_due_rate_limits_by_clock_time() {
-        let (clock, det) = detector(100);
-        assert!(det.round_due(), "first round is always due");
-        assert!(!det.round_due(), "no clock progress: not due");
-        clock.advance(Duration::from_millis(9));
-        assert!(!det.round_due());
-        clock.advance(Duration::from_millis(1));
-        assert!(det.round_due());
+        det.observe(3, false);
+        assert!(!det.is_suspect(3));
     }
 
     #[test]
@@ -264,7 +199,11 @@ mod tests {
         det.register(2);
         det.forget(1);
         clock.advance(Duration::from_millis(100));
-        assert_eq!(det.observe(1, false), None);
+        det.observe(1, false);
+        assert!(
+            !det.is_suspect(1),
+            "an unregistered member is never suspect"
+        );
         assert_eq!(det.member_count(), 1);
         assert_eq!(det.failures_detected(), 0);
     }

@@ -25,6 +25,8 @@
 //! * [`detector`] — a timeout/suspicion heartbeat failure detector driven on
 //!   any [`clock::Clock`], so components discover dead peers rather than
 //!   being told,
+//! * [`replica`] — the one repair loop of every replicated tier: probe,
+//!   list, plan, copy, settle ([`replica::ReplicaHealth::repair`]),
 //! * [`metrics`] — small helpers to aggregate throughput series,
 //! * [`fs`] — the file-system layer's shared mechanisms: the namespace tree
 //!   ([`fs::Namespace`], generic over what a file is) and the block
@@ -66,11 +68,12 @@ pub mod flowsim;
 pub mod fs;
 pub mod metrics;
 pub mod netmodel;
+pub mod replica;
 pub mod time;
 pub mod topology;
 
 pub use clock::{Clock, SimClock, WallClock};
-pub use detector::{DetectorConfig, FailureDetector, MemberHealth};
+pub use detector::{DetectorConfig, FailureDetector};
 pub use failure::{ChurnEvent, ChurnEventKind, ChurnSchedule};
 pub use flowsim::{ClientProcess, FlowSimulator, SimReport, Step};
 pub use netmodel::NetworkModel;
