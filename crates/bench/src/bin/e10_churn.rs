@@ -7,8 +7,7 @@
 //! fresh nodes join to replace them. This harness drives a deterministic
 //! [`ChurnSchedule`] on a `SimClock`, running an F1-style append workload
 //! and E1-style snapshot reads between events, and calls [`BlobSeer::repair`]
-//! once per round — the same pass the background cadence
-//! (`BlobSeerConfig::with_repair_interval`) runs on the pool.
+//! once per round: repair runs only when a caller asks for it.
 //!
 //! Two properties are asserted, and recorded in `BENCH_E10.json` for CI:
 //!
@@ -72,11 +71,7 @@ fn main() {
             .with_providers(provider_nodes.len())
             .with_page_size(page)
             .with_page_replication(replication)
-            .with_retry(4, Duration::from_millis(1))
-            // Enables failure detection on both tiers; the interval sits far
-            // beyond the schedule horizon so the harness's per-round repair
-            // call is the only pass that runs — deterministically.
-            .with_repair_interval(Duration::from_secs(3600)),
+            .with_retry(4, Duration::from_millis(1)),
         &topo,
         &provider_nodes,
         Arc::clone(&clock) as Arc<dyn simcluster::Clock>,

@@ -1,11 +1,11 @@
-//! E8 — the storage-tier optimization bundle, measured end to end: sequential
-//! metadata read-ahead (fewer DHT round trips on sequential scans) and
+//! E8 — the storage tier, measured end to end: the metadata read path of a
+//! cold sequential scan (tree nodes and DHT round trips per page read) and
 //! snapshot GC (bounded footprint under a rewrite loop).
 //!
-//! Unlike E1–E7, which compare BSFS against HDFS, this experiment compares
-//! BSFS against itself with each optimization off and on, and *asserts* the
-//! headline numbers instead of just printing them. CI runs it with
-//! `BENCH_SMOKE=1` as the storage-tier regression gate.
+//! Unlike E1–E7, which compare BSFS against HDFS, this experiment measures
+//! BSFS against itself, and *asserts* the headline numbers instead of just
+//! printing them. CI runs it with `BENCH_SMOKE=1` as the storage-tier
+//! regression gate.
 
 use blobseer::{BlobSeer, BlobSeerConfig};
 use workloads::microbench::{prepare_shared_file, read_shared_file, MicrobenchConfig};
@@ -22,12 +22,14 @@ struct GcSection {
     pages_deleted: u64,
 }
 
-/// One read-ahead window's row: the measured read phase's metadata
-/// counters (`kind: count`, deterministic up to the cache race between
-/// clients) and its throughput (`kind: wall`, machine-dependent).
+/// The read path's row: the measured read phase's metadata counters
+/// (`kind: count`, deterministic up to the cache race between clients) and
+/// its throughput (`kind: wall`, machine-dependent).
 #[derive(serde::Serialize)]
 struct ReadPathRecord {
     label: String,
+    /// Wall-clock throughput of the first scan in the process: it pays
+    /// warm-up costs a later scan would not, so it is no steady-state figure.
     aggregate_mibps: f64,
     /// Pages the clients read. A block written at once is answered by its
     /// full subtree's root, which maps every page under it, so `nodes_read`
@@ -37,9 +39,6 @@ struct ReadPathRecord {
     dht_read_round_trips: u64,
     cache_hits: u64,
     cache_misses: u64,
-    prefetched_nodes: u64,
-    prefetch_hits: u64,
-    prefetch_wasted: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -51,15 +50,9 @@ struct Snapshot {
 }
 
 /// Clients scan non-overlapping parts of one shared file (real threads and
-/// bytes through BSFS), once without read-ahead and once with a window of
-/// one whole block. Each 256 KiB block stripes over 32 BlobSeer pages, so
-/// every block read is a multi-page lookup, and with the window the next
-/// block's subtree rides the current descent's batches.
+/// bytes through BSFS) on a cold node cache. Each 256 KiB block stripes over
+/// 32 BlobSeer pages, so every block read is a multi-page lookup.
 fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
-    // At least two blocks per client even in smoke mode: a client's second
-    // block is what its own first descent prefetched, whatever the other
-    // clients do. With one block each, whether any prefetch is used depends
-    // on which client runs first.
     let (clients, bytes_per_client) = if smoke { (2, 512 * 1024) } else { (4, 2 << 20) };
     let block_size = 256 * 1024u64;
     let page_size = block_size / 32;
@@ -68,77 +61,44 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
         bytes_per_client,
         record_size: 4096,
     };
-    let records: Vec<ReadPathRecord> = [0usize, 32]
-        .into_iter()
-        .map(|window| {
-            let fs = bench::small_bsfs_full(4, block_size, page_size, window);
-            prepare_shared_file(&fs, &config).expect("prepare read workload");
-            let storage = fs.inner().storage();
-            // The readers model clients on nodes that never saw the writes:
-            // the measured phase starts with a cold node cache.
-            storage.metadata().drop_cached_nodes();
-            let before = storage.metadata().stats();
-            let bytes_before = storage.stats().bytes_read;
-            let bench = read_shared_file(&fs, &config).expect("run read workload");
-            let now = storage.metadata().stats();
-            let bytes_read = storage.stats().bytes_read - bytes_before;
-            let record = ReadPathRecord {
-                label: format!("read-ahead {window}"),
-                aggregate_mibps: bench.aggregate_bps() / (1024.0 * 1024.0),
-                pages_read: bytes_read.div_ceil(page_size),
-                nodes_read: now.nodes_read - before.nodes_read,
-                dht_read_round_trips: now.dht_read_round_trips - before.dht_read_round_trips,
-                cache_hits: now.cache_hits - before.cache_hits,
-                cache_misses: now.cache_misses - before.cache_misses,
-                prefetched_nodes: now.prefetched_nodes - before.prefetched_nodes,
-                prefetch_hits: now.prefetch_hits - before.prefetch_hits,
-                prefetch_wasted: now.prefetch_wasted - before.prefetch_wasted,
-            };
-            println!(
-                "{:>13}: {:>8.1} MiB/s aggregate | {} pages, {} nodes requested, {} DHT read \
-                 round trips | cache: {} hits, {} misses | read-ahead: {} prefetched, {} hits, \
-                 {} wasted",
-                record.label,
-                record.aggregate_mibps,
-                record.pages_read,
-                record.nodes_read,
-                record.dht_read_round_trips,
-                record.cache_hits,
-                record.cache_misses,
-                record.prefetched_nodes,
-                record.prefetch_hits,
-                record.prefetch_wasted,
-            );
-            record
-        })
-        .collect();
-    for record in &records {
-        assert_eq!(
-            record.cache_hits + record.cache_misses,
-            record.nodes_read,
-            "{}: every demanded node is one cache hit or miss, and a \
-             speculative probe is neither",
-            record.label,
-        );
-    }
-    let (fixed, readahead) = (&records[0], &records[1]);
-    assert!(
-        readahead.prefetch_hits > 0,
-        "sequential scans must hit the read-ahead window"
-    );
-    assert!(
-        readahead.dht_read_round_trips <= fixed.dht_read_round_trips,
-        "read-ahead must not add metadata round trips to a sequential scan \
-         ({} vs {})",
-        readahead.dht_read_round_trips,
-        fixed.dht_read_round_trips,
-    );
+    let fs = bench::small_bsfs_full(4, block_size, page_size);
+    prepare_shared_file(&fs, &config).expect("prepare read workload");
+    let storage = fs.inner().storage();
+    // The readers model clients on nodes that never saw the writes: the
+    // measured phase starts with a cold node cache.
+    storage.metadata().drop_cached_nodes();
+    let before = storage.metadata().stats();
+    let bytes_before = storage.stats().bytes_read;
+    let bench = read_shared_file(&fs, &config).expect("run read workload");
+    let now = storage.metadata().stats();
+    let bytes_read = storage.stats().bytes_read - bytes_before;
+    let record = ReadPathRecord {
+        label: "cold scan".to_string(),
+        aggregate_mibps: bench.aggregate_bps() / (1024.0 * 1024.0),
+        pages_read: bytes_read.div_ceil(page_size),
+        nodes_read: now.nodes_read - before.nodes_read,
+        dht_read_round_trips: now.dht_read_round_trips - before.dht_read_round_trips,
+        cache_hits: now.cache_hits - before.cache_hits,
+        cache_misses: now.cache_misses - before.cache_misses,
+    };
     println!(
-        "read-ahead: {} -> {} demand round trips, {} prefetch hits",
-        fixed.dht_read_round_trips, readahead.dht_read_round_trips, readahead.prefetch_hits
+        "{}: {:.1} MiB/s aggregate | {} pages, {} nodes requested, {} DHT read round trips \
+         | cache: {} hits, {} misses",
+        record.label,
+        record.aggregate_mibps,
+        record.pages_read,
+        record.nodes_read,
+        record.dht_read_round_trips,
+        record.cache_hits,
+        record.cache_misses,
+    );
+    assert_eq!(
+        record.cache_hits + record.cache_misses,
+        record.nodes_read,
+        "every node read is one cache hit or miss"
     );
     println!();
-    records
+    vec![record]
 }
 
 fn gc_section(smoke: bool) -> GcSection {
@@ -216,9 +176,9 @@ fn gc_section(smoke: bool) -> GcSection {
 fn main() {
     let smoke = bench::smoke_mode();
 
-    println!("== E8: storage-tier optimizations (BSFS vs itself) ==");
+    println!("== E8: storage tier (BSFS vs itself) ==");
     println!();
-    println!("-- sequential metadata read-ahead --");
+    println!("-- cold sequential scan: metadata read path --");
     let read_path = read_path(smoke);
     println!("-- snapshot GC (rewrite loop) --");
     let gc = gc_section(smoke);

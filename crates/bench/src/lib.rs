@@ -42,21 +42,19 @@ pub fn sweep_client_counts(smoke: bool) -> &'static [usize] {
 /// Build a laptop-scale BSFS deployment (real threads, real bytes) over a
 /// flat topology of `nodes` nodes with the given block size.
 pub fn small_bsfs(nodes: u32, block_size: u64) -> BsfsFs {
-    small_bsfs_full(nodes, block_size, block_size, 0)
+    small_bsfs_full(nodes, block_size, block_size)
 }
 
 /// [`small_bsfs`] with an explicit BlobSeer page size (blocks stripe over
-/// `block_size / page_size` pages) and sequential metadata read-ahead window
-/// (in pages; 0 disables it).
-pub fn small_bsfs_full(nodes: u32, block_size: u64, page_size: u64, readahead: usize) -> BsfsFs {
+/// `block_size / page_size` pages).
+pub fn small_bsfs_full(nodes: u32, block_size: u64, page_size: u64) -> BsfsFs {
     let topo = ClusterTopology::flat(nodes);
     let provider_nodes: Vec<NodeId> = topo.all_nodes().collect();
     let storage = BlobSeer::with_topology(
         BlobSeerConfig::default()
             .with_providers(nodes as usize)
             .with_page_size(page_size)
-            .with_page_replication(1)
-            .with_metadata_readahead(readahead),
+            .with_page_replication(1),
         &topo,
         &provider_nodes,
     );

@@ -27,9 +27,7 @@
 
 use crate::config::BlobSeerConfig;
 use crate::error::{BlobResult, BlobSeerError};
-use crate::metadata::segment_tree::{
-    build_version, lookup_range, lookup_range_readahead, PrevTree,
-};
+use crate::metadata::segment_tree::{build_version, lookup_range, PrevTree};
 use crate::metadata::store::MetadataStore;
 use crate::metadata::NodeKey;
 use crate::provider::page_key;
@@ -42,10 +40,10 @@ use kvstore::FastMap;
 use parking_lot::{Mutex, RwLock};
 use simcluster::replica::RepairReport;
 use simcluster::topology::ClusterTopology;
-use simcluster::{Clock, DetectorConfig, NodeId, WallClock};
+use simcluster::{Clock, NodeId, WallClock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use wire::{Direction, Transport, MSG_OVERHEAD};
 
@@ -87,11 +85,6 @@ pub struct BlobSeer {
     metadata: Arc<MetadataStore>,
     /// Per-blob page size (configurable per blob, as in the paper).
     page_sizes: RwLock<FastMap<BlobId, u64>>,
-    /// Back-reference to the owning `Arc`, so deadline-triggered background
-    /// work (GC ticks) can capture a `Weak` and never keep the system alive.
-    self_weak: Weak<BlobSeer>,
-    /// Time source for the background-GC cadence (a `SimClock` in tests).
-    clock: Arc<dyn Clock>,
     /// The transport every client↔provider exchange is charged on
     /// ([`wire::InProc`] by default; [`wire::SimNet`] in the cluster-scale
     /// experiments). The metadata DHT charges the same transport through
@@ -109,12 +102,6 @@ pub struct BlobSeer {
     /// end of theirs (see [`crate::gc`]): the two never interleave on a
     /// blob, so neither sweeps a node the other's mark phase still needs.
     sweep_lock: Mutex<()>,
-    gc_last: Mutex<Duration>,
-    gc_running: AtomicBool,
-    gc_ticks: AtomicU64,
-    repair_last: Mutex<Duration>,
-    repair_running: AtomicBool,
-    repair_ticks: AtomicU64,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     write_ops: AtomicU64,
@@ -142,9 +129,9 @@ impl BlobSeer {
         Self::with_topology_and_clock(config, topology, provider_nodes, Arc::new(WallClock::new()))
     }
 
-    /// Like [`BlobSeer::with_topology`], but on an explicit time source. The
-    /// background-GC cadence reads this clock, so tests drive it with a
-    /// `SimClock` instead of waiting out real intervals.
+    /// Like [`BlobSeer::with_topology`], but on an explicit time source. Both
+    /// tiers' failure detectors read this clock, so tests drive suspicion
+    /// with a `SimClock` instead of waiting out real timeouts.
     pub fn with_topology_and_clock(
         config: BlobSeerConfig,
         topology: &ClusterTopology,
@@ -195,48 +182,32 @@ impl BlobSeer {
             backoff: Duration::from_millis(config.retry_backoff_ms),
         });
         // The metadata DHT charges the same wire as the data path; exchanges
-        // from threads that did not pin a source (background repair, GC) are
-        // attributed to the first provider node.
+        // from threads that did not pin a source (repair, GC) are attributed
+        // to the first provider node.
         metadata.dht().attach_wire(
             Arc::clone(&transport),
             provider_nodes.to_vec(),
             provider_nodes[0],
         );
-        if config.repair_interval_ms.is_some() {
-            // Dead members are *discovered*: repair's probes and refused
-            // data operations feed timeout/suspicion detectors on both tiers.
-            let dht = metadata.dht();
-            dht.health().enable_failure_detection(
-                Arc::clone(&clock),
-                DetectorConfig::default(),
-                dht.node_ids(),
-            );
-            provider_manager.health().enable_failure_detection(
-                Arc::clone(&clock),
-                DetectorConfig::default(),
-                provider_manager.providers().iter().map(|p| p.id()),
-            );
-        }
-        let gc_origin = clock.now();
-        Arc::new_cyclic(|weak| BlobSeer {
-            config: config.clone(),
+        // Dead members are *discovered*: repair's probes and refused data
+        // operations feed timeout/suspicion detectors on both tiers.
+        let dht = metadata.dht();
+        dht.health()
+            .enable_failure_detection(Arc::clone(&clock), dht.node_ids());
+        provider_manager
+            .health()
+            .enable_failure_detection(clock, provider_manager.providers().iter().map(|p| p.id()));
+        Arc::new(BlobSeer {
+            config,
             topology: topology.clone(),
             version_manager: Arc::new(VersionManager::new()),
             provider_manager,
             metadata,
             page_sizes: RwLock::default(),
-            self_weak: weak.clone(),
-            clock,
             transport,
             provider_wire: wire::Counters::new(),
             gc_keep_overrides: RwLock::new(HashMap::new()),
             sweep_lock: Mutex::new(()),
-            gc_last: Mutex::new(gc_origin),
-            gc_running: AtomicBool::new(false),
-            gc_ticks: AtomicU64::new(0),
-            repair_last: Mutex::new(gc_origin),
-            repair_running: AtomicBool::new(false),
-            repair_ticks: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             write_ops: AtomicU64::new(0),
@@ -351,7 +322,7 @@ impl BlobSeer {
         if self.config.gc_keep_last.is_none() && overrides.is_empty() {
             return Ok(crate::gc::GcReport::default());
         }
-        let src = self.background_source();
+        let src = self.gc_source();
         let mut report = crate::gc::GcReport::default();
         for blob in self.version_manager.blob_ids() {
             // Per-blob override first, then the deployment-wide policy; a
@@ -379,10 +350,10 @@ impl BlobSeer {
         Ok(report)
     }
 
-    /// Where a background pass's exchanges are charged from: the thread's
+    /// Where a GC pass's exchanges are charged from: the thread's
     /// pinned source, else the first provider's node — the node the metadata
     /// DHT charges unattributed exchanges to as well.
-    fn background_source(&self) -> NodeId {
+    fn gc_source(&self) -> NodeId {
         wire::current_source()
             .or_else(|| self.provider_manager.node_of(ProviderId(0)))
             .unwrap_or_else(|| self.topology.node(0))
@@ -408,56 +379,6 @@ impl BlobSeer {
         self.gc_keep_overrides.write().remove(&blob).is_some()
     }
 
-    /// The deployment's time source (tests swap in a `SimClock`).
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
-    /// How many background GC sweeps the cadence has completed (see
-    /// [`crate::BlobSeerConfig::with_gc_interval`]).
-    pub fn gc_tick_count(&self) -> u64 {
-        self.gc_ticks.load(Ordering::Acquire)
-    }
-
-    /// Background-GC cadence: called on the write path after a commit. When
-    /// the configured interval has elapsed on the deployment clock, one GC
-    /// sweep is spawned on the executor; the writer itself never blocks on
-    /// it. There is no dedicated timer thread to join on shutdown — the task
-    /// holds only a `Weak` reference, so dropping the system cancels the
-    /// cadence and the sweep's work dies with the upgrade failure.
-    fn maybe_tick_gc(&self) {
-        let Some(interval_ms) = self.config.gc_interval_ms else {
-            return;
-        };
-        let now = self.clock.now();
-        {
-            let mut last = self.gc_last.lock();
-            if now.saturating_sub(*last) < Duration::from_millis(interval_ms) {
-                return;
-            }
-            *last = now;
-        }
-        // At most one sweep in flight: an overrunning sweep absorbs the
-        // deadlines it misses rather than queueing them up.
-        if self.gc_running.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let weak = self.self_weak.clone();
-        drop(miniexec::spawn(move || {
-            if let Some(sys) = weak.upgrade() {
-                let _ = sys.collect_garbage();
-                sys.gc_ticks.fetch_add(1, Ordering::AcqRel);
-                sys.gc_running.store(false, Ordering::Release);
-            }
-        }));
-    }
-
-    /// How many background repair passes the cadence has completed (see
-    /// [`crate::BlobSeerConfig::with_repair_interval`]).
-    pub fn repair_tick_count(&self) -> u64 {
-        self.repair_ticks.load(Ordering::Acquire)
-    }
-
     /// One full repair pass over both storage tiers, run synchronously:
     /// each tier probes every member once (its heartbeat round), then
     /// actively re-replicates under-replicated metadata DHT keys and
@@ -469,36 +390,6 @@ impl BlobSeer {
         let metadata_report = self.metadata.dht().repair();
         let page_report = self.provider_manager.repair(self.config.page_replication);
         (metadata_report, page_report)
-    }
-
-    /// Background-repair cadence, mirroring the GC cadence: called on the
-    /// write path after a commit; when the configured interval has elapsed on
-    /// the deployment clock, one repair pass is spawned on the executor. At
-    /// most one pass is in flight; the task holds only a `Weak` reference so
-    /// dropping the system cancels the cadence.
-    fn maybe_tick_repair(&self) {
-        let Some(interval_ms) = self.config.repair_interval_ms else {
-            return;
-        };
-        let now = self.clock.now();
-        {
-            let mut last = self.repair_last.lock();
-            if now.saturating_sub(*last) < Duration::from_millis(interval_ms) {
-                return;
-            }
-            *last = now;
-        }
-        if self.repair_running.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let weak = self.self_weak.clone();
-        drop(miniexec::spawn(move || {
-            if let Some(sys) = weak.upgrade() {
-                let _ = sys.repair();
-                sys.repair_ticks.fetch_add(1, Ordering::AcqRel);
-                sys.repair_running.store(false, Ordering::Release);
-            }
-        }));
     }
 }
 
@@ -850,8 +741,6 @@ impl BlobSeerClient {
         sys.bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         sys.write_ops.fetch_add(1, Ordering::Relaxed);
-        sys.maybe_tick_gc();
-        sys.maybe_tick_repair();
         Ok(info.version)
     }
 
@@ -924,16 +813,8 @@ impl BlobSeerClient {
         let span = next_power_of_two(pm.pages_for(info.size));
 
         // One batched, cached metadata descent resolves every page of the
-        // range. With read-ahead configured, the descent also pre-warms the
-        // next window of the scan in the same round trips.
-        let locations = lookup_range_readahead(
-            &sys.metadata,
-            info.root,
-            span,
-            first_page,
-            last_page,
-            sys.config.metadata_readahead as u64,
-        )?;
+        // range.
+        let locations = lookup_range(&sys.metadata, info.root, span, first_page, last_page)?;
         // One location per page of the range, in page order: metadata that
         // dropped, moved or repeated a page fails the read instead of
         // shifting its bytes.
@@ -1252,6 +1133,7 @@ mod tests {
     use super::*;
     use crate::metadata::TreeNode;
     use crate::provider_manager::PlacementStrategy;
+    use std::sync::atomic::AtomicBool;
 
     fn small_system() -> Arc<BlobSeer> {
         BlobSeer::new(BlobSeerConfig::for_tests())
@@ -2004,65 +1886,6 @@ mod tests {
     }
 
     #[test]
-    fn background_gc_ticks_on_the_deployment_clock() {
-        use simcluster::SimClock;
-        let clock = Arc::new(SimClock::new());
-        let config = BlobSeerConfig::for_tests()
-            .with_gc_keep_last(1)
-            .with_gc_interval(Duration::from_secs(5));
-        let topology = ClusterTopology::flat(config.providers as u32);
-        let nodes: Vec<NodeId> = topology.all_nodes().collect();
-        let sys = BlobSeer::with_topology_and_clock(config, &topology, &nodes, clock.clone());
-        let client = sys.client();
-        let blob = client.create(Some(8)).unwrap();
-
-        // Writes inside the interval never trigger a sweep.
-        for _ in 0..5 {
-            client.write(blob, 0, b"warmup!!").unwrap();
-        }
-        assert_eq!(sys.gc_tick_count(), 0);
-        let versions_before = client.versions(blob).unwrap().len();
-        assert!(versions_before > 2, "retention not yet enforced");
-
-        // Cross the GC deadline on the virtual clock; the next commit kicks
-        // off a background sweep on the executor.
-        clock.advance(Duration::from_secs(6));
-        client.write(blob, 0, b"trigger!").unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while sys.gc_tick_count() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background GC sweep never ran"
-            );
-            std::thread::yield_now();
-        }
-        // The sweep applied keep-last-1: only the latest version (plus the
-        // possibly-concurrent trigger write) survives.
-        assert!(client.versions(blob).unwrap().len() <= 2);
-        // Survivor still reads back.
-        assert_eq!(&client.read_latest(blob, 0, 8).unwrap()[..], b"trigger!");
-    }
-
-    #[test]
-    fn gc_interval_is_idle_without_clock_progress() {
-        use simcluster::SimClock;
-        let clock = Arc::new(SimClock::new());
-        let config = BlobSeerConfig::for_tests()
-            .with_gc_keep_last(1)
-            .with_gc_interval(Duration::from_secs(60));
-        let topology = ClusterTopology::flat(config.providers as u32);
-        let nodes: Vec<NodeId> = topology.all_nodes().collect();
-        let sys = BlobSeer::with_topology_and_clock(config, &topology, &nodes, clock);
-        let client = sys.client();
-        let blob = client.create(Some(8)).unwrap();
-        for _ in 0..10 {
-            client.write(blob, 0, b"steady!!").unwrap();
-        }
-        assert_eq!(sys.gc_tick_count(), 0, "virtual time never advanced");
-        assert_eq!(client.versions(blob).unwrap().len(), 11);
-    }
-
-    #[test]
     fn writes_survive_a_replica_dying_mid_write() {
         // A provider is killed concurrently with a many-page replicated
         // write. Whatever point of the push the death lands on, the write
@@ -2164,42 +1987,33 @@ mod tests {
     }
 
     #[test]
-    fn background_repair_ticks_on_the_deployment_clock() {
-        use simcluster::SimClock;
+    fn every_deployment_discovers_a_dead_page_holder() {
+        use simcluster::{SimClock, SUSPICION_TIMEOUT};
         let clock = Arc::new(SimClock::new());
-        let config = BlobSeerConfig::for_tests()
-            .with_providers(4)
-            .with_page_replication(2)
-            .with_repair_interval(Duration::from_secs(5));
+        let config = BlobSeerConfig::for_tests().with_page_replication(2);
         let topology = ClusterTopology::flat(config.providers as u32);
         let nodes: Vec<NodeId> = topology.all_nodes().collect();
         let sys = BlobSeer::with_topology_and_clock(config, &topology, &nodes, clock.clone());
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         let v = client.write(blob, 0, &[9u8; 64]).unwrap();
-        assert_eq!(sys.repair_tick_count(), 0);
 
-        // Unannounced death; cross the repair deadline on the virtual clock.
+        // Unannounced death; the probe of a pass past the suspicion timeout
+        // is what discovers it.
         let victim = client.locate(blob, v, 0, 64).unwrap()[0].providers[0];
         sys.provider_manager().kill(victim);
-        clock.advance(Duration::from_secs(6));
-        client.write(blob, 0, b"trigger-page-xx!").unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while sys.repair_tick_count() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background repair pass never ran"
-            );
-            std::thread::yield_now();
-        }
-        // The pass restored the factor: a second, synchronous pass finds
-        // nothing left to do.
+        clock.advance(SUSPICION_TIMEOUT * 2);
         let (_, pages) = sys.repair();
-        assert_eq!(pages.under_replicated, 0);
+        assert!(pages.under_replicated > 0);
+        let det = sys.provider_manager().health().detector();
+        let det = det.expect("every deployment attaches a detector");
+        assert!(det.is_suspect(victim));
+        assert_eq!(det.failures_detected(), 1);
+        // The pass restored the factor: a second pass finds nothing to do.
         assert!(sys.provider_manager().health().copies() > 0);
-        // The detector knows about the victim without anyone declaring it.
-        let det = sys.provider_manager().health().detector().unwrap();
-        assert!(det.failures_detected() >= 1);
+        let (_, again) = sys.repair();
+        assert_eq!(again.under_replicated, 0);
+        assert_eq!(&client.read(blob, v, 0, 64).unwrap()[..], &[9u8; 64][..]);
     }
 
     #[test]

@@ -29,35 +29,12 @@ pub struct BlobSeerConfig {
     /// nodes in front of the metadata DHT. Tree nodes are versioned and
     /// immutable, so the cache never needs invalidation.
     pub metadata_cache_capacity: usize,
-    /// Sequential read-ahead window (in pages) for the metadata read path.
-    /// When non-zero, a read's segment-tree descent also fetches the subtrees
-    /// covering up to this many pages past the requested range in the same
-    /// `get_many` round trips, pre-warming the metadata cache for the next
-    /// sequential read. 0 disables read-ahead.
-    pub metadata_readahead: usize,
     /// Snapshot retention policy: keep only the newest K published versions of
     /// each blob eligible for reads, letting [`crate::BlobSeer::collect_garbage`]
     /// reclaim metadata nodes and pages reachable only from older versions.
     /// `None` retains every version forever (the classic BlobSeer model).
     /// Pinned snapshots survive regardless of K.
     pub gc_keep_last: Option<usize>,
-    /// Background GC cadence in milliseconds (of the instance's `Clock`, so
-    /// tests drive it with `SimClock`). When set, the write path checks the
-    /// clock after each commit and, once this much time has elapsed since the
-    /// last collection, schedules [`crate::BlobSeer::collect_garbage`] as a
-    /// background task on the executor pool. `None` keeps GC purely
-    /// caller-driven. Only meaningful together with `gc_keep_last`.
-    pub gc_interval_ms: Option<u64>,
-    /// Background repair cadence in milliseconds (of the instance's `Clock`,
-    /// so tests drive it with `SimClock`). When set, the deployment attaches
-    /// heartbeat failure detectors to the metadata DHT and the provider
-    /// registry, and the write path — after each commit, like the GC
-    /// cadence — schedules a repair pass (heartbeat probes + active
-    /// re-replication of under-replicated metadata keys and provider pages)
-    /// as a background task on the executor pool. `None` disables failure
-    /// detection and repair entirely (callers can still run
-    /// [`crate::BlobSeer::repair`] by hand).
-    pub repair_interval_ms: Option<u64>,
     /// Total tries per DHT data operation and per page fetch/push (1 =
     /// fail fast). Retries back off exponentially from `retry_backoff_ms`,
     /// giving a concurrent repair pass a window to restore replicas.
@@ -77,10 +54,7 @@ impl Default for BlobSeerConfig {
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 64 * 1024,
-            metadata_readahead: 0,
             gc_keep_last: None,
-            gc_interval_ms: None,
-            repair_interval_ms: None,
             retry_attempts: 1,
             retry_backoff_ms: 1,
         }
@@ -98,10 +72,7 @@ impl BlobSeerConfig {
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 1024,
-            metadata_readahead: 0,
             gc_keep_last: None,
-            gc_interval_ms: None,
-            repair_interval_ms: None,
             retry_attempts: 1,
             retry_backoff_ms: 1,
         }
@@ -137,32 +108,9 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style override of the metadata read-ahead window (in pages).
-    pub fn with_metadata_readahead(mut self, pages: usize) -> Self {
-        self.metadata_readahead = pages;
-        self
-    }
-
     /// Builder-style override of the snapshot retention policy (keep-last-K).
     pub fn with_gc_keep_last(mut self, keep: usize) -> Self {
         self.gc_keep_last = Some(keep);
-        self
-    }
-
-    /// Builder-style override of the background GC cadence. The interval is
-    /// measured on the instance's `Clock` (so `SimClock` tests control it)
-    /// and rounded down to whole milliseconds.
-    pub fn with_gc_interval(mut self, interval: Duration) -> Self {
-        self.gc_interval_ms = Some(interval.as_millis() as u64);
-        self
-    }
-
-    /// Builder-style override of the background repair cadence. The interval
-    /// is measured on the instance's `Clock` (so `SimClock` tests control
-    /// it) and rounded down to whole milliseconds. Setting it also attaches
-    /// heartbeat failure detectors to both storage tiers.
-    pub fn with_repair_interval(mut self, interval: Duration) -> Self {
-        self.repair_interval_ms = Some(interval.as_millis() as u64);
         self
     }
 
@@ -204,18 +152,6 @@ impl BlobSeerConfig {
             "snapshot retention must keep at least one version"
         );
         assert!(
-            self.gc_interval_ms != Some(0),
-            "a background GC interval must be non-zero"
-        );
-        assert!(
-            self.gc_interval_ms.is_none() || self.gc_keep_last.is_some(),
-            "a background GC interval needs a retention policy (gc_keep_last) to enforce"
-        );
-        assert!(
-            self.repair_interval_ms != Some(0),
-            "a background repair interval must be non-zero"
-        );
-        assert!(
             self.retry_attempts >= 1,
             "at least one attempt per operation is required"
         );
@@ -240,31 +176,17 @@ mod tests {
             .with_page_replication(3)
             .with_placement(PlacementStrategy::Random)
             .with_metadata_cache_capacity(128)
-            .with_metadata_readahead(16)
             .with_gc_keep_last(3)
-            .with_gc_interval(Duration::from_secs(30))
-            .with_repair_interval(Duration::from_secs(2))
             .with_retry(4, Duration::from_millis(5));
         assert_eq!(c.default_page_size, 4096);
         assert_eq!(c.providers, 10);
         assert_eq!(c.page_replication, 3);
         assert_eq!(c.placement, PlacementStrategy::Random);
         assert_eq!(c.metadata_cache_capacity, 128);
-        assert_eq!(c.metadata_readahead, 16);
         assert_eq!(c.gc_keep_last, Some(3));
-        assert_eq!(c.gc_interval_ms, Some(30_000));
-        assert_eq!(c.repair_interval_ms, Some(2_000));
         assert_eq!(c.retry_attempts, 4);
         assert_eq!(c.retry_backoff_ms, 5);
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "repair interval must be non-zero")]
-    fn zero_repair_interval_is_rejected() {
-        BlobSeerConfig::for_tests()
-            .with_repair_interval(Duration::from_millis(0))
-            .validate();
     }
 
     #[test]
@@ -279,14 +201,6 @@ mod tests {
     #[should_panic(expected = "keep at least one version")]
     fn zero_retention_is_rejected() {
         BlobSeerConfig::for_tests().with_gc_keep_last(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a retention policy")]
-    fn gc_interval_without_retention_is_rejected() {
-        BlobSeerConfig::for_tests()
-            .with_gc_interval(Duration::from_secs(1))
-            .validate();
     }
 
     #[test]

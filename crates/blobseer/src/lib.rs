@@ -23,8 +23,8 @@
 //! * fault tolerance comes from page-level replication (pages live in an
 //!   in-memory [`kvstore`] store standing in for BerkeleyDB), kept effective
 //!   under churn by heartbeat failure detection and an active re-replication
-//!   repair loop on both storage tiers (see [`BlobSeer::repair`] and
-//!   [`BlobSeerConfig::with_repair_interval`]).
+//!   repair loop on both storage tiers (see [`BlobSeer::repair`]; every
+//!   deployment detects failures, and repair runs when a caller asks).
 //!
 //! The whole deployment runs in one process: providers, metadata providers
 //! and the version manager are objects, and clients are plain values that can

@@ -12,8 +12,8 @@
 //! The implementation is a sharded second-chance cache: the key hash picks
 //! a shard, each shard is an independently locked array of slots, and a
 //! demand hit sets the slot's reference bit. A node enters unreferenced —
-//! demand fill, write pre-warm and read-ahead alike — so only a node that a
-//! reader came back for has earned a second chance. To make room, an insert
+//! demand fill and write pre-warm alike — so only a node that a reader came
+//! back for has earned a second chance. To make room, an insert
 //! draws slots from the shard's seeded generator: a referenced slot loses
 //! its bit and is skipped, the first unreferenced one drawn is evicted.
 //!
@@ -45,10 +45,6 @@ const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Slot flag: a demand hit touched the slot since a probe last cleared it.
 const REFERENCED: u8 = 1;
-/// Slot flag: inserted by read-ahead and not yet touched by a demand
-/// lookup. The first demand hit clears it (a prefetch hit); eviction while
-/// it is still set means the prefetch was wasted.
-const PREFETCHED: u8 = 2;
 
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,11 +59,6 @@ pub struct MetadataCacheStats {
     pub evictions: u64,
     /// Nodes currently resident.
     pub entries: u64,
-    /// Read-ahead nodes that a later demand lookup actually used.
-    pub prefetch_hits: u64,
-    /// Read-ahead nodes evicted before any demand lookup touched them —
-    /// speculation that cost a fetch and bought nothing.
-    pub prefetch_wasted: u64,
 }
 
 struct Slot {
@@ -79,7 +70,7 @@ struct Shard {
     /// Key -> index into `slots`.
     index: FastMap<NodeKey, usize>,
     slots: Vec<Slot>,
-    /// `REFERENCED | PREFETCHED` bits of `slots[i]`, kept in step with
+    /// The `REFERENCED` bit of `slots[i]`, kept in step with
     /// `slots` so that an eviction probe reads one dense byte array.
     flags: Vec<u8>,
     /// Xorshift state drawing the slots an eviction examines (never zero).
@@ -98,51 +89,35 @@ impl Shard {
         }
     }
 
-    /// Look a node up and mark it referenced. The second return flags a
-    /// first demand hit on a prefetched slot (the prefetch paid off).
-    fn get(&mut self, key: &NodeKey) -> Option<(TreeNode, bool)> {
+    /// Look a node up and mark it referenced.
+    fn get(&mut self, key: &NodeKey) -> Option<TreeNode> {
         let at = *self.index.get(key)?;
-        let first_demand_hit = self.flags[at] & PREFETCHED != 0;
         self.flags[at] = REFERENCED;
-        Some((self.slots[at].node.clone(), first_demand_hit))
-    }
-
-    /// Look a node up leaving its flags alone: no reference bit, and a
-    /// prefetched slot stays prefetched.
-    fn peek(&self, key: &NodeKey) -> Option<TreeNode> {
-        let at = *self.index.get(key)?;
         Some(self.slots[at].node.clone())
     }
 
-    /// Insert or refresh a node; it enters unreferenced. Returns `(evicted,
-    /// wasted)`: whether an existing entry was evicted to make room, and
-    /// whether that entry was a never-demanded prefetch.
-    fn insert(&mut self, key: NodeKey, node: TreeNode, prefetched: bool) -> (bool, bool) {
+    /// Insert or refresh a node; it enters unreferenced. Returns whether an
+    /// existing entry was evicted to make room.
+    fn insert(&mut self, key: NodeKey, node: TreeNode) -> bool {
         if let Some(&at) = self.index.get(&key) {
             // Immutable nodes make a re-insert a no-op value-wise. The
-            // reference bit stays as it is (an insert is no demand hit), and
-            // a resident demand entry never regresses to prefetched.
+            // reference bit stays as it is (an insert is no hit).
             self.slots[at].node = node;
-            if !prefetched {
-                self.flags[at] &= !PREFETCHED;
-            }
-            return (false, false);
+            return false;
         }
-        let flags = if prefetched { PREFETCHED } else { 0 };
         if self.slots.len() < self.capacity {
             self.index.insert(key, self.slots.len());
             self.slots.push(Slot { key, node });
-            self.flags.push(flags);
-            return (false, false);
+            self.flags.push(0);
+            return false;
         }
         let (at, _) = self.victim();
-        let wasted = self.flags[at] & PREFETCHED != 0;
         let slot = &mut self.slots[at];
         self.index.remove(&slot.key);
         self.index.insert(key, at);
         *slot = Slot { key, node };
-        self.flags[at] = flags;
-        (true, wasted)
+        self.flags[at] = 0;
+        true
     }
 
     /// Choose the slot of a full shard to evict: draw slots at random,
@@ -193,8 +168,6 @@ pub struct MetadataCache {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
 }
 
 impl MetadataCache {
@@ -211,8 +184,6 @@ impl MetadataCache {
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_wasted: AtomicU64::new(0),
         }
     }
 
@@ -220,51 +191,23 @@ impl MetadataCache {
         &self.shards[shard_index(fast_hash(key), SHARDS)]
     }
 
-    /// Look a node up, counting the hit or miss (and the prefetch hit when
-    /// this is the first demand touch of a read-ahead fill).
+    /// Look a node up, counting the hit or miss.
     pub fn get(&self, key: &NodeKey) -> Option<TreeNode> {
         let found = self.shard_of(key).lock().get(key);
-        match found {
-            Some((node, first_demand_hit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if first_demand_hit {
-                    self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(node)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Look a node up for a speculative probe: counted neither as a hit nor
-    /// as a miss, and the node's flags are left alone, so it earns no second
-    /// chance and a prefetched node stays unclaimed.
-    pub fn peek(&self, key: &NodeKey) -> Option<TreeNode> {
-        self.shard_of(key).lock().peek(key)
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Insert (or refresh) a node.
     pub fn insert(&self, key: NodeKey, node: TreeNode) {
-        self.insert_with_origin(key, node, false);
-    }
-
-    /// Insert a node fetched by read-ahead: it counts as wasted if evicted
-    /// before any demand lookup touches it.
-    pub fn insert_prefetched(&self, key: NodeKey, node: TreeNode) {
-        self.insert_with_origin(key, node, true);
-    }
-
-    fn insert_with_origin(&self, key: NodeKey, node: TreeNode, prefetched: bool) {
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        let (evicted, wasted) = self.shard_of(&key).lock().insert(key, node, prefetched);
-        if evicted {
+        if self.shard_of(&key).lock().insert(key, node) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        if wasted {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -277,8 +220,7 @@ impl MetadataCache {
 
     /// Drop every resident node, keeping the counters. This models a cold
     /// client (a reader on a node that never saw the writes), so the dropped
-    /// entries count neither as evictions nor as wasted prefetches — no
-    /// capacity decision was made.
+    /// entries do not count as evictions — no capacity decision was made.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -300,8 +242,6 @@ impl MetadataCache {
                 .iter()
                 .map(|s| s.lock().slots.len() as u64)
                 .sum(),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
         }
     }
 }
@@ -473,7 +413,8 @@ mod tests {
                 hot_hits += u64::from(read(&cache, k));
             }
         }
-        let present = hot.iter().filter(|k| cache.peek(k).is_some()).count();
+        let resident: std::collections::HashSet<NodeKey> = resident(&cache).into_iter().collect();
+        let present = hot.iter().filter(|k| resident.contains(k)).count();
         assert!(
             hot_hits * 100 >= hot_reads * 95,
             "hot reads hit {hot_hits} of {hot_reads}"
@@ -491,8 +432,8 @@ mod tests {
             let k = key(1, i * 7 % 300);
             assert_eq!(read(&a, k), read(&b, k), "call {i}");
             if i % 5 == 0 {
-                a.insert_prefetched(key(2, i), leaf(i));
-                b.insert_prefetched(key(2, i), leaf(i));
+                a.insert(key(2, i), leaf(i));
+                b.insert(key(2, i), leaf(i));
             }
         }
         assert!(a.stats().evictions > 0);
@@ -507,7 +448,7 @@ mod tests {
             for round in 0..50 {
                 // Fill or refresh, then reference every slot.
                 for i in 0..capacity {
-                    shard.insert(key(round, i), leaf(i), false);
+                    shard.insert(key(round, i), leaf(i));
                     assert!(shard.get(&key(round, i)).is_some());
                 }
                 assert!(shard.flags.iter().all(|&f| f & REFERENCED != 0));
@@ -525,47 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_hits_and_waste_are_tracked() {
-        let cache = MetadataCache::new(8);
-        // A prefetched node's first demand touch is a prefetch hit; later
-        // touches are plain hits.
-        cache.insert_prefetched(key(1, 0), leaf(0));
-        assert_eq!(cache.get(&key(1, 0)), Some(leaf(0)));
-        assert_eq!(cache.get(&key(1, 0)), Some(leaf(0)));
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.prefetch_hits, 1);
-        assert_eq!(stats.prefetch_wasted, 0);
-        // A demand re-insert of a prefetched entry clears the flag.
-        cache.insert_prefetched(key(1, 1), leaf(1));
-        cache.insert(key(1, 1), leaf(1));
-        assert_eq!(cache.get(&key(1, 1)), Some(leaf(1)));
-        assert_eq!(cache.stats().prefetch_hits, 1);
-    }
-
-    #[test]
-    fn evicting_an_untouched_prefetch_counts_as_waste() {
-        // Drive a one-slot shard directly so the victim is known.
-        let mut shard = Shard::new(1, SEED);
-        let (_, wasted) = shard.insert(key(1, 0), leaf(0), true);
-        assert!(!wasted);
-        // Over-capacity insert: the prefetch entered unreferenced, so the
-        // first probe evicts it, never demanded.
-        let (evicted, wasted) = shard.insert(key(1, 1), leaf(1), false);
-        assert!(evicted && wasted, "untouched prefetch must count as waste");
-        // A demanded prefetch does not count as waste when later evicted.
-        let mut shard = Shard::new(1, SEED);
-        shard.insert(key(1, 2), leaf(2), true);
-        assert!(shard.get(&key(1, 2)).is_some());
-        let (evicted, wasted) = shard.insert(key(1, 3), leaf(3), false);
-        assert!(evicted && !wasted);
-    }
-
-    #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let cache = MetadataCache::new(8);
         cache.insert(key(1, 0), leaf(0));
-        cache.insert_prefetched(key(1, 1), leaf(1));
+        cache.insert(key(1, 1), leaf(1));
         assert!(cache.get(&key(1, 0)).is_some());
         cache.clear();
         let stats = cache.stats();
@@ -573,7 +477,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.insertions, 2);
         assert_eq!(stats.evictions, 0, "a clear is not an eviction");
-        assert_eq!(stats.prefetch_wasted, 0, "a clear is not waste");
         assert!(cache.get(&key(1, 0)).is_none());
         // The cache keeps working after a clear.
         cache.insert(key(1, 2), leaf(2));
@@ -595,14 +498,14 @@ mod tests {
         // evicted.
         let mut shard = Shard::new(3, SEED);
         for i in 0..3 {
-            shard.insert(key(1, i), leaf(i), false);
+            shard.insert(key(1, i), leaf(i));
         }
         assert!(shard.get(&key(1, 2)).is_some());
         assert!(shard.remove(&key(1, 0)));
         assert_eq!(shard.flags, [REFERENCED, 0]);
         assert!(shard.get(&key(1, 1)).is_some() && shard.get(&key(1, 2)).is_some());
-        assert!(!shard.insert(key(1, 3), leaf(3), false).0);
-        assert!(shard.insert(key(1, 4), leaf(4), false).0, "full again");
+        assert!(!shard.insert(key(1, 3), leaf(3)));
+        assert!(shard.insert(key(1, 4), leaf(4)), "full again");
         assert_eq!(shard.flags.len(), shard.slots.len());
         for (at, slot) in shard.slots.iter().enumerate() {
             assert_eq!(shard.index[&slot.key], at);

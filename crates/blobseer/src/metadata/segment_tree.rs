@@ -322,74 +322,26 @@ pub fn lookup_range(
     first_page: u64,
     last_page: u64,
 ) -> BlobResult<Vec<PageMeta>> {
-    lookup_range_readahead(store, root, span, first_page, last_page, 0)
-}
-
-/// [`lookup_range`] with sequential read-ahead: in addition to resolving
-/// `[first_page, last_page]`, the descent speculatively fetches the subtrees
-/// covering the next `window` pages (clamped to the tree span — prefetching
-/// past EOF is a silent no-op) in the *same* per-level `get_many` round
-/// trips, pre-warming the node cache for the sequential scan's next range.
-/// Prefetch strictly piggybacks on the demand descent: a level whose demand
-/// nodes are all cache-resident issues no DHT traffic, and the speculative
-/// subtrees simply stop there — read-ahead shifts misses off the critical
-/// path without ever adding round trips. Prefetched pages are never part of
-/// the returned metadata; with `window == 0` this is exactly `lookup_range`.
-pub fn lookup_range_readahead(
-    store: &MetadataStore,
-    root: Option<NodeKey>,
-    span: u64,
-    first_page: u64,
-    last_page: u64,
-    window: u64,
-) -> BlobResult<Vec<PageMeta>> {
     check_page_range(first_page, last_page)?;
     let mut out = Vec::with_capacity((last_page - first_page + 1) as usize);
     let covered_span = span.max(1);
-    // The furthest page the descent touches: the demanded range plus the
-    // read-ahead window, clamped to the tree (pages beyond the span have no
-    // nodes to warm).
-    let fetch_last = last_page
-        .saturating_add(window)
-        .min(covered_span - 1)
-        .max(last_page);
 
-    // Frontier of unresolved nodes: (key, offset, span, demand). Demand
-    // entries overlap the requested range; the rest are read-ahead. Holes
-    // never enter the frontier — demanded holes expand to zero pages
-    // immediately, prefetched holes are simply dropped.
-    let mut frontier: Vec<(NodeKey, u64, u64, bool)> = Vec::new();
+    // Frontier of unresolved nodes overlapping the requested range: (key,
+    // offset, span). Holes never enter it — they expand to zero pages
+    // immediately.
+    let mut frontier: Vec<(NodeKey, u64, u64)> = Vec::new();
     match root {
-        Some(key) if overlaps(0, covered_span, first_page, fetch_last) => {
-            frontier.push((
-                key,
-                0,
-                covered_span,
-                overlaps(0, covered_span, first_page, last_page),
-            ));
+        Some(key) if overlaps(0, covered_span, first_page, last_page) => {
+            frontier.push((key, 0, covered_span))
         }
         Some(_) => {}
         None => emit_holes(0, covered_span, first_page, last_page, &mut out),
     }
     while !frontier.is_empty() {
-        // Demand keys first: the store attributes the tail of the batch to
-        // read-ahead (separate cache-fill and counter treatment).
-        frontier.sort_by_key(|&(_, _, _, demand)| !demand);
-        let demand_count = frontier.iter().filter(|&&(_, _, _, d)| d).count();
-        let keys: Vec<NodeKey> = frontier.iter().map(|&(key, _, _, _)| key).collect();
-        let nodes = store.get_nodes_readahead(&keys, demand_count)?;
+        let keys: Vec<NodeKey> = frontier.iter().map(|&(key, _, _)| key).collect();
+        let nodes = store.get_nodes(&keys)?;
         let mut next = Vec::with_capacity(frontier.len() * 2);
-        for (&(key, offset, span, entry_demand), node) in frontier.iter().zip(nodes) {
-            let node = match node {
-                Some(node) => node,
-                // A prefetch miss the store declined to fetch (the demand
-                // side was fully cached, so there was no round trip to ride
-                // on): the speculative subtree just ends here.
-                None => {
-                    debug_assert!(!entry_demand, "demand nodes are always resolved");
-                    continue;
-                }
-            };
+        for (&(key, offset, span), node) in frontier.iter().zip(nodes) {
             match node {
                 TreeNode::Leaf { page, providers } => {
                     if page >= first_page && page <= last_page {
@@ -406,8 +358,8 @@ pub fn lookup_range_readahead(
                     }
                 }
                 TreeNode::Full { map: Some(map) } => {
-                    // The map answers every demanded page under the node;
-                    // nothing below it is fetched, for demand or read-ahead.
+                    // The map answers every requested page under the node;
+                    // nothing below it is fetched.
                     let lo = offset.max(first_page);
                     let hi = (offset + span - 1).min(last_page);
                     for page in lo..=hi {
@@ -420,32 +372,28 @@ pub fn lookup_range_readahead(
                 }
                 TreeNode::Full { map: None } => {
                     // Every page under a full node is a leaf of its version:
-                    // jump to the leaves the read and its window need. A
-                    // missing one fails the batch like any missing child.
+                    // jump to the leaves of the requested pages. A missing
+                    // one fails the batch like any missing child.
                     let lo = offset.max(first_page);
-                    let hi = (offset + span - 1).min(fetch_last);
+                    let hi = (offset + span - 1).min(last_page);
                     for page in lo..=hi {
                         let leaf = NodeKey {
                             offset: page,
                             span: 1,
                             ..key
                         };
-                        next.push((leaf, page, 1, page <= last_page));
+                        next.push((leaf, page, 1));
                     }
                 }
                 TreeNode::Inner { left, right } => {
                     let half = span / 2;
                     for (child, child_offset) in [(left, offset), (right, offset + half)] {
-                        if !overlaps(child_offset, half, first_page, fetch_last) {
+                        if !overlaps(child_offset, half, first_page, last_page) {
                             continue;
                         }
-                        let demand = overlaps(child_offset, half, first_page, last_page);
                         match child {
-                            Some(key) => next.push((key, child_offset, half, demand)),
-                            None if demand => {
-                                emit_holes(child_offset, half, first_page, last_page, &mut out)
-                            }
-                            None => {}
+                            Some(key) => next.push((key, child_offset, half)),
+                            None => emit_holes(child_offset, half, first_page, last_page, &mut out),
                         }
                     }
                 }
@@ -992,12 +940,12 @@ mod tests {
             span: 1,
         };
         assert!(writer.remove_node(leaf).unwrap());
-        for (first, last, window) in [(0, 31, 0), (13, 13, 0), (8, 15, 0), (10, 13, 4)] {
+        for (first, last) in [(0, 31), (13, 13), (8, 15), (10, 13)] {
             writer.drop_cached_nodes();
-            let got = lookup_range_readahead(&writer, Some(root), 32, first, last, window);
+            let got = lookup_range(&writer, Some(root), 32, first, last);
             assert!(
                 matches!(got, Err(BlobSeerError::Metadata(_))),
-                "[{first}, {last}] + {window}: {got:?}"
+                "[{first}, {last}]: {got:?}"
             );
             writer.drop_cached_nodes();
             assert!(lookup_range_walk(&writer, Some(root), 32, first, last).is_err());
@@ -1023,9 +971,9 @@ mod tests {
             span: 1,
         };
         assert!(writer.remove_node(leaf).unwrap());
-        for (first, last, window) in [(0, 31, 0), (13, 13, 0), (8, 15, 0), (10, 13, 4)] {
+        for (first, last) in [(0, 31), (13, 13), (8, 15), (10, 13)] {
             writer.drop_cached_nodes();
-            let got = lookup_range_readahead(&writer, Some(root), 32, first, last, window);
+            let got = lookup_range(&writer, Some(root), 32, first, last);
             assert_eq!(got.unwrap().len() as u64, last - first + 1);
             // The walk, which reads every stored node, still misses it.
             writer.drop_cached_nodes();
@@ -1086,7 +1034,6 @@ mod tests {
             s.drop_cached_nodes();
             let lookups = [
                 lookup_range(&s, Some(root), 4, 0, 3),
-                lookup_range_readahead(&s, Some(root), 4, 0, 3, 8),
                 lookup_range_walk(&s, Some(root), 4, 0, 3),
             ];
             for got in lookups {
@@ -1114,176 +1061,6 @@ mod tests {
         assert_eq!(
             lookup_range_walk(&s, None, 0, 2, 5).unwrap(),
             lookup_range(&s, None, 0, 2, 5).unwrap()
-        );
-    }
-
-    #[test]
-    fn readahead_matches_the_walk_and_never_leaks_prefetched_pages() {
-        let s = store();
-        // Sparse tree with holes on both sides of the written pages.
-        let w = written(&[(9, &[1]), (10, &[2]), (20, &[3])]);
-        let root = build_version(&s, BlobId(13), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        for (first, last) in [(0u64, 31u64), (9, 10), (11, 19), (0, 8), (20, 40), (35, 40)] {
-            let walked = lookup_range_walk(&s, Some(root), 32, first, last).unwrap();
-            for window in [0u64, 1, 3, 8, 32, u64::MAX] {
-                let got = lookup_range_readahead(&s, Some(root), 32, first, last, window).unwrap();
-                assert_eq!(
-                    walked, got,
-                    "range [{first}, {last}] window {window} diverged"
-                );
-            }
-        }
-        // Empty tree: pure holes regardless of the window.
-        for window in [0u64, 4, u64::MAX] {
-            assert_eq!(
-                lookup_range_walk(&s, None, 0, 2, 5).unwrap(),
-                lookup_range_readahead(&s, None, 0, 2, 5, window).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn readahead_prewarms_the_cache_for_the_next_sequential_range() {
-        let writer = store();
-        let w = one_write_a_replica_short(32);
-        let root =
-            build_version(&writer, BlobId(14), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        // A cold reader cache (the writer's publish pre-warm does not help a
-        // different client) so that the read-ahead is what fills it.
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
-
-        let walked = lookup_range_walk(&writer, Some(root), 32, 0, 15).unwrap();
-        let first = lookup_range_readahead(&reader, Some(root), 32, 0, 7, 8).unwrap();
-        assert_eq!(first[..], walked[..8]);
-        let after_first = reader.stats();
-        assert!(
-            after_first.prefetched_nodes > 0,
-            "the window should pull subtrees past the demanded range"
-        );
-
-        let second = lookup_range(&reader, Some(root), 32, 8, 15).unwrap();
-        assert_eq!(second[..], walked[8..]);
-        let after_second = reader.stats();
-        assert_eq!(
-            after_second.dht_read_round_trips, after_first.dht_read_round_trips,
-            "the second range must be served entirely from prefetched nodes"
-        );
-        assert!(after_second.prefetch_hits > 0);
-        assert_eq!(after_second.prefetch_wasted, 0);
-    }
-
-    #[test]
-    fn readahead_is_free_when_the_demand_range_is_already_cached() {
-        let writer = store();
-        let w = one_write_a_replica_short(32);
-        let root =
-            build_version(&writer, BlobId(17), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
-
-        // Cold first range: the window pulls [8, 15] alongside the paid
-        // descent.
-        lookup_range_readahead(&reader, Some(root), 32, 0, 7, 8).unwrap();
-        let after_first = reader.stats();
-
-        // Second range is fully prefetched, so even with its own window the
-        // lookup must not fetch anything: no round trips for the demand side
-        // and no speculative batch for [16, 23] either.
-        lookup_range_readahead(&reader, Some(root), 32, 8, 15, 8).unwrap();
-        let after_second = reader.stats();
-        assert_eq!(
-            after_second.dht_read_round_trips, after_first.dht_read_round_trips,
-            "a fully-cached lookup must not buy round trips for its prefetch"
-        );
-        assert_eq!(after_second.prefetched_nodes, after_first.prefetched_nodes);
-
-        // The third range was therefore *not* prefetched: it pays its own
-        // descent again, and its window piggybacks as usual.
-        lookup_range_readahead(&reader, Some(root), 32, 16, 23, 8).unwrap();
-        let after_third = reader.stats();
-        assert!(after_third.dht_read_round_trips > after_second.dht_read_round_trips);
-        assert!(after_third.prefetched_nodes > after_second.prefetched_nodes);
-    }
-
-    #[test]
-    fn readahead_probes_are_not_counted_as_cache_traffic() {
-        let writer = store();
-        let w = one_write_a_replica_short(64);
-        let root =
-            build_version(&writer, BlobId(18), Version(1), PrevTree::empty(), 64, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
-        // A sequential scan eight pages at a time with a 16-page window:
-        // every descent probes subtrees ahead of its range, some already
-        // prefetched, some not. Only demanded nodes are cache traffic.
-        for first in (0..64).step_by(8) {
-            lookup_range_readahead(&reader, Some(root), 64, first, first + 7, 16).unwrap();
-            let s = reader.stats();
-            assert_eq!(
-                s.cache_hits + s.cache_misses,
-                s.nodes_read,
-                "after the range at page {first}"
-            );
-        }
-        let s = reader.stats();
-        assert!(s.prefetched_nodes > 0 && s.prefetch_hits > 0, "{s:?}");
-    }
-
-    #[test]
-    fn readahead_stops_at_a_mapped_root() {
-        let writer = store();
-        let w = one_write(32);
-        let root =
-            build_version(&writer, BlobId(21), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 256);
-        let walked = lookup_range_walk(&writer, Some(root), 32, 0, 31).unwrap();
-        // The root answers the range and its window: nothing below it is
-        // fetched, and the next range is one cache hit.
-        let first = lookup_range_readahead(&reader, Some(root), 32, 0, 7, 8).unwrap();
-        assert_eq!(first[..], walked[..8]);
-        let after_first = reader.stats();
-        assert_eq!(after_first.nodes_read, 1);
-        assert_eq!(after_first.prefetched_nodes, 0);
-        assert_eq!(reader.cache_stats().entries, 1);
-        let second = lookup_range_readahead(&reader, Some(root), 32, 8, 15, 8).unwrap();
-        assert_eq!(second[..], walked[8..16]);
-        let after_second = reader.stats();
-        assert_eq!(after_second.nodes_read, 2);
-        assert_eq!(after_second.cache_hits, 1);
-        assert_eq!(
-            after_second.dht_read_round_trips,
-            after_first.dht_read_round_trips
-        );
-    }
-
-    #[test]
-    fn readahead_past_eof_is_a_no_op() {
-        let writer = store();
-        let w: BTreeMap<_, _> = (0..8).map(|p| (p, providers(&[0]))).collect();
-        let root =
-            build_version(&writer, BlobId(15), Version(1), PrevTree::empty(), 8, &w).unwrap();
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 64);
-        // The window reaches far past the last page; the clamp keeps the
-        // descent inside the tree, so nothing is prefetched.
-        let got = lookup_range_readahead(&reader, Some(root), 8, 6, 7, 1000).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(reader.stats().prefetched_nodes, 0);
-    }
-
-    #[test]
-    fn capacity_pressure_evicts_prefetched_nodes_as_waste() {
-        let writer = store();
-        let w = one_write_a_replica_short(32);
-        let root =
-            build_version(&writer, BlobId(16), Version(1), PrevTree::empty(), 32, &w).unwrap();
-        // A cache far smaller than the 63-node prefetch fan-out: prefetched
-        // nodes evict each other before any demand read touches them.
-        let reader = MetadataStore::with_dht(writer.dht().clone(), 4);
-        let got = lookup_range_readahead(&reader, Some(root), 32, 0, 0, 31).unwrap();
-        assert_eq!(got.len(), 1);
-        let stats = reader.stats();
-        assert!(stats.prefetched_nodes > 0);
-        assert!(
-            stats.prefetch_wasted > 0,
-            "evicting an untouched prefetch must count as waste"
         );
     }
 
@@ -1345,7 +1122,6 @@ mod tests {
         let invalid =
             |r: BlobResult<Vec<PageMeta>>| matches!(r, Err(BlobSeerError::InvalidArgument(_)));
         assert!(invalid(lookup_range(&s, Some(root), 4, 3, 2)));
-        assert!(invalid(lookup_range_readahead(&s, Some(root), 4, 1, 0, 8)));
         assert!(invalid(lookup_range_walk(&s, Some(root), 4, 3, 2)));
     }
 }

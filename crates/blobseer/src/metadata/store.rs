@@ -40,13 +40,6 @@ pub struct MetadataStats {
     pub cache_hits: u64,
     /// Node lookups that fell through the cache to the DHT.
     pub cache_misses: u64,
-    /// Nodes fetched from the DHT speculatively by read-ahead (piggybacked
-    /// on a demand batch's `get_many` round trips).
-    pub prefetched_nodes: u64,
-    /// Read-ahead nodes a later demand lookup actually used.
-    pub prefetch_hits: u64,
-    /// Read-ahead nodes evicted from the cache before any demand touch.
-    pub prefetch_wasted: u64,
 }
 
 /// The metadata store: segment-tree nodes in a DHT of metadata providers,
@@ -60,7 +53,6 @@ pub struct MetadataStore {
     nodes_read: AtomicU64,
     batch_flushes: AtomicU64,
     batch_lookups: AtomicU64,
-    prefetched_nodes: AtomicU64,
 }
 
 impl MetadataStore {
@@ -86,7 +78,6 @@ impl MetadataStore {
             nodes_read: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
             batch_lookups: AtomicU64::new(0),
-            prefetched_nodes: AtomicU64::new(0),
         }
     }
 
@@ -162,8 +153,26 @@ impl MetadataStore {
     /// holds fails the whole batch, matching [`MetadataStore::get_node`]'s
     /// contract that a dangling key is corruption, not a hole.
     pub fn get_nodes(&self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.nodes_read
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        self.batch_lookups.fetch_add(1, Ordering::Relaxed);
+        let mut out: Vec<Option<TreeNode>> = keys.iter().map(|key| self.cache.get(key)).collect();
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+        if !missing.is_empty() {
+            let dht_keys: Vec<InlineKey> = missing.iter().map(|&i| keys[i].dht_key()).collect();
+            let fetched = self.dht.get_many(&dht_keys)?;
+            for (&i, raw) in missing.iter().zip(fetched) {
+                let raw = raw.ok_or_else(|| Self::missing(&keys[i]))?;
+                let node = Self::decode_node(keys[i], &raw)?;
+                self.cache.insert(keys[i], node.clone());
+                out[i] = Some(node);
+            }
+        }
         keys.iter()
-            .zip(self.get_nodes_readahead(keys, keys.len())?)
+            .zip(out)
             .map(|(key, node)| node.ok_or_else(|| Self::missing(key)))
             .collect()
     }
@@ -172,70 +181,6 @@ impl MetadataStore {
         BlobSeerError::Metadata(DhtError::NotFound {
             key: format!("{key:?}"),
         })
-    }
-
-    /// [`MetadataStore::get_nodes`] with a read-ahead tail: the first
-    /// `demand` keys are demanded by the caller, the rest are speculative
-    /// prefetches riding in the same `get_many` round trips. Prefetched
-    /// nodes are cached as prefetches (so their later use or eviction is
-    /// attributed to read-ahead) and only the demand keys count toward
-    /// `nodes_read`.
-    ///
-    /// Prefetch strictly piggybacks: if every demand key is already cached,
-    /// the batch issues no DHT traffic at all and the prefetch-only misses
-    /// come back as `None` — read-ahead must never add round trips a demand
-    /// read wouldn't have paid anyway. Demand slots are always `Some`.
-    pub fn get_nodes_readahead(
-        &self,
-        keys: &[NodeKey],
-        demand: usize,
-    ) -> BlobResult<Vec<Option<TreeNode>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        debug_assert!(demand <= keys.len());
-        self.nodes_read
-            .fetch_add(demand.min(keys.len()) as u64, Ordering::Relaxed);
-        self.batch_lookups.fetch_add(1, Ordering::Relaxed);
-        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            // A speculative probe is not a demand read: it neither counts
-            // as cache traffic nor earns the node a second chance.
-            let cached = if i < demand {
-                self.cache.get(key)
-            } else {
-                self.cache.peek(key)
-            };
-            match cached {
-                Some(node) => out[i] = Some(node),
-                None => missing.push(i),
-            }
-        }
-        if missing.iter().all(|&i| i >= demand) {
-            // No demand miss to pay for the round trip: drop the speculative
-            // tail instead of turning the prefetch into its own DHT batch.
-            missing.clear();
-        }
-        if !missing.is_empty() {
-            self.prefetched_nodes.fetch_add(
-                missing.iter().filter(|&&i| i >= demand).count() as u64,
-                Ordering::Relaxed,
-            );
-            let dht_keys: Vec<InlineKey> = missing.iter().map(|&i| keys[i].dht_key()).collect();
-            let fetched = self.dht.get_many(&dht_keys)?;
-            for (&i, raw) in missing.iter().zip(fetched) {
-                let raw = raw.ok_or_else(|| Self::missing(&keys[i]))?;
-                let node = Self::decode_node(keys[i], &raw)?;
-                if i >= demand {
-                    self.cache.insert_prefetched(keys[i], node.clone());
-                } else {
-                    self.cache.insert(keys[i], node.clone());
-                }
-                out[i] = Some(node);
-            }
-        }
-        Ok(out)
     }
 
     /// Decode a fetched node. A node of the wrong kind for its key
@@ -291,9 +236,6 @@ impl MetadataStore {
             dht_read_round_trips: self.dht.read_round_trips(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            prefetched_nodes: self.prefetched_nodes.load(Ordering::Relaxed),
-            prefetch_hits: cache.prefetch_hits,
-            prefetch_wasted: cache.prefetch_wasted,
         }
     }
 }

@@ -707,16 +707,12 @@ mod tests {
     #[test]
     fn heartbeats_feed_the_detector() {
         use simcluster::clock::SimClock;
-        use simcluster::{Clock, DetectorConfig};
-        use std::time::Duration;
+        use simcluster::{Clock, SUSPICION_TIMEOUT};
 
         let m = manager(PlacementStrategy::LoadBalanced);
         let clock = Arc::new(SimClock::new());
         m.health().enable_failure_detection(
             Arc::clone(&clock) as Arc<dyn Clock>,
-            DetectorConfig {
-                suspicion_timeout: Duration::from_millis(30),
-            },
             m.providers().iter().map(|p| p.id()),
         );
         let det = m.health().detector().unwrap();
@@ -728,7 +724,7 @@ mod tests {
             !det.is_suspect(ProviderId(3)),
             "before the timeout: tolerated"
         );
-        clock.advance(Duration::from_millis(30));
+        clock.advance(SUSPICION_TIMEOUT);
         m.repair(2);
         assert!(det.is_suspect(ProviderId(3)));
         assert_eq!(det.failures_detected(), 1);

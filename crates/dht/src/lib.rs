@@ -1030,7 +1030,7 @@ impl Dht {
 mod tests {
     use super::*;
     use simcluster::clock::{Clock, SimClock};
-    use simcluster::detector::DetectorConfig;
+    use simcluster::detector::SUSPICION_TIMEOUT;
     use std::collections::HashSet;
     use std::time::Duration;
 
@@ -1844,20 +1844,15 @@ mod tests {
         assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
     }
 
-    /// A DHT with a detector on `clock` (suspicion after 30 ms).
+    /// A DHT with a detector on `clock`.
     fn detected(clock: &Arc<SimClock>, nodes: usize) -> Dht {
         let dht = Dht::new(DhtConfig {
             nodes,
             replication: 2,
             ..Default::default()
         });
-        dht.health().enable_failure_detection(
-            Arc::clone(clock) as Arc<dyn Clock>,
-            DetectorConfig {
-                suspicion_timeout: Duration::from_millis(30),
-            },
-            dht.node_ids(),
-        );
+        dht.health()
+            .enable_failure_detection(Arc::clone(clock) as Arc<dyn Clock>, dht.node_ids());
         dht
     }
 
@@ -1868,11 +1863,11 @@ mod tests {
         let victim = dht.node_ids()[0];
         dht.kill(victim).unwrap();
         // Within the suspicion window: the miss is tolerated.
-        clock.advance(Duration::from_millis(10));
+        clock.advance(SUSPICION_TIMEOUT / 3);
         assert_eq!(dht.repair().dead, 1);
         assert_eq!(dht.stats().failures_detected, 0);
         // Past the window: the next failed probe turns into suspicion.
-        clock.advance(Duration::from_millis(30));
+        clock.advance(SUSPICION_TIMEOUT);
         dht.repair();
         let stats = dht.stats();
         assert_eq!(stats.failures_detected, 1);
@@ -1890,7 +1885,7 @@ mod tests {
         let dht = detected(&clock, 3);
         let victim = dht.replicas_for(b"key")[0];
         dht.kill(victim).unwrap();
-        clock.advance(Duration::from_millis(50));
+        clock.advance(SUSPICION_TIMEOUT);
         // No heartbeat round ran; the refused write itself is the evidence.
         dht.put(b"key", Bytes::from_static(b"v")).unwrap();
         assert!(dht.health().detector().unwrap().is_suspect(victim));

@@ -6,10 +6,9 @@
 //! downloads, a write's page pushes, a metadata batch — is served on the
 //! caller's thread, so the pool is the only system-owned thread set.
 //!
-//! Two kinds of task run on the pool: MapReduce task attempts, spawned into
-//! a [`scope`] by their job's dispatcher, and the storage tier's background
-//! GC and repair ticks, [`spawn`]ed with their handle dropped. Design points
-//! that matter to callers:
+//! One kind of task runs on the pool: MapReduce task attempts, spawned into
+//! a [`scope`] by their job's dispatcher; the storage tier spawns nothing.
+//! Design points that matter to callers:
 //!
 //! * **Bounded threads.** The pool is sized once (`worker_count`, clamped to
 //!   4..=16, overridable with `MINIEXEC_WORKERS`) and never grows. In-flight

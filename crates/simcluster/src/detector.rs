@@ -22,22 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs of a [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// How long since the last successful heartbeat before a failed probe
-    /// turns into suspicion. Longer tolerates slow members; shorter detects
-    /// crashes faster.
-    pub suspicion_timeout: Duration,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            suspicion_timeout: Duration::from_millis(150),
-        }
-    }
-}
+/// How long since the last successful heartbeat before a failed probe
+/// turns into suspicion. Longer tolerates slow members; shorter detects
+/// crashes faster.
+pub const SUSPICION_TIMEOUT: Duration = Duration::from_millis(150);
 
 struct MemberRecord {
     last_ok: Duration,
@@ -49,7 +37,6 @@ struct MemberRecord {
 /// Thread-safe; probes from any thread may report outcomes concurrently.
 pub struct FailureDetector<K: Eq + Hash + Copy> {
     clock: Arc<dyn Clock>,
-    config: DetectorConfig,
     members: Mutex<HashMap<K, MemberRecord>>,
     failures_detected: AtomicU64,
     recoveries_observed: AtomicU64,
@@ -57,10 +44,9 @@ pub struct FailureDetector<K: Eq + Hash + Copy> {
 
 impl<K: Eq + Hash + Copy> FailureDetector<K> {
     /// A detector reading time from `clock`.
-    pub fn new(clock: Arc<dyn Clock>, config: DetectorConfig) -> Self {
+    pub fn new(clock: Arc<dyn Clock>) -> Self {
         FailureDetector {
             clock,
-            config,
             members: Mutex::new(HashMap::new()),
             failures_detected: AtomicU64::new(0),
             recoveries_observed: AtomicU64::new(0),
@@ -96,7 +82,7 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
             }
             rec.suspect = false;
             rec.last_ok = now;
-        } else if !rec.suspect && now.saturating_sub(rec.last_ok) >= self.config.suspicion_timeout {
+        } else if !rec.suspect && now.saturating_sub(rec.last_ok) >= SUSPICION_TIMEOUT {
             rec.suspect = true;
             self.failures_detected.fetch_add(1, Ordering::Relaxed);
         }
@@ -140,22 +126,17 @@ mod tests {
     use super::*;
     use crate::clock::SimClock;
 
-    fn detector(timeout_ms: u64) -> (Arc<SimClock>, FailureDetector<u32>) {
+    fn detector() -> (Arc<SimClock>, FailureDetector<u32>) {
         let clock = Arc::new(SimClock::new());
-        let det = FailureDetector::new(
-            Arc::clone(&clock) as Arc<dyn Clock>,
-            DetectorConfig {
-                suspicion_timeout: Duration::from_millis(timeout_ms),
-            },
-        );
+        let det = FailureDetector::new(Arc::clone(&clock) as Arc<dyn Clock>);
         (clock, det)
     }
 
     #[test]
     fn failed_probe_before_timeout_is_tolerated() {
-        let (clock, det) = detector(100);
+        let (clock, det) = detector();
         det.register(1);
-        clock.advance(Duration::from_millis(50));
+        clock.advance(SUSPICION_TIMEOUT / 2);
         det.observe(1, false);
         assert!(!det.is_suspect(1));
         assert_eq!(det.failures_detected(), 0);
@@ -163,42 +144,42 @@ mod tests {
 
     #[test]
     fn missed_heartbeats_past_timeout_raise_suspicion_once() {
-        let (clock, det) = detector(100);
+        let (clock, det) = detector();
         det.register(7);
-        clock.advance(Duration::from_millis(100));
+        clock.advance(SUSPICION_TIMEOUT);
         det.observe(7, false);
         assert!(det.is_suspect(7));
         assert_eq!(det.suspects(), vec![7]);
         assert_eq!(det.failures_detected(), 1);
         // Further failed probes do not re-count the same detection.
-        clock.advance(Duration::from_millis(100));
+        clock.advance(SUSPICION_TIMEOUT);
         det.observe(7, false);
         assert_eq!(det.failures_detected(), 1);
     }
 
     #[test]
     fn successful_probe_clears_suspicion() {
-        let (clock, det) = detector(100);
+        let (clock, det) = detector();
         det.register(3);
-        clock.advance(Duration::from_millis(200));
+        clock.advance(SUSPICION_TIMEOUT * 2);
         det.observe(3, false);
         assert!(det.is_suspect(3));
         det.observe(3, true);
         assert!(!det.is_suspect(3));
         assert_eq!(det.recoveries_observed(), 1);
         // Suspicion timing restarts from the recovery.
-        clock.advance(Duration::from_millis(50));
+        clock.advance(SUSPICION_TIMEOUT / 2);
         det.observe(3, false);
         assert!(!det.is_suspect(3));
     }
 
     #[test]
     fn forget_stops_tracking_without_counting_a_failure() {
-        let (clock, det) = detector(10);
+        let (clock, det) = detector();
         det.register(1);
         det.register(2);
         det.forget(1);
-        clock.advance(Duration::from_millis(100));
+        clock.advance(SUSPICION_TIMEOUT * 10);
         det.observe(1, false);
         assert!(
             !det.is_suspect(1),

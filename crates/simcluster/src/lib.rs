@@ -73,7 +73,7 @@ pub mod time;
 pub mod topology;
 
 pub use clock::{Clock, SimClock, WallClock};
-pub use detector::{DetectorConfig, FailureDetector};
+pub use detector::{FailureDetector, SUSPICION_TIMEOUT};
 pub use failure::{ChurnEvent, ChurnEventKind, ChurnSchedule};
 pub use flowsim::{ClientProcess, FlowSimulator, SimReport, Step};
 pub use netmodel::NetworkModel;

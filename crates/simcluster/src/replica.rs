@@ -19,7 +19,7 @@
 //! pass moves exactly the values it copies: over a healthy tier, none.
 
 use crate::clock::Clock;
-use crate::detector::{DetectorConfig, FailureDetector};
+use crate::detector::FailureDetector;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::hash::Hash;
@@ -131,10 +131,9 @@ impl<I: Copy + Ord + Hash> ReplicaHealth<I> {
     pub fn enable_failure_detection(
         &self,
         clock: Arc<dyn Clock>,
-        config: DetectorConfig,
         members: impl IntoIterator<Item = I>,
     ) {
-        let detector = Arc::new(FailureDetector::new(clock, config));
+        let detector = Arc::new(FailureDetector::new(clock));
         members.into_iter().for_each(|id| detector.register(id));
         *self.detector.lock() = Some(detector);
     }
@@ -344,7 +343,7 @@ mod tests {
         nodes[0].alive = false;
         let health = ReplicaHealth::default();
         let clock = Arc::new(SimClock::new());
-        health.enable_failure_detection(clock.clone(), DetectorConfig::default(), [0, 1, 2]);
+        health.enable_failure_detection(clock.clone(), [0, 1, 2]);
         clock.advance(Duration::from_secs(1));
         let members: Vec<&Node> = nodes.iter().collect();
 

@@ -11,9 +11,9 @@
 //!   repair pass on each tier reports nothing left under-replicated.
 //!
 //! The harness keeps kills survivable (a tier is never dropped below its
-//! replication factor) and runs a repair pass after every kill, modelling a
-//! repair cadence short enough that failures do not pile up faster than
-//! re-replication — the regime the paper's replication argument assumes.
+//! replication factor) and runs a repair pass after every kill, so failures
+//! do not pile up faster than re-replication — the regime the paper's
+//! replication argument assumes.
 
 use blobseer::{BlobSeer, BlobSeerConfig, ProviderId, Version};
 use proptest::prelude::*;
@@ -51,11 +51,7 @@ proptest! {
                 .with_providers(providers as usize)
                 .with_page_size(64)
                 .with_page_replication(replication)
-                .with_retry(3, Duration::from_millis(1))
-                // Enables the failure detectors; the interval is far beyond
-                // the advanced sim time, so repair runs only where the
-                // sequence calls it — deterministically.
-                .with_repair_interval(Duration::from_secs(3600)),
+                .with_retry(3, Duration::from_millis(1)),
             &topo,
             &provider_nodes,
             Arc::clone(&clock) as Arc<dyn simcluster::Clock>,

@@ -4,9 +4,7 @@
 //! sees (only how fast it sees it), and per-page replica failover must
 //! survive the per-provider batched page fetch.
 
-use blobseer::metadata::segment_tree::{
-    build_version, lookup_range, lookup_range_readahead, lookup_range_walk, PrevTree,
-};
+use blobseer::metadata::segment_tree::{build_version, lookup_range, lookup_range_walk, PrevTree};
 use blobseer::metadata::store::MetadataStore;
 use blobseer::metadata::{NodeKey, TreeNode};
 use blobseer::types::next_power_of_two;
@@ -97,7 +95,8 @@ proptest! {
     /// pages have one replica count, and the batched descent, which answers
     /// pages from a map and jumps from a payload-less full node to its
     /// leaves, agrees with the node-at-a-time walk for every version and
-    /// range, with and without read-ahead, on a cold and a warm cache.
+    /// range, on a cold and a warm cache, counting each node it reads as one
+    /// cache hit or miss.
     #[test]
     fn full_nodes_are_exactly_the_own_version_subtrees_and_the_jump_matches_the_walk(
         writes in prop::collection::vec(
@@ -149,16 +148,18 @@ proptest! {
                 let (first, last) = (a.min(b), a.max(b));
                 cold.drop_cached_nodes();
                 let walk = lookup_range_walk(&cold, Some(root), span, first, last).unwrap();
-                for window in [0, 8] {
-                    cold.drop_cached_nodes();
-                    let bfs_cold =
-                        lookup_range_readahead(&cold, Some(root), span, first, last, window)
-                            .unwrap();
-                    let bfs_warm =
-                        lookup_range_readahead(&warm, Some(root), span, first, last, window)
-                            .unwrap();
-                    prop_assert_eq!(&walk, &bfs_cold);
-                    prop_assert_eq!(&walk, &bfs_warm);
+                cold.drop_cached_nodes();
+                for store in [&cold, &warm] {
+                    // Every node a lookup reads is one cache hit or miss.
+                    let before = store.stats();
+                    let bfs = lookup_range(store, Some(root), span, first, last).unwrap();
+                    let after = store.stats();
+                    prop_assert_eq!(&walk, &bfs);
+                    prop_assert_eq!(
+                        (after.cache_hits - before.cache_hits)
+                            + (after.cache_misses - before.cache_misses),
+                        after.nodes_read - before.nodes_read
+                    );
                 }
             }
         }
