@@ -1,6 +1,7 @@
-//! E8 — the storage tier, measured end to end: the metadata read path of a
-//! cold sequential scan (tree nodes and DHT round trips per page read) and
-//! snapshot GC (bounded footprint under a rewrite loop).
+//! E8 — the storage tier, measured end to end: the metadata written per
+//! block by the scan's load, the metadata read path of a cold sequential
+//! scan (tree nodes and DHT round trips per page read) and snapshot GC
+//! (bounded footprint under a rewrite loop).
 //!
 //! Unlike E1–E7, which compare BSFS against HDFS, this experiment measures
 //! BSFS against itself, and *asserts* the headline numbers instead of just
@@ -41,10 +42,24 @@ struct ReadPathRecord {
     cache_misses: u64,
 }
 
+/// The scan's load: the file written one full 32-page block per write
+/// (`kind: count`, deterministic). Only the top of a block's full subtree is
+/// stored, with the inner nodes on its path up to the root, so a block
+/// write publishes at most `1 + height_above_block` nodes.
+#[derive(serde::Serialize)]
+struct LoadRecord {
+    block_writes: u64,
+    nodes_written: u64,
+    nodes_per_block_write: f64,
+    /// Tree levels above a block in the loaded file's tree.
+    height_above_block: u32,
+}
+
 #[derive(serde::Serialize)]
 struct Snapshot {
     experiment: &'static str,
     smoke: bool,
+    load: LoadRecord,
     read_path: Vec<ReadPathRecord>,
     gc: GcSection,
 }
@@ -52,7 +67,7 @@ struct Snapshot {
 /// Clients scan non-overlapping parts of one shared file (real threads and
 /// bytes through BSFS) on a cold node cache. Each 256 KiB block stripes over
 /// 32 BlobSeer pages, so every block read is a multi-page lookup.
-fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
+fn read_path(smoke: bool) -> (LoadRecord, Vec<ReadPathRecord>) {
     let (clients, bytes_per_client) = if smoke { (2, 512 * 1024) } else { (4, 2 << 20) };
     let block_size = 256 * 1024u64;
     let page_size = block_size / 32;
@@ -62,8 +77,31 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
         record_size: 4096,
     };
     let fs = bench::small_bsfs_full(4, block_size, page_size);
-    prepare_shared_file(&fs, &config).expect("prepare read workload");
     let storage = fs.inner().storage();
+    let (nodes_before, writes_before) = (
+        storage.metadata().stats().nodes_written,
+        storage.stats().write_ops,
+    );
+    prepare_shared_file(&fs, &config).expect("prepare read workload");
+    let file_pages = clients as u64 * bytes_per_client / page_size;
+    let block_writes = storage.stats().write_ops - writes_before;
+    let nodes_written = storage.metadata().stats().nodes_written - nodes_before;
+    let load = LoadRecord {
+        block_writes,
+        nodes_written,
+        nodes_per_block_write: nodes_written as f64 / block_writes as f64,
+        height_above_block: (file_pages.next_power_of_two() / 32).ilog2(),
+    };
+    println!(
+        "load: {} block writes published {} metadata nodes, {:.2} per write \
+         ({} tree levels above a block)",
+        load.block_writes, load.nodes_written, load.nodes_per_block_write, load.height_above_block
+    );
+    assert_eq!(block_writes * block_size, file_pages * page_size);
+    assert!(
+        load.nodes_per_block_write <= 1.0 + load.height_above_block as f64,
+        "a block write stores its full subtree's top and the path above it"
+    );
     // The readers model clients on nodes that never saw the writes: the
     // measured phase starts with a cold node cache.
     storage.metadata().drop_cached_nodes();
@@ -98,7 +136,7 @@ fn read_path(smoke: bool) -> Vec<ReadPathRecord> {
         "every node read is one cache hit or miss"
     );
     println!();
-    vec![record]
+    (load, vec![record])
 }
 
 fn gc_section(smoke: bool) -> GcSection {
@@ -179,7 +217,7 @@ fn main() {
     println!("== E8: storage tier (BSFS vs itself) ==");
     println!();
     println!("-- cold sequential scan: metadata read path --");
-    let read_path = read_path(smoke);
+    let (load, read_path) = read_path(smoke);
     println!("-- snapshot GC (rewrite loop) --");
     let gc = gc_section(smoke);
     println!();
@@ -190,6 +228,7 @@ fn main() {
         &Snapshot {
             experiment: "E8",
             smoke,
+            load,
             read_path,
             gc,
         },

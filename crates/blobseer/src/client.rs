@@ -1367,21 +1367,21 @@ mod tests {
     }
 
     /// Write 32 pages of 16 bytes at once, then rewrite page 0: the second
-    /// version shares the first's full (16, 16) subtree, which carries no
-    /// map (only the first version's root does), so a read of pages 16..32
-    /// jumps from it to the leaves.
+    /// version shares the first's (16, 16) subtree, which is implied under
+    /// the first version's mapped root, so its root links that root as the
+    /// half's anchor and a read of pages 16..32 resolves them there.
     fn write_a_block_then_rewrite_its_first_page(client: &BlobSeerClient, blob: BlobId, byte: u8) {
         client.write(blob, 0, &[byte; 32 * 16]).unwrap();
         client.write(blob, 0, &[byte; 16]).unwrap();
     }
 
     #[test]
-    fn a_warm_read_of_one_write_jumps_from_its_full_root_to_the_leaves() {
+    fn a_warm_read_through_a_shared_block_resolves_its_pages_at_the_anchor() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         write_a_block_then_rewrite_its_first_page(&client, blob, 7);
-        let data = vec![7u8; 16 * 16]; // pages 16..32, under a shared full node
+        let data = vec![7u8; 16 * 16]; // pages 16..32, under the anchor
         let before = sys.metadata().stats();
         assert_eq!(
             client
@@ -1391,11 +1391,11 @@ mod tests {
         );
         let after = sys.metadata().stats();
         assert_eq!(after.dht_read_round_trips, before.dht_read_round_trips);
-        // The root, the full (16, 16), then its 16 leaves: three batches,
-        // all from the cache.
-        assert_eq!(after.nodes_read - before.nodes_read, 18);
-        assert_eq!(after.cache_hits - before.cache_hits, 18);
-        assert_eq!(after.batch_lookups - before.batch_lookups, 3);
+        // The root, then the anchor, whose map answers the 16 pages: two
+        // batches, both from the cache.
+        assert_eq!(after.nodes_read - before.nodes_read, 2);
+        assert_eq!(after.cache_hits - before.cache_hits, 2);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
     }
 
     #[test]
@@ -1447,12 +1447,12 @@ mod tests {
     }
 
     #[test]
-    fn an_uncached_read_through_a_shared_full_node_pays_three_batches() {
+    fn an_uncached_read_through_a_shared_block_pays_two_batches() {
         let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         write_a_block_then_rewrite_its_first_page(&client, blob, 9);
-        let data = vec![9u8; 16 * 16]; // pages 16..32, under a shared full node
+        let data = vec![9u8; 16 * 16]; // pages 16..32, under the anchor
         sys.metadata().drop_cached_nodes();
         let before = sys.metadata().stats();
         assert_eq!(
@@ -1463,15 +1463,13 @@ mod tests {
         );
         let after = sys.metadata().stats();
         let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
-        // The root, the full (16, 16), then its 16 leaves, every one from
-        // the DHT.
-        assert_eq!(after.nodes_read - before.nodes_read, 18);
-        assert_eq!(after.cache_misses - before.cache_misses, 18);
+        // The root, then the anchor, both from the DHT.
+        assert_eq!(after.nodes_read - before.nodes_read, 2);
+        assert_eq!(after.cache_misses - before.cache_misses, 2);
         assert_eq!(after.cache_hits, before.cache_hits);
-        assert_eq!(after.batch_lookups - before.batch_lookups, 3);
-        // One round trip each for the root and the full node, one per
-        // metadata provider for the leaves.
-        assert!(read_rts <= 1 + 1 + 3, "got {read_rts}");
+        assert_eq!(after.batch_lookups - before.batch_lookups, 2);
+        // One round trip each.
+        assert_eq!(read_rts, 2);
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //!   page units. Its DHT key is the same four numbers as an [`InlineKey`].
 //! * [`TreeNode`] is the stored payload, one of three kinds:
 //!   - an inner node holding the keys of its two children (either may be
-//!     absent, representing a hole of zeroes);
-//!   - a *full* inner node, one whose every page its own version wrote: its
-//!     children are the same version's halves of its coordinates, down to
-//!     the leaf `(blob, version, page, 1)` of each page
-//!     ([`TreeNode::children`]). The topmost full node of a write's full
-//!     subtree also carries a [`PageMap`], the providers of every page under
-//!     it, so a read resolves those pages at that node; the full nodes below
-//!     it store nothing;
+//!     absent, representing a hole of zeroes). A child is the node at the
+//!     half's coordinates, or an *anchor*: the stored top of an older full
+//!     subtree that contains the half, wider than it;
+//!   - a *full* node, the top of a subtree whose every page its own version
+//!     wrote. It is the only node of that subtree stored above the leaves:
+//!     the nodes below it are *implied* by its key and never stored
+//!     ([`TreeNode::children`]). It carries a [`PageMap`], the providers of
+//!     every page under it, so a read resolves those pages at it and no leaf
+//!     below it is stored either; only when its pages' replica counts differ
+//!     does it store nothing and keep its leaves;
 //!   - a leaf holding the replica providers of one page.
+//! * [`Slot`] is a node as a walk meets it: its own key, and the key it is
+//!   read under, which is the anchor's for an implied node.
 //! * [`store::MetadataStore`] is the thin typed wrapper around the DHT.
 //! * [`segment_tree`] holds the build (write path) and lookup (read path)
 //!   algorithms.
@@ -61,6 +65,15 @@ impl NodeKey {
         )
     }
 
+    /// The same version's leaf of `page`, one of this node's pages.
+    pub fn leaf(&self, page: u64) -> NodeKey {
+        NodeKey {
+            offset: page,
+            span: 1,
+            ..*self
+        }
+    }
+
     /// The same version's keys of the two halves of this node's pages, left
     /// then right.
     pub fn halves(&self) -> [NodeKey; 2] {
@@ -74,22 +87,67 @@ impl NodeKey {
     }
 }
 
+/// A tree node as a walk meets it: `at` is the node's own key, the version
+/// that created it and the coordinates it sits at, and `stored` is the key it
+/// is read under. The two are equal for a stored node. A node inside a full
+/// subtree, below its top, is *implied*: never stored, it is read under the
+/// top, its *anchor*, whose coordinates contain its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Slot {
+    /// The node's own key.
+    pub at: NodeKey,
+    /// The key of the stored node that answers for it.
+    pub stored: NodeKey,
+}
+
+impl Slot {
+    /// A stored node at its own coordinates.
+    pub fn exact(key: NodeKey) -> Slot {
+        Slot {
+            at: key,
+            stored: key,
+        }
+    }
+
+    /// The node a parent's child entry `child` names at `half`, the
+    /// coordinates of the parent's half: `child` itself, or, when `child` is
+    /// an anchor wider than the half, the node it implies there.
+    fn of_child(child: NodeKey, half: NodeKey) -> Slot {
+        Slot {
+            at: NodeKey {
+                offset: half.offset,
+                span: half.span,
+                ..child
+            },
+            stored: child,
+        }
+    }
+
+    /// Whether the node is implied under an anchor rather than stored.
+    pub fn implied(&self) -> bool {
+        self.at != self.stored
+    }
+}
+
 /// Payload of a segment-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeNode {
     /// An inner node covering `span` pages, split into two halves. A `None`
     /// child means that half has never been written (reads return zeroes).
+    /// A child is the node at the half's coordinates, or an anchor: the
+    /// stored top of an older version's full subtree that contains the half,
+    /// and under which the half's node is implied.
     Inner {
         left: Option<NodeKey>,
         right: Option<NodeKey>,
     },
-    /// An inner node whose every page was written by the version in its key,
-    /// so both children exist and are implied by that key: each half is the
-    /// same version's node at the half's coordinates, itself full or a leaf.
-    /// Without a map it costs one tag byte in the DHT and no payload in
-    /// memory. The topmost full node of a write's subtree carries the page
-    /// map of every page under it, when those pages all have the same
-    /// number of replicas.
+    /// The top of a subtree whose every page the version in its key wrote:
+    /// every node below it is full too, or a leaf, and implied by its key.
+    /// A write stores only this top. With a map, the providers of every page
+    /// under it when those pages all have the same number of replicas, it is
+    /// all that is stored of the subtree; without one it costs one tag byte
+    /// in the DHT and no payload in memory, and the leaves below it are
+    /// stored.
     Full { map: Option<PageMap> },
     /// A leaf describing one page: the providers holding its replicas, in
     /// preference order. An empty provider list also denotes a hole.
@@ -100,13 +158,32 @@ pub enum TreeNode {
 }
 
 impl TreeNode {
-    /// The two children of the inner node stored under `key`, left then
-    /// right: stored for [`TreeNode::Inner`], derived from `key` for
-    /// [`TreeNode::Full`]. A leaf has none.
-    pub fn children(&self, key: NodeKey) -> [Option<NodeKey>; 2] {
+    /// The two children, left then right, of the node at `slot`, this node
+    /// being the one stored under `slot.stored`: the stored entries of an
+    /// [`TreeNode::Inner`], each placed at its half, and for a
+    /// [`TreeNode::Full`] the nodes implied at the halves, read under the
+    /// same anchor, except the leaves below a node without a map, which are
+    /// stored. A leaf has none, nor has a leaf implied under a mapped node.
+    pub fn children(&self, slot: Slot) -> [Option<Slot>; 2] {
+        if slot.at.span < 2 {
+            return [None, None];
+        }
+        let [left_half, right_half] = slot.at.halves();
         match self {
-            TreeNode::Inner { left, right } => [*left, *right],
-            TreeNode::Full { .. } => key.halves().map(Some),
+            TreeNode::Inner { left, right } => [
+                left.map(|c| Slot::of_child(c, left_half)),
+                right.map(|c| Slot::of_child(c, right_half)),
+            ],
+            TreeNode::Full { map } => [left_half, right_half].map(|half| {
+                Some(if half.span == 1 && map.is_none() {
+                    Slot::exact(half)
+                } else {
+                    Slot {
+                        at: half,
+                        stored: slot.stored,
+                    }
+                })
+            }),
             TreeNode::Leaf { .. } => [None, None],
         }
     }
@@ -185,10 +262,12 @@ impl TreeNode {
 
     /// Whether this node can be the one stored under `key`: a one-page key
     /// holds the leaf of its own page; a wider key holds an inner node whose
-    /// present children sit at the key's two halves, of the same blob and no
-    /// newer version, or a full node whose map, if any, lists `stride`
-    /// providers for each of its pages. A node of the wrong kind would make a
-    /// descent drop, move or repeat pages, or loop at a leaf.
+    /// present children are of the same blob and no newer version and each
+    /// sit at its half or are an anchor that contains it (an aligned,
+    /// power-of-two span no narrower than the half), or a full node whose
+    /// map, if any, lists `stride` providers for each of its pages. A node of
+    /// the wrong kind would make a descent drop, move or repeat pages, or
+    /// loop at a leaf.
     pub fn fits(&self, key: NodeKey) -> bool {
         match self {
             TreeNode::Leaf { page, .. } => key.span == 1 && *page == key.offset,
@@ -196,11 +275,11 @@ impl TreeNode {
             TreeNode::Inner { left, right } => {
                 let at = |child: &Option<NodeKey>, half: NodeKey| {
                     child.is_none_or(|c| {
-                        c.version <= key.version
-                            && NodeKey {
-                                version: key.version,
-                                ..c
-                            } == half
+                        c.blob == key.blob
+                            && c.version <= key.version
+                            && c.span.is_power_of_two()
+                            && c.span >= half.span
+                            && half.offset & !(c.span - 1) == c.offset
                     })
                 };
                 let [left_half, right_half] = key.halves();
@@ -479,34 +558,99 @@ mod tests {
             ..key(1, 4, 2)
         };
         assert!(!inner(Some(other_blob), None).fits(key(3, 4, 4)));
+        // An anchor: an older full node whose aligned span contains the
+        // half, however much wider than the half, or than the node itself.
+        assert!(inner(Some(key(1, 0, 8)), Some(key(2, 0, 8))).fits(key(3, 4, 4)));
+        assert!(inner(Some(key(1, 4, 4)), Some(key(1, 0, 64))).fits(key(3, 4, 4)));
+        assert!(!inner(Some(key(4, 0, 8)), None).fits(key(3, 4, 4)), "newer");
+        assert!(
+            !inner(Some(key(1, 2, 8)), None).fits(key(3, 4, 4)),
+            "misaligned"
+        );
+        assert!(
+            !inner(Some(key(1, 8, 8)), None).fits(key(3, 4, 4)),
+            "elsewhere"
+        );
+        assert!(
+            !inner(None, Some(key(1, 0, 6))).fits(key(3, 4, 4)),
+            "not a power of two"
+        );
+        assert!(
+            !inner(Some(key(1, 0, 4)), None).fits(key(3, 8, 8)),
+            "the other half"
+        );
+        let other_anchor = NodeKey {
+            blob: BlobId(8),
+            ..key(1, 0, 8)
+        };
+        assert!(!inner(Some(other_anchor), None).fits(key(3, 4, 4)));
     }
 
     #[test]
     fn a_full_node_derives_its_children_from_its_key() {
-        let full = TreeNode::Full { map: None };
-        assert_eq!(
-            full.children(key(4, 8, 8)),
-            [Some(key(4, 8, 4)), Some(key(4, 12, 4))]
-        );
-        assert_eq!(
-            full.children(key(4, 6, 2)),
-            [Some(key(4, 6, 1)), Some(key(4, 7, 1))]
-        );
-        // A map changes nothing about the children.
+        let exact = |k| Some(Slot::exact(k));
+        let under = |at, anchor| Some(Slot { at, stored: anchor });
         let mapped = TreeNode::Full {
             map: PageMap::of_pages([[ProviderId(1)].as_slice(); 8]),
         };
-        assert_eq!(mapped.children(key(4, 8, 8)), full.children(key(4, 8, 8)));
-        let inner = TreeNode::Inner {
-            left: None,
-            right: Some(key(1, 4, 4)),
+        // The halves of a mapped full node are implied, down to the leaves,
+        // and read under the node itself.
+        let top = Slot::exact(key(4, 8, 8));
+        assert_eq!(
+            mapped.children(top),
+            [
+                under(key(4, 8, 4), top.stored),
+                under(key(4, 12, 4), top.stored)
+            ]
+        );
+        let low = Slot {
+            at: key(4, 14, 2),
+            stored: top.stored,
         };
-        assert_eq!(inner.children(key(3, 0, 8)), [None, Some(key(1, 4, 4))]);
+        assert_eq!(
+            mapped.children(low),
+            [
+                under(key(4, 14, 1), top.stored),
+                under(key(4, 15, 1), top.stored)
+            ]
+        );
+        // Without a map, the nodes above the leaves are implied and the
+        // leaves are stored.
+        let full = TreeNode::Full { map: None };
+        assert_eq!(
+            full.children(top),
+            [
+                under(key(4, 8, 4), top.stored),
+                under(key(4, 12, 4), top.stored)
+            ]
+        );
+        assert_eq!(
+            full.children(low),
+            [exact(key(4, 14, 1)), exact(key(4, 15, 1))]
+        );
+        // An inner node's entries: a node at the half, or an anchor that
+        // implies the half's node.
+        let inner = TreeNode::Inner {
+            left: Some(key(1, 0, 32)),
+            right: Some(key(2, 4, 4)),
+        };
+        let slot = Slot::exact(key(3, 0, 8));
+        assert_eq!(
+            inner.children(slot),
+            [under(key(1, 0, 4), key(1, 0, 32)), exact(key(2, 4, 4))]
+        );
+        assert!(inner.children(slot)[0].unwrap().implied());
+        assert!(!inner.children(slot)[1].unwrap().implied());
+        let holes = TreeNode::Inner {
+            left: None,
+            right: None,
+        };
+        assert_eq!(holes.children(slot), [None, None]);
         let leaf = TreeNode::Leaf {
             page: 5,
             providers: vec![ProviderId(1)],
         };
-        assert_eq!(leaf.children(key(3, 5, 1)), [None, None]);
+        assert_eq!(leaf.children(Slot::exact(key(3, 5, 1))), [None, None]);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! generates a new version of the blob" (paper §III-A).
 
 use crate::error::{BlobResult, BlobSeerError};
-use crate::metadata::store::MetadataStore;
-use crate::metadata::{NodeKey, PageMap, TreeNode};
+use crate::metadata::store::{check_slot, MetadataStore};
+use crate::metadata::{NodeKey, PageMap, Slot, TreeNode};
 use crate::types::{BlobId, ProviderId, Version};
-use kvstore::FastMap;
 use std::collections::BTreeMap;
 
 /// Description of a previously published tree that a new version builds upon.
@@ -35,53 +34,6 @@ impl PrevTree {
     }
 }
 
-/// A write-side buffer over the metadata store: the nodes of the version
-/// under construction are collected locally and published to the DHT as one
-/// batch ([`MetadataStore::put_nodes`]) when the build completes, instead of
-/// one `put` per node. Reads during the build consult the buffer first (the
-/// wrapper nodes pre-extending a grown tree are written and re-read within
-/// the same build), then fall through to the store.
-struct NodeBatch<'a> {
-    store: &'a MetadataStore,
-    pending: FastMap<NodeKey, TreeNode>,
-}
-
-impl<'a> NodeBatch<'a> {
-    fn new(store: &'a MetadataStore) -> Self {
-        NodeBatch {
-            store,
-            pending: FastMap::default(),
-        }
-    }
-
-    fn put(&mut self, key: NodeKey, node: TreeNode) {
-        // Overwrites collapse in the buffer (a grown tree's wrapper node and
-        // its final root share coordinates), so the flushed batch is also
-        // strictly smaller than the put-per-node stream was.
-        self.pending.insert(key, node);
-    }
-
-    fn get(&self, key: NodeKey) -> BlobResult<TreeNode> {
-        match self.pending.get(&key) {
-            Some(node) => Ok(node.clone()),
-            None => self.store.get_node(key),
-        }
-    }
-
-    /// Publish the batch, all or nothing: a publication that failed part
-    /// way (some node reached no replica) takes back what it did store, so a
-    /// failed build leaves no node behind.
-    fn flush(self) -> BlobResult<()> {
-        let nodes: Vec<(NodeKey, TreeNode)> = self.pending.into_iter().collect();
-        let published = self.store.put_nodes(&nodes);
-        if published.is_err() {
-            let keys: Vec<NodeKey> = nodes.iter().map(|(key, _)| *key).collect();
-            let _ = self.store.remove_nodes(&keys);
-        }
-        published
-    }
-}
-
 /// Build the segment tree for `version` of `blob`.
 ///
 /// * `prev` — the previous version's tree (for subtree sharing).
@@ -90,8 +42,13 @@ impl<'a> NodeBatch<'a> {
 /// * `written` — for every page index modified by this write, the ordered
 ///   list of providers holding its replicas.
 ///
-/// The new nodes are published to the metadata DHT as a single batch when
-/// the tree is complete; until then nothing of the version is visible.
+/// Of each subtree whose every page this write covers, only the top is
+/// stored ([`TreeNode::Full`]), with the leaves below it when it has no page
+/// map; the nodes between are implied. A subtree shared with `prev` is linked
+/// by its key, or, where `prev` only implies it, by its anchor. The new nodes
+/// are published to the metadata DHT as a single batch
+/// ([`MetadataStore::put_nodes`]) when the tree is complete; until then
+/// nothing of the version is visible.
 ///
 /// Returns the key of the new root, or [`BlobSeerError::InvalidArgument`]
 /// if `written` is empty (a write always touches at least one page), if
@@ -106,7 +63,7 @@ pub fn build_version(
     written: &BTreeMap<u64, Vec<ProviderId>>,
 ) -> BlobResult<NodeKey> {
     let invalid = |msg: &str| BlobSeerError::InvalidArgument(msg.into());
-    let (Some(&wfirst), Some(&wlast)) = (written.keys().next(), written.keys().next_back()) else {
+    let Some(&wlast) = written.keys().next_back() else {
         return Err(invalid("a write must touch at least one page"));
     };
     if !new_span.is_power_of_two() {
@@ -119,169 +76,165 @@ pub fn build_version(
         return Err(invalid("a tree never shrinks"));
     }
 
-    // When the blob grows, pre-extend the previous tree to the new span by
-    // wrapping its root in inner nodes whose right halves are holes. The
-    // recursion below can then always find "the previous node covering the
-    // same (offset, span)" by simple structural descent, even for subtrees
-    // that the write does not touch. Wrapper nodes carry the new version; if
-    // the recursion later creates a node at the same coordinates it simply
-    // overwrites the wrapper, which at that point is no longer referenced.
-    let mut batch = NodeBatch::new(store);
-    let mut prev = prev;
-    if prev.root.is_some() {
-        while prev.span < new_span {
-            let span = prev.span * 2;
-            let key = NodeKey {
-                blob,
-                version,
-                offset: 0,
-                span,
-            };
-            batch.put(
-                key,
-                TreeNode::Inner {
-                    left: prev.root,
-                    right: None,
-                },
-            );
-            prev = PrevTree {
-                root: Some(key),
-                span,
-            };
-        }
-    }
-
     let ctx = BuildCtx {
+        store,
         blob,
         version,
         prev,
-        wfirst,
-        wlast,
         written,
     };
-    let (root, full) = build_node(&ctx, &mut batch, 0, new_span, None, false)?;
+    let mut nodes = Vec::new();
+    let root = build_node(&ctx, &mut nodes, 0, new_span, None, None)?;
     let root = root.ok_or_else(|| invalid("the root must overlap the written range"))?;
-    if full {
-        map_full_node(&ctx, &mut batch, root);
+    // All or nothing: a publication that failed part way (some node reached
+    // no replica) takes back what it did store, so a failed build leaves no
+    // node behind.
+    let published = store.put_nodes(&nodes);
+    if published.is_err() {
+        let keys: Vec<NodeKey> = nodes.iter().map(|(key, _)| *key).collect();
+        let _ = store.remove_nodes(&keys);
     }
-    batch.flush()?;
-    Ok(root)
+    published.map(|()| root)
 }
 
 struct BuildCtx<'a> {
+    store: &'a MetadataStore,
     blob: BlobId,
     version: Version,
     prev: PrevTree,
-    wfirst: u64,
-    wlast: u64,
     written: &'a BTreeMap<u64, Vec<ProviderId>>,
 }
 
-/// Recursive path-copying build. `prev_here` is the previous version's node
-/// covering exactly `(offset, span)`, when known from the parent, and
-/// `prev_full` says the parent was [`TreeNode::Full`], which makes
-/// `prev_here` full too (or a leaf) without reading it.
-///
-/// Returns the node now at `(offset, span)` and whether this build wrote
-/// every page under it. Such a node is stored as [`TreeNode::Full`]: a
-/// written leaf is full, an inner node is full when this call built both of
-/// its children and both are full, and a shared subtree or a growth wrapper
-/// never is. A node that is not full gives its full inner children their
-/// page maps ([`map_full_node`]); the caller does so for a full root.
-fn build_node(
-    ctx: &BuildCtx<'_>,
-    batch: &mut NodeBatch<'_>,
-    offset: u64,
-    span: u64,
-    prev_here: Option<NodeKey>,
-    prev_full: bool,
-) -> BlobResult<(Option<NodeKey>, bool)> {
-    // When the new tree is taller than the previous one, the previous root
-    // reappears as the node covering (0, prev.span) somewhere down the left
-    // spine; graft it in when we reach that position.
-    let prev_here = if prev_here.is_none() && offset == 0 && span == ctx.prev.span {
-        ctx.prev.root
-    } else {
-        prev_here
-    };
-
-    let overlaps = ctx.wfirst < offset + span && ctx.wlast >= offset;
-    if !overlaps {
-        // Untouched subtree: share the previous node (or keep the hole).
-        return Ok((prev_here, false));
+impl BuildCtx<'_> {
+    /// How many pages of `[offset, offset + span)` this write covers.
+    fn written_in(&self, offset: u64, span: u64) -> u64 {
+        self.written.range(offset..offset + span).count() as u64
     }
 
-    if span == 1 {
-        // This page is inside the written range; `written` may still not
-        // contain it if the caller wrote a sparse set, in which case the page
-        // keeps its previous contents (or stays a hole).
-        return match ctx.written.get(&offset) {
-            Some(providers) => {
-                let key = NodeKey {
-                    blob: ctx.blob,
-                    version: ctx.version,
-                    offset,
-                    span: 1,
-                };
-                batch.put(
-                    key,
-                    TreeNode::Leaf {
-                        page: offset,
-                        providers: providers.clone(),
-                    },
-                );
-                Ok((Some(key), true))
-            }
-            None => Ok((prev_here, false)),
-        };
+    fn key(&self, offset: u64, span: u64) -> NodeKey {
+        NodeKey {
+            blob: self.blob,
+            version: self.version,
+            offset,
+            span,
+        }
     }
 
-    let half = span / 2;
-    let ([prev_left, prev_right], prev_full) = match prev_here {
-        Some(pk) if prev_full => (pk.halves().map(Some), true),
-        Some(pk) => {
-            let node = batch.get(pk)?;
-            (node.children(pk), matches!(node, TreeNode::Full { .. }))
+    /// The previous tree grown to `span`: its root under wrapper nodes of
+    /// this version whose right halves are holes, stored into `nodes`. Only
+    /// a grown tree's left spine the write does not reach needs them.
+    fn wrap(&self, nodes: &mut Vec<(NodeKey, TreeNode)>, span: u64) -> Option<NodeKey> {
+        let mut root = self.prev.root;
+        let mut wrapped = self.prev.span;
+        while wrapped < span {
+            wrapped *= 2;
+            let key = self.key(0, wrapped);
+            nodes.push((
+                key,
+                TreeNode::Inner {
+                    left: root,
+                    right: None,
+                },
+            ));
+            root = Some(key);
         }
-        None => ([None, None], false),
-    };
-
-    let (left, left_full) = build_node(ctx, batch, offset, half, prev_left, prev_full)?;
-    let (right, right_full) = build_node(ctx, batch, offset + half, half, prev_right, prev_full)?;
-
-    let key = NodeKey {
-        blob: ctx.blob,
-        version: ctx.version,
-        offset,
-        span,
-    };
-    let full = left_full && right_full;
-    let node = if full {
-        TreeNode::Full { map: None }
-    } else {
-        for (child, child_full) in [(left, left_full), (right, right_full)] {
-            if let (Some(child), true) = (child, child_full) {
-                map_full_node(ctx, batch, child);
-            }
-        }
-        TreeNode::Inner { left, right }
-    };
-    batch.put(key, node);
-    Ok((Some(key), full))
+        root
+    }
 }
 
-/// Store the topmost node of a full subtree this build wrote with the page
-/// map of every page under it, taken from `written`. A full leaf stays a
-/// leaf, and a node over pages with unequal replica counts stays
-/// payload-less.
-fn map_full_node(ctx: &BuildCtx<'_>, batch: &mut NodeBatch<'_>, key: NodeKey) {
-    if key.span < 2 {
-        return;
+/// Recursive path-copying build of the node at `(offset, span)`, into
+/// `nodes`. `prev` is the previous version's node there, when known from
+/// the parent, and `prev_node` the node stored under `prev.stored` when the
+/// parent already read it (the anchor of an implied node).
+///
+/// Returns the parent's entry for the position: the key of the node this
+/// build stored there, or the previous tree's entry for an untouched
+/// subtree (the node's key, or its anchor's), or `None` for a hole. Where
+/// the write covers every page, the node is the top of a full subtree and
+/// nothing below it is built ([`store_full`]).
+fn build_node(
+    ctx: &BuildCtx<'_>,
+    nodes: &mut Vec<(NodeKey, TreeNode)>,
+    offset: u64,
+    span: u64,
+    prev: Option<Slot>,
+    prev_node: Option<&TreeNode>,
+) -> BlobResult<Option<NodeKey>> {
+    // When the new tree is taller than the previous one, the previous root
+    // reappears as the node covering (0, prev.span) down the left spine,
+    // wrapped in holes above it.
+    let grown = prev.is_none() && offset == 0 && ctx.prev.root.is_some() && span >= ctx.prev.span;
+    let written = ctx.written_in(offset, span);
+    if written == 0 {
+        // Untouched subtree: share the previous node (or keep the hole).
+        return Ok(if grown {
+            ctx.wrap(nodes, span)
+        } else {
+            prev.map(|slot| slot.stored)
+        });
     }
+    if written == span {
+        let key = ctx.key(offset, span);
+        store_full(ctx, nodes, key);
+        return Ok(Some(key));
+    }
+    let prev = match prev {
+        None if grown && span == ctx.prev.span => ctx.prev.root.map(Slot::exact),
+        prev => prev,
+    };
+    let prev_node = match (prev, prev_node) {
+        (Some(_), Some(node)) => Some(node.clone()),
+        (Some(slot), None) => {
+            let node = ctx.store.get_node(slot.stored)?;
+            check_slot(&slot, &node)?;
+            Some(node)
+        }
+        (None, _) => None,
+    };
+    // Above the previous root, the left half is found by the grown-tree rule
+    // one level down, and the right half is a hole.
+    let prev_children = match (prev, &prev_node) {
+        (Some(slot), Some(node)) => node.children(slot),
+        _ => [None, None],
+    };
+    let key = ctx.key(offset, span);
+    let mut entries = [None, None];
+    for ((entry, child), half) in entries.iter_mut().zip(prev_children).zip(key.halves()) {
+        // A node implied under the same anchor is read under the node in
+        // hand.
+        let same = child.zip(prev).is_some_and(|(c, p)| c.stored == p.stored);
+        let known = prev_node.as_ref().filter(|_| same);
+        *entry = build_node(ctx, nodes, half.offset, half.span, child, known)?;
+    }
+    let [left, right] = entries;
+    nodes.push((key, TreeNode::Inner { left, right }));
+    Ok(Some(key))
+}
+
+/// Store the top of a full subtree this build wrote: a written leaf, or a
+/// full node with the page map of every page under it, taken from
+/// `written`. Over pages with unequal replica counts the node has no map,
+/// and the leaves below it are stored instead. The nodes between are
+/// implied.
+fn store_full(ctx: &BuildCtx<'_>, nodes: &mut Vec<(NodeKey, TreeNode)>, key: NodeKey) {
     let pages = ctx.written.range(key.offset..key.offset + key.span);
-    if let Some(map) = PageMap::of_pages(pages.map(|(_, providers)| providers.as_slice())) {
-        batch.put(key, TreeNode::Full { map: Some(map) });
+    if key.span > 1 {
+        let map = PageMap::of_pages(pages.clone().map(|(_, providers)| providers.as_slice()));
+        let mapped = map.is_some();
+        nodes.push((key, TreeNode::Full { map }));
+        if mapped {
+            return;
+        }
     }
+    nodes.extend(pages.map(|(&page, providers)| {
+        (
+            key.leaf(page),
+            TreeNode::Leaf {
+                page,
+                providers: providers.clone(),
+            },
+        )
+    }));
 }
 
 /// Location metadata for one page, as resolved by [`lookup_range`].
@@ -305,16 +258,16 @@ pub struct PageMeta {
 ///
 /// The descent is breadth-first and *frontier-batched*: every node of one
 /// tree level that overlaps the requested range is resolved through a single
-/// [`MetadataStore::get_nodes`] call (one `Dht::get_many` pass contacting
-/// each responsible metadata provider once). At a [`TreeNode::Full`] node the
-/// descent skips the levels below: a node with a [`PageMap`] answers the
-/// requested pages under it itself, and under a payload-less one (a full
-/// subtree a later version shares, or one whose pages have unequal replica
-/// counts) the leaves of the requested pages are known from its key, so they
-/// join the next batch directly. A range lookup therefore costs one batch
-/// per level down to the first full node on each path, plus one for the
-/// leaves under a payload-less one, instead of one round trip per visited
-/// node — the read-side counterpart of the batched write publication.
+/// [`MetadataStore::get_slots`] call (one `Dht::get_many` pass contacting
+/// each responsible metadata provider once). At a [`TreeNode::Full`] node,
+/// stored or implied under an anchor, the descent skips the levels below: a
+/// node with a [`PageMap`] answers the requested pages under it itself, and
+/// under one without (its pages have unequal replica counts) the leaves of
+/// the requested pages are known from its key, so they join the next batch
+/// directly. A range lookup therefore costs one batch per level down to the
+/// first full node on each path, plus one for the leaves under a full node
+/// without a map, instead of one round trip per visited node — the
+/// read-side counterpart of the batched write publication.
 pub fn lookup_range(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -326,29 +279,29 @@ pub fn lookup_range(
     let mut out = Vec::with_capacity((last_page - first_page + 1) as usize);
     let covered_span = span.max(1);
 
-    // Frontier of unresolved nodes overlapping the requested range: (key,
-    // offset, span). Holes never enter it — they expand to zero pages
-    // immediately.
-    let mut frontier: Vec<(NodeKey, u64, u64)> = Vec::new();
+    // Frontier of unresolved nodes overlapping the requested range. Holes
+    // never enter it — they expand to zero pages immediately.
+    let mut frontier: Vec<Slot> = Vec::new();
     match root {
         Some(key) if overlaps(0, covered_span, first_page, last_page) => {
-            frontier.push((key, 0, covered_span))
+            frontier.push(Slot::exact(key))
         }
         Some(_) => {}
         None => emit_holes(0, covered_span, first_page, last_page, &mut out),
     }
     while !frontier.is_empty() {
-        let keys: Vec<NodeKey> = frontier.iter().map(|&(key, _, _)| key).collect();
-        let nodes = store.get_nodes(&keys)?;
+        let nodes = store.get_slots(&frontier)?;
         let mut next = Vec::with_capacity(frontier.len() * 2);
-        for (&(key, offset, span), node) in frontier.iter().zip(nodes) {
+        for (slot, node) in frontier.iter().zip(nodes) {
+            let at = slot.at;
+            let pages = at.offset.max(first_page)..=(at.offset + at.span - 1).min(last_page);
             match node {
                 TreeNode::Leaf { page, providers } => {
                     if page >= first_page && page <= last_page {
                         let created = if providers.is_empty() {
                             None
                         } else {
-                            Some(key.version)
+                            Some(at.version)
                         };
                         out.push(PageMeta {
                             page,
@@ -360,13 +313,11 @@ pub fn lookup_range(
                 TreeNode::Full { map: Some(map) } => {
                     // The map answers every requested page under the node;
                     // nothing below it is fetched.
-                    let lo = offset.max(first_page);
-                    let hi = (offset + span - 1).min(last_page);
-                    for page in lo..=hi {
+                    for page in pages {
                         out.push(PageMeta {
                             page,
-                            created: Some(key.version),
-                            providers: map.page((page - offset) as usize).to_vec(),
+                            created: Some(at.version),
+                            providers: map.page((page - slot.stored.offset) as usize).to_vec(),
                         });
                     }
                 }
@@ -374,26 +325,18 @@ pub fn lookup_range(
                     // Every page under a full node is a leaf of its version:
                     // jump to the leaves of the requested pages. A missing
                     // one fails the batch like any missing child.
-                    let lo = offset.max(first_page);
-                    let hi = (offset + span - 1).min(last_page);
-                    for page in lo..=hi {
-                        let leaf = NodeKey {
-                            offset: page,
-                            span: 1,
-                            ..key
-                        };
-                        next.push((leaf, page, 1));
-                    }
+                    next.extend(pages.map(|page| Slot::exact(at.leaf(page))));
                 }
-                TreeNode::Inner { left, right } => {
-                    let half = span / 2;
-                    for (child, child_offset) in [(left, offset), (right, offset + half)] {
-                        if !overlaps(child_offset, half, first_page, last_page) {
+                TreeNode::Inner { .. } => {
+                    for (child, half) in node.children(*slot).into_iter().zip(at.halves()) {
+                        if !overlaps(half.offset, half.span, first_page, last_page) {
                             continue;
                         }
                         match child {
-                            Some(key) => next.push((key, child_offset, half)),
-                            None => emit_holes(child_offset, half, first_page, last_page, &mut out),
+                            Some(child) => next.push(child),
+                            None => {
+                                emit_holes(half.offset, half.span, first_page, last_page, &mut out)
+                            }
                         }
                     }
                 }
@@ -447,10 +390,11 @@ fn emit_holes(offset: u64, span: u64, first: u64, last: u64, out: &mut Vec<PageM
 
 /// The retained node-at-a-time reference walk: semantically identical to
 /// [`lookup_range`] but resolving every tree node with an individual
-/// [`MetadataStore::get_node`] call (one DHT round trip each), through every
-/// level of a full subtree as well (its children are derived, then read).
-/// Kept as the differential-testing oracle for the batched descent and as
-/// the "before" measurement for the read-batching experiments.
+/// [`MetadataStore::get_slots`] call (one DHT round trip each), through every
+/// level of a full subtree as well: each implied node is read under its
+/// anchor, and its children derived. Kept as the differential-testing oracle
+/// for the batched descent and as the "before" measurement for the
+/// read-batching experiments.
 pub fn lookup_range_walk(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -461,11 +405,11 @@ pub fn lookup_range_walk(
     check_page_range(first_page, last_page)?;
     let mut out = Vec::with_capacity((last_page - first_page + 1) as usize);
     let covered_span = span.max(1);
+    let root = root.map(Slot::exact);
     collect(
         store,
         root,
-        0,
-        covered_span,
+        (0, covered_span),
         first_page,
         last_page,
         &mut out,
@@ -483,9 +427,8 @@ pub fn lookup_range_walk(
 
 fn collect(
     store: &MetadataStore,
-    node: Option<NodeKey>,
-    offset: u64,
-    span: u64,
+    slot: Option<Slot>,
+    (offset, span): (u64, u64),
     first: u64,
     last: u64,
     out: &mut Vec<PageMeta>,
@@ -494,40 +437,39 @@ fn collect(
     if last < offset || first >= offset + span {
         return Ok(());
     }
+    let Some(slot) = slot else {
+        emit_holes(offset, span, first, last, out);
+        return Ok(());
+    };
+    let node = store.get_slots(&[slot])?.remove(0);
     match node {
-        None => {
-            let lo = first.max(offset);
-            let hi = last.min(offset + span - 1);
-            for p in lo..=hi {
+        TreeNode::Leaf { page, providers } => {
+            if page >= first && page <= last {
+                let created = if providers.is_empty() {
+                    None
+                } else {
+                    Some(slot.at.version)
+                };
                 out.push(PageMeta {
-                    page: p,
-                    created: None,
-                    providers: Vec::new(),
+                    page,
+                    created,
+                    providers,
                 });
             }
         }
-        Some(key) => match store.get_node(key)? {
-            TreeNode::Leaf { page, providers } => {
-                if page >= first && page <= last {
-                    let created = if providers.is_empty() {
-                        None
-                    } else {
-                        Some(key.version)
-                    };
-                    out.push(PageMeta {
-                        page,
-                        created,
-                        providers,
-                    });
-                }
+        TreeNode::Full { map: Some(map) } if span == 1 => {
+            // An implied leaf: the anchor's map is its only record.
+            out.push(PageMeta {
+                page: offset,
+                created: Some(slot.at.version),
+                providers: map.page((offset - slot.stored.offset) as usize).to_vec(),
+            });
+        }
+        node => {
+            for (child, half) in node.children(slot).into_iter().zip(slot.at.halves()) {
+                collect(store, child, (half.offset, half.span), first, last, out)?;
             }
-            node => {
-                let [left, right] = node.children(key);
-                let half = span / 2;
-                collect(store, left, offset, half, first, last, out)?;
-                collect(store, right, offset + half, half, first, last, out)?;
-            }
-        },
+        }
     }
     Ok(())
 }
@@ -603,8 +545,8 @@ mod tests {
         let w1: BTreeMap<_, _> = (0..8).map(|p| (p, providers(&[0]))).collect();
         let root1 = build_version(&s, BlobId(1), Version(1), PrevTree::empty(), 8, &w1).unwrap();
         let after_v1 = s.stats().nodes_written;
-        // 8 leaves + 7 inner nodes, published as one batch.
-        assert_eq!(after_v1, 15);
+        // The full root alone, with the page map, published as one batch.
+        assert_eq!(after_v1, 1);
         assert_eq!(s.stats().batch_flushes, 1);
 
         // v2: overwrite pages 2..4 with provider 1.
@@ -615,10 +557,12 @@ mod tests {
         };
         let root2 = build_version(&s, BlobId(1), Version(2), prev, 8, &w2).unwrap();
         let v2_new_nodes = s.stats().nodes_written - after_v1;
-        // Only 2 leaves + the path to the root (inner nodes covering spans
-        // 2, 4, 8) are new: 5 nodes. Everything else is shared.
+        // Only the top of the written pages' full subtree, (2, 2), and the
+        // inner nodes on the path to the root covering spans 4 and 8 are
+        // new: 3 nodes. Everything else is shared, by anchor: v1 stored only
+        // its root.
         assert_eq!(
-            v2_new_nodes, 5,
+            v2_new_nodes, 3,
             "path copying should create only the changed path"
         );
 
@@ -647,13 +591,11 @@ mod tests {
         };
         let root2 = build_version(&s, BlobId(2), Version(2), prev, 8, &w2).unwrap();
         let v2_new = s.stats().nodes_written - after_v1;
-        // New metadata records: 4 leaves for pages 4..8, inner nodes covering
-        // (4,2), (6,2), (4,4), and the new root (0,8) = 8 records. The
-        // wrapper that temporarily extended the old root to span 8 shares the
-        // root's coordinates and collapses with it inside the write batch
-        // before anything reaches the DHT. The old subtree (0,4) is shared
-        // untouched.
-        assert_eq!(v2_new, 8);
+        // New metadata records: the full (4, 4) with the map of pages 4..8,
+        // and the new root (0, 8) = 2 records. The old root is shared at
+        // (0, 4) untouched; the tree grew by one level, which the new root
+        // covers, so no wrapper is stored.
+        assert_eq!(v2_new, 2);
 
         let expected1: BTreeMap<_, _> = (0..4).map(|p| (p, providers(&[0]))).collect();
         check_matches(&s, root1, 4, &expected1, 4);
@@ -826,7 +768,8 @@ mod tests {
         let s = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
-        // The walk still reads every stored node, full ones included.
+        // The walk reads one node per tree node: the root for each node
+        // implied under it, then the 32 stored leaves.
         assert_eq!(s.stats().nodes_read, 63);
         s.drop_cached_nodes();
         let before = s.stats();
@@ -847,14 +790,16 @@ mod tests {
             build_version(&writer, BlobId(11), Version(1), PrevTree::empty(), 32, &w).unwrap();
         let map = PageMap::of_pages(w.values().map(Vec::as_slice));
         assert_eq!(writer.get_node(root).unwrap(), TreeNode::Full { map });
-        // Every full node below the root is stored, and stores nothing.
+        // Nothing below the root is stored.
+        assert_eq!(writer.stats().nodes_written, 1);
         for half in root.halves() {
-            assert_eq!(writer.get_node(half).unwrap(), TreeNode::Full { map: None });
+            assert!(writer.get_node(half).is_err());
         }
         let s = MetadataStore::with_dht(writer.dht().clone(), 256);
 
         let walked = lookup_range_walk(&s, Some(root), 32, 0, 31).unwrap();
-        // The walk still reads every stored node.
+        // The walk reads one node per tree node, the root for each one
+        // implied under it.
         assert_eq!(s.stats().nodes_read, 63);
         s.drop_cached_nodes();
         let before = s.stats();
@@ -889,13 +834,14 @@ mod tests {
             TreeNode::Full { map } => map,
             node => panic!("{k:?} is not full: {node:?}"),
         };
-        // v1 fills an 8-page tree: the root is mapped, the full nodes below
-        // it are not.
+        let stored = |k: NodeKey| s.get_node(k).is_ok();
+        // v1 fills an 8-page tree: the root is mapped, and the full nodes
+        // and leaves below it are implied, never stored.
         let root1 =
             build_version(&s, blob, Version(1), PrevTree::empty(), 8, &one_write(8)).unwrap();
         assert!(map_of(root1).is_some());
-        for k in [key(1, 0, 4), key(1, 4, 4), key(1, 2, 2)] {
-            assert_eq!(map_of(k), None);
+        for k in [key(1, 0, 4), key(1, 4, 4), key(1, 2, 2), key(1, 5, 1)] {
+            assert!(!stored(k), "{k:?}");
         }
         // v2 appends pages 8..12: its full subtree (8, 4) hangs below an
         // inner node, and the growth shares v1's mapped root as it is.
@@ -913,17 +859,159 @@ mod tests {
             }
         );
         assert!(map_of(key(2, 8, 4)).is_some());
-        assert_eq!(map_of(key(2, 8, 2)), None);
+        assert!(!stored(key(2, 8, 2)));
         // v3 rewrites pages 0..4, one of them on a second replica: the full
-        // (0, 4) has no map, nor does anything below it.
+        // (0, 4) has no map and keeps its leaves, and the nodes between are
+        // implied. The untouched half (4, 4) is v1's, linked by its anchor.
         let w3 = written(&[(0, &[5]), (1, &[5, 6]), (2, &[5]), (3, &[5])]);
         let prev = PrevTree {
             root: Some(root2),
             span: 16,
         };
         build_version(&s, blob, Version(3), prev, 16, &w3).unwrap();
-        for k in [key(3, 0, 4), key(3, 0, 2), key(3, 2, 2)] {
-            assert_eq!(map_of(k), None);
+        assert_eq!(map_of(key(3, 0, 4)), None);
+        for k in [key(3, 0, 2), key(3, 2, 2)] {
+            assert!(!stored(k), "{k:?}");
+        }
+        for page in 0..4 {
+            assert!(stored(key(3, page, 1)));
+        }
+        assert_eq!(
+            s.get_node(key(3, 0, 8)).unwrap(),
+            TreeNode::Inner {
+                left: Some(key(3, 0, 4)),
+                right: Some(root1)
+            }
+        );
+    }
+
+    #[test]
+    fn a_full_block_write_stores_its_top_and_the_path_above_it() {
+        // 32 aligned pages into an empty blob: the mapped root alone.
+        let s = store();
+        let blob = BlobId(24);
+        build_version(&s, blob, Version(1), PrevTree::empty(), 32, &one_write(32)).unwrap();
+        assert_eq!(s.stats().nodes_written, 1);
+
+        // 128 aligned pages into an 8 192-page blob: the block's top and the
+        // six inner nodes above it.
+        let s = store();
+        let span = 8192;
+        let root1 = build_version(
+            &s,
+            blob,
+            Version(1),
+            PrevTree::empty(),
+            span,
+            &one_write(span),
+        )
+        .unwrap();
+        assert_eq!(s.stats().nodes_written, 1);
+        let block: BTreeMap<u64, Vec<ProviderId>> =
+            (1024..1152).map(|p| (p, providers(&[7]))).collect();
+        let prev = PrevTree {
+            root: Some(root1),
+            span,
+        };
+        let root2 = build_version(&s, blob, Version(2), prev, span, &block).unwrap();
+        assert_eq!(s.stats().nodes_written - 1, 7);
+
+        // A one-page overwrite inside that block: its leaf and the 13 inner
+        // nodes above it, every untouched half linked by one of the two
+        // anchors.
+        let before = s.stats().nodes_written;
+        let prev = PrevTree {
+            root: Some(root2),
+            span,
+        };
+        let root3 =
+            build_version(&s, blob, Version(3), prev, span, &written(&[(1100, &[9])])).unwrap();
+        assert_eq!(s.stats().nodes_written - before, 14);
+
+        // Each version reads back as written, cold.
+        let cold = MetadataStore::with_dht(s.dht().clone(), 4096);
+        for (root, v) in [(root1, 1), (root2, 2), (root3, 3)] {
+            let got = lookup_range(&cold, Some(root), span, 1000, 1200).unwrap();
+            for meta in got {
+                let expected = match meta.page {
+                    1100 if v == 3 => (3, vec![ProviderId(9)]),
+                    1024..=1151 if v >= 2 => (2, vec![ProviderId(7)]),
+                    p => (1, vec![ProviderId(p as u32)]),
+                };
+                assert_eq!(
+                    (meta.created, meta.providers),
+                    (Some(Version(expected.0)), expected.1),
+                    "v{v} page {}",
+                    meta.page
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_anchor_that_does_not_contain_its_half_fails_every_lookup() {
+        // v1 fills 32 pages (a mapped root), v2 rewrites page 5: v2's root
+        // links v1's root as the anchor of its right half (16, 16).
+        let blob = BlobId(25);
+        let key = |v, offset, span| NodeKey {
+            blob,
+            version: Version(v),
+            offset,
+            span,
+        };
+        let mapped = |span: u64| TreeNode::Full {
+            map: PageMap::of_pages((0..span).map(|_| [ProviderId(1)].as_slice())),
+        };
+        let cases = [
+            ("misaligned", key(1, 8, 32), mapped(32)),
+            ("narrower", key(1, 16, 8), mapped(8)),
+            ("newer", key(3, 0, 32), mapped(32)),
+            (
+                "not full",
+                key(1, 0, 32),
+                TreeNode::Inner {
+                    left: None,
+                    right: None,
+                },
+            ),
+        ];
+        for (why, anchor, node) in cases {
+            let s = store();
+            let root1 =
+                build_version(&s, blob, Version(1), PrevTree::empty(), 32, &one_write(32)).unwrap();
+            let prev = PrevTree {
+                root: Some(root1),
+                span: 32,
+            };
+            let root2 =
+                build_version(&s, blob, Version(2), prev, 32, &written(&[(5, &[2])])).unwrap();
+            let TreeNode::Inner { left, right } = s.get_node(root2).unwrap() else {
+                panic!("v2's root is inner");
+            };
+            assert_eq!(right, Some(root1));
+            let dht = s.dht();
+            dht.put(anchor.dht_key().as_bytes(), node.encode().into())
+                .unwrap();
+            let relinked = TreeNode::Inner {
+                left,
+                right: Some(anchor),
+            };
+            dht.put(root2.dht_key().as_bytes(), relinked.encode().into())
+                .unwrap();
+            for (first, last) in [(0, 31), (16, 31), (20, 20)] {
+                s.drop_cached_nodes();
+                let got = lookup_range(&s, Some(root2), 32, first, last);
+                assert!(
+                    matches!(got, Err(BlobSeerError::Metadata(_))),
+                    "{why} [{first}, {last}]: {got:?}"
+                );
+                s.drop_cached_nodes();
+                let got = lookup_range_walk(&s, Some(root2), 32, first, last);
+                assert!(
+                    matches!(got, Err(BlobSeerError::Metadata(_))),
+                    "{why}: {got:?}"
+                );
+            }
         }
     }
 
@@ -970,14 +1058,16 @@ mod tests {
             offset: 13,
             span: 1,
         };
-        assert!(writer.remove_node(leaf).unwrap());
+        // The leaf was never stored: the map is its only record.
+        assert!(!writer.remove_node(leaf).unwrap());
         for (first, last) in [(0, 31), (13, 13), (8, 15), (10, 13)] {
             writer.drop_cached_nodes();
-            let got = lookup_range(&writer, Some(root), 32, first, last);
-            assert_eq!(got.unwrap().len() as u64, last - first + 1);
-            // The walk, which reads every stored node, still misses it.
+            let got = lookup_range(&writer, Some(root), 32, first, last).unwrap();
+            assert_eq!(got.len() as u64, last - first + 1);
+            // The walk reads the leaf under the root too.
             writer.drop_cached_nodes();
-            assert!(lookup_range_walk(&writer, Some(root), 32, first, last).is_err());
+            let walked = lookup_range_walk(&writer, Some(root), 32, first, last).unwrap();
+            assert_eq!(walked, got);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::error::{BlobResult, BlobSeerError};
 use crate::metadata::cache::{MetadataCache, MetadataCacheStats};
-use crate::metadata::{NodeKey, TreeNode};
+use crate::metadata::{NodeKey, Slot, TreeNode};
 use crate::types::InlineKey;
 use bytes::Bytes;
 use dht::{Dht, DhtConfig, DhtError};
@@ -177,6 +177,20 @@ impl MetadataStore {
             .collect()
     }
 
+    /// Resolve the node each slot is read under, in one
+    /// [`MetadataStore::get_nodes`] batch. An implied slot's anchor must be
+    /// full, and mapped for an implied leaf: any other node stored there
+    /// would answer for pages it does not describe, so it is corrupt like a
+    /// node of the wrong kind.
+    pub fn get_slots(&self, slots: &[Slot]) -> BlobResult<Vec<TreeNode>> {
+        let keys: Vec<NodeKey> = slots.iter().map(|slot| slot.stored).collect();
+        let nodes = self.get_nodes(&keys)?;
+        for (slot, node) in slots.iter().zip(&nodes) {
+            check_slot(slot, node)?;
+        }
+        Ok(nodes)
+    }
+
     fn missing(key: &NodeKey) -> BlobSeerError {
         BlobSeerError::Metadata(DhtError::NotFound {
             key: format!("{key:?}"),
@@ -240,9 +254,27 @@ impl MetadataStore {
     }
 }
 
+/// Check that `node`, stored under `slot.stored`, can answer for
+/// `slot.at`: an implied slot needs a full anchor, and an implied leaf a
+/// mapped one (the leaves under a full node without a map are stored, and
+/// named as themselves).
+pub(crate) fn check_slot(slot: &Slot, node: &TreeNode) -> BlobResult<()> {
+    let answers = match node {
+        TreeNode::Full { map } => slot.at.span > 1 || map.is_some(),
+        _ => false,
+    };
+    if slot.implied() && !answers {
+        return Err(BlobSeerError::Metadata(DhtError::NotFound {
+            key: format!("anchor {:?} cannot answer for {:?}", slot.stored, slot.at),
+        }));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::PageMap;
     use crate::types::{BlobId, ProviderId, Version};
 
     fn key(v: u64, o: u64, s: u64) -> NodeKey {
@@ -362,6 +394,34 @@ mod tests {
                     "{why}: {got:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn an_implied_node_needs_a_full_anchor_and_an_implied_leaf_a_map() {
+        let store = MetadataStore::new(2, 1, 64);
+        let anchor = key(1, 0, 4);
+        let under = |at| Slot { at, stored: anchor };
+        let mapped = TreeNode::Full {
+            map: PageMap::of_pages([[ProviderId(1)].as_slice(); 4]),
+        };
+        let unmapped = TreeNode::Full { map: None };
+        let inner = TreeNode::Inner {
+            left: None,
+            right: None,
+        };
+        for (node, half, leaf) in [
+            (mapped, true, true),
+            (unmapped, true, false),
+            (inner, false, false),
+        ] {
+            store.put_node(anchor, &node).unwrap();
+            for (at, ok) in [(key(1, 2, 2), half), (key(1, 3, 1), leaf)] {
+                let got = store.get_slots(&[under(at)]);
+                assert_eq!(got.is_ok(), ok, "{node:?} at {at:?}: {got:?}");
+            }
+            // Read as itself, every kind answers.
+            assert!(store.get_slots(&[Slot::exact(anchor)]).is_ok());
         }
     }
 

@@ -408,11 +408,12 @@ impl TaskBook {
     }
 
     fn finish(&mut self, id: TaskAttemptId, state: AttemptState) -> AttemptRecord {
+        // Invariant: an attempt is closed once, by the worker it was claimed for.
         let record = self.tasks[id.task]
             .attempts
             .iter_mut()
             .find(|a| a.id == id && a.state == AttemptState::Running)
-            .expect("finishing attempt is running");
+            .expect("an attempt is closed once, by the worker it was claimed for");
         record.state = state;
         self.outstanding -= 1;
         *record

@@ -5,9 +5,12 @@
 //! else must keep reading exactly as the in-memory model says it did when
 //! published. Liveness: with deletes in the mix, storage holds exactly what
 //! the surviving snapshots reach — no page, tree node or holder record
-//! outlives the last version that references it.
+//! outlives the last version that references it. A full subtree is stored
+//! as its top alone, the anchor that later versions link to: an anchor lives
+//! exactly as long as some survivor reads a node under it, and no node it
+//! implies is ever stored.
 
-use blobseer::metadata::{NodeKey, TreeNode};
+use blobseer::metadata::{NodeKey, Slot as TreeSlot, TreeNode};
 use blobseer::provider::page_key;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, Version};
 use proptest::prelude::*;
@@ -136,26 +139,33 @@ proptest! {
     }
 }
 
-/// The DHT keys of every tree node and the storage keys of every page that
-/// some published version of a live blob reaches.
+/// The DHT keys of every stored tree node and the storage keys of every
+/// page that some published version of a live blob reaches. The walk visits
+/// tree nodes by their coordinates: a node implied under an anchor reaches
+/// the anchor, and an implied leaf its page, but never a key of its own,
+/// which must not be stored.
 fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
     let (mut nodes, mut pages) = (BTreeSet::new(), BTreeSet::new());
     let mut seen: HashSet<NodeKey> = HashSet::new();
     let vm = sys.version_manager();
     for blob in vm.blob_ids() {
         for info in vm.published_versions(blob).unwrap() {
-            let mut frontier: Vec<NodeKey> = info.root.into_iter().collect();
-            while let Some(key) = frontier.pop() {
-                if !seen.insert(key) {
+            let mut frontier: Vec<TreeSlot> = info.root.into_iter().map(TreeSlot::exact).collect();
+            while let Some(slot) = frontier.pop() {
+                if !seen.insert(slot.at) {
                     continue;
                 }
-                nodes.insert(key.dht_key().as_bytes().to_vec());
-                let node = sys.metadata().get_node(key).unwrap();
-                match node {
-                    TreeNode::Leaf { page, providers } if !providers.is_empty() => {
-                        pages.insert(page_key(key.blob, key.version, page));
+                nodes.insert(slot.stored.dht_key().as_bytes().to_vec());
+                let node = sys.metadata().get_slots(&[slot]).unwrap().remove(0);
+                let page = page_key(slot.at.blob, slot.at.version, slot.at.offset);
+                match &node {
+                    TreeNode::Leaf { providers, .. } if !providers.is_empty() => {
+                        pages.insert(page);
                     }
-                    _ => frontier.extend(node.children(key).into_iter().flatten()),
+                    TreeNode::Full { .. } if slot.at.span == 1 => {
+                        pages.insert(page);
+                    }
+                    _ => frontier.extend(node.children(slot).into_iter().flatten()),
                 }
             }
         }
@@ -297,5 +307,111 @@ proptest! {
         storage_is_exactly_reachable(&sys)?;
         prop_assert_eq!(sys.metadata().dht().stats().total_entries, 0);
         prop_assert_eq!(sys.provider_manager().announced_pages(), 0);
+    }
+}
+
+/// The metadata DHT's keys, each once.
+fn dht_keys(sys: &Arc<BlobSeer>) -> BTreeSet<Vec<u8>> {
+    sys.metadata().dht().key_copies().keys().cloned().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Full-block writes, one-page overwrites inside them, aborted writes,
+    /// retention and deletes, on 16-byte pages and 8-page blocks: after every
+    /// step each survivor reads back its model and the DHT holds exactly the
+    /// stored nodes the survivors reach (so none they only imply), and a
+    /// GC's `nodes_removed` is the number of keys that left the DHT.
+    #[test]
+    fn anchors_live_exactly_as_long_as_a_survivor_reads_under_them(
+        keep in 1usize..4,
+        ops in prop::collection::vec(
+            (
+                0usize..2,   // blob slot
+                0u64..32,    // page (a block is the page's 8-page block)
+                any::<u8>(), // fill byte
+                0u8..9, // 0-1: block write, 2: 2- or 4-page aligned run, 3-4: one page, 5: aborted write, 6: GC, 7: pin latest, 8: delete
+            ),
+            1..28,
+        ),
+    ) {
+        const PAGE: u64 = 16;
+        const BLOCK: u64 = 8 * PAGE;
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_page_size(PAGE)
+                .with_gc_keep_last(keep),
+        );
+        let client = sys.client();
+        let mut slots: Vec<Slot> = (0..2).map(|_| Slot::fresh(&sys)).collect();
+
+        for (slot, page, byte, action) in &ops {
+            let s = &mut slots[*slot];
+            let write = |s: &mut Slot, offset: u64, len: u64| {
+                let data = vec![*byte; len as usize];
+                apply_to_model(&mut s.model, offset as usize, &data);
+                let v = client.write(s.blob, offset, &data).unwrap();
+                s.alive.insert(v.0, s.model.clone());
+            };
+            match action {
+                0 | 1 => write(s, page / 8 * BLOCK, BLOCK),
+                2 => {
+                    let run = if byte % 2 == 0 { 2 } else { 4 };
+                    write(s, page / run * run * PAGE, run * PAGE)
+                }
+                3 | 4 => write(s, page * PAGE, PAGE),
+                5 => {
+                    // No live provider: the write fails, its version aliases
+                    // its predecessor, and what it stored is swept.
+                    let providers = sys.provider_manager().providers();
+                    for p in &providers {
+                        p.kill();
+                    }
+                    prop_assert!(client.write(s.blob, page * PAGE, &[*byte; 16]).is_err());
+                    for p in &providers {
+                        p.revive();
+                    }
+                }
+                6 => {
+                    let before = dht_keys(&sys);
+                    let report = sys.collect_garbage().unwrap();
+                    let after = dht_keys(&sys);
+                    prop_assert!(after.is_subset(&before));
+                    prop_assert_eq!(report.nodes_removed as usize, before.len() - after.len());
+                    for s in &mut slots {
+                        let published: BTreeSet<u64> = client
+                            .versions(s.blob)
+                            .unwrap()
+                            .iter()
+                            .map(|i| i.version.0)
+                            .collect();
+                        s.alive.retain(|v, _| published.contains(v));
+                    }
+                }
+                7 => {
+                    let latest = client.latest_version(s.blob).unwrap().version;
+                    sys.pin_snapshot(s.blob, latest).unwrap();
+                }
+                _ => {
+                    client.delete(s.blob).unwrap();
+                    *s = Slot::fresh(&sys);
+                }
+            }
+
+            // Exactly the stored keys survivors reach: none orphaned, and
+            // no implied key, which no walk reaches as a stored one.
+            storage_is_exactly_reachable(&sys)?;
+            for s in &slots {
+                for (v, expected) in &s.alive {
+                    let info = client.version_info(s.blob, Version(*v)).unwrap();
+                    prop_assert_eq!(info.size, expected.len() as u64);
+                    if !expected.is_empty() {
+                        let got = client.read(s.blob, Version(*v), 0, info.size).unwrap();
+                        prop_assert!(got[..] == expected[..], "version {} diverged", v);
+                    }
+                }
+            }
+        }
     }
 }

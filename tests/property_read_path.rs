@@ -6,7 +6,7 @@
 
 use blobseer::metadata::segment_tree::{build_version, lookup_range, lookup_range_walk, PrevTree};
 use blobseer::metadata::store::MetadataStore;
-use blobseer::metadata::{NodeKey, TreeNode};
+use blobseer::metadata::{Slot, TreeNode};
 use blobseer::types::next_power_of_two;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, BlobSeerError, ProviderId, Version};
 use proptest::prelude::*;
@@ -89,11 +89,11 @@ proptest! {
     /// Random contiguous writes over several versions — page-aligned powers
     /// of two, unaligned runs and sparse page sets, growing the tree and
     /// overwriting it, each page on 1 to 3 providers and sometimes one page
-    /// a replica short — store a node as `Full` exactly when every page under
-    /// it resolves to a leaf of its own version, give a full node a page map
-    /// exactly when it is the topmost of its write's full subtree and its
-    /// pages have one replica count, and the batched descent, which answers
-    /// pages from a map and jumps from a payload-less full node to its
+    /// a replica short — make a node `Full` exactly when every page under it
+    /// resolves to a leaf of its own version, store only the top of such a
+    /// subtree, give it a page map exactly when its pages have one replica
+    /// count, and the batched descent, which answers pages from a map, also
+    /// under an anchor, and jumps from a payload-less full node to its
     /// leaves, agrees with the node-at-a-time walk for every version and
     /// range, on a cold and a warm cache, counting each node it reads as one
     /// cache hit or miss.
@@ -143,7 +143,7 @@ proptest! {
         }
 
         for &(root, span) in &roots {
-            full_nodes_are_own_version_subtrees(&cold, Some(root), span, root.version, false)?;
+            full_nodes_are_own_version_subtrees(&cold, Some(Slot::exact(root)), span, root.version, false)?;
             for &(a, b) in &queries {
                 let (first, last) = (a.min(b), a.max(b));
                 cold.drop_cached_nodes();
@@ -166,31 +166,46 @@ proptest! {
     }
 }
 
-/// Check, under the node at `node` covering `span` pages in the tree of
+/// Check, under the node at `slot` covering `span` pages in the tree of
 /// `version`, whose parent there is full when `parent_full` says so, that a
 /// node is `Full` exactly when every page under it resolves to a leaf of its
-/// own version, and that a node `version` built carries a page map exactly
-/// when it is full, its parent is not, and its pages have one replica count.
-/// Return the version and replica count each page under it resolves to
-/// (`None` for a hole).
+/// own version, that only the top of a full subtree is stored (with its
+/// leaves when it has no map), and that a top `version` built carries a page
+/// map exactly when its pages have one replica count. Return the version and
+/// replica count each page under it resolves to (`None` for a hole).
 fn full_nodes_are_own_version_subtrees(
     store: &MetadataStore,
-    node: Option<NodeKey>,
+    slot: Option<Slot>,
     span: u64,
     version: Version,
     parent_full: bool,
 ) -> Result<Vec<Option<(Version, usize)>>, TestCaseError> {
-    let Some(key) = node else {
+    let Some(slot) = slot else {
         return Ok(vec![None; span as usize]);
     };
+    let key = slot.at;
     prop_assert_eq!(key.span, span);
-    let node = store.get_node(key).unwrap();
-    if let TreeNode::Leaf { providers, .. } = node {
-        return Ok(vec![Some((key.version, providers.len()))]);
+    if slot.implied() {
+        prop_assert!(store.get_node(key).is_err(), "implied {:?} is stored", key);
+    } else {
+        prop_assert!(
+            !parent_full || span == 1,
+            "{:?} is stored below a full node",
+            key
+        );
+    }
+    let node = store.get_slots(&[slot]).unwrap().remove(0);
+    match &node {
+        TreeNode::Leaf { providers, .. } => return Ok(vec![Some((key.version, providers.len()))]),
+        TreeNode::Full { map: Some(map) } if span == 1 => {
+            let replicas = map.page((key.offset - slot.stored.offset) as usize).len();
+            return Ok(vec![Some((key.version, replicas))]);
+        }
+        _ => {}
     }
     let full = matches!(node, TreeNode::Full { .. });
     let mut pages = Vec::with_capacity(span as usize);
-    for child in node.children(key) {
+    for child in node.children(slot) {
         pages.extend(full_nodes_are_own_version_subtrees(
             store,
             child,
@@ -203,17 +218,15 @@ fn full_nodes_are_own_version_subtrees(
         .iter()
         .all(|p| p.is_some_and(|(v, _)| v == key.version));
     prop_assert!(full == own, "{:?} full: {}", key, own);
-    // A shared node was checked in the tree of the version that built it,
-    // under the parent that build gave it.
-    if key.version == version {
+    // A shared node was checked in the tree of the version that built it.
+    if key.version == version && !slot.implied() {
         let one_count = pages.windows(2).all(|w| w[0] == w[1]);
         let mapped = matches!(node, TreeNode::Full { map: Some(_) });
         prop_assert!(
-            mapped == (own && !parent_full && one_count),
-            "{:?} mapped: {}, parent full: {}, one replica count: {}",
+            mapped == (own && one_count),
+            "{:?} mapped: {}, one replica count: {}",
             key,
             mapped,
-            parent_full,
             one_count
         );
     }
@@ -315,11 +328,12 @@ fn a_repeated_scan_larger_than_the_cache_keeps_most_of_its_tree() {
 }
 
 /// The same scan over the same 160 pages written at once, then with pages 0
-/// and 128 rewritten one at a time: the last version shares the payload-less
-/// full subtrees beside the two rewritten pages, and the descent jumps from
-/// each to its leaves, so a lap reads 185 distinct nodes (the root, the 14
-/// inner nodes above the rewritten pages, the 10 full subtrees beside them
-/// and the 160 leaves), fewer than the cache's 256 slots.
+/// and 128 rewritten one at a time: the last version links the first's two
+/// mapped full subtrees, (0, 128) and (128, 32), as the anchors of every
+/// half beside the rewritten pages, and the descent answers their pages
+/// from the maps, so a lap reads 19 distinct nodes (the root, the 14 inner
+/// nodes above the rewritten pages, their two leaves and the two anchors),
+/// far fewer than the cache's 256 slots.
 #[test]
 fn a_repeated_scan_of_one_write_misses_each_node_once_then_almost_never() {
     let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_metadata_cache_capacity(256));
@@ -349,19 +363,16 @@ fn a_repeated_scan_of_one_write_misses_each_node_once_then_almost_never() {
         )
     };
     sys.metadata().drop_cached_nodes();
-    // A block reads the inner nodes down to its full subtree (2 to 6), that
-    // subtree and four leaves; the two blocks at the rewritten pages read
-    // seven inner nodes, then the two-page one over the rewritten page and
-    // the full one beside it, and four leaves. The 32 blocks left of page
-    // 128 read 256 nodes, the 8 right of it 80.
+    // A block reads the inner nodes down to where its pages leave a
+    // rewritten page's path (1 to 6), then the anchor there; the two blocks
+    // at the rewritten pages read seven inner nodes, then the two-page one
+    // over the rewritten page and an anchor, then its leaf and an anchor.
+    // The 32 blocks left of page 128 read 130 nodes, the 8 right of it 50.
     let first = lap();
-    assert_eq!(first, (185, 256 + 80));
-    // The cache's shards split its 256 slots evenly and the nodes hash
-    // unevenly over them, so a full shard evicts a few: those are all the
-    // second lap misses.
+    assert_eq!(first, (19, 130 + 50));
+    // Every node stayed in the cache: the second lap misses none.
     let second = lap();
-    assert_eq!(second.1, first.1);
-    assert!(second.0 * 20 < first.0, "{second:?}");
+    assert_eq!(second, (0, first.1));
 }
 
 /// The same scan over the same 160 pages written at once: each block is
