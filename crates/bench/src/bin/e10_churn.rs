@@ -70,8 +70,7 @@ fn main() {
         BlobSeerConfig::default()
             .with_providers(provider_nodes.len())
             .with_page_size(page)
-            .with_page_replication(replication)
-            .with_retry(4, Duration::from_millis(1)),
+            .with_page_replication(replication),
         &topo,
         &provider_nodes,
         Arc::clone(&clock) as Arc<dyn simcluster::Clock>,
@@ -121,7 +120,7 @@ fn main() {
             match event.kind {
                 ChurnEventKind::Kill => {
                     // Alternate tiers; never drop a tier below its
-                    // replication factor + 1 (the schedule fixes when kills
+                    // replication factor (the schedule fixes when kills
                     // happen, the harness keeps them survivable).
                     if kill_tier_provider && live_providers.len() > replication {
                         victim_seed ^= victim_seed << 13;

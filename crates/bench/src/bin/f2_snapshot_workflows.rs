@@ -197,7 +197,6 @@ fn main() {
         versions_retired: u64,
         nodes_removed: u64,
         pages_deleted: u64,
-        tombstones_compacted: u64,
     }
     let footprint = |sys: &std::sync::Arc<BlobSeer>| -> (usize, usize) {
         let entries = sys.metadata().dht().stats().total_entries;
@@ -235,7 +234,7 @@ fn main() {
         println!(
             "{label}: metadata entries {} -> {}, provider pages {} -> {} \
              (mid-loop -> end); retired {} versions, removed {} nodes, \
-             deleted {} pages, compacted {} tombstones",
+             deleted {} pages",
             mid.0,
             end.0,
             mid.1,
@@ -243,7 +242,6 @@ fn main() {
             report.versions_retired,
             report.nodes_removed,
             report.pages_deleted,
-            report.tombstones_compacted,
         );
         gc_rows.push(GcRow {
             label: label.trim().to_string(),
@@ -255,7 +253,6 @@ fn main() {
             versions_retired: report.versions_retired,
             nodes_removed: report.nodes_removed,
             pages_deleted: report.pages_deleted,
-            tombstones_compacted: report.tombstones_compacted,
         });
     }
     assert!(

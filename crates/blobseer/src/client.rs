@@ -44,7 +44,6 @@ use simcluster::{Clock, NodeId, WallClock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use wire::{Direction, Transport, MSG_OVERHEAD};
 
 /// Location information for one page of a blob version, as returned by the
@@ -175,12 +174,6 @@ impl BlobSeer {
             config.metadata_replication,
             config.metadata_cache_capacity,
         ));
-        // Client-side retry/backoff for metadata DHT operations; page I/O
-        // applies the same knobs in `fetch_page`/`build_and_push`.
-        metadata.dht().set_retry_policy(dht::RetryPolicy {
-            attempts: config.retry_attempts,
-            backoff: Duration::from_millis(config.retry_backoff_ms),
-        });
         // The metadata DHT charges the same wire as the data path; exchanges
         // from threads that did not pin a source (repair, GC) are attributed
         // to the first provider node.
@@ -315,8 +308,7 @@ impl BlobSeer {
     /// [`crate::BlobSeerConfig::gc_keep_last`]; a no-op when unset). Retired
     /// snapshots become unreadable immediately; the metadata nodes and page
     /// images only they referenced are reclaimed through the same sweep a
-    /// delete uses, and DHT tombstones with no lingering replica left behind
-    /// are dropped.
+    /// delete uses.
     pub fn collect_garbage(&self) -> BlobResult<crate::gc::GcReport> {
         let overrides = self.gc_keep_overrides.read().clone();
         if self.config.gc_keep_last.is_none() && overrides.is_empty() {
@@ -346,7 +338,6 @@ impl BlobSeer {
             }
             report.absorb(&crate::gc::collect(self, src, &[reclaim])?);
         }
-        report.tombstones_compacted = self.metadata.dht().compact_tombstones() as u64;
         Ok(report)
     }
 
@@ -626,30 +617,43 @@ impl BlobSeerClient {
         // means the provider is dead: feed the failure detector and fail
         // over to other live providers, so the page still reaches the
         // planned replica count and the metadata records where the copies
-        // really landed. A page with no live home at all retries under the
-        // configured backoff (a concurrent join, revive or repair pass may
-        // restore capacity) before failing the write.
+        // really landed. A page with no live home at all fails the write.
         let push = |page: u64, image: Vec<u8>| -> BlobResult<Vec<ProviderId>> {
             let replicas = &placements[(page - first_page) as usize];
             let key = page_key(blob, ticket.version, page);
             let image = Bytes::from(image);
             let mut stored: Vec<ProviderId> = Vec::with_capacity(replicas.len());
-            let mut backoff = Duration::from_millis(sys.config.retry_backoff_ms);
-            for attempt in 0..sys.config.retry_attempts.max(1) {
-                if attempt > 0 {
-                    std::thread::sleep(backoff);
-                    backoff *= 2;
+            for pid in replicas.iter() {
+                let provider = sys
+                    .provider_manager
+                    .provider(*pid)
+                    .ok_or(BlobSeerError::NoProviders)?;
+                // The page image crosses the wire whether the provider
+                // accepts or turns out to be dead.
+                let pushed = provider.put_page(&key, image.clone());
+                sys.charge_provider(
+                    self.node,
+                    provider.node(),
+                    Direction::Write,
+                    key.len() as u64 + image.len() as u64 + MSG_OVERHEAD,
+                    MSG_OVERHEAD,
+                );
+                match pushed {
+                    Ok(()) => stored.push(*pid),
+                    Err(_) => sys.provider_manager.health().note_down(*pid),
                 }
-                for pid in replicas.iter() {
-                    if stored.contains(pid) {
+            }
+            // Fail over past dead planned replicas onto any other live
+            // provider (all-alive writes never enter this loop).
+            if stored.len() < replicas.len() {
+                for provider in sys.provider_manager.providers() {
+                    if stored.len() >= replicas.len() {
+                        break;
+                    }
+                    let pid = provider.id();
+                    if stored.contains(&pid) || replicas.contains(&pid) {
                         continue;
                     }
-                    let provider = sys
-                        .provider_manager
-                        .provider(*pid)
-                        .ok_or(BlobSeerError::NoProviders)?;
-                    // The page image crosses the wire whether the provider
-                    // accepts or turns out to be dead.
                     let pushed = provider.put_page(&key, image.clone());
                     sys.charge_provider(
                         self.node,
@@ -658,37 +662,9 @@ impl BlobSeerClient {
                         key.len() as u64 + image.len() as u64 + MSG_OVERHEAD,
                         MSG_OVERHEAD,
                     );
-                    match pushed {
-                        Ok(()) => stored.push(*pid),
-                        Err(_) => sys.provider_manager.health().note_down(*pid),
+                    if pushed.is_ok() {
+                        stored.push(pid);
                     }
-                }
-                // Fail over past dead planned replicas onto any other live
-                // provider (all-alive writes never enter this loop).
-                if stored.len() < replicas.len() {
-                    for provider in sys.provider_manager.providers() {
-                        if stored.len() >= replicas.len() {
-                            break;
-                        }
-                        let pid = provider.id();
-                        if stored.contains(&pid) || replicas.contains(&pid) {
-                            continue;
-                        }
-                        let pushed = provider.put_page(&key, image.clone());
-                        sys.charge_provider(
-                            self.node,
-                            provider.node(),
-                            Direction::Write,
-                            key.len() as u64 + image.len() as u64 + MSG_OVERHEAD,
-                            MSG_OVERHEAD,
-                        );
-                        if pushed.is_ok() {
-                            stored.push(pid);
-                        }
-                    }
-                }
-                if !stored.is_empty() {
-                    break;
                 }
             }
             if stored.is_empty() {
@@ -903,10 +879,8 @@ impl BlobSeerClient {
     /// The metadata's provider list is where the write put the copies; under
     /// churn the repair pass may since have rebuilt replicas elsewhere, so
     /// after exhausting the recorded set the read chases the page-announcement
-    /// registry. A miss that saw a dead provider is *transient* (the only
-    /// live copy may be resting on a node that just refused) and retries
-    /// under the configured backoff; a miss with every probe answered is
-    /// authoritative and fails immediately.
+    /// registry. A miss after that walk is final: a provider that refused is
+    /// dead, and a dead provider never serves again.
     fn fetch_page_window(
         &self,
         blob: BlobId,
@@ -923,54 +897,34 @@ impl BlobSeerClient {
         let sys = &self.system;
         let (offset, len) = Self::wire_window(from, to, valid_len);
         let key = page_key(blob, created, meta.page);
-        let mut backoff = Duration::from_millis(sys.config.retry_backoff_ms);
-        for attempt in 0..sys.config.retry_attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff *= 2;
+        // Recorded replicas first, then any holder announced since (a
+        // repair copy); skip duplicates.
+        let mut candidates = meta.providers.clone();
+        for pid in sys.provider_manager.holders(&key) {
+            if !candidates.contains(&pid) {
+                candidates.push(pid);
             }
-            // Recorded replicas first, then any holder announced since (a
-            // repair copy); skip duplicates.
-            let mut candidates = meta.providers.clone();
-            for pid in sys.provider_manager.holders(&key) {
-                if !candidates.contains(&pid) {
-                    candidates.push(pid);
-                }
-            }
-            let mut saw_down = false;
-            for pid in &candidates {
-                let provider = match sys.provider_manager.provider(*pid) {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let resp = provider.download_page(&key, offset, len);
-                let resp_bytes = match &resp {
-                    Ok(Some(d)) => d.len() as u64,
-                    _ => 0,
-                };
-                self.system.charge_provider(
-                    self.node,
-                    provider.node(),
-                    Direction::Read,
-                    key.len() as u64 + MSG_OVERHEAD,
-                    resp_bytes + MSG_OVERHEAD,
-                );
-                match resp {
-                    Ok(Some(data)) => {
-                        return Ok(Self::window_bytes(&data, from, to));
-                    }
-                    Ok(None) => continue,
-                    Err(_) => {
-                        sys.provider_manager.health().note_down(*pid);
-                        saw_down = true;
-                        continue;
-                    }
-                }
-            }
-            if !saw_down {
-                // Every candidate answered and none holds the page: retrying
-                // cannot change the outcome.
-                break;
+        }
+        for pid in &candidates {
+            let Some(provider) = sys.provider_manager.provider(*pid) else {
+                continue;
+            };
+            let resp = provider.download_page(&key, offset, len);
+            let resp_bytes = match &resp {
+                Ok(Some(d)) => d.len() as u64,
+                _ => 0,
+            };
+            self.system.charge_provider(
+                self.node,
+                provider.node(),
+                Direction::Read,
+                key.len() as u64 + MSG_OVERHEAD,
+                resp_bytes + MSG_OVERHEAD,
+            );
+            match resp {
+                Ok(Some(data)) => return Ok(Self::window_bytes(&data, from, to)),
+                Ok(None) => {}
+                Err(_) => sys.provider_manager.health().note_down(*pid),
             }
         }
         Err(BlobSeerError::PageUnavailable {
@@ -1134,6 +1088,7 @@ mod tests {
     use crate::metadata::TreeNode;
     use crate::provider_manager::PlacementStrategy;
     use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn small_system() -> Arc<BlobSeer> {
         BlobSeer::new(BlobSeerConfig::for_tests())
@@ -2012,29 +1967,6 @@ mod tests {
         let (_, again) = sys.repair();
         assert_eq!(again.under_replicated, 0);
         assert_eq!(&client.read(blob, v, 0, 64).unwrap()[..], &[9u8; 64][..]);
-    }
-
-    #[test]
-    fn retried_page_reads_succeed_once_a_replica_recovers() {
-        // Unreplicated page, provider dies, a reviver brings it back while
-        // the reader backs off: the read must ride out the outage.
-        let sys = BlobSeer::new(
-            BlobSeerConfig::for_tests()
-                .with_providers(2)
-                .with_retry(50, Duration::from_millis(2)),
-        );
-        let client = sys.client();
-        let blob = client.create(Some(16)).unwrap();
-        let v = client.write(blob, 0, &[3u8; 16]).unwrap();
-        let holder = client.locate(blob, v, 0, 16).unwrap()[0].providers[0];
-        sys.provider_manager().kill(holder);
-        let pm = Arc::clone(sys.provider_manager());
-        let reviver = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            pm.revive(holder);
-        });
-        assert_eq!(client.read(blob, v, 0, 16).unwrap().to_vec(), vec![3u8; 16]);
-        reviver.join().unwrap();
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::provider_manager::PlacementStrategy;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Configuration of an in-process BlobSeer deployment.
 ///
@@ -11,6 +10,10 @@ use std::time::Duration;
 /// BlobSeer page), a handful of metadata providers, and page-level
 /// replication disabled (the microbenchmarks compare raw throughput; the
 /// fault-tolerance experiments turn it up).
+///
+/// There is no retry knob: a client fails over past dead providers and dead
+/// metadata nodes within one attempt, and a miss after that walk is final
+/// (a dead member never comes back to serve it).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlobSeerConfig {
     /// Default page size (bytes) for blobs that do not override it.
@@ -35,13 +38,6 @@ pub struct BlobSeerConfig {
     /// `None` retains every version forever (the classic BlobSeer model).
     /// Pinned snapshots survive regardless of K.
     pub gc_keep_last: Option<usize>,
-    /// Total tries per DHT data operation and per page fetch/push (1 =
-    /// fail fast). Retries back off exponentially from `retry_backoff_ms`,
-    /// giving a concurrent repair pass a window to restore replicas.
-    pub retry_attempts: u32,
-    /// Backoff (wall milliseconds) before the first retry; doubles on each
-    /// further retry.
-    pub retry_backoff_ms: u64,
 }
 
 impl Default for BlobSeerConfig {
@@ -55,8 +51,6 @@ impl Default for BlobSeerConfig {
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 64 * 1024,
             gc_keep_last: None,
-            retry_attempts: 1,
-            retry_backoff_ms: 1,
         }
     }
 }
@@ -73,8 +67,6 @@ impl BlobSeerConfig {
             placement: PlacementStrategy::LoadBalanced,
             metadata_cache_capacity: 1024,
             gc_keep_last: None,
-            retry_attempts: 1,
-            retry_backoff_ms: 1,
         }
     }
 
@@ -114,15 +106,6 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style override of the client retry policy for DHT operations
-    /// and page I/O: total `attempts` per operation, exponential backoff
-    /// starting at `backoff`.
-    pub fn with_retry(mut self, attempts: u32, backoff: Duration) -> Self {
-        self.retry_attempts = attempts;
-        self.retry_backoff_ms = backoff.as_millis() as u64;
-        self
-    }
-
     /// Validate invariants, panicking with a clear message if violated. Called
     /// by [`crate::BlobSeer::new`].
     pub fn validate(&self) {
@@ -151,10 +134,6 @@ impl BlobSeerConfig {
             self.gc_keep_last != Some(0),
             "snapshot retention must keep at least one version"
         );
-        assert!(
-            self.retry_attempts >= 1,
-            "at least one attempt per operation is required"
-        );
     }
 }
 
@@ -176,25 +155,14 @@ mod tests {
             .with_page_replication(3)
             .with_placement(PlacementStrategy::Random)
             .with_metadata_cache_capacity(128)
-            .with_gc_keep_last(3)
-            .with_retry(4, Duration::from_millis(5));
+            .with_gc_keep_last(3);
         assert_eq!(c.default_page_size, 4096);
         assert_eq!(c.providers, 10);
         assert_eq!(c.page_replication, 3);
         assert_eq!(c.placement, PlacementStrategy::Random);
         assert_eq!(c.metadata_cache_capacity, 128);
         assert_eq!(c.gc_keep_last, Some(3));
-        assert_eq!(c.retry_attempts, 4);
-        assert_eq!(c.retry_backoff_ms, 5);
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_retry_attempts_are_rejected() {
-        BlobSeerConfig::for_tests()
-            .with_retry(0, Duration::from_millis(1))
-            .validate();
     }
 
     #[test]

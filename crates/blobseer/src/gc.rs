@@ -95,8 +95,6 @@ pub struct GcReport {
     pub pages_deleted: u64,
     /// Page replicas deleted (>= `pages_deleted` under replication).
     pub page_replicas_deleted: u64,
-    /// DHT tombstones dropped after the node removals.
-    pub tombstones_compacted: u64,
 }
 
 impl GcReport {
@@ -106,7 +104,6 @@ impl GcReport {
         self.nodes_removed += other.nodes_removed;
         self.pages_deleted += other.pages_deleted;
         self.page_replicas_deleted += other.page_replicas_deleted;
-        self.tombstones_compacted += other.tombstones_compacted;
     }
 }
 

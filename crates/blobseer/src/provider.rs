@@ -1,10 +1,9 @@
 //! Data providers: the nodes that store pages.
 //!
 //! "The providers store the pages, as assigned by the provider manager"
-//! (paper §III-A). A provider wraps a [`PageStore`] backend (in-memory or the
-//! durable log-structured store), knows which cluster node it runs on (for
-//! locality-aware scheduling and the network model), counts its traffic, and
-//! can be killed/revived for fault-tolerance experiments.
+//! (paper §III-A). A provider owns a [`MemStore`], knows which cluster node
+//! it runs on (for locality-aware scheduling and the network model), counts
+//! its traffic, and can be killed/revived for fault-tolerance experiments.
 //!
 //! A call is a call: every method checks the liveness flag, serves on the
 //! caller's thread and returns. The only lock taken is the page store's
@@ -24,7 +23,6 @@ use kvstore::{MemStore, PageStore};
 use simcluster::replica::Member;
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The tag byte of a page's storage key (tree-node keys carry another).
 const PAGE_KEY_TAG: u8 = b'p';
@@ -74,7 +72,7 @@ pub struct PageRequest {
 pub struct Provider {
     id: ProviderId,
     node: NodeId,
-    store: Arc<dyn PageStore>,
+    store: MemStore,
     alive: AtomicBool,
     writes: AtomicU64,
     reads: AtomicU64,
@@ -85,17 +83,10 @@ pub struct Provider {
 impl Provider {
     /// Create a provider backed by an in-memory store.
     pub fn in_memory(id: ProviderId, node: NodeId) -> Self {
-        Self::with_store(id, node, Arc::new(MemStore::new()))
-    }
-
-    /// Create a provider backed by an arbitrary page store. Every deployment
-    /// uses a [`MemStore`]; a durable store comes back with the
-    /// crash-recovery scenario that needs one.
-    pub fn with_store(id: ProviderId, node: NodeId, store: Arc<dyn PageStore>) -> Self {
         Provider {
             id,
             node,
-            store,
+            store: MemStore::new(),
             alive: AtomicBool::new(true),
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),

@@ -19,7 +19,6 @@
 
 use crate::provider::Provider;
 use crate::types::ProviderId;
-use kvstore::PageStore;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use simcluster::replica::{Inventory, Placement, RepairReport, ReplicaHealth};
@@ -75,34 +74,12 @@ impl ProviderManager {
         nodes: &[NodeId],
         strategy: PlacementStrategy,
     ) -> Self {
-        Self::new_with_backends(topology, nodes, strategy, |_| {
-            Arc::new(kvstore::MemStore::new())
-        })
-    }
-
-    /// Create a manager over providers with custom storage backends. The
-    /// `backends` iterator supplies one [`PageStore`] per node.
-    pub fn new_with_backends(
-        topology: &ClusterTopology,
-        nodes: &[NodeId],
-        strategy: PlacementStrategy,
-        mut backends: impl FnMut(usize) -> Arc<dyn PageStore>,
-    ) -> Self {
+        assert!(!nodes.is_empty(), "at least one provider is required");
         let providers = nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| Arc::new(Provider::with_store(ProviderId(i as u32), *n, backends(i))))
+            .map(|(i, n)| Arc::new(Provider::in_memory(ProviderId(i as u32), *n)))
             .collect();
-        Self::with_providers(topology, providers, strategy)
-    }
-
-    /// Wrap an existing set of providers.
-    pub fn with_providers(
-        topology: &ClusterTopology,
-        providers: Vec<Arc<Provider>>,
-        strategy: PlacementStrategy,
-    ) -> Self {
-        assert!(!providers.is_empty(), "at least one provider is required");
         ProviderManager {
             providers: RwLock::new(providers),
             topology: topology.clone(),

@@ -16,8 +16,7 @@
 //! this way (or via [`DhtNode::ping`] heartbeats) rather than trust any
 //! shared flag. The administrative surface (`len`, `keys`, `data_bytes`)
 //! keeps working while dead: it models reading the node's persistent state,
-//! which is how a revive restores from "disk" and how tests inspect a
-//! crashed node.
+//! which is how tests and the footprint counters inspect a crashed node.
 
 use bytes::Bytes;
 use kvstore::FastMap;
@@ -189,8 +188,8 @@ impl DhtNode {
         self.state.lock().data_bytes
     }
 
-    /// Every key stored (administrative: used by repair and revive; works
-    /// while dead, modelling a read of persistent state).
+    /// Every key stored (administrative: used by repair; works while dead,
+    /// modelling a read of persistent state).
     pub fn keys(&self) -> Vec<Vec<u8>> {
         self.state.lock().data.keys().cloned().collect()
     }
@@ -202,7 +201,8 @@ impl DhtNode {
         self.state.lock().alive = false;
     }
 
-    /// Bring the node back.
+    /// Bring the node back: a flag flip for failure-injection tests on a
+    /// bare node. A [`crate::Dht`] never revives its members.
     pub fn revive(&self) {
         self.state.lock().alive = true;
     }

@@ -2,15 +2,14 @@
 //!
 //! "Servers called datanodes are responsible for storing data, while the
 //! namenode takes care of the file system namespace and the data location"
-//! (paper §II-C). A datanode stores whole chunks in memory (or any
-//! [`kvstore::PageStore`] backend), reports how much it holds, and can be
-//! killed for fault-tolerance experiments.
+//! (paper §II-C). A datanode stores whole chunks in its own
+//! [`kvstore::MemStore`], reports how much it holds, and can be killed for
+//! fault-tolerance experiments.
 
 use bytes::Bytes;
 use kvstore::{MemStore, PageStore};
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Identity of a datanode within a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +43,7 @@ pub struct DatanodeStats {
 pub struct Datanode {
     id: DatanodeId,
     node: NodeId,
-    store: Arc<dyn PageStore>,
+    store: MemStore,
     alive: AtomicBool,
     writes: AtomicU64,
     reads: AtomicU64,
@@ -53,15 +52,10 @@ pub struct Datanode {
 impl Datanode {
     /// Create a datanode backed by an in-memory store.
     pub fn in_memory(id: DatanodeId, node: NodeId) -> Self {
-        Self::with_store(id, node, Arc::new(MemStore::new()))
-    }
-
-    /// Create a datanode backed by an arbitrary store.
-    pub fn with_store(id: DatanodeId, node: NodeId, store: Arc<dyn PageStore>) -> Self {
         Datanode {
             id,
             node,
-            store,
+            store: MemStore::new(),
             alive: AtomicBool::new(true),
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),

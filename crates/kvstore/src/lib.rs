@@ -13,8 +13,7 @@
 //!
 //! No deployment keeps pages on disk: the process is the cluster, and no
 //! scenario restarts a provider. A durable back-end returns together with a
-//! crash-recovery scenario that exercises it. The trait is object-safe, so a
-//! provider (`blobseer::Provider::with_store`) takes its store at run time.
+//! crash-recovery scenario that exercises it.
 //!
 //! ```
 //! use kvstore::{MemStore, PageStore};

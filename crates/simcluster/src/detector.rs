@@ -63,11 +63,6 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
         });
     }
 
-    /// Stop tracking a member (it left the ring; not a failure).
-    pub fn forget(&self, member: K) {
-        self.members.lock().remove(&member);
-    }
-
     /// Report one heartbeat probe outcome (ignored for an unregistered
     /// member).
     pub fn observe(&self, member: K, ok: bool) {
@@ -171,21 +166,5 @@ mod tests {
         clock.advance(SUSPICION_TIMEOUT / 2);
         det.observe(3, false);
         assert!(!det.is_suspect(3));
-    }
-
-    #[test]
-    fn forget_stops_tracking_without_counting_a_failure() {
-        let (clock, det) = detector();
-        det.register(1);
-        det.register(2);
-        det.forget(1);
-        clock.advance(SUSPICION_TIMEOUT * 10);
-        det.observe(1, false);
-        assert!(
-            !det.is_suspect(1),
-            "an unregistered member is never suspect"
-        );
-        assert_eq!(det.member_count(), 1);
-        assert_eq!(det.failures_detected(), 0);
     }
 }

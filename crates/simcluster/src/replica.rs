@@ -99,8 +99,6 @@ pub struct RepairReport {
     pub copied: usize,
     /// Copies dropped from members they do not belong on.
     pub strays_removed: usize,
-    /// Lingering copies of removed keys dropped.
-    pub tombstones_enforced: usize,
     /// Keys still below `R` when the pass ended (too few live members, or
     /// no live copy to read).
     pub still_under_replicated: usize,
@@ -146,11 +144,6 @@ impl<I: Copy + Ord + Hash> ReplicaHealth<I> {
     /// Track a member that joined.
     pub fn register(&self, id: I) {
         self.detector().inspect(|d| d.register(id));
-    }
-
-    /// Stop tracking a member that left (not a failure).
-    pub fn forget(&self, id: I) {
-        self.detector().inspect(|d| d.forget(id));
     }
 
     /// Report a probe's outcome for `id`.

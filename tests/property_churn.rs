@@ -50,8 +50,7 @@ proptest! {
             BlobSeerConfig::for_tests()
                 .with_providers(providers as usize)
                 .with_page_size(64)
-                .with_page_replication(replication)
-                .with_retry(3, Duration::from_millis(1)),
+                .with_page_replication(replication),
             &topo,
             &provider_nodes,
             Arc::clone(&clock) as Arc<dyn simcluster::Clock>,

@@ -38,12 +38,22 @@ fn node_key(fields: [u64; 4]) -> NodeKey {
 enum Op {
     Put(u8, Vec<u8>),
     Delete(u8),
+    /// Kill the live node at this index (modulo the live count).
+    Kill(usize),
+    Join,
+    Repair,
 }
 
+/// Keys come from a narrow band so deletes meet stored keys; the checks
+/// still read all 256 one-byte keys.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| Op::Put(k, v)),
-        any::<u8>().prop_map(Op::Delete),
+        (0u8..32, prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| Op::Put(k, v)),
+        (0u8..32, prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| Op::Put(k, v)),
+        (0u8..32).prop_map(Op::Delete),
+        (0usize..16).prop_map(Op::Kill),
+        Just(Op::Join),
+        Just(Op::Repair),
     ]
 }
 
@@ -77,19 +87,21 @@ proptest! {
         prop_assert!(pages.keys().all(|page| !node_keys.contains(page)));
     }
 
-    /// The DHT agrees with a plain HashMap for any operation sequence, even
-    /// with a node killed halfway through (replication covers it).
+    /// The DHT agrees with a plain HashMap after every step of any sequence
+    /// of puts, deletes, kills, joins and repairs. Kills stop at R + 1 live
+    /// nodes and are each followed by a repair, so every key keeps a live
+    /// copy; a removed key must stay removed through later joins and
+    /// repairs.
     #[test]
     fn dht_matches_hashmap_model(
         ops in prop::collection::vec(op_strategy(), 1..60),
-        kill_at in 0usize..60,
     ) {
-        let dht = Dht::new(DhtConfig { nodes: 5, replication: 3, virtual_nodes: 32 });
+        let replication = 3;
+        let dht = Dht::new(DhtConfig { nodes: 5, replication, virtual_nodes: 32 });
+        let mut live = dht.node_ids();
         let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if i == kill_at {
-                dht.kill(dht.node_ids()[0]).unwrap();
-            }
+        let keys: Vec<[u8; 1]> = (0u8..=255).map(|k| [k]).collect();
+        for op in &ops {
             match op {
                 Op::Put(k, v) => {
                     dht.put(&[*k], Bytes::from(v.clone())).unwrap();
@@ -99,12 +111,20 @@ proptest! {
                     dht.remove(&[*k]).unwrap();
                     model.remove(k);
                 }
+                Op::Kill(pick) => {
+                    if live.len() > replication + 1 {
+                        dht.kill(live.remove(pick % live.len())).unwrap();
+                        dht.repair();
+                    }
+                }
+                Op::Join => live.push(dht.join()),
+                Op::Repair => {
+                    dht.repair();
+                }
             }
-        }
-        for k in 0u8..=255 {
-            match model.get(&k) {
-                Some(v) => prop_assert_eq!(dht.get(&[k]).unwrap().to_vec(), v.clone()),
-                None => prop_assert!(dht.get(&[k]).is_err()),
+            let got = dht.get_many(&keys).unwrap();
+            for (k, value) in (0u8..=255).zip(got) {
+                prop_assert_eq!((k, value.map(|v| v.to_vec())), (k, model.get(&k).cloned()));
             }
         }
     }
