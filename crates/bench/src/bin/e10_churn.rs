@@ -1,10 +1,14 @@
-//! E10 — churn tolerance: appends and version reads under a kill/join
-//! stream, with the repair loop (not `revive`) restoring replication.
+//! E10 — churn tolerance: appends and version reads under a machine
+//! kill/join stream, with the repair loop (not `revive`) restoring
+//! replication.
 //!
-//! The fault model the robustness tier targets: providers and metadata DHT
-//! nodes crash *without telling anyone* (a dead member refuses operations;
-//! heartbeats and refused calls feed the timeout/suspicion detectors), and
-//! fresh nodes join to replace them. This harness drives a deterministic
+//! The fault model the robustness tier targets: machines crash *without
+//! telling anyone* (a dead machine refuses operations on its pages and its
+//! metadata alike; heartbeats and refused calls feed the machines' one
+//! timeout/suspicion detector), and fresh machines join to replace them.
+//! Each machine is one storage node, both a DHT ring member and a page
+//! provider, so a kill loses a share of the tree nodes and of the pages
+//! together. This harness drives a deterministic
 //! [`ChurnSchedule`] on a `SimClock`, running an F1-style append workload
 //! and E1-style snapshot reads between events, and calls [`BlobSeer::repair`]
 //! once per round: repair runs only when a caller asks for it.
@@ -12,10 +16,12 @@
 //! Two properties are asserted, and recorded in `BENCH_E10.json` for CI:
 //!
 //! * **zero lost committed versions** — every append that returned a version
-//!   is re-read and byte-compared at the end, after every kill has landed;
+//!   is re-read and byte-compared at the end, after every kill has landed,
+//!   with its tree read back from the DHT (the metadata cache is dropped
+//!   before every round's reads and before the final sweep);
 //! * **replication restored by repair** — the final repair pass on both
-//!   tiers reports nothing left under-replicated, and no provider was ever
-//!   revived (dead members stay dead; only joins add capacity).
+//!   tiers reports nothing left under-replicated, and no machine was ever
+//!   revived (dead machines stay dead; only joins add capacity).
 //!
 //! It also records what the repair passes read from the providers
 //! (`repair_page_reads`, `repair_page_bytes_read`): a pass lists each
@@ -78,6 +84,8 @@ fn main() {
     let pm = sys.provider_manager();
     let dht = sys.metadata().dht();
     let dht_replication = dht.replication();
+    // A kill must leave every page and every tree node a live copy.
+    let quorum = replication.max(dht_replication);
 
     // 50/50 kill/join mix, one event per round boundary.
     let schedule = ChurnSchedule::uniform(rounds, step, 500, 0xE10);
@@ -85,13 +93,8 @@ fn main() {
     let blob = client.create(Some(page)).unwrap();
 
     // Membership as the harness sees it: the schedule says *when* a kill
-    // lands, the harness picks the victim from the live set, alternating
-    // between the storage and metadata tiers.
-    let mut live_providers: Vec<ProviderId> =
-        (0..provider_nodes.len() as u32).map(ProviderId).collect();
-    let mut live_dht = dht.node_ids();
-    let mut kill_tier_provider = true;
-    let mut join_tier_provider = false;
+    // lands, the harness picks the victim machine from the live set.
+    let mut live: Vec<ProviderId> = (0..provider_nodes.len() as u32).map(ProviderId).collect();
     let (mut kills_applied, mut kills_skipped, mut joins_applied) = (0u64, 0u64, 0u64);
     let mut victim_seed = 0x9E37_79B9u64;
 
@@ -102,12 +105,11 @@ fn main() {
     let mut now = SimTime::from_micros(0);
 
     println!(
-        "== E10: churn tolerance ({} rounds x {}ms, {} providers x replication {replication}, \
-         {} DHT nodes x replication {dht_replication}, {} kills / {} joins scheduled) ==",
+        "== E10: churn tolerance ({} rounds x {}ms, {} machines, page replication \
+         {replication}, DHT replication {dht_replication}, {} kills / {} joins scheduled) ==",
         rounds,
         step.as_micros() / 1000,
-        live_providers.len(),
-        live_dht.len(),
+        live.len(),
         schedule.kill_count(),
         schedule.join_count(),
     );
@@ -119,37 +121,23 @@ fn main() {
         for event in schedule.events_between(now, next) {
             match event.kind {
                 ChurnEventKind::Kill => {
-                    // Alternate tiers; never drop a tier below its
-                    // replication factor (the schedule fixes when kills
-                    // happen, the harness keeps them survivable).
-                    if kill_tier_provider && live_providers.len() > replication {
+                    // Never drop the machines to the replication factor
+                    // (the schedule fixes when kills happen, the harness
+                    // keeps them survivable).
+                    if live.len() > quorum {
                         victim_seed ^= victim_seed << 13;
                         victim_seed ^= victim_seed >> 7;
                         victim_seed ^= victim_seed << 17;
-                        let victim =
-                            live_providers.remove(victim_seed as usize % live_providers.len());
-                        pm.kill(victim);
-                        kills_applied += 1;
-                    } else if !kill_tier_provider && live_dht.len() > dht_replication {
-                        victim_seed ^= victim_seed << 13;
-                        victim_seed ^= victim_seed >> 7;
-                        victim_seed ^= victim_seed << 17;
-                        let victim = live_dht.remove(victim_seed as usize % live_dht.len());
-                        dht.kill(victim).unwrap();
+                        let victim = live.remove(victim_seed as usize % live.len());
+                        sys.kill(victim).unwrap();
                         kills_applied += 1;
                     } else {
                         kills_skipped += 1;
                     }
-                    kill_tier_provider = !kill_tier_provider;
                 }
                 ChurnEventKind::Join => {
-                    if join_tier_provider {
-                        let node = topo.node((joins_applied % 8) as u32);
-                        live_providers.push(pm.join_in_memory(node));
-                    } else {
-                        live_dht.push(dht.join());
-                    }
-                    join_tier_provider = !join_tier_provider;
+                    let node = topo.node((joins_applied % 8) as u32);
+                    live.push(sys.join(node));
                     joins_applied += 1;
                 }
             }
@@ -172,7 +160,9 @@ fn main() {
 
         // E1-style reads: sample earlier snapshots — including ones whose
         // recorded replicas have since died, which must fail over to the
-        // announced repair copies.
+        // announced repair copies, and whose tree nodes lost copies with
+        // their machines.
+        sys.metadata().drop_cached_nodes();
         let t0 = Instant::now();
         for r in 0..readers_per_round {
             let c = &committed[(round * 13 + r * 5) % committed.len()];
@@ -193,6 +183,7 @@ fn main() {
 
     // Final sweep: every committed version must still read back intact, and
     // a closing repair pass must find both tiers fully replicated.
+    sys.metadata().drop_cached_nodes();
     let t0 = Instant::now();
     let mut lost = 0u64;
     for c in &committed {
@@ -209,18 +200,14 @@ fn main() {
     let read_mib = (verified_reads * page) as f64 / (1024.0 * 1024.0);
     let append_mibps = append_mib / append_secs.max(1e-9);
     let read_mibps = read_mib / read_secs.max(1e-9);
-    let provider_failures_detected = pm
-        .health()
-        .detector()
-        .map(|d| d.failures_detected())
-        .unwrap_or(0);
+    // Both tiers feed the machines' one detector, which the DHT's stats read.
     let dht_stats = dht.stats();
+    let machine_failures_detected = dht_stats.failures_detected;
 
     println!(
-        "churn applied: {kills_applied} kills ({kills_skipped} skipped to keep quorum), \
-         {joins_applied} joins; live now: {} providers, {} DHT nodes",
-        live_providers.len(),
-        live_dht.len(),
+        "churn applied: {kills_applied} machine kills ({kills_skipped} skipped to keep quorum), \
+         {joins_applied} machine joins; live now: {} machines",
+        live.len(),
     );
     println!(
         "committed {} versions, verified {verified_reads} reads, lost {lost}",
@@ -230,14 +217,12 @@ fn main() {
     println!(
         "repair: {} page copies over {} passes (final under-replicated {}), \
          dht {} entries re-replicated (final under-replicated {}), \
-         failures detected: {} provider / {} dht",
+         machine failures detected: {machine_failures_detected}",
         pm.health().copies(),
         pm.health().runs(),
         provider_report.still_under_replicated,
         dht_stats.repaired_entries,
         dht_report.still_under_replicated,
-        provider_failures_detected,
-        dht_stats.failures_detected,
     );
     println!(
         "repair traffic: {repair_page_reads} pages / {repair_page_bytes_read} bytes read \
@@ -247,11 +232,11 @@ fn main() {
     assert_eq!(lost, 0, "a committed version became unreadable under churn");
     assert_eq!(
         provider_report.still_under_replicated, 0,
-        "repair must restore page replication with the live provider set"
+        "repair must restore page replication with the live machines"
     );
     assert_eq!(
         dht_report.still_under_replicated, 0,
-        "repair must restore metadata replication with the live DHT nodes"
+        "repair must restore metadata replication with the live machines"
     );
     assert!(
         kills_applied > 0 && joins_applied > 0,
@@ -284,8 +269,7 @@ fn main() {
         repaired_dht_entries: u64,
         provider_under_replicated_final: usize,
         dht_under_replicated_final: usize,
-        provider_failures_detected: u64,
-        dht_failures_detected: u64,
+        machine_failures_detected: u64,
     }
     bench::emit_bench_json(
         "E10",
@@ -310,8 +294,7 @@ fn main() {
             repaired_dht_entries: dht_stats.repaired_entries,
             provider_under_replicated_final: provider_report.still_under_replicated,
             dht_under_replicated_final: dht_report.still_under_replicated,
-            provider_failures_detected,
-            dht_failures_detected: dht_stats.failures_detected,
+            machine_failures_detected,
         },
     );
 }

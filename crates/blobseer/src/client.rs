@@ -1,7 +1,8 @@
 //! The BlobSeer deployment handle and client library.
 //!
-//! [`BlobSeer`] wires the entities together (providers, provider manager,
-//! metadata DHT, version manager); [`BlobSeerClient`] is the per-user handle
+//! [`BlobSeer`] wires the entities together (one storage node per machine,
+//! serving both the metadata DHT and the page providers; the provider
+//! manager; the version manager); [`BlobSeerClient`] is the per-user handle
 //! implementing the interface the paper describes: "create a blob, read/write
 //! a range of bytes given by offset and size from/to a blob and append a
 //! number of bytes to an existing blob" (§III-A), plus the extra primitive
@@ -36,11 +37,12 @@ use crate::provider_manager::ProviderManager;
 use crate::types::{next_power_of_two, BlobId, ByteRange, PageMath, ProviderId, Version};
 use crate::version_manager::{VersionInfo, VersionManager, WriteIntent, WriteTicket};
 use bytes::Bytes;
+use dht::{Dht, StorageNode};
 use kvstore::FastMap;
 use parking_lot::{Mutex, RwLock};
 use simcluster::replica::RepairReport;
 use simcluster::topology::ClusterTopology;
-use simcluster::{Clock, NodeId, WallClock};
+use simcluster::{Clock, FailureDetector, NodeId, WallClock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,6 +78,11 @@ pub struct BlobSeerStats {
 }
 
 /// A complete in-process BlobSeer deployment.
+///
+/// Each machine runs one [`StorageNode`]: DHT ring member `i` and provider
+/// `i` are the two roles of machine `i`, on `provider_nodes[i]`. A machine
+/// dies and joins whole ([`BlobSeer::kill`], [`BlobSeer::join`]), and one
+/// failure detector keyed by machine hears both tiers' probes.
 pub struct BlobSeer {
     config: BlobSeerConfig,
     topology: ClusterTopology,
@@ -108,16 +115,15 @@ pub struct BlobSeer {
 }
 
 impl BlobSeer {
-    /// Create a deployment on a flat (single-rack) topology with one provider
-    /// per node, sized from the configuration.
+    /// Create a deployment on a flat (single-rack) topology with one machine
+    /// per node, `config.providers` of them.
     pub fn new(config: BlobSeerConfig) -> Arc<Self> {
-        config.validate();
         let topology = ClusterTopology::flat(config.providers as u32);
         let provider_nodes: Vec<NodeId> = topology.all_nodes().collect();
         Self::with_topology(config, &topology, &provider_nodes)
     }
 
-    /// Create a deployment whose providers run on the given nodes of an
+    /// Create a deployment with one machine on each of the given nodes of an
     /// existing cluster topology (used by the cluster-scale experiments and by
     /// BSFS when co-deployed with a MapReduce cluster).
     pub fn with_topology(
@@ -128,8 +134,8 @@ impl BlobSeer {
         Self::with_topology_and_clock(config, topology, provider_nodes, Arc::new(WallClock::new()))
     }
 
-    /// Like [`BlobSeer::with_topology`], but on an explicit time source. Both
-    /// tiers' failure detectors read this clock, so tests drive suspicion
+    /// Like [`BlobSeer::with_topology`], but on an explicit time source. The
+    /// machines' failure detector reads this clock, so tests drive suspicion
     /// with a `SimClock` instead of waiting out real timeouts.
     pub fn with_topology_and_clock(
         config: BlobSeerConfig,
@@ -150,8 +156,9 @@ impl BlobSeer {
     /// client↔provider and client↔metadata-DHT exchange on an explicit
     /// [`wire::Transport`]. Pass a [`wire::SimNet`] to make rack distance and
     /// shared-link contention cost simulated time; the default
-    /// [`wire::InProc`] keeps the historic free wire. Metadata DHT node `i`
-    /// is placed on `provider_nodes[i % len]`.
+    /// [`wire::InProc`] keeps the historic free wire. Machine `i` runs on
+    /// `provider_nodes[i]`; both replication factors must fit in
+    /// `provider_nodes.len()` machines.
     pub fn with_transport(
         config: BlobSeerConfig,
         topology: &ClusterTopology,
@@ -159,37 +166,27 @@ impl BlobSeer {
         clock: Arc<dyn Clock>,
         transport: Arc<dyn Transport>,
     ) -> Arc<Self> {
-        config.validate();
-        assert!(
-            !provider_nodes.is_empty(),
-            "at least one provider node is required to deploy BlobSeer"
-        );
-        let provider_manager = Arc::new(ProviderManager::new_in_memory(
-            topology,
-            provider_nodes,
-            config.placement,
-        ));
-        let metadata = Arc::new(MetadataStore::new(
-            config.metadata_providers,
-            config.metadata_replication,
-            config.metadata_cache_capacity,
-        ));
+        config.validate(provider_nodes.len());
+        let machines = StorageNode::fleet(provider_nodes);
+        let provider_manager =
+            Arc::new(ProviderManager::new(topology, &machines, config.placement));
+        let dht = Dht::with_nodes(machines.clone(), config.metadata_replication, 64);
         // The metadata DHT charges the same wire as the data path; exchanges
         // from threads that did not pin a source (repair, GC) are attributed
-        // to the first provider node.
-        metadata.dht().attach_wire(
-            Arc::clone(&transport),
-            provider_nodes.to_vec(),
-            provider_nodes[0],
-        );
-        // Dead members are *discovered*: repair's probes and refused data
-        // operations feed timeout/suspicion detectors on both tiers.
-        let dht = metadata.dht();
-        dht.health()
-            .enable_failure_detection(Arc::clone(&clock), dht.node_ids());
-        provider_manager
-            .health()
-            .enable_failure_detection(clock, provider_manager.providers().iter().map(|p| p.id()));
+        // to the first machine.
+        dht.attach_wire(Arc::clone(&transport), provider_nodes[0]);
+        let metadata = Arc::new(MetadataStore::with_dht(
+            Arc::new(dht),
+            config.metadata_cache_capacity,
+        ));
+        // Dead machines are *discovered*: both tiers' repair probes and
+        // refused data operations feed one timeout/suspicion detector.
+        let detector = Arc::new(FailureDetector::with_members(
+            clock,
+            machines.iter().map(|m| m.id()),
+        ));
+        metadata.dht().health().attach(Arc::clone(&detector));
+        provider_manager.health().attach(detector);
         Arc::new(BlobSeer {
             config,
             topology: topology.clone(),
@@ -242,9 +239,32 @@ impl BlobSeer {
         &self.provider_manager
     }
 
-    /// The metadata store (failure injection, traffic counters).
+    /// The metadata store (traffic counters).
     pub fn metadata(&self) -> &Arc<MetadataStore> {
         &self.metadata
+    }
+
+    /// Crash machine `id` (failure injection): its pages and its metadata
+    /// stop serving together, and it stays dead. Nothing else is told; the
+    /// tiers discover the death when operations are refused, the detector
+    /// when repair's probes go unanswered.
+    pub fn kill(&self, id: ProviderId) -> BlobResult<()> {
+        let provider = self
+            .provider_manager
+            .provider(id)
+            .ok_or_else(|| BlobSeerError::InvalidArgument(format!("no machine serves {id}")))?;
+        provider.machine().kill();
+        Ok(())
+    }
+
+    /// Add a fresh machine on cluster node `host` and return its provider
+    /// id once both tiers serve it: it takes future page allocations, and
+    /// the DHT's join has already placed its share of the metadata on it.
+    pub fn join(&self, host: NodeId) -> ProviderId {
+        let machine = self.provider_manager.add(host);
+        let id = machine.id().into();
+        self.metadata.dht().join(machine);
+        id
     }
 
     /// The transport client↔provider and client↔metadata exchanges are
@@ -374,9 +394,8 @@ impl BlobSeer {
     /// each tier probes every member once (its heartbeat round), then
     /// actively re-replicates under-replicated metadata DHT keys and
     /// announced provider pages onto live members. Returns the metadata
-    /// tier's report, then the page tier's. Nothing here relies on
-    /// `revive`: dead members stay dead, replicas are rebuilt elsewhere from
-    /// surviving copies.
+    /// tier's report, then the page tier's. Dead machines stay dead;
+    /// replicas are rebuilt elsewhere from surviving copies.
     pub fn repair(&self) -> (RepairReport, RepairReport) {
         let metadata_report = self.metadata.dht().repair();
         let page_report = self.provider_manager.repair(self.config.page_replication);
@@ -640,7 +659,7 @@ impl BlobSeerClient {
                 );
                 match pushed {
                     Ok(()) => stored.push(*pid),
-                    Err(_) => sys.provider_manager.health().note_down(*pid),
+                    Err(_) => sys.provider_manager.health().note_down((*pid).into()),
                 }
             }
             // Fail over past dead planned replicas onto any other live
@@ -924,7 +943,7 @@ impl BlobSeerClient {
             match resp {
                 Ok(Some(data)) => return Ok(Self::window_bytes(&data, from, to)),
                 Ok(None) => {}
-                Err(_) => sys.provider_manager.health().note_down(*pid),
+                Err(_) => sys.provider_manager.health().note_down((*pid).into()),
             }
         }
         Err(BlobSeerError::PageUnavailable {
@@ -997,7 +1016,7 @@ impl BlobSeerClient {
                         }
                     }
                 }
-                Err(_) => sys.provider_manager.health().note_down(*pid),
+                Err(_) => sys.provider_manager.health().note_down((*pid).into()),
             }
         }
         out.into_iter()
@@ -1229,14 +1248,16 @@ mod tests {
         let blob = client.create(Some(16)).unwrap();
         client.write(blob, 0, b"seed").unwrap();
         for p in sys.provider_manager().providers() {
-            p.kill();
+            sys.kill(p.id()).unwrap();
         }
         assert!(matches!(
             client.write(blob, 0, b"fail"),
             Err(BlobSeerError::NoProviders)
         ));
-        for p in sys.provider_manager().providers() {
-            p.revive();
+        // Fresh machines join; the dead ones stay dead. The next write
+        // covers the blob's one page, so it needs nothing they held.
+        for host in 0..2 {
+            sys.join(sys.topology().node(host));
         }
         // Would hang before the abort-on-error fix.
         let v = client.write(blob, 0, b"okay").unwrap();
@@ -1375,7 +1396,7 @@ mod tests {
 
     #[test]
     fn uncached_read_path_still_batches_by_tree_level() {
-        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(3));
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         // 16 pages -> 31-node tree, depth 5
@@ -1393,7 +1414,7 @@ mod tests {
         let nodes = after.nodes_read - before.nodes_read;
         assert_eq!(nodes, 31, "full tree visited");
         assert_eq!(after.cache_hits, before.cache_hits);
-        // 5 levels x at most 3 metadata providers, versus 31 per-node gets.
+        // 5 levels x at most 3 machines, versus 31 per-node gets.
         assert!(
             read_rts <= 15,
             "expected level-batched reads, got {read_rts}"
@@ -1590,7 +1611,7 @@ mod tests {
         // Kill the primary replica of every page; reads must fail over.
         let locs = client.locate(blob, v, 0, 64).unwrap();
         for loc in &locs {
-            sys.provider_manager().kill(loc.providers[0]);
+            sys.kill(loc.providers[0]).unwrap();
         }
         assert_eq!(client.read(blob, v, 0, 64).unwrap().to_vec(), data);
     }
@@ -1602,7 +1623,7 @@ mod tests {
         let blob = client.create(Some(16)).unwrap();
         let v = client.write(blob, 0, &[1u8; 16]).unwrap();
         for p in sys.provider_manager().providers() {
-            p.kill();
+            sys.kill(p.id()).unwrap();
         }
         assert!(matches!(
             client.read(blob, v, 0, 16),
@@ -1616,7 +1637,7 @@ mod tests {
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         for p in sys.provider_manager().providers() {
-            p.kill();
+            sys.kill(p.id()).unwrap();
         }
         assert!(matches!(
             client.write(blob, 0, b"data"),
@@ -1852,8 +1873,8 @@ mod tests {
         let client = sys.client();
         let blob = client.create(Some(16)).unwrap();
         let data: Vec<u8> = (0..16u32 * 64).map(|i| (i % 251) as u8).collect();
-        let pm = Arc::clone(sys.provider_manager());
-        let killer = std::thread::spawn(move || pm.kill(ProviderId(0)));
+        let machines = Arc::clone(&sys);
+        let killer = std::thread::spawn(move || machines.kill(ProviderId(0)).unwrap());
         let v = client.write(blob, 0, &data).unwrap();
         killer.join().unwrap();
         assert_eq!(
@@ -1890,7 +1911,7 @@ mod tests {
         assert_eq!(served(), before, "a healthy pass reads no page");
 
         let victim = client.locate(blob, v, 0, 16).unwrap()[0].providers[0];
-        sys.provider_manager().kill(victim);
+        sys.kill(victim).unwrap();
         let (_, pages) = sys.repair();
         assert!(pages.under_replicated > 0);
         assert_eq!(pages.copied, pages.under_replicated, "R = 2: one copy each");
@@ -1919,7 +1940,7 @@ mod tests {
         // the surviving providers, with the victims staying dead.
         let locs = client.locate(blob, v, 0, 64).unwrap();
         let victim = locs[0].providers[0];
-        sys.provider_manager().kill(victim);
+        sys.kill(victim).unwrap();
         let (_, pages) = sys.repair();
         assert!(pages.under_replicated > 0, "the victim's pages were short");
         assert_eq!(pages.still_under_replicated, 0);
@@ -1930,13 +1951,67 @@ mod tests {
         // recorded set.
         assert_eq!(client.read(blob, v, 0, 64).unwrap().to_vec(), data);
         for pid in &locs[0].providers {
-            sys.provider_manager().kill(*pid);
+            sys.kill(*pid).unwrap();
         }
         assert_eq!(
             client.read(blob, v, 0, 16).unwrap().to_vec(),
             data[..16].to_vec(),
             "the repair copy outside the recorded set must serve the read"
         );
+    }
+
+    #[test]
+    fn a_machine_kill_loses_its_pages_and_its_metadata_until_repair() {
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_providers(4)
+                .with_page_replication(2),
+        );
+        assert_eq!(sys.config().metadata_replication, 2);
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        let mut versions = Vec::new();
+        for i in 0..6u8 {
+            let data: Vec<u8> = (0..16 * 5).map(|b| b ^ i).collect();
+            let v = client.write(blob, u64::from(i) * 16, &data).unwrap();
+            let size = client.version_info(blob, v).unwrap().size;
+            versions.push((v, client.read(blob, v, 0, size).unwrap()));
+        }
+
+        let victim = ProviderId(1);
+        let provider = sys.provider_manager().provider(victim).unwrap();
+        let machine = provider.machine();
+        assert!(!machine.is_empty() && provider.stats().pages > 0);
+        sys.kill(victim).unwrap();
+        let page = provider.page_keys().pop().unwrap();
+        assert!(provider.get_page(&page).is_err(), "its pages are refused");
+        let key = machine.keys().pop().unwrap();
+        assert_eq!(
+            machine.get_many(&[key]),
+            Err(dht::NodeDown),
+            "so is its metadata"
+        );
+
+        let (metadata, pages) = sys.repair();
+        assert!(metadata.under_replicated > 0 && pages.under_replicated > 0);
+        assert_eq!(metadata.still_under_replicated, 0);
+        assert_eq!(pages.still_under_replicated, 0);
+        // A cold cache reads every tree node back from the DHT.
+        sys.metadata().drop_cached_nodes();
+        for (v, want) in &versions {
+            assert_eq!(&client.read(blob, *v, 0, want.len() as u64).unwrap(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "page replication (3) cannot exceed the number of providers (2)")]
+    fn replication_is_checked_against_the_machines_deployed() {
+        // `providers` says 8, but the topology deploys 2 machines.
+        let config = BlobSeerConfig::default().with_page_replication(3);
+        assert_eq!(config.providers, 8);
+        let topology = ClusterTopology::flat(2);
+        let nodes: Vec<NodeId> = topology.all_nodes().collect();
+        BlobSeer::with_topology(config, &topology, &nodes);
     }
 
     #[test]
@@ -1954,14 +2029,18 @@ mod tests {
         // Unannounced death; the probe of a pass past the suspicion timeout
         // is what discovers it.
         let victim = client.locate(blob, v, 0, 64).unwrap()[0].providers[0];
-        sys.provider_manager().kill(victim);
+        sys.kill(victim).unwrap();
         clock.advance(SUSPICION_TIMEOUT * 2);
-        let (_, pages) = sys.repair();
+        let (metadata, pages) = sys.repair();
         assert!(pages.under_replicated > 0);
+        assert_eq!((metadata.dead, pages.dead), (1, 1), "both tiers probed it");
         let det = sys.provider_manager().health().detector();
         let det = det.expect("every deployment attaches a detector");
-        assert!(det.is_suspect(victim));
-        assert_eq!(det.failures_detected(), 1);
+        let dht_det = sys.metadata().dht().health().detector().unwrap();
+        assert!(Arc::ptr_eq(&det, &dht_det), "one detector per deployment");
+        assert!(det.is_suspect(victim.into()));
+        assert_eq!(det.failures_detected(), 1, "one machine, one failure");
+        assert_eq!(sys.metadata().dht().stats().failures_detected, 1);
         // The pass restored the factor: a second pass finds nothing to do.
         assert!(sys.provider_manager().health().copies() > 0);
         let (_, again) = sys.repair();
@@ -2064,7 +2143,7 @@ mod tests {
         let orphaned = locs.iter().filter(|l| l.providers[0] == victim).count();
         let destinations: std::collections::BTreeSet<_> =
             locs.iter().map(|l| l.providers[0]).collect();
-        sys.provider_manager().kill(victim);
+        sys.kill(victim).unwrap();
 
         let before = sys.provider_wire().snapshot();
         let got = client.read(blob, v, 0, data.len() as u64).unwrap();

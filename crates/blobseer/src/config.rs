@@ -7,9 +7,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// The defaults mirror the deployments used in the paper's evaluation: 64 MiB
 /// pages (matching Hadoop's chunk size so that one Hadoop block maps to one
-/// BlobSeer page), a handful of metadata providers, and page-level
-/// replication disabled (the microbenchmarks compare raw throughput; the
-/// fault-tolerance experiments turn it up).
+/// BlobSeer page), and page-level replication disabled (the microbenchmarks
+/// compare raw throughput; the fault-tolerance experiments turn it up).
+///
+/// A deployment runs one storage node per machine, which is both a
+/// metadata provider and a data provider, so there is no separate metadata
+/// fleet to size: the DHT ring is the deployment's machines, and both
+/// replication factors are checked against their number.
 ///
 /// There is no retry knob: a client fails over past dead providers and dead
 /// metadata nodes within one attempt, and a miss after that walk is final
@@ -18,10 +22,9 @@ use serde::{Deserialize, Serialize};
 pub struct BlobSeerConfig {
     /// Default page size (bytes) for blobs that do not override it.
     pub default_page_size: u64,
-    /// Number of data providers to create.
+    /// Number of machines [`crate::BlobSeer::new`] deploys on its flat
+    /// topology; the other constructors deploy one per node they are given.
     pub providers: usize,
-    /// Number of metadata provider nodes in the DHT.
-    pub metadata_providers: usize,
     /// Replication factor for metadata records in the DHT.
     pub metadata_replication: usize,
     /// Page-level replication factor (1 = no replication).
@@ -45,7 +48,6 @@ impl Default for BlobSeerConfig {
         BlobSeerConfig {
             default_page_size: 64 * 1024 * 1024,
             providers: 8,
-            metadata_providers: 4,
             metadata_replication: 2,
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
@@ -61,7 +63,6 @@ impl BlobSeerConfig {
         BlobSeerConfig {
             default_page_size: 1024,
             providers: 4,
-            metadata_providers: 3,
             metadata_replication: 2,
             page_replication: 1,
             placement: PlacementStrategy::LoadBalanced,
@@ -76,7 +77,7 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style override of the provider count.
+    /// Builder-style override of the machine count of [`crate::BlobSeer::new`].
     pub fn with_providers(mut self, providers: usize) -> Self {
         self.providers = providers;
         self
@@ -106,25 +107,26 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Validate invariants, panicking with a clear message if violated. Called
-    /// by [`crate::BlobSeer::new`].
-    pub fn validate(&self) {
+    /// Validate invariants for a deployment of `machines` machines,
+    /// panicking with a clear message if violated. Called by every
+    /// [`crate::BlobSeer`] constructor with the number it deploys.
+    pub fn validate(&self, machines: usize) {
         assert!(self.default_page_size > 0, "page size must be non-zero");
-        assert!(self.providers > 0, "at least one data provider is required");
-        assert!(
-            self.metadata_providers > 0,
-            "at least one metadata provider is required"
-        );
+        assert!(machines > 0, "at least one machine is required");
         assert!(
             self.metadata_replication >= 1,
             "metadata replication must be >= 1"
         );
         assert!(self.page_replication >= 1, "page replication must be >= 1");
         assert!(
-            self.page_replication <= self.providers,
-            "page replication ({}) cannot exceed the number of providers ({})",
+            self.page_replication <= machines,
+            "page replication ({}) cannot exceed the number of providers ({machines})",
             self.page_replication,
-            self.providers
+        );
+        assert!(
+            self.metadata_replication <= machines,
+            "metadata replication ({}) cannot exceed the number of machines ({machines})",
+            self.metadata_replication,
         );
         assert!(
             self.metadata_cache_capacity >= 1,
@@ -143,8 +145,10 @@ mod tests {
 
     #[test]
     fn defaults_are_valid() {
-        BlobSeerConfig::default().validate();
-        BlobSeerConfig::for_tests().validate();
+        let default = BlobSeerConfig::default();
+        default.validate(default.providers);
+        let small = BlobSeerConfig::for_tests();
+        small.validate(small.providers);
     }
 
     #[test]
@@ -156,19 +160,20 @@ mod tests {
             .with_placement(PlacementStrategy::Random)
             .with_metadata_cache_capacity(128)
             .with_gc_keep_last(3);
+        assert_eq!(c.metadata_replication, 2);
         assert_eq!(c.default_page_size, 4096);
         assert_eq!(c.providers, 10);
         assert_eq!(c.page_replication, 3);
         assert_eq!(c.placement, PlacementStrategy::Random);
         assert_eq!(c.metadata_cache_capacity, 128);
         assert_eq!(c.gc_keep_last, Some(3));
-        c.validate();
+        c.validate(c.providers);
     }
 
     #[test]
     #[should_panic(expected = "keep at least one version")]
     fn zero_retention_is_rejected() {
-        BlobSeerConfig::for_tests().with_gc_keep_last(0).validate();
+        BlobSeerConfig::for_tests().with_gc_keep_last(0).validate(4);
     }
 
     #[test]
@@ -176,21 +181,29 @@ mod tests {
     fn enabled_cache_with_zero_capacity_is_rejected() {
         BlobSeerConfig::for_tests()
             .with_metadata_cache_capacity(0)
-            .validate();
+            .validate(4);
     }
 
     #[test]
     #[should_panic(expected = "cannot exceed the number of providers")]
     fn replication_beyond_providers_is_rejected() {
+        // The factor is checked against the machines deployed, whatever
+        // `providers` says.
         BlobSeerConfig::for_tests()
-            .with_providers(2)
+            .with_providers(8)
             .with_page_replication(3)
-            .validate();
+            .validate(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "metadata replication (2) cannot exceed the number of machines (1)")]
+    fn metadata_replication_beyond_machines_is_rejected() {
+        BlobSeerConfig::for_tests().validate(1);
     }
 
     #[test]
     #[should_panic(expected = "page size must be non-zero")]
     fn zero_page_size_is_rejected() {
-        BlobSeerConfig::for_tests().with_page_size(0).validate();
+        BlobSeerConfig::for_tests().with_page_size(0).validate(4);
     }
 }

@@ -436,7 +436,7 @@ fn sweep(
                     }
                 }
             }
-            Err(_) => pm.health().note_down(pid),
+            Err(_) => pm.health().note_down(pid.into()),
         }
     }
     report.pages_deleted = deleted.into_iter().filter(|d| *d).count() as u64;

@@ -15,6 +15,10 @@
 //! * page locations for each blob version live in a **distributed hash
 //!   table** of metadata providers ([`metadata`]), organised as versioned
 //!   segment trees that share unchanged subtrees between versions;
+//! * metadata providers and data providers are two roles of the same
+//!   machines: each machine runs one [`dht::StorageNode`], DHT ring member
+//!   `i` and provider `i` at once, so a crash ([`BlobSeer::kill`]) takes
+//!   out a machine's metadata and its pages together;
 //! * a centralized **version manager** ([`version_manager::VersionManager`])
 //!   assigns version numbers and guarantees that concurrent writes to the
 //!   same blob publish in a consistent, gap-free order;
@@ -26,8 +30,8 @@
 //!   repair loop on both storage tiers (see [`BlobSeer::repair`]; every
 //!   deployment detects failures, and repair runs when a caller asks).
 //!
-//! The whole deployment runs in one process: providers, metadata providers
-//! and the version manager are objects, and clients are plain values that can
+//! The whole deployment runs in one process: storage nodes and the version
+//! manager are objects, and clients are plain values that can
 //! be moved across threads. The concurrency is real (threads, locks,
 //! atomics); only the network is replaced by function calls, with the
 //! `simcluster` crate supplying a network *model* when experiments need
@@ -64,6 +68,7 @@ pub mod version_manager;
 
 pub use client::{BlobSeer, BlobSeerClient, PageLocation};
 pub use config::BlobSeerConfig;
+pub use dht::{DhtNodeId, StorageNode};
 pub use error::{BlobResult, BlobSeerError};
 pub use gc::GcReport;
 pub use metadata::store::MetadataStats;

@@ -56,11 +56,12 @@ pub struct MetadataStore {
 }
 
 impl MetadataStore {
-    /// Create a store with a fresh DHT of `metadata_providers` nodes and a
-    /// node cache of up to `cache_capacity` tree nodes.
-    pub fn new(metadata_providers: usize, replication: usize, cache_capacity: usize) -> Self {
+    /// Create a store with a fresh standalone DHT of `nodes` nodes and a
+    /// node cache of up to `cache_capacity` tree nodes (a deployment builds
+    /// its DHT over its machines and uses [`MetadataStore::with_dht`]).
+    pub fn new(nodes: usize, replication: usize, cache_capacity: usize) -> Self {
         let dht = Dht::new(DhtConfig {
-            nodes: metadata_providers,
+            nodes,
             replication,
             virtual_nodes: 64,
         });

@@ -1,15 +1,16 @@
-//! Data providers: the nodes that store pages.
+//! Data providers: the page protocol of a machine.
 //!
 //! "The providers store the pages, as assigned by the provider manager"
-//! (paper §III-A). A provider owns a [`MemStore`], knows which cluster node
-//! it runs on (for locality-aware scheduling and the network model), counts
-//! its traffic, and can be killed/revived for fault-tolerance experiments.
+//! (paper §III-A). A provider is the page role of one machine's
+//! [`StorageNode`]: it serves the node's page store, knows which cluster
+//! node the machine is (for locality-aware scheduling and the network
+//! model) and counts its page traffic. The liveness flag is the machine's,
+//! so a killed machine refuses its pages and its metadata together.
 //!
-//! A call is a call: every method checks the liveness flag, serves on the
-//! caller's thread and returns. The only lock taken is the page store's
-//! own, held for the store operation alone, so it is the innermost lock.
-//! `kill` flips the flag every operation checks, so an operation that starts
-//! after `kill` returns is refused.
+//! A call is a call: every operation is one batch on the machine, served on
+//! the caller's thread. The only lock taken is the page store's own, held
+//! for the store operation alone, so it is the innermost lock. An operation
+//! that starts after the machine's `kill` returns is refused.
 //!
 //! A dead provider *refuses* data operations rather than silently absorbing
 //! them — callers discover the death as an error, the way a broken socket
@@ -19,10 +20,12 @@
 use crate::error::{BlobResult, BlobSeerError};
 use crate::types::{BlobId, InlineKey, ProviderId, Version};
 use bytes::Bytes;
+use dht::{DhtNodeId, StorageNode};
 use kvstore::{MemStore, PageStore};
 use simcluster::replica::Member;
 use simcluster::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The tag byte of a page's storage key (tree-node keys carry another).
 const PAGE_KEY_TAG: u8 = b'p';
@@ -68,12 +71,10 @@ pub struct PageRequest {
 
 /// One data provider, shaped like a blob wire protocol: `Upload` /
 /// `Download(key, offset, len)` / `Query` / `Delete`, plus the coalesced
-/// `DownloadMany` and `DeleteMany` batches and the control probes.
+/// `DownloadMany` and `DeleteMany` batches and the control probe, over its
+/// machine's page store.
 pub struct Provider {
-    id: ProviderId,
-    node: NodeId,
-    store: MemStore,
-    alive: AtomicBool,
+    machine: Arc<StorageNode>,
     writes: AtomicU64,
     reads: AtomicU64,
     bytes_written: AtomicU64,
@@ -81,13 +82,10 @@ pub struct Provider {
 }
 
 impl Provider {
-    /// Create a provider backed by an in-memory store.
-    pub fn in_memory(id: ProviderId, node: NodeId) -> Self {
+    /// The page role of `machine`: provider `i` serves machine `i`.
+    pub fn new(machine: Arc<StorageNode>) -> Self {
         Provider {
-            id,
-            node,
-            store: MemStore::new(),
-            alive: AtomicBool::new(true),
+            machine,
             writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -95,53 +93,47 @@ impl Provider {
         }
     }
 
-    /// This provider's id.
+    /// This provider's id: its machine's.
     pub fn id(&self) -> ProviderId {
-        self.id
+        self.machine.id().into()
     }
 
-    /// The cluster node this provider runs on.
+    /// The cluster node this provider's machine is.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.machine.host()
     }
 
-    /// Liveness probe: `true` when the provider is serving. Reads the flag
-    /// every data operation checks, so it agrees with the last `kill` or
-    /// `revive` that returned.
+    /// The machine whose pages this provider serves (and whose metadata
+    /// map the DHT places). Crate-private: a deployment changes its
+    /// machines only through [`crate::BlobSeer::kill`] and
+    /// [`crate::BlobSeer::join`].
+    pub(crate) fn machine(&self) -> &Arc<StorageNode> {
+        &self.machine
+    }
+
+    /// Liveness probe: `true` when the machine is serving. Reads the flag
+    /// every data operation checks, so it agrees with the last `kill` that
+    /// returned.
     pub fn ping(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
+        self.machine.ping()
     }
 
-    /// Simulate a crash. The underlying store keeps its data so that a
-    /// revive models a restart from persistent storage. Operations that
-    /// start after this returns observe the dead state.
-    pub fn kill(&self) {
-        self.alive.store(false, Ordering::SeqCst);
-    }
-
-    /// Bring the provider back online.
-    pub fn revive(&self) {
-        self.alive.store(true, Ordering::SeqCst);
-    }
-
-    /// Refuse the operation when the provider is down.
-    fn serving(&self) -> BlobResult<()> {
-        if self.ping() {
-            Ok(())
-        } else {
-            Err(BlobSeerError::Storage(kvstore::KvError::Closed))
-        }
+    /// Run one batch on the machine's page store; refused when it is down.
+    fn serve<T>(&self, batch: impl FnOnce(&MemStore) -> BlobResult<T>) -> BlobResult<T> {
+        self.machine
+            .serve_pages(batch)
+            .unwrap_or_else(|dht::NodeDown| Err(BlobSeerError::Storage(kvstore::KvError::Closed)))
     }
 
     /// Store a page (the wire protocol's `Upload`). Fails if the provider is
     /// down.
     pub fn put_page(&self, key: &[u8], data: Bytes) -> BlobResult<()> {
-        self.serving()?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.store.put(key, data)?;
-        Ok(())
+        self.serve(|store| {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            self.bytes_written
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            Ok(store.put(key, data)?)
+        })
     }
 
     /// Fetch a whole page (`Download` with `offset 0, len None`). Returns
@@ -161,8 +153,7 @@ impl Provider {
         offset: u64,
         len: Option<u64>,
     ) -> BlobResult<Option<Bytes>> {
-        self.serving()?;
-        self.download(key, offset, len)
+        self.serve(|store| self.download(store, key, offset, len))
     }
 
     /// Several ranged downloads folded into one call — the coalesced shape:
@@ -170,16 +161,23 @@ impl Provider {
     /// covers the batch; returns one slot per request, in order, `None`
     /// where the page is missing.
     pub fn download_many(&self, requests: Vec<PageRequest>) -> BlobResult<Vec<Option<Bytes>>> {
-        self.serving()?;
-        requests
-            .iter()
-            .map(|r| self.download(&r.key, r.offset, r.len))
-            .collect()
+        self.serve(|store| {
+            requests
+                .iter()
+                .map(|r| self.download(store, &r.key, r.offset, r.len))
+                .collect()
+        })
     }
 
-    /// Serve one window of a stored page, liveness already checked.
-    fn download(&self, key: &[u8], offset: u64, len: Option<u64>) -> BlobResult<Option<Bytes>> {
-        let Some(page) = self.store.get(key)? else {
+    /// Serve one window of a stored page, inside a served batch.
+    fn download(
+        &self,
+        store: &MemStore,
+        key: &[u8],
+        offset: u64,
+        len: Option<u64>,
+    ) -> BlobResult<Option<Bytes>> {
+        let Some(page) = store.get(key)? else {
             return Ok(None);
         };
         // Clamp the requested window to what is stored: the caller knows the
@@ -204,8 +202,7 @@ impl Provider {
     /// `Query(key)`: the stored length of a page without moving its bytes.
     /// Does not count as served traffic.
     pub fn query_page(&self, key: &[u8]) -> BlobResult<Option<u64>> {
-        self.serving()?;
-        Ok(self.store.get(key)?.map(|p| p.len() as u64))
+        self.serve(|store| Ok(store.get(key)?.map(|p| p.len() as u64)))
     }
 
     /// Delete one page: a batch of one over [`Provider::delete_many`].
@@ -217,24 +214,27 @@ impl Provider {
     /// provider. One liveness check covers the batch; returns one slot per
     /// key, in order, `true` where the page was held.
     pub fn delete_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> BlobResult<Vec<bool>> {
-        self.serving()?;
-        keys.iter()
-            .map(|key| Ok(self.store.delete(key.as_ref())?))
-            .collect()
+        self.serve(|store| {
+            keys.iter()
+                .map(|key| Ok(store.delete(key.as_ref())?))
+                .collect()
+        })
     }
 
     /// Every page key this provider stores, dead or alive (administrative,
     /// like [`Provider::stats`]: invariant checks compare it with what the
     /// metadata still references).
     pub fn page_keys(&self) -> Vec<Vec<u8>> {
-        self.store.keys()
+        self.machine.page_store().keys()
     }
 
-    /// Current counters.
+    /// Current counters: pages only (the machine's metadata counts in
+    /// [`dht::DhtStats`]).
     pub fn stats(&self) -> ProviderStats {
+        let store = self.machine.page_store();
         ProviderStats {
-            pages: self.store.len(),
-            stored_bytes: self.store.data_bytes(),
+            pages: store.len(),
+            stored_bytes: store.data_bytes(),
             writes: self.writes.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
@@ -243,14 +243,15 @@ impl Provider {
     }
 }
 
-/// A provider as the repair loop sees it: the listing is its page keys,
-/// the copy reads are one `DownloadMany`, the writes one `Upload` per page.
+/// A provider as the repair loop sees it: a member named by its machine
+/// (so the page tier shares the DHT's detector), whose listing is its page
+/// keys, copy reads one `DownloadMany` and writes one `Upload` per page.
 impl Member for Provider {
-    type Id = ProviderId;
+    type Id = DhtNodeId;
     type Value = Bytes;
 
-    fn id(&self) -> ProviderId {
-        self.id
+    fn id(&self) -> DhtNodeId {
+        self.machine.id()
     }
 
     fn ping(&self) -> bool {
@@ -285,6 +286,10 @@ impl Member for Provider {
 mod tests {
     use super::*;
 
+    fn provider() -> Provider {
+        Provider::new(Arc::new(StorageNode::new(DhtNodeId(0), NodeId(0))))
+    }
+
     #[test]
     fn page_key_is_unique_per_blob_version_page() {
         let a = page_key(BlobId(1), Version(2), 3);
@@ -304,7 +309,7 @@ mod tests {
 
     #[test]
     fn put_get_delete_and_stats() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         assert_eq!(p.id(), ProviderId(0));
         assert_eq!(p.node(), NodeId(0));
         let key = page_key(BlobId(0), Version(1), 0);
@@ -327,7 +332,7 @@ mod tests {
 
     #[test]
     fn delete_many_answers_every_key_in_order() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let k0 = page_key(BlobId(0), Version(1), 0);
         let k1 = page_key(BlobId(0), Version(1), 1);
         p.put_page(&k0, Bytes::from(vec![1u8; 8])).unwrap();
@@ -340,13 +345,13 @@ mod tests {
         );
         assert_eq!(p.stats().pages, 0);
         assert_eq!(p.stats().stored_bytes, 0);
-        p.kill();
+        p.machine().kill();
         assert!(p.delete_many(&[k0]).is_err(), "a dead provider refuses");
     }
 
     #[test]
     fn ranged_download_serves_only_the_window() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let key = page_key(BlobId(0), Version(1), 0);
         let data: Vec<u8> = (0..100u8).collect();
         p.put_page(&key, Bytes::from(data.clone())).unwrap();
@@ -367,7 +372,7 @@ mod tests {
 
     #[test]
     fn download_many_answers_every_request_in_order() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let k0 = page_key(BlobId(0), Version(1), 0);
         let k1 = page_key(BlobId(0), Version(1), 1);
         p.put_page(&k0, Bytes::from(vec![1u8; 50])).unwrap();
@@ -394,7 +399,7 @@ mod tests {
         assert_eq!(got[0].as_ref().unwrap().len(), 8);
         assert!(got[1].is_none());
         assert_eq!(got[2].as_ref().unwrap(), &Bytes::from(vec![2u8; 10]));
-        p.kill();
+        p.machine().kill();
         assert!(p
             .download_many(vec![PageRequest {
                 key: k0,
@@ -406,28 +411,30 @@ mod tests {
 
     #[test]
     fn query_reports_stored_length_without_serving_bytes() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let key = page_key(BlobId(0), Version(1), 0);
         p.put_page(&key, Bytes::from(vec![9u8; 64])).unwrap();
         assert_eq!(p.query_page(&key).unwrap(), Some(64));
         assert_eq!(p.query_page(b"missing").unwrap(), None);
         assert_eq!(p.stats().reads, 0);
         assert_eq!(p.stats().bytes_read, 0);
-        p.kill();
+        p.machine().kill();
         assert!(p.query_page(&key).is_err());
     }
 
     #[test]
     fn dead_provider_rejects_all_operations() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let key = page_key(BlobId(0), Version(1), 0);
         p.put_page(&key, Bytes::from_static(b"data")).unwrap();
-        p.kill();
+        p.machine().kill();
         assert!(!p.ping());
         assert!(p.put_page(&key, Bytes::from_static(b"x")).is_err());
         assert!(p.get_page(&key).is_err());
         assert!(p.delete_page(&key).is_err());
-        p.revive();
+        // The machine is down for its metadata role as well.
+        assert_eq!(p.machine().get(b"m"), Err(dht::NodeDown));
+        p.machine().revive();
         assert_eq!(
             p.get_page(&key).unwrap().unwrap(),
             Bytes::from_static(b"data")
@@ -436,17 +443,17 @@ mod tests {
 
     #[test]
     fn ping_tracks_kill_and_revive() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         assert!(p.ping());
-        p.kill();
+        p.machine().kill();
         assert!(!p.ping());
-        p.revive();
+        p.machine().revive();
         assert!(p.ping());
     }
 
     #[test]
     fn missing_page_read_does_not_count_as_served() {
-        let p = Provider::in_memory(ProviderId(0), NodeId(0));
+        let p = provider();
         let _ = p.get_page(b"nope").unwrap();
         assert_eq!(p.stats().reads, 0);
     }

@@ -8,17 +8,19 @@
 //! ablation) possible, the manager supports several interchangeable
 //! strategies.
 //!
-//! Beyond placement, the manager is the storage tier's membership authority
-//! under churn: providers *announce* every page replica they accept, an
-//! optional failure detector ([`ProviderManager::health`]) turns refused
-//! probes into suspicion, and [`ProviderManager::repair`] (the shared
-//! [`simcluster::replica`] loop) actively re-replicates announced pages
-//! whose live copy count fell below the replication factor — so a provider
-//! crash costs redundancy only until the next repair pass, not until an
-//! operator revives the node.
+//! Beyond placement, the manager keeps the page tier's view of the
+//! machines under churn: providers *announce* every page replica they
+//! accept, the machines' failure detector ([`ProviderManager::health`])
+//! turns refused probes into suspicion, and [`ProviderManager::repair`]
+//! (the shared [`simcluster::replica`] loop) actively re-replicates
+//! announced pages whose live copy count fell below the replication factor
+//! — so a machine crash costs redundancy only until the next repair pass.
+//! A dead machine never comes back; kills and joins go through
+//! [`crate::BlobSeer::kill`] and [`crate::BlobSeer::join`].
 
 use crate::provider::Provider;
 use crate::types::ProviderId;
+use dht::{DhtNodeId, StorageNode};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use simcluster::replica::{Inventory, Placement, RepairReport, ReplicaHealth};
@@ -58,27 +60,37 @@ pub struct ProviderManager {
     /// Deterministic pseudo-random state for [`PlacementStrategy::Random`].
     rng_state: Mutex<u64>,
     /// Which providers hold a replica of each announced page. Ordered map so
-    /// repair scans keys deterministically. Entries survive a holder's death:
-    /// the page store is persistent, so a revived provider still serves its
-    /// old pages.
+    /// repair scans keys deterministically. Entries survive a holder's
+    /// death; repair counts only the holders that are live and list the
+    /// page.
     announcements: Mutex<BTreeMap<Vec<u8>, Vec<ProviderId>>>,
-    /// The optional failure detector over the provider set, and the repair
+    /// The optional failure detector over the machines, and the repair
     /// counters.
-    health: ReplicaHealth<ProviderId>,
+    health: ReplicaHealth<DhtNodeId>,
 }
 
 impl ProviderManager {
-    /// Create a manager over in-memory providers, one per entry of `nodes`.
-    pub fn new_in_memory(
+    /// Create a manager over the page roles of `machines`.
+    ///
+    /// # Panics
+    /// When `machines` is empty or machine `i` does not have id `i` (a
+    /// provider is found by its id's position).
+    pub fn new(
         topology: &ClusterTopology,
-        nodes: &[NodeId],
+        machines: &[Arc<StorageNode>],
         strategy: PlacementStrategy,
     ) -> Self {
-        assert!(!nodes.is_empty(), "at least one provider is required");
-        let providers = nodes
+        assert!(!machines.is_empty(), "at least one provider is required");
+        for (i, machine) in machines.iter().enumerate() {
+            assert_eq!(
+                machine.id(),
+                DhtNodeId(i as u64),
+                "machine {i} has another id"
+            );
+        }
+        let providers = machines
             .iter()
-            .enumerate()
-            .map(|(i, n)| Arc::new(Provider::in_memory(ProviderId(i as u32), *n)))
+            .map(|m| Arc::new(Provider::new(Arc::clone(m))))
             .collect();
         ProviderManager {
             providers: RwLock::new(providers),
@@ -92,15 +104,17 @@ impl ProviderManager {
         }
     }
 
-    /// Add a fresh in-memory provider on `node` (a churn *join*). Returns its
-    /// id. The new provider starts empty; the next repair pass and future
+    /// Add a fresh machine on cluster node `host`, with the next provider
+    /// id, and serve its pages: the page half of [`crate::BlobSeer::join`].
+    /// The new provider starts empty; the next repair pass and future
     /// allocations pull it into service.
-    pub fn join_in_memory(&self, node: NodeId) -> ProviderId {
+    pub(crate) fn add(&self, host: NodeId) -> Arc<StorageNode> {
         let mut providers = self.providers.write();
-        let id = ProviderId(providers.len() as u32);
-        providers.push(Arc::new(Provider::in_memory(id, node)));
-        self.health.register(id);
-        id
+        let machine = Arc::new(StorageNode::new(DhtNodeId(providers.len() as u64), host));
+        let provider = Provider::new(Arc::clone(&machine));
+        self.health.register(machine.id());
+        providers.push(Arc::new(provider));
+        machine
     }
 
     /// The strategy in use.
@@ -131,20 +145,6 @@ impl ProviderManager {
     /// The cluster node a provider runs on (used by the locality primitive).
     pub fn node_of(&self, id: ProviderId) -> Option<NodeId> {
         self.provider(id).map(|p| p.node())
-    }
-
-    /// Kill a provider (failure injection).
-    pub fn kill(&self, id: ProviderId) {
-        if let Some(p) = self.provider(id) {
-            p.kill();
-        }
-    }
-
-    /// Revive a provider.
-    pub fn revive(&self, id: ProviderId) {
-        if let Some(p) = self.provider(id) {
-            p.revive();
-        }
     }
 
     /// Allocate storage for `pages` consecutive pages written by a client on
@@ -340,11 +340,11 @@ impl ProviderManager {
 
     // ---- failure detection and repair --------------------------------------
 
-    /// The failure detector slot and repair counters of this tier. Attach
-    /// a detector with `health().enable_failure_detection(..)`; joins keep
-    /// its membership in sync, and repair probes and refused data
-    /// operations (`note_down`) feed it.
-    pub fn health(&self) -> &ReplicaHealth<ProviderId> {
+    /// The failure detector slot and repair counters of this tier. The
+    /// detector is keyed by machine: a deployment attaches the one its DHT
+    /// feeds too. Joins keep its membership in sync, and repair probes and
+    /// refused data operations (`note_down`) feed it.
+    pub fn health(&self) -> &ReplicaHealth<DhtNodeId> {
         &self.health
     }
 
@@ -363,25 +363,26 @@ impl ProviderManager {
         let providers = self.providers.read();
         let members: Vec<&Provider> = providers.iter().map(|p| &**p).collect();
         let mut ann = self.announcements.lock();
-        let plan = |live: &[ProviderId], inventory: Inventory<ProviderId>| {
-            // Announcement load per provider, so repair copies spread the
+        // The loop names members by machine; announcements name providers.
+        let plan = |live: &[DhtNodeId], inventory: Inventory<DhtNodeId>| {
+            // Announcement load per machine, so repair copies spread the
             // way the allocator spreads fresh writes.
-            let mut load: HashMap<ProviderId, usize> = HashMap::new();
+            let mut load: HashMap<DhtNodeId, usize> = HashMap::new();
             for h in ann.values().flatten() {
-                *load.entry(*h).or_insert(0) += 1;
+                *load.entry((*h).into()).or_insert(0) += 1;
             }
             let mut plans = Vec::with_capacity(ann.len());
             for (key, announced) in ann.iter() {
+                let announced: Vec<DhtNodeId> = announced.iter().map(|&h| h.into()).collect();
                 let listed = inventory.get(key).map_or(&[][..], Vec::as_slice);
-                // A revived provider with a wiped store lists nothing.
-                let holders: Vec<ProviderId> = announced
+                let holders: Vec<DhtNodeId> = announced
                     .iter()
                     .copied()
                     .filter(|h| listed.contains(h))
                     .collect();
                 let mut targets = holders.clone();
                 if !holders.is_empty() && holders.len() < replication {
-                    let mut candidates: Vec<(usize, ProviderId)> = live
+                    let mut candidates: Vec<(usize, DhtNodeId)> = live
                         .iter()
                         .filter(|id| !announced.contains(id))
                         .map(|id| (load.get(id).copied().unwrap_or(0), *id))
@@ -399,7 +400,7 @@ impl ProviderManager {
         let (report, plans) = self.health.repair(&members, replication, plan);
         for plan in plans.iter().filter(|p| !p.copied.is_empty()) {
             if let Some(holders) = ann.get_mut(&plan.key) {
-                holders.extend(&plan.copied);
+                holders.extend(plan.copied.iter().map(|&m| ProviderId::from(m)));
             }
         }
         report
@@ -419,10 +420,30 @@ mod tests {
             .build()
     }
 
+    /// A manager over one fresh machine per node of `t`.
+    fn over(t: &ClusterTopology, strategy: PlacementStrategy) -> ProviderManager {
+        let hosts: Vec<NodeId> = t.all_nodes().collect();
+        ProviderManager::new(t, &StorageNode::fleet(&hosts), strategy)
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 0 has another id")]
+    fn machines_out_of_id_order_are_rejected() {
+        let t = ClusterTopology::flat(2);
+        let machines = vec![
+            Arc::new(StorageNode::new(DhtNodeId(1), t.node(0))),
+            Arc::new(StorageNode::new(DhtNodeId(0), t.node(1))),
+        ];
+        ProviderManager::new(&t, &machines, PlacementStrategy::LoadBalanced);
+    }
+
     fn manager(strategy: PlacementStrategy) -> ProviderManager {
-        let t = topo();
-        let nodes: Vec<NodeId> = t.all_nodes().collect();
-        ProviderManager::new_in_memory(&t, &nodes, strategy)
+        over(&topo(), strategy)
+    }
+
+    /// Crash provider `id`'s machine.
+    fn kill(m: &ProviderManager, id: u32) {
+        m.provider(ProviderId(id)).unwrap().machine().kill();
     }
 
     #[test]
@@ -540,7 +561,7 @@ mod tests {
         let m = manager(PlacementStrategy::LoadBalanced);
         // Kill half the providers.
         for i in 0..4 {
-            m.kill(ProviderId(i));
+            kill(&m, i);
         }
         let placement = m.allocate(40, 2, NodeId(0));
         for replicas in &placement {
@@ -548,9 +569,9 @@ mod tests {
                 assert!(id.0 >= 4, "dead provider {id:?} was allocated");
             }
         }
-        // Revive and confirm they participate again.
+        // Flip their machines back and confirm they participate again.
         for i in 0..4 {
-            m.revive(ProviderId(i));
+            m.provider(ProviderId(i)).unwrap().machine().revive();
         }
         m.reset_allocation_counters();
         m.allocate(80, 1, NodeId(0));
@@ -561,16 +582,14 @@ mod tests {
     fn no_live_providers_returns_empty() {
         let m = manager(PlacementStrategy::LoadBalanced);
         for i in 0..8 {
-            m.kill(ProviderId(i));
+            kill(&m, i);
         }
         assert!(m.allocate(5, 1, NodeId(0)).is_empty());
     }
 
     #[test]
     fn replication_is_capped_at_live_provider_count() {
-        let t = ClusterTopology::flat(2);
-        let nodes: Vec<NodeId> = t.all_nodes().collect();
-        let m = ProviderManager::new_in_memory(&t, &nodes, PlacementStrategy::LoadBalanced);
+        let m = over(&ClusterTopology::flat(2), PlacementStrategy::LoadBalanced);
         let placement = m.allocate(3, 5, NodeId(0));
         for replicas in placement {
             assert_eq!(replicas.len(), 2);
@@ -618,7 +637,7 @@ mod tests {
     fn repair_restores_replication_after_a_provider_death() {
         let m = manager(PlacementStrategy::LoadBalanced);
         seed_page(&m, b"blob-1/v1/page-0", &[0, 1]);
-        m.kill(ProviderId(0));
+        kill(&m, 0);
 
         let report = m.repair(2);
         assert_eq!(report.dead, 1);
@@ -658,8 +677,8 @@ mod tests {
     fn repair_reports_pages_with_no_surviving_copy() {
         let m = manager(PlacementStrategy::LoadBalanced);
         seed_page(&m, b"gone", &[0, 1]);
-        m.kill(ProviderId(0));
-        m.kill(ProviderId(1));
+        kill(&m, 0);
+        kill(&m, 1);
         let report = m.repair(2);
         assert_eq!(report.under_replicated, 1);
         assert_eq!(report.copied, 0);
@@ -668,14 +687,12 @@ mod tests {
 
     #[test]
     fn joined_provider_takes_repair_copies() {
-        let t = ClusterTopology::flat(2);
-        let nodes: Vec<NodeId> = t.all_nodes().collect();
-        let m = ProviderManager::new_in_memory(&t, &nodes, PlacementStrategy::LoadBalanced);
+        let m = over(&ClusterTopology::flat(2), PlacementStrategy::LoadBalanced);
         seed_page(&m, b"k", &[0, 1]);
-        m.kill(ProviderId(1));
+        kill(&m, 1);
         // Without the join, replication 2 cannot be restored (1 live node).
-        let id = m.join_in_memory(NodeId(0));
-        assert_eq!(id, ProviderId(2));
+        let machine = m.add(NodeId(0));
+        assert_eq!(machine.id(), DhtNodeId(2));
         let report = m.repair(2);
         assert_eq!(report.copied, 1);
         assert!(m.holders(b"k").contains(&ProviderId(2)));
@@ -684,31 +701,29 @@ mod tests {
     #[test]
     fn heartbeats_feed_the_detector() {
         use simcluster::clock::SimClock;
-        use simcluster::{Clock, SUSPICION_TIMEOUT};
+        use simcluster::{Clock, FailureDetector, SUSPICION_TIMEOUT};
 
         let m = manager(PlacementStrategy::LoadBalanced);
         let clock = Arc::new(SimClock::new());
-        m.health().enable_failure_detection(
+        m.health().attach(Arc::new(FailureDetector::with_members(
             Arc::clone(&clock) as Arc<dyn Clock>,
-            m.providers().iter().map(|p| p.id()),
-        );
+            (0..8).map(DhtNodeId),
+        )));
         let det = m.health().detector().unwrap();
         assert_eq!(det.member_count(), 8);
+        let machine = DhtNodeId(3);
 
-        m.kill(ProviderId(3));
+        kill(&m, 3);
         assert_eq!(m.repair(2).dead, 1);
-        assert!(
-            !det.is_suspect(ProviderId(3)),
-            "before the timeout: tolerated"
-        );
+        assert!(!det.is_suspect(machine), "before the timeout: tolerated");
         clock.advance(SUSPICION_TIMEOUT);
         m.repair(2);
-        assert!(det.is_suspect(ProviderId(3)));
+        assert!(det.is_suspect(machine));
         assert_eq!(det.failures_detected(), 1);
 
-        m.revive(ProviderId(3));
+        m.provider(ProviderId(3)).unwrap().machine().revive();
         m.repair(2);
-        assert!(!det.is_suspect(ProviderId(3)));
+        assert!(!det.is_suspect(machine));
         assert_eq!(det.recoveries_observed(), 1);
     }
 
@@ -734,7 +749,7 @@ mod tests {
 
         // One holder dies: each of its 4 pages is read once, from its one
         // surviving holder.
-        m.kill(ProviderId(3));
+        kill(&m, 3);
         let report = m.repair(2);
         assert_eq!((report.under_replicated, report.copied), (4, 4));
         let after = reads(&m);
@@ -746,11 +761,9 @@ mod tests {
 
     #[test]
     fn too_few_live_providers_leave_pages_short() {
-        let t = ClusterTopology::flat(2);
-        let nodes: Vec<NodeId> = t.all_nodes().collect();
-        let m = ProviderManager::new_in_memory(&t, &nodes, PlacementStrategy::LoadBalanced);
+        let m = over(&ClusterTopology::flat(2), PlacementStrategy::LoadBalanced);
         seed_page(&m, b"k", &[0, 1]);
-        m.kill(ProviderId(1));
+        kill(&m, 1);
         let report = m.repair(2);
         assert_eq!(report.under_replicated, 1);
         assert_eq!(report.still_under_replicated, 1, "one live copy of two");

@@ -36,9 +36,24 @@ impl fmt::Display for Version {
     }
 }
 
-/// Identifies a data provider (page storage node).
+/// Identifies a data provider (page storage node). Provider `i` serves the
+/// pages of machine `i`, whose metadata map is DHT ring member `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ProviderId(pub u32);
+
+impl From<ProviderId> for dht::DhtNodeId {
+    /// The machine a provider serves.
+    fn from(id: ProviderId) -> Self {
+        dht::DhtNodeId(u64::from(id.0))
+    }
+}
+
+impl From<dht::DhtNodeId> for ProviderId {
+    /// The provider that serves a machine's pages.
+    fn from(id: dht::DhtNodeId) -> Self {
+        ProviderId(id.0 as u32)
+    }
+}
 
 impl fmt::Display for ProviderId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,5 +1,7 @@
-//! A call into a DHT node or a page provider is served on the caller's
-//! thread, and it is linearizable with `kill` and `revive`: an operation
+//! A call into a storage node — its metadata map directly, or its page
+//! store through the machine's provider — is served on the caller's
+//! thread, and it is linearizable with the node's `kill` and `revive`, the
+//! one liveness flag both roles read: an operation
 //! that starts after `kill` returns is refused until `revive` starts, one
 //! that runs wholly between a `revive` and the next `kill` is served, and no
 //! acknowledged write is lost across any number of crashes.
@@ -14,9 +16,10 @@
 use blobseer::provider::{page_key, PageRequest};
 use blobseer::{BlobId, Provider, ProviderId, Version};
 use bytes::Bytes;
-use dht::{DhtNode, DhtNodeId, NodeDown};
+use dht::{DhtNodeId, NodeDown, StorageNode};
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
 
 const WORKERS: usize = 3;
 const CYCLES: usize = 20;
@@ -106,7 +109,7 @@ impl Schedule {
 
 #[test]
 fn a_dht_node_call_is_linearizable_with_kill_and_revive() {
-    let node = DhtNode::new(DhtNodeId(0));
+    let node = StorageNode::new(DhtNodeId(0), NodeId(0));
     let sched = Schedule::new();
     let per_worker: Vec<(u64, u64, Vec<Vec<u8>>)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..WORKERS)
@@ -164,12 +167,14 @@ fn a_dht_node_call_is_linearizable_with_kill_and_revive() {
 
 #[test]
 fn a_provider_call_is_linearizable_with_kill_and_revive() {
-    let provider = Provider::in_memory(ProviderId(0), NodeId(0));
+    let machine = Arc::new(StorageNode::new(DhtNodeId(0), NodeId(0)));
+    let provider = Provider::new(Arc::clone(&machine));
+    assert_eq!(provider.id(), ProviderId(0));
     let sched = Schedule::new();
     let per_worker: Vec<(u64, Vec<Vec<u8>>)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..WORKERS)
             .map(|w| {
-                let (provider, sched) = (&provider, &sched);
+                let (provider, machine, sched) = (&provider, &machine, &sched);
                 s.spawn(move || {
                     let _running = sched.enlist();
                     let mut refused = 0u64;
@@ -177,7 +182,7 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
                     let mut i = 0u64;
                     while !sched.done() {
                         let key = page_key(BlobId(w as u64), Version(1), i);
-                        let ok = match i % 3 {
+                        let ok = match i % 4 {
                             0 => {
                                 let data = Bytes::from(key.clone());
                                 let ok = sched.check(|| provider.put_page(&key, data).is_ok());
@@ -197,7 +202,7 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
                                     Err(_) => false,
                                 })
                             }
-                            _ => {
+                            2 => {
                                 // A ranged window of up to three acknowledged
                                 // pages in one batch.
                                 let keys: Vec<&Vec<u8>> = acked.iter().rev().take(3).collect();
@@ -219,6 +224,15 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
                                     Err(_) => false,
                                 })
                             }
+                            // The same machine's metadata role reads the
+                            // same flag.
+                            _ => sched.check(|| match machine.get(&key) {
+                                Ok(got) => {
+                                    assert_eq!(got, None);
+                                    true
+                                }
+                                Err(NodeDown) => false,
+                            }),
                         };
                         refused += u64::from(!ok);
                         i += 1;
@@ -227,7 +241,7 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
                 })
             })
             .collect();
-        sched.run(|| provider.kill(), || provider.revive());
+        sched.run(|| machine.kill(), || machine.revive());
         workers.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert!(per_worker.iter().any(|(refused, _)| *refused > 0));

@@ -45,11 +45,16 @@ fn census_peak_is_flat_from_4_to_64_clients() {
     let pool = miniexec::census::spawned();
     assert_eq!(pool, workers, "the pool registers one thread per worker");
 
-    let mut config = BlobSeerConfig::for_tests()
-        .with_providers(8)
-        .with_page_replication(2);
-    config.metadata_providers = 8;
-    let sys = BlobSeer::new(config);
+    let sys = BlobSeer::new(
+        BlobSeerConfig::for_tests()
+            .with_providers(8)
+            .with_page_replication(2),
+    );
+    assert_eq!(
+        sys.metadata().dht().node_ids().len(),
+        8,
+        "one DHT node per machine"
+    );
     let client = sys.client();
     let blob = client.create(Some(64)).unwrap();
     let data: Vec<u8> = (0..64 * 32).map(|i| (i % 239) as u8).collect();
@@ -60,7 +65,7 @@ fn census_peak_is_flat_from_4_to_64_clients() {
     assert_eq!(
         miniexec::census::spawned(),
         pool,
-        "8 providers and 8 DHT nodes, written and read, started no thread"
+        "8 machines, written and read, started no thread"
     );
     let peak_lo = miniexec::census::peak();
 

@@ -729,19 +729,19 @@ mod tests {
 
         fs.delete("/scratch", true).unwrap();
 
-        let metadata_providers = storage.config().metadata_providers as u64;
+        let machines = storage.provider_manager().len() as u64;
         let dht_spent = dht.wire_counters().snapshot().since(&dht_before);
         let levels = storage.metadata().stats().batch_lookups - lookups_before;
         assert_eq!(levels, 3, "one read per tree level, across all ten blobs");
-        assert!(dht_spent.read_messages <= levels * metadata_providers);
+        assert!(dht_spent.read_messages <= levels * machines);
         assert!(
-            dht_spent.write_messages <= metadata_providers,
-            "one RemoveMany per metadata provider: {dht_spent:?}"
+            dht_spent.write_messages <= machines,
+            "one RemoveMany per machine: {dht_spent:?}"
         );
         let page_spent = storage.provider_wire().snapshot().since(&pages_before);
         assert_eq!(page_spent.read_messages, 0);
         assert!(
-            page_spent.write_messages <= storage.config().providers as u64,
+            page_spent.write_messages <= machines,
             "one DeleteMany per provider: {page_spent:?}"
         );
         assert_eq!(footprint(), kept, "the directory's storage is freed");

@@ -7,8 +7,10 @@
 //! * [`ring::HashRing`] — consistent hashing with virtual nodes, so that keys
 //!   spread evenly and adding/removing a metadata provider only moves a small
 //!   fraction of the keys;
-//! * [`node::DhtNode`] — one metadata provider: a key-value store plus a
-//!   liveness flag for failure injection, served on the caller's thread;
+//! * [`node::StorageNode`] — one machine's storage server: the metadata
+//!   map this crate places and the page store the page tier places, behind
+//!   one liveness flag for failure injection, served on the caller's
+//!   thread;
 //! * [`Dht`] — the client view: replicated `put`/`get`/`remove` across the
 //!   ring, fail-over on dead replicas, node join and kill, and the
 //!   churn-tolerance layer: an active re-replication pass ([`Dht::repair`],
@@ -16,6 +18,12 @@
 //!   round of the tier's failure detector, and which restores the
 //!   replication factor after unannounced deaths. A join runs the same pass
 //!   before it returns, so a joined node holds its share at once.
+//!
+//! A standalone DHT ([`Dht::new`]) builds its own nodes. A BlobSeer
+//! deployment builds its ring over its machines instead
+//! ([`Dht::with_nodes`]): each [`StorageNode`] is both a ring member and its
+//! machine's page store, which the page tier places and serves, so killing
+//! a node takes out the machine's metadata and its pages together.
 //!
 //! The DHT is *in-process*: nodes are objects, not sockets. This is
 //! deliberate — the paper's experiments never stress the metadata network
@@ -58,7 +66,7 @@
 pub mod node;
 pub mod ring;
 
-pub use node::{DhtNode, DhtNodeId, NodeDown, NodeResult};
+pub use node::{DhtNodeId, NodeDown, NodeResult, StorageNode};
 pub use ring::HashRing;
 
 use bytes::Bytes;
@@ -148,12 +156,15 @@ pub struct DhtStats {
     /// Replica copies created by repair passes (cumulative).
     pub repaired_entries: u64,
     /// Node failures discovered by the heartbeat detector (0 when no
-    /// detector is attached).
+    /// detector is attached). In a BlobSeer deployment the detector is the
+    /// machines' one detector, which the page tier feeds too.
     pub failures_detected: u64,
     /// Nodes the detector currently suspects dead.
     pub suspected_nodes: usize,
     /// Data-plane batches the nodes have handled (served or refused),
-    /// summed over every member. One charged client exchange is one batch,
+    /// summed over every member, page-store batches included (a
+    /// [`StorageNode`] counts both stores' batches on one counter). Over
+    /// metadata traffic alone one charged client exchange is one batch,
     /// so client traffic advances this in step with [`Dht::round_trips`];
     /// the placement passes ([`Dht::repair`], and the one each
     /// [`Dht::join`] runs) add uncharged batches of their own.
@@ -162,27 +173,42 @@ pub struct DhtStats {
 
 struct DhtInner {
     ring: HashRing,
-    nodes: FastMap<DhtNodeId, Arc<DhtNode>>,
-    next_id: u64,
+    nodes: FastMap<DhtNodeId, Arc<StorageNode>>,
     replication: usize,
     virtual_nodes: usize,
 }
 
-/// The transport attachment for a [`Dht`]: where each metadata provider
-/// lives in the cluster and which wire its exchanges are charged on.
+/// The transport attachment for a [`Dht`]: which wire its exchanges are
+/// charged on. An exchange goes to its node's [`StorageNode::host`].
 struct DhtWire {
     transport: Arc<dyn Transport>,
-    /// Cluster placement of the metadata providers: DHT node `i` lives on
-    /// `placement[i % placement.len()]`.
-    placement: Vec<NodeId>,
     /// Fallback source node for exchanges issued from threads that did not
     /// pin one via [`wire::source_guard`].
     home: NodeId,
 }
 
-impl DhtWire {
-    fn destination(&self, id: DhtNodeId) -> NodeId {
-        self.placement[id.0 as usize % self.placement.len()]
+/// The exchanges of one batch round (see [`Dht::round`]): each is recorded
+/// as it is served and charged on the wire as part of one
+/// [`wire::Round`], closed when this drops.
+struct BatchRound<'a> {
+    dht: &'a Dht,
+    wire: Option<(Arc<dyn Transport>, wire::Round)>,
+}
+
+impl BatchRound<'_> {
+    fn charge(&mut self, node: &StorageNode, dir: Direction, bytes_out: u64, bytes_in: u64) {
+        self.dht.counters.record(dir, bytes_out, bytes_in);
+        if let Some((transport, round)) = self.wire.as_mut() {
+            transport.exchange_in(round, node.host(), dir, bytes_out, bytes_in);
+        }
+    }
+}
+
+impl Drop for BatchRound<'_> {
+    fn drop(&mut self) {
+        if let Some((transport, round)) = &self.wire {
+            transport.end_round(round);
+        }
     }
 }
 
@@ -192,10 +218,12 @@ impl DhtWire {
 /// only write-locked by [`Dht::join`] and [`Dht::repair`], never by data
 /// operations.
 ///
-/// Members join and die; none comes back. A `Dht` hands out no node handle,
-/// so no caller can revive a node inside one: [`Dht::kill`] is final, and
-/// the node's copies stay on its disk (counted by [`DhtStats::total_entries`]
-/// and [`Dht::key_copies`]) but never serve again.
+/// Members join and die; none comes back. A `Dht` hands out no node
+/// handle, and a deployment that holds its machines' nodes never revives
+/// one ([`StorageNode::revive`] is a flag flip for tests on bare nodes): a
+/// kill is final, and the node's copies stay on its disk (counted by
+/// [`DhtStats::total_entries`] and [`Dht::key_copies`]) but never serve
+/// again.
 ///
 /// Besides per-key `put`/`get`, the DHT offers [`Dht::put_many`] and
 /// [`Dht::get_many`] batch operations that group keys by responsible node
@@ -207,6 +235,10 @@ impl DhtWire {
 /// **One charged exchange is one served batch.** A node group travels as a
 /// single batch call to its node, and a batch operation visits its nodes one
 /// after another in node-id order, charging each exchange as it is served.
+/// The groups of one round (a put's or remove's groups, one rank of a
+/// get's) are sent together: an attached wire charges them as one
+/// [`wire::Round`], so a lookup level costs its slowest node's exchange,
+/// not one exchange per node in turn.
 pub struct Dht {
     inner: RwLock<DhtInner>,
     /// The failure detector slot and repair counters. The detector is
@@ -225,25 +257,35 @@ pub struct Dht {
 }
 
 impl Dht {
-    /// Build a DHT with `config.nodes` initial nodes.
+    /// Build a DHT over `config.nodes` fresh nodes, node `i` on cluster
+    /// node `i`.
     pub fn new(config: DhtConfig) -> Self {
-        assert!(
-            config.replication >= 1,
-            "replication factor must be at least 1"
-        );
+        let hosts: Vec<NodeId> = (0..config.nodes as u32).map(NodeId).collect();
+        Self::with_nodes(
+            StorageNode::fleet(&hosts),
+            config.replication,
+            config.virtual_nodes,
+        )
+    }
+
+    /// Build a DHT whose ring is exactly `nodes`: the machines of a
+    /// deployment, whose page stores another tier places.
+    pub fn with_nodes(
+        nodes: Vec<Arc<StorageNode>>,
+        replication: usize,
+        virtual_nodes: usize,
+    ) -> Self {
+        assert!(replication >= 1, "replication factor must be at least 1");
         let mut inner = DhtInner {
-            ring: HashRing::new(config.virtual_nodes),
+            ring: HashRing::new(virtual_nodes),
             nodes: FastMap::default(),
-            next_id: 0,
-            replication: config.replication,
-            virtual_nodes: config.virtual_nodes,
+            replication,
+            virtual_nodes,
         };
-        for _ in 0..config.nodes {
-            let id = DhtNodeId(inner.next_id);
-            inner.next_id += 1;
-            inner.ring.add_node(id);
-            inner.nodes.insert(id, Arc::new(DhtNode::new(id)));
-        }
+        inner.ring.add_nodes(nodes.iter().map(|node| node.id()));
+        inner
+            .nodes
+            .extend(nodes.into_iter().map(|node| (node.id(), node)));
         Dht {
             inner: RwLock::new(inner),
             health: ReplicaHealth::default(),
@@ -278,39 +320,41 @@ impl Dht {
         &self.counters
     }
 
-    /// Charge every future client-to-node exchange on `transport`, placing
-    /// metadata provider `i` on cluster node `placement[i % len]`. Exchanges
-    /// issued from a thread without a [`wire::source_guard`] are charged as
-    /// coming from `home`.
-    pub fn attach_wire(&self, transport: Arc<dyn Transport>, placement: Vec<NodeId>, home: NodeId) {
-        assert!(
-            !placement.is_empty(),
-            "placement must name at least one node"
-        );
-        *self.wire.write() = Some(DhtWire {
-            transport,
-            placement,
-            home,
-        });
+    /// Charge every future client-to-node exchange on `transport`, to the
+    /// node's [`StorageNode::host`]. Exchanges issued from a thread without
+    /// a [`wire::source_guard`] are charged as coming from `home`.
+    pub fn attach_wire(&self, transport: Arc<dyn Transport>, home: NodeId) {
+        *self.wire.write() = Some(DhtWire { transport, home });
     }
 
-    /// Record one exchange with node `id` and, when a wire is attached,
-    /// charge its simulated cost.
-    fn charge(&self, id: DhtNodeId, dir: Direction, bytes_out: u64, bytes_in: u64) {
+    /// Record one exchange with `node` and, when a wire is attached, charge
+    /// its simulated cost.
+    fn charge(&self, node: &StorageNode, dir: Direction, bytes_out: u64, bytes_in: u64) {
         self.counters.record(dir, bytes_out, bytes_in);
         if let Some(w) = self.wire.read().as_ref() {
             let src = wire::current_source().unwrap_or(w.home);
             w.transport
-                .exchange(src, w.destination(id), dir, bytes_out, bytes_in);
+                .exchange(src, node.host(), dir, bytes_out, bytes_in);
         }
     }
 
-    fn charge_read(&self, id: DhtNodeId, bytes_out: u64, bytes_in: u64) {
-        self.charge(id, Direction::Read, bytes_out, bytes_in);
+    /// Open one round of a batch operation: its node groups go out
+    /// together, so an attached wire charges the round its slowest
+    /// exchange rather than their sum.
+    fn round(&self) -> BatchRound<'_> {
+        let wire = self.wire.read().as_ref().map(|w| {
+            let src = wire::current_source().unwrap_or(w.home);
+            (Arc::clone(&w.transport), wire::Round::new(src))
+        });
+        BatchRound { dht: self, wire }
     }
 
-    fn charge_write(&self, id: DhtNodeId, bytes_out: u64, bytes_in: u64) {
-        self.charge(id, Direction::Write, bytes_out, bytes_in);
+    fn charge_read(&self, node: &StorageNode, bytes_out: u64, bytes_in: u64) {
+        self.charge(node, Direction::Read, bytes_out, bytes_in);
+    }
+
+    fn charge_write(&self, node: &StorageNode, bytes_out: u64, bytes_in: u64) {
+        self.charge(node, Direction::Write, bytes_out, bytes_in);
     }
 
     /// The replication factor this DHT was configured with.
@@ -329,7 +373,7 @@ impl Dht {
     fn try_put_on(&self, inner: &DhtInner, id: DhtNodeId, key: &[u8], value: &Bytes) -> bool {
         let node = &inner.nodes[&id];
         self.charge_write(
-            id,
+            node,
             key.len() as u64 + value.len() as u64 + MSG_OVERHEAD,
             MSG_OVERHEAD,
         );
@@ -430,11 +474,18 @@ impl Dht {
         removed: &mut [bool],
     ) -> Vec<bool> {
         let mut refused = vec![false; keys.len()];
+        let mut round = self.round();
         for (id, indices) in groups {
             let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_ref()).collect();
             let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
-            self.charge_write(*id, req_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            match inner.nodes[id].remove_each(&group) {
+            let node = &inner.nodes[id];
+            round.charge(
+                node,
+                Direction::Write,
+                req_bytes + MSG_OVERHEAD,
+                MSG_OVERHEAD,
+            );
+            match node.remove_each(&group) {
                 Ok(slots) => {
                     for (&i, r) in indices.iter().zip(slots) {
                         removed[i] |= r;
@@ -485,6 +536,7 @@ impl Dht {
         // node-id order. The bytes cross the wire even if the node turns out
         // to be dead.
         let mut stored = vec![0usize; entries.len()];
+        let mut round = self.round();
         for (id, indices) in &per_node {
             let group: Vec<(&[u8], Bytes)> = indices
                 .iter()
@@ -494,14 +546,21 @@ impl Dht {
                 .iter()
                 .map(|(k, v)| k.len() as u64 + v.len() as u64)
                 .sum();
-            self.charge_write(*id, group_bytes + MSG_OVERHEAD, MSG_OVERHEAD);
-            match inner.nodes[id].put_many(&group) {
+            let node = &inner.nodes[id];
+            round.charge(
+                node,
+                Direction::Write,
+                group_bytes + MSG_OVERHEAD,
+                MSG_OVERHEAD,
+            );
+            match node.put_many(&group) {
                 Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
                 // The node refused the whole group; leave its entries for
                 // the per-entry fail-over pass below.
                 Err(NodeDown) => self.health.note_down(*id),
             }
         }
+        drop(round);
         // Entries short of the replication factor (their group's node was
         // dead when the batch reached it) fail over individually, clockwise
         // past the replica set.
@@ -578,12 +637,15 @@ impl Dht {
             }
             // One batch per node: the request carries the group's keys, the
             // response whatever values the node held. Nodes are asked in
-            // node-id order, each exchange charged as it is served.
+            // node-id order, each exchange charged as it is served, and the
+            // rank's batches as one round.
+            let mut round = self.round();
             for (id, indices) in &per_node {
                 let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_ref()).collect();
                 let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
                 let mut resp_bytes = 0u64;
-                match inner.nodes[id].get_many(&group) {
+                let node = &inner.nodes[id];
+                match node.get_many(&group) {
                     Ok(values) => {
                         for (&i, v) in indices.iter().zip(values) {
                             resp_bytes += v.as_ref().map_or(0, |b| b.len() as u64);
@@ -596,7 +658,12 @@ impl Dht {
                         self.health.note_down(*id);
                     }
                 }
-                self.charge_read(*id, req_bytes + MSG_OVERHEAD, resp_bytes + MSG_OVERHEAD);
+                round.charge(
+                    node,
+                    Direction::Read,
+                    req_bytes + MSG_OVERHEAD,
+                    resp_bytes + MSG_OVERHEAD,
+                );
             }
         }
         // Keys that saw a refusal may have failed over past the replica set
@@ -611,13 +678,14 @@ impl Dht {
                 .into_iter()
                 .skip(replica_lists[i].len())
             {
-                let resp = inner.nodes[&id].get(keys[i].as_ref());
+                let node = &inner.nodes[&id];
+                let resp = node.get(keys[i].as_ref());
                 let resp_bytes = match &resp {
                     Ok(Some(v)) => v.len() as u64,
                     _ => 0,
                 };
                 self.charge_read(
-                    id,
+                    node,
                     keys[i].as_ref().len() as u64 + MSG_OVERHEAD,
                     resp_bytes + MSG_OVERHEAD,
                 );
@@ -635,18 +703,24 @@ impl Dht {
         self.get(key).is_ok()
     }
 
-    /// Add a new node to the ring and return its id once it holds its
-    /// share of the keys: the join runs the placement pass of
-    /// [`Dht::repair`] under the membership lock, copying each key the new
-    /// node is now a first live successor of onto it and dropping the copy
-    /// it displaced. Its report counts in [`Dht::health`]'s counters like a
-    /// repair's.
-    pub fn join(&self) -> DhtNodeId {
+    /// Add `node` to the ring and return its id once it holds its share of
+    /// the keys: the join runs the placement pass of [`Dht::repair`] under
+    /// the membership lock, copying each key the new node is now a first
+    /// live successor of onto it and dropping the copy it displaced. Its
+    /// report counts in [`Dht::health`]'s counters like a repair's.
+    ///
+    /// A BlobSeer deployment's ring is its machines: only
+    /// `BlobSeer::join` calls this on it, with a machine it also gives a
+    /// provider (CI's "One membership path" step checks the callers).
+    ///
+    /// # Panics
+    /// When a member already has the node's id.
+    pub fn join(&self, node: Arc<StorageNode>) -> DhtNodeId {
         let mut inner = self.inner.write();
-        let id = DhtNodeId(inner.next_id);
-        inner.next_id += 1;
+        let id = node.id();
+        assert!(!inner.nodes.contains_key(&id), "{id:?} is already a member");
         inner.ring.add_node(id);
-        inner.nodes.insert(id, Arc::new(DhtNode::new(id)));
+        inner.nodes.insert(id, node);
         self.health.register(id);
         self.place(&inner);
         id
@@ -654,7 +728,8 @@ impl Dht {
 
     /// Crash a node (failure injection). Nothing else is told: the front-end
     /// discovers the death when operations are refused, the detector when
-    /// heartbeats go unanswered. The node stays dead.
+    /// heartbeats go unanswered. The node stays dead. A BlobSeer deployment
+    /// kills whole machines through `BlobSeer::kill` and never calls this.
     pub fn kill(&self, id: DhtNodeId) -> DhtResult<()> {
         let inner = self.inner.read();
         match inner.nodes.get(&id) {
@@ -667,9 +742,8 @@ impl Dht {
     }
 
     /// The failure detector slot and repair counters of this tier. Attach
-    /// a detector with `health().enable_failure_detection(.., node_ids())`;
-    /// joins register with it, and repair probes and refused data
-    /// operations feed it.
+    /// a detector with `health().attach(..)`; joins register with it, and
+    /// repair probes and refused data operations feed it.
     pub fn health(&self) -> &ReplicaHealth<DhtNodeId> {
         &self.health
     }
@@ -691,7 +765,7 @@ impl Dht {
     fn place(&self, inner: &DhtInner) -> RepairReport {
         let mut ids: Vec<DhtNodeId> = inner.nodes.keys().copied().collect();
         ids.sort();
-        let members: Vec<&DhtNode> = ids.iter().map(|id| &*inner.nodes[id]).collect();
+        let members: Vec<&StorageNode> = ids.iter().map(|id| &*inner.nodes[id]).collect();
         let plan = |live: &[DhtNodeId], inventory: Inventory<DhtNodeId>| {
             inventory
                 .into_iter()
@@ -788,8 +862,14 @@ impl Dht {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh node with the next free id, for a join.
+    fn newcomer(dht: &Dht) -> Arc<StorageNode> {
+        let id = DhtNodeId(dht.node_ids().len() as u64);
+        Arc::new(StorageNode::new(id, NodeId(0)))
+    }
     use simcluster::clock::{Clock, SimClock};
-    use simcluster::detector::SUSPICION_TIMEOUT;
+    use simcluster::detector::{FailureDetector, SUSPICION_TIMEOUT};
     use std::collections::HashSet;
     use std::sync::atomic::Ordering;
 
@@ -1017,7 +1097,7 @@ mod tests {
         // Neither a repair nor a join lists a dead node, so nothing copies
         // the value back.
         dht.repair();
-        dht.join();
+        dht.join(newcomer(&dht));
         assert!(
             matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })),
             "deleted key resurrected from the dead replica"
@@ -1122,7 +1202,7 @@ mod tests {
             replication: 2,
             ..Default::default()
         });
-        dht.attach_wire(net.clone(), topo.all_nodes().collect(), topo.node(0));
+        dht.attach_wire(net.clone(), topo.node(0));
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         dht.get(b"key").unwrap();
         assert!(net.makespan() > simcluster::time::SimDuration::ZERO);
@@ -1199,7 +1279,7 @@ mod tests {
     /// in node-id order, so this lands the death after the first group and
     /// before the victim's.
     struct KillOnNextCharge {
-        victim: Arc<DhtNode>,
+        victim: Arc<StorageNode>,
         armed: std::sync::atomic::AtomicBool,
     }
 
@@ -1236,7 +1316,7 @@ mod tests {
             victim: Arc::clone(&dht.inner.read().nodes[&victim]),
             armed: std::sync::atomic::AtomicBool::new(true),
         });
-        dht.attach_wire(killer.clone(), vec![NodeId(0)], NodeId(0));
+        dht.attach_wire(killer.clone(), NodeId(0));
         let entries: Vec<(Vec<u8>, Bytes)> = (0..80u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -1451,7 +1531,7 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             dht.put(key, Bytes::from(format!("v{i}"))).unwrap();
         }
-        let newcomer = dht.join();
+        let newcomer = dht.join(newcomer(&dht));
         let load = dht.load_per_node();
         assert!(load[&newcomer] > 0, "the joined node holds keys at once");
         assert_eq!(dht.stats().total_entries, 200 * 2, "displaced copies went");
@@ -1492,8 +1572,10 @@ mod tests {
             replication: 2,
             ..Default::default()
         });
-        dht.health()
-            .enable_failure_detection(Arc::clone(clock) as Arc<dyn Clock>, dht.node_ids());
+        dht.health().attach(Arc::new(FailureDetector::with_members(
+            Arc::clone(clock) as Arc<dyn Clock>,
+            dht.node_ids(),
+        )));
         dht
     }
 

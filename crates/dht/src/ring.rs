@@ -68,8 +68,17 @@ impl HashRing {
     /// leave it to the smaller id, so the ring does not depend on the order
     /// nodes joined in.
     pub fn add_node(&mut self, node: DhtNodeId) {
-        self.ring
-            .extend((0..self.virtual_nodes).map(|r| (hash_vnode(node, r), node)));
+        self.add_nodes([node]);
+    }
+
+    /// Add several physical nodes with one sort of the circle, as
+    /// [`HashRing::add_node`] would one by one.
+    pub fn add_nodes(&mut self, nodes: impl IntoIterator<Item = DhtNodeId>) {
+        let vnodes = self.virtual_nodes;
+        for node in nodes {
+            self.ring
+                .extend((0..vnodes).map(|r| (hash_vnode(node, r), node)));
+        }
         self.ring.sort_unstable();
         self.ring.dedup_by_key(|&mut (position, _)| position);
     }
@@ -171,11 +180,15 @@ mod tests {
         // A node that leaves and rejoins lands where it was.
         churned.remove_node(DhtNodeId(3));
         churned.add_node(DhtNodeId(3));
+        // Nodes added in one batch land where they land one by one.
+        let mut batched = HashRing::new(32);
+        batched.add_nodes((0..6).rev().map(DhtNodeId));
         for i in 0..1000u32 {
             let key = format!("k{i}");
             let want = forward.successors(key.as_bytes(), 3);
             assert_eq!(backward.successors(key.as_bytes(), 3), want);
             assert_eq!(churned.successors(key.as_bytes(), 3), want);
+            assert_eq!(batched.successors(key.as_bytes(), 3), want);
         }
     }
 

@@ -77,14 +77,10 @@ impl Datanode {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Simulate a crash (data is retained for a later revive).
+    /// Simulate a crash. The datanode stays dead; its store keeps the
+    /// chunks it held, which [`Datanode::stats`] still counts.
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Release);
-    }
-
-    /// Bring the datanode back.
-    pub fn revive(&self) {
-        self.alive.store(true, Ordering::Release);
     }
 
     /// Store a chunk. Returns false when the datanode is down.
@@ -164,8 +160,8 @@ mod tests {
         assert!(!dn.put_chunk(ChunkId(10), Bytes::from_static(b"y")));
         assert!(dn.get_chunk(ChunkId(9)).is_none());
         assert!(!dn.delete_chunk(ChunkId(9)));
-        dn.revive();
-        assert_eq!(dn.get_chunk(ChunkId(9)).unwrap(), Bytes::from_static(b"x"));
+        // A refused delete changed nothing: the chunk stays on its disk.
+        assert_eq!(dn.stats().chunks, 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! - Shrinking is **halving-based and greedy** instead of proptest's value
 //!   trees: on failure, each strategy proposes smaller candidates (range
 //!   start, the midpoint of the remaining distance, one step down; halved
-//!   collections; component-wise tuple shrinks), the runner keeps any
-//!   candidate that still fails, and repeats until no candidate fails or the
-//!   shrink budget runs out. The panic message reports the minimized input.
+//!   collections, or one element dropped; component-wise tuple shrinks),
+//!   the runner keeps any candidate that still fails, and repeats until no
+//!   candidate fails or the shrink budget runs out. The panic message reports the minimized input.
 //!   Strategies built with `prop_map` cannot shrink through the mapping (the
 //!   function is not invertible), and `prop_oneof!` unions do not shrink
 //!   (the producing branch is unknown); both report the value that was
@@ -453,6 +453,10 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Range, Strategy, TestRng};
 
+    /// Positions a vector's per-element shrink passes (drop one, shrink
+    /// one) try in one round.
+    const ELEMENT_PASS: usize = 16;
+
     /// Strategy for `Vec<S::Value>` with a length drawn from `size`.
     pub struct VecStrategy<S> {
         element: S,
@@ -478,7 +482,9 @@ pub mod collection {
         fn shrink_candidates(&self, value: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
             let mut out = Vec::new();
             let min_len = self.size.start;
-            // Structural shrinks first: halve the length, then drop one.
+            // Structural shrinks first: halve the length, drop the last
+            // element, then drop each earlier one, so a failure whose cause
+            // sits early sheds the elements around it too.
             if value.len() > min_len {
                 let half = (value.len() / 2).max(min_len);
                 if half < value.len() {
@@ -487,9 +493,14 @@ pub mod collection {
                 if value.len() - 1 > half {
                     out.push(value[..value.len() - 1].to_vec());
                 }
+                for i in (0..value.len() - 1).take(ELEMENT_PASS) {
+                    let mut next = value.clone();
+                    next.remove(i);
+                    out.push(next);
+                }
             }
             // Then element-wise: each position's most aggressive candidate.
-            for (i, element) in value.iter().enumerate().take(16) {
+            for (i, element) in value.iter().enumerate().take(ELEMENT_PASS) {
                 if let Some(candidate) = self.element.shrink_candidates(element).into_iter().next()
                 {
                     let mut next = value.clone();
@@ -791,6 +802,29 @@ mod tests {
             },
         );
         assert_eq!(minimized.len(), 5);
+    }
+
+    #[test]
+    fn vector_shrinking_drops_elements_anywhere() {
+        // Fails iff a 7 comes before a 9; both sit behind and between
+        // filler, so cutting the tail alone cannot reach the core.
+        let strategy = prop::collection::vec(any::<u8>(), 0..64);
+        let mut failing = vec![50u8; 30];
+        failing.push(7);
+        failing.extend([50u8; 5]);
+        failing.push(9);
+        failing.extend([50u8; 5]);
+        assert_eq!(failing.len(), 42);
+        let (minimized, _, _) = crate::shrink_failure(
+            &strategy,
+            failing,
+            TestCaseError::fail("seed"),
+            |v: &Vec<u8>| match v.iter().position(|&x| x == 7) {
+                Some(i) if v[i..].contains(&9) => Err(TestCaseError::fail("7 then 9")),
+                _ => Ok(()),
+            },
+        );
+        assert_eq!(minimized, vec![7, 9]);
     }
 
     #[test]

@@ -53,6 +53,13 @@ impl<K: Eq + Hash + Copy> FailureDetector<K> {
         }
     }
 
+    /// A detector reading time from `clock` that tracks `members` from now.
+    pub fn with_members(clock: Arc<dyn Clock>, members: impl IntoIterator<Item = K>) -> Self {
+        let detector = Self::new(clock);
+        members.into_iter().for_each(|id| detector.register(id));
+        detector
+    }
+
     /// Start tracking a member, presumed alive as of now (a member that
     /// never answers will still only become suspect after the timeout).
     pub fn register(&self, member: K) {

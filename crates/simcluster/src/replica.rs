@@ -17,8 +17,11 @@
 //!
 //! A tier supplies its members ([`Member`]) and its placement rule, so a
 //! pass moves exactly the values it copies: over a healthy tier, none.
+//!
+//! Tiers whose members share machines name them by machine and share one
+//! detector: a dead machine is one detected failure however many tiers
+//! probe it.
 
-use crate::clock::Clock;
 use crate::detector::FailureDetector;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -124,15 +127,9 @@ impl<I: Copy + Ord + Hash> Default for ReplicaHealth<I> {
 }
 
 impl<I: Copy + Ord + Hash> ReplicaHealth<I> {
-    /// Attach a failure detector reading time from `clock`, registering
-    /// `members`; probes and refused data operations then feed it.
-    pub fn enable_failure_detection(
-        &self,
-        clock: Arc<dyn Clock>,
-        members: impl IntoIterator<Item = I>,
-    ) {
-        let detector = Arc::new(FailureDetector::new(clock));
-        members.into_iter().for_each(|id| detector.register(id));
+    /// Feed `detector`: probes and refused data operations then report to
+    /// it. Tiers on the same machines may share one.
+    pub fn attach(&self, detector: Arc<FailureDetector<I>>) {
         *self.detector.lock() = Some(detector);
     }
 
@@ -334,9 +331,9 @@ mod tests {
             Node::new(2, &[b"c"]),
         ];
         nodes[0].alive = false;
-        let health = ReplicaHealth::default();
+        let health: ReplicaHealth<u32> = ReplicaHealth::default();
         let clock = Arc::new(SimClock::new());
-        health.enable_failure_detection(clock.clone(), [0, 1, 2]);
+        health.attach(Arc::new(FailureDetector::with_members(clock.clone(), 0..3)));
         clock.advance(Duration::from_secs(1));
         let members: Vec<&Node> = nodes.iter().collect();
 
@@ -369,7 +366,7 @@ mod tests {
     #[test]
     fn too_few_live_members_count_against_the_factor() {
         let nodes = [Node::new(0, &[b"a"])];
-        let health = ReplicaHealth::default();
+        let health: ReplicaHealth<u32> = ReplicaHealth::default();
         let (report, _) = health.repair(&[&nodes[0]], 2, lowest(2));
         assert_eq!(report.under_replicated, 1);
         assert_eq!(report.still_under_replicated, 1);

@@ -35,11 +35,17 @@
 //! (request + response). Makespan is the completion time of the last
 //! exchange.
 //!
+//! A [`Round`] is the exception to "one after another": exchanges a source
+//! sends together and awaits together (the DHT's node batches of one lookup
+//! level) all start no earlier than the source's ready time when the round
+//! began, and the source is ready again when the last of them completes.
+//! They still queue on the links they share.
+//!
 //! Determinism: the ledger is order-sensitive (as a real shared network is),
 //! so a benchmark that wants a reproducible makespan must issue its
 //! exchanges in a deterministic order — drive clients round-robin from one
-//! thread. Each storage operation issues its exchanges one after another on
-//! its caller's thread, so that is enough.
+//! thread. Each storage operation issues its exchanges (and rounds) one
+//! after another on its caller's thread, so that is enough.
 //!
 //! ## Source propagation
 //!
@@ -211,8 +217,51 @@ pub trait Transport: Send + Sync {
         bytes_in: u64,
     ) -> SimDuration;
 
+    /// Charge one exchange of `round`: sent with the round's other
+    /// exchanges, its reply awaited with theirs. The default charges it
+    /// like a lone [`Transport::exchange`], one after another.
+    fn exchange_in(
+        &self,
+        round: &mut Round,
+        dst: NodeId,
+        dir: Direction,
+        bytes_out: u64,
+        bytes_in: u64,
+    ) -> SimDuration {
+        self.exchange(round.src, dst, dir, bytes_out, bytes_in)
+    }
+
+    /// Close `round`: its source issues nothing further until the round's
+    /// last reply is in.
+    fn end_round(&self, _round: &Round) {}
+
     /// Human-readable transport name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// Exchanges one source sends together and whose replies it awaits
+/// together: one request to each of several nodes, like a lookup level's
+/// node batches. Charge each with [`Transport::exchange_in`] as it is
+/// served, then close the round with [`Transport::end_round`].
+#[derive(Debug)]
+pub struct Round {
+    src: NodeId,
+    /// When the round's requests left (its source's ready time at the
+    /// first exchange).
+    issued: Option<SimTime>,
+    /// When the round's last reply arrived.
+    done: SimTime,
+}
+
+impl Round {
+    /// An empty round from `src`.
+    pub fn new(src: NodeId) -> Self {
+        Round {
+            src,
+            issued: None,
+            done: SimTime::ZERO,
+        }
+    }
 }
 
 /// The zero-cost transport: every exchange completes instantly. This is the
@@ -305,14 +354,34 @@ impl SimNet {
 }
 
 impl Transport for SimNet {
+    /// A lone exchange is a round of one.
     fn exchange(
         &self,
         src: NodeId,
+        dst: NodeId,
+        dir: Direction,
+        bytes_out: u64,
+        bytes_in: u64,
+    ) -> SimDuration {
+        let mut round = Round::new(src);
+        let took = self.exchange_in(&mut round, dst, dir, bytes_out, bytes_in);
+        self.end_round(&round);
+        took
+    }
+
+    /// Every exchange of a round may start when the round's first did: the
+    /// source waits for none of them before sending the next, only for all
+    /// of them at [`Transport::end_round`]. Shared links still serve their
+    /// bytes one exchange at a time.
+    fn exchange_in(
+        &self,
+        round: &mut Round,
         dst: NodeId,
         _dir: Direction,
         bytes_out: u64,
         bytes_in: u64,
     ) -> SimDuration {
+        let src = round.src;
         let latency = self.model.latency(self.topology.proximity(src, dst));
         let out_path = self.model.path(&self.topology, src, dst);
         let in_path = self.model.path(&self.topology, dst, src);
@@ -320,7 +389,8 @@ impl Transport for SimNet {
             + transfer_time(bytes_in, self.model.path_capacity(&in_path));
 
         let mut s = self.state.lock();
-        let mut start = s.node_ready.get(&src.0).copied().unwrap_or(SimTime::ZERO);
+        let ready = s.node_ready.get(&src.0).copied().unwrap_or(SimTime::ZERO);
+        let mut start = *round.issued.get_or_insert(ready);
         for link in out_path.iter().chain(in_path.iter()) {
             if let Some(&free) = s.link_free.get(link) {
                 start = start.max(free);
@@ -334,10 +404,16 @@ impl Transport for SimNet {
             s.link_free.insert(link, busy_until);
         }
         let end = busy_until + latency + latency;
-        s.node_ready.insert(src.0, end);
+        round.done = round.done.max(end);
         s.makespan = s.makespan.max(end);
         s.exchanges += 1;
         end.duration_since(start)
+    }
+
+    fn end_round(&self, round: &Round) {
+        let mut s = self.state.lock();
+        let ready = s.node_ready.entry(round.src.0).or_insert(SimTime::ZERO);
+        *ready = (*ready).max(round.done);
     }
 
     fn name(&self) -> &'static str {
@@ -500,6 +576,39 @@ mod tests {
         let d1 = net.exchange(topo.node(0), topo.node(1), Direction::Write, 4 << 20, 16);
         let d2 = net.exchange(topo.node(0), topo.node(2), Direction::Write, 4 << 20, 16);
         assert!(net.makespan().as_micros() >= d1.as_micros() + d2.as_micros() - 1);
+    }
+
+    #[test]
+    fn a_round_waits_for_its_slowest_exchange_not_their_sum() {
+        // One source asks three nodes at once, then one more alone: the
+        // round ends with its slowest reply, and the lone exchange starts
+        // only after it.
+        let topo = two_rack_topo();
+        let ask = |net: &SimNet, round: Option<&mut Round>| match round {
+            Some(round) => (1..4)
+                .map(|d| net.exchange_in(round, topo.node(d), Direction::Read, 64, 4096))
+                .max()
+                .unwrap(),
+            None => (1..4)
+                .map(|d| net.exchange(topo.node(0), topo.node(d), Direction::Read, 64, 4096))
+                .fold(SimDuration::ZERO, |a, b| a + b),
+        };
+        let serial = SimNet::new(topo.clone(), NetworkModel::grid5000_like());
+        let sum = ask(&serial, None);
+        assert_eq!(serial.makespan(), sum);
+
+        let net = SimNet::new(topo.clone(), NetworkModel::grid5000_like());
+        let mut round = Round::new(topo.node(0));
+        let slowest = ask(&net, Some(&mut round));
+        net.end_round(&round);
+        let round_end = net.makespan();
+        assert!(round_end >= slowest);
+        assert!(
+            round_end < sum,
+            "round {round_end} vs one after another {sum}"
+        );
+        let lone = net.exchange(topo.node(0), topo.node(1), Direction::Read, 64, 4096);
+        assert_eq!(net.makespan(), round_end + lone);
     }
 
     #[test]

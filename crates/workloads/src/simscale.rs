@@ -18,7 +18,7 @@
 //! * [`sim_read_shared`]   — E2, concurrent reads of disjoint parts of one
 //!   huge file (pre-loaded by a single loader node).
 
-use blobseer::{PlacementStrategy, ProviderManager};
+use blobseer::{PlacementStrategy, ProviderManager, StorageNode};
 use hdfs_sim::{Datanode, DatanodeId, PlacementPolicy};
 use simcluster::flowsim::{ClientProcess, Flow, FlowSimulator, SimReport, Step};
 use simcluster::netmodel::NetworkModel;
@@ -260,9 +260,9 @@ fn compute_placements(
     let storage_nodes = config.storage_node_ids();
     match system {
         StorageSystem::Bsfs => {
-            let manager = ProviderManager::new_in_memory(
+            let manager = ProviderManager::new(
                 topo,
-                &storage_nodes,
+                &StorageNode::fleet(&storage_nodes),
                 PlacementStrategy::LoadBalanced,
             );
             let pages = config.pages_per_block.max(1) as u64;
@@ -353,7 +353,7 @@ pub fn sim_write_with_strategy(strategy: PlacementStrategy, config: &SimScaleCon
     let topo = &config.topology;
     let writer_nodes: Vec<NodeId> = (0..config.clients).map(|i| config.client_node(i)).collect();
     let storage_nodes = config.storage_node_ids();
-    let manager = ProviderManager::new_in_memory(topo, &storage_nodes, strategy);
+    let manager = ProviderManager::new(topo, &StorageNode::fleet(&storage_nodes), strategy);
     let blocks = config.blocks_per_client();
     let pages = config.pages_per_block.max(1) as u64;
     let page_bytes = config.block_size / pages;

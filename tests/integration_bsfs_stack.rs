@@ -49,10 +49,8 @@ fn data_survives_killing_a_replicas_worth_of_providers() {
     let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 256) as u8).collect();
     fs.write_file("/resilient", &payload).unwrap();
 
-    // Kill one provider: page replication factor 2 must cover for it.
-    fs.storage()
-        .provider_manager()
-        .kill(blobseer::ProviderId(0));
+    // Kill one machine: page replication factor 2 must cover for it.
+    fs.storage().kill(blobseer::ProviderId(0)).unwrap();
     assert_eq!(fs.read_file("/resilient").unwrap().to_vec(), payload);
 
     // New writes keep working with the remaining providers.
@@ -65,10 +63,10 @@ fn metadata_survives_killing_a_metadata_provider() {
     let fs = deployment(4, 1024);
     let payload = vec![7u8; 50_000];
     fs.write_file("/meta-resilient", &payload).unwrap();
-    // Kill one DHT node; metadata replication covers it.
-    let dht = fs.storage().metadata().dht();
-    let victims = dht.node_ids();
-    dht.kill(victims[0]).unwrap();
+    // Kill one machine, and with it its DHT node; metadata replication
+    // covers it. A cold cache reads the tree back from the survivors.
+    fs.storage().kill(blobseer::ProviderId(0)).unwrap();
+    fs.storage().metadata().drop_cached_nodes();
     assert_eq!(fs.read_file("/meta-resilient").unwrap().to_vec(), payload);
 }
 

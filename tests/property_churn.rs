@@ -1,6 +1,8 @@
 //! Property-based tests of churn tolerance: random interleavings of writes,
-//! reads, kills and joins on a `SimClock`, with the repair loop — never
-//! `revive` — keeping the data durable.
+//! reads, machine kills and joins on a `SimClock`, with the repair loop —
+//! never `revive` — keeping the data durable. A machine is one storage
+//! node, so each kill loses a share of the tree nodes and of the pages
+//! together.
 //!
 //! Two invariants must hold for every generated sequence:
 //!
@@ -10,7 +12,7 @@
 //! * **replication is eventually restored** — once the sequence quiesces, a
 //!   repair pass on each tier reports nothing left under-replicated.
 //!
-//! The harness keeps kills survivable (a tier is never dropped below its
+//! The harness keeps kills survivable (the machines never drop below the
 //! replication factor) and runs a repair pass after every kill, so failures
 //! do not pile up faster than re-replication — the regime the paper's
 //! replication argument assumes.
@@ -33,7 +35,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random write/read/kill/join sequences: committed versions stay
-    /// readable and a final repair pass restores full replication.
+    /// readable from a cold metadata cache and a final repair pass restores
+    /// full replication on both tiers.
     #[test]
     fn committed_versions_survive_random_churn(
         ops in prop::collection::vec(
@@ -55,13 +58,11 @@ proptest! {
             &provider_nodes,
             Arc::clone(&clock) as Arc<dyn simcluster::Clock>,
         );
-        let pm = sys.provider_manager();
-        let dht = sys.metadata().dht();
+        assert_eq!(sys.config().metadata_replication, replication);
         let client = sys.client();
         let blob = client.create(None).unwrap();
 
-        let mut live_providers: Vec<ProviderId> = (0..providers).map(ProviderId).collect();
-        let mut live_dht = dht.node_ids();
+        let mut live: Vec<ProviderId> = (0..providers).map(ProviderId).collect();
         let mut join_node = 0u32;
         let mut model: Vec<u8> = Vec::new();
         let mut snapshots: Vec<(Version, Vec<u8>)> = Vec::new();
@@ -81,33 +82,26 @@ proptest! {
                     apply_to_model(&mut model, offset, data);
                     snapshots.push((v, model.clone()));
                 }
-                2 => {
-                    // Kill a provider — only while the tier stays above its
-                    // replication factor — and repair before anything else
-                    // can die, so each page always keeps a live copy.
-                    if live_providers.len() > replication {
-                        let victim = live_providers.remove(pick % live_providers.len());
-                        pm.kill(victim);
-                        sys.repair();
-                    }
-                }
-                3 => {
-                    live_providers.push(pm.join_in_memory(topo.node(join_node % providers)));
-                    join_node += 1;
-                }
-                4 => {
-                    if live_dht.len() > dht.replication() {
-                        let victim = live_dht.remove(pick % live_dht.len());
-                        dht.kill(victim).unwrap();
+                2 | 3 => {
+                    // Kill a machine — only while the machines stay above
+                    // the replication factor — and repair before anything
+                    // else can die, so each page and each tree node always
+                    // keeps a live copy.
+                    if live.len() > replication {
+                        let victim = live.remove(pick % live.len());
+                        sys.kill(victim).unwrap();
                         sys.repair();
                     }
                 }
                 _ => {
-                    live_dht.push(dht.join());
+                    live.push(sys.join(topo.node(join_node % providers)));
+                    join_node += 1;
                 }
             }
             // A mid-sequence read: some snapshot (when one exists) must be
-            // readable right now, whatever just died.
+            // readable right now, whatever just died, its tree read from
+            // the DHT.
+            sys.metadata().drop_cached_nodes();
             if let Some((version, expected)) = snapshots.get(pick % snapshots.len().max(1)) {
                 if !expected.is_empty() {
                     let got = client.read(blob, *version, 0, expected.len() as u64).unwrap();
@@ -117,13 +111,14 @@ proptest! {
         }
 
         // Quiesce: one repair pass per tier must find replication fully
-        // restored with the members still alive.
+        // restored with the machines still alive.
         let (dht_report, provider_report) = sys.repair();
         prop_assert_eq!(provider_report.still_under_replicated, 0);
         prop_assert_eq!(dht_report.still_under_replicated, 0);
 
         // No committed version was lost: every snapshot reads back exactly
-        // as it was published.
+        // as it was published, from a cold cache.
+        sys.metadata().drop_cached_nodes();
         for (version, expected) in &snapshots {
             if expected.is_empty() {
                 continue;

@@ -8,9 +8,11 @@ use blobseer::provider::page_key;
 use blobseer::types::InlineKey;
 use blobseer::{BlobId, Version};
 use bytes::Bytes;
-use dht::{Dht, DhtConfig};
+use dht::{Dht, DhtConfig, DhtNodeId, StorageNode};
 use proptest::prelude::*;
+use simcluster::NodeId;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Numbers at the varint edges (one byte, two bytes, the widest) and
 /// anywhere between.
@@ -117,7 +119,10 @@ proptest! {
                         dht.repair();
                     }
                 }
-                Op::Join => live.push(dht.join()),
+                Op::Join => {
+                    let id = DhtNodeId(dht.node_ids().len() as u64);
+                    live.push(dht.join(Arc::new(StorageNode::new(id, NodeId(0)))));
+                }
                 Op::Repair => {
                     dht.repair();
                 }

@@ -12,7 +12,7 @@
 
 use blobseer::metadata::{NodeKey, Slot as TreeSlot, TreeNode};
 use blobseer::provider::page_key;
-use blobseer::{BlobId, BlobSeer, BlobSeerConfig, Version};
+use blobseer::{BlobId, BlobSeer, BlobSeerConfig, Version, WriteIntent};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -362,16 +362,18 @@ proptest! {
                 }
                 3 | 4 => write(s, page * PAGE, PAGE),
                 5 => {
-                    // No live provider: the write fails, its version aliases
-                    // its predecessor, and what it stored is swept.
-                    let providers = sys.provider_manager().providers();
-                    for p in &providers {
-                        p.kill();
-                    }
-                    prop_assert!(client.write(s.blob, page * PAGE, &[*byte; 16]).is_err());
-                    for p in &providers {
-                        p.revive();
-                    }
+                    // An aborted write: its version aliases its predecessor.
+                    // A write that finds no live machine aborts so before it
+                    // stores anything (`client::tests::
+                    // failed_write_aborts_its_ticket_so_later_writers_proceed`);
+                    // here the machines stay up, as a dead one never returns.
+                    let intent = WriteIntent::WriteAt {
+                        offset: page * PAGE,
+                        len: 16,
+                    };
+                    let vm = sys.version_manager();
+                    let ticket = vm.reserve(s.blob, intent).unwrap();
+                    vm.abort(&ticket).unwrap();
                 }
                 6 => {
                     let before = dht_keys(&sys);

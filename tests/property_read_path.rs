@@ -427,7 +427,7 @@ fn parallel_page_fetch_fails_over_dead_replicas() {
 
     // Kill the preferred replica of every page.
     for loc in client.locate(blob, v, 0, data.len() as u64).unwrap() {
-        sys.provider_manager().kill(loc.providers[0]);
+        sys.kill(loc.providers[0]).unwrap();
     }
     assert_eq!(
         client.read(blob, v, 0, data.len() as u64).unwrap(),
@@ -437,7 +437,7 @@ fn parallel_page_fetch_fails_over_dead_replicas() {
 
     // Kill everything: the read surfaces a clean per-page error.
     for p in sys.provider_manager().providers() {
-        p.kill();
+        sys.kill(p.id()).unwrap();
     }
     assert!(matches!(
         client.read(blob, v, 0, data.len() as u64),

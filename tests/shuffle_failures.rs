@@ -373,7 +373,7 @@ fn shuffle_survives_a_dead_provider_node_with_replication() {
             emit: &mut dyn FnMut(String, String),
         ) -> MrResult<()> {
             if FaultPlan::take(&self.kills_left) {
-                self.storage.provider_manager().kill(ProviderId(0));
+                self.storage.kill(ProviderId(0)).unwrap();
             }
             for w in line.split_whitespace() {
                 emit(w.to_string(), "1".to_string());
