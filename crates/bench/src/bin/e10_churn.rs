@@ -28,6 +28,13 @@
 //! member's keys and reads one copy of each page it re-replicates, so the
 //! bytes stay within `repaired_page_copies × page_bytes`.
 //!
+//! And it records the messages the churn rounds' appends and reads sent
+//! (`churn_dht_read_messages`, `churn_dht_write_messages`,
+//! `churn_provider_read_messages`, from the DHT's and the providers' wire
+//! counters): every kill leaves replicas that refuse until the round's
+//! repair, so these count the fail-over walks of both tiers along with the
+//! healthy batches. Repair traffic is control-plane and not in them.
+//!
 //! `BENCH_SMOKE=1` shrinks the schedule to a does-it-run configuration.
 
 use blobseer::{BlobSeer, BlobSeerConfig, ProviderId, ProviderManager, RepairReport};
@@ -103,6 +110,10 @@ fn main() {
     let mut repair_traffic = (0u64, 0u64);
     let (mut append_secs, mut read_secs) = (0f64, 0f64);
     let mut now = SimTime::from_micros(0);
+    let (dht_wire0, provider_wire0) = (
+        dht.wire_counters().snapshot(),
+        sys.provider_wire().snapshot(),
+    );
 
     println!(
         "== E10: churn tolerance ({} rounds x {}ms, {} machines, page replication \
@@ -181,6 +192,9 @@ fn main() {
         repair(&sys, &mut repair_traffic);
     }
 
+    let dht_wire = dht.wire_counters().snapshot().since(&dht_wire0);
+    let provider_wire = sys.provider_wire().snapshot().since(&provider_wire0);
+
     // Final sweep: every committed version must still read back intact, and
     // a closing repair pass must find both tiers fully replicated.
     sys.metadata().drop_cached_nodes();
@@ -228,6 +242,10 @@ fn main() {
         "repair traffic: {repair_page_reads} pages / {repair_page_bytes_read} bytes read \
          from providers"
     );
+    println!(
+        "churn-round messages: DHT {} reads / {} writes, providers {} reads",
+        dht_wire.read_messages, dht_wire.write_messages, provider_wire.read_messages,
+    );
 
     assert_eq!(lost, 0, "a committed version became unreadable under churn");
     assert_eq!(
@@ -270,6 +288,9 @@ fn main() {
         provider_under_replicated_final: usize,
         dht_under_replicated_final: usize,
         machine_failures_detected: u64,
+        churn_dht_read_messages: u64,
+        churn_dht_write_messages: u64,
+        churn_provider_read_messages: u64,
     }
     bench::emit_bench_json(
         "E10",
@@ -295,6 +316,9 @@ fn main() {
             provider_under_replicated_final: provider_report.still_under_replicated,
             dht_under_replicated_final: dht_report.still_under_replicated,
             machine_failures_detected,
+            churn_dht_read_messages: dht_wire.read_messages,
+            churn_dht_write_messages: dht_wire.write_messages,
+            churn_provider_read_messages: provider_wire.read_messages,
         },
     );
 }

@@ -841,7 +841,7 @@ impl BlobSeerClient {
             .collect();
         // Each fetch yields the window's stored bytes as a view into the
         // provider's response.
-        let pieces = self.fetch_pages_coalesced(blob, &locations, &windows);
+        let pieces = self.fetch_pages(blob, &locations, &windows);
 
         // A read one stored window serves whole is that window: no copy.
         // Otherwise comes the one copy of the read: each view is appended in
@@ -889,99 +889,101 @@ impl BlobSeerClient {
         }
     }
 
-    /// Fetch the `[from, to)` window of one page from its replicas, failing
-    /// over across dead providers; holes read as zeroes without touching the
-    /// wire. Pages are stored on providers under the version of the write
-    /// that *created* them, which the metadata lookup reports in
-    /// [`PageMeta::created`]. Only the window's bytes cross the wire.
+    /// Fetch every page window of a read, one rank at a time; holes read
+    /// as zeroes without touching the wire. Rank 0 asks each page's first
+    /// recorded replica; a page a rank did not serve (provider dead, page
+    /// missing) moves on to its next candidate: its remaining recorded
+    /// replicas, then any holder announced since (a repair copy). No page
+    /// asks a provider twice, and one that refused is never asked again.
     ///
-    /// The metadata's provider list is where the write put the copies; under
-    /// churn the repair pass may since have rebuilt replicas elsewhere, so
-    /// after exhausting the recorded set the read chases the page-announcement
-    /// registry. A miss after that walk is final: a provider that refused is
-    /// dead, and a dead provider never serves again.
-    fn fetch_page_window(
-        &self,
-        blob: BlobId,
-        meta: &crate::metadata::segment_tree::PageMeta,
-        valid_len: usize,
-        from: usize,
-        to: usize,
-    ) -> BlobResult<Bytes> {
-        let created = match meta.created {
-            // A hole: never written, nothing stored.
-            None => return Ok(Bytes::new()),
-            Some(v) => v,
-        };
-        let sys = &self.system;
-        let (offset, len) = Self::wire_window(from, to, valid_len);
-        let key = page_key(blob, created, meta.page);
-        // Recorded replicas first, then any holder announced since (a
-        // repair copy); skip duplicates.
-        let mut candidates = meta.providers.clone();
-        for pid in sys.provider_manager.holders(&key) {
-            if !candidates.contains(&pid) {
-                candidates.push(pid);
-            }
-        }
-        for pid in &candidates {
-            let Some(provider) = sys.provider_manager.provider(*pid) else {
-                continue;
-            };
-            let resp = provider.download_page(&key, offset, len);
-            let resp_bytes = match &resp {
-                Ok(Some(d)) => d.len() as u64,
-                _ => 0,
-            };
-            self.system.charge_provider(
-                self.node,
-                provider.node(),
-                Direction::Read,
-                key.len() as u64 + MSG_OVERHEAD,
-                resp_bytes + MSG_OVERHEAD,
-            );
-            match resp {
-                Ok(Some(data)) => return Ok(Self::window_bytes(&data, from, to)),
-                Ok(None) => {}
-                Err(_) => sys.provider_manager.health().note_down((*pid).into()),
-            }
-        }
-        Err(BlobSeerError::PageUnavailable {
-            blob,
-            version: created,
-            page: meta.page,
-            tried: meta.providers.clone(),
-        })
-    }
-
-    /// Fetch every page window of a read with per-destination coalescing:
-    /// the demand fetches bound for the same (first-replica) provider fold
-    /// into one `DownloadMany` call — one wire exchange, one latency charge —
-    /// per destination. Destinations are served one after another in
-    /// provider-id order, each exchange charged as it is served, so a
-    /// single-threaded caller charges a deterministic exchange sequence.
-    /// Holes resolve locally; anything a batch could not answer (provider
-    /// dead, page missing, page not in the recorded first replica) falls
-    /// back to the per-page fail-over path.
-    fn fetch_pages_coalesced(
+    /// Each rank sends one `DownloadMany` per provider — one wire exchange,
+    /// one latency charge — in provider-id order, each exchange charged as
+    /// it is served, so a single-threaded caller charges a deterministic
+    /// sequence. Pages are stored under the version of the write that
+    /// *created* them (`PageMeta::created`), and only the windows' bytes
+    /// cross the wire. A page with no candidate left is
+    /// [`BlobSeerError::PageUnavailable`], and that is final: a provider
+    /// that refused is dead, and a dead provider never serves again.
+    fn fetch_pages(
         &self,
         blob: BlobId,
         locations: &[crate::metadata::segment_tree::PageMeta],
         windows: &[(usize, usize, usize)],
     ) -> Vec<BlobResult<Bytes>> {
         let sys = &self.system;
-        let mut out: Vec<Option<BlobResult<Bytes>>> = locations.iter().map(|_| None).collect();
+        let mut out: Vec<Option<Bytes>> = locations
+            .iter()
+            .map(|meta| meta.created.is_none().then(Bytes::new))
+            .collect();
+        let mut refused: Vec<ProviderId> = Vec::new();
         let mut groups: BTreeMap<ProviderId, Vec<(usize, Version)>> = BTreeMap::new();
         for (i, meta) in locations.iter().enumerate() {
-            match (meta.created, meta.providers.first()) {
-                (None, _) => out[i] = Some(Ok(Bytes::new())),
-                (Some(created), Some(pid)) => groups.entry(*pid).or_default().push((i, created)),
-                // No recorded provider: leave for the fall-back path, which
-                // also chases the announcement registry.
-                (Some(_), None) => {}
+            if let (Some(created), Some(pid)) = (meta.created, meta.providers.first()) {
+                groups.entry(*pid).or_default().push((i, created));
             }
         }
-        for (pid, group) in &groups {
+        self.download_groups(blob, locations, windows, &groups, &mut out, &mut refused);
+        // The pages rank 0 did not serve, each with its next candidates.
+        let mut walk: Vec<(usize, Version, Vec<ProviderId>)> = locations
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| out[*i].is_none())
+            .filter_map(|(i, meta)| {
+                let created = meta.created?;
+                let mut next: Vec<ProviderId> = meta.providers.iter().skip(1).copied().collect();
+                for pid in sys
+                    .provider_manager
+                    .holders(&page_key(blob, created, meta.page))
+                {
+                    if !meta.providers.contains(&pid) && !next.contains(&pid) {
+                        next.push(pid);
+                    }
+                }
+                Some((i, created, next))
+            })
+            .collect();
+        for rank in 1.. {
+            walk.retain(|(i, _, next)| out[*i].is_none() && rank <= next.len());
+            if walk.is_empty() {
+                break;
+            }
+            groups.clear();
+            for (i, created, next) in &walk {
+                let pid = next[rank - 1];
+                if !refused.contains(&pid) {
+                    groups.entry(pid).or_default().push((*i, *created));
+                }
+            }
+            self.download_groups(blob, locations, windows, &groups, &mut out, &mut refused);
+        }
+        out.into_iter()
+            .zip(locations)
+            .map(|(slot, meta)| {
+                slot.ok_or_else(|| BlobSeerError::PageUnavailable {
+                    blob,
+                    version: meta.created.unwrap_or(Version::ZERO),
+                    page: meta.page,
+                    tried: meta.providers.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// One rank of [`Self::fetch_pages`]: send each provider its group of
+    /// page windows as one `DownloadMany`, in provider-id order, each
+    /// exchange charged as it is served, filling the windows it served. A
+    /// provider that refuses joins `refused`.
+    fn download_groups(
+        &self,
+        blob: BlobId,
+        locations: &[crate::metadata::segment_tree::PageMeta],
+        windows: &[(usize, usize, usize)],
+        groups: &BTreeMap<ProviderId, Vec<(usize, Version)>>,
+        out: &mut [Option<Bytes>],
+        refused: &mut Vec<ProviderId>,
+    ) {
+        let sys = &self.system;
+        for (pid, group) in groups {
             let Some(provider) = sys.provider_manager.provider(*pid) else {
                 continue;
             };
@@ -1012,22 +1014,16 @@ impl BlobSeerClient {
                     for (&(i, _), slot) in group.iter().zip(slots) {
                         if let Some(data) = slot {
                             let (from, to, _) = windows[i];
-                            out[i] = Some(Ok(Self::window_bytes(&data, from, to)));
+                            out[i] = Some(Self::window_bytes(&data, from, to));
                         }
                     }
                 }
-                Err(_) => sys.provider_manager.health().note_down((*pid).into()),
+                Err(_) => {
+                    sys.provider_manager.health().note_down((*pid).into());
+                    refused.push(*pid);
+                }
             }
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    let (from, to, valid_len) = windows[i];
-                    self.fetch_page_window(blob, &locations[i], valid_len, from, to)
-                })
-            })
-            .collect()
     }
 
     /// Expose the page-to-provider distribution of a byte range, so that a
@@ -2126,7 +2122,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_read_falls_back_per_page_past_a_dead_provider() {
+    fn a_read_past_a_dead_provider_sends_one_batch_per_next_rank_provider() {
         let sys = BlobSeer::new(
             BlobSeerConfig::for_tests()
                 .with_page_size(64)
@@ -2140,25 +2136,67 @@ mod tests {
         let v = client.write(blob, 0, &data).unwrap();
         let locs = client.locate(blob, v, 0, data.len() as u64).unwrap();
         let victim = locs[0].providers[0];
-        let orphaned = locs.iter().filter(|l| l.providers[0] == victim).count();
+        let orphaned = locs.iter().filter(|l| l.providers[0] == victim);
+        let next_rank: std::collections::BTreeSet<_> = orphaned.map(|l| l.providers[1]).collect();
         let destinations: std::collections::BTreeSet<_> =
             locs.iter().map(|l| l.providers[0]).collect();
+        assert!(!next_rank.is_empty());
         sys.kill(victim).unwrap();
 
         let before = sys.provider_wire().snapshot();
         let got = client.read(blob, v, 0, data.len() as u64).unwrap();
         assert_eq!(got.to_vec(), data);
-        // One exchange per destination — the victim's is refused — then
-        // each orphaned page walks its own replicas: the dead first replica
-        // again, then the live second one.
+        // One exchange per destination — the victim's is refused — then one
+        // per provider the orphaned pages move on to: each one's second
+        // replica, batched, and the dead first replica never again.
         let spent = sys.provider_wire().snapshot().since(&before);
         assert_eq!(
             spent.read_messages,
-            (destinations.len() + 2 * orphaned) as u64
+            (destinations.len() + next_rank.len()) as u64
         );
         // And an unaligned window over the same pages assembles the same.
         let part = client.read(blob, v, 70, 500).unwrap();
         assert_eq!(part.to_vec(), data[70..570].to_vec());
+    }
+
+    #[test]
+    fn a_read_asks_each_refusing_provider_once() {
+        let sys = BlobSeer::new(
+            BlobSeerConfig::for_tests()
+                .with_page_size(64)
+                .with_providers(6)
+                .with_page_replication(3),
+        );
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        let data: Vec<u8> = (0..32 * 64).map(|i| (i % 241) as u8).collect();
+        let v = client.write(blob, 0, &data).unwrap();
+        let locs = client.locate(blob, v, 0, data.len() as u64).unwrap();
+        // Two first replicas die: a page whose second replica is the other
+        // victim, refused at rank 0 already, goes straight to its third.
+        let firsts: std::collections::BTreeSet<_> = locs.iter().map(|l| l.providers[0]).collect();
+        let (first, second) = locs
+            .iter()
+            .map(|l| (l.providers[0], l.providers[1]))
+            .find(|(_, next)| firsts.contains(next))
+            .unwrap();
+        sys.kill(first).unwrap();
+        sys.kill(second).unwrap();
+        let batches = |pid: ProviderId| {
+            let provider = sys.provider_manager().provider(pid).unwrap();
+            provider.machine().batches_handled()
+        };
+        let before = (batches(first), batches(second));
+        let dht_reads = sys.metadata().dht().read_round_trips();
+
+        assert_eq!(client.read(blob, v, 0, data.len() as u64).unwrap(), data);
+        // The tree came from the cache, so every batch a victim saw was a
+        // page fetch: one each, refused.
+        assert_eq!(sys.metadata().dht().read_round_trips(), dht_reads);
+        assert_eq!(
+            (batches(first), batches(second)),
+            (before.0 + 1, before.1 + 1)
+        );
     }
 
     /// A transport that, once armed, lets `pass` write exchanges through and

@@ -480,7 +480,7 @@ mod tests {
     use crate::types::next_power_of_two;
 
     fn store() -> MetadataStore {
-        MetadataStore::new(3, 1, 256)
+        crate::metadata::store::tests::standalone(3, 1, 256)
     }
 
     fn providers(ids: &[u32]) -> Vec<ProviderId> {

@@ -5,7 +5,7 @@ use crate::metadata::cache::{MetadataCache, MetadataCacheStats};
 use crate::metadata::{NodeKey, Slot, TreeNode};
 use crate::types::InlineKey;
 use bytes::Bytes;
-use dht::{Dht, DhtConfig, DhtError};
+use dht::{Dht, DhtError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,21 +56,10 @@ pub struct MetadataStore {
 }
 
 impl MetadataStore {
-    /// Create a store with a fresh standalone DHT of `nodes` nodes and a
-    /// node cache of up to `cache_capacity` tree nodes (a deployment builds
-    /// its DHT over its machines and uses [`MetadataStore::with_dht`]).
-    pub fn new(nodes: usize, replication: usize, cache_capacity: usize) -> Self {
-        let dht = Dht::new(DhtConfig {
-            nodes,
-            replication,
-            virtual_nodes: 64,
-        });
-        Self::with_dht(Arc::new(dht), cache_capacity)
-    }
-
-    /// Wrap an existing DHT behind a fresh (cold) node cache: a second client
-    /// of the same metadata providers, and how tests inject failures from
-    /// outside.
+    /// Wrap a DHT behind a fresh (cold) node cache of up to
+    /// `cache_capacity` tree nodes. A deployment builds its DHT over its
+    /// machines; a second store over the same DHT is a second client of
+    /// the same metadata providers.
     pub fn with_dht(dht: Arc<Dht>, cache_capacity: usize) -> Self {
         MetadataStore {
             dht,
@@ -273,10 +262,32 @@ pub(crate) fn check_slot(slot: &Slot, node: &TreeNode) -> BlobResult<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metadata::PageMap;
     use crate::types::{BlobId, ProviderId, Version};
+    use dht::StorageNode;
+    use simcluster::NodeId;
+
+    /// A store over a standalone DHT of `nodes` fresh nodes.
+    pub(crate) fn standalone(nodes: usize, replication: usize, cache: usize) -> MetadataStore {
+        let (store, _) = with_handles(nodes, replication, cache);
+        store
+    }
+
+    /// A store over a standalone DHT of `nodes` fresh machines, and their
+    /// handles: a test kills a member through its handle (node `i` has id
+    /// `i`).
+    fn with_handles(
+        nodes: usize,
+        replication: usize,
+        cache: usize,
+    ) -> (MetadataStore, Vec<Arc<StorageNode>>) {
+        let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
+        let fleet = StorageNode::fleet(&hosts);
+        let dht = Dht::with_nodes(fleet.clone(), replication, 64);
+        (MetadataStore::with_dht(Arc::new(dht), cache), fleet)
+    }
 
     fn key(v: u64, o: u64, s: u64) -> NodeKey {
         NodeKey {
@@ -289,7 +300,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_and_stats() {
-        let store = MetadataStore::new(3, 2, 64);
+        let store = standalone(3, 2, 64);
         let leaf = TreeNode::Leaf {
             page: 5,
             providers: vec![ProviderId(2)],
@@ -304,8 +315,8 @@ mod tests {
 
     #[test]
     fn put_nodes_batch_matches_single_puts_with_fewer_round_trips() {
-        let batched = MetadataStore::new(3, 2, 64);
-        let single = MetadataStore::new(3, 2, 64);
+        let batched = standalone(3, 2, 64);
+        let single = standalone(3, 2, 64);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..16)
             .map(|i| {
                 (
@@ -343,7 +354,7 @@ mod tests {
 
     #[test]
     fn missing_node_is_an_error() {
-        let store = MetadataStore::new(2, 1, 64);
+        let store = standalone(2, 1, 64);
         let named = "NodeKey { blob: BlobId(1), version: Version(9), offset: 0, span: 1 }";
         for err in [
             store.get_node(key(9, 0, 1)).unwrap_err(),
@@ -356,7 +367,7 @@ mod tests {
     /// Store `raw` under `at` in the DHT, behind the cache, and read it back
     /// through both fetch paths.
     fn fetch_raw(at: NodeKey, raw: Vec<u8>) -> [BlobResult<TreeNode>; 2] {
-        let store = MetadataStore::new(2, 1, 64);
+        let store = standalone(2, 1, 64);
         store
             .dht()
             .put(at.dht_key().as_bytes(), raw.into())
@@ -400,7 +411,7 @@ mod tests {
 
     #[test]
     fn an_implied_node_needs_a_full_anchor_and_an_implied_leaf_a_map() {
-        let store = MetadataStore::new(2, 1, 64);
+        let store = standalone(2, 1, 64);
         let anchor = key(1, 0, 4);
         let under = |at| Slot { at, stored: anchor };
         let mapped = TreeNode::Full {
@@ -430,7 +441,7 @@ mod tests {
     fn remove_node() {
         // The put pre-warms the cache, so this only passes if the removal
         // reaches the cache as well as the DHT.
-        let store = MetadataStore::new(2, 1, 64);
+        let store = standalone(2, 1, 64);
         let n = TreeNode::Inner {
             left: None,
             right: None,
@@ -445,7 +456,7 @@ mod tests {
 
     #[test]
     fn get_nodes_matches_per_node_gets_with_fewer_round_trips() {
-        let store = MetadataStore::new(4, 2, 64);
+        let store = standalone(4, 2, 64);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..32)
             .map(|i| {
                 (
@@ -481,7 +492,7 @@ mod tests {
 
     #[test]
     fn get_nodes_fails_on_a_dangling_key() {
-        let store = MetadataStore::new(3, 1, 64);
+        let store = standalone(3, 1, 64);
         store
             .put_node(
                 key(1, 0, 1),
@@ -496,7 +507,7 @@ mod tests {
 
     #[test]
     fn node_cache_prewarms_from_batch_publication() {
-        let store = MetadataStore::new(3, 2, 256);
+        let store = standalone(3, 2, 256);
         let nodes: Vec<(NodeKey, TreeNode)> = (0..16)
             .map(|i| {
                 (
@@ -528,7 +539,7 @@ mod tests {
     fn node_cache_fills_on_demand_and_serves_across_dht_failures() {
         // Two stores over the same DHT: the publication pre-warms only the
         // writer's cache, the reader fills its own on first access.
-        let writer = MetadataStore::new(4, 1, 64);
+        let (writer, nodes) = with_handles(4, 1, 64);
         let reader = MetadataStore::with_dht(Arc::clone(writer.dht()), 64);
         let leaf = TreeNode::Leaf {
             page: 3,
@@ -539,9 +550,7 @@ mod tests {
         assert_eq!(reader.stats().cache_misses, 1);
         // With replication 1 a dead replica would make the node unreadable —
         // unless the cache already holds it (immutable, so still correct).
-        for id in writer.dht().node_ids() {
-            writer.dht().kill(id).unwrap();
-        }
+        nodes.iter().for_each(|node| node.kill());
         assert_eq!(reader.get_node(key(1, 3, 1)).unwrap(), leaf);
         assert_eq!(reader.stats().cache_hits, 1);
         // A third client that never saw the node has nothing to fall back on.
@@ -551,7 +560,7 @@ mod tests {
 
     #[test]
     fn metadata_survives_one_dht_node_failure() {
-        let store = MetadataStore::new(4, 2, 64);
+        let (store, nodes) = with_handles(4, 2, 64);
         let leaf = TreeNode::Leaf {
             page: 0,
             providers: vec![ProviderId(0)],
@@ -559,7 +568,7 @@ mod tests {
         store.put_node(key(1, 0, 1), &leaf).unwrap();
         // Kill one of the replicas of that key.
         let replicas = store.dht().replicas_for(key(1, 0, 1).dht_key().as_bytes());
-        store.dht().kill(replicas[0]).unwrap();
+        nodes[replicas[0].0 as usize].kill();
         store.drop_cached_nodes();
         assert_eq!(store.get_node(key(1, 0, 1)).unwrap(), leaf);
     }

@@ -12,7 +12,7 @@
 //!   one liveness flag for failure injection, served on the caller's
 //!   thread;
 //! * [`Dht`] — the client view: replicated `put`/`get`/`remove` across the
-//!   ring, fail-over on dead replicas, node join and kill, and the
+//!   ring, batched fail-over past dead replicas, node join, and the
 //!   churn-tolerance layer: an active re-replication pass ([`Dht::repair`],
 //!   the shared [`simcluster::replica`] loop) whose probe is the heartbeat
 //!   round of the tier's failure detector, and which restores the
@@ -23,7 +23,9 @@
 //! deployment builds its ring over its machines instead
 //! ([`Dht::with_nodes`]): each [`StorageNode`] is both a ring member and its
 //! machine's page store, which the page tier places and serves, so killing
-//! a node takes out the machine's metadata and its pages together.
+//! a node takes out the machine's metadata and its pages together. A kill
+//! goes through the node's handle ([`StorageNode::kill`]), which whoever
+//! built the nodes keeps: a `Dht` has no kill of its own.
 //!
 //! The DHT is *in-process*: nodes are objects, not sockets. This is
 //! deliberate — the paper's experiments never stress the metadata network
@@ -37,13 +39,19 @@
 //! A dead node *refuses* operations rather than being skipped by fiat: the
 //! front-end attempts a replica and discovers the death when the attempt
 //! returns [`node::NodeDown`], exactly as a remote client discovers a crashed
-//! peer by a failed RPC. Writes walk clockwise past refused replicas until
-//! the replication factor is met (or at least one copy lands); reads fail
-//! over the same way. The [`simcluster::detector::FailureDetector`] attached
-//! via [`Dht::health`] turns missed heartbeats (repair's probes) and refused
-//! operations into suspicion on a deterministic clock, and [`Dht::repair`]
-//! re-replicates every under-replicated key onto its first live successors
-//! — so churn (kills and joins) converges back to full replication.
+//! peer by a failed RPC. Fail-over is a batch, like the healthy path: a
+//! key whose replica refused walks on past its replica set, rank by rank
+//! along its successors, and each rank sends one batch per node and is
+//! charged as one round (as a Kademlia lookup's rounds of parallel queries
+//! go to the next candidates). A write walks until the replication factor
+//! is met (or the ring is exhausted; at least one copy must land), a read
+//! until it finds the key, and neither asks a node again once it has
+//! refused in the same call. The
+//! [`simcluster::detector::FailureDetector`] attached via [`Dht::health`]
+//! turns missed heartbeats (repair's probes) and refused operations into
+//! suspicion on a deterministic clock, and [`Dht::repair`] re-replicates
+//! every under-replicated key onto its first live successors — so churn
+//! (kills and joins) converges back to full replication.
 //!
 //! A killed node stays dead: nothing brings a member of a [`Dht`] back, and
 //! a join places its keys before it returns. So between operations every
@@ -89,8 +97,6 @@ pub enum DhtError {
     NotEnoughReplicas { wanted: usize, available: usize },
     /// The DHT has no nodes at all.
     Empty,
-    /// The referenced node id does not exist.
-    UnknownNode(DhtNodeId),
 }
 
 impl fmt::Display for DhtError {
@@ -104,7 +110,6 @@ impl fmt::Display for DhtError {
                 )
             }
             DhtError::Empty => write!(f, "the DHT has no nodes"),
-            DhtError::UnknownNode(id) => write!(f, "unknown DHT node {id:?}"),
         }
     }
 }
@@ -212,6 +217,25 @@ impl Drop for BatchRound<'_> {
     }
 }
 
+/// Group the keys of a fail-over walk, each with its successor list, by
+/// the node at `rank` of the list, in node-id order, leaving out the nodes
+/// in `dead`: a key whose node at this rank refused earlier in the call
+/// waits for the next rank.
+fn rank_groups(
+    walk: &[(usize, Vec<DhtNodeId>)],
+    rank: usize,
+    dead: &FastSet<DhtNodeId>,
+) -> BTreeMap<DhtNodeId, Vec<usize>> {
+    let mut groups: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
+    for (i, successors) in walk {
+        let id = successors[rank];
+        if !dead.contains(&id) {
+            groups.entry(id).or_default().push(*i);
+        }
+    }
+    groups
+}
+
 /// The distributed hash table used by BlobSeer's metadata layer.
 ///
 /// All methods are safe to call from many threads concurrently; the ring is
@@ -219,9 +243,10 @@ impl Drop for BatchRound<'_> {
 /// operations.
 ///
 /// Members join and die; none comes back. A `Dht` hands out no node
-/// handle, and a deployment that holds its machines' nodes never revives
-/// one ([`StorageNode::revive`] is a flag flip for tests on bare nodes): a
-/// kill is final, and the node's copies stay on its disk (counted by
+/// handle (its builder kills a node through the one it kept), and a
+/// deployment that holds its machines' nodes never revives one
+/// ([`StorageNode::revive`] is a flag flip for tests on bare nodes): a kill
+/// is final, and the node's copies stay on its disk (counted by
 /// [`DhtStats::total_entries`] and [`Dht::key_copies`]) but never serve
 /// again.
 ///
@@ -236,9 +261,9 @@ impl Drop for BatchRound<'_> {
 /// single batch call to its node, and a batch operation visits its nodes one
 /// after another in node-id order, charging each exchange as it is served.
 /// The groups of one round (a put's or remove's groups, one rank of a
-/// get's) are sent together: an attached wire charges them as one
-/// [`wire::Round`], so a lookup level costs its slowest node's exchange,
-/// not one exchange per node in turn.
+/// get's or of a fail-over walk's) are sent together: an attached wire
+/// charges them as one [`wire::Round`], so a lookup level costs its
+/// slowest node's exchange, not one exchange per node in turn.
 pub struct Dht {
     inner: RwLock<DhtInner>,
     /// The failure detector slot and repair counters. The detector is
@@ -327,17 +352,6 @@ impl Dht {
         *self.wire.write() = Some(DhtWire { transport, home });
     }
 
-    /// Record one exchange with `node` and, when a wire is attached, charge
-    /// its simulated cost.
-    fn charge(&self, node: &StorageNode, dir: Direction, bytes_out: u64, bytes_in: u64) {
-        self.counters.record(dir, bytes_out, bytes_in);
-        if let Some(w) = self.wire.read().as_ref() {
-            let src = wire::current_source().unwrap_or(w.home);
-            w.transport
-                .exchange(src, node.host(), dir, bytes_out, bytes_in);
-        }
-    }
-
     /// Open one round of a batch operation: its node groups go out
     /// together, so an attached wire charges the round its slowest
     /// exchange rather than their sum.
@@ -347,14 +361,6 @@ impl Dht {
             (Arc::clone(&w.transport), wire::Round::new(src))
         });
         BatchRound { dht: self, wire }
-    }
-
-    fn charge_read(&self, node: &StorageNode, bytes_out: u64, bytes_in: u64) {
-        self.charge(node, Direction::Read, bytes_out, bytes_in);
-    }
-
-    fn charge_write(&self, node: &StorageNode, bytes_out: u64, bytes_in: u64) {
-        self.charge(node, Direction::Write, bytes_out, bytes_in);
     }
 
     /// The replication factor this DHT was configured with.
@@ -369,38 +375,21 @@ impl Dht {
         ids
     }
 
-    /// Attempt one replica write; false when the node refused (dead).
-    fn try_put_on(&self, inner: &DhtInner, id: DhtNodeId, key: &[u8], value: &Bytes) -> bool {
-        let node = &inner.nodes[&id];
-        self.charge_write(
-            node,
-            key.len() as u64 + value.len() as u64 + MSG_OVERHEAD,
-            MSG_OVERHEAD,
-        );
-        match node.put(key, value.clone()) {
-            Ok(()) => true,
-            Err(NodeDown) => {
-                self.health.note_down(id);
-                false
-            }
-        }
-    }
-
     /// Store `value` under `key`: a batch of one over [`Dht::put_many`]. The
-    /// key's replicas are tried in node-id order; one that refuses (dead) is
-    /// made up for clockwise past the replica set, until `replication`
-    /// copies are stored or the ring is exhausted: the copies land on the
-    /// key's first `replication` live successors. Reports
+    /// key's replicas are all asked at once; one that refuses (dead) is made
+    /// up for past the replica set, one successor per round, until
+    /// `replication` copies are stored or the ring is exhausted: the copies
+    /// land on the key's first `replication` live successors. Reports
     /// [`DhtError::NotEnoughReplicas`] only when *no* node accepted.
     pub fn put(&self, key: &[u8], value: Bytes) -> DhtResult<()> {
         self.put_many(&[(key, value)])
     }
 
     /// Fetch the value for `key`: a batch of one over [`Dht::get_many`]. The
-    /// replicas are asked in ring order, failing over past dead nodes; if
-    /// any refused, the walk continues past the replica set, where a write
-    /// that met that death failed over to. A miss is final: every live copy
-    /// sits on the successors the walk asked.
+    /// replicas are asked in ring order; if one refused, the walk continues
+    /// past the replica set, where a write that met that death failed over
+    /// to. A miss is final: every live copy sits on the successors the walk
+    /// asked.
     pub fn get(&self, key: &[u8]) -> DhtResult<Bytes> {
         match self.get_many(&[key])?.pop().flatten() {
             Some(v) => Ok(v),
@@ -507,12 +496,14 @@ impl Dht {
     /// Equivalent to calling [`Dht::put`] for every entry (later entries win
     /// for duplicate keys), but with one round trip per *node* instead of one
     /// per key-replica. A node dying mid-batch only affects the entries it
-    /// was responsible for: those fail over individually past the dead
-    /// replica until the replication factor is met. Reports
-    /// [`DhtError::NotEnoughReplicas`] if some entry could not be stored on
-    /// at least one node; entries that could be stored are stored even then.
-    /// Either way each stored entry sits on its first `replication` live
-    /// successors, the set a remove or a read reaches.
+    /// was responsible for: each of those walks on past its replica set,
+    /// rank by rank along its successors, until it has `replication`
+    /// copies. Each rank of that walk sends one `PutMany` per node and is
+    /// charged as one round; a node that refused in this call is not asked
+    /// again. Reports [`DhtError::NotEnoughReplicas`] if some entry could not
+    /// be stored on at least one node; entries that could be stored are
+    /// stored even then. Either way each stored entry sits on its first
+    /// `replication` live successors, the set a remove or a read reaches.
     ///
     /// Keys are borrowed (`impl AsRef<[u8]>`), so callers holding slices or
     /// owned buffers alike can batch without cloning.
@@ -532,12 +523,51 @@ impl Dht {
                 per_node.entry(id).or_default().push(i);
             }
         }
-        // One batch per node, carrying every entry of its group, served in
-        // node-id order. The bytes cross the wire even if the node turns out
-        // to be dead.
         let mut stored = vec![0usize; entries.len()];
+        let mut dead: FastSet<DhtNodeId> = FastSet::default();
+        self.put_groups(&inner, entries, &per_node, &mut stored, &mut dead);
+        // Entries short of the replication factor (a replica refused) walk
+        // on past the replica set, one successor per rank.
+        let mut walk: Vec<(usize, Vec<DhtNodeId>)> = stored
+            .iter()
+            .enumerate()
+            .filter(|(_, count)| **count < inner.replication)
+            .map(|(i, _)| {
+                let key = entries[i].0.as_ref();
+                (i, inner.ring.successors(key, inner.nodes.len()))
+            })
+            .collect();
+        for rank in inner.replication..inner.nodes.len() {
+            walk.retain(|(i, _)| stored[*i] < inner.replication);
+            if walk.is_empty() {
+                break;
+            }
+            let groups = rank_groups(&walk, rank, &dead);
+            self.put_groups(&inner, entries, &groups, &mut stored, &mut dead);
+        }
+        if stored.contains(&0) {
+            return Err(DhtError::NotEnoughReplicas {
+                wanted: inner.replication,
+                available: 0,
+            });
+        }
+        Ok(())
+    }
+
+    /// Send each node its group of `entries` as one charged `PutMany`, in
+    /// node-id order and as one round, counting the copies stored. The bytes
+    /// cross the wire even if the node turns out to be dead; a node that
+    /// refuses joins `dead`.
+    fn put_groups<K: AsRef<[u8]>>(
+        &self,
+        inner: &DhtInner,
+        entries: &[(K, Bytes)],
+        groups: &BTreeMap<DhtNodeId, Vec<usize>>,
+        stored: &mut [usize],
+        dead: &mut FastSet<DhtNodeId>,
+    ) {
         let mut round = self.round();
-        for (id, indices) in &per_node {
+        for (id, indices) in groups {
             let group: Vec<(&[u8], Bytes)> = indices
                 .iter()
                 .map(|&i| (entries[i].0.as_ref(), entries[i].1.clone()))
@@ -555,50 +585,23 @@ impl Dht {
             );
             match node.put_many(&group) {
                 Ok(()) => indices.iter().for_each(|&i| stored[i] += 1),
-                // The node refused the whole group; leave its entries for
-                // the per-entry fail-over pass below.
-                Err(NodeDown) => self.health.note_down(*id),
-            }
-        }
-        drop(round);
-        // Entries short of the replication factor (their group's node was
-        // dead when the batch reached it) fail over individually, clockwise
-        // past the replica set.
-        for (i, count) in stored.iter_mut().enumerate() {
-            if *count >= inner.replication {
-                continue;
-            }
-            let (key, value) = &entries[i];
-            for id in inner
-                .ring
-                .successors(key.as_ref(), inner.nodes.len())
-                .into_iter()
-                .skip(inner.replication)
-            {
-                if self.try_put_on(&inner, id, key.as_ref(), value) {
-                    *count += 1;
-                    if *count >= inner.replication {
-                        break;
-                    }
+                Err(NodeDown) => {
+                    self.health.note_down(*id);
+                    dead.insert(*id);
                 }
             }
         }
-        if stored.contains(&0) {
-            return Err(DhtError::NotEnoughReplicas {
-                wanted: inner.replication,
-                available: 0,
-            });
-        }
-        Ok(())
     }
 
     /// Fetch a batch of keys, grouping them by responsible node under a
-    /// single ring read-lock pass. Keys are first asked of their primary
-    /// replicas (one round trip per distinct node), then the still-missing
-    /// ones fail over rank by rank across the remaining replicas — the same
-    /// fail-over order as [`Dht::get`], batched. Keys whose replica answered
-    /// with a refusal (died mid-batch) finally fail over individually past
-    /// the replica set.
+    /// single ring read-lock pass, one rank at a time: rank 0 asks every
+    /// key's primary replica, and each later rank asks the next successor of
+    /// every key still missing. Each rank sends one `GetMany` per node, in
+    /// node-id order, and is charged as one round; a node that refused in
+    /// this call is not asked again. Within the replica set a missing key
+    /// moves on to its next replica. Past it only a key whose replica set
+    /// holds a node that refused walks on, along its successors: a write
+    /// that met that death made up the copy there.
     ///
     /// Returns one `Option<Bytes>` per requested key, in order; `None` where
     /// no live replica held the key (where [`Dht::get`] would report
@@ -612,35 +615,28 @@ impl Dht {
         if inner.nodes.is_empty() {
             return Err(DhtError::Empty);
         }
-        let replica_lists: Vec<Vec<DhtNodeId>> = keys
+        let mut walk: Vec<(usize, Vec<DhtNodeId>)> = keys
             .iter()
-            .map(|k| inner.ring.successors(k.as_ref(), inner.replication))
+            .enumerate()
+            .map(|(i, k)| (i, inner.ring.successors(k.as_ref(), inner.replication)))
             .collect();
         let mut out: Vec<Option<Bytes>> = vec![None; keys.len()];
-        let mut saw_down = vec![false; keys.len()];
-        let mut down_nodes: FastSet<DhtNodeId> = FastSet::default();
-        for rank in 0..inner.replication {
-            let mut per_node: BTreeMap<DhtNodeId, Vec<usize>> = BTreeMap::new();
-            for (i, replicas) in replica_lists.iter().enumerate() {
-                if out[i].is_some() {
-                    continue;
-                }
-                if let Some(id) = replicas.get(rank) {
-                    if down_nodes.contains(id) {
-                        // Known-dead from an earlier rank of this batch:
-                        // skip the doomed exchange, remember to fail over.
-                        saw_down[i] = true;
-                    } else {
-                        per_node.entry(*id).or_default().push(i);
-                    }
+        let mut dead: FastSet<DhtNodeId> = FastSet::default();
+        for rank in 0..inner.nodes.len() {
+            walk.retain(|(i, _)| out[*i].is_none());
+            if rank == inner.replication {
+                walk.retain(|(_, replicas)| replicas.iter().any(|id| dead.contains(id)));
+                for (i, successors) in &mut walk {
+                    *successors = inner.ring.successors(keys[*i].as_ref(), inner.nodes.len());
                 }
             }
+            if walk.is_empty() {
+                break;
+            }
             // One batch per node: the request carries the group's keys, the
-            // response whatever values the node held. Nodes are asked in
-            // node-id order, each exchange charged as it is served, and the
-            // rank's batches as one round.
+            // response whatever values the node held.
             let mut round = self.round();
-            for (id, indices) in &per_node {
+            for (id, indices) in &rank_groups(&walk, rank, &dead) {
                 let group: Vec<&[u8]> = indices.iter().map(|&i| keys[i].as_ref()).collect();
                 let req_bytes: u64 = group.iter().map(|k| k.len() as u64).sum();
                 let mut resp_bytes = 0u64;
@@ -653,8 +649,7 @@ impl Dht {
                         }
                     }
                     Err(NodeDown) => {
-                        down_nodes.insert(*id);
-                        indices.iter().for_each(|&i| saw_down[i] = true);
+                        dead.insert(*id);
                         self.health.note_down(*id);
                     }
                 }
@@ -664,35 +659,6 @@ impl Dht {
                     req_bytes + MSG_OVERHEAD,
                     resp_bytes + MSG_OVERHEAD,
                 );
-            }
-        }
-        // Keys that saw a refusal may have failed over past the replica set
-        // at write time; chase them clockwise, individually.
-        for (i, missing) in out.iter_mut().enumerate() {
-            if missing.is_some() || !saw_down[i] {
-                continue;
-            }
-            for id in inner
-                .ring
-                .successors(keys[i].as_ref(), inner.nodes.len())
-                .into_iter()
-                .skip(replica_lists[i].len())
-            {
-                let node = &inner.nodes[&id];
-                let resp = node.get(keys[i].as_ref());
-                let resp_bytes = match &resp {
-                    Ok(Some(v)) => v.len() as u64,
-                    _ => 0,
-                };
-                self.charge_read(
-                    node,
-                    keys[i].as_ref().len() as u64 + MSG_OVERHEAD,
-                    resp_bytes + MSG_OVERHEAD,
-                );
-                if let Ok(Some(v)) = resp {
-                    *missing = Some(v);
-                    break;
-                }
             }
         }
         Ok(out)
@@ -724,21 +690,6 @@ impl Dht {
         self.health.register(id);
         self.place(&inner);
         id
-    }
-
-    /// Crash a node (failure injection). Nothing else is told: the front-end
-    /// discovers the death when operations are refused, the detector when
-    /// heartbeats go unanswered. The node stays dead. A BlobSeer deployment
-    /// kills whole machines through `BlobSeer::kill` and never calls this.
-    pub fn kill(&self, id: DhtNodeId) -> DhtResult<()> {
-        let inner = self.inner.read();
-        match inner.nodes.get(&id) {
-            Some(n) => {
-                n.kill();
-                Ok(())
-            }
-            None => Err(DhtError::UnknownNode(id)),
-        }
     }
 
     /// The failure detector slot and repair counters of this tier. Attach
@@ -868,6 +819,18 @@ mod tests {
         let id = DhtNodeId(dht.node_ids().len() as u64);
         Arc::new(StorageNode::new(id, NodeId(0)))
     }
+
+    /// A standalone DHT over `nodes` fresh machines, and their handles: a
+    /// test kills a member through its handle (node `i` has id `i`).
+    fn fleet(nodes: usize, replication: usize) -> (Dht, Vec<Arc<StorageNode>>) {
+        let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
+        let fleet = StorageNode::fleet(&hosts);
+        (Dht::with_nodes(fleet.clone(), replication, 64), fleet)
+    }
+
+    fn kill(nodes: &[Arc<StorageNode>], id: DhtNodeId) {
+        nodes[id.0 as usize].kill();
+    }
     use simcluster::clock::{Clock, SimClock};
     use simcluster::detector::{FailureDetector, SUSPICION_TIMEOUT};
     use std::collections::HashSet;
@@ -907,27 +870,19 @@ mod tests {
 
     #[test]
     fn survives_killing_one_replica() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 3);
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         let replicas = dht.replicas_for(b"key");
-        dht.kill(replicas[0]).unwrap();
+        kill(&nodes, replicas[0]);
         assert_eq!(dht.get(b"key").unwrap(), Bytes::from_static(b"value"));
     }
 
     #[test]
     fn writes_fail_over_past_dead_replicas() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(3, 2);
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         for id in dht.replicas_for(b"key") {
-            dht.kill(id).unwrap();
+            kill(&nodes, id);
         }
         // Both stored copies are on dead nodes: unreadable for now.
         assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
@@ -939,13 +894,9 @@ mod tests {
 
     #[test]
     fn a_key_removed_while_its_primary_is_dead_does_not_come_back() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 3);
         let primary = dht.replicas_for(b"key")[0];
-        dht.kill(primary).unwrap();
+        kill(&nodes, primary);
         // Two replicas take the write, and the first successor past the
         // replica set takes the copy the dead primary could not.
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
@@ -992,11 +943,7 @@ mod tests {
 
     #[test]
     fn a_dead_primary_does_not_bring_a_batch_removed_key_back() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 3);
         let entries: Vec<(Vec<u8>, Bytes)> = (0..40u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -1006,7 +953,7 @@ mod tests {
         // copies through its death; the second half lands while it is dead,
         // so those copies fail over past the replica set.
         dht.put_many(&entries[..20]).unwrap();
-        dht.kill(victim).unwrap();
+        kill(&nodes, victim);
         dht.put_many(&entries[20..]).unwrap();
 
         assert!(dht.remove_many(&keys).unwrap().into_iter().all(|r| r));
@@ -1023,14 +970,10 @@ mod tests {
 
     #[test]
     fn fails_when_every_node_is_dead() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(3, 2);
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         for id in dht.node_ids() {
-            dht.kill(id).unwrap();
+            kill(&nodes, id);
         }
         assert!(matches!(dht.get(b"key"), Err(DhtError::NotFound { .. })));
         let err = dht.put(b"key", Bytes::from_static(b"value2"));
@@ -1060,13 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_node_operations_error() {
-        let dht = Dht::new(DhtConfig::default());
-        let bogus = DhtNodeId(9999);
-        assert!(matches!(dht.kill(bogus), Err(DhtError::UnknownNode(_))));
-    }
-
-    #[test]
     fn error_display() {
         assert!(DhtError::NotFound { key: "abc".into() }
             .to_string()
@@ -1082,14 +1018,10 @@ mod tests {
 
     #[test]
     fn keys_removed_while_a_replica_was_dead_do_not_resurrect() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 3);
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         let replicas = dht.replicas_for(b"key");
-        dht.kill(replicas[0]).unwrap();
+        kill(&nodes, replicas[0]);
         // Removed while the primary is down: the live replicas drop it, and
         // the dead primary's copy stays on its disk.
         assert!(dht.remove(b"key").unwrap());
@@ -1217,13 +1149,9 @@ mod tests {
 
     #[test]
     fn put_many_with_every_node_dead_reports_shortfall() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(3, 2);
         for id in dht.node_ids() {
-            dht.kill(id).unwrap();
+            kill(&nodes, id);
         }
         let entries = vec![(b"k".to_vec(), Bytes::from_static(b"v"))];
         assert!(matches!(
@@ -1234,16 +1162,12 @@ mod tests {
 
     #[test]
     fn get_many_fails_over_dead_primaries() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 3);
         let entries: Vec<(Vec<u8>, Bytes)> = (0..60u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
         dht.put_many(&entries).unwrap();
-        dht.kill(dht.node_ids()[0]).unwrap();
+        nodes[0].kill();
         let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
         let got = dht.get_many(&keys).unwrap();
         for (i, v) in got.iter().enumerate() {
@@ -1332,10 +1256,18 @@ mod tests {
             .filter(|k| dht.replicas_for(k).contains(&victim))
             .count();
         assert!(victims_group > 0);
+        // The nodes the victim's entries fail over to: each one's first
+        // successor past its replica set.
+        let next_rank: HashSet<DhtNodeId> = keys
+            .iter()
+            .filter(|k| dht.replicas_for(k).contains(&victim))
+            .map(|k| dht.inner.read().ring.successors(k, 5)[2])
+            .collect();
+        assert!(next_rank.len() < victims_group);
 
         // Write: the victim dies after the first group is served. Its own
-        // group is refused whole, and only its entries fail over, one
-        // single-key put each, past the replica set.
+        // group is refused whole, and only its entries fail over past the
+        // replica set, one batch per node they move on to.
         dht.put_many(&entries).unwrap();
         assert!(!killer.armed.load(Ordering::SeqCst), "the kill fired");
         assert_eq!(dht.stats().live_nodes, 4);
@@ -1345,7 +1277,7 @@ mod tests {
             "a dead node accepts nothing"
         );
         assert_eq!(dht.stats().total_entries, entries.len() * 2);
-        assert_eq!(dht.write_round_trips(), 5 + victims_group as u64);
+        assert_eq!(dht.write_round_trips(), 5 + next_rank.len() as u64);
         for (key, _) in &entries {
             let replicas = dht.replicas_for(key);
             if !replicas.contains(&victim) {
@@ -1405,13 +1337,9 @@ mod tests {
         // group is still attempted and refused — the mid-batch death path —
         // and the affected entries must fail over instead of erroring the
         // whole batch.
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 2);
         let victim = dht.node_ids()[4];
-        dht.kill(victim).unwrap();
+        kill(&nodes, victim);
         let entries: Vec<(Vec<u8>, Bytes)> = (0..80u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -1432,16 +1360,58 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_past_a_dead_replica_set_sends_one_batch_per_node_per_rank() {
+        let (dht, nodes) = fleet(6, 2);
+        // 200 keys that share one replica set, which then dies whole.
+        let dead = dht.replicas_for(b"k0");
+        let keys: Vec<Vec<u8>> = (0..)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|k| dht.replicas_for(k) == dead)
+            .take(200)
+            .collect();
+        dead.iter().for_each(|id| kill(&nodes, *id));
+        // The distinct nodes at one rank of the keys' successor lists.
+        let at = |rank: usize| -> usize {
+            let inner = dht.inner.read();
+            let ids: HashSet<DhtNodeId> = keys
+                .iter()
+                .map(|k| inner.ring.successors(k, 6)[rank])
+                .collect();
+            ids.len()
+        };
+
+        // Both replicas refuse the first round; then every key takes its
+        // third and fourth successors, one batch per node per rank (at most
+        // the 4 live nodes), not one message per key and copy.
+        let entries: Vec<(Vec<u8>, Bytes)> = keys
+            .iter()
+            .map(|k| (k.clone(), Bytes::from_static(b"v")))
+            .collect();
+        dht.put_many(&entries).unwrap();
+        assert_eq!(dht.write_round_trips(), (2 + at(2) + at(3)) as u64);
+        assert!(at(2) + at(3) <= 8);
+
+        // A read meets both refusals and finds every key one rank further,
+        // again one batch per node, not one message per key.
+        let got = dht.get_many(&keys).unwrap();
+        assert!(got.iter().all(|v| v.as_deref() == Some(&b"v"[..])));
+        assert_eq!(dht.read_round_trips(), (2 + at(2)) as u64);
+
+        // Once removed, the keys walk to the end of the ring, still one
+        // batch per node per rank.
+        assert!(dht.remove_many(&keys).unwrap().into_iter().all(|r| r));
+        assert!(dht.get_many(&keys).unwrap().iter().all(Option::is_none));
+        let walked: usize = (2..6).map(at).sum();
+        assert_eq!(dht.read_round_trips(), (2 + at(2) + 2 + walked) as u64);
+    }
+
+    #[test]
     fn reads_chase_writes_that_failed_over_past_the_replica_set() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(4, 2);
         // Kill the whole primary replica set, then write: the copy lands
         // clockwise past the dead replicas.
         for id in dht.replicas_for(b"key") {
-            dht.kill(id).unwrap();
+            kill(&nodes, id);
         }
         dht.put(b"key", Bytes::from_static(b"survivor")).unwrap();
         assert_eq!(dht.get(b"key").unwrap(), Bytes::from_static(b"survivor"));
@@ -1451,11 +1421,7 @@ mod tests {
 
     #[test]
     fn repair_restores_replication_after_an_unannounced_death() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 2,
-            ..Default::default()
-        });
+        let (dht, nodes) = fleet(5, 2);
         for i in 0..100u32 {
             dht.put(
                 format!("key-{i}").as_bytes(),
@@ -1471,7 +1437,7 @@ mod tests {
             .max_by_key(|(_, n)| **n)
             .unwrap()
             .0;
-        dht.kill(victim).unwrap();
+        kill(&nodes, victim);
         let report = dht.repair();
         assert_eq!(report.dead, 1);
         assert!(report.under_replicated > 0, "the kill shed replicas");
@@ -1490,7 +1456,7 @@ mod tests {
             .max_by_key(|(_, n)| **n)
             .unwrap()
             .0;
-        dht.kill(second).unwrap();
+        kill(&nodes, second);
         for i in 0..100u32 {
             assert_eq!(
                 dht.get(format!("key-{i}").as_bytes()).unwrap(),
@@ -1565,26 +1531,22 @@ mod tests {
             .all(Option::is_none));
     }
 
-    /// A DHT with a detector on `clock`.
-    fn detected(clock: &Arc<SimClock>, nodes: usize) -> Dht {
-        let dht = Dht::new(DhtConfig {
-            nodes,
-            replication: 2,
-            ..Default::default()
-        });
+    /// A DHT with a detector on `clock`, and its nodes' handles.
+    fn detected(clock: &Arc<SimClock>, nodes: usize) -> (Dht, Vec<Arc<StorageNode>>) {
+        let (dht, nodes) = fleet(nodes, 2);
         dht.health().attach(Arc::new(FailureDetector::with_members(
             Arc::clone(clock) as Arc<dyn Clock>,
             dht.node_ids(),
         )));
-        dht
+        (dht, nodes)
     }
 
     #[test]
     fn heartbeats_discover_deaths_on_the_sim_clock() {
         let clock = Arc::new(SimClock::new());
-        let dht = detected(&clock, 4);
+        let (dht, nodes) = detected(&clock, 4);
         let victim = dht.node_ids()[0];
-        dht.kill(victim).unwrap();
+        kill(&nodes, victim);
         // Within the suspicion window: the miss is tolerated.
         clock.advance(SUSPICION_TIMEOUT / 3);
         assert_eq!(dht.repair().dead, 1);
@@ -1601,9 +1563,9 @@ mod tests {
     #[test]
     fn refused_operations_feed_the_detector() {
         let clock = Arc::new(SimClock::new());
-        let dht = detected(&clock, 3);
+        let (dht, nodes) = detected(&clock, 3);
         let victim = dht.replicas_for(b"key")[0];
-        dht.kill(victim).unwrap();
+        kill(&nodes, victim);
         clock.advance(SUSPICION_TIMEOUT);
         // No heartbeat round ran; the refused write itself is the evidence.
         dht.put(b"key", Bytes::from_static(b"v")).unwrap();

@@ -8,7 +8,7 @@ use blobseer::provider::page_key;
 use blobseer::types::InlineKey;
 use blobseer::{BlobId, Version};
 use bytes::Bytes;
-use dht::{Dht, DhtConfig, DhtNodeId, StorageNode};
+use dht::{Dht, DhtNodeId, StorageNode};
 use proptest::prelude::*;
 use simcluster::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -44,6 +44,14 @@ enum Op {
     Kill(usize),
     Join,
     Repair,
+}
+
+/// A standalone DHT over `nodes` fresh machines, and their handles: a test
+/// kills a member through its handle (node `i` has id `i`).
+fn fleet(nodes: usize, replication: usize) -> (Dht, Vec<Arc<StorageNode>>) {
+    let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
+    let fleet = StorageNode::fleet(&hosts);
+    (Dht::with_nodes(fleet.clone(), replication, 32), fleet)
 }
 
 /// Keys come from a narrow band so deletes meet stored keys; the checks
@@ -99,7 +107,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..60),
     ) {
         let replication = 3;
-        let dht = Dht::new(DhtConfig { nodes: 5, replication, virtual_nodes: 32 });
+        let (dht, mut nodes) = fleet(5, replication);
         let mut live = dht.node_ids();
         let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
         let keys: Vec<[u8; 1]> = (0u8..=255).map(|k| [k]).collect();
@@ -115,13 +123,14 @@ proptest! {
                 }
                 Op::Kill(pick) => {
                     if live.len() > replication + 1 {
-                        dht.kill(live.remove(pick % live.len())).unwrap();
+                        nodes[live.remove(pick % live.len()).0 as usize].kill();
                         dht.repair();
                     }
                 }
                 Op::Join => {
-                    let id = DhtNodeId(dht.node_ids().len() as u64);
-                    live.push(dht.join(Arc::new(StorageNode::new(id, NodeId(0)))));
+                    let id = DhtNodeId(nodes.len() as u64);
+                    nodes.push(Arc::new(StorageNode::new(id, NodeId(0))));
+                    live.push(dht.join(Arc::clone(&nodes[id.0 as usize])));
                 }
                 Op::Repair => {
                     dht.repair();
@@ -136,9 +145,12 @@ proptest! {
 
     /// Batch `put_many`/`get_many` are observationally equivalent to loops of
     /// the single-key operations: same stored values, same missing keys —
-    /// only the round-trip count differs. One node, picked at random, is
-    /// dead: either from before the writes (its groups are refused whole and
-    /// fail over) or only for the reads (replication covers it).
+    /// only the round-trip count differs. Up to two nodes of one key's
+    /// replica set, picked at random, are dead: either from before the
+    /// writes (their groups are refused whole and fail over, a key that
+    /// lost both walking two ranks past its replica set) or only for the
+    /// reads (replication covers it, and a missing key walks to the end of
+    /// the ring).
     #[test]
     fn dht_batch_ops_match_single_op_loops(
         entries in prop::collection::vec(
@@ -146,32 +158,39 @@ proptest! {
             1..80,
         ),
         extra_keys in prop::collection::vec(any::<u8>(), 0..20),
-        dead_node in 0usize..6,
+        // (how many die, a key, the rank of its first victim, the gap to
+        // the second)
+        dead in (0usize..3, any::<u8>(), 0usize..3, 1usize..3),
         dead_before_writes in any::<bool>(),
     ) {
-        let batched = Dht::new(DhtConfig { nodes: 5, replication: 3, virtual_nodes: 32 });
-        let single = Dht::new(DhtConfig { nodes: 5, replication: 3, virtual_nodes: 32 });
-        let kill = |dht: &Dht| {
-            // 5 means nobody dies.
-            if let Some(id) = dht.node_ids().get(dead_node) {
-                dht.kill(*id).unwrap();
-            }
+        let (dead_count, dead_key, dead_rank, dead_gap) = dead;
+        let (batched, batched_nodes) = fleet(5, 3);
+        let (single, single_nodes) = fleet(5, 3);
+        // Both rings place keys alike, so the victims are the same ids.
+        let replicas = batched.replicas_for(&[dead_key]);
+        let victims: Vec<DhtNodeId> = [dead_rank, (dead_rank + dead_gap) % 3]
+            .iter()
+            .take(dead_count)
+            .map(|&rank| replicas[rank])
+            .collect();
+        let kill = |nodes: &[Arc<StorageNode>]| {
+            victims.iter().for_each(|id| nodes[id.0 as usize].kill());
         };
         let batch: Vec<(Vec<u8>, Bytes)> = entries
             .iter()
             .map(|(k, v)| (vec![*k], Bytes::from(v.clone())))
             .collect();
         if dead_before_writes {
-            kill(&batched);
-            kill(&single);
+            kill(&batched_nodes);
+            kill(&single_nodes);
         }
         batched.put_many(&batch).unwrap();
         for (k, v) in &batch {
             single.put(k, v.clone()).unwrap();
         }
         if !dead_before_writes {
-            kill(&batched);
-            kill(&single);
+            kill(&batched_nodes);
+            kill(&single_nodes);
         }
         prop_assert_eq!(batched.stats().total_entries, single.stats().total_entries);
         // Compare on every written key (duplicates included: later entries

@@ -1,16 +1,28 @@
 //! Read-path correctness: the frontier-batched BFS `lookup_range` must be
 //! byte-identical to the retained node-at-a-time reference walk on arbitrary
 //! trees, the immutable-node metadata cache must never change what a reader
-//! sees (only how fast it sees it), and per-page replica failover must
-//! survive the per-provider batched page fetch.
+//! sees (only how fast it sees it), and replica fail-over must survive the
+//! per-provider batched page fetch.
 
 use blobseer::metadata::segment_tree::{build_version, lookup_range, lookup_range_walk, PrevTree};
 use blobseer::metadata::store::MetadataStore;
 use blobseer::metadata::{Slot, TreeNode};
 use blobseer::types::next_power_of_two;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, BlobSeerError, ProviderId, Version};
+use dht::{Dht, DhtConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A metadata store over a standalone three-node DHT (replication 2).
+fn standalone_store(cache_capacity: usize) -> MetadataStore {
+    let dht = Dht::new(DhtConfig {
+        nodes: 3,
+        replication: 2,
+        virtual_nodes: 64,
+    });
+    MetadataStore::with_dht(Arc::new(dht), cache_capacity)
+}
 
 /// Build the tree version sequence described by `writes` (one inner vec of
 /// `(page, provider)` pairs per version) and return each version's root and
@@ -63,7 +75,7 @@ proptest! {
         // The publications pre-warm the writer's cache (sized so that no
         // shard evicts); a second client of the same DHT starts every
         // descent cold.
-        let warm = MetadataStore::new(3, 2, 4096);
+        let warm = standalone_store(4096);
         let roots = build_tree_sequence(&warm, BlobId(1), &writes);
         let cold = MetadataStore::with_dht(warm.dht().clone(), 256);
         let warm_misses = warm.stats().cache_misses;
@@ -105,7 +117,7 @@ proptest! {
         ),
         queries in prop::collection::vec((0u64..72, 0u64..72), 1..6),
     ) {
-        let warm = MetadataStore::new(3, 2, 4096);
+        let warm = standalone_store(4096);
         let cold = MetadataStore::with_dht(warm.dht().clone(), 256);
         let blob = BlobId(2);
         let mut prev = PrevTree::empty();
@@ -410,8 +422,8 @@ fn a_repeated_scan_of_one_write_reads_its_mapped_roots_only() {
 }
 
 /// Killing the primary replica of every page must not break a multi-page
-/// read batched per first replica: failover happens per page, after the
-/// refused batches come back.
+/// read batched per first replica: after the refused batches come back, the
+/// pages move on to their next replicas, again one batch per provider.
 #[test]
 fn parallel_page_fetch_fails_over_dead_replicas() {
     let sys = BlobSeer::new(
