@@ -45,7 +45,9 @@ struct ReadPathRecord {
 /// The scan's load: the file written one full 32-page block per write
 /// (`kind: count`, deterministic). Only the top of a block's full subtree is
 /// stored, with the inner nodes on its path up to the root, so a block
-/// write publishes at most `1 + height_above_block` nodes.
+/// write publishes at most `1 + height_above_block` nodes; and its pages go
+/// out as one `UploadMany` per provider, so a block write sends at most one
+/// page-write message per machine.
 #[derive(serde::Serialize)]
 struct LoadRecord {
     block_writes: u64,
@@ -53,6 +55,8 @@ struct LoadRecord {
     nodes_per_block_write: f64,
     /// Tree levels above a block in the loaded file's tree.
     height_above_block: u32,
+    /// Provider write messages (page uploads) per block write.
+    provider_write_messages_per_block_write: f64,
 }
 
 #[derive(serde::Serialize)]
@@ -76,31 +80,43 @@ fn read_path(smoke: bool) -> (LoadRecord, Vec<ReadPathRecord>) {
         bytes_per_client,
         record_size: 4096,
     };
-    let fs = bench::small_bsfs_full(4, block_size, page_size);
+    let machines = 4;
+    let fs = bench::small_bsfs_full(machines, block_size, page_size);
     let storage = fs.inner().storage();
-    let (nodes_before, writes_before) = (
+    let (nodes_before, writes_before, uploads_before) = (
         storage.metadata().stats().nodes_written,
         storage.stats().write_ops,
+        storage.provider_wire().snapshot().write_messages,
     );
     prepare_shared_file(&fs, &config).expect("prepare read workload");
     let file_pages = clients as u64 * bytes_per_client / page_size;
     let block_writes = storage.stats().write_ops - writes_before;
     let nodes_written = storage.metadata().stats().nodes_written - nodes_before;
+    let uploads = storage.provider_wire().snapshot().write_messages - uploads_before;
     let load = LoadRecord {
         block_writes,
         nodes_written,
         nodes_per_block_write: nodes_written as f64 / block_writes as f64,
         height_above_block: (file_pages.next_power_of_two() / 32).ilog2(),
+        provider_write_messages_per_block_write: uploads as f64 / block_writes as f64,
     };
     println!(
         "load: {} block writes published {} metadata nodes, {:.2} per write \
-         ({} tree levels above a block)",
-        load.block_writes, load.nodes_written, load.nodes_per_block_write, load.height_above_block
+         ({} tree levels above a block), and sent {:.2} page-write messages per write",
+        load.block_writes,
+        load.nodes_written,
+        load.nodes_per_block_write,
+        load.height_above_block,
+        load.provider_write_messages_per_block_write
     );
     assert_eq!(block_writes * block_size, file_pages * page_size);
     assert!(
         load.nodes_per_block_write <= 1.0 + load.height_above_block as f64,
         "a block write stores its full subtree's top and the path above it"
+    );
+    assert!(
+        load.provider_write_messages_per_block_write <= machines as f64,
+        "a block write sends each provider its pages as one batch"
     );
     // The readers model clients on nodes that never saw the writes: the
     // measured phase starts with a cold node cache.

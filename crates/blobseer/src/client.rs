@@ -15,12 +15,15 @@
 //! 1. the client reserves a version from the version manager (for appends,
 //!    this also fixes the offset, so concurrent appenders never collide);
 //! 2. it obtains page placements from the provider manager and pushes the
-//!    page contents to the chosen providers — the bulk of the work, fully
-//!    parallel across concurrent writers;
+//!    page contents to the chosen providers, one `UploadMany` per provider
+//!    (a page a dead provider refused moves on to other providers, a batch
+//!    per provider per rank, like a read's fail-over) — the bulk of the
+//!    work, fully parallel across concurrent writers;
 //! 3. it waits for its predecessor version to be published, pushes any page
 //!    it only partly overwrites (merged with the predecessor's image of that
-//!    page), builds the new segment tree (sharing unchanged subtrees with the
-//!    predecessor), and commits the ticket, which publishes the version.
+//!    page) the same way, builds the new segment tree (sharing unchanged
+//!    subtrees with the predecessor), and commits the ticket, which
+//!    publishes the version.
 //!
 //! Only step 3's metadata work is serialized per blob; its cost is a handful
 //! of small DHT records per write, which is what lets BlobSeer sustain
@@ -607,7 +610,7 @@ impl BlobSeerClient {
         // bytes, `old` bytes carried over at the tail, zeroes to the end. A
         // page the write covers is one copy of its bytes. `old` is the
         // page's image at v−1 for a border page, empty otherwise.
-        let image_of = |page: u64, old: &[u8]| -> Vec<u8> {
+        let image_of = |page: u64, old: &[u8]| -> Bytes {
             let page_start = pm.page_start(page);
             let page_end_limit = (page_start + page_size).min(ticket.new_size);
             let image_len = (page_end_limit - page_start) as usize;
@@ -629,90 +632,27 @@ impl BlobSeerClient {
                 image.extend_from_slice(&old[dst_to..dst_to + n]);
             }
             image.resize(image_len, 0);
-            image
+            Bytes::from(image)
         };
 
-        // Push one page image to every planned replica provider. A refusal
-        // means the provider is dead: feed the failure detector and fail
-        // over to other live providers, so the page still reaches the
-        // planned replica count and the metadata records where the copies
-        // really landed. A page with no live home at all fails the write.
-        let push = |page: u64, image: Vec<u8>| -> BlobResult<Vec<ProviderId>> {
-            let replicas = &placements[(page - first_page) as usize];
-            let key = page_key(blob, ticket.version, page);
-            let image = Bytes::from(image);
-            let mut stored: Vec<ProviderId> = Vec::with_capacity(replicas.len());
-            for pid in replicas.iter() {
-                let provider = sys
-                    .provider_manager
-                    .provider(*pid)
-                    .ok_or(BlobSeerError::NoProviders)?;
-                // The page image crosses the wire whether the provider
-                // accepts or turns out to be dead.
-                let pushed = provider.put_page(&key, image.clone());
-                sys.charge_provider(
-                    self.node,
-                    provider.node(),
-                    Direction::Write,
-                    key.len() as u64 + image.len() as u64 + MSG_OVERHEAD,
-                    MSG_OVERHEAD,
-                );
-                match pushed {
-                    Ok(()) => stored.push(*pid),
-                    Err(_) => sys.provider_manager.health().note_down((*pid).into()),
-                }
-            }
-            // Fail over past dead planned replicas onto any other live
-            // provider (all-alive writes never enter this loop).
-            if stored.len() < replicas.len() {
-                for provider in sys.provider_manager.providers() {
-                    if stored.len() >= replicas.len() {
-                        break;
-                    }
-                    let pid = provider.id();
-                    if stored.contains(&pid) || replicas.contains(&pid) {
-                        continue;
-                    }
-                    let pushed = provider.put_page(&key, image.clone());
-                    sys.charge_provider(
-                        self.node,
-                        provider.node(),
-                        Direction::Write,
-                        key.len() as u64 + image.len() as u64 + MSG_OVERHEAD,
-                        MSG_OVERHEAD,
-                    );
-                    if pushed.is_ok() {
-                        stored.push(pid);
-                    }
-                }
-            }
-            if stored.is_empty() {
-                return Err(BlobSeerError::NoProviders);
-            }
-            // Announce every copy so the repair pass can police this page's
-            // replication and readers can fail over past the recorded set.
-            for pid in &stored {
-                sys.provider_manager.announce(&key, *pid);
-            }
-            Ok(stored)
-        };
-        // The interior pages go before the wait, one after another in page
-        // order on the calling thread, like a read's destinations. Failure
-        // semantics are per page: dead replicas are skipped, a page with no
-        // live replica fails the write.
-        for page in (first_page..=last_page).filter(|&p| !is_border(p)) {
-            let replicas = push(page, image_of(page, &[]))?;
-            stored.pages.insert(page, replicas);
-        }
+        // The interior pages go before the wait as one push on the calling
+        // thread; the border pages, built on v−1, go after it as another.
+        let plan = |page: u64| placements[(page - first_page) as usize].as_slice();
+        let interior: Vec<(u64, Bytes, &[ProviderId])> = (first_page..=last_page)
+            .filter(|&p| !is_border(p))
+            .map(|p| (p, image_of(p, &[]), plan(p)))
+            .collect();
+        self.push(blob, ticket.version, &interior, stored)?;
 
         // Step 3: wait for the predecessor, push the border pages built on
         // it, build the new tree, publish.
         let prev = sys.version_manager.wait_for_predecessor(ticket)?;
+        let mut border = Vec::new();
         for page in (first_page..=last_page).filter(|&p| is_border(p)) {
             let old = self.read_page_image(blob, &prev, pm, page)?;
-            let replicas = push(page, image_of(page, &old))?;
-            stored.pages.insert(page, replicas);
+            border.push((page, image_of(page, &old), plan(page)));
         }
+        self.push(blob, ticket.version, &border, stored)?;
         let prev_tree = PrevTree {
             root: prev.root,
             span: if prev.size == 0 {
@@ -737,6 +677,99 @@ impl BlobSeerClient {
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         sys.write_ops.fetch_add(1, Ordering::Relaxed);
         Ok(info.version)
+    }
+
+    /// Push page images, each with its planned providers, and record where
+    /// the copies landed in `stored`. Rank 0 sends every planned provider
+    /// its pages as one `UploadMany`. A provider that refuses is dead: it
+    /// feeds the failure detector once and is not asked again. A page left
+    /// short moves on to its next candidate, the lowest provider id neither
+    /// planned for it nor refused, one rank at a time, each rank one
+    /// `UploadMany` per provider. Its holders are the planned providers that
+    /// took it, in plan order, then the candidates that did. Every copy is
+    /// recorded and announced before a page with no copy fails the write
+    /// with [`BlobSeerError::NoProviders`]; a page merely short does not.
+    fn push(
+        &self,
+        blob: BlobId,
+        version: Version,
+        pages: &[(u64, Bytes, &[ProviderId])],
+        stored: &mut Stored,
+    ) -> BlobResult<()> {
+        if pages.is_empty() {
+            return Ok(());
+        }
+        let sys = &self.system;
+        // Each page's holders: its plan, then the candidates it moves on to;
+        // a provider that refused drops out after its rank.
+        let mut holders: Vec<Vec<ProviderId>> =
+            pages.iter().map(|(.., plan)| plan.to_vec()).collect();
+        let mut refused = Vec::new();
+        let mut groups: BTreeMap<ProviderId, Vec<usize>> = BTreeMap::new();
+        for (i, plan) in holders.iter().enumerate() {
+            for pid in plan {
+                groups.entry(*pid).or_default().push(i);
+            }
+        }
+        while !groups.is_empty() {
+            // One `UploadMany` per provider, in id order, each charged as it
+            // is served: keys and images out, framing back, whether the
+            // provider takes the batch or refuses it.
+            for (pid, group) in &groups {
+                let provider = sys.provider_manager.provider(*pid);
+                let provider = provider.expect("the plan and the walk name registered providers");
+                let batch: Vec<(Vec<u8>, Bytes)> = group
+                    .iter()
+                    .map(|&i| (page_key(blob, version, pages[i].0), pages[i].1.clone()))
+                    .collect();
+                let bytes: u64 = batch
+                    .iter()
+                    .map(|(k, page)| (k.len() + page.len()) as u64)
+                    .sum();
+                let uploaded = provider.upload_many(&batch);
+                sys.charge_provider(
+                    self.node,
+                    provider.node(),
+                    Direction::Write,
+                    bytes + MSG_OVERHEAD,
+                    MSG_OVERHEAD,
+                );
+                if uploaded.is_err() {
+                    sys.provider_manager.health().note_down((*pid).into());
+                    refused.push(*pid);
+                }
+            }
+            groups.clear();
+            for (i, ((.., plan), held)) in pages.iter().zip(&mut holders).enumerate() {
+                held.retain(|pid| !refused.contains(pid));
+                if held.len() < plan.len() {
+                    // Every planned provider has taken the page or refused.
+                    let next = (0..)
+                        .map(ProviderId)
+                        .take(sys.provider_manager.len())
+                        .find(|pid| !refused.contains(pid) && !held.contains(pid));
+                    if let Some(pid) = next {
+                        held.push(pid);
+                        groups.entry(pid).or_default().push(i);
+                    }
+                }
+            }
+        }
+        // Announce every copy, so repair can police the pages' replication
+        // and readers can fail over past the recorded set, and record it for
+        // the sweep of a write that fails.
+        let copies = pages.iter().zip(&holders);
+        let copies = copies.map(|((page, ..), held)| (page_key(blob, version, *page), &held[..]));
+        sys.provider_manager.announce(copies);
+        let homeless = holders.iter().any(Vec::is_empty);
+        let landed = pages.iter().map(|(page, ..)| *page).zip(holders);
+        stored
+            .pages
+            .extend(landed.filter(|(_, held)| !held.is_empty()));
+        if homeless {
+            return Err(BlobSeerError::NoProviders);
+        }
+        Ok(())
     }
 
     /// Read the image of one page at a given version, zero-padded to the
@@ -1979,8 +2012,15 @@ mod tests {
         let machine = provider.machine();
         assert!(!machine.is_empty() && provider.stats().pages > 0);
         sys.kill(victim).unwrap();
-        let page = provider.page_keys().pop().unwrap();
-        assert!(provider.get_page(&page).is_err(), "its pages are refused");
+        let page = PageRequest {
+            key: provider.page_keys().pop().unwrap(),
+            offset: 0,
+            len: None,
+        };
+        assert!(
+            provider.download_many(vec![page]).is_err(),
+            "its pages are refused"
+        );
         let key = machine.keys().pop().unwrap();
         assert_eq!(
             machine.get_many(&[key]),
@@ -2078,7 +2118,14 @@ mod tests {
             let key = page_key(blob, version, page);
             let holder = sys.provider_manager().holders(&key)[0];
             let provider = sys.provider_manager().provider(holder).unwrap();
-            provider.get_page(&key).unwrap().unwrap()
+            let whole = PageRequest {
+                key,
+                offset: 0,
+                len: None,
+            };
+            provider.download_many(vec![whole]).unwrap()[0]
+                .clone()
+                .unwrap()
         };
         // A whole page and a window inside one are views into the stored
         // page: no byte is copied on the client.
@@ -2519,14 +2566,120 @@ mod tests {
         let blob = client.create(Some(64)).unwrap();
         let data: Vec<u8> = (0..64 * 16).map(|i| (i % 251) as u8).collect();
         client.write(blob, 0, &data).unwrap();
-        assert_eq!(sys.provider_wire().snapshot().write_messages, 16);
+        // 16 pages over 4 machines, R = 1: one `UploadMany` per machine.
+        assert_eq!(sys.provider_wire().snapshot().write_messages, 4);
         let seen = threads.0.lock().unwrap();
-        assert!(seen.len() >= 16, "{} write exchanges", seen.len());
+        assert!(seen.len() >= 4, "{} write exchanges", seen.len());
         let me = std::thread::current().id();
         assert!(
             seen.iter().all(|id| *id == me),
             "a write exchange was charged off the writer's thread"
         );
+    }
+
+    /// A transport that, once given a machine, kills it as the next write
+    /// exchange is charged, and records every write exchange's destination.
+    #[derive(Default)]
+    struct KillOnNextWrite {
+        victim: std::sync::Mutex<Option<Arc<StorageNode>>>,
+        writes: std::sync::Mutex<Vec<NodeId>>,
+    }
+
+    impl Transport for KillOnNextWrite {
+        fn exchange(
+            &self,
+            _src: NodeId,
+            dst: NodeId,
+            dir: Direction,
+            _bytes_out: u64,
+            _bytes_in: u64,
+        ) -> simcluster::time::SimDuration {
+            if dir == Direction::Write {
+                if let Some(machine) = self.victim.lock().unwrap().take() {
+                    machine.kill();
+                }
+                self.writes.lock().unwrap().push(dst);
+            }
+            simcluster::time::SimDuration::ZERO
+        }
+
+        fn name(&self) -> &'static str {
+            "kill-on-next-write"
+        }
+    }
+
+    #[test]
+    fn a_write_asks_each_refusing_provider_once() {
+        let config = BlobSeerConfig::for_tests()
+            .with_page_size(64)
+            .with_providers(6)
+            .with_page_replication(2);
+        let data: Vec<u8> = (0..32 * 64).map(|i| (i % 239) as u8).collect();
+        // Placement is deterministic: a twin deployment shows the plan.
+        let twin = BlobSeer::new(config.clone());
+        let twin_blob = twin.client().create(None).unwrap();
+        let v = twin.client().write(twin_blob, 0, &data).unwrap();
+        let twin_locs = twin.client().locate(twin_blob, v, 0, 32 * 64).unwrap();
+        let plans: Vec<Vec<ProviderId>> = twin_locs.into_iter().map(|l| l.providers).collect();
+
+        let wire = Arc::new(KillOnNextWrite::default());
+        let topology = ClusterTopology::flat(6);
+        let nodes: Vec<NodeId> = topology.all_nodes().collect();
+        let clock = Arc::new(WallClock::new());
+        let sys = BlobSeer::with_transport(config, &topology, &nodes, clock, wire.clone());
+        let client = sys.client();
+        let blob = client.create(None).unwrap();
+        // Machine 5 dies as provider 0 is charged for its batch: the rest of
+        // rank 0 goes on, and provider 5 refuses its batch.
+        let victim = ProviderId(5);
+        let provider = sys.provider_manager().provider(victim).unwrap();
+        *wire.victim.lock().unwrap() = Some(Arc::clone(provider.machine()));
+        let v = client.write(blob, 0, &data).unwrap();
+        assert!(!provider.ping());
+
+        // Each page the victim was planned for moves to its next candidate:
+        // the lowest id neither planned for it nor refused.
+        let next = |plan: &[ProviderId]| {
+            (0..6)
+                .map(ProviderId)
+                .find(|p| !plan.contains(p) && *p != victim)
+                .unwrap()
+        };
+        let moved: std::collections::BTreeSet<ProviderId> = plans
+            .iter()
+            .filter(|plan| plan.contains(&victim))
+            .map(|plan| next(plan))
+            .collect();
+        assert!(!moved.is_empty());
+        let locs = client.locate(blob, v, 0, 32 * 64).unwrap();
+        for (loc, plan) in locs.iter().zip(&plans) {
+            let mut want: Vec<ProviderId> = plan.iter().copied().filter(|p| *p != victim).collect();
+            if plan.contains(&victim) {
+                want.push(next(plan));
+            }
+            assert_eq!(loc.providers, want, "page {}", loc.page);
+        }
+        // Rank 0 is one batch per planned provider, the victim's refused
+        // once; rank 1 is one batch per provider the moved pages went to.
+        let pushes = sys.provider_wire().snapshot().write_messages as usize;
+        assert_eq!(pushes, 6 + moved.len());
+        let dsts: Vec<NodeId> = wire.writes.lock().unwrap()[..pushes].to_vec();
+        let node = |pid: ProviderId| sys.provider_manager().node_of(pid).unwrap();
+        assert_eq!(
+            dsts[..6],
+            (0..6).map(|i| node(ProviderId(i))).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            dsts[6..],
+            moved.iter().map(|p| node(*p)).collect::<Vec<_>>()
+        );
+
+        assert_eq!(client.read(blob, v, 0, data.len() as u64).unwrap(), data);
+        assert_eq!(sys.provider_manager().announced_pages(), 32);
+        let (metadata, pages) = sys.repair();
+        assert_eq!(pages.under_replicated, 0, "every page has its two copies");
+        assert_eq!(pages.still_under_replicated, 0);
+        assert_eq!(metadata.still_under_replicated, 0);
     }
 
     #[test]

@@ -69,10 +69,9 @@ pub struct PageRequest {
     pub len: Option<u64>,
 }
 
-/// One data provider, shaped like a blob wire protocol: `Upload` /
-/// `Download(key, offset, len)` / `Query` / `Delete`, plus the coalesced
-/// `DownloadMany` and `DeleteMany` batches and the control probe, over its
-/// machine's page store.
+/// One data provider, shaped like a blob wire protocol of three batches —
+/// `UploadMany`, `DownloadMany` of `(key, offset, len)` windows and
+/// `DeleteMany` — plus the control probe, over its machine's page store.
 pub struct Provider {
     machine: Arc<StorageNode>,
     writes: AtomicU64,
@@ -125,35 +124,24 @@ impl Provider {
             .unwrap_or_else(|dht::NodeDown| Err(BlobSeerError::Storage(kvstore::KvError::Closed)))
     }
 
-    /// Store a page (the wire protocol's `Upload`). Fails if the provider is
-    /// down.
+    /// Store one page: a batch of one over [`Provider::upload_many`].
     pub fn put_page(&self, key: &[u8], data: Bytes) -> BlobResult<()> {
+        self.upload_many(&[(key, data)])
+    }
+
+    /// `Upload` for a batch of pages — the one call a write's push sends
+    /// each provider. One liveness check covers the batch: a dead provider
+    /// refuses it whole and stores nothing.
+    pub fn upload_many<K: AsRef<[u8]>>(&self, pages: &[(K, Bytes)]) -> BlobResult<()> {
         self.serve(|store| {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.bytes_written
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            Ok(store.put(key, data)?)
+            for (key, page) in pages {
+                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.bytes_written
+                    .fetch_add(page.len() as u64, Ordering::Relaxed);
+                store.put(key.as_ref(), page.clone())?;
+            }
+            Ok(())
         })
-    }
-
-    /// Fetch a whole page (`Download` with `offset 0, len None`). Returns
-    /// `Ok(None)` when the provider is up but does not hold the page, and an
-    /// error when the provider is down.
-    pub fn get_page(&self, key: &[u8]) -> BlobResult<Option<Bytes>> {
-        self.download_page(key, 0, None)
-    }
-
-    /// Ranged streaming read (`Download(key, offset, len)`): serve only
-    /// `[offset, offset + len)` of the stored page, clamped to what is
-    /// stored; `len: None` means "through the end". Returns `Ok(None)` for a
-    /// page the provider does not hold.
-    pub fn download_page(
-        &self,
-        key: &[u8],
-        offset: u64,
-        len: Option<u64>,
-    ) -> BlobResult<Option<Bytes>> {
-        self.serve(|store| self.download(store, key, offset, len))
     }
 
     /// Several ranged downloads folded into one call — the coalesced shape:
@@ -162,47 +150,31 @@ impl Provider {
     /// where the page is missing.
     pub fn download_many(&self, requests: Vec<PageRequest>) -> BlobResult<Vec<Option<Bytes>>> {
         self.serve(|store| {
-            requests
-                .iter()
-                .map(|r| self.download(store, &r.key, r.offset, r.len))
-                .collect()
+            let mut served = Vec::with_capacity(requests.len());
+            for PageRequest { key, offset, len } in &requests {
+                let Some(page) = store.get(key)? else {
+                    served.push(None);
+                    continue;
+                };
+                // Clamp the requested window to what is stored: the caller
+                // knows the page's valid length and pads/truncates; the
+                // provider only ever ships bytes it holds.
+                let start = usize::try_from(*offset)
+                    .unwrap_or(usize::MAX)
+                    .min(page.len());
+                let end = match len {
+                    Some(l) => start
+                        .saturating_add(usize::try_from(*l).unwrap_or(usize::MAX))
+                        .min(page.len()),
+                    None => page.len(),
+                };
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                self.bytes_read
+                    .fetch_add((end - start) as u64, Ordering::Relaxed);
+                served.push(Some(page.slice(start..end)));
+            }
+            Ok(served)
         })
-    }
-
-    /// Serve one window of a stored page, inside a served batch.
-    fn download(
-        &self,
-        store: &MemStore,
-        key: &[u8],
-        offset: u64,
-        len: Option<u64>,
-    ) -> BlobResult<Option<Bytes>> {
-        let Some(page) = store.get(key)? else {
-            return Ok(None);
-        };
-        // Clamp the requested window to what is stored: the caller knows the
-        // page's valid length and pads/truncates; the provider only ever
-        // ships bytes it holds.
-        let start = usize::try_from(offset)
-            .unwrap_or(usize::MAX)
-            .min(page.len());
-        let end = match len {
-            Some(l) => start
-                .saturating_add(usize::try_from(l).unwrap_or(usize::MAX))
-                .min(page.len()),
-            None => page.len(),
-        };
-        let piece = page.slice(start..end);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(piece.len() as u64, Ordering::Relaxed);
-        Ok(Some(piece))
-    }
-
-    /// `Query(key)`: the stored length of a page without moving its bytes.
-    /// Does not count as served traffic.
-    pub fn query_page(&self, key: &[u8]) -> BlobResult<Option<u64>> {
-        self.serve(|store| Ok(store.get(key)?.map(|p| p.len() as u64)))
     }
 
     /// Delete one page: a batch of one over [`Provider::delete_many`].
@@ -245,7 +217,7 @@ impl Provider {
 
 /// A provider as the repair loop sees it: a member named by its machine
 /// (so the page tier shares the DHT's detector), whose listing is its page
-/// keys, copy reads one `DownloadMany` and writes one `Upload` per page.
+/// keys, copy reads one `DownloadMany` and writes one `UploadMany`.
 impl Member for Provider {
     type Id = DhtNodeId;
     type Value = Bytes;
@@ -275,10 +247,7 @@ impl Member for Provider {
     }
 
     fn write(&self, entries: &[(&[u8], Bytes)]) -> usize {
-        entries
-            .iter()
-            .take_while(|(key, page)| self.put_page(key, page.clone()).is_ok())
-            .count()
+        self.upload_many(entries).map_or(0, |()| entries.len())
     }
 }
 
@@ -288,6 +257,16 @@ mod tests {
 
     fn provider() -> Provider {
         Provider::new(Arc::new(StorageNode::new(DhtNodeId(0), NodeId(0))))
+    }
+
+    /// One window of one page: a `DownloadMany` of one request.
+    fn fetch(p: &Provider, key: &[u8], offset: u64, len: Option<u64>) -> BlobResult<Option<Bytes>> {
+        let request = PageRequest {
+            key: key.to_vec(),
+            offset,
+            len,
+        };
+        Ok(p.download_many(vec![request])?.pop().flatten())
     }
 
     #[test]
@@ -314,9 +293,9 @@ mod tests {
         assert_eq!(p.node(), NodeId(0));
         let key = page_key(BlobId(0), Version(1), 0);
         p.put_page(&key, Bytes::from(vec![7u8; 100])).unwrap();
-        let got = p.get_page(&key).unwrap().unwrap();
+        let got = fetch(&p, &key, 0, None).unwrap().unwrap();
         assert_eq!(got.len(), 100);
-        assert!(p.get_page(b"missing").unwrap().is_none());
+        assert!(fetch(&p, b"missing", 0, None).unwrap().is_none());
 
         let s = p.stats();
         assert_eq!(s.pages, 1);
@@ -356,14 +335,14 @@ mod tests {
         let data: Vec<u8> = (0..100u8).collect();
         p.put_page(&key, Bytes::from(data.clone())).unwrap();
 
-        let mid = p.download_page(&key, 10, Some(20)).unwrap().unwrap();
+        let mid = fetch(&p, &key, 10, Some(20)).unwrap().unwrap();
         assert_eq!(&mid[..], &data[10..30]);
-        let tail = p.download_page(&key, 90, None).unwrap().unwrap();
+        let tail = fetch(&p, &key, 90, None).unwrap().unwrap();
         assert_eq!(&tail[..], &data[90..]);
         // Windows past the stored length clamp to empty rather than erroring.
-        let beyond = p.download_page(&key, 200, Some(10)).unwrap().unwrap();
+        let beyond = fetch(&p, &key, 200, Some(10)).unwrap().unwrap();
         assert!(beyond.is_empty());
-        assert!(p.download_page(b"missing", 0, Some(4)).unwrap().is_none());
+        assert!(fetch(&p, b"missing", 0, Some(4)).unwrap().is_none());
 
         // Only the served bytes count, not the page size.
         assert_eq!(p.stats().bytes_read, 20 + 10); // the clamped window served 0
@@ -410,16 +389,34 @@ mod tests {
     }
 
     #[test]
-    fn query_reports_stored_length_without_serving_bytes() {
+    fn upload_many_stores_a_batch_or_refuses_it_whole() {
         let p = provider();
-        let key = page_key(BlobId(0), Version(1), 0);
-        p.put_page(&key, Bytes::from(vec![9u8; 64])).unwrap();
-        assert_eq!(p.query_page(&key).unwrap(), Some(64));
-        assert_eq!(p.query_page(b"missing").unwrap(), None);
-        assert_eq!(p.stats().reads, 0);
-        assert_eq!(p.stats().bytes_read, 0);
+        let pages: Vec<(Vec<u8>, Bytes)> = (0..3u64)
+            .map(|i| {
+                let key = page_key(BlobId(0), Version(1), i);
+                (key, Bytes::from(vec![i as u8; 10 + i as usize]))
+            })
+            .collect();
+        p.upload_many(&pages).unwrap();
+        for (key, page) in &pages {
+            assert_eq!(fetch(&p, key, 0, None).unwrap().as_ref(), Some(page));
+        }
+        // Counted as three `put_page` calls would have been.
+        let s = p.stats();
+        assert_eq!((s.pages, s.stored_bytes), (3, 33));
+        assert_eq!((s.writes, s.bytes_written), (3, 33));
+
         p.machine().kill();
-        assert!(p.query_page(&key).is_err());
+        let more = [(page_key(BlobId(0), Version(2), 0), Bytes::from_static(b"x"))];
+        assert!(p.upload_many(&more).is_err(), "a dead provider refuses");
+        p.machine().revive();
+        let s = p.stats();
+        assert_eq!(
+            (s.pages, s.writes, s.bytes_written),
+            (3, 3, 33),
+            "and stores nothing"
+        );
+        assert!(fetch(&p, &more[0].0, 0, None).unwrap().is_none());
     }
 
     #[test]
@@ -430,13 +427,13 @@ mod tests {
         p.machine().kill();
         assert!(!p.ping());
         assert!(p.put_page(&key, Bytes::from_static(b"x")).is_err());
-        assert!(p.get_page(&key).is_err());
+        assert!(fetch(&p, &key, 0, None).is_err());
         assert!(p.delete_page(&key).is_err());
         // The machine is down for its metadata role as well.
         assert_eq!(p.machine().get(b"m"), Err(dht::NodeDown));
         p.machine().revive();
         assert_eq!(
-            p.get_page(&key).unwrap().unwrap(),
+            fetch(&p, &key, 0, None).unwrap().unwrap(),
             Bytes::from_static(b"data")
         );
     }
@@ -454,7 +451,7 @@ mod tests {
     #[test]
     fn missing_page_read_does_not_count_as_served() {
         let p = provider();
-        let _ = p.get_page(b"nope").unwrap();
+        let _ = fetch(&p, b"nope", 0, None).unwrap();
         assert_eq!(p.stats().reads, 0);
     }
 }

@@ -9,12 +9,13 @@
 //! strategies.
 //!
 //! Beyond placement, the manager keeps the page tier's view of the
-//! machines under churn: providers *announce* every page replica they
-//! accept, the machines' failure detector ([`ProviderManager::health`])
-//! turns refused probes into suspicion, and [`ProviderManager::repair`]
-//! (the shared [`simcluster::replica`] loop) actively re-replicates
-//! announced pages whose live copy count fell below the replication factor
-//! — so a machine crash costs redundancy only until the next repair pass.
+//! machines under churn: a write's push *announces* every page replica it
+//! stored, in one registry pass; the machines' failure detector
+//! ([`ProviderManager::health`]) turns refused probes into suspicion; and
+//! [`ProviderManager::repair`] (the shared [`simcluster::replica`] loop)
+//! actively re-replicates announced pages whose live copy count fell below
+//! the replication factor — so a machine crash costs redundancy only until
+//! the next repair pass.
 //! A dead machine never comes back; kills and joins go through
 //! [`crate::BlobSeer::kill`] and [`crate::BlobSeer::join`].
 
@@ -115,11 +116,6 @@ impl ProviderManager {
         self.health.register(machine.id());
         providers.push(Arc::new(provider));
         machine
-    }
-
-    /// The strategy in use.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
     }
 
     /// Number of providers (live and dead).
@@ -288,23 +284,22 @@ impl ProviderManager {
         self.allocated.lock().clone()
     }
 
-    /// Reset the allocation counters (between benchmark phases).
-    pub fn reset_allocation_counters(&self) {
-        self.allocated.lock().clear();
-        *self.cursor.lock() = 0;
-    }
-
     // ---- page announcements -------------------------------------------------
 
-    /// Record that `holder` stores a replica of `key`. Called by the write
-    /// path after every successful page store; repair uses the registry to
-    /// find under-replicated pages and surviving copies, and readers use it
-    /// to fail over past the providers recorded in the metadata.
-    pub fn announce(&self, key: &[u8], holder: ProviderId) {
+    /// Record, in one registry pass, the providers holding a replica of
+    /// each page: a write's push announces its `(key, holders)` pairs (a
+    /// page with no holder is skipped). Repair uses the registry to find
+    /// under-replicated pages and surviving copies, and readers use it to
+    /// fail over past the providers recorded in the metadata.
+    pub fn announce<'a>(&self, copies: impl IntoIterator<Item = (Vec<u8>, &'a [ProviderId])>) {
         let mut ann = self.announcements.lock();
-        let holders = ann.entry(key.to_vec()).or_default();
-        if !holders.contains(&holder) {
-            holders.push(holder);
+        for (key, stored) in copies.into_iter().filter(|(_, stored)| !stored.is_empty()) {
+            let holders = ann.entry(key).or_default();
+            for holder in stored {
+                if !holders.contains(holder) {
+                    holders.push(*holder);
+                }
+            }
         }
     }
 
@@ -573,9 +568,11 @@ mod tests {
         for i in 0..4 {
             m.provider(ProviderId(i)).unwrap().machine().revive();
         }
-        m.reset_allocation_counters();
+        // The revived four, least loaded, take the next 80 pages evenly.
         m.allocate(80, 1, NodeId(0));
-        assert_eq!(m.allocation_load().len(), 8);
+        let load = m.allocation_load();
+        assert_eq!(load.len(), 8);
+        assert!((0..4).all(|i| load[&ProviderId(i)] == 20), "{load:?}");
     }
 
     #[test]
@@ -604,15 +601,14 @@ mod tests {
         assert!(m.provider(ProviderId(0)).is_some());
         assert!(m.provider(ProviderId(99)).is_none());
         assert_eq!(m.providers().len(), 8);
-        assert_eq!(m.strategy(), PlacementStrategy::LoadBalanced);
     }
 
     #[test]
     fn announcements_track_holders_and_withdrawals() {
         let m = manager(PlacementStrategy::LoadBalanced);
-        m.announce(b"k", ProviderId(1));
-        m.announce(b"k", ProviderId(2));
-        m.announce(b"k", ProviderId(1)); // duplicate is a no-op
+        m.announce([(b"k".to_vec(), &[ProviderId(1), ProviderId(2)][..])]);
+        m.announce([(b"k".to_vec(), &[ProviderId(1)][..])]); // duplicate is a no-op
+        m.announce([(b"none".to_vec(), &[][..])]); // no holder: not announced
         assert_eq!(m.holders(b"k"), vec![ProviderId(1), ProviderId(2)]);
         assert_eq!(m.announced_pages(), 1);
         assert_eq!(
@@ -625,12 +621,13 @@ mod tests {
 
     /// Store one page on `replicas`, announcing each copy.
     fn seed_page(m: &ProviderManager, key: &[u8], replicas: &[u32]) {
-        for r in replicas {
-            let p = m.provider(ProviderId(*r)).unwrap();
+        let holders: Vec<ProviderId> = replicas.iter().map(|&r| ProviderId(r)).collect();
+        for pid in &holders {
+            let p = m.provider(*pid).unwrap();
             p.put_page(key, bytes::Bytes::from_static(b"page-data"))
                 .unwrap();
-            m.announce(key, ProviderId(*r));
         }
+        m.announce([(key.to_vec(), &holders[..])]);
     }
 
     #[test]
@@ -659,13 +656,16 @@ mod tests {
             .iter()
             .find(|h| **h != ProviderId(0) && **h != ProviderId(1))
             .unwrap();
-        let page = m
-            .provider(*fresh)
-            .unwrap()
-            .get_page(b"blob-1/v1/page-0")
-            .unwrap()
-            .unwrap();
-        assert_eq!(page, bytes::Bytes::from_static(b"page-data"));
+        let request = crate::provider::PageRequest {
+            key: b"blob-1/v1/page-0".to_vec(),
+            offset: 0,
+            len: None,
+        };
+        let page = m.provider(*fresh).unwrap().download_many(vec![request]);
+        assert_eq!(
+            page.unwrap(),
+            vec![Some(bytes::Bytes::from_static(b"page-data"))]
+        );
 
         // A second pass over the (now healthy) set is a no-op.
         let again = m.repair(2);

@@ -194,9 +194,14 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
                             1 => {
                                 let probe = acked.last().unwrap_or(&key);
                                 let want = acked.last().map(|k| Bytes::from(k.clone()));
-                                sched.check(|| match provider.get_page(probe) {
+                                let whole = vec![PageRequest {
+                                    key: probe.clone(),
+                                    offset: 0,
+                                    len: None,
+                                }];
+                                sched.check(|| match provider.download_many(whole) {
                                     Ok(got) => {
-                                        assert_eq!(got, want);
+                                        assert_eq!(got, vec![want]);
                                         true
                                     }
                                     Err(_) => false,
@@ -251,9 +256,14 @@ fn a_provider_call_is_linearizable_with_kill_and_revive() {
     assert_eq!(provider.stats().writes, acked.len() as u64);
     assert_eq!(provider.stats().pages, acked.len());
     for key in acked {
+        let whole = vec![PageRequest {
+            key: key.clone(),
+            offset: 0,
+            len: None,
+        }];
         assert_eq!(
-            provider.get_page(key).unwrap(),
-            Some(Bytes::from(key.clone()))
+            provider.download_many(whole).unwrap(),
+            vec![Some(Bytes::from(key.clone()))]
         );
     }
 }
