@@ -45,9 +45,10 @@ struct ReadPathRecord {
 /// The scan's load: the file written one full 32-page block per write
 /// (`kind: count`, deterministic). Only the top of a block's full subtree is
 /// stored, with the inner nodes on its path up to the root, so a block
-/// write publishes at most `1 + height_above_block` nodes; and its pages go
-/// out as one `UploadMany` per provider, so a block write sends at most one
-/// page-write message per machine.
+/// write publishes at most `1 + height_above_block` nodes; those nodes are
+/// one version record, so a block write sends one metadata write message
+/// per replica; and its pages go out as one `UploadMany` per provider, so a
+/// block write sends at most one page-write message per machine.
 #[derive(serde::Serialize)]
 struct LoadRecord {
     block_writes: u64,
@@ -57,6 +58,11 @@ struct LoadRecord {
     height_above_block: u32,
     /// Provider write messages (page uploads) per block write.
     provider_write_messages_per_block_write: f64,
+    /// Metadata DHT write messages per block write.
+    dht_write_messages_per_block_write: f64,
+    /// The deployment's metadata replication factor: the most DHT write
+    /// messages one record costs.
+    metadata_replication: usize,
 }
 
 #[derive(serde::Serialize)]
@@ -83,31 +89,38 @@ fn read_path(smoke: bool) -> (LoadRecord, Vec<ReadPathRecord>) {
     let machines = 4;
     let fs = bench::small_bsfs_full(machines, block_size, page_size);
     let storage = fs.inner().storage();
-    let (nodes_before, writes_before, uploads_before) = (
+    let (nodes_before, writes_before, uploads_before, dht_writes_before) = (
         storage.metadata().stats().nodes_written,
         storage.stats().write_ops,
         storage.provider_wire().snapshot().write_messages,
+        storage.metadata().stats().dht_write_round_trips,
     );
     prepare_shared_file(&fs, &config).expect("prepare read workload");
     let file_pages = clients as u64 * bytes_per_client / page_size;
     let block_writes = storage.stats().write_ops - writes_before;
     let nodes_written = storage.metadata().stats().nodes_written - nodes_before;
     let uploads = storage.provider_wire().snapshot().write_messages - uploads_before;
+    let dht_writes = storage.metadata().stats().dht_write_round_trips - dht_writes_before;
     let load = LoadRecord {
         block_writes,
         nodes_written,
         nodes_per_block_write: nodes_written as f64 / block_writes as f64,
         height_above_block: (file_pages.next_power_of_two() / 32).ilog2(),
         provider_write_messages_per_block_write: uploads as f64 / block_writes as f64,
+        dht_write_messages_per_block_write: dht_writes as f64 / block_writes as f64,
+        metadata_replication: storage.config().metadata_replication,
     };
     println!(
         "load: {} block writes published {} metadata nodes, {:.2} per write \
-         ({} tree levels above a block), and sent {:.2} page-write messages per write",
+         ({} tree levels above a block), and sent {:.2} page-write and {:.2} \
+         metadata-write messages per write ({} metadata replicas)",
         load.block_writes,
         load.nodes_written,
         load.nodes_per_block_write,
         load.height_above_block,
-        load.provider_write_messages_per_block_write
+        load.provider_write_messages_per_block_write,
+        load.dht_write_messages_per_block_write,
+        load.metadata_replication
     );
     assert_eq!(block_writes * block_size, file_pages * page_size);
     assert!(
@@ -117,6 +130,10 @@ fn read_path(smoke: bool) -> (LoadRecord, Vec<ReadPathRecord>) {
     assert!(
         load.provider_write_messages_per_block_write <= machines as f64,
         "a block write sends each provider its pages as one batch"
+    );
+    assert!(
+        load.dht_write_messages_per_block_write <= load.metadata_replication as f64,
+        "a block write publishes its nodes as one record per replica"
     );
     // The readers model clients on nodes that never saw the writes: the
     // measured phase starts with a cold node cache.

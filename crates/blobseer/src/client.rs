@@ -110,6 +110,8 @@ pub struct BlobSeer {
     /// of their sweep, and by a delete from taking its blobs' chains to the
     /// end of theirs (see [`crate::gc`]): the two never interleave on a
     /// blob, so neither sweeps a node the other's mark phase still needs.
+    /// Repair and a join hold it while they copy metadata records, so no
+    /// copy predates a sweep's rewrite of its record.
     sweep_lock: Mutex<()>,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
@@ -266,6 +268,8 @@ impl BlobSeer {
     pub fn join(&self, host: NodeId) -> ProviderId {
         let machine = self.provider_manager.add(host);
         let id = machine.id().into();
+        // Placing keys copies records, as repair does: see there.
+        let _sweep = self.sweep_lock.lock();
         self.metadata.dht().join(machine);
         id
     }
@@ -399,8 +403,16 @@ impl BlobSeer {
     /// announced provider pages onto live members. Returns the metadata
     /// tier's report, then the page tier's. Dead machines stay dead;
     /// replicas are rebuilt elsewhere from surviving copies.
+    ///
+    /// The metadata pass holds the sweep lock: a retention sweep rewrites
+    /// the version records it removes nodes from, and a copy of a record
+    /// taken before such a rewrite must not land after it and bring the
+    /// removed nodes back.
     pub fn repair(&self) -> (RepairReport, RepairReport) {
-        let metadata_report = self.metadata.dht().repair();
+        let metadata_report = {
+            let _sweep = self.sweep_lock.lock();
+            self.metadata.dht().repair()
+        };
         let page_report = self.provider_manager.repair(self.config.page_replication);
         (metadata_report, page_report)
     }
@@ -716,8 +728,12 @@ impl BlobSeerClient {
             // is served: keys and images out, framing back, whether the
             // provider takes the batch or refuses it.
             for (pid, group) in &groups {
-                let provider = sys.provider_manager.provider(*pid);
-                let provider = provider.expect("the plan and the walk name registered providers");
+                let Some(provider) = sys.provider_manager.provider(*pid) else {
+                    // No registered provider has the id: it takes nothing,
+                    // like one that refuses.
+                    refused.push(*pid);
+                    continue;
+                };
                 let batch: Vec<(Vec<u8>, Bytes)> = group
                     .iter()
                     .map(|&i| (page_key(blob, version, pages[i].0), pages[i].1.clone()))
@@ -1442,12 +1458,16 @@ mod tests {
         let read_rts = after.dht_read_round_trips - before.dht_read_round_trips;
         let nodes = after.nodes_read - before.nodes_read;
         assert_eq!(nodes, 31, "full tree visited");
-        assert_eq!(after.cache_hits, before.cache_hits);
-        // 5 levels x at most 3 machines, versus 31 per-node gets.
-        assert!(
-            read_rts <= 15,
-            "expected level-batched reads, got {read_rts}"
-        );
+        // Each of the 16 versions' records is fetched once, at its first
+        // node; the record brings the rest of that version's path below it,
+        // which the levels below then find in the cache.
+        assert_eq!(after.cache_misses - before.cache_misses, 16);
+        assert_eq!(after.cache_hits - before.cache_hits, 15);
+        assert_eq!(after.batch_lookups - before.batch_lookups, 5);
+        // 1, 1, 2, 4 and 8 records over the 5 levels, at most 3 machines a
+        // level: 10 gets (placement is deterministic), versus 31 per-node
+        // gets.
+        assert_eq!(read_rts, 10, "expected level-batched reads");
         assert!((read_rts as f64) < 0.6 * nodes as f64);
     }
 
@@ -1499,6 +1519,38 @@ mod tests {
         assert_eq!(after.dht_read_round_trips - before.dht_read_round_trips, 1);
     }
 
+    #[test]
+    fn a_one_page_append_publishes_one_record_per_replica() {
+        let sys = BlobSeer::new(BlobSeerConfig::for_tests().with_providers(8));
+        let replication = sys.config().metadata_replication as u64;
+        let client = sys.client();
+        let blob = client.create(Some(16)).unwrap();
+        client.write(blob, 0, &[1u8; 16 * 1024]).unwrap();
+        for byte in 2..5u8 {
+            let before = sys.metadata().stats();
+            client.append(blob, &[byte; 16]).unwrap();
+            let after = sys.metadata().stats();
+            // A new root over 2 048 pages, the path of 10 inner nodes down
+            // to the page, and its leaf: 12 nodes, one record, one write
+            // message per replica.
+            assert_eq!(after.nodes_written - before.nodes_written, 12);
+            assert_eq!(after.batch_flushes - before.batch_flushes, 1);
+            let writes = after.dht_write_round_trips - before.dht_write_round_trips;
+            assert_eq!(writes, replication);
+        }
+        // Cold, the last page's 12 levels are one get: the first level's
+        // record is the appending version's, and holds the whole path.
+        sys.metadata().drop_cached_nodes();
+        let before = sys.metadata().stats();
+        let last = client.read_latest(blob, 16 * 1026, 16).unwrap();
+        assert_eq!(last.to_vec(), [4u8; 16]);
+        let after = sys.metadata().stats();
+        assert_eq!(after.batch_lookups - before.batch_lookups, 12);
+        assert_eq!(after.nodes_read - before.nodes_read, 12);
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
+        assert_eq!(after.dht_read_round_trips - before.dht_read_round_trips, 1);
+    }
+
     /// Pages 0..4 of 16 bytes written one page per version, page 2's leaf
     /// key `(v3, 2, 1)`, and the `case`-th of two nodes that once made a read
     /// return `Ok` when stored there: one that drops page 2, and page 3's
@@ -1532,9 +1584,7 @@ mod tests {
     fn a_stored_node_of_the_wrong_kind_fails_the_read() {
         for case in 0..2 {
             let (sys, blob, at, node) = four_pages_and_a_wrong_node_for_page_2(case);
-            let dht = sys.metadata().dht();
-            dht.put(at.dht_key().as_bytes(), node.encode().into())
-                .unwrap();
+            crate::metadata::store::tests::put_raw(sys.metadata(), at, &node.encode());
             sys.metadata().drop_cached_nodes();
             let client = sys.client();
             let got = client.read(blob, Version(4), 0, 64);
@@ -1554,7 +1604,7 @@ mod tests {
         // than shift the bytes that remain.
         for case in 0..2 {
             let (sys, blob, at, node) = four_pages_and_a_wrong_node_for_page_2(case);
-            sys.metadata().put_node(at, &node).unwrap();
+            crate::metadata::store::tests::plant(sys.metadata(), at, &node);
             let info = sys.version_manager().get_version(blob, Version(4)).unwrap();
             let pages = lookup_range(sys.metadata(), info.root, 4, 0, 3).unwrap();
             assert_ne!(

@@ -63,11 +63,15 @@
 //! Nothing is removed that was never stored.
 //!
 //! The sweep phase pays one exchange per destination, like every other
-//! exchange: the pages' holder records leave the registry in one pass, each
-//! provider gets one `DeleteMany`, and each metadata provider one
-//! `RemoveMany`. A read racing a delete may fail with an error (a node or
-//! page it needs is gone), but it never returns wrong bytes: keys are never
-//! reused, so whatever it does resolve is the snapshot it asked for.
+//! exchange: the pages' holder records leave the registry in one pass, and
+//! each provider gets one `DeleteMany`. The metadata goes node by node from
+//! its version records ([`crate::metadata::store`]): each record the dead
+//! nodes are in is read and rewritten without them, or removed once it
+//! holds none (one `GetMany`, then one `PutMany` and one `RemoveMany` per
+//! metadata provider), so a live node never leaves with a dead one's
+//! record. A read racing a delete may fail with an error (a node or page it
+//! needs is gone), but it never returns wrong bytes: keys are never reused,
+//! so whatever it does resolve is the snapshot it asked for.
 
 use crate::client::BlobSeer;
 use crate::error::{BlobResult, BlobSeerError};
@@ -329,8 +333,8 @@ struct Walk {
 
 /// Sweep what a failed write stored under its own `version`: the pages it
 /// pushed (`written`) and, when its tree was published (`root`), the nodes
-/// of that tree created at its version. Versions are never reissued, so no
-/// other writer holds these keys, and no published tree references them.
+/// of that tree created at its version, its whole record. Versions are never reissued, so no other writer holds
+/// these keys, and no published tree references them.
 pub(crate) fn sweep_failed_write(
     sys: &BlobSeer,
     src: NodeId,
@@ -347,10 +351,11 @@ pub(crate) fn sweep_failed_write(
     sweep(sys, src, pages, &nodes)
 }
 
-/// The stored nodes of `root`'s tree created at `version`: a connected
-/// subtree under the root, read one level per [`MetadataStore::get_nodes`]
-/// call. The leaves under a full node without a map are known from its key;
-/// nothing else under a full node is stored.
+/// The stored nodes of `root`'s tree created at `version`, every node of its
+/// record: a connected subtree under the root, read one level per
+/// [`MetadataStore::get_nodes`] call (the first fetches the record, when the
+/// publication's pre-warm is gone). The leaves under a full node without a
+/// map are known from its key; nothing else under a full node is stored.
 fn created_at(
     store: &MetadataStore,
     root: Option<NodeKey>,
@@ -454,17 +459,17 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    /// The keys the metadata DHT holds.
-    fn held(sys: &Arc<BlobSeer>) -> BTreeSet<Vec<u8>> {
-        sys.metadata().dht().key_copies().into_keys().collect()
+    /// The nodes the metadata DHT's records hold.
+    fn held(sys: &Arc<BlobSeer>) -> BTreeSet<NodeKey> {
+        sys.metadata().stored_nodes().unwrap().into_iter().collect()
     }
 
-    /// The keys of the stored nodes the trees under `roots` read.
-    fn reached(sys: &Arc<BlobSeer>, roots: &[NodeKey]) -> BTreeSet<Vec<u8>> {
+    /// The stored nodes the trees under `roots` read.
+    fn reached(sys: &Arc<BlobSeer>, roots: &[NodeKey]) -> BTreeSet<NodeKey> {
         let mut keys = BTreeSet::new();
         let mut frontier: Vec<Slot> = roots.iter().copied().map(Slot::exact).collect();
         while let Some(slot) = frontier.pop() {
-            keys.insert(slot.stored.dht_key().as_bytes().to_vec());
+            keys.insert(slot.stored);
             let node = sys.metadata().get_slots(&[slot]).unwrap().remove(0);
             frontier.extend(node.children(slot).into_iter().flatten());
         }
@@ -542,7 +547,7 @@ mod tests {
                 reached(&sys, &[root2, root3]),
                 "short {short:?}"
             );
-            assert!(held(&sys).contains(root1.dht_key().as_bytes()));
+            assert!(held(&sys).contains(&root1));
 
             let before = held(&sys);
             let retire_v2 = reclaim(vec![info(2, root2)], vec![info(3, root3)]);
@@ -552,7 +557,7 @@ mod tests {
                 report.nodes_removed as usize,
                 before.len() - held(&sys).len()
             );
-            assert!(held(&sys).contains(root1.dht_key().as_bytes()));
+            assert!(held(&sys).contains(&root1));
             store.drop_cached_nodes();
             assert_eq!(
                 lookup_range(store, Some(root3), 32, 0, 31).unwrap(),

@@ -14,7 +14,8 @@
 //!   allocation strategy aims at load balancing;
 //! * page locations for each blob version live in a **distributed hash
 //!   table** of metadata providers ([`metadata`]), organised as versioned
-//!   segment trees that share unchanged subtrees between versions;
+//!   segment trees that share unchanged subtrees between versions, each
+//!   version's new nodes stored as one record;
 //! * metadata providers and data providers are two roles of the same
 //!   machines: each machine runs one [`dht::StorageNode`], DHT ring member
 //!   `i` and provider `i` at once, so a crash ([`BlobSeer::kill`]) takes

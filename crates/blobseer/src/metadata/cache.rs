@@ -303,9 +303,13 @@ mod tests {
     fn one_blobs_keys_spread_over_every_shard() {
         let keys = one_blobs_tree_keys();
         // The cache shards hash the key itself; a `MemStore`'s 64 shards
-        // hash key bytes, here both the node keys' and the page keys'.
+        // hash key bytes, here both the version records' and the page keys'.
         assert_spread(keys.iter().map(fast_hash), SHARDS);
-        assert_spread(keys.iter().map(|k| fast_hash(k.dht_key().as_bytes())), 64);
+        let records = (1..=4096).map(|v| NodeKey {
+            version: Version(v),
+            ..keys[0]
+        });
+        assert_spread(records.map(|k| fast_hash(k.record_key().as_bytes())), 64);
         let pages = (keys.iter()).map(|k| crate::provider::page_key(k.blob, k.version, k.offset));
         assert_spread(pages.map(|p| fast_hash(p.as_slice())), 64);
     }

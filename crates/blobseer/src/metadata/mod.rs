@@ -11,7 +11,10 @@
 //! extra space cost beyond the nodes that actually changed.
 //!
 //! * [`NodeKey`] names a tree node: `(blob, version-created, offset, span)` in
-//!   page units. Its DHT key is the same four numbers as an [`InlineKey`].
+//!   page units. A node is not a DHT entry of its own: every node a version
+//!   creates is stored in that version's *record*, one DHT entry keyed by
+//!   `(blob, version)` ([`NodeKey::record_key`]), so a write publishes one
+//!   entry per replica however many nodes its path copies.
 //! * [`TreeNode`] is the stored payload, one of three kinds:
 //!   - an inner node holding the keys of its two children (either may be
 //!     absent, representing a hole of zeroes). A child is the node at the
@@ -27,7 +30,8 @@
 //!   - a leaf holding the replica providers of one page.
 //! * [`Slot`] is a node as a walk meets it: its own key, and the key it is
 //!   read under, which is the anchor's for an implied node.
-//! * [`store::MetadataStore`] is the thin typed wrapper around the DHT.
+//! * [`store::MetadataStore`] maps nodes to records in the DHT and caches
+//!   them node by node.
 //! * [`segment_tree`] holds the build (write path) and lookup (read path)
 //!   algorithms.
 
@@ -38,11 +42,12 @@ pub mod store;
 use crate::types::{BlobId, InlineKey, ProviderId, Version};
 use std::sync::Arc;
 
-/// The tag byte of a tree node's DHT key (page keys carry another).
-const NODE_KEY_TAG: u8 = b'm';
+/// The tag byte of a version record's DHT key (page keys carry another).
+pub(crate) const RECORD_KEY_TAG: u8 = b'm';
 
-/// Identity of one segment-tree node. Also its DHT key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identity of one segment-tree node. Ordered by blob, version, offset and
+/// span, so a version's nodes sort together, in their record's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeKey {
     /// Blob the node belongs to.
     pub blob: BlobId,
@@ -56,13 +61,11 @@ pub struct NodeKey {
 }
 
 impl NodeKey {
-    /// The DHT key for this node: a tag byte and the varints of blob,
-    /// version, offset and span, built on the stack.
-    pub fn dht_key(&self) -> InlineKey {
-        InlineKey::new(
-            NODE_KEY_TAG,
-            &[self.blob.0, self.version.0, self.offset, self.span],
-        )
+    /// The DHT key of the record this node is stored in, its version's: a
+    /// tag byte and the varints of blob and version, built on the stack.
+    /// Every node the version created shares it.
+    pub fn record_key(&self) -> InlineKey {
+        InlineKey::new(RECORD_KEY_TAG, &[self.blob.0, self.version.0])
     }
 
     /// The same version's leaf of `page`, one of this node's pages.
@@ -191,11 +194,17 @@ impl TreeNode {
     /// Serialize to a compact binary representation for the DHT.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(80);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`TreeNode::encode`]'s bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             TreeNode::Inner { left, right } => {
                 out.push(0u8);
-                encode_opt_key(&mut out, left);
-                encode_opt_key(&mut out, right);
+                encode_opt_key(out, left);
+                encode_opt_key(out, right);
             }
             TreeNode::Full { map: None } => out.push(2u8),
             TreeNode::Full { map: Some(map) } => {
@@ -214,7 +223,6 @@ impl TreeNode {
                 }
             }
         }
-        out
     }
 
     /// Decode a node previously produced by [`TreeNode::encode`]. Returns
@@ -392,32 +400,46 @@ mod tests {
     }
 
     #[test]
-    fn dht_key_is_unique() {
-        assert_ne!(key(1, 0, 4).dht_key(), key(1, 0, 2).dht_key());
-        assert_ne!(key(1, 0, 4).dht_key(), key(2, 0, 4).dht_key());
+    fn record_key_is_unique_per_version() {
+        // Every node of a version shares its record; versions do not.
+        assert_eq!(key(1, 0, 4).record_key(), key(1, 2, 2).record_key());
+        assert_ne!(key(1, 0, 4).record_key(), key(2, 0, 4).record_key());
+        let other_blob = NodeKey {
+            blob: BlobId(8),
+            ..key(1, 0, 4)
+        };
+        assert_ne!(key(1, 0, 4).record_key(), other_blob.record_key());
         // Fields that would concatenate alike as digits stay apart as
-        // varints: (1, 23) is not (12, 3).
-        assert_ne!(key(1, 23, 4).dht_key(), key(12, 3, 4).dht_key());
-        // A tag and one byte per small field; large fields take more.
-        assert_eq!(key(3, 8, 4).dht_key().as_bytes(), b"m\x07\x03\x08\x04");
-        assert_eq!(
-            key(300, 0, 1).dht_key().as_bytes(),
-            b"m\x07\xac\x02\x00\x01"
+        // varints: blob 7 at version 23 is not blob 72 at version 3.
+        let (a, b) = (
+            key(23, 0, 1),
+            NodeKey {
+                blob: BlobId(72),
+                ..key(3, 0, 1)
+            },
         );
+        assert_ne!(a.record_key(), b.record_key());
+        // A tag and one byte per small field; large fields take more.
+        assert_eq!(key(3, 8, 4).record_key().as_bytes(), b"m\x07\x03");
+        assert_eq!(key(300, 0, 1).record_key().as_bytes(), b"m\x07\xac\x02");
     }
 
     #[test]
     fn virtual_nodes_balance_binary_node_keys() {
-        // 100 k node keys of one blob, placed the way the metadata DHT
-        // places them: every node still gets its share.
+        // The records of 100 k versions, 100 blobs of 1 000, placed the way
+        // the metadata DHT places them: every node still gets its share.
         let mut ring = dht::HashRing::new(128);
         for i in 0..8 {
             ring.add_node(dht::DhtNodeId(i));
         }
         let mut counts = std::collections::HashMap::new();
-        for v in 1..=100 {
-            for o in 0..1000 {
-                let owner = ring.primary(key(v, o, 1).dht_key().as_bytes()).unwrap();
+        for blob in 1..=100 {
+            for v in 1..=1000 {
+                let at = NodeKey {
+                    blob: BlobId(blob),
+                    ..key(v, 0, 1)
+                };
+                let owner = ring.primary(at.record_key().as_bytes()).unwrap();
                 *counts.entry(owner).or_insert(0usize) += 1;
             }
         }

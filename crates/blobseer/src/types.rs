@@ -208,14 +208,10 @@ impl InlineKey {
         };
         key.bytes[0] = tag;
         for &field in fields {
-            let mut v = field;
-            while v >= 0x80 {
-                key.bytes[key.len as usize] = (v as u8) | 0x80;
+            put_varint(field, |byte| {
+                key.bytes[key.len as usize] = byte;
                 key.len += 1;
-                v >>= 7;
-            }
-            key.bytes[key.len as usize] = v as u8;
-            key.len += 1;
+            });
         }
         key
     }
@@ -224,6 +220,32 @@ impl InlineKey {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len as usize]
     }
+}
+
+/// Emit the LEB128 varint of `value`, low seven bits first, one byte at a
+/// time: the high bit of every byte but the last is set.
+pub(crate) fn put_varint(value: u64, mut emit: impl FnMut(u8)) {
+    let mut v = value;
+    while v >= 0x80 {
+        emit(v as u8 | 0x80);
+        v >>= 7;
+    }
+    emit(v as u8);
+}
+
+/// Take one LEB128 varint off the front of `data`: `None` if it ends first
+/// or runs past 64 bits' worth of bytes.
+pub(crate) fn take_varint(data: &mut &[u8]) -> Option<u64> {
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = data.split_first()?;
+        *data = rest;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(value);
+        }
+    }
+    None
 }
 
 impl AsRef<[u8]> for InlineKey {

@@ -70,8 +70,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Node keys and page keys are injective over their tuples, never equal
-    /// each other, and fit their bounds.
+    /// Record keys are injective over their versions (every node of a
+    /// version shares its record), page keys over their tuples; the two
+    /// never equal each other, and both fit their bounds.
     #[test]
     fn binary_keys_are_injective_disjoint_and_bounded(
         tuples in prop::collection::vec(
@@ -79,13 +80,14 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut nodes: HashMap<Vec<u8>, [u64; 4]> = HashMap::new();
+        let mut records: HashMap<Vec<u8>, [u64; 2]> = HashMap::new();
         let mut pages: HashMap<Vec<u8>, [u64; 3]> = HashMap::new();
         for (a, b, c, d) in tuples {
-            let node = node_key([a, b, c, d]).dht_key();
-            prop_assert!(node.as_bytes().len() <= InlineKey::CAPACITY);
-            if let Some(seen) = nodes.insert(node.as_bytes().to_vec(), [a, b, c, d]) {
-                prop_assert_eq!(seen, [a, b, c, d]);
+            let record = node_key([a, b, c, d]).record_key();
+            prop_assert!(record.as_bytes().len() <= InlineKey::CAPACITY);
+            prop_assert_eq!(record, node_key([a, b, d, c]).record_key());
+            if let Some(seen) = records.insert(record.as_bytes().to_vec(), [a, b]) {
+                prop_assert_eq!(seen, [a, b]);
             }
             let page = page_key(BlobId(a), Version(b), c);
             prop_assert!(page.len() <= 1 + 3 * 10);
@@ -93,8 +95,8 @@ proptest! {
                 prop_assert_eq!(seen, [a, b, c]);
             }
         }
-        let node_keys: HashSet<&Vec<u8>> = nodes.keys().collect();
-        prop_assert!(pages.keys().all(|page| !node_keys.contains(page)));
+        let record_keys: HashSet<&Vec<u8>> = records.keys().collect();
+        prop_assert!(pages.keys().all(|page| !record_keys.contains(page)));
     }
 
     /// The DHT agrees with a plain HashMap after every step of any sequence

@@ -139,12 +139,12 @@ proptest! {
     }
 }
 
-/// The DHT keys of every stored tree node and the storage keys of every
-/// page that some published version of a live blob reaches. The walk visits
-/// tree nodes by their coordinates: a node implied under an anchor reaches
-/// the anchor, and an implied leaf its page, but never a key of its own,
-/// which must not be stored.
-fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
+/// The keys of every stored tree node and the storage keys of every page
+/// that some published version of a live blob reaches. The walk visits tree
+/// nodes by their coordinates: a node implied under an anchor reaches the
+/// anchor, and an implied leaf its page, but never a key of its own, which
+/// must not be stored.
+fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<NodeKey>, BTreeSet<Vec<u8>>) {
     let (mut nodes, mut pages) = (BTreeSet::new(), BTreeSet::new());
     let mut seen: HashSet<NodeKey> = HashSet::new();
     let vm = sys.version_manager();
@@ -155,7 +155,7 @@ fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
                 if !seen.insert(slot.at) {
                     continue;
                 }
-                nodes.insert(slot.stored.dht_key().as_bytes().to_vec());
+                nodes.insert(slot.stored);
                 let node = sys.metadata().get_slots(&[slot]).unwrap().remove(0);
                 let page = page_key(slot.at.blob, slot.at.version, slot.at.offset);
                 match &node {
@@ -174,9 +174,11 @@ fn reachable(sys: &Arc<BlobSeer>) -> (BTreeSet<Vec<u8>>, BTreeSet<Vec<u8>>) {
 }
 
 /// Storage holds exactly what the surviving snapshots reach: the providers'
-/// pages are the reachable pages (once each: no page replication), the DHT
-/// holds every reachable node at the replication factor and nothing else,
-/// and every holder record names a stored page.
+/// pages are the reachable pages (once each: no page replication), the DHT's
+/// version records hold every reachable node and nothing else, each record
+/// at the replication factor, and every holder record names a stored page.
+/// Nodes are compared one by one, as the records list them: a dead node left
+/// in a live record shows.
 fn storage_is_exactly_reachable(sys: &Arc<BlobSeer>) -> Result<(), TestCaseError> {
     let (nodes, pages) = reachable(sys);
     let mut stored: Vec<Vec<u8>> = sys
@@ -187,9 +189,9 @@ fn storage_is_exactly_reachable(sys: &Arc<BlobSeer>) -> Result<(), TestCaseError
         .collect();
     stored.sort();
     prop_assert_eq!(&stored, &pages.iter().cloned().collect::<Vec<_>>());
-    let copies = sys.metadata().dht().key_copies();
-    let held: BTreeSet<Vec<u8>> = copies.keys().cloned().collect();
+    let held = stored_nodes(sys);
     prop_assert_eq!(&held, &nodes);
+    let copies = sys.metadata().dht().key_copies();
     let replication = sys.config().metadata_replication;
     prop_assert!(copies.values().all(|&n| n == replication));
     for key in sys.provider_manager().announced_keys() {
@@ -310,9 +312,9 @@ proptest! {
     }
 }
 
-/// The metadata DHT's keys, each once.
-fn dht_keys(sys: &Arc<BlobSeer>) -> BTreeSet<Vec<u8>> {
-    sys.metadata().dht().key_copies().keys().cloned().collect()
+/// The nodes the metadata DHT's records hold, each once.
+fn stored_nodes(sys: &Arc<BlobSeer>) -> BTreeSet<NodeKey> {
+    sys.metadata().stored_nodes().unwrap().into_iter().collect()
 }
 
 proptest! {
@@ -320,9 +322,10 @@ proptest! {
 
     /// Full-block writes, one-page overwrites inside them, aborted writes,
     /// retention and deletes, on 16-byte pages and 8-page blocks: after every
-    /// step each survivor reads back its model and the DHT holds exactly the
-    /// stored nodes the survivors reach (so none they only imply), and a
-    /// GC's `nodes_removed` is the number of keys that left the DHT.
+    /// step each survivor reads back its model and the DHT's records hold
+    /// exactly the stored nodes the survivors reach (so none they only
+    /// imply), and a GC's `nodes_removed` is the number of nodes that left
+    /// them.
     #[test]
     fn anchors_live_exactly_as_long_as_a_survivor_reads_under_them(
         keep in 1usize..4,
@@ -376,9 +379,9 @@ proptest! {
                     vm.abort(&ticket).unwrap();
                 }
                 6 => {
-                    let before = dht_keys(&sys);
+                    let before = stored_nodes(&sys);
                     let report = sys.collect_garbage().unwrap();
-                    let after = dht_keys(&sys);
+                    let after = stored_nodes(&sys);
                     prop_assert!(after.is_subset(&before));
                     prop_assert_eq!(report.nodes_removed as usize, before.len() - after.len());
                     for s in &mut slots {
