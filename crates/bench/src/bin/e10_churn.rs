@@ -136,9 +136,7 @@ fn main() {
                     // (the schedule fixes when kills happen, the harness
                     // keeps them survivable).
                     if live.len() > quorum {
-                        victim_seed ^= victim_seed << 13;
-                        victim_seed ^= victim_seed >> 7;
-                        victim_seed ^= victim_seed << 17;
+                        victim_seed = simcluster::xorshift64(victim_seed);
                         let victim = live.remove(victim_seed as usize % live.len());
                         sys.kill(victim).unwrap();
                         kills_applied += 1;

@@ -175,7 +175,7 @@ impl BlobSeer {
         let machines = StorageNode::fleet(provider_nodes);
         let provider_manager =
             Arc::new(ProviderManager::new(topology, &machines, config.placement));
-        let dht = Dht::with_nodes(machines.clone(), config.metadata_replication, 64);
+        let dht = Dht::with_nodes(machines.clone(), config.metadata_replication);
         // The metadata DHT charges the same wire as the data path; exchanges
         // from threads that did not pin a source (repair, GC) are attributed
         // to the first machine.

@@ -138,12 +138,8 @@ impl Shard {
 
     /// A uniform slot index from the shard's xorshift64 generator.
     fn draw(&mut self) -> usize {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        ((u128::from(x) * self.slots.len() as u128) >> 64) as usize
+        self.rng = simcluster::xorshift64(self.rng);
+        ((u128::from(self.rng) * self.slots.len() as u128) >> 64) as usize
     }
 
     /// Drop a node, handing its slot back. The last slot (and its flags)

@@ -479,7 +479,7 @@ pub(crate) mod tests {
     ) -> (MetadataStore, Vec<Arc<StorageNode>>) {
         let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
         let fleet = StorageNode::fleet(&hosts);
-        let dht = Dht::with_nodes(fleet.clone(), replication, 64);
+        let dht = Dht::with_nodes(fleet.clone(), replication);
         (MetadataStore::with_dht(Arc::new(dht), cache), fleet)
     }
 

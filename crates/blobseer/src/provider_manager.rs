@@ -270,9 +270,7 @@ impl ProviderManager {
         let mut pool: Vec<ProviderId> = live.iter().map(|p| p.id()).collect();
         let mut chosen = Vec::with_capacity(replication);
         for _ in 0..replication.min(pool.len()) {
-            *state ^= *state << 13;
-            *state ^= *state >> 7;
-            *state ^= *state << 17;
+            *state = simcluster::xorshift64(*state);
             let idx = (*state as usize) % pool.len();
             chosen.push(pool.swap_remove(idx));
         }

@@ -19,13 +19,12 @@
 //!   replication factor after unannounced deaths. A join runs the same pass
 //!   before it returns, so a joined node holds its share at once.
 //!
-//! A standalone DHT ([`Dht::new`]) builds its own nodes. A BlobSeer
-//! deployment builds its ring over its machines instead
-//! ([`Dht::with_nodes`]): each [`StorageNode`] is both a ring member and its
-//! machine's page store, which the page tier places and serves, so killing
-//! a node takes out the machine's metadata and its pages together. A kill
-//! goes through the node's handle ([`StorageNode::kill`]), which whoever
-//! built the nodes keeps: a `Dht` has no kill of its own.
+//! A ring is built over a deployment's machines ([`Dht::with_nodes`] over
+//! [`StorageNode::fleet`]): each [`StorageNode`] is both a ring member and
+//! its machine's page store, which the page tier places and serves, so
+//! killing a node takes out the machine's metadata and its pages together.
+//! A kill goes through the node's handle ([`StorageNode::kill`]), which
+//! whoever built the nodes keeps: a `Dht` has no kill of its own.
 //!
 //! The DHT is *in-process*: nodes are objects, not sockets. This is
 //! deliberate — the paper's experiments never stress the metadata network
@@ -63,11 +62,16 @@
 //! key is kept.
 //!
 //! ```
-//! use dht::{Dht, DhtConfig};
+//! use dht::{Dht, StorageNode};
 //! use bytes::Bytes;
+//! use simcluster::NodeId;
 //!
-//! let dht = Dht::new(DhtConfig { nodes: 4, replication: 2, ..Default::default() });
+//! // Four machines, every key on two of them.
+//! let machines = StorageNode::fleet(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+//! let dht = Dht::with_nodes(machines.clone(), 2);
 //! dht.put(b"blob-1/v3/root", Bytes::from_static(b"tree-node")).unwrap();
+//! // A kill goes through a machine's handle; the other copy answers.
+//! machines[dht.replicas_for(b"blob-1/v3/root")[0].0 as usize].kill();
 //! assert_eq!(dht.get(b"blob-1/v3/root").unwrap(), Bytes::from_static(b"tree-node"));
 //! ```
 
@@ -119,27 +123,6 @@ impl std::error::Error for DhtError {}
 /// Result alias for DHT operations.
 pub type DhtResult<T> = Result<T, DhtError>;
 
-/// Configuration of a [`Dht`].
-#[derive(Debug, Clone)]
-pub struct DhtConfig {
-    /// Number of metadata provider nodes to create initially.
-    pub nodes: usize,
-    /// Number of replicas kept for every key (1 = no redundancy).
-    pub replication: usize,
-    /// Virtual nodes per physical node on the hash ring.
-    pub virtual_nodes: usize,
-}
-
-impl Default for DhtConfig {
-    fn default() -> Self {
-        DhtConfig {
-            nodes: 4,
-            replication: 2,
-            virtual_nodes: 64,
-        }
-    }
-}
-
 /// Aggregate statistics over the DHT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DhtStats {
@@ -180,8 +163,11 @@ struct DhtInner {
     ring: HashRing,
     nodes: FastMap<DhtNodeId, Arc<StorageNode>>,
     replication: usize,
-    virtual_nodes: usize,
 }
+
+/// Positions each machine takes on the hash ring: enough that keys spread
+/// within a small factor of even over a handful of machines.
+const VIRTUAL_NODES: usize = 64;
 
 /// The transport attachment for a [`Dht`]: which wire its exchanges are
 /// charged on. An exchange goes to its node's [`StorageNode::host`].
@@ -282,30 +268,14 @@ pub struct Dht {
 }
 
 impl Dht {
-    /// Build a DHT over `config.nodes` fresh nodes, node `i` on cluster
-    /// node `i`.
-    pub fn new(config: DhtConfig) -> Self {
-        let hosts: Vec<NodeId> = (0..config.nodes as u32).map(NodeId).collect();
-        Self::with_nodes(
-            StorageNode::fleet(&hosts),
-            config.replication,
-            config.virtual_nodes,
-        )
-    }
-
     /// Build a DHT whose ring is exactly `nodes`: the machines of a
     /// deployment, whose page stores another tier places.
-    pub fn with_nodes(
-        nodes: Vec<Arc<StorageNode>>,
-        replication: usize,
-        virtual_nodes: usize,
-    ) -> Self {
+    pub fn with_nodes(nodes: Vec<Arc<StorageNode>>, replication: usize) -> Self {
         assert!(replication >= 1, "replication factor must be at least 1");
         let mut inner = DhtInner {
-            ring: HashRing::new(virtual_nodes),
+            ring: HashRing::new(VIRTUAL_NODES),
             nodes: FastMap::default(),
             replication,
-            virtual_nodes,
         };
         inner.ring.add_nodes(nodes.iter().map(|node| node.id()));
         inner
@@ -785,11 +755,6 @@ impl Dht {
         inner.nodes.iter().map(|(id, n)| (*id, n.len())).collect()
     }
 
-    /// The number of virtual nodes per physical node on the ring.
-    pub fn virtual_nodes(&self) -> usize {
-        self.inner.read().virtual_nodes
-    }
-
     /// Every key any node — live or dead — holds, with its number of copies.
     /// Administrative, like [`Dht::stats`]: it reads the nodes' persistent
     /// state, so invariant checks can compare the DHT's contents against
@@ -825,7 +790,7 @@ mod tests {
     fn fleet(nodes: usize, replication: usize) -> (Dht, Vec<Arc<StorageNode>>) {
         let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
         let fleet = StorageNode::fleet(&hosts);
-        (Dht::with_nodes(fleet.clone(), replication, 64), fleet)
+        (Dht::with_nodes(fleet.clone(), replication), fleet)
     }
 
     fn kill(nodes: &[Arc<StorageNode>], id: DhtNodeId) {
@@ -838,7 +803,7 @@ mod tests {
 
     #[test]
     fn put_get_remove_roundtrip() {
-        let dht = Dht::new(DhtConfig::default());
+        let dht = fleet(4, 2).0;
         dht.put(b"k1", Bytes::from_static(b"v1")).unwrap();
         assert_eq!(dht.get(b"k1").unwrap(), Bytes::from_static(b"v1"));
         assert!(dht.contains(b"k1"));
@@ -852,11 +817,7 @@ mod tests {
 
     #[test]
     fn replication_places_copies_on_distinct_nodes() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 3,
-            ..Default::default()
-        });
+        let dht = fleet(5, 3).0;
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         let replicas = dht.replicas_for(b"key");
         assert_eq!(replicas.len(), 3);
@@ -907,11 +868,7 @@ mod tests {
 
     #[test]
     fn remove_many_sends_each_node_one_charged_batch() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(4, 2).0;
         let entries: Vec<(Vec<u8>, Bytes)> = (0..200u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -982,11 +939,7 @@ mod tests {
 
     #[test]
     fn keys_spread_over_nodes() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 8,
-            replication: 1,
-            virtual_nodes: 128,
-        });
+        let dht = fleet(8, 1).0;
         for i in 0..2000u32 {
             dht.put(format!("page-{i}").as_bytes(), Bytes::from_static(b"x"))
                 .unwrap();
@@ -994,7 +947,7 @@ mod tests {
         let load = dht.load_per_node();
         let min = load.values().min().copied().unwrap();
         let max = load.values().max().copied().unwrap();
-        // With 128 vnodes the imbalance should be modest.
+        // With 64 vnodes per node the imbalance should be modest.
         assert!(min > 0, "every node should hold at least one key");
         assert!(
             (max as f64) < (min as f64) * 4.0,
@@ -1041,11 +994,7 @@ mod tests {
 
     #[test]
     fn put_many_and_get_many_roundtrip() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(5, 2).0;
         let entries: Vec<(Vec<u8>, Bytes)> = (0..50u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -1069,16 +1018,8 @@ mod tests {
 
     #[test]
     fn batch_ops_use_fewer_round_trips_than_single_ops() {
-        let single = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
-        let batched = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let single = fleet(4, 2).0;
+        let batched = fleet(4, 2).0;
         let entries: Vec<(Vec<u8>, Bytes)> = (0..100u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from_static(b"v")))
             .collect();
@@ -1101,11 +1042,7 @@ mod tests {
 
     #[test]
     fn read_and_write_round_trips_are_counted_separately() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(4, 2).0;
         dht.put(b"k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(dht.write_round_trips(), 2);
         assert_eq!(dht.read_round_trips(), 0);
@@ -1129,11 +1066,7 @@ mod tests {
             topo.clone(),
             NetworkModel::grid5000_like(),
         ));
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(4, 2).0;
         dht.attach_wire(net.clone(), topo.node(0));
         dht.put(b"key", Bytes::from_static(b"value")).unwrap();
         dht.get(b"key").unwrap();
@@ -1177,11 +1110,7 @@ mod tests {
 
     #[test]
     fn a_batch_costs_each_node_one_message_per_charged_round_trip() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(4, 2).0;
         let entries: Vec<(Vec<u8>, Bytes)> = (0..200u32)
             .map(|i| (format!("k{i}").into_bytes(), Bytes::from(format!("v{i}"))))
             .collect();
@@ -1229,11 +1158,7 @@ mod tests {
 
     #[test]
     fn batches_survive_a_node_dying_between_two_groups() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 5,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(5, 2).0;
         // The highest id: its group is served last, after the kill.
         let victim = dht.node_ids()[4];
         let killer = Arc::new(KillOnNextCharge {
@@ -1468,11 +1393,7 @@ mod tests {
 
     #[test]
     fn repair_is_idempotent_on_a_healthy_ring() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 4,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(4, 2).0;
         for i in 0..50u32 {
             dht.put(format!("k{i}").as_bytes(), Bytes::from_static(b"v"))
                 .unwrap();
@@ -1488,11 +1409,7 @@ mod tests {
     /// join returns, so the next repair has nothing to do.
     #[test]
     fn repair_populates_joined_nodes() {
-        let dht = Dht::new(DhtConfig {
-            nodes: 3,
-            replication: 2,
-            ..Default::default()
-        });
+        let dht = fleet(3, 2).0;
         let keys: Vec<Vec<u8>> = (0..200u32).map(|i| format!("k{i}").into_bytes()).collect();
         for (i, key) in keys.iter().enumerate() {
             dht.put(key, Bytes::from(format!("v{i}"))).unwrap();
@@ -1574,11 +1491,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_publish_metadata() {
-        let dht = std::sync::Arc::new(Dht::new(DhtConfig {
-            nodes: 6,
-            replication: 2,
-            virtual_nodes: 64,
-        }));
+        let dht = std::sync::Arc::new(fleet(6, 2).0);
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let dht = std::sync::Arc::clone(&dht);

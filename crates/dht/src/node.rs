@@ -1,4 +1,4 @@
-//! One storage node per machine.
+//! One storage node per machine, whatever file system runs on it.
 //!
 //! BlobSeer's metadata providers and data providers are two roles of one
 //! deployment (paper §III-A). Here they are two stores of one server: a
@@ -7,6 +7,12 @@
 //! places (served through `blobseer::Provider`). One liveness flag and one
 //! batch counter sit in front of both, so a kill takes out a machine's
 //! metadata and its pages together.
+//!
+//! The HDFS baseline runs on the same machines: its datanodes are storage
+//! nodes whose page store holds whole chunks, which the namenode places
+//! and its clients reach through [`StorageNode::serve_pages`]. The paper
+//! swaps only the storage layer under an unchanged cluster (§IV), and so
+//! does this: both file systems' data lives on one node type.
 //!
 //! A call is a call: every method serves on the caller's thread and
 //! returns. Each store takes only its own lock, for the store work itself,
@@ -31,8 +37,8 @@ use simcluster::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Identity of a storage node: its rank on the DHT ring, and (in a
-/// BlobSeer deployment) the id of the provider that serves its pages.
+/// Identity of a storage node: its rank on the DHT ring, and the id of
+/// the page server it is (a BlobSeer provider, an HDFS datanode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DhtNodeId(pub u64);
 

@@ -7,8 +7,11 @@
 //! * a single **namenode** holding the namespace and chunk locations
 //!   ([`namenode::Namenode`]) — its namespace is the tree BSFS keeps too
 //!   ([`simcluster::fs::Namespace`]);
-//! * **datanodes** storing fixed-size chunks (64 MiB by default)
-//!   ([`datanode::Datanode`]);
+//! * **datanodes** storing fixed-size chunks (64 MiB by default): the
+//!   deployment's machines, one [`dht::StorageNode`] each (the node type a
+//!   BlobSeer deployment runs on), so a chunk replica is a page in its
+//!   machine's page store, written, read and deleted through
+//!   [`dht::StorageNode::serve_pages`];
 //! * **write-once semantics** — a file is created, written by one client,
 //!   closed, and from then on can only be read;
 //! * the **rack-aware replica placement policy** — first replica local to the
@@ -31,20 +34,21 @@
 //! assert_eq!(&fs.read_file("/logs/part-0").unwrap()[..], b"line one\n");
 //! ```
 
-pub mod datanode;
 pub mod error;
 pub mod namenode;
 pub mod placement;
 
-pub use datanode::{ChunkId, Datanode, DatanodeId, DatanodeStats};
 pub use error::{HdfsError, HdfsResult};
-pub use namenode::{ChunkInfo, ChunkLocation, FileMeta, FileState, Namenode};
+pub use namenode::{ChunkId, ChunkInfo, ChunkLocation, FileMeta, FileState, Namenode};
 pub use placement::PlacementPolicy;
 
 use bytes::Bytes;
+use dht::{DhtNodeId, StorageNode};
+use kvstore::PageStore;
 use simcluster::fs::{normalize, Block, NamespaceError, PathStatus, WriteBuffer};
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of an HDFS deployment.
@@ -120,7 +124,8 @@ impl Hdfs {
         Self::with_topology(config, &topology, &nodes)
     }
 
-    /// Deploy datanodes on specific nodes of an existing topology.
+    /// Deploy datanodes on specific nodes of an existing topology: one
+    /// storage node per listed node, machine `i` on `datanode_nodes[i]`.
     pub fn with_topology(
         config: HdfsConfig,
         topology: &ClusterTopology,
@@ -130,14 +135,9 @@ impl Hdfs {
             !datanode_nodes.is_empty(),
             "at least one datanode node is required"
         );
-        let datanodes: Vec<Arc<Datanode>> = datanode_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| Arc::new(Datanode::in_memory(DatanodeId(i as u32), *n)))
-            .collect();
         let namenode = Arc::new(Namenode::new(
             topology,
-            datanodes,
+            StorageNode::fleet(datanode_nodes),
             config.chunk_size,
             config.replication,
             config.seed,
@@ -221,7 +221,8 @@ impl Hdfs {
         Ok(self.namenode.namespace().list(path)?)
     }
 
-    /// Delete a file or (recursively) a directory, releasing chunk replicas.
+    /// Delete a file or (recursively) a directory, releasing chunk
+    /// replicas: one page batch to each machine holding any of them.
     pub fn delete(&self, path: &str, recursive: bool) -> HdfsResult<()> {
         let namespace = self.namenode.namespace();
         let removed = match namespace.status(path)? {
@@ -231,11 +232,23 @@ impl Hdfs {
                 return Err(NamespaceError::FileNotFound(path.to_string()).into())
             }
         };
+        let mut by_machine: BTreeMap<DhtNodeId, Vec<Vec<u8>>> = BTreeMap::new();
         for chunk in removed.into_iter().flat_map(|file| file.chunks) {
             for replica in chunk.replicas {
-                if let Some(dn) = self.namenode.datanode(replica) {
-                    dn.delete_chunk(chunk.id);
-                }
+                by_machine
+                    .entry(replica)
+                    .or_default()
+                    .push(chunk.id.storage_key());
+            }
+        }
+        for (id, keys) in by_machine {
+            if let Some(dn) = self.namenode.datanode(id) {
+                // A dead machine refuses the batch; its disk keeps the chunks.
+                let _ = dn.serve_pages(|pages| {
+                    for key in &keys {
+                        let _ = pages.delete(key);
+                    }
+                });
             }
         }
         Ok(())
@@ -316,13 +329,15 @@ impl HdfsWriter {
     }
 }
 
-/// Allocate one chunk of `path` and push `data` to every replica datanode.
+/// Allocate one chunk of `path` and push `data` to every replica datanode;
+/// a machine that refuses the page batch does not count as a replica.
 fn commit_chunk(namenode: &Namenode, path: &str, node: NodeId, data: Bytes) -> HdfsResult<()> {
     let info = namenode.allocate_chunk(path, data.len() as u64, node)?;
+    let key = info.id.storage_key();
     let mut stored = 0;
     for replica in &info.replicas {
         if let Some(dn) = namenode.datanode(*replica) {
-            if dn.put_chunk(info.id, data.clone()) {
+            if let Ok(Ok(())) = dn.serve_pages(|pages| pages.put(&key, data.clone())) {
                 stored += 1;
             }
         }
@@ -392,18 +407,20 @@ impl HdfsReader {
 
     fn fetch_chunk(&self, idx: usize, chunk: &ChunkInfo) -> HdfsResult<Bytes> {
         // Prefer the replica closest to this reader, as HDFS does.
-        let holders: Vec<(DatanodeId, NodeId)> = chunk
+        let holders: Vec<(DhtNodeId, NodeId)> = chunk
             .replicas
             .iter()
-            .filter_map(|d| self.namenode.datanode(*d).map(|dn| (*d, dn.node())))
+            .filter_map(|d| self.namenode.datanode(*d).map(|dn| (*d, dn.host())))
             .collect();
         let ordered = self
             .namenode
             .placement()
             .order_by_proximity(self.node, holders);
+        // A dead machine refuses the read: ask the next closest.
+        let key = chunk.id.storage_key();
         for replica in ordered {
             if let Some(dn) = self.namenode.datanode(replica) {
-                if let Some(data) = dn.get_chunk(chunk.id) {
+                if let Ok(Ok(Some(data))) = dn.serve_pages(|pages| pages.get(&key)) {
                     return Ok(data);
                 }
             }
@@ -562,15 +579,15 @@ mod tests {
         for chunk in &meta.chunks {
             let first = fs.namenode().datanode(chunk.replicas[0]).unwrap();
             assert_eq!(
-                first.node(),
+                first.host(),
                 writer_node,
                 "first replica must be on the writer's node"
             );
         }
         // The writer's datanode therefore stores every chunk — the hot-spot
         // behaviour the paper describes.
-        let dn1 = fs.namenode().datanode(DatanodeId(1)).unwrap();
-        assert_eq!(dn1.stats().chunks, meta.chunks.len());
+        let dn1 = fs.namenode().datanode(DhtNodeId(1)).unwrap();
+        assert_eq!(dn1.page_store().len(), meta.chunks.len());
     }
 
     #[test]
@@ -634,7 +651,7 @@ mod tests {
             .namenode()
             .datanodes()
             .iter()
-            .map(|d| d.stats().stored_bytes)
+            .map(|d| d.page_store().data_bytes())
             .sum();
         assert!(before >= 1024);
         fs.delete("/payload", false).unwrap();
@@ -642,9 +659,80 @@ mod tests {
             .namenode()
             .datanodes()
             .iter()
-            .map(|d| d.stats().stored_bytes)
+            .map(|d| d.page_store().data_bytes())
             .sum();
         assert_eq!(after, 0);
+    }
+
+    /// A machine stores a chunk's replica as one page under the chunk's
+    /// key, serves it back, and drops it with the file.
+    #[test]
+    fn chunk_storage_roundtrip() {
+        let fs = Hdfs::new(HdfsConfig::for_tests().with_replication(1));
+        let writer = fs.topology().node(3);
+        fs.on_node(writer)
+            .write_file("/one", b"chunk data")
+            .unwrap();
+        let chunk = fs.namenode().get_file("/one").unwrap().chunks[0].clone();
+        assert_eq!(chunk.replicas, [DhtNodeId(3)]);
+        let dn = fs.namenode().datanode(DhtNodeId(3)).unwrap();
+        assert_eq!(dn.host(), writer);
+        assert_eq!(dn.batches_handled(), 1, "a chunk write is one batch");
+        let (key, other) = (chunk.id.storage_key(), ChunkId(chunk.id.0 + 1));
+        let held = dn.serve_pages(|pages| pages.get(&key)).unwrap().unwrap();
+        assert_eq!(held, Some(Bytes::from_static(b"chunk data")));
+        let missing = dn.serve_pages(|pages| pages.get(&other.storage_key()));
+        assert_eq!(missing.unwrap().unwrap(), None);
+        assert_eq!(dn.page_store().len(), 1);
+        assert_eq!(dn.page_store().data_bytes(), 10);
+        assert_eq!(&fs.read_file("/one").unwrap()[..], b"chunk data");
+        assert_eq!(dn.batches_handled(), 4, "a chunk read is one batch");
+        fs.delete("/one", false).unwrap();
+        assert_eq!(dn.page_store().len(), 0);
+        assert!(!dn.serve_pages(|pages| pages.delete(&key)).unwrap().unwrap());
+    }
+
+    /// A killed machine refuses chunk writes, reads and deletes; a refused
+    /// delete leaves the chunk in its store.
+    #[test]
+    fn dead_datanode_refuses_io() {
+        let fs = Hdfs::new(HdfsConfig::for_tests().with_replication(1));
+        fs.write_file("/x", b"x").unwrap();
+        let chunk = fs.namenode().get_file("/x").unwrap().chunks[0].clone();
+        let dn = fs.namenode().datanode(chunk.replicas[0]).unwrap();
+        dn.kill();
+        assert!(!dn.ping());
+        let key = ChunkId(chunk.id.0 + 1).storage_key();
+        let put = dn.serve_pages(|pages| pages.put(&key, Bytes::from_static(b"y")));
+        assert!(put.is_err(), "a dead machine refuses a chunk write");
+        assert!(matches!(
+            fs.read_file("/x"),
+            Err(HdfsError::ChunkUnavailable { .. })
+        ));
+        fs.delete("/x", false).unwrap();
+        // A refused delete changed nothing: the chunk stays on its disk.
+        assert_eq!(dn.page_store().len(), 1);
+    }
+
+    /// Deleting a many-chunk file sends each machine holding a replica
+    /// exactly one page batch, whatever the chunk and replica counts.
+    #[test]
+    fn a_delete_sends_each_holding_machine_one_page_batch() {
+        let fs = fs();
+        fs.write_file("/multi", &[7u8; 2048]).unwrap();
+        let chunks = fs.namenode().get_file("/multi").unwrap().chunks;
+        assert_eq!((chunks.len(), chunks[0].replicas.len()), (8, 2));
+        let holders: std::collections::BTreeSet<DhtNodeId> =
+            chunks.iter().flat_map(|c| c.replicas.clone()).collect();
+        assert!(holders.len() > 1);
+        let datanodes = fs.namenode().datanodes();
+        let before: Vec<u64> = datanodes.iter().map(|d| d.batches_handled()).collect();
+        fs.delete("/multi", false).unwrap();
+        for (dn, before) in datanodes.iter().zip(before) {
+            let expected = u64::from(holders.contains(&dn.id()));
+            assert_eq!(dn.batches_handled() - before, expected, "{:?}", dn.id());
+            assert!(dn.page_store().is_empty());
+        }
     }
 
     #[test]

@@ -14,18 +14,34 @@
 //! * the namenode answers locality queries (`locate`) so the MapReduce
 //!   scheduler can place tasks near the data.
 //!
+//! The datanodes are the deployment's machines, one [`StorageNode`] each: a
+//! chunk replica is a page in a machine's page store, named by the
+//! machine's [`DhtNodeId`].
+//!
 //! The namespace itself is the tree BSFS keeps too
 //! ([`simcluster::fs::Namespace`]), here over [`FileMeta`]; the namenode adds
 //! only what is HDFS's own.
 
-use crate::datanode::{ChunkId, Datanode, DatanodeId};
 use crate::error::{HdfsError, HdfsResult};
 use crate::placement::PlacementPolicy;
+use dht::{DhtNodeId, StorageNode};
 use simcluster::fs::{normalize, Namespace};
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A globally unique chunk identifier, assigned by the namenode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ChunkId(pub u64);
+
+impl ChunkId {
+    /// The key under which a replica of the chunk is kept in a datanode's
+    /// page store.
+    pub fn storage_key(&self) -> Vec<u8> {
+        format!("chunk-{}", self.0).into_bytes()
+    }
+}
 
 /// Lifecycle state of a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +60,7 @@ pub struct ChunkInfo {
     /// Number of bytes in the chunk (the last chunk of a file may be short).
     pub size: u64,
     /// Datanodes holding replicas, in pipeline order.
-    pub replicas: Vec<DatanodeId>,
+    pub replicas: Vec<DhtNodeId>,
 }
 
 /// Metadata of one file.
@@ -79,16 +95,16 @@ pub struct Namenode {
     chunk_size: u64,
     replication: usize,
     namespace: Namespace<FileMeta>,
-    datanodes: Vec<Arc<Datanode>>,
+    datanodes: Vec<Arc<StorageNode>>,
     placement: PlacementPolicy,
     next_chunk: AtomicU64,
 }
 
 impl Namenode {
-    /// Create a namenode over the given datanodes.
+    /// Create a namenode over the given datanodes (machine `i` has id `i`).
     pub fn new(
         topology: &ClusterTopology,
-        datanodes: Vec<Arc<Datanode>>,
+        datanodes: Vec<Arc<StorageNode>>,
         chunk_size: u64,
         replication: usize,
         seed: u64,
@@ -117,12 +133,12 @@ impl Namenode {
     }
 
     /// All datanodes (tests, failure injection).
-    pub fn datanodes(&self) -> &[Arc<Datanode>] {
+    pub fn datanodes(&self) -> &[Arc<StorageNode>] {
         &self.datanodes
     }
 
     /// A datanode by id.
-    pub fn datanode(&self, id: DatanodeId) -> Option<&Arc<Datanode>> {
+    pub fn datanode(&self, id: DhtNodeId) -> Option<&Arc<StorageNode>> {
         self.datanodes.get(id.0 as usize)
     }
 
@@ -211,7 +227,7 @@ impl Namenode {
                 let nodes = chunk
                     .replicas
                     .iter()
-                    .filter_map(|d| self.datanode(*d).map(|dn| dn.node()))
+                    .filter_map(|d| self.datanode(*d).map(|dn| dn.host()))
                     .collect();
                 out.push(ChunkLocation {
                     offset: piece_start,
@@ -248,12 +264,8 @@ mod tests {
             .racks_per_site(2)
             .nodes_per_rack(2)
             .build();
-        let datanodes: Vec<Arc<Datanode>> = topo
-            .all_nodes()
-            .enumerate()
-            .map(|(i, n)| Arc::new(Datanode::in_memory(DatanodeId(i as u32), n)))
-            .collect();
-        Namenode::new(&topo, datanodes, 128, 2, 17)
+        let hosts: Vec<NodeId> = topo.all_nodes().collect();
+        Namenode::new(&topo, StorageNode::fleet(&hosts), 128, 2, 17)
     }
 
     #[test]
@@ -378,6 +390,11 @@ mod tests {
             .and_then(|_| nn.allocate_chunk("/local", 10, NodeId(3)))
             .unwrap();
         let first = nn.datanode(chunk.replicas[0]).unwrap();
-        assert_eq!(first.node(), NodeId(3));
+        assert_eq!(first.host(), NodeId(3));
+    }
+
+    #[test]
+    fn chunk_ids_have_distinct_keys() {
+        assert_ne!(ChunkId(1).storage_key(), ChunkId(2).storage_key());
     }
 }

@@ -7,9 +7,11 @@
 //! different rack (randomly chosen)" (§IV-B). This module implements exactly
 //! that policy (plus a uniform-random fallback used when the cluster is too
 //! small to satisfy a constraint), so the baseline reproduces the write
-//! hot-spot behaviour the paper measures.
+//! hot-spot behaviour the paper measures. A datanode is a machine's
+//! [`StorageNode`]: the policy skips machines that fail a heartbeat
+//! ([`StorageNode::ping`]) and finds the writer's own by its host.
 
-use crate::datanode::{Datanode, DatanodeId};
+use dht::{DhtNodeId, StorageNode};
 use parking_lot::Mutex;
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
@@ -32,9 +34,7 @@ impl DeterministicRng {
     /// Next pseudo-random value.
     pub fn next(&self) -> u64 {
         let mut s = self.state.lock();
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
+        *s = simcluster::xorshift64(*s);
         *s
     }
 
@@ -69,20 +69,20 @@ impl PlacementPolicy {
     /// 4. further replicas: random live datanodes not yet chosen.
     pub fn choose(
         &self,
-        datanodes: &[Arc<Datanode>],
+        datanodes: &[Arc<StorageNode>],
         replication: usize,
         writer_node: NodeId,
-    ) -> Vec<DatanodeId> {
-        let live: Vec<&Arc<Datanode>> = datanodes.iter().filter(|d| d.is_alive()).collect();
+    ) -> Vec<DhtNodeId> {
+        let live: Vec<&Arc<StorageNode>> = datanodes.iter().filter(|d| d.ping()).collect();
         if live.is_empty() {
             return Vec::new();
         }
         let replication = replication.min(live.len());
         let writer_rack = self.topology.rack_of(writer_node);
-        let mut chosen: Vec<DatanodeId> = Vec::with_capacity(replication);
+        let mut chosen: Vec<DhtNodeId> = Vec::with_capacity(replication);
 
         // First replica: local to the writer if possible.
-        let local = live.iter().find(|d| d.node() == writer_node);
+        let local = live.iter().find(|d| d.host() == writer_node);
         match local {
             Some(d) => chosen.push(d.id()),
             None => {
@@ -95,10 +95,10 @@ impl PlacementPolicy {
 
         // Second replica: same rack as the writer, different datanode.
         if replication >= 2 {
-            let same_rack: Vec<&&Arc<Datanode>> = live
+            let same_rack: Vec<&&Arc<StorageNode>> = live
                 .iter()
                 .filter(|d| {
-                    !chosen.contains(&d.id()) && self.topology.rack_of(d.node()) == writer_rack
+                    !chosen.contains(&d.id()) && self.topology.rack_of(d.host()) == writer_rack
                 })
                 .collect();
             if let Some(d) = pick(&self.rng, &same_rack) {
@@ -108,10 +108,10 @@ impl PlacementPolicy {
 
         // Third replica: a different rack, randomly chosen.
         if replication >= 3 && chosen.len() < replication {
-            let other_rack: Vec<&&Arc<Datanode>> = live
+            let other_rack: Vec<&&Arc<StorageNode>> = live
                 .iter()
                 .filter(|d| {
-                    !chosen.contains(&d.id()) && self.topology.rack_of(d.node()) != writer_rack
+                    !chosen.contains(&d.id()) && self.topology.rack_of(d.host()) != writer_rack
                 })
                 .collect();
             if let Some(d) = pick(&self.rng, &other_rack) {
@@ -121,7 +121,7 @@ impl PlacementPolicy {
 
         // Fill any remaining slots with random live datanodes.
         while chosen.len() < replication {
-            let remaining: Vec<&&Arc<Datanode>> =
+            let remaining: Vec<&&Arc<StorageNode>> =
                 live.iter().filter(|d| !chosen.contains(&d.id())).collect();
             match pick(&self.rng, &remaining) {
                 Some(d) => chosen.push(d.id()),
@@ -136,8 +136,8 @@ impl PlacementPolicy {
     pub fn order_by_proximity(
         &self,
         reader: NodeId,
-        mut nodes: Vec<(DatanodeId, NodeId)>,
-    ) -> Vec<DatanodeId> {
+        mut nodes: Vec<(DhtNodeId, NodeId)>,
+    ) -> Vec<DhtNodeId> {
         nodes.sort_by_key(|(_, n)| self.topology.proximity(reader, *n));
         nodes.into_iter().map(|(d, _)| d).collect()
     }
@@ -145,8 +145,8 @@ impl PlacementPolicy {
 
 fn pick<'a>(
     rng: &DeterministicRng,
-    candidates: &[&'a &Arc<Datanode>],
-) -> Option<&'a Arc<Datanode>> {
+    candidates: &[&'a &Arc<StorageNode>],
+) -> Option<&'a Arc<StorageNode>> {
     if candidates.is_empty() {
         None
     } else {
@@ -159,17 +159,14 @@ mod tests {
     use super::*;
 
     /// 2 racks x 4 nodes, one datanode per node.
-    fn setup() -> (ClusterTopology, Vec<Arc<Datanode>>) {
+    fn setup() -> (ClusterTopology, Vec<Arc<StorageNode>>) {
         let topo = ClusterTopology::builder()
             .sites(1)
             .racks_per_site(2)
             .nodes_per_rack(4)
             .build();
-        let datanodes: Vec<Arc<Datanode>> = topo
-            .all_nodes()
-            .enumerate()
-            .map(|(i, n)| Arc::new(Datanode::in_memory(DatanodeId(i as u32), n)))
-            .collect();
+        let hosts: Vec<NodeId> = topo.all_nodes().collect();
+        let datanodes = StorageNode::fleet(&hosts);
         (topo, datanodes)
     }
 
@@ -182,7 +179,7 @@ mod tests {
             assert_eq!(replicas.len(), 3);
             assert_eq!(
                 replicas[0],
-                DatanodeId(writer),
+                DhtNodeId(writer.into()),
                 "first replica must be local"
             );
         }
@@ -195,7 +192,7 @@ mod tests {
         let writer = NodeId(1); // rack 0 holds nodes 0..4
         for _ in 0..20 {
             let replicas = policy.choose(&datanodes, 3, writer);
-            let rack_of = |d: DatanodeId| topo.rack_of(datanodes[d.0 as usize].node());
+            let rack_of = |d: DhtNodeId| topo.rack_of(datanodes[d.0 as usize].host());
             assert_eq!(rack_of(replicas[0]), topo.rack_of(writer));
             assert_eq!(
                 rack_of(replicas[1]),
@@ -213,6 +210,39 @@ mod tests {
         }
     }
 
+    /// The replica lists one seed draws for a fixed sequence of writers,
+    /// pinned: the paper-scale HDFS sweeps replay this policy, so a change
+    /// to how it filters or draws would move their figures. The last two
+    /// writers come after node 2 dies, so writer 2's first replica is a
+    /// seeded draw.
+    #[test]
+    fn one_seed_draws_pinned_replica_lists() {
+        let (topo, datanodes) = setup();
+        let policy = PlacementPolicy::new(&topo, 2010);
+        let lists = |writers: &[u32]| -> Vec<Vec<_>> {
+            writers
+                .iter()
+                .map(|w| {
+                    let chosen = policy.choose(&datanodes, 3, NodeId(*w));
+                    chosen.iter().map(|d| d.0).collect()
+                })
+                .collect()
+        };
+        let healthy = lists(&[0, 5, 3, 7, 1, 6]);
+        datanodes[2].kill();
+        let degraded = lists(&[2, 4]);
+        let pinned_healthy = vec![
+            vec![0, 3, 7],
+            vec![5, 6, 3],
+            vec![3, 0, 5],
+            vec![7, 4, 3],
+            vec![1, 0, 6],
+            vec![6, 4, 3],
+        ];
+        assert_eq!(healthy, pinned_healthy);
+        assert_eq!(degraded, vec![vec![5, 1, 4], vec![4, 6, 0]]);
+    }
+
     #[test]
     fn replication_capped_by_live_datanodes() {
         let (topo, datanodes) = setup();
@@ -228,7 +258,7 @@ mod tests {
         datanodes[0].kill();
         let replicas = policy.choose(&datanodes, 3, NodeId(0));
         assert!(
-            !replicas.contains(&DatanodeId(0)),
+            !replicas.contains(&DhtNodeId(0)),
             "dead local datanode must be skipped"
         );
         assert_eq!(replicas.len(), 3);
@@ -248,15 +278,15 @@ mod tests {
     fn reads_prefer_the_closest_replica() {
         let (topo, datanodes) = setup();
         let policy = PlacementPolicy::new(&topo, 5);
-        let holders: Vec<(DatanodeId, NodeId)> = vec![
-            (DatanodeId(7), NodeId(7)),
-            (DatanodeId(0), NodeId(0)),
-            (DatanodeId(2), NodeId(2)),
+        let holders: Vec<(DhtNodeId, NodeId)> = vec![
+            (DhtNodeId(7), NodeId(7)),
+            (DhtNodeId(0), NodeId(0)),
+            (DhtNodeId(2), NodeId(2)),
         ];
         // Reader on node 0: its own datanode first, then same-rack node 2,
         // then remote-rack node 7.
         let ordered = policy.order_by_proximity(NodeId(0), holders);
-        assert_eq!(ordered, vec![DatanodeId(0), DatanodeId(2), DatanodeId(7)]);
+        assert_eq!(ordered, vec![DhtNodeId(0), DhtNodeId(2), DhtNodeId(7)]);
         let _ = datanodes;
     }
 

@@ -5,8 +5,8 @@
 //! from-scratch substitute, a small, dependency-free key-value store behind
 //! the [`PageStore`] trait:
 //!
-//! * [`MemStore`] — a sharded in-memory map, the store of every page
-//!   provider and HDFS datanode;
+//! * [`MemStore`] — a sharded in-memory map, the page store of every
+//!   `dht::StorageNode` (a BlobSeer provider or an HDFS datanode);
 //! * [`hash`] — [`FastHasher`], the one hasher of the storage path, and its
 //!   [`FastMap`]/[`FastSet`] collections, shared with the DHT and the
 //!   metadata layer.

@@ -76,9 +76,7 @@ impl ChurnSchedule {
         let mut events = Vec::with_capacity(count);
         let step = every.as_micros();
         for i in 0..count {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
+            state = crate::xorshift64(state);
             let roll = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) % 1000;
             let kind = if (roll as u32) < kill_per_mille {
                 ChurnEventKind::Kill

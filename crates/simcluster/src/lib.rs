@@ -79,3 +79,15 @@ pub use flowsim::{ClientProcess, FlowSimulator, SimReport, Step};
 pub use netmodel::NetworkModel;
 pub use time::{SimDuration, SimTime};
 pub use topology::{ClusterTopology, NodeId, RackId, SiteId};
+
+/// One step of the xorshift64 generator (shifts 13, 7, 17): the seeded
+/// stream behind every reproducible draw of the storage and experiment code
+/// (placement, cache eviction slots, churn schedules). Zero maps to zero,
+/// so a stream must start from a non-zero seed.
+#[inline]
+pub fn xorshift64(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}

@@ -19,12 +19,11 @@
 //!   huge file (pre-loaded by a single loader node).
 
 use blobseer::{PlacementStrategy, ProviderManager, StorageNode};
-use hdfs_sim::{Datanode, DatanodeId, PlacementPolicy};
+use hdfs_sim::PlacementPolicy;
 use simcluster::flowsim::{ClientProcess, Flow, FlowSimulator, SimReport, Step};
 use simcluster::netmodel::NetworkModel;
 use simcluster::topology::ClusterTopology;
 use simcluster::NodeId;
-use std::sync::Arc;
 
 /// Which storage system's placement logic drives the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,9 +232,7 @@ type Placements = Vec<Vec<BlockLayout>>;
 fn deterministic_shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed.max(1);
     let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
+        state = simcluster::xorshift64(state);
         state
     };
     for i in (1..items.len()).rev() {
@@ -299,18 +296,14 @@ fn compute_placements(
             }
         }
         StorageSystem::Hdfs => {
-            let datanodes: Vec<Arc<Datanode>> = storage_nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| Arc::new(Datanode::in_memory(DatanodeId(i as u32), *n)))
-                .collect();
+            let datanodes = StorageNode::fleet(&storage_nodes);
             let policy = PlacementPolicy::new(topo, 2010);
             for block in 0..blocks {
                 for (client, writer) in writer_nodes.iter().enumerate() {
                     let chosen = policy.choose(&datanodes, config.replication, *writer);
                     let nodes: Vec<NodeId> = chosen
                         .iter()
-                        .map(|d| datanodes[d.0 as usize].node())
+                        .map(|d| datanodes[d.0 as usize].host())
                         .collect();
                     placements[client][block as usize] = vec![(nodes, config.block_size)];
                 }

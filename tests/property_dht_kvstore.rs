@@ -51,7 +51,7 @@ enum Op {
 fn fleet(nodes: usize, replication: usize) -> (Dht, Vec<Arc<StorageNode>>) {
     let hosts: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
     let fleet = StorageNode::fleet(&hosts);
-    (Dht::with_nodes(fleet.clone(), replication, 32), fleet)
+    (Dht::with_nodes(fleet.clone(), replication), fleet)
 }
 
 /// Keys come from a narrow band so deletes meet stored keys; the checks

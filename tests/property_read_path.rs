@@ -9,18 +9,16 @@ use blobseer::metadata::store::MetadataStore;
 use blobseer::metadata::{Slot, TreeNode};
 use blobseer::types::next_power_of_two;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, BlobSeerError, ProviderId, Version};
-use dht::{Dht, DhtConfig};
+use dht::{Dht, StorageNode};
 use proptest::prelude::*;
+use simcluster::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A metadata store over a standalone three-node DHT (replication 2).
+/// A metadata store over a standalone three-machine DHT (replication 2).
 fn standalone_store(cache_capacity: usize) -> MetadataStore {
-    let dht = Dht::new(DhtConfig {
-        nodes: 3,
-        replication: 2,
-        virtual_nodes: 64,
-    });
+    let machines = StorageNode::fleet(&[NodeId(0), NodeId(1), NodeId(2)]);
+    let dht = Dht::with_nodes(machines, 2);
     MetadataStore::with_dht(Arc::new(dht), cache_capacity)
 }
 
